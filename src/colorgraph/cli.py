@@ -284,7 +284,7 @@ def simulate_cmd(graph_source, colors, stat, samples, seed, workers, out):
     lines.extend(f"{v},{cnt}" for v, cnt in sorted(run.counts_by_value().items()))
     _emit("\n".join(lines) + "\n", out, "simulate",
           {"graph": graph_source, "colors": colors, "stat": stat,
-           "samples": samples, "seed": seed}, started)
+           "samples": samples, "seed": seed, "kernel": run.kernel}, started)
 
 
 main.add_command(simulate_cmd, name="simulate")

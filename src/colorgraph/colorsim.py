@@ -5,19 +5,26 @@
 sample range is chunked or distributed over workers. ``exact_distribution``
 is the brute-force oracle: it enumerates every coloring in base-c order and
 returns exact rational probabilities with denominator c**n.
+
+Both count with one of two kernels, picked by ``_choose_kernel``: a one-hot
+float32 GEMM against the adjacency matrix, from the identity
+N = 1/2 sum_a x_a' A x_a over the color indicators x_a, or a gather that
+compares colors along edges, cycles or neighbour lists in a narrow
+unsigned dtype. They return identical counts.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
 from . import census, rng
-from .errors import BadColorVectorError, EnumerationGateExceededError
+from .errors import BadColorVectorError, DomainExceededError, EnumerationGateExceededError
 from .graph import Graph
 
 __all__ = [
@@ -34,6 +41,8 @@ __all__ = [
 
 EXACT_ENUMERATION_GATE = 10**7
 _CHUNK_TARGET = 2_000_000  # matrix entries per enumeration/simulation chunk
+_GEMM_BREAK_EVEN = 40  # GEMM when c*n^2 <= this * m: the measured break-even against the gather
+_MAX_COLORS = 2**53  # uniform_ints resolves at most this many colors
 
 
 @dataclass(frozen=True)
@@ -67,38 +76,143 @@ Statistic = Union[MonoEdges, MonoStars, MonoCycles]
 
 
 def _comb_array(values: np.ndarray, r: int) -> np.ndarray:
-    """Elementwise C(value, r), exact, via the few unique values present."""
-    uniq, inverse = np.unique(values, return_inverse=True)
-    table = np.array([math.comb(int(x), r) if x >= r else 0 for x in uniq], dtype=np.int64)
-    return table[inverse].reshape(values.shape)
+    """Elementwise C(value, r) of nonnegative ints, exact, via a table of the values present."""
+    present = np.flatnonzero(np.bincount(values.ravel()))
+    table = np.zeros(present[-1] + 1 if present.size else 1, dtype=np.int64)
+    table[present] = [math.comb(int(x), r) for x in present]
+    return table[values]
 
 
-def _counts_for_colors(g: Graph, stat: Statistic, colors: np.ndarray) -> np.ndarray:
-    """Statistic per row of a (batch, n) color matrix."""
-    if isinstance(stat, MonoEdges):
-        if g.m == 0:
-            return np.zeros(colors.shape[0], dtype=np.int64)
-        u, v = g.edge_arrays()
-        return (colors[:, u] == colors[:, v]).sum(axis=1).astype(np.int64)
-    if isinstance(stat, MonoStars):
-        if g.m == 0:
-            return np.zeros(colors.shape[0], dtype=np.int64)
-        u, v = g.edge_arrays()
-        eq = colors[:, u] == colors[:, v]
-        rows, cols = np.nonzero(eq)
-        batch, n = colors.shape
-        flat = np.concatenate((rows * n + u[cols], rows * n + v[cols]))
-        mono_deg = np.bincount(flat, minlength=batch * n).reshape(batch, n)
-        return _comb_array(mono_deg, stat.r).sum(axis=1)
+def _adjacency(g: Graph) -> np.ndarray:
+    """Dense float32 adjacency matrix; built per call, never cached on the graph."""
+    adj = np.zeros((g.n, g.n), dtype=np.float32)
+    u, v = g.edge_arrays()
+    adj[u, v] = adj[v, u] = 1.0
+    return adj
+
+
+def _gemm_counts(adj: np.ndarray, c: int, stat: Statistic, colors: np.ndarray) -> np.ndarray:
+    """Edges or stars per row from the mono-degree matrix D = sum_a X_a * (X_a @ A).
+
+    X_a is the 0/1 indicator matrix of color a, so D[i, v] counts the
+    neighbours of v that share its color in sample i. Its entries are
+    integers below n, exact in float32; sums are taken in int64.
+    """
     if isinstance(stat, MonoCycles):
-        cycles = census.cycle_list(g, stat.g)
-        if not cycles:
-            return np.zeros(colors.shape[0], dtype=np.int64)
-        cyc = np.asarray(cycles, dtype=np.int64)
-        cc = colors[:, cyc]
-        mono = (cc == cc[:, :, :1]).all(axis=2)
-        return mono.sum(axis=1).astype(np.int64)
-    raise TypeError(f"unknown statistic {stat!r}")
+        raise TypeError("the GEMM kernel counts edges and stars only")
+    mono_deg = np.zeros(colors.shape, dtype=np.float32)
+    # a chunk holds at most colors.size distinct colors; above that, loop over those present
+    for a in range(c) if c <= colors.size else np.unique(colors):
+        x = (colors == a).astype(np.float32)
+        mono_deg += x * (x @ adj)
+    mono_deg = mono_deg.astype(np.int64)
+    if isinstance(stat, MonoEdges):
+        return mono_deg.sum(axis=1) // 2
+    return _comb_array(mono_deg, stat.r).sum(axis=1)
+
+
+def _neighbour_columns(g: Graph) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Vertices by falling degree, their neighbours as columns, and the tails.
+
+    Column j lists the j-th neighbour of every vertex with more than j
+    neighbours, in that vertex order, so it lines up with a prefix of it.
+    Columns stop at the cut j that minimizes j plus the size of column j;
+    tail i holds the neighbours past the cut of the i-th vertex. The loops
+    over columns and tails stay short even on hubs.
+    """
+    u, v = g.edge_arrays()
+    deg = np.bincount(u, minlength=g.n) + np.bincount(v, minlength=g.n)
+    by_deg = np.argsort(-deg, kind="stable")
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[by_deg] = np.arange(g.n)
+    owner, other = rank[np.concatenate((u, v))], np.concatenate((v, u))
+    order = np.argsort(owner, kind="stable")
+    owner, other = owner[order], other[order]
+    slot = np.arange(owner.size) - np.searchsorted(owner, owner)
+    sizes = np.append(np.bincount(slot), 0)
+    cut = int(np.argmin(np.arange(sizes.size) + sizes))
+    head = slot < cut
+    order = np.lexsort((owner[head], slot[head]))
+    columns = np.split(other[head][order], np.cumsum(sizes[:cut])[:-1])
+    hubs = int(sizes[cut])  # vertices with neighbours past the cut
+    tail_sizes = np.bincount(owner[~head], minlength=hubs)
+    tails = np.split(other[~head], np.cumsum(tail_sizes)[:-1]) if hubs else []
+    return by_deg, columns, tails
+
+
+def _gather_index(g: Graph, stat: Statistic):
+    """What the gather kernel compares for ``stat``.
+
+    Stars get ``_neighbour_columns``; edges and cycles get vertex tuples,
+    an (m, 2) or (#cycles, g) array.
+    """
+    if isinstance(stat, MonoStars):
+        return _neighbour_columns(g)
+    if isinstance(stat, MonoCycles):
+        return np.asarray(census.cycle_list(g, stat.g), dtype=np.int64).reshape(-1, stat.g)
+    return np.stack(g.edge_arrays(), axis=1)
+
+
+def _narrow_dtype(top: int) -> type:
+    """The narrowest unsigned dtype holding 0..top, else int64."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _gather_counts(index, top: int, stat: Statistic, colors: np.ndarray) -> np.ndarray:
+    """Statistic per row by comparing colors along edges, cycles or neighbour lists.
+
+    ``index`` comes from ``_gather_index``; ``top`` bounds the colors. The
+    color matrix is transposed to (n, batch) in the narrowest dtype holding
+    ``top``, so each vertex looked up gathers one contiguous row.
+    """
+    by_vertex = colors.T.astype(_narrow_dtype(top), order="C")
+    if isinstance(stat, MonoStars):
+        by_deg, columns, tails = index
+        own = by_vertex[by_deg]
+        mono_deg = np.zeros(own.shape, dtype=np.int64)
+        for col in columns:
+            mono_deg[: col.size] += by_vertex[col] == own[: col.size]
+        for i, tail in enumerate(tails):
+            mono_deg[i] += np.count_nonzero(by_vertex[tail] == own[i], axis=0)
+        return _comb_array(mono_deg, stat.r).sum(axis=0)
+    first = by_vertex[index[:, 0]]
+    mono = first == by_vertex[index[:, 1]]
+    for j in range(2, index.shape[1]):
+        mono &= first == by_vertex[index[:, j]]
+    return np.count_nonzero(mono, axis=0).astype(np.int64)
+
+
+def _choose_kernel(g: Graph, c: int, stat: Statistic) -> tuple[str, int]:
+    """Name of the counting kernel for (g, c, stat) and its per-sample cost.
+
+    The cost, in matrix entries, sets the chunk size. GEMM does about c*n^2
+    multiply-adds per sample against the gather's m compares, so it runs
+    when c*n^2 <= _GEMM_BREAK_EVEN * m and the adjacency fits the budget.
+    Cycles always gather.
+    """
+    n = g.n
+    if (not isinstance(stat, MonoCycles) and n * n <= _CHUNK_TARGET
+            and c * n * n <= _GEMM_BREAK_EVEN * g.m):
+        return "gemm", 4 * n  # colors, one indicator, its product and D
+    cost = n + g.m
+    if isinstance(stat, MonoCycles):
+        cost += stat.g * len(census.cycle_list(g, stat.g))
+    return "gather", max(1, cost)
+
+
+def _counts_in_chunks(g: Graph, c: int, stat: Statistic, colors_for, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Statistic for samples [lo, hi), chunk by chunk; ``colors_for(idx)`` is their color matrix."""
+    kernel, row_cost = _choose_kernel(g, c, stat)
+    if kernel == "gemm":
+        count = functools.partial(_gemm_counts, _adjacency(g), c, stat)
+    else:
+        count = functools.partial(_gather_counts, _gather_index(g, stat), c - 1, stat)
+    step = max(1, _CHUNK_TARGET // row_cost)
+    for start in range(lo, hi, step):
+        yield count(colors_for(np.arange(start, min(start + step, hi), dtype=np.int64)))
 
 
 def mono_count(g: Graph, colors, stat: Statistic) -> int:
@@ -108,7 +222,8 @@ def mono_count(g: Graph, colors, stat: Statistic) -> int:
         raise BadColorVectorError(f"expected {g.n} colors, got shape {arr.shape}")
     if g.n and arr.min() < 0:
         raise BadColorVectorError("colors must be nonnegative integers")
-    return int(_counts_for_colors(g, stat, arr[None, :])[0])
+    top = int(arr.max()) if g.n else 0  # no c here: the dtype must hold the largest color
+    return int(_gather_counts(_gather_index(g, stat), top, stat, arr[None, :])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +235,7 @@ class SimulationRun:
     stat: Statistic
     sample_count: int
     counts: np.ndarray
+    kernel: str  # counting kernel that ran: "gemm" or "gather"
 
     def counts_by_value(self) -> dict[int, int]:
         values, freq = np.unique(self.counts, return_counts=True)
@@ -145,21 +261,8 @@ def _color_matrix(seed: int, sample_indices: np.ndarray, n: int, c: int) -> np.n
     )
 
 
-def _row_cost(g: Graph, stat: Statistic) -> int:
-    """Per-sample memory footprint driving the chunk size."""
-    cost = g.n + g.m
-    if isinstance(stat, MonoCycles):
-        cost += stat.g * len(census.cycle_list(g, stat.g))
-    return max(1, cost)
-
-
 def _simulate_range(g: Graph, c: int, stat: Statistic, seed: int, lo: int, hi: int) -> np.ndarray:
-    step = max(1, _CHUNK_TARGET // _row_cost(g, stat))
-    parts = []
-    for start in range(lo, hi, step):
-        idx = np.arange(start, min(start + step, hi), dtype=np.int64)
-        colors = _color_matrix(seed, idx, g.n, c)
-        parts.append(_counts_for_colors(g, stat, colors))
+    parts = list(_counts_in_chunks(g, c, stat, lambda idx: _color_matrix(seed, idx, g.n, c), lo, hi))
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
@@ -182,6 +285,10 @@ def simulate(
     """
     if c < 2:
         raise ValueError(f"need at least 2 colors, got {c}")
+    if c > _MAX_COLORS:
+        raise DomainExceededError(
+            f"{c} colors exceed 2^53, the most that 53-bit uniforms draw uniformly"
+        )
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     if isinstance(stat, MonoCycles):
@@ -199,7 +306,8 @@ def simulate(
     else:
         counts = _simulate_range(g, c, stat, seed, 0, samples)
     counts.setflags(write=False)
-    return SimulationRun(seed=seed, colors=c, stat=stat, sample_count=samples, counts=counts)
+    return SimulationRun(seed=seed, colors=c, stat=stat, sample_count=samples, counts=counts,
+                         kernel=_choose_kernel(g, c, stat)[0])
 
 
 def exact_distribution(g: Graph, c: int, stat: Statistic) -> dict[int, Fraction]:
@@ -219,11 +327,11 @@ def exact_distribution(g: Graph, c: int, stat: Statistic) -> dict[int, Fraction]
     # vertex 0 is the most significant digit of the coloring index
     powers = c ** np.arange(g.n - 1, -1, -1, dtype=np.int64) if g.n else np.zeros(0, np.int64)
     counter: dict[int, int] = {}
-    step = max(1, _CHUNK_TARGET // _row_cost(g, stat))
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        colors = (idx[:, None] // powers[None, :]) % c if g.n else np.zeros((idx.size, 0), np.int64)
-        values = _counts_for_colors(g, stat, colors)
+
+    def colors_for(idx: np.ndarray) -> np.ndarray:
+        return (idx[:, None] // powers[None, :]) % c if g.n else np.zeros((idx.size, 0), np.int64)
+
+    for values in _counts_in_chunks(g, c, stat, colors_for, 0, total):
         uniq, freq = np.unique(values, return_counts=True)
         for v, f in zip(uniq.tolist(), freq.tolist()):
             counter[v] = counter.get(v, 0) + f

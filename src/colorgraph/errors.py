@@ -87,7 +87,11 @@ class WrongLawKindError(ColorGraphError):
 
 
 class DomainExceededError(ColorGraphError):
-    """An MGF argument lies outside the region of finiteness."""
+    """An input lies outside the domain a computation handles exactly.
+
+    An MGF argument outside the region of finiteness, a Poisson mean too
+    large for CDF inversion, or more colors than 53-bit uniforms resolve.
+    """
 
 
 class AmbiguousRegimeError(ColorGraphError):

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainExceededError
+
 _U64 = np.uint64
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -97,13 +99,20 @@ def poissons(seed: int, mean, *path) -> np.ndarray:
 
     ``mean`` is a scalar or an array broadcastable against the path shape.
     Intended for small and moderate means (iteration count grows with the
-    mean plus a wide tail margin).
+    mean plus a wide tail margin). A mean above about 708.4, where exp(-mean)
+    is no longer a normal double, raises ``DomainExceededError``: the
+    inversion would start from a term that has lost its precision or is 0.
     """
     u = uniforms(seed, *path)
     lam = np.broadcast_to(np.asarray(mean, dtype=np.float64), u.shape)
     if np.any(lam < 0):
         raise ValueError("Poisson mean must be nonnegative")
     term = np.exp(-lam)
+    if np.any(term < np.finfo(np.float64).tiny):
+        raise DomainExceededError(
+            f"Poisson mean {float(np.max(lam)):.6g} is too large for CDF inversion: "
+            "exp(-mean) underflows below the smallest normal double"
+        )
     cdf = term.copy()
     out = np.zeros(u.shape, dtype=np.int64)
     pending = u >= cdf

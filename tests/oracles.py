@@ -28,9 +28,9 @@ def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
     return False
 
 
-def brute_count_cycles(g: Graph, length: int) -> int:
-    """Cycles of a given length by vertex-subset enumeration."""
-    count = 0
+def brute_cycles(g: Graph, length: int) -> list[tuple[int, ...]]:
+    """Cycles of a given length, one vertex sequence each, by vertex-subset enumeration."""
+    cycles = []
     for subset in itertools.combinations(range(g.n), length):
         first = subset[0]
         rest = subset[1:]
@@ -40,8 +40,37 @@ def brute_count_cycles(g: Graph, length: int) -> int:
                 continue  # one direction per cycle
             ok = all(seq[i + 1] in g.neighbor_set(seq[i]) for i in range(length - 1))
             if ok and first in g.neighbor_set(seq[-1]):
-                count += 1
-    return count
+                cycles.append(seq)
+    return cycles
+
+
+def brute_count_cycles(g: Graph, length: int) -> int:
+    """Cycles of a given length by vertex-subset enumeration."""
+    return len(brute_cycles(g, length))
+
+
+def loop_mono_counts(g: Graph, colorings, kind: str, order: int = 0) -> list[int]:
+    """A monochromatic statistic of each coloring by plain Python loops.
+
+    ``kind`` is "edges", "stars" (r = ``order``: per vertex, C(#same-colored
+    neighbours, r)) or "cycles" (length ``order``). Each coloring is a
+    sequence of nonnegative ints; no numpy, no library kernel.
+    """
+    cycles = brute_cycles(g, order) if kind == "cycles" else []
+    out = []
+    for colors in colorings:
+        if kind == "edges":
+            out.append(sum(1 for u, v in g.edges if colors[u] == colors[v]))
+        elif kind == "stars":
+            same = [0] * g.n
+            for u, v in g.edges:
+                if colors[u] == colors[v]:
+                    same[u] += 1
+                    same[v] += 1
+            out.append(sum(math.comb(d, order) for d in same))
+        else:
+            out.append(sum(1 for cyc in cycles if len({colors[x] for x in cyc}) == 1))
+    return out
 
 
 def brute_count_subgraph(g: Graph, h: Graph) -> int:

@@ -103,6 +103,23 @@ class TestSimulateExactCompare:
                                    "--stat", "edges", "--samples", "10", "--seed", "1"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("graph,colors,kernel", [
+        ("complete:40", "2", "gemm"),
+        ("complete:60", "1770", "gather"),
+    ])
+    def test_manifest_records_kernel(self, runner, tmp_path, graph, colors, kernel):
+        out = tmp_path / "sim.csv"
+        res = invoke(runner, "simulate", "--graph", graph, "--colors", colors,
+                     "--samples", "200", "--seed", "1", "--out", str(out))
+        assert res.exit_code == 0
+        manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
+        assert manifest["config"]["kernel"] == kernel
+
+    def test_colors_beyond_two_to_the_53_exit_code(self, runner):
+        res = runner.invoke(main, ["simulate", "--graph", "complete:2", "--colors", str(2**60),
+                                   "--samples", "10", "--seed", "1"])
+        assert res.exit_code == 4
+
     def test_compare_tv_pass_and_fail(self, runner, tmp_path):
         emp = tmp_path / "emp.csv"
         law = tmp_path / "law.json"

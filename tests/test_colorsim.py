@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     complete_graph_mono_edge_pmf,
     complete_two_color_lattice_law,
     gadget_mono_cycle_pmf,
+    loop_mono_counts,
     pmf_moment,
 )
 
@@ -17,15 +19,21 @@ from colorgraph.colorsim import (
     MonoCycles,
     MonoEdges,
     MonoStars,
+    _adjacency,
+    _choose_kernel,
+    _gather_counts,
+    _gather_index,
+    _gemm_counts,
     exact_distribution,
     mono_count,
     simulate,
 )
-from colorgraph.errors import BadColorVectorError, EnumerationGateExceededError
+from colorgraph.errors import BadColorVectorError, DomainExceededError, EnumerationGateExceededError
 from colorgraph.graph import (
     Complete,
     CompleteBipartite,
     Cycle,
+    Graph,
     Path,
     PathCycleGadget,
     Star,
@@ -51,6 +59,14 @@ class TestMonoCount:
             mono_count(generate(Complete(3)), [1, 1], MonoEdges())
         with pytest.raises(BadColorVectorError):
             mono_count(generate(Complete(3)), [0, -1, 0], MonoEdges())
+
+    def test_colors_wider_than_narrow_dtypes(self):
+        # mono_count has no c: a uint8 or uint16 cast would make 256 or 65536 equal 0
+        k2 = generate(Complete(2))
+        for big in (256, 65536, 2**32, 2**40):
+            assert mono_count(k2, [0, big], MonoEdges()) == 0
+            assert mono_count(k2, [big, big], MonoEdges()) == 1
+        assert mono_count(generate(Star(2)), [300, 44, 300], MonoStars(1)) == 2
 
     def test_stat_validation(self):
         with pytest.raises(ValueError):
@@ -182,6 +198,92 @@ class TestSimulate:
             simulate(g, 1, MonoEdges(), 10, 0)
         with pytest.raises(ValueError):
             simulate(g, 2, MonoEdges(), 0, 0)
+
+    def test_colors_beyond_two_to_the_53_rejected(self):
+        # 53-bit uniforms only reach multiples of 128 when c = 2^60
+        k2 = generate(Complete(2))
+        with pytest.raises(DomainExceededError):
+            simulate(k2, 2**60, MonoEdges(), 10, 1)
+        with pytest.raises(DomainExceededError):
+            simulate(k2, 2**53 + 1, MonoEdges(), 10, 1)
+        assert set(simulate(k2, 2**53, MonoEdges(), 10, 1).counts.tolist()) <= {0, 1}
+
+    def test_kernel_choice_recorded(self):
+        k200 = generate(Complete(200))
+        assert _choose_kernel(k200, 2, MonoEdges())[0] == "gemm"
+        assert _choose_kernel(k200, 2, MonoStars(2))[0] == "gemm"
+        assert _choose_kernel(generate(Complete(6)), 2, MonoCycles(3))[0] == "gather"
+        assert _choose_kernel(generate(Complete(60)), 1770, MonoEdges())[0] == "gather"
+        assert _choose_kernel(generate(Path(200)), 2, MonoEdges())[0] == "gather"
+        assert simulate(generate(Complete(40)), 2, MonoEdges(), 10, 1).kernel == "gemm"
+        assert simulate(generate(Cycle(5)), 2, MonoCycles(5), 10, 1).kernel == "gather"
+
+    def test_worker_invariant_on_both_kernels(self):
+        g = generate(CompleteBipartite(4, 5))
+        for c, kernel in ((3, "gemm"), (300, "gather")):
+            for stat in (MonoEdges(), MonoStars(2)):
+                one, four = (simulate(g, c, stat, 3000, 17, workers=w) for w in (1, 4))
+                assert one.kernel == four.kernel == kernel
+                assert np.array_equal(one.counts, four.counts)
+
+
+# -- the counting kernels against plain loops ----------------------------------------
+
+KERNEL_COLORS = (2, 3, 7, 300, 70000)
+KERNEL_STATS = (
+    ("edges", 0, MonoEdges()),
+    ("stars", 1, MonoStars(1)),
+    ("stars", 2, MonoStars(2)),
+    ("stars", 3, MonoStars(3)),
+    ("cycles", 3, MonoCycles(3)),
+    ("cycles", 4, MonoCycles(4)),
+)
+
+
+def kernel_test_colorings(n: int, c: int, seed: int) -> np.ndarray:
+    """Uniform rows, rows over colors that collide when cut to 8 or 16 bits, one constant row."""
+    gen = np.random.default_rng(seed)
+    top = c - 1
+    clash = np.array(sorted({0, top, top % 256, top % 65536}), dtype=np.int64)
+    return np.vstack([
+        gen.integers(0, c, size=(25, n)),
+        gen.choice(clash, size=(25, n)),
+        np.full((1, n), top),
+    ]).astype(np.int64)
+
+
+def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray) -> None:
+    rows = colors.tolist()
+    for kind, order, stat in KERNEL_STATS:
+        expected = np.array(loop_mono_counts(g, rows, kind, order), dtype=np.int64)
+        gathered = _gather_counts(_gather_index(g, stat), c - 1, stat, colors)
+        assert np.array_equal(gathered, expected), (kind, order, c)
+        if kind != "cycles":
+            gemm = _gemm_counts(_adjacency(g), c, stat, colors)
+            assert np.array_equal(gemm, expected), (kind, order, c)
+
+
+class TestKernelsAgainstLoops:
+    @pytest.mark.parametrize("c", KERNEL_COLORS)
+    def test_catalog(self, catalog, c):
+        for i, (name, g) in enumerate(catalog):
+            assert_kernels_match_loops(g, c, kernel_test_colorings(g.n, c, 1000 * c + i))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_hypothesis_graphs(self, data):
+        n = data.draw(st.integers(1, 9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        c = data.draw(st.sampled_from(KERNEL_COLORS))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        g = Graph(n, sorted(edges))
+        assert_kernels_match_loops(g, c, kernel_test_colorings(n, c, seed))
+
+    def test_gemm_rejects_cycles(self):
+        g = generate(Complete(4))
+        with pytest.raises(TypeError):
+            _gemm_counts(_adjacency(g), 2, MonoCycles(3), np.zeros((1, 4), dtype=np.int64))
 
 
 class TestMomentsAgainstOracle:

@@ -106,6 +106,18 @@ class TestSampling:
         s = sample_law(Poisson(1.0), 1_000_000, 5)
         assert 0.996 <= s.mean() <= 1.004
 
+    def test_poisson_mean_too_large_for_inversion(self):
+        # exp(-800) is 0: inversion used to return its clamp, 1200, for every draw
+        for mean in (709.0, 800.0, 1e6):
+            with pytest.raises(DomainExceededError):
+                sample_law(Poisson(mean), 5, 3)
+        with pytest.raises(DomainExceededError):
+            sample_law(PoissonMixture(PoissonMixing(800.0)), 5, 3)
+
+    def test_poisson_streams_frozen(self):
+        assert sample_law(Poisson(5.0), 5, 3).tolist() == [5, 6, 6, 6, 7]
+        assert sample_law(Poisson(708.0), 5, 3).tolist() == [713, 725, 718, 718, 736]
+
     def test_weighted_chisq_centered(self):
         law = WeightedChiSquare((1 / SQ2, -1 / SQ2), 1, 0.25)
         s = sample_law(law, 1_000_000, 6)
