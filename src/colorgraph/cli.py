@@ -491,13 +491,13 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale, out):
         emp = {}
         for v, w in zip(values, weights):
             emp[v] = emp.get(v, 0.0) + w / total
-        support = range(int(min(emp)), int(max(emp)) + 80)
-        ref = {float(k): limits.law_pmf(law, k) for k in support if k >= 0}
-        value = stats.tv_distance(emp, ref)
+        ref = {float(k): limits.law_pmf(law, k) for k in range(0, int(max(emp)) + 80)}
+        # emp has no mass past the summed range, so the law's mass there counts in full
+        beyond = max(0.0, 1.0 - sum(ref.values()))
+        value = stats.tv_distance(emp, ref) + 0.5 * beyond
     else:
-        expanded = np.repeat(np.asarray(values), np.asarray(weights, dtype=np.int64))
-        standardized = (expanded - center) / scale
-        value = stats.ks_statistic(standardized, lambda x: limits.law_cdf(law, x))
+        standardized = (np.asarray(values) - center) / scale
+        value = stats.ks_statistic(standardized, lambda x: limits.law_cdf(law, x), weights=weights)
     passed = value < tol
     _emit(_json_doc("compare", {"metric": metric, "value": value, "tol": tol, "pass": passed}),
           out, "compare", {"empirical": empirical, "law": law_path, "metric": metric,

@@ -28,6 +28,7 @@ import numpy as np
 from . import census, rng, spectral
 from .errors import (
     AmbiguousRegimeError,
+    ConvergenceFailureError,
     DomainExceededError,
     WrongLawKindError,
 )
@@ -67,9 +68,11 @@ __all__ = [
 _PMF_REL_TAIL = 1e-12
 _WEIGHT_SUM_TOL = 1e-10
 _WEIGHT_TRUNCATION_TAIL = 1e-6
-_QUANTILE_CACHE_SAMPLES = 10**7
-_QUANTILE_CACHE_SEED = 0x5EED_CDF
 _NORMAL_CHUNK = 4_000_000
+_MIXTURE_MAX_TERMS = 10_000
+_CDF_ACCURACY = 1e-6
+_CDF_MAX_TERMS = 10_000_000
+_CDF_BLOCK = 1 << 18
 
 ACF4_NORMAL_THRESHOLD = 1e-2
 ACF4_GRAY_UPPER = 1e-1
@@ -214,19 +217,28 @@ def _mixture_pmf(mix: Mixing, k: int) -> float:
         # sum_j P(Z = j) e^{-j} j^k / k!, truncated when the Poisson tail of
         # the mixing law is negligible relative to the accumulated sum
         mu = mix.mean
+        wj = math.exp(-mu)
+        if wj < np.finfo(np.float64).tiny:
+            raise DomainExceededError(
+                f"Poisson mixing mean {mu:.6g} is too large: "
+                "exp(-mean) underflows below the smallest normal double"
+            )
         total = 0.0
         weight_tail = 1.0
         j = 0
-        wj = math.exp(-mu)
         while True:
             total += wj * _poisson_pmf(float(j), k)
             weight_tail -= wj
-            if weight_tail <= _PMF_REL_TAIL * max(total, _PMF_REL_TAIL) and j > mu:
+            # once wj underflows to 0 no later term changes the sum; the
+            # rounded weight_tail alone may never reach the tolerance
+            if j > mu and (wj == 0.0 or weight_tail <= _PMF_REL_TAIL * max(total, _PMF_REL_TAIL)):
                 break
             j += 1
             wj *= mu / j
-            if j > 10000:
-                break
+            if j > _MIXTURE_MAX_TERMS:
+                raise DomainExceededError(
+                    f"Poisson mixing mean {mu} needs more than {_MIXTURE_MAX_TERMS} terms"
+                )
         return total
     raise TypeError(f"unknown mixing {mix!r}")
 
@@ -242,19 +254,6 @@ def law_pmf(law: LimitLaw, k: int) -> float:
 
 def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-_wcs_quantile_cache: dict[tuple, np.ndarray] = {}
-
-
-def _wcs_quantiles(law: WeightedChiSquare) -> np.ndarray:
-    key = (law.weights, law.dof, law.scale)
-    hit = _wcs_quantile_cache.get(key)
-    if hit is None:
-        hit = np.sort(sample_law(law, _QUANTILE_CACHE_SAMPLES, _QUANTILE_CACHE_SEED))
-        _wcs_quantile_cache.clear()  # keep at most one table resident
-        _wcs_quantile_cache[key] = hit
-    return hit
 
 
 def law_cdf(law: LimitLaw, x: float) -> float:
@@ -273,9 +272,225 @@ def law_cdf(law: LimitLaw, x: float) -> float:
         atom = law.atom_mass if x >= 0 else 0.0
         return atom + (1.0 - law.atom_mass) * _phi(x / math.sqrt(law.variance))
     if isinstance(law, WeightedChiSquare):
-        table = _wcs_quantiles(law)
-        return float(np.searchsorted(table, x, side="right")) / table.size
+        return _weighted_chisq_cdf(law, x)
     raise WrongLawKindError(f"unknown law {law!r}")
+
+
+# ---------------------------------------------------------------------------
+# weighted chi-square cdf: Imhof inversion with Davies' error control
+# ---------------------------------------------------------------------------
+
+
+def _weighted_chisq_cdf(law: WeightedChiSquare, x: float) -> float:
+    """P(law <= x) for the kept weights of ``law.effective_weights()``.
+
+    That is the law ``sample_law`` draws. The value is within
+    ``_CDF_ACCURACY`` of it: exact 0 or 1 beyond a finite support endpoint,
+    otherwise Imhof's inversion integral summed by :class:`_Inversion`.
+    """
+    kept, _ = law.effective_weights()
+    lam = law.scale * np.asarray(kept, dtype=np.float64)
+    endpoint = -law.dof * float(lam.sum())
+    if lam.min() > 0.0 and x <= endpoint:
+        return 0.0
+    if lam.max() < 0.0 and x >= endpoint:
+        return 1.0
+    if not lam.any():
+        return 1.0 if x >= 0.0 else 0.0
+    value = _Inversion(lam, law.dof).probability_below(x - endpoint)
+    return min(1.0, max(0.0, value))
+
+
+class _Inversion:
+    """P(Q < c) for Q = sum_j lam_j chi^2_dof by Davies' algorithm (1980, AS 155).
+
+    Gil-Pelaez/Imhof: P(Q < c) = 1/2 - (1/pi) int_0^inf Im[phi(u) e^{-iuc}] / u du
+    with phi(u) = prod_j (1 - 2i lam_j u)^{-dof/2}, summed by the midpoint
+    rule. The step is chosen from Chernoff bounds on both tails, which bound
+    the aliasing error; the truncation point from a bound on the integrand's
+    tail. Where phi decays slowly (one weight with dof 1 or 2, two with dof
+    1) a convergence factor exp(-tau^2 u^2 / 2), that is Q + N(0, tau^2),
+    shortens the range; the difference it makes is integrated on a coarser
+    grid with its own bound. The errors sum to at most ``_CDF_ACCURACY``.
+    ``lam`` is ordered by decreasing magnitude, as ``effective_weights``
+    returns it. ``sigsq`` holds the variance of the convergence factors.
+    """
+
+    _LOG28 = math.log(2.0) / 8.0
+
+    def __init__(self, lam: np.ndarray, dof: int):
+        self.lam = lam
+        self.dof = dof
+        self.sigsq = 0.0
+        self.mean = dof * float(lam.sum())
+        self.lmax = max(0.0, float(lam.max()))
+        self.lmin = min(0.0, float(lam.min()))
+
+    def _chernoff(self, u: float) -> tuple[float, float]:
+        """(bound, cx): P(Q + N(0, sigsq) beyond cx) <= bound, upper tail for u > 0.
+
+        cx is the mean of the law tilted by e^{uQ}; the bound is
+        M(u) e^{-u cx} with M the MGF of :func:`weighted_chisq_mgf`.
+        """
+        x = 2.0 * u * self.lam
+        cx = self.sigsq * u + self.dof * float(np.sum(self.lam / (1.0 - x)))
+        log_mgf = _weighted_chisq_log_mgf(self.lam, self.dof, u) + 0.5 * self.sigsq * u * u
+        exponent = log_mgf - u * (cx - self.mean)
+        return (0.0 if exponent < -50.0 else math.exp(exponent)), cx
+
+    def _cutoff(self, acc: float, u2: float) -> tuple[float, float]:
+        """(c2, u2): P(Q > c2) < acc for u2 > 0, P(Q < c2) < acc for u2 < 0."""
+        u1, c1 = 0.0, self.mean
+        rb = 2.0 * (self.lmax if u2 > 0 else self.lmin)
+        bound, c2 = self._chernoff(u2 / (1.0 + u2 * rb))
+        while bound > acc:
+            u1, c1, u2 = u2, c2, 2.0 * u2
+            bound, c2 = self._chernoff(u2 / (1.0 + u2 * rb))
+        while (c1 - self.mean) / (c2 - self.mean) < 0.9:
+            u = 0.5 * (u1 + u2)
+            bound, cx = self._chernoff(u / (1.0 + u * rb))
+            if bound > acc:
+                u1, c1 = u, cx
+            else:
+                u2, c2 = u, cx
+        return c2, u2
+
+    def _truncation(self, u: float, tausq: float) -> float:
+        """Bound on (1/pi) int_u^inf |phi(t)| e^{-(sigsq + tausq) t^2 / 2} / t dt."""
+        sum2 = (self.sigsq + tausq) * u * u
+        x = (2.0 * u * self.lam) ** 2
+        big = x > 1.0
+        log1px = np.log1p(x)
+        prod1 = 2.0 * sum2 + self.dof * float(log1px[~big].sum())
+        prod2 = prod1 + self.dof * float(np.log(x[big]).sum())
+        prod3 = prod1 + self.dof * float(log1px[big].sum())
+        s = self.dof * int(np.count_nonzero(big))
+        power = math.exp(-0.25 * prod2) / math.pi  # |phi(t)| <= pi power (u/t)^{s/2}, t >= u
+        y = math.exp(-0.25 * prod3) / math.pi  # |phi(u)| / pi
+        err = min(1.0 if s == 0 else 2.0 * power / s, 2.5 * y if prod3 > 1.0 else 1.0)
+        half = 0.5 * sum2
+        return min(err, 1.0 if half <= y else y / half)
+
+    def _truncation_point(self, ut: float, acc: float) -> float:
+        """u with truncation(u) <= acc, within a factor 1.1 of the smallest such."""
+        if self._truncation(ut / 4.0, 0.0) > acc:
+            while self._truncation(ut, 0.0) > acc:
+                ut *= 4.0
+        else:
+            ut /= 4.0
+            while self._truncation(ut / 4.0, 0.0) <= acc:
+                ut /= 4.0
+        for div in (2.0, 1.4, 1.2, 1.1):
+            if self._truncation(ut / div, 0.0) <= acc:
+                ut /= div
+        return ut
+
+    def _smoothing_error(self, c: float) -> float | None:
+        """Coefficient e with |P(Q + N(0, tau^2) < c) - P(Q < c)| <= e tau^2.
+
+        Davies' bound: from |c|, subtract the means of the same-signed
+        weights, smallest first, while the rest stays beyond |lam_j| / log28;
+        the dof of the larger weights left over enter as 2^{dof/4}. None
+        where that exponent passes 100 and the bound is useless.
+        """
+        sign = 1.0 if c > 0.0 else -1.0
+        rising = self.lam[::-1] * sign
+        pos = np.flatnonzero(rising > 0.0)
+        a = rising[pos]
+        after = abs(c) - self.dof * np.cumsum(a)
+        stop = np.flatnonzero(after <= a / self._LOG28)
+        if stop.size == 0:
+            axl = float(after[-1]) if a.size else abs(c)
+            exponent = 0.0
+        else:
+            k = int(stop[0])
+            lj = float(a[k])
+            axl = min(abs(c) if k == 0 else float(after[k - 1]), lj / self._LOG28)
+            larger = self.lam.size - 1 - int(pos[k])
+            exponent = (axl - float(after[k])) / lj + self.dof * larger
+        if exponent > 100.0:
+            return None
+        return 2.0 ** (exponent / 4.0) / (math.pi * axl * axl)
+
+    def _integrate(self, nterm: int, step: float, c: float, tausq: float | None):
+        """Midpoint sum of the inversion integrand over u_k = (k + 1/2) step, k <= nterm.
+
+        With ``tausq`` the integrand is multiplied by 1 - exp(-tausq u^2 / 2).
+        Returns (sum, sum of the terms' round-off scales).
+        """
+        total = roundoff = 0.0
+        block = max(1, _CDF_BLOCK // self.lam.size)
+        for start in range(0, nterm + 1, block):
+            u = (np.arange(start, min(nterm + 1, start + block)) + 0.5) * step
+            x = 2.0 * u[:, None] * self.lam
+            angle = self.dof * np.arctan(x)
+            log_mod = -0.5 * self.sigsq * u * u - 0.25 * self.dof * np.log1p(x * x).sum(axis=1)
+            term = (step / math.pi) * np.exp(log_mod) / u
+            if tausq is not None:
+                term = term * -np.expm1(-0.5 * tausq * u * u)
+            total += float(np.sum(np.sin(0.5 * angle.sum(axis=1) - u * c) * term))
+            scale = np.abs(2.0 * u * c) + np.abs(angle).sum(axis=1)
+            roundoff += float(np.sum(0.5 * scale * term))
+        return total, roundoff
+
+    def probability_below(self, c: float) -> float:
+        sd = math.sqrt(2.0 * self.dof * float(np.sum(self.lam * self.lam)))
+        acc = _CDF_ACCURACY
+        up = 4.5 / sd
+        un = -up
+        utx = self._truncation_point(16.0 / sd, 0.5 * acc)
+        # a convergence factor for the whole integral, if it shortens the range
+        if c != 0.0 and max(self.lmax, -self.lmin) > 0.07 * sd:
+            coef = self._smoothing_error(c)
+            if coef is not None:
+                tausq = 0.25 * acc / coef
+                if self._truncation(utx, tausq) < 0.2 * acc:
+                    self.sigsq += tausq
+                    utx = self._truncation_point(utx, 0.25 * acc)
+        acc *= 0.5
+        budget = _CDF_MAX_TERMS
+        total = roundoff = 0.0
+        while True:
+            upper, up = self._cutoff(acc, up)
+            if upper < c:
+                return 1.0
+            lower, un = self._cutoff(acc, un)
+            if lower > c:
+                return 0.0
+            step = 2.0 * math.pi / max(upper - c, c - lower)
+            nodes = utx / step
+            aux_nodes = 3.0 / math.sqrt(acc)
+            if nodes <= 1.5 * aux_nodes:
+                break
+            # too many nodes: integrate the effect of a further convergence
+            # factor on a coarse grid, then continue with Q + N(0, tausq)
+            if aux_nodes > budget:
+                raise DomainExceededError("weighted chi-square cdf needs too many terms")
+            nterm = int(math.floor(aux_nodes + 0.5))
+            coarse = utx / nterm
+            alias = 2.0 * math.pi / coarse
+            if alias <= abs(c):
+                break
+            below, above = self._smoothing_error(c - alias), self._smoothing_error(c + alias)
+            if below is None or above is None:
+                break
+            tausq = 0.33 * acc / (1.1 * (below + above))
+            acc *= 0.67
+            part, err = self._integrate(nterm, coarse, c, tausq)
+            total += part
+            roundoff += err
+            budget -= aux_nodes
+            self.sigsq += tausq
+            utx = self._truncation_point(utx, 0.25 * acc)
+            acc *= 0.75
+        if nodes > budget:
+            raise DomainExceededError("weighted chi-square cdf needs too many terms")
+        part, err = self._integrate(int(math.floor(nodes + 0.5)), step, c, None)
+        total += part
+        roundoff += err
+        if roundoff + 0.1 * _CDF_ACCURACY == roundoff:
+            raise ConvergenceFailureError("weighted chi-square cdf lost its accuracy to round-off")
+        return 0.5 - total
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +564,11 @@ def weighted_chisq_mgf(weights, dof: int, t: float) -> float:
         raise DomainExceededError(
             f"|t| = {abs(t)} outside the MGF domain |t| < {0.5 / wmax if wmax else math.inf}"
         )
-    log_val = -0.5 * dof * np.sum(np.log1p(-2.0 * t * w)) - dof * t * np.sum(w)
-    return float(np.exp(log_val))
+    return float(np.exp(_weighted_chisq_log_mgf(w, dof, t)))
+
+
+def _weighted_chisq_log_mgf(w: np.ndarray, dof: int, t: float) -> float:
+    return -0.5 * dof * float(np.sum(np.log1p(-2.0 * t * w))) - dof * t * float(np.sum(w))
 
 
 def delta_conditional_mgf(g: Graph, c: int, t: float) -> float:
@@ -516,7 +734,7 @@ def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitL
     g = graph_or_spec
     if g.m < 1:
         raise ValueError("fixed-color regime needs at least one edge")
-    spectrum = spectral.eigenvalues(g)
+    spectral.check_dense_size(g)
     acf4 = census.four_cycle_count_from_traces(g) / g.m**2
     if acf4 < ACF4_NORMAL_THRESHOLD:
         return Normal(0.0, 1.0 - 1.0 / c)
@@ -525,6 +743,6 @@ def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitL
             f"four-cycle ratio {acf4:.4g} lies in the gray zone "
             f"[{ACF4_NORMAL_THRESHOLD}, {ACF4_GRAY_UPPER}]; no regime is declared"
         )
-    lam = spectrum.normalized
+    lam = spectral.eigenvalues(g).normalized
     weights = tuple(float(x) for x in lam if abs(x) > 1e-12)
     return WeightedChiSquare(weights=weights, dof=c - 1, scale=1.0 / (2.0 * c))

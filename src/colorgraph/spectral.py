@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConvergenceFailureError, SizeGateExceededError
 from .graph import Graph
 
-__all__ = ["Spectrum", "eigenvalues", "cycle_upper_bound", "CycleBound"]
+__all__ = ["Spectrum", "eigenvalues", "check_dense_size", "cycle_upper_bound", "CycleBound"]
 
 DENSE_SIZE_GATE = 4000
 _TRACE_TOL = 1e-8
@@ -57,12 +57,17 @@ class Spectrum:
         return float(np.sum(self.eigenvalues**g))
 
 
-def eigenvalues(g: Graph) -> Spectrum:
-    """Full adjacency spectrum of ``g`` (dense; gated at n <= 4000)."""
+def check_dense_size(g: Graph) -> None:
+    """Raise SizeGateExceededError when ``g`` is too large for :func:`eigenvalues`."""
     if g.n > DENSE_SIZE_GATE:
         raise SizeGateExceededError(
             f"dense eigendecomposition is gated at n <= {DENSE_SIZE_GATE}, got n = {g.n}"
         )
+
+
+def eigenvalues(g: Graph) -> Spectrum:
+    """Full adjacency spectrum of ``g`` (dense; gated at n <= 4000)."""
+    check_dense_size(g)
     if g.n == 0:
         vals = np.zeros(0)
     else:

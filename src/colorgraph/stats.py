@@ -33,15 +33,25 @@ def tv_distance(p: Mapping, q: Mapping) -> float:
     return 0.5 * sum(abs(float(p.get(x, 0)) - float(q.get(x, 0))) for x in support)
 
 
-def ks_statistic(samples, cdf: Callable[[float], float]) -> float:
-    """sup_x |empirical cdf - cdf| over the sample points, both sides of each jump."""
-    arr = np.sort(np.asarray(samples, dtype=np.float64))
+def ks_statistic(samples, cdf: Callable[[float], float], weights=None) -> float:
+    """sup_x |empirical cdf - cdf| over the sample points, both sides of each jump.
+
+    ``weights`` (nonnegative, default all 1) gives each sample its share of
+    the empirical mass. ``cdf`` is called once per distinct sample value.
+    """
+    arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("need at least one sample")
-    n = arr.size
-    ref = np.array([cdf(float(x)) for x in arr])
-    upper = np.arange(1, n + 1) / n - ref
-    lower = ref - np.arange(0, n) / n
+    w = np.ones_like(arr) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != arr.shape or np.any(w < 0) or not w.sum() > 0:
+        raise ValueError("weights must be nonnegative, one per sample, with a positive sum")
+    values, inverse = np.unique(arr, return_inverse=True)
+    mass = np.bincount(inverse.ravel(), weights=w.ravel(), minlength=values.size)
+    through = np.cumsum(mass)
+    total = through[-1]
+    ref = np.array([cdf(float(x)) for x in values])
+    upper = through / total - ref
+    lower = ref - (through - mass) / total
     return float(max(upper.max(), lower.max(), 0.0))
 
 

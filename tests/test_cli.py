@@ -135,6 +135,44 @@ class TestSimulateExactCompare:
                                    "--metric", "tv", "--tol", "1e-6"])
         assert bad.exit_code == 1
 
+    def test_compare_tv_counts_law_mass_below_the_sample(self, runner, tmp_path):
+        emp = tmp_path / "emp.csv"
+        law = tmp_path / "law.json"
+        emp.write_text("value,count\n10,100\n")
+        invoke(runner, "limit", "--growing-ratio", "5.0", "--out", str(law))
+        res = runner.invoke(main, ["compare", "--empirical", str(emp), "--law", str(law),
+                                   "--metric", "tv", "--tol", "0.9"])
+        assert res.exit_code == 1
+        p10 = math.exp(-5) * 5**10 / math.factorial(10)
+        assert json.loads(res.output)["value"] == pytest.approx(1 - p10, abs=1e-12)
+        assert json.loads(res.output)["value"] == pytest.approx(0.98187, abs=1e-5)
+
+    def test_compare_tv_mixing_mean_underflow_exit_code(self, runner, tmp_path):
+        emp = tmp_path / "emp.csv"
+        law = tmp_path / "law.json"
+        emp.write_text("value,count\n3,10\n")
+        law.write_text(json.dumps({"kind": "poisson_mixture",
+                                   "mixing": {"kind": "poisson", "mean": 800.0}}))
+        res = runner.invoke(main, ["compare", "--empirical", str(emp), "--law", str(law),
+                                   "--metric", "tv", "--tol", "0.5"])
+        assert res.exit_code == 4
+
+    def test_compare_ks_on_exact_probabilities(self, runner, tmp_path):
+        # exact writes p/q weights, which an integer expansion truncated to 0
+        emp = tmp_path / "exact.csv"
+        law = tmp_path / "law.json"
+        invoke(runner, "exact", "--graph", "complete:3", "--colors", "2", "--out", str(emp))
+        invoke(runner, "limit", "--graph", "complete:3", "--colors", "2", "--out", str(law))
+        res = runner.invoke(main, ["compare", "--empirical", str(emp), "--law", str(law),
+                                   "--metric", "ks", "--tol", "0.9",
+                                   "--center", "1.5", "--scale", str(math.sqrt(6))])
+        assert res.exit_code == 0, res.output
+        # N = 1 w.p. 3/4 and 3 w.p. 1/4; the limit is 0.25 (chi^2_1 - 1)
+        below = math.erf(math.sqrt((4 * (1 - 1.5) / math.sqrt(6) + 1) / 2))
+        at3 = math.erf(math.sqrt((4 * (3 - 1.5) / math.sqrt(6) + 1) / 2))
+        expect = max(0.75 - below, below, 1.0 - at3, at3 - 0.75)
+        assert json.loads(res.output)["value"] == pytest.approx(expect, abs=1e-6)
+
     def test_compare_ks(self, runner, tmp_path):
         emp = tmp_path / "emp.csv"
         law = tmp_path / "law.json"

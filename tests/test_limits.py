@@ -4,13 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from colorgraph import stats
-from colorgraph.errors import AmbiguousRegimeError, DomainExceededError, WrongLawKindError
+from colorgraph import census, limits, spectral, stats
+from colorgraph.errors import (
+    AmbiguousRegimeError,
+    DomainExceededError,
+    SizeGateExceededError,
+    WrongLawKindError,
+)
 from colorgraph.graph import (
     Complete,
     CompleteBipartite,
     ErdosRenyi,
     GaltonWatson,
+    Graph,
     RandomRegular,
     Star,
     generate,
@@ -58,6 +64,20 @@ class TestLawEvaluation:
         assert law_pmf(mix, 0) == pytest.approx(math.exp(math.exp(-1) - 1), abs=1e-12)
         assert sum(law_pmf(mix, k) for k in range(120)) == pytest.approx(1.0, abs=1e-9)
 
+    def test_mixture_pmf_raises_when_mixing_weights_underflow(self):
+        # exp(-800) is 0: the truncated sum used to stop at j = 10000 and
+        # return 0 for every k
+        for mean in (709.0, 800.0):
+            with pytest.raises(DomainExceededError):
+                law_pmf(PoissonMixture(PoissonMixing(mean)), 3)
+
+    def test_mixture_pmf_large_mean_terminates(self):
+        # the rounded mixing tail stays above its tolerance here, so the sum
+        # must stop once the mixing weights underflow, not at its term limit
+        mix = PoissonMixture(PoissonMixing(500.0))
+        assert law_pmf(mix, 0) == pytest.approx(math.exp(500.0 * (math.exp(-1) - 1)), rel=1e-12)
+        assert sum(law_pmf(mix, k) for k in range(1200)) == pytest.approx(1.0, abs=1e-9)
+
     def test_mixture_empirical(self):
         mix = PoissonMixture(EmpiricalMixing((0.5, 1.5)))
         expect = 0.5 * (math.exp(-0.5) + math.exp(-1.5))
@@ -99,6 +119,94 @@ class TestLawEvaluation:
 
 def stats_phi(x):
     return 0.5 * (1 + math.erf(x / math.sqrt(2)))
+
+
+# grid offsets from a support endpoint, then points across the bulk
+NEAR_ENDPOINT = (1e-12, 1e-9, 1e-6, 1e-3)
+
+
+def chisq_cdf(y, dof):
+    """P(chi^2_dof <= y) in closed form for dof 1 (erf) and even dof (Erlang sum)."""
+    if y <= 0:
+        return 0.0
+    if dof == 1:
+        return math.erf(math.sqrt(y / 2))
+    h = y / 2
+    return 1.0 - math.exp(-h) * sum(h**i / math.factorial(i) for i in range(dof // 2))
+
+
+class TestWeightedChiSquareCdf:
+    """law_cdf inverts the characteristic function to within 1e-6."""
+
+    @pytest.mark.parametrize("dof", [1, 2, 4])
+    def test_single_weight_closed_form(self, dof):
+        law = WeightedChiSquare((1.0,), dof, 0.25)
+        left = -0.25 * dof
+        xs = [left + d for d in NEAR_ENDPOINT] + list(np.linspace(left + 0.01, 4.0, 40))
+        for x in xs:
+            expect = chisq_cdf(float(x) / 0.25 + dof, dof)
+            assert law_cdf(law, float(x)) == pytest.approx(expect, abs=1e-6), x
+
+    def test_negative_weight_mirrors(self):
+        law = WeightedChiSquare((-1.0,), 1, 0.25)
+        xs = [0.25 - d for d in NEAR_ENDPOINT] + list(np.linspace(-4.0, 0.24, 40))
+        for x in xs:
+            expect = 1.0 - chisq_cdf(1.0 - 4.0 * float(x), 1)
+            assert law_cdf(law, float(x)) == pytest.approx(expect, abs=1e-6), x
+        assert law_cdf(law, 0.25) == 1.0
+        assert law_cdf(law, 7.0) == 1.0
+
+    def test_exact_zero_at_and_below_left_endpoint(self):
+        law = WeightedChiSquare((1.0,), 1, 0.25)
+        assert law_cdf(law, -0.25) == 0.0
+        assert law_cdf(law, -3.0) == 0.0
+
+    def test_two_positive_weights_hypoexponential(self):
+        # 0.25 (0.8 chi^2_2 + 0.6 chi^2_2) = a E + b E' with a = 0.4, b = 0.3
+        law = WeightedChiSquare((0.8, 0.6), 2, 0.25)
+        a, b, left = 0.4, 0.3, -0.7
+        xs = [left + d for d in NEAR_ENDPOINT] + list(np.linspace(left + 0.01, 4.0, 40))
+        for x in xs:
+            y = float(x) - left
+            expect = 1.0 - (a * math.exp(-y / a) - b * math.exp(-y / b)) / (a - b)
+            assert law_cdf(law, float(x)) == pytest.approx(expect, abs=1e-6), x
+        assert law_cdf(law, left) == 0.0
+
+    def test_balanced_bipartite_three_colors_is_laplace(self):
+        # criterion 9's K_{100,100} c=3 law: (1/12)(chi^2_2 - chi^2_2') = (1/6)(E - E')
+        law = WeightedChiSquare((1 / SQ2, -1 / SQ2), 2, SQ2 / 12)
+        b = 1 / 6
+        for x in np.linspace(-3.0, 3.0, 61):
+            x = float(x)
+            expect = 0.5 * math.exp(x / b) if x < 0 else 1.0 - 0.5 * math.exp(-x / b)
+            assert law_cdf(law, x) == pytest.approx(expect, abs=1e-6), x
+
+    def test_balanced_bipartite_two_colors_is_symmetric(self):
+        law = WeightedChiSquare((1 / SQ2, -1 / SQ2), 1, 0.25)
+        assert law_cdf(law, 0.0) == pytest.approx(0.5, abs=1e-6)
+        for x in np.linspace(0.01, 3.0, 30):
+            assert law_cdf(law, float(x)) + law_cdf(law, -float(x)) == pytest.approx(1.0, abs=1e-6)
+
+    def test_monotone(self):
+        laws = [
+            WeightedChiSquare((1.0,), 1, 0.25),
+            WeightedChiSquare((1 / SQ2, -1 / SQ2), 1, 0.25),
+            WeightedChiSquare((0.6, 0.8), 3, 1 / 8),
+            WeightedChiSquare((0.8, -0.48, 0.36), 2, 1 / 6),
+        ]
+        xs = np.linspace(-2.0, 3.0, 80)
+        for law in laws:
+            vals = [law_cdf(law, float(x)) for x in xs]
+            assert all(0.0 <= v <= 1.0 for v in vals)
+            assert all(b >= a - 2e-6 for a, b in zip(vals, vals[1:]))
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("law_cdf drew random numbers")
+
+        monkeypatch.setattr(limits.rng, "normals", refuse)
+        law = WeightedChiSquare((1.0,), 1, 0.25)
+        assert law_cdf(law, 0.0) == pytest.approx(math.erf(math.sqrt(0.5)), abs=1e-6)
 
 
 class TestSampling:
@@ -256,6 +364,38 @@ class TestLimitSelector:
         law = limit_for(CompleteBipartite(100, 100), Fixed(2))
         assert law.weights == pytest.approx((1 / SQ2, -1 / SQ2))
         assert law.dof == 1
+
+    def test_sparse_host_skips_the_spectrum(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("spectrum built for a sparse host")
+
+        monkeypatch.setattr(spectral, "eigenvalues", refuse)
+        assert limit_for(generate(RandomRegular(600, 3, 2)), Fixed(2)) == Normal(0.0, 0.5)
+
+    def test_size_gate_comes_first(self):
+        with pytest.raises(SizeGateExceededError):
+            limit_for(Graph(spectral.DENSE_SIZE_GATE + 1, [(0, 1)]), Fixed(2))
+
+    def test_matches_spectrum_first_selection_on_catalog(self, catalog):
+        # the selection as made when the spectrum was built before the ratio
+        def spectrum_first(g, c):
+            lam = spectral.eigenvalues(g).normalized
+            acf4 = census.four_cycle_count_from_traces(g) / g.m**2
+            if acf4 < ACF4_NORMAL_THRESHOLD:
+                return Normal(0.0, 1.0 - 1.0 / c)
+            if acf4 <= ACF4_GRAY_UPPER:
+                return AmbiguousRegimeError
+            weights = tuple(float(x) for x in lam if abs(x) > 1e-12)
+            return WeightedChiSquare(weights=weights, dof=c - 1, scale=1.0 / (2.0 * c))
+
+        for name, g in catalog:
+            for c in (2, 3):
+                expect = spectrum_first(g, c)
+                if expect is AmbiguousRegimeError:
+                    with pytest.raises(AmbiguousRegimeError):
+                        limit_for(g, Fixed(c))
+                else:
+                    assert limit_for(g, Fixed(c)) == expect, name
 
     def test_gray_zone_reported(self):
         g = generate(CompleteBipartite(2, 4))  # ratio 6/64 in [1e-2, 1e-1]

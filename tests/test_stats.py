@@ -73,6 +73,44 @@ class TestKsStatistic:
         with pytest.raises(ValueError):
             ks_statistic([], normal_cdf)
 
+    def test_ties_match_per_sample_evaluation(self):
+        def per_sample(samples, cdf):
+            arr = np.sort(np.asarray(samples, dtype=np.float64))
+            n = arr.size
+            ref = np.array([cdf(float(x)) for x in arr])
+            upper = np.arange(1, n + 1) / n - ref
+            lower = ref - np.arange(0, n) / n
+            return float(max(upper.max(), lower.max(), 0.0))
+
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return normal_cdf((x - 40.0) / 6.0)
+
+        counts = rng.poissons(8, 40.0, 0, np.arange(20_000)).astype(np.float64)
+        for data in (counts, counts[:7], np.array([3.0, 3.0, 3.0]), np.array([2.0, 0.0, 1.0])):
+            calls.clear()
+            got = ks_statistic(data, counted)
+            assert len(calls) == len(np.unique(data))
+            assert got == per_sample(data, counted)
+
+    def test_weights_match_repetition(self):
+        values = np.array([3.0, 1.0, 2.0, 5.0])
+        counts = np.array([4, 1, 0, 7])
+        expanded = np.repeat(values, counts)
+        assert ks_statistic(values, normal_cdf, weights=counts) == ks_statistic(expanded, normal_cdf)
+
+    def test_fractional_weights(self):
+        # P(1) = 3/4, P(3) = 1/4 against U(0, 4): gaps 1/2 at 1 and 1/4 below 3
+        cdf = lambda x: min(1.0, max(0.0, x / 4.0))
+        assert ks_statistic([3.0, 1.0], cdf, weights=[0.25, 0.75]) == pytest.approx(0.5)
+
+    def test_bad_weights_rejected(self):
+        for weights in ([1.0], [1.0, -1.0], [0.0, 0.0]):
+            with pytest.raises(ValueError):
+                ks_statistic([1.0, 2.0], normal_cdf, weights=weights)
+
     def test_invariant_under_increasing_transform(self):
         samples = rng.normals(5, 1, np.arange(20_000))
         base = ks_statistic(samples, normal_cdf)
