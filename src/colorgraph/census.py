@@ -102,19 +102,7 @@ class MultiGraphPattern:
         return min(self.multi_degrees(), default=0)
 
     def component_count(self) -> int:
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v, _ in self.multi_edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        return len({find(x) for x in range(self.vertex_count)})
+        return len(self._component_vertices())
 
     def simple_support(self) -> Graph:
         """The underlying simple graph, multiplicities collapsed."""
@@ -127,33 +115,13 @@ class MultiGraphPattern:
             out.extend([(u, v)] * k)
         return tuple(out)
 
-    def _component_vertex_sets(self) -> list[set]:
-        comps: list[set] = []
-        assigned = {}
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v, _ in self.multi_edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        for x in range(self.vertex_count):
-            r = find(x)
-            if r not in assigned:
-                assigned[r] = len(comps)
-                comps.append(set())
-            comps[assigned[r]].add(x)
-        return comps
+    def _component_vertices(self) -> list[list[int]]:
+        return _components(self.vertex_count, [(u, v) for u, v, _ in self.multi_edges])
 
     def describe(self) -> str:
         """Best-effort human-readable name, component by component."""
         names = []
-        for comp in self._component_vertex_sets():
+        for comp in self._component_vertices():
             edges = [(u, v, k) for u, v, k in self.multi_edges if u in comp]
             mults = sorted(k for _, _, k in edges)
             deg = Counter()
@@ -174,6 +142,28 @@ class MultiGraphPattern:
                 body = ",".join(f"{u}-{v}" + (f"x{k}" if k > 1 else "") for u, v, k in edges)
                 names.append(f"[{body}]")
         return " + ".join(sorted(names))
+
+
+def _components(nv: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of vertices 0..nv-1 joined by ``pairs``.
+
+    Each component is an ascending vertex list; components are ordered by
+    their smallest vertex.
+    """
+    parent = list(range(nv))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        parent[find(u)] = find(v)
+    groups: dict[int, list[int]] = {}
+    for x in range(nv):
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
 
 
 def _refine_classes(nv: int, mult: dict[tuple[int, int], int]) -> list[list[int]]:
@@ -233,28 +223,13 @@ def _canonicalize(nv: int, mult: dict[tuple[int, int], int]) -> MultiGraphPatter
     representations, and relabeled with offsets; isomorphic multigraphs
     always produce the identical result.
     """
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in mult:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    comp_vertices: dict[int, list[int]] = {}
-    for x in range(nv):
-        comp_vertices.setdefault(find(x), []).append(x)
     reps = []
-    for root, verts in comp_vertices.items():
+    for verts in _components(nv, mult):
         local = {x: i for i, x in enumerate(verts)}
         local_mult = {
             (min(local[u], local[v]), max(local[u], local[v])): k
             for (u, v), k in mult.items()
-            if find(u) == root
+            if u in local
         }
         reps.append((len(verts), _canonical_rep(len(verts), local_mult)))
     reps.sort()
@@ -366,19 +341,23 @@ def count_cycles(g: Graph, length: int) -> int:
     if length in (3, 4) and g.n > 0:
         tr3, tr4 = _trace_powers(g)
         if length == 3:
-            from_trace = tr3 // 6
-            ok = tr3 % 6 == 0 and from_trace == count
+            num, per_cycle = tr3, 6
         else:
-            wedges = sum(d * (d - 1) // 2 for d in g.degrees)
-            num = tr4 - 4 * wedges - 2 * g.m
-            from_trace = num // 8
-            ok = num % 8 == 0 and from_trace == count
+            num, per_cycle = _closed_four_walks_on_cycles(g, tr4), 8
+        from_trace = num // per_cycle
+        ok = num % per_cycle == 0 and from_trace == count
         if not ok:
             raise RuntimeError(
                 f"cycle census self-check failed for length {length}: "
                 f"enumeration={count}, trace formula={from_trace}"
             )
     return count
+
+
+def _closed_four_walks_on_cycles(g: Graph, tr4: int) -> int:
+    """8 N(g, C4): tr(A^4) less the 2 closed 4-walks on each edge and the 4 on each wedge."""
+    wedges = sum(d * (d - 1) // 2 for d in g.degrees)
+    return tr4 - 4 * wedges - 2 * g.m
 
 
 def four_cycle_count_from_traces(g: Graph) -> int:
@@ -389,9 +368,7 @@ def four_cycle_count_from_traces(g: Graph) -> int:
     """
     if g.n == 0:
         return 0
-    _, tr4 = _trace_powers(g)
-    wedges = sum(d * (d - 1) // 2 for d in g.degrees)
-    num = tr4 - 4 * wedges - 2 * g.m
+    num = _closed_four_walks_on_cycles(g, _trace_powers(g)[1])
     if num % 8 != 0:
         raise RuntimeError("four-cycle trace identity produced a non-integer count")
     return num // 8
@@ -534,7 +511,7 @@ def decompose_tight_multigraph(h: MultiGraphPattern) -> tuple[Factor, ...]:
             f"|V| = {h.vertex_count} differs from |E| = {h.edge_count} (multiplicities counted)"
         )
     factors: list[Factor] = []
-    for comp in h._component_vertex_sets():
+    for comp in h._component_vertices():
         edges = [(u, v, k) for u, v, k in h.multi_edges if u in comp]
         mults = [k for _, _, k in edges]
         if len(comp) == 2 and len(edges) == 1 and mults == [2]:

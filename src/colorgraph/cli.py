@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -33,6 +32,7 @@ from .errors import (
     GenerationTimeoutError,
 )
 from .graph import (
+    FamilySpec,
     GaltonWatson,
     Graph,
     generate,
@@ -54,30 +54,19 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _guarded(fn):
-    """Map library errors onto the documented exit codes."""
+def _load_graph(source: str, keep_family: bool = False) -> Graph | FamilySpec:
+    """The graph in the edge-list file ``source``, else the family spec's graph.
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except GateExceededError as exc:
-            click.echo(f"gate exceeded: {exc}", err=True)
-            sys.exit(EXIT_GATE)
-        except _NUMERICAL_ERRORS as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL)
-        except (ColorGraphError, ValueError) as exc:
-            raise click.UsageError(str(exc)) from exc
-
-    return wrapper
-
-
-def _load_graph(source: str) -> Graph:
+    With ``keep_family`` a family spec is returned without generating it.
+    """
     path = Path(source)
     if path.exists():
         return parse_edge_list_text(path.read_text())
     spec = parse_family(source)
+    return spec if keep_family else _generate(spec)
+
+
+def _generate(spec: FamilySpec) -> Graph:
     if isinstance(spec, GaltonWatson) and mean_offspring(spec) <= 1.0:
         click.echo(
             f"warning: offspring mean {mean_offspring(spec):.4g} <= 1; "
@@ -85,14 +74,6 @@ def _load_graph(source: str) -> Graph:
             err=True,
         )
     return generate(spec)
-
-
-def _default_workers() -> int:
-    env = os.environ.get("COLORGRAPH_WORKERS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, out: str | None, command: str, config: dict, started: float) -> None:
@@ -123,7 +104,6 @@ graph_option = click.option(
     "path:edges, cycle:g, hypercube:s, er:n:p:seed, regular:n:d:seed, "
     "gw:p0,p1,...:height:seed, gadget:a:b:g).",
 )
-out_option = click.option("--out", default=None, metavar="PATH", help="Output file; manifest written beside it.")
 
 
 @click.group()
@@ -132,19 +112,51 @@ def main():
     """Monochromatic-subgraph statistics of uniform random colorings."""
 
 
+def _command(name: str):
+    """Register the decorated function as the subcommand ``name``.
+
+    The function returns ``(text, config)``, or ``(text, config, exit_code)``.
+    The command adds ``--out``, maps library errors onto the documented exit
+    codes, and writes ``text`` (see :func:`_emit`) before it exits with
+    ``exit_code``.
+    """
+
+    def register(fn):
+        @functools.wraps(fn)
+        def run(out, **kwargs):
+            started = time.time()
+            try:
+                text, config, *exit_code = fn(**kwargs)
+            except GateExceededError as exc:
+                click.echo(f"gate exceeded: {exc}", err=True)
+                sys.exit(EXIT_GATE)
+            except _NUMERICAL_ERRORS as exc:
+                click.echo(f"numerical failure: {exc}", err=True)
+                sys.exit(EXIT_NUMERICAL)
+            except (ColorGraphError, ValueError) as exc:
+                raise click.UsageError(str(exc)) from exc
+            _emit(text, out, name, config, started)
+            if exit_code and exit_code[0]:
+                sys.exit(exit_code[0])
+
+        cmd = main.command(name)(run)
+        cmd.params.append(click.Option(["--out"], default=None, metavar="PATH",
+                                       help="Output file; manifest written beside it."))
+        return cmd
+
+    return register
+
+
 # -- generate -----------------------------------------------------------------
 
 
-@main.command()
+@_command("generate")
 @click.option("--family", default=None, metavar="FAMILY", help="Family spec string.")
 @click.option("--kernel-csv", default=None, metavar="PATH",
               help="CSV grid of edge probabilities for an inhomogeneous graph (alternative to --family).")
 @click.option("--seed", default=None, type=int, help="Seed for --kernel-csv mode.")
-@out_option
-@_guarded
-def generate_cmd(family, kernel_csv, seed, out):
+def generate_cmd(family, kernel_csv, seed):
     """Generate a graph and emit its edge list."""
-    started = time.time()
     if (family is None) == (kernel_csv is None):
         raise click.UsageError("pass exactly one of --family or --kernel-csv")
     if kernel_csv is not None:
@@ -157,26 +169,19 @@ def generate_cmd(family, kernel_csv, seed, out):
         g = generate(spec)
     else:
         g = _load_graph(family)
-    _emit(to_edge_list_text(g), out, "generate",
-          {"family": family, "kernel_csv": kernel_csv, "seed": seed}, started)
-
-
-main.add_command(generate_cmd, name="generate")
+    return to_edge_list_text(g), {"family": family, "kernel_csv": kernel_csv, "seed": seed}
 
 
 # -- census --------------------------------------------------------------------
 
 
-@main.command()
+@_command("census")
 @graph_option
 @click.option("--tuples", "k", default=2, show_default=True, type=int,
               help="Ordered edge-tuple length to classify.")
 @click.option("--cycles/--no-cycles", default=False, help="Include cycle counts for g = 3..8.")
-@out_option
-@_guarded
-def census_cmd(graph_source, k, cycles, out):
+def census_cmd(graph_source, k, cycles):
     """Classify ordered edge tuples by multigraph class; optionally count cycles."""
-    started = time.time()
     g = _load_graph(graph_source)
     table = census.count_multigraph_tuples(g, k)
     patterns = {
@@ -186,23 +191,16 @@ def census_cmd(graph_source, k, cycles, out):
     payload = {"n": g.n, "m": g.m, "tuple_length": k, "patterns": patterns}
     if cycles:
         payload["cycles"] = {str(length): census.count_cycles(g, length) for length in range(3, 9)}
-    _emit(_json_doc("census", payload), out, "census",
-          {"graph": graph_source, "tuples": k, "cycles": cycles}, started)
-
-
-main.add_command(census_cmd, name="census")
+    return _json_doc("census", payload), {"graph": graph_source, "tuples": k, "cycles": cycles}
 
 
 # -- extremal --------------------------------------------------------------------
 
 
-@main.command()
+@_command("extremal")
 @graph_option
-@out_option
-@_guarded
-def extremal_cmd(graph_source, out):
+def extremal_cmd(graph_source):
     """Fractional stable number, deficiency, and structure flags."""
-    started = time.time()
     g = _load_graph(graph_source)
     sol = extremal.gamma(g)
     delta = extremal.deficiency(g)
@@ -219,31 +217,22 @@ def extremal_cmd(graph_source, out):
             "union_of_stars": report.union_of_stars,
         },
     }
-    _emit(_json_doc("extremal", payload), out, "extremal", {"graph": graph_source}, started)
-
-
-main.add_command(extremal_cmd, name="extremal")
+    return _json_doc("extremal", payload), {"graph": graph_source}
 
 
 # -- spectrum --------------------------------------------------------------------
 
 
-@main.command()
+@_command("spectrum")
 @graph_option
-@out_option
-@_guarded
-def spectrum_cmd(graph_source, out):
+def spectrum_cmd(graph_source):
     """Adjacency eigenvalues as CSV, descending, plus the spectral ratio."""
-    started = time.time()
     g = _load_graph(graph_source)
     spec = spectral.eigenvalues(g)
     lines = ["index,eigenvalue"]
     lines.extend(f"{i},{v!r}" for i, v in enumerate(spec.eigenvalues.tolist()))
     lines.append(f"# usn_ratio,{spec.usn_ratio!r}")
-    _emit("\n".join(lines) + "\n", out, "spectrum", {"graph": graph_source}, started)
-
-
-main.add_command(spectrum_cmd, name="spectrum")
+    return "\n".join(lines) + "\n", {"graph": graph_source}
 
 
 # -- simulate / exact -------------------------------------------------------------
@@ -264,56 +253,41 @@ stat_option = click.option("--stat", default="edges", show_default=True,
                            help="Statistic: edges, stars:r, or cycles:g.")
 
 
-@main.command()
+@_command("simulate")
 @graph_option
 @click.option("--colors", required=True, type=int, help="Number of colors c.")
 @stat_option
 @click.option("--samples", required=True, type=int, help="Number of colorings to draw.")
 @click.option("--seed", required=True, type=int, help="Base seed; results are a pure function of it.")
-@click.option("--workers", default=None, type=int,
-              help="Process parallelism bound (default: COLORGRAPH_WORKERS or 1). Never affects results.")
-@out_option
-@_guarded
-def simulate_cmd(graph_source, colors, stat, samples, seed, workers, out):
+@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1),
+              help="Process parallelism bound. Never affects results.")
+def simulate_cmd(graph_source, colors, stat, samples, seed, workers):
     """Monte Carlo of a monochromatic statistic; CSV of value,count."""
-    started = time.time()
     g = _load_graph(graph_source)
-    run = colorsim.simulate(g, colors, _parse_stat(stat), samples, seed,
-                            workers=workers or _default_workers())
+    run = colorsim.simulate(g, colors, _parse_stat(stat), samples, seed, workers=workers)
     lines = ["value,count"]
     lines.extend(f"{v},{cnt}" for v, cnt in sorted(run.counts_by_value().items()))
-    _emit("\n".join(lines) + "\n", out, "simulate",
-          {"graph": graph_source, "colors": colors, "stat": stat,
-           "samples": samples, "seed": seed, "kernel": run.kernel}, started)
+    return "\n".join(lines) + "\n", {"graph": graph_source, "colors": colors, "stat": stat,
+                                     "samples": samples, "seed": seed, "kernel": run.kernel}
 
 
-main.add_command(simulate_cmd, name="simulate")
-
-
-@main.command()
+@_command("exact")
 @graph_option
 @click.option("--colors", required=True, type=int, help="Number of colors c.")
 @stat_option
-@out_option
-@_guarded
-def exact_cmd(graph_source, colors, stat, out):
+def exact_cmd(graph_source, colors, stat):
     """Exact law by full enumeration; CSV of value,probability (p/q)."""
-    started = time.time()
     g = _load_graph(graph_source)
     pmf = colorsim.exact_distribution(g, colors, _parse_stat(stat))
     lines = ["value,probability"]
     lines.extend(f"{v},{p.numerator}/{p.denominator}" for v, p in pmf.items())
-    _emit("\n".join(lines) + "\n", out, "exact",
-          {"graph": graph_source, "colors": colors, "stat": stat}, started)
-
-
-main.add_command(exact_cmd, name="exact")
+    return "\n".join(lines) + "\n", {"graph": graph_source, "colors": colors, "stat": stat}
 
 
 # -- moments -----------------------------------------------------------------------
 
 
-@main.command()
+@_command("moments")
 @graph_option
 @click.option("--colors", required=True, type=int)
 @click.option("--kind", type=click.Choice([k.value for k in moments.MomentKind]),
@@ -321,11 +295,8 @@ main.add_command(exact_cmd, name="exact")
 @click.option("--order", default=2, show_default=True, type=int)
 @click.option("--fourth-report/--no-fourth-report", default=False,
               help="Also emit the exact fourth-moment decomposition.")
-@out_option
-@_guarded
-def moments_cmd(graph_source, colors, kind, order, fourth_report, out):
+def moments_cmd(graph_source, colors, kind, order, fourth_report):
     """Exact conditional moments as p/q strings."""
-    started = time.time()
     g = _load_graph(graph_source)
     req = moments.MomentRequest(moments.MomentKind(kind), order, colors)
     val = moments.conditional_moment(g, req)
@@ -345,68 +316,14 @@ def moments_cmd(graph_source, colors, kind, order, fourth_report, out):
             "c4_term": str(rep.c4_term),
             "remainder": str(rep.remainder),
         }
-    _emit(_json_doc("moments", payload), out, "moments",
-          {"graph": graph_source, "colors": colors, "kind": kind, "order": order}, started)
-
-
-main.add_command(moments_cmd, name="moments")
+    return _json_doc("moments", payload), {"graph": graph_source, "colors": colors,
+                                           "kind": kind, "order": order}
 
 
 # -- limit --------------------------------------------------------------------------
 
 
-def _law_payload(law) -> dict:
-    if isinstance(law, limits.Poisson):
-        return {"kind": "poisson", "mean": law.mean}
-    if isinstance(law, limits.Normal):
-        return {"kind": "normal", "mean": law.mean, "variance": law.variance}
-    if isinstance(law, limits.WeightedChiSquare):
-        kept, dropped = law.effective_weights()
-        return {
-            "kind": "weighted_chi_square",
-            "weights": list(law.weights),
-            "dof": law.dof,
-            "scale": law.scale,
-            "sampling_truncation": {"kept": len(kept), "dropped_square_mass": dropped},
-        }
-    if isinstance(law, limits.AtomPlusNormal):
-        return {"kind": "atom_plus_normal", "atom_mass": law.atom_mass, "variance": law.variance}
-    if isinstance(law, limits.PoissonMixture):
-        mix = law.mixing
-        if isinstance(mix, limits.PointMass):
-            mixing = {"kind": "point_mass", "value": mix.value}
-        elif isinstance(mix, limits.PoissonMixing):
-            mixing = {"kind": "poisson", "mean": mix.mean}
-        else:
-            mixing = {"kind": "empirical", "samples": list(mix.samples)}
-        return {"kind": "poisson_mixture", "mixing": mixing}
-    raise click.UsageError(f"unknown law {law!r}")
-
-
-def law_from_payload(doc: dict):
-    """Inverse of the ``limit`` subcommand's JSON payload."""
-    kind = doc.get("kind")
-    if kind == "poisson":
-        return limits.Poisson(doc["mean"])
-    if kind == "normal":
-        return limits.Normal(doc["mean"], doc["variance"])
-    if kind == "weighted_chi_square":
-        return limits.WeightedChiSquare(tuple(doc["weights"]), doc["dof"], doc["scale"])
-    if kind == "atom_plus_normal":
-        return limits.AtomPlusNormal(doc["atom_mass"], doc["variance"])
-    if kind == "poisson_mixture":
-        mix = doc["mixing"]
-        if mix["kind"] == "point_mass":
-            mixing = limits.PointMass(mix["value"])
-        elif mix["kind"] == "poisson":
-            mixing = limits.PoissonMixing(mix["mean"])
-        else:
-            mixing = limits.EmpiricalMixing(tuple(mix["samples"]))
-        return limits.PoissonMixture(mixing)
-    raise ValueError(f"unknown law kind {kind!r}")
-
-
-@main.command()
+@_command("limit")
 @click.option("--graph", "graph_source", default=None, metavar="FILE|FAMILY",
               help="Concrete graph or family spec for the fixed-color regime.")
 @click.option("--colors", default=None, type=int, help="Fixed color count c.")
@@ -414,11 +331,8 @@ def law_from_payload(doc: dict):
               help="Growing-color regime: the limit of m/c (inf allowed).")
 @click.option("--sample", default=None, type=int, help="Emit this many samples of the law as CSV.")
 @click.option("--seed", default=None, type=int, help="Seed for --sample.")
-@out_option
-@_guarded
-def limit_cmd(graph_source, colors, growing_ratio, sample, seed, out):
+def limit_cmd(graph_source, colors, growing_ratio, sample, seed):
     """Select the limit law for a host and regime; print it or sample it."""
-    started = time.time()
     if (colors is None) == (growing_ratio is None):
         raise click.UsageError("pass exactly one of --colors (fixed) or --growing-ratio")
     if growing_ratio is not None:
@@ -427,39 +341,29 @@ def limit_cmd(graph_source, colors, growing_ratio, sample, seed, out):
         regime = limits.Fixed(colors)
         if graph_source is None:
             raise click.UsageError("the fixed-color regime needs --graph")
-        path = Path(graph_source)
-        subject = (
-            parse_edge_list_text(path.read_text()) if path.exists() else parse_family(graph_source)
-        )
-        if isinstance(subject, Graph):
+        subject = _load_graph(graph_source, keep_family=True)
+        try:
             law = limits.limit_for(subject, regime)
-        else:
-            try:
-                law = limits.limit_for(subject, regime)
-            except AmbiguousRegimeError:
-                # family without a closed-form dense limit: fall back to the
-                # concrete instance the spec string describes
-                law = limits.limit_for(generate(subject), regime)
-    if sample is not None:
-        if seed is None:
-            raise click.UsageError("--sample requires --seed")
-        values = limits.sample_law(law, sample, seed)
-        text = "value\n" + "\n".join(repr(float(v)) for v in values) + "\n"
-        _emit(text, out, "limit", {"graph": graph_source, "colors": colors,
-                                   "growing_ratio": growing_ratio, "sample": sample,
-                                   "seed": seed}, started)
-    else:
-        _emit(_json_doc("law", _law_payload(law)), out, "limit",
-              {"graph": graph_source, "colors": colors, "growing_ratio": growing_ratio}, started)
-
-
-main.add_command(limit_cmd, name="limit")
+        except AmbiguousRegimeError:
+            if isinstance(subject, Graph):
+                raise
+            # family without a closed-form dense limit: fall back to the
+            # concrete instance the spec string describes
+            law = limits.limit_for(_generate(subject), regime)
+    config = {"graph": graph_source, "colors": colors, "growing_ratio": growing_ratio}
+    if sample is None:
+        return _json_doc("law", limits.law_to_dict(law)), config
+    if seed is None:
+        raise click.UsageError("--sample requires --seed")
+    values = limits.sample_law(law, sample, seed)
+    text = "value\n" + "\n".join(repr(float(v)) for v in values) + "\n"
+    return text, {**config, "sample": sample, "seed": seed}
 
 
 # -- compare -----------------------------------------------------------------------
 
 
-@main.command()
+@_command("compare")
 @click.option("--empirical", required=True, metavar="CSV",
               help="CSV from simulate/exact (value,count or value,p/q) or one value per line.")
 @click.option("--law", "law_path", required=True, metavar="JSON", help="Law document from `limit`.")
@@ -470,12 +374,9 @@ main.add_command(limit_cmd, name="limit")
               help="Subtract before a ks comparison.")
 @click.option("--scale", default=1.0, show_default=True, type=float,
               help="Divide by before a ks comparison.")
-@out_option
-@_guarded
-def compare_cmd(empirical, law_path, metric, tol, center, scale, out):
+def compare_cmd(empirical, law_path, metric, tol, center, scale):
     """Compare an empirical distribution against a law; exit 1 on failure."""
-    started = time.time()
-    law = law_from_payload(json.loads(Path(law_path).read_text()))
+    law = limits.law_from_dict(json.loads(Path(law_path).read_text()))
     rows = [ln.strip() for ln in Path(empirical).read_text().splitlines()]
     rows = [r for r in rows if r and not r.startswith("#") and not r[0].isalpha()]
     values = []
@@ -499,37 +400,38 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale, out):
         standardized = (np.asarray(values) - center) / scale
         value = stats.ks_statistic(standardized, lambda x: limits.law_cdf(law, x), weights=weights)
     passed = value < tol
-    _emit(_json_doc("compare", {"metric": metric, "value": value, "tol": tol, "pass": passed}),
-          out, "compare", {"empirical": empirical, "law": law_path, "metric": metric,
-                           "tol": tol}, started)
-    if not passed:
-        sys.exit(1)
-
-
-main.add_command(compare_cmd, name="compare")
+    return (_json_doc("compare", {"metric": metric, "value": value, "tol": tol, "pass": passed}),
+            {"empirical": empirical, "law": law_path, "metric": metric, "tol": tol},
+            0 if passed else 1)
 
 
 # -- birthday -----------------------------------------------------------------------
 
 
-@main.command()
-@click.option("--people", default=None, type=int, help="Group size n for the classic question.")
-@click.option("--days", default=365, show_default=True, type=int, help="Number of equally likely days.")
+@_command("birthday")
+@click.option("--people", default=None, type=click.IntRange(min=0),
+              help="Group size n for the classic question.")
+@click.option("--days", default=365, show_default=True, type=click.IntRange(min=1),
+              help="Number of equally likely days.")
 @click.option("--lambda-from", "lambda_from", is_flag=True,
               help="Compute the collision rate lambda = edges / days^power instead.")
 @click.option("--edges", default=None, type=float, help="Pair count for --lambda-from.")
 @click.option("--days-power", default=None, metavar="BASE:K",
               help="Color count as BASE**K for --lambda-from.")
-@out_option
-@_guarded
-def birthday_cmd(people, days, lambda_from, edges, days_power, out):
+def birthday_cmd(people, days, lambda_from, edges, days_power):
     """Exact no-collision probability and its Poisson approximation."""
-    started = time.time()
     if lambda_from:
         if edges is None or days_power is None:
             raise click.UsageError("--lambda-from needs --edges and --days-power BASE:K")
+        if not edges >= 0:
+            raise click.UsageError(f"--edges must be a nonnegative count, got {edges}")
         base, power = days_power.split(":")
-        c = float(base) ** int(power)
+        try:
+            c = float(base) ** int(power)
+        except OverflowError:
+            raise DomainExceededError(f"{base}**{power} overflows a double") from None
+        if not c >= 1.0:
+            raise click.UsageError(f"--days-power {days_power} gives {c!r} days; need at least 1")
         lam = edges / c
         payload = {
             "colors": c,
@@ -554,12 +456,8 @@ def birthday_cmd(people, days, lambda_from, edges, days_power, out):
             "poisson_approx_no_match": math.exp(-pairs / days),
             "match_prob": 1.0 - exact,
         }
-    _emit(_json_doc("birthday", payload), out, "birthday",
-          {"people": people, "days": days, "lambda_from": lambda_from,
-           "edges": edges, "days_power": days_power}, started)
-
-
-main.add_command(birthday_cmd, name="birthday")
+    return _json_doc("birthday", payload), {"people": people, "days": days, "lambda_from": lambda_from,
+                                            "edges": edges, "days_power": days_power}
 
 
 if __name__ == "__main__":

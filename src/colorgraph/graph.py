@@ -31,7 +31,6 @@ from .errors import (
 
 __all__ = [
     "Graph",
-    "from_edge_list",
     "basic_stats",
     "BasicStats",
     "to_edge_list_text",
@@ -151,11 +150,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Canonical constructor; validates range, loops, and duplicates."""
-    return Graph(n, pairs)
 
 
 @dataclass(frozen=True)

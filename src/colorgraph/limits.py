@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Union
 
 import numpy as np
@@ -50,6 +50,8 @@ __all__ = [
     "WeightedChiSquare",
     "AtomPlusNormal",
     "LimitLaw",
+    "law_to_dict",
+    "law_from_dict",
     "Fixed",
     "Growing",
     "limit_for",
@@ -88,7 +90,7 @@ class Poisson:
     mean: float
 
     def __post_init__(self):
-        if self.mean < 0:
+        if not self.mean >= 0:
             raise ValueError(f"Poisson mean must be nonnegative, got {self.mean}")
 
 
@@ -97,7 +99,7 @@ class PointMass:
     value: float
 
     def __post_init__(self):
-        if self.value < 0:
+        if not self.value >= 0:
             raise ValueError("mixing point mass must be nonnegative")
 
 
@@ -106,7 +108,7 @@ class PoissonMixing:
     mean: float
 
     def __post_init__(self):
-        if self.mean < 0:
+        if not self.mean >= 0:
             raise ValueError("mixing mean must be nonnegative")
 
 
@@ -115,7 +117,7 @@ class EmpiricalMixing:
     samples: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.samples or any(s < 0 for s in self.samples):
+        if not self.samples or not all(s >= 0 for s in self.samples):
             raise ValueError("empirical mixing needs nonempty nonnegative samples")
 
 
@@ -135,7 +137,9 @@ class Normal:
     variance: float
 
     def __post_init__(self):
-        if self.variance <= 0:
+        if math.isnan(self.mean):
+            raise ValueError("mean must be a number, got nan")
+        if not self.variance > 0:
             raise ValueError(f"variance must be positive, got {self.variance}")
 
 
@@ -154,8 +158,10 @@ class WeightedChiSquare:
         if self.dof < 1:
             raise ValueError(f"dof must be >= 1, got {self.dof}")
         ssq = sum(w * w for w in self.weights)
-        if abs(ssq - 1.0) > _WEIGHT_SUM_TOL:
+        if not abs(ssq - 1.0) <= _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must have unit sum of squares, got {ssq!r}")
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale}")
 
     def effective_weights(self) -> tuple[tuple[float, ...], float]:
         """(weights kept for sampling, dropped squared mass).
@@ -188,11 +194,58 @@ class AtomPlusNormal:
     def __post_init__(self):
         if not 0.0 <= self.atom_mass <= 1.0:
             raise ValueError(f"atom mass must lie in [0, 1], got {self.atom_mass}")
-        if self.variance <= 0:
+        if not self.variance > 0:
             raise ValueError(f"variance must be positive, got {self.variance}")
 
 
 LimitLaw = Union[Poisson, PoissonMixture, Normal, WeightedChiSquare, AtomPlusNormal]
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+# ---------------------------------------------------------------------------
+
+# A document is {"kind": ..., <the dataclass fields>}, with tuples as lists and
+# the mixing of a Poisson mixture as a nested document of a mixing kind.
+_LAW_KINDS = {"poisson": Poisson, "normal": Normal, "weighted_chi_square": WeightedChiSquare,
+              "atom_plus_normal": AtomPlusNormal, "poisson_mixture": PoissonMixture}
+_MIXING_KINDS = {"point_mass": PointMass, "poisson": PoissonMixing, "empirical": EmpiricalMixing}
+_KIND_OF = {cls: kind for table in (_LAW_KINDS, _MIXING_KINDS) for kind, cls in table.items()}
+
+
+def _to_dict(obj) -> dict:
+    doc = {"kind": _KIND_OF[type(obj)]}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _to_dict(value)
+        doc[f.name] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
+def _from_dict(doc, kinds: dict):
+    try:
+        cls = kinds[doc["kind"]]
+        values = {f.name: doc[f.name] for f in fields(cls)}
+        if "mixing" in values:
+            values["mixing"] = _from_dict(values["mixing"], _MIXING_KINDS)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed law document {doc!r} ({type(exc).__name__}: {exc})") from exc
+
+
+def law_to_dict(law: LimitLaw) -> dict:
+    """The JSON document of ``law``; a weighted chi-square also records its sampling truncation."""
+    doc = _to_dict(law)
+    if isinstance(law, WeightedChiSquare):
+        kept, dropped = law.effective_weights()
+        doc["sampling_truncation"] = {"kept": len(kept), "dropped_square_mass": dropped}
+    return doc
+
+
+def law_from_dict(doc) -> LimitLaw:
+    """The law of a :func:`law_to_dict` document; ValueError for a malformed one."""
+    return _from_dict(doc, _LAW_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +739,8 @@ class Growing:
     edge_color_ratio: float
 
     def __post_init__(self):
-        if self.edge_color_ratio < 0:
-            raise ValueError("edge/color ratio must be nonnegative")
+        if not self.edge_color_ratio >= 0:
+            raise ValueError(f"edge/color ratio must be nonnegative, got {self.edge_color_ratio}")
 
 
 Regime = Union[Fixed, Growing]

@@ -32,7 +32,6 @@ from colorgraph.graph import (
     ErdosRenyi,
     Graph,
     Star,
-    from_edge_list,
     generate,
 )
 
@@ -91,7 +90,7 @@ class TestCountCycles:
 class TestCountSubgraph:
     def test_frozen_examples(self):
         k4 = generate(Complete(4))
-        p2 = from_edge_list(3, [(0, 1), (1, 2)])
+        p2 = Graph(3, [(0, 1), (1, 2)])
         assert count_subgraph(k4, p2) == 12  # sum_v C(deg v, 2) = 4 * 3
         k3 = generate(Complete(3))
         assert count_subgraph(k3, k3) == 1
@@ -100,9 +99,9 @@ class TestCountSubgraph:
     def test_matches_brute_force(self):
         patterns = [
             generate(Cycle(4)),
-            from_edge_list(4, [(0, 1), (1, 2), (2, 3)]),
+            Graph(4, [(0, 1), (1, 2), (2, 3)]),
             generate(Star(3)),
-            from_edge_list(4, [(0, 1), (2, 3)]),
+            Graph(4, [(0, 1), (2, 3)]),
             generate(Complete(3)),
         ]
         for seed in range(6):
@@ -169,7 +168,7 @@ class TestMultigraphTuples:
         assert by_desc == {"edge^2": 3, "star2": 6}
 
     def test_disjoint_edges_pairs(self):
-        g = from_edge_list(4, [(0, 1), (2, 3)])
+        g = Graph(4, [(0, 1), (2, 3)])
         out = count_multigraph_tuples(g, 2)
         by_desc = {p.describe(): c for p, c in out.items()}
         assert by_desc == {"edge^2": 2, "edge + edge": 2}

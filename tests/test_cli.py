@@ -135,6 +135,19 @@ class TestSimulateExactCompare:
                                    "--metric", "tv", "--tol", "1e-6"])
         assert bad.exit_code == 1
 
+    def test_failed_compare_writes_output_and_manifest_then_exits_1(self, runner, tmp_path):
+        emp = tmp_path / "emp.csv"
+        law = tmp_path / "law.json"
+        out = tmp_path / "cmp.json"
+        emp.write_text("value,count\n10,100\n")
+        invoke(runner, "limit", "--growing-ratio", "5.0", "--out", str(law))
+        res = runner.invoke(main, ["compare", "--empirical", str(emp), "--law", str(law),
+                                   "--metric", "tv", "--tol", "0.9", "--out", str(out)])
+        assert res.exit_code == 1
+        assert json.loads(out.read_text())["pass"] is False
+        manifest = json.loads((tmp_path / "cmp.json.manifest.json").read_text())
+        assert manifest["command"] == "compare"
+
     def test_compare_tv_counts_law_mass_below_the_sample(self, runner, tmp_path):
         emp = tmp_path / "emp.csv"
         law = tmp_path / "law.json"
@@ -211,7 +224,6 @@ class TestLimitCommand:
 
     def test_law_json_round_trips(self, runner):
         from colorgraph import limits
-        from colorgraph.cli import _law_payload, law_from_payload
 
         doc = json.loads(invoke(runner, "limit", "--growing-ratio", "1.0").output)
         assert doc["schema"] == "colorgraph.law/1"
@@ -220,11 +232,22 @@ class TestLimitCommand:
             limits.Normal(0.0, 0.5),
             limits.WeightedChiSquare((1.0,), 2, 0.25),
             limits.AtomPlusNormal(0.5, 1.0),
+            limits.PoissonMixture(limits.PointMass(1.2)),
             limits.PoissonMixture(limits.PoissonMixing(1.0)),
             limits.PoissonMixture(limits.EmpiricalMixing((0.5, 1.5))),
         ]
         for law in laws:
-            assert law_from_payload(_law_payload(law)) == law
+            assert limits.law_from_dict(json.loads(json.dumps(limits.law_to_dict(law)))) == law
+
+    def test_compare_malformed_law_exit_code(self, runner, tmp_path):
+        # law_from_dict's ValueError cases are in test_limits
+        emp = tmp_path / "emp.csv"
+        law = tmp_path / "law.json"
+        emp.write_text("value,count\n1,10\n")
+        law.write_text(json.dumps({"kind": "normal", "mean": 0, "variance": "x"}))
+        res = runner.invoke(main, ["compare", "--empirical", str(emp), "--law", str(law),
+                                   "--metric", "ks", "--tol", "0.5"])
+        assert res.exit_code == 2, res.output
 
 
 class TestBirthday:
@@ -247,3 +270,19 @@ class TestBirthday:
             doc = json.loads(invoke(runner, "birthday", "--people", str(people)).output)
             probs[people] = doc["exact_no_match"]
         assert probs[22] > 0.5 > probs[23]
+
+    @pytest.mark.parametrize("args,code", [
+        (["birthday", "--people", "23", "--days", "0"], 2),
+        (["birthday", "--lambda-from", "--edges", "1.2e11", "--days-power", "365:1000"], 4),
+        (["birthday", "--people", "-3"], 2),
+        (["birthday", "--lambda-from", "--edges", "-5", "--days-power", "365:4"], 2),
+        (["birthday", "--lambda-from", "--edges", "nan", "--days-power", "365:4"], 2),
+        (["birthday", "--lambda-from", "--edges", "5", "--days-power", "0:4"], 2),
+        (["simulate", "--graph", "complete:3", "--colors", "2", "--samples", "10", "--seed", "1",
+          "--workers", "0"], 2),
+        (["limit", "--growing-ratio", "nan"], 2),
+    ], ids=["zero-days", "days-power-overflow", "negative-people", "negative-edges", "nan-edges",
+            "zero-days-power", "zero-workers", "nan-growing-ratio"])
+    def test_out_of_range_input_exit_code(self, runner, args, code):
+        res = runner.invoke(main, args)
+        assert res.exit_code == code, res.output

@@ -37,7 +37,6 @@ from colorgraph.graph import (
     Path,
     PathCycleGadget,
     Star,
-    from_edge_list,
     generate,
 )
 
@@ -295,7 +294,7 @@ class TestMomentsAgainstOracle:
 
     def test_exact_variance_matches_binomial(self):
         # pairwise independence: the second moment matches the binomial one
-        g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)])
         c = 3
         pmf = exact_distribution(g, c, MonoEdges())
         m = g.m

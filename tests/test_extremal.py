@@ -26,7 +26,6 @@ from colorgraph.graph import (
     Graph,
     Path,
     Star,
-    from_edge_list,
     generate,
 )
 
@@ -121,12 +120,12 @@ class TestStructuralCheck:
         assert not rep.union_of_stars
 
     def test_triangle_plus_star(self):
-        g = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5)])
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5)])
         rep = structural_check(gamma(g), g)
         assert not rep.union_of_stars
 
     def test_union_of_stars_detection(self):
-        g = from_edge_list(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6)])
+        g = Graph(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6)])
         assert structural_check(gamma(g), g).union_of_stars
 
     def test_mismatched_solution_rejected(self):
@@ -149,10 +148,10 @@ class TestGammaInequalities:
         # equality exactly on unions of stars
         cases = [
             (generate(Star(4)), True),
-            (from_edge_list(5, [(0, 1), (2, 3), (3, 4)]), True),
+            (Graph(5, [(0, 1), (2, 3), (3, 4)]), True),
             (generate(Cycle(5)), False),
             (generate(Complete(4)), False),
-            (from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), False),  # P3 is not a star
+            (Graph(4, [(0, 1), (1, 2), (2, 3)]), False),  # P3 is not a star
         ]
         for g, is_stars in cases:
             sol = gamma(g)

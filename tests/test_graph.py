@@ -16,6 +16,7 @@ from colorgraph.graph import (
     Cycle,
     ErdosRenyi,
     GaltonWatson,
+    Graph,
     Hypercube,
     Inhomogeneous,
     Path,
@@ -23,7 +24,6 @@ from colorgraph.graph import (
     RandomRegular,
     Star,
     basic_stats,
-    from_edge_list,
     generate,
     parse_edge_list_text,
     parse_family,
@@ -33,24 +33,24 @@ from colorgraph.graph import (
 
 class TestConstruction:
     def test_triangle(self):
-        g = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         assert g.m == 3
         assert g.edges == ((0, 1), (0, 2), (1, 2))
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError, match=r"\(0, 0\)"):
-            from_edge_list(2, [(0, 0)])
+            Graph(2, [(0, 0)])
 
     def test_reversed_pair_is_duplicate(self):
         with pytest.raises(DuplicateEdgeError, match=r"\(1, 0\)"):
-            from_edge_list(4, [(0, 1), (1, 0)])
+            Graph(4, [(0, 1), (1, 0)])
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError, match=r"\(0, 5\)"):
-            from_edge_list(3, [(0, 5)])
+            Graph(3, [(0, 5)])
 
     def test_adjacency_matches_edges(self):
-        g = from_edge_list(4, [(2, 0), (3, 1), (0, 1)])
+        g = Graph(4, [(2, 0), (3, 1), (0, 1)])
         assert g.adjacency == ((1, 2), (0, 3), (0,), (1,))
         assert g.degrees == (2, 2, 1, 1)
 
@@ -78,7 +78,7 @@ class TestSerialization:
     def test_round_trip_random(self, n, data):
         all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         pairs = data.draw(st.lists(st.sampled_from(all_pairs), unique=True, max_size=len(all_pairs)))
-        g = from_edge_list(n, pairs)
+        g = Graph(n, pairs)
         back = parse_edge_list_text(to_edge_list_text(g))
         assert back == g and back.adjacency == g.adjacency
 
@@ -201,13 +201,13 @@ class TestFamilyGrammar:
 
 class TestBasicStats:
     def test_complete(self):
-        assert basic_stats(generate(Complete(4))) == basic_stats(from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+        assert basic_stats(generate(Complete(4))) == basic_stats(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
         s = basic_stats(generate(Complete(4)))
         assert (s.n, s.m, s.components) == (4, 6, 1)
         assert s.degrees == (3, 3, 3, 3)
 
     def test_two_disjoint_edges(self):
-        s = basic_stats(from_edge_list(4, [(0, 1), (2, 3)]))
+        s = basic_stats(Graph(4, [(0, 1), (2, 3)]))
         assert (s.n, s.m, s.degrees, s.components) == (4, 2, (1, 1, 1, 1), 2)
 
     def test_degree_sum(self):

@@ -116,6 +116,43 @@ class TestLawEvaluation:
         with pytest.raises(ValueError):
             AtomPlusNormal(1.5, 1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Poisson(math.nan),
+        lambda: Normal(0.0, math.nan),
+        lambda: Normal(math.nan, 1.0),
+        lambda: WeightedChiSquare((math.nan,), 1, 0.1),
+        lambda: WeightedChiSquare((1.0,), 1, math.nan),
+        lambda: AtomPlusNormal(0.5, math.nan),
+        lambda: PoissonMixture(PoissonMixing(math.nan)),
+        lambda: PoissonMixture(EmpiricalMixing((1.0, math.nan))),
+        lambda: Growing(math.nan),
+    ], ids=["poisson", "normal-variance", "normal-mean", "wcs-weight", "wcs-scale", "atom-variance",
+            "poisson-mixing", "empirical-mixing", "growing"])
+    def test_validation_rejects_nan(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_infinite_growing_ratio_is_standard_normal(self):
+        assert limit_for(None, Growing(math.inf)) == Normal(0.0, 1.0)
+
+
+class TestLawDocuments:
+    @pytest.mark.parametrize("doc", [
+        {"kind": "poisson"},
+        {"kind": "normal", "mean": 0, "variance": "x"},
+        [1, 2],
+        {"kind": "poisson_mixture", "mixing": {"kind": "gamma", "shape": 2.0}},
+    ], ids=["missing-field", "string-variance", "not-an-object", "unknown-mixing"])
+    def test_malformed_document_raises_value_error(self, doc):
+        with pytest.raises(ValueError):
+            limits.law_from_dict(doc)
+
+    def test_document_is_kind_plus_fields(self):
+        law = PoissonMixture(EmpiricalMixing((0.5, 1.5)))
+        assert limits.law_to_dict(law) == {
+            "kind": "poisson_mixture", "mixing": {"kind": "empirical", "samples": [0.5, 1.5]}}
+        assert limits.law_to_dict(Normal(0.0, 0.5)) == {"kind": "normal", "mean": 0.0, "variance": 0.5}
+
 
 def stats_phi(x):
     return 0.5 * (1 + math.erf(x / math.sqrt(2)))
