@@ -17,7 +17,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
     PreconditionViolatedError,
     UnsupportedLengthError,
 )
-from .graph import Complete, Graph, generate
+from .graph import Complete, Graph, components, generate
 
 __all__ = [
     "MultiGraphPattern",
@@ -102,7 +101,7 @@ class MultiGraphPattern:
         return min(self.multi_degrees(), default=0)
 
     def component_count(self) -> int:
-        return len(self._component_vertices())
+        return len(components(self.vertex_count, [(u, v) for u, v, _ in self.multi_edges]))
 
     def simple_support(self) -> Graph:
         """The underlying simple graph, multiplicities collapsed."""
@@ -115,19 +114,23 @@ class MultiGraphPattern:
             out.extend([(u, v)] * k)
         return tuple(out)
 
-    def _component_vertices(self) -> list[list[int]]:
-        return _components(self.vertex_count, [(u, v) for u, v, _ in self.multi_edges])
+    def _component_parts(self) -> list[tuple[list[int], list[tuple[int, int, int]], list[int], Counter]]:
+        """Per component: its vertices, its edges, their sorted multiplicities and its multi-degrees."""
+        comps = components(self.vertex_count, [(u, v) for u, v, _ in self.multi_edges])
+        where = {x: i for i, comp in enumerate(comps) for x in comp}
+        edges = [[] for _ in comps]
+        degs = [Counter() for _ in comps]
+        for u, v, k in self.multi_edges:
+            i = where[u]
+            edges[i].append((u, v, k))
+            degs[i][u] += k
+            degs[i][v] += k
+        return [(comp, e, sorted(k for _, _, k in e), d) for comp, e, d in zip(comps, edges, degs)]
 
     def describe(self) -> str:
         """Best-effort human-readable name, component by component."""
         names = []
-        for comp in self._component_vertices():
-            edges = [(u, v, k) for u, v, k in self.multi_edges if u in comp]
-            mults = sorted(k for _, _, k in edges)
-            deg = Counter()
-            for u, v, k in edges:
-                deg[u] += k
-                deg[v] += k
+        for comp, edges, mults, deg in self._component_parts():
             nv, ne = len(comp), len(edges)
             if ne == 1:
                 k = mults[0]
@@ -142,28 +145,6 @@ class MultiGraphPattern:
                 body = ",".join(f"{u}-{v}" + (f"x{k}" if k > 1 else "") for u, v, k in edges)
                 names.append(f"[{body}]")
         return " + ".join(sorted(names))
-
-
-def _components(nv: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Connected components of vertices 0..nv-1 joined by ``pairs``.
-
-    Each component is an ascending vertex list; components are ordered by
-    their smallest vertex.
-    """
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in pairs:
-        parent[find(u)] = find(v)
-    groups: dict[int, list[int]] = {}
-    for x in range(nv):
-        groups.setdefault(find(x), []).append(x)
-    return list(groups.values())
 
 
 def _refine_classes(nv: int, mult: dict[tuple[int, int], int]) -> list[list[int]]:
@@ -224,7 +205,7 @@ def _canonicalize(nv: int, mult: dict[tuple[int, int], int]) -> MultiGraphPatter
     always produce the identical result.
     """
     reps = []
-    for verts in _components(nv, mult):
+    for verts in components(nv, mult):
         local = {x: i for i, x in enumerate(verts)}
         local_mult = {
             (min(local[u], local[v]), max(local[u], local[v])): k
@@ -374,9 +355,8 @@ def four_cycle_count_from_traces(g: Graph) -> int:
     return num // 8
 
 
-@lru_cache(maxsize=64)
 def cycle_list(g: Graph, length: int) -> tuple[tuple[int, ...], ...]:
-    """All unlabeled cycles of ``length`` as vertex tuples (cached per graph)."""
+    """All unlabeled cycles of ``length`` as vertex tuples."""
     if not 3 <= length <= 8:
         raise UnsupportedLengthError(f"cycle length must be in [3, 8], got {length}")
     _, found = _enumerate_cycles(g, length, collect=True)
@@ -511,16 +491,10 @@ def decompose_tight_multigraph(h: MultiGraphPattern) -> tuple[Factor, ...]:
             f"|V| = {h.vertex_count} differs from |E| = {h.edge_count} (multiplicities counted)"
         )
     factors: list[Factor] = []
-    for comp in h._component_vertices():
-        edges = [(u, v, k) for u, v, k in h.multi_edges if u in comp]
-        mults = [k for _, _, k in edges]
-        if len(comp) == 2 and len(edges) == 1 and mults == [2]:
+    for comp, edges, mults, deg in h._component_parts():
+        if len(comp) == 2 and mults == [2]:
             factors.append(DoubledEdgeFactor())
             continue
-        deg = Counter()
-        for u, v, k in edges:
-            deg[u] += k
-            deg[v] += k
         if set(mults) == {1} and len(edges) == len(comp) and all(deg[x] == 2 for x in comp):
             factors.append(CycleFactor(len(comp)))
             continue

@@ -11,6 +11,7 @@ gate exceeded, 4 numerical failure.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -94,8 +95,17 @@ def _emit(text: str, out: str | None, command: str, config: dict, started: float
     Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _jsonable(obj):
+    """JSON form of the values ``json`` cannot encode: a Fraction as "p/q", a dataclass as its fields."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _json_doc(kind: str, payload: dict) -> str:
-    return json.dumps({"schema": f"colorgraph.{kind}/1", **payload}, indent=2)
+    return json.dumps({"schema": f"colorgraph.{kind}/1", **payload}, indent=2, default=_jsonable)
 
 
 graph_option = click.option(
@@ -207,15 +217,11 @@ def extremal_cmd(graph_source):
     report = extremal.structural_check(sol, g)
     v0, vhalf, v1 = sol.partition
     payload = {
-        "gamma": str(sol.gamma),
+        "gamma": sol.gamma,
         "delta": delta,
-        "phi": [str(p) for p in sol.phi],
+        "phi": sol.phi,
         "partition_sizes": {"zero": len(v0), "half": len(vhalf), "one": len(v1)},
-        "structure": {
-            "saturating_matching": report.saturating_matching,
-            "half_part_spanning": report.half_part_spanning,
-            "union_of_stars": report.union_of_stars,
-        },
+        "structure": report,
     }
     return _json_doc("extremal", payload), {"graph": graph_source}
 
@@ -300,22 +306,9 @@ def moments_cmd(graph_source, colors, kind, order, fourth_report):
     g = _load_graph(graph_source)
     req = moments.MomentRequest(moments.MomentKind(kind), order, colors)
     val = moments.conditional_moment(g, req)
-    payload = {
-        "kind": kind,
-        "order": order,
-        "colors": colors,
-        "unscaled": str(val.unscaled),
-        "scale_exponent": str(val.scale_exponent),
-        "value": None if val.value is None else str(val.value),
-    }
+    payload = {"kind": kind, "order": order, "colors": colors, **_jsonable(val)}
     if fourth_report:
-        rep = moments.fourth_moment_report(g, colors)
-        payload["fourth_moment"] = {
-            "exact": str(rep.exact),
-            "leading": str(rep.leading),
-            "c4_term": str(rep.c4_term),
-            "remainder": str(rep.remainder),
-        }
+        payload["fourth_moment"] = moments.fourth_moment_report(g, colors)
     return _json_doc("moments", payload), {"graph": graph_source, "colors": colors,
                                            "kind": kind, "order": order}
 
@@ -376,6 +369,11 @@ def limit_cmd(graph_source, colors, growing_ratio, sample, seed):
               help="Divide by before a ks comparison.")
 def compare_cmd(empirical, law_path, metric, tol, center, scale):
     """Compare an empirical distribution against a law; exit 1 on failure."""
+    for name, value in (("--tol", tol), ("--center", center), ("--scale", scale)):
+        if not math.isfinite(value):
+            raise click.UsageError(f"{name} must be a finite number, got {value}")
+    if scale <= 0:
+        raise click.UsageError(f"--scale must be positive, got {scale}")
     law = limits.law_from_dict(json.loads(Path(law_path).read_text()))
     rows = [ln.strip() for ln in Path(empirical).read_text().splitlines()]
     rows = [r for r in rows if r and not r.startswith("#") and not r[0].isalpha()]

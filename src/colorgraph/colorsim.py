@@ -6,7 +6,7 @@ sample range is chunked or distributed over workers. ``exact_distribution``
 is the brute-force oracle: it enumerates every coloring in base-c order and
 returns exact rational probabilities with denominator c**n.
 
-Both count with one of two kernels, picked by ``_choose_kernel``: a one-hot
+Both count with one of two kernels, built once per call by ``_kernel_for``: a one-hot
 float32 GEMM against the adjacency matrix, from the identity
 N = 1/2 sum_a x_a' A x_a over the color indicators x_a, or a gather that
 compares colors along edges, cycles or neighbour lists in a narrow
@@ -19,7 +19,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -81,14 +81,6 @@ def _comb_array(values: np.ndarray, r: int) -> np.ndarray:
     table = np.zeros(present[-1] + 1 if present.size else 1, dtype=np.int64)
     table[present] = [math.comb(int(x), r) for x in present]
     return table[values]
-
-
-def _adjacency(g: Graph) -> np.ndarray:
-    """Dense float32 adjacency matrix; built per call, never cached on the graph."""
-    adj = np.zeros((g.n, g.n), dtype=np.float32)
-    u, v = g.edge_arrays()
-    adj[u, v] = adj[v, u] = 1.0
-    return adj
 
 
 def _gemm_counts(adj: np.ndarray, c: int, stat: Statistic, colors: np.ndarray) -> np.ndarray:
@@ -185,34 +177,38 @@ def _gather_counts(index, top: int, stat: Statistic, colors: np.ndarray) -> np.n
     return np.count_nonzero(mono, axis=0).astype(np.int64)
 
 
-def _choose_kernel(g: Graph, c: int, stat: Statistic) -> tuple[str, int]:
-    """Name of the counting kernel for (g, c, stat) and its per-sample cost.
+class _Kernel(NamedTuple):
+    """The counting kernel for one (g, c, stat), built once per call."""
 
-    The cost, in matrix entries, sets the chunk size. GEMM does about c*n^2
-    multiply-adds per sample against the gather's m compares, so it runs
-    when c*n^2 <= _GEMM_BREAK_EVEN * m and the adjacency fits the budget.
-    Cycles always gather.
+    name: str  # "gemm" or "gather"
+    count: Callable[[np.ndarray], np.ndarray]  # color matrix -> statistic per row
+    rows: int  # samples per chunk
+
+
+def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
+    """The counting kernel for (g, c, stat), with the adjacency or index it counts over.
+
+    GEMM does about c*n^2 multiply-adds per sample against the gather's m
+    compares, so it runs when c*n^2 <= _GEMM_BREAK_EVEN * m and the
+    adjacency fits the budget. Cycles always gather. A sample's cost, in
+    matrix entries, sets the rows per chunk.
     """
     n = g.n
     if (not isinstance(stat, MonoCycles) and n * n <= _CHUNK_TARGET
             and c * n * n <= _GEMM_BREAK_EVEN * g.m):
-        return "gemm", 4 * n  # colors, one indicator, its product and D
-    cost = n + g.m
-    if isinstance(stat, MonoCycles):
-        cost += stat.g * len(census.cycle_list(g, stat.g))
-    return "gather", max(1, cost)
-
-
-def _counts_in_chunks(g: Graph, c: int, stat: Statistic, colors_for, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Statistic for samples [lo, hi), chunk by chunk; ``colors_for(idx)`` is their color matrix."""
-    kernel, row_cost = _choose_kernel(g, c, stat)
-    if kernel == "gemm":
-        count = functools.partial(_gemm_counts, _adjacency(g), c, stat)
+        name, row_cost = "gemm", 4 * n  # colors, one indicator, its product and D
+        count = functools.partial(_gemm_counts, g.adjacency_matrix(np.float32), c, stat)
     else:
-        count = functools.partial(_gather_counts, _gather_index(g, stat), c - 1, stat)
-    step = max(1, _CHUNK_TARGET // row_cost)
-    for start in range(lo, hi, step):
-        yield count(colors_for(np.arange(start, min(start + step, hi), dtype=np.int64)))
+        index = _gather_index(g, stat)
+        name, row_cost = "gather", n + g.m + (index.size if isinstance(stat, MonoCycles) else 0)
+        count = functools.partial(_gather_counts, index, c - 1, stat)
+    return _Kernel(name, count, max(1, _CHUNK_TARGET // max(1, row_cost)))
+
+
+def _counts_in_chunks(kernel: _Kernel, colors_for, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Statistic for samples [lo, hi), chunk by chunk; ``colors_for(idx)`` is their color matrix."""
+    for start in range(lo, hi, kernel.rows):
+        yield kernel.count(colors_for(np.arange(start, min(start + kernel.rows, hi), dtype=np.int64)))
 
 
 def mono_count(g: Graph, colors, stat: Statistic) -> int:
@@ -261,8 +257,8 @@ def _color_matrix(seed: int, sample_indices: np.ndarray, n: int, c: int) -> np.n
     )
 
 
-def _simulate_range(g: Graph, c: int, stat: Statistic, seed: int, lo: int, hi: int) -> np.ndarray:
-    parts = list(_counts_in_chunks(g, c, stat, lambda idx: _color_matrix(seed, idx, g.n, c), lo, hi))
+def _simulate_range(kernel: _Kernel, seed: int, n: int, c: int, lo: int, hi: int) -> np.ndarray:
+    parts = list(_counts_in_chunks(kernel, lambda idx: _color_matrix(seed, idx, n, c), lo, hi))
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
@@ -291,12 +287,11 @@ def simulate(
         )
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
-    if isinstance(stat, MonoCycles):
-        census.cycle_list(g, stat.g)  # warm the shared cycle cache once
+    kernel = _kernel_for(g, c, stat)
     if workers and workers > 1:
         bounds = np.linspace(0, samples, workers + 1).astype(int)
         jobs = [
-            (g, c, stat, seed, int(lo), int(hi))
+            (kernel, seed, g.n, c, int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
@@ -304,10 +299,10 @@ def simulate(
             parts = list(pool.map(_simulate_range_star, jobs))
         counts = np.concatenate(parts)
     else:
-        counts = _simulate_range(g, c, stat, seed, 0, samples)
+        counts = _simulate_range(kernel, seed, g.n, c, 0, samples)
     counts.setflags(write=False)
     return SimulationRun(seed=seed, colors=c, stat=stat, sample_count=samples, counts=counts,
-                         kernel=_choose_kernel(g, c, stat)[0])
+                         kernel=kernel.name)
 
 
 def exact_distribution(g: Graph, c: int, stat: Statistic) -> dict[int, Fraction]:
@@ -331,7 +326,7 @@ def exact_distribution(g: Graph, c: int, stat: Statistic) -> dict[int, Fraction]
     def colors_for(idx: np.ndarray) -> np.ndarray:
         return (idx[:, None] // powers[None, :]) % c if g.n else np.zeros((idx.size, 0), np.int64)
 
-    for values in _counts_in_chunks(g, c, stat, colors_for, 0, total):
+    for values in _counts_in_chunks(_kernel_for(g, c, stat), colors_for, 0, total):
         uniq, freq = np.unique(values, return_counts=True)
         for v, f in zip(uniq.tolist(), freq.tolist()):
             counter[v] = counter.get(v, 0) + f

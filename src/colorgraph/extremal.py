@@ -27,7 +27,7 @@ from .errors import (
     PatternTooLargeError,
     SolutionMismatchError,
 )
-from .graph import Graph
+from .graph import Graph, components
 
 __all__ = [
     "deficiency",
@@ -129,10 +129,6 @@ def _koenig_cover(n_left: int, n_right: int, adj, pair_l, pair_r) -> tuple[list[
     return cover_l, cover_r
 
 
-def _double_cover_adj(h: Graph) -> list[tuple[int, ...]]:
-    return [tuple(a) for a in h.adjacency]
-
-
 def _require_no_isolated(h: Graph, what: str) -> None:
     if h.n == 0:
         raise ValueError(f"{what} needs a nonempty graph")
@@ -148,7 +144,7 @@ def _require_no_isolated(h: Graph, what: str) -> None:
 def deficiency(h: Graph) -> int:
     """max over S of |S| - |N_H(S)|, via the double-cover matching defect."""
     _require_no_isolated(h, "deficiency")
-    size, _, _ = hopcroft_karp(h.n, h.n, _double_cover_adj(h))
+    size, _, _ = hopcroft_karp(h.n, h.n, h.adjacency)
     return h.n - size
 
 
@@ -169,7 +165,7 @@ class FractionalSolution:
 def gamma(h: Graph) -> FractionalSolution:
     """Optimal half-integral solution; objective equals (|V| + deficiency)/2."""
     _require_no_isolated(h, "gamma")
-    adj = _double_cover_adj(h)
+    adj = h.adjacency
     size, pair_l, pair_r = hopcroft_karp(h.n, h.n, adj)
     cover_l, cover_r = _koenig_cover(h.n, h.n, adj, pair_l, pair_r)
     phi = tuple(ONE - Fraction(int(cover_l[v]) + int(cover_r[v]), 2) for v in range(h.n))
@@ -203,24 +199,9 @@ class StructuralReport:
 
 
 def _is_union_of_stars(h: Graph) -> bool:
-    seen = bytearray(h.n)
-    for start in range(h.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = 1
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in h.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-                    stack.append(w)
-        edges = sum(h.degree(v) for v in comp) // 2
-        if edges != len(comp) - 1:
-            return False
-        if sum(1 for v in comp if h.degree(v) >= 2) > 1:
+    for comp in components(h.n, h.edges):
+        degrees = [h.degree(v) for v in comp]
+        if sum(degrees) // 2 != len(comp) - 1 or sum(d >= 2 for d in degrees) > 1:
             return False
     return True
 
@@ -236,7 +217,7 @@ def _has_spanning_cycle_edge_factor(h: Graph) -> bool:
         return True
     if h.has_isolated_vertices():
         return False
-    size, _, _ = hopcroft_karp(h.n, h.n, _double_cover_adj(h))
+    size, _, _ = hopcroft_karp(h.n, h.n, h.adjacency)
     return size == h.n
 
 
@@ -305,15 +286,12 @@ def condition_report(g: Graph) -> ConditionReport:
         raise ValueError("condition report needs at least one edge")
     m = g.m
     spec = spectral.eigenvalues(g)
-    ratios = {
-        length: census.count_cycles(g, length) / m ** (length / 2.0)
-        for length in range(3, 9)
-    }
+    counts = {length: census.count_cycles(g, length) for length in range(3, 9)}
     return ConditionReport(
         m=m,
-        acf4_ratio=census.count_cycles(g, 4) / m**2,
+        acf4_ratio=counts[4] / m**2,
         usn_ratio=spec.usn_ratio,
-        cycle_ratios=ratios,
+        cycle_ratios={length: count / m ** (length / 2.0) for length, count in counts.items()},
     )
 
 

@@ -31,6 +31,7 @@ from .errors import (
 
 __all__ = [
     "Graph",
+    "components",
     "basic_stats",
     "BasicStats",
     "to_edge_list_text",
@@ -107,10 +108,10 @@ class Graph:
         return tuple(len(a) for a in self._adj)
 
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
+        """Dense 0/1 adjacency matrix in ``dtype``; built per call, never cached."""
         a = np.zeros((self.n, self.n), dtype=dtype)
-        for u, v in self.edges:
-            a[u, v] = 1
-            a[v, u] = 1
+        u, v = self.edge_arrays()
+        a[u, v] = a[v, u] = 1
         return a
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -121,21 +122,7 @@ class Graph:
         return arr[:, 0], arr[:, 1]
 
     def component_count(self) -> int:
-        seen = bytearray(self.n)
-        count = 0
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            count += 1
-            stack = [start]
-            seen[start] = 1
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if not seen[w]:
-                        seen[w] = 1
-                        stack.append(w)
-        return count
+        return len(components(self.n, self.edges))
 
     def has_isolated_vertices(self) -> bool:
         return any(len(a) == 0 for a in self._adj)
@@ -152,6 +139,28 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of vertices 0..n-1 joined by ``pairs``, by union-find.
+
+    Each component is an ascending vertex list; components are ordered by
+    their smallest vertex. A vertex in no pair is a component of its own.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        parent[find(u)] = find(v)
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
 @dataclass(frozen=True)
 class BasicStats:
     n: int
@@ -161,7 +170,7 @@ class BasicStats:
 
 
 def basic_stats(g: Graph) -> BasicStats:
-    """Vertex/edge counts, degree sequence, and component count by traversal."""
+    """Vertex/edge counts, degree sequence, and component count."""
     return BasicStats(g.n, g.m, g.degrees, g.component_count())
 
 

@@ -35,7 +35,6 @@ from .errors import (
 from .graph import (
     Complete,
     CompleteBipartite,
-    ErdosRenyi,
     FamilySpec,
     Graph,
 )
@@ -747,9 +746,7 @@ Regime = Union[Fixed, Growing]
 
 
 def _fixed_family_law(spec: FamilySpec, c: int) -> LimitLaw:
-    if isinstance(spec, Complete) or isinstance(spec, ErdosRenyi):
-        if isinstance(spec, ErdosRenyi) and spec.p <= 0.0:
-            raise AmbiguousRegimeError("empty random graph has no dense limit")
+    if isinstance(spec, Complete):
         weights = (1.0,)
     elif isinstance(spec, CompleteBipartite):
         if spec.a < 1 or spec.b < 1:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import census
 from .census import MultiGraphPattern
 from .errors import PatternTooLargeError
-from .graph import Graph
+from .graph import Graph, components
 
 __all__ = [
     "stirling_moment",
@@ -68,26 +68,6 @@ def bernoulli_central_moment(c: int, order: int) -> Fraction:
     return (1 - p) * (-p) ** order + p * (1 - p) ** order
 
 
-def _rank(slots: tuple[tuple[int, int], ...]) -> int:
-    """|V| - components of the support of a slot subset (isolated vertices dropped)."""
-    verts = {x for e in slots for x in e}
-    parent = {x: x for x in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = len(verts)
-    for u, v in slots:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return len(verts) - comps
-
-
 @lru_cache(maxsize=None)
 def _expected_central_products_cached(key: tuple, c: int) -> tuple[Fraction, Fraction]:
     nv, multi_edges = key
@@ -98,7 +78,8 @@ def _expected_central_products_cached(key: tuple, c: int) -> tuple[Fraction, Fra
     minus = Fraction(-1, c)
     for mask in range(1 << k):
         chosen = tuple(slots[i] for i in range(k) if mask >> i & 1)
-        ez += minus ** (k - len(chosen)) * Fraction(1, c ** _rank(chosen))
+        # rank |V| - components of the chosen slots' support; isolated vertices cancel out
+        ez += minus ** (k - len(chosen)) * Fraction(1, c ** (nv - len(components(nv, chosen))))
     ew = Fraction(1)
     for _, _, mult in pattern.multi_edges:
         ew *= bernoulli_central_moment(c, mult)

@@ -1,6 +1,7 @@
 """Statistical distances and empirical summaries used by the test suites."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -101,51 +102,34 @@ def empirical_moments(samples, k_max: int, max_blocks: int = 10_000) -> Empirica
         raise ValueError("need at least two samples")
     blocks = min(max_blocks, n)
     bounds = np.linspace(0, n, blocks + 1).astype(int)
-    sizes = np.diff(bounds).astype(np.float64)
-    # per-block power sums, order 0..k_max
+    # per-block power sums, order 0..k_max; blocks + 1 <= n + 1 keeps every block nonempty
     sums = np.empty((blocks, k_max + 1))
-    for b in range(blocks):
-        seg = x[bounds[b] : bounds[b + 1]]
-        powers = np.ones_like(seg)
-        sums[b, 0] = seg.size
-        for k in range(1, k_max + 1):
-            powers = powers * seg
-            sums[b, k] = powers.sum()
+    sums[:, 0] = np.diff(bounds)
+    powers = np.ones_like(x)
+    for k in range(1, k_max + 1):
+        powers = powers * x
+        sums[:, k] = np.add.reduceat(powers, bounds[:-1])
     total = sums.sum(axis=0)
-
-    def estimates(power_sums: np.ndarray, count: float) -> tuple[np.ndarray, np.ndarray]:
-        raw = power_sums[1:] / count
-        mean = raw[0]
-        central = np.empty(k_max)
-        # mu_k = sum_j C(k, j) raw_j (-mean)^{k-j}, with raw_0 = 1
-        from math import comb
-
-        for k in range(1, k_max + 1):
-            acc = 0.0
-            for j in range(0, k + 1):
-                rj = 1.0 if j == 0 else raw[j - 1]
-                acc += comb(k, j) * rj * (-mean) ** (k - j)
-            central[k - 1] = acc
-        return raw, central
-
-    raw_full, central_full = estimates(total, float(n))
+    # row 0: the full sample; row 1 + b: the sample without block b
+    power_sums = np.vstack((total, total - sums))
+    raw = power_sums[:, 1:] / power_sums[:, :1]
+    # mu_k = sum_j C(k, j) raw_j (-mean)^{k-j}, with raw_0 = 1 and C(k, j) = 0 for j > k
+    orders = np.arange(k_max + 1)
+    binom = np.array([[math.comb(k, j) for j in range(k_max + 1)] for k in range(k_max + 1)], dtype=np.float64)
+    raw_from_0 = np.hstack((np.ones((raw.shape[0], 1)), raw))
+    neg_mean_powers = (-raw[:, :1, None]) ** np.maximum(orders[:, None] - orders[None, :], 0)
+    central = (binom * raw_from_0[:, None, :] * neg_mean_powers).sum(axis=2)[:, 1:]
     if blocks < 2:
         zeros = tuple(0.0 for _ in range(k_max))
-        return EmpiricalMoments(tuple(raw_full), tuple(central_full), zeros, zeros)
-    raw_jack = np.empty((blocks, k_max))
-    central_jack = np.empty((blocks, k_max))
-    for b in range(blocks):
-        r, cen = estimates(total - sums[b], float(n) - sizes[b])
-        raw_jack[b] = r
-        central_jack[b] = cen
+        return EmpiricalMoments(tuple(raw[0]), tuple(central[0]), zeros, zeros)
 
     def jack_se(jacks: np.ndarray) -> np.ndarray:
         mean = jacks.mean(axis=0)
         return np.sqrt((blocks - 1) / blocks * ((jacks - mean) ** 2).sum(axis=0))
 
     return EmpiricalMoments(
-        raw=tuple(raw_full),
-        central=tuple(central_full),
-        raw_se=tuple(jack_se(raw_jack)),
-        central_se=tuple(jack_se(central_jack)),
+        raw=tuple(raw[0]),
+        central=tuple(central[0]),
+        raw_se=tuple(jack_se(raw[1:])),
+        central_se=tuple(jack_se(central[1:])),
     )

@@ -208,3 +208,45 @@ def gadget_mono_cycle_pmf(a: int, b: int, c: int, g: int, zmax: int) -> dict[int
 def poisson_pmf_dict(mean: float, kmax: int) -> dict[int, float]:
     return {k: math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1)) if mean > 0 else (1.0 if k == 0 else 0.0)
             for k in range(kmax + 1)}
+
+
+def block_jackknife_moments_loop(samples, k_max: int, max_blocks: int = 10_000):
+    """(raw, central, raw_se, central_se) of ``stats.empirical_moments``, one block at a time.
+
+    Power sums per block by repeated multiplication, and every delete-one-block
+    estimate recomputed from them with plain Python loops over orders.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    n = x.size
+    blocks = min(max_blocks, n)
+    bounds = np.linspace(0, n, blocks + 1).astype(int)
+    sums = np.empty((blocks, k_max + 1))
+    for b in range(blocks):
+        seg = x[bounds[b] : bounds[b + 1]]
+        powers = np.ones_like(seg)
+        sums[b, 0] = seg.size
+        for k in range(1, k_max + 1):
+            powers = powers * seg
+            sums[b, k] = powers.sum()
+    total = sums.sum(axis=0)
+
+    def estimates(power_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raw = power_sums[1:] / power_sums[0]
+        central = np.empty(k_max)
+        for k in range(1, k_max + 1):
+            acc = 0.0
+            for j in range(0, k + 1):
+                rj = 1.0 if j == 0 else raw[j - 1]
+                acc += math.comb(k, j) * rj * (-raw[0]) ** (k - j)
+            central[k - 1] = acc
+        return raw, central
+
+    raw_full, central_full = estimates(total)
+    jacks = [estimates(total - sums[b]) for b in range(blocks)]
+
+    def jack_se(values: np.ndarray) -> tuple[float, ...]:
+        spread = ((values - values.mean(axis=0)) ** 2).sum(axis=0)
+        return tuple(np.sqrt((blocks - 1) / blocks * spread))
+
+    return (tuple(raw_full), tuple(central_full),
+            jack_se(np.array([r for r, _ in jacks])), jack_se(np.array([c for _, c in jacks])))

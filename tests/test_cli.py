@@ -207,10 +207,20 @@ class TestLimitCommand:
         assert doc == {"schema": "colorgraph.law/1", "kind": "poisson", "mean": 0.5}
 
     def test_fixed_family(self, runner):
-        res = invoke(runner, "limit", "--graph", "er:100:0.4:1", "--colors", "3")
+        from colorgraph import limits
+        from colorgraph.graph import generate, parse_family
+
+        # an ER spec has no family law: the CLI falls back to the generated graph's law
+        res = invoke(runner, "limit", "--graph", "er:100:0.5:1", "--colors", "3")
         doc = json.loads(res.output)
+        law = limits.limit_for(generate(parse_family("er:100:0.5:1")), limits.Fixed(3))
+        assert doc == json.loads(json.dumps({"schema": "colorgraph.law/1", **limits.law_to_dict(law)}))
         assert doc["kind"] == "weighted_chi_square"
         assert doc["dof"] == 2
+        # er:100:0.4:1 has four-cycle ratio 0.077, in the gray zone, so the fallback exits 4
+        assert runner.invoke(main, ["limit", "--graph", "er:100:0.4:1", "--colors", "3"]).exit_code == 4
+        # and a graph with no edges has no fixed-color law at all
+        assert runner.invoke(main, ["limit", "--graph", "er:30:0:1", "--colors", "3"]).exit_code == 2
 
     def test_sample_csv(self, runner):
         res = invoke(runner, "limit", "--growing-ratio", "2.0", "--sample", "50", "--seed", "9")
@@ -250,6 +260,9 @@ class TestLimitCommand:
         assert res.exit_code == 2, res.output
 
 
+COMPARE_KS = ["compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "ks", "--tol", "0.5"]
+
+
 class TestBirthday:
     def test_classic(self, runner):
         res = invoke(runner, "birthday", "--people", "23", "--days", "365")
@@ -281,8 +294,19 @@ class TestBirthday:
         (["simulate", "--graph", "complete:3", "--colors", "2", "--samples", "10", "--seed", "1",
           "--workers", "0"], 2),
         (["limit", "--growing-ratio", "nan"], 2),
+        (COMPARE_KS + ["--scale", "0"], 2),
+        (COMPARE_KS + ["--scale", "-1"], 2),
+        (COMPARE_KS + ["--scale", "nan"], 2),
+        (COMPARE_KS + ["--scale", "inf"], 2),
+        (COMPARE_KS + ["--center", "nan"], 2),
+        (COMPARE_KS + ["--center", "inf"], 2),
+        (["compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "tv", "--tol", "nan"], 2),
     ], ids=["zero-days", "days-power-overflow", "negative-people", "negative-edges", "nan-edges",
-            "zero-days-power", "zero-workers", "nan-growing-ratio"])
-    def test_out_of_range_input_exit_code(self, runner, args, code):
+            "zero-days-power", "zero-workers", "nan-growing-ratio", "zero-scale", "negative-scale",
+            "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol"])
+    def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the compare rows read these two files
+        (tmp_path / "e.csv").write_text("value,count\n3,10\n")
+        (tmp_path / "law.json").write_text(json.dumps({"kind": "poisson", "mean": 5.0}))
         res = runner.invoke(main, args)
         assert res.exit_code == code, res.output

@@ -13,17 +13,16 @@ from oracles import (
     pmf_moment,
 )
 
-from colorgraph import stats
+from colorgraph import census, stats
 from colorgraph.colorsim import (
     EXACT_ENUMERATION_GATE,
     MonoCycles,
     MonoEdges,
     MonoStars,
-    _adjacency,
-    _choose_kernel,
     _gather_counts,
     _gather_index,
     _gemm_counts,
+    _kernel_for,
     exact_distribution,
     mono_count,
     simulate,
@@ -209,13 +208,27 @@ class TestSimulate:
 
     def test_kernel_choice_recorded(self):
         k200 = generate(Complete(200))
-        assert _choose_kernel(k200, 2, MonoEdges())[0] == "gemm"
-        assert _choose_kernel(k200, 2, MonoStars(2))[0] == "gemm"
-        assert _choose_kernel(generate(Complete(6)), 2, MonoCycles(3))[0] == "gather"
-        assert _choose_kernel(generate(Complete(60)), 1770, MonoEdges())[0] == "gather"
-        assert _choose_kernel(generate(Path(200)), 2, MonoEdges())[0] == "gather"
+        assert _kernel_for(k200, 2, MonoEdges()).name == "gemm"
+        assert _kernel_for(k200, 2, MonoStars(2)).name == "gemm"
+        assert _kernel_for(generate(Complete(6)), 2, MonoCycles(3)).name == "gather"
+        assert _kernel_for(generate(Complete(60)), 1770, MonoEdges()).name == "gather"
+        assert _kernel_for(generate(Path(200)), 2, MonoEdges()).name == "gather"
         assert simulate(generate(Complete(40)), 2, MonoEdges(), 10, 1).kernel == "gemm"
         assert simulate(generate(Cycle(5)), 2, MonoCycles(5), 10, 1).kernel == "gather"
+
+    def test_one_cycle_list_per_call(self, monkeypatch):
+        real, calls = census.cycle_list, []
+        monkeypatch.setattr(census, "cycle_list", lambda g, length: calls.append(length) or real(g, length))
+        g = generate(PathCycleGadget(3, 3, 3))
+        simulate(g, 3, MonoCycles(3), 500, 1)
+        assert calls == [3]
+        exact_distribution(generate(Cycle(6)), 3, MonoCycles(6))
+        assert calls == [3, 6]
+
+    def test_empty_graph(self):
+        empty = Graph(0, [])
+        assert exact_distribution(empty, 2, MonoEdges()) == {0: Fraction(1)}
+        assert simulate(empty, 2, MonoEdges(), 5, 1).counts.tolist() == [0] * 5
 
     def test_worker_invariant_on_both_kernels(self):
         g = generate(CompleteBipartite(4, 5))
@@ -258,7 +271,7 @@ def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray) -> None:
         gathered = _gather_counts(_gather_index(g, stat), c - 1, stat, colors)
         assert np.array_equal(gathered, expected), (kind, order, c)
         if kind != "cycles":
-            gemm = _gemm_counts(_adjacency(g), c, stat, colors)
+            gemm = _gemm_counts(g.adjacency_matrix(np.float32), c, stat, colors)
             assert np.array_equal(gemm, expected), (kind, order, c)
 
 
@@ -282,7 +295,7 @@ class TestKernelsAgainstLoops:
     def test_gemm_rejects_cycles(self):
         g = generate(Complete(4))
         with pytest.raises(TypeError):
-            _gemm_counts(_adjacency(g), 2, MonoCycles(3), np.zeros((1, 4), dtype=np.int64))
+            _gemm_counts(g.adjacency_matrix(np.float32), 2, MonoCycles(3), np.zeros((1, 4), dtype=np.int64))
 
 
 class TestMomentsAgainstOracle:

@@ -394,8 +394,9 @@ class TestLimitSelector:
         assert max(law.weights) == pytest.approx(1.0, abs=0.05)  # single dominant weight
 
     def test_fixed_er_family(self):
-        law = limit_for(ErdosRenyi(500, 0.4, 1), Fixed(3))
-        assert law == WeightedChiSquare((1.0,), 2, 1 / 6)
+        # the complete graph's law is wrong for p < 1; only a concrete graph has one
+        with pytest.raises(AmbiguousRegimeError, match="pass a concrete graph"):
+            limit_for(ErdosRenyi(500, 0.4, 1), Fixed(3))
 
     def test_fixed_bipartite_family(self):
         law = limit_for(CompleteBipartite(100, 100), Fixed(2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import block_jackknife_moments_loop
 
 from colorgraph import limits, rng
 from colorgraph.stats import (
@@ -156,6 +157,19 @@ class TestEmpiricalMoments:
         big = empirical_moments(rng.normals(1, 1, np.arange(400_000)), 2)
         small = empirical_moments(rng.normals(1, 1, np.arange(10_000)), 2)
         assert big.central_se[1] < small.central_se[1]
+
+    @pytest.mark.parametrize("n,k_max,max_blocks", [
+        (5000, 4, 10_000), (12345, 4, 1000), (37, 8, 10), (1001, 3, 7), (2, 2, 10_000),
+    ])
+    def test_matches_block_loop_oracle(self, n, k_max, max_blocks):
+        # uneven splits: linspace bounds give blocks of two different sizes
+        x = np.floor(rng.normals(n, 3, np.arange(n)) * 4 + 10)
+        got = empirical_moments(x, k_max, max_blocks)
+        want = block_jackknife_moments_loop(x, k_max, max_blocks)
+        for got_part, want_part in zip((got.raw, got.central, got.raw_se, got.central_se), want):
+            scale = np.maximum(np.abs(want_part), 1.0)
+            assert np.allclose(np.asarray(got_part) / scale, np.asarray(want_part) / scale,
+                               rtol=0, atol=1e-11)
 
     def test_validation(self):
         with pytest.raises(ValueError):
