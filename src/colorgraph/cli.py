@@ -33,6 +33,7 @@ from .errors import (
     GenerationTimeoutError,
 )
 from .graph import (
+    _FAMILY_HELP,
     FamilySpec,
     GaltonWatson,
     Graph,
@@ -40,6 +41,7 @@ from .graph import (
     mean_offspring,
     parse_edge_list_text,
     parse_family,
+    read_spec,
     to_edge_list_text,
 )
 
@@ -110,9 +112,7 @@ def _json_doc(kind: str, payload: dict) -> str:
 
 graph_option = click.option(
     "--graph", "graph_source", required=True, metavar="FILE|FAMILY",
-    help="Edge-list file or family spec (complete:n, bipartite:a:b, star:leaves, "
-    "path:edges, cycle:g, hypercube:s, er:n:p:seed, regular:n:d:seed, "
-    "gw:p0,p1,...:height:seed, gadget:a:b:g).",
+    help=f"Edge-list file or family spec ({_FAMILY_HELP}).",
 )
 
 
@@ -244,19 +244,16 @@ def spectrum_cmd(graph_source):
 # -- simulate / exact -------------------------------------------------------------
 
 
+_STATISTICS = {"edges": colorsim.MonoEdges, "stars": colorsim.MonoStars, "cycles": colorsim.MonoCycles}
+_STAT_HELP = "edges | stars:r | cycles:g"
+
+
 def _parse_stat(text: str) -> colorsim.Statistic:
-    parts = text.split(":")
-    if parts[0] == "edges" and len(parts) == 1:
-        return colorsim.MonoEdges()
-    if parts[0] == "stars" and len(parts) == 2:
-        return colorsim.MonoStars(int(parts[1]))
-    if parts[0] == "cycles" and len(parts) == 2:
-        return colorsim.MonoCycles(int(parts[1]))
-    raise click.UsageError(f"bad statistic {text!r}; expected edges, stars:r, or cycles:g")
+    return read_spec(text, _STATISTICS, "statistic", _STAT_HELP)
 
 
 stat_option = click.option("--stat", default="edges", show_default=True,
-                           help="Statistic: edges, stars:r, or cycles:g.")
+                           help=f"Statistic: {_STAT_HELP}.")
 
 
 @_command("simulate")
@@ -421,13 +418,17 @@ def birthday_cmd(people, days, lambda_from, edges, days_power):
     if lambda_from:
         if edges is None or days_power is None:
             raise click.UsageError("--lambda-from needs --edges and --days-power BASE:K")
-        if not edges >= 0:
-            raise click.UsageError(f"--edges must be a nonnegative count, got {edges}")
+        if not 0 <= edges < math.inf:
+            raise click.UsageError(f"--edges must be a finite nonnegative count, got {edges}")
         base, power = days_power.split(":")
+        if not math.isfinite(float(base)):
+            raise click.UsageError(f"--days-power base must be a finite number, got {base}")
         try:
             c = float(base) ** int(power)
         except OverflowError:
             raise DomainExceededError(f"{base}**{power} overflows a double") from None
+        except ZeroDivisionError:
+            raise click.UsageError(f"--days-power {days_power} divides by zero") from None
         if not c >= 1.0:
             raise click.UsageError(f"--days-power {days_power} gives {c!r} days; need at least 1")
         lam = edges / c

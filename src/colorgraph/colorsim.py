@@ -2,7 +2,7 @@
 
 ``simulate`` draws colorings with a counter-based generator keyed by
 (seed, sample index, vertex index): results are bit-identical however the
-sample range is chunked or distributed over workers. ``exact_distribution``
+sample range is cut into blocks or distributed over workers. ``exact_distribution``
 is the brute-force oracle: it enumerates every coloring in base-c order and
 returns exact rational probabilities with denominator c**n.
 
@@ -10,7 +10,8 @@ Both count with one of two kernels, built once per call by ``_kernel_for``: a on
 float32 GEMM against the adjacency matrix, from the identity
 N = 1/2 sum_a x_a' A x_a over the color indicators x_a, or a gather that
 compares colors along edges, cycles or neighbour lists in a narrow
-unsigned dtype. They return identical counts.
+unsigned dtype. They return identical counts. Both loop over the sample or
+coloring blocks of ``rng.batches``, sized by the kernel's ``row_cost``.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -40,7 +41,6 @@ __all__ = [
 ]
 
 EXACT_ENUMERATION_GATE = 10**7
-_CHUNK_TARGET = 2_000_000  # matrix entries per enumeration/simulation chunk
 _GEMM_BREAK_EVEN = 40  # GEMM when c*n^2 <= this * m: the measured break-even against the gather
 _MAX_COLORS = 2**53  # uniform_ints resolves at most this many colors
 
@@ -93,7 +93,7 @@ def _gemm_counts(adj: np.ndarray, c: int, stat: Statistic, colors: np.ndarray) -
     if isinstance(stat, MonoCycles):
         raise TypeError("the GEMM kernel counts edges and stars only")
     mono_deg = np.zeros(colors.shape, dtype=np.float32)
-    # a chunk holds at most colors.size distinct colors; above that, loop over those present
+    # a block holds at most colors.size distinct colors; above that, loop over those present
     for a in range(c) if c <= colors.size else np.unique(colors):
         x = (colors == a).astype(np.float32)
         mono_deg += x * (x @ adj)
@@ -182,7 +182,7 @@ class _Kernel(NamedTuple):
 
     name: str  # "gemm" or "gather"
     count: Callable[[np.ndarray], np.ndarray]  # color matrix -> statistic per row
-    rows: int  # samples per chunk
+    row_cost: int  # matrix entries per sample, for ``rng.batches``
 
 
 def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
@@ -190,11 +190,10 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
 
     GEMM does about c*n^2 multiply-adds per sample against the gather's m
     compares, so it runs when c*n^2 <= _GEMM_BREAK_EVEN * m and the
-    adjacency fits the budget. Cycles always gather. A sample's cost, in
-    matrix entries, sets the rows per chunk.
+    adjacency fits one ``rng.batches`` block. Cycles always gather.
     """
     n = g.n
-    if (not isinstance(stat, MonoCycles) and n * n <= _CHUNK_TARGET
+    if (not isinstance(stat, MonoCycles) and n * n <= rng.BATCH_ENTRIES
             and c * n * n <= _GEMM_BREAK_EVEN * g.m):
         name, row_cost = "gemm", 4 * n  # colors, one indicator, its product and D
         count = functools.partial(_gemm_counts, g.adjacency_matrix(np.float32), c, stat)
@@ -202,13 +201,7 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
         index = _gather_index(g, stat)
         name, row_cost = "gather", n + g.m + (index.size if isinstance(stat, MonoCycles) else 0)
         count = functools.partial(_gather_counts, index, c - 1, stat)
-    return _Kernel(name, count, max(1, _CHUNK_TARGET // max(1, row_cost)))
-
-
-def _counts_in_chunks(kernel: _Kernel, colors_for, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Statistic for samples [lo, hi), chunk by chunk; ``colors_for(idx)`` is their color matrix."""
-    for start in range(lo, hi, kernel.rows):
-        yield kernel.count(colors_for(np.arange(start, min(start + kernel.rows, hi), dtype=np.int64)))
+    return _Kernel(name, count, row_cost)
 
 
 def mono_count(g: Graph, colors, stat: Statistic) -> int:
@@ -251,19 +244,12 @@ class SimulationRun:
         return float(self.counts.mean())
 
 
-def _color_matrix(seed: int, sample_indices: np.ndarray, n: int, c: int) -> np.ndarray:
-    return rng.uniform_ints(
-        seed, c, rng.STREAM_COLORS, sample_indices[:, None], np.arange(n, dtype=np.int64)[None, :]
-    )
-
-
 def _simulate_range(kernel: _Kernel, seed: int, n: int, c: int, lo: int, hi: int) -> np.ndarray:
-    parts = list(_counts_in_chunks(kernel, lambda idx: _color_matrix(seed, idx, n, c), lo, hi))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-
-def _simulate_range_star(args) -> np.ndarray:
-    return _simulate_range(*args)
+    """Statistic of samples [lo, hi); the color of vertex v in sample i is drawn from (seed, i, v)."""
+    vertices = np.arange(n, dtype=np.int64)[None, :]
+    parts = [kernel.count(rng.uniform_ints(seed, c, rng.STREAM_COLORS, idx[:, None], vertices))
+             for idx in rng.batches(lo, hi, kernel.row_cost)]
+    return np.concatenate(parts)
 
 
 def simulate(
@@ -289,15 +275,10 @@ def simulate(
         raise ValueError(f"need at least 1 sample, got {samples}")
     kernel = _kernel_for(g, c, stat)
     if workers and workers > 1:
-        bounds = np.linspace(0, samples, workers + 1).astype(int)
-        jobs = [
-            (kernel, seed, g.n, c, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
+        bounds = sorted(set(np.linspace(0, samples, workers + 1).astype(int).tolist()))
+        job = functools.partial(_simulate_range, kernel, seed, g.n, c)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_simulate_range_star, jobs))
-        counts = np.concatenate(parts)
+            counts = np.concatenate(list(pool.map(job, bounds[:-1], bounds[1:])))
     else:
         counts = _simulate_range(kernel, seed, g.n, c, 0, samples)
     counts.setflags(write=False)
@@ -320,14 +301,11 @@ def exact_distribution(g: Graph, c: int, stat: Statistic) -> dict[int, Fraction]
             total=total,
         )
     # vertex 0 is the most significant digit of the coloring index
-    powers = c ** np.arange(g.n - 1, -1, -1, dtype=np.int64) if g.n else np.zeros(0, np.int64)
+    powers = c ** np.arange(g.n - 1, -1, -1, dtype=np.int64)
+    kernel = _kernel_for(g, c, stat)
     counter: dict[int, int] = {}
-
-    def colors_for(idx: np.ndarray) -> np.ndarray:
-        return (idx[:, None] // powers[None, :]) % c if g.n else np.zeros((idx.size, 0), np.int64)
-
-    for values in _counts_in_chunks(_kernel_for(g, c, stat), colors_for, 0, total):
-        uniq, freq = np.unique(values, return_counts=True)
+    for idx in rng.batches(0, total, kernel.row_cost):
+        uniq, freq = np.unique(kernel.count(idx[:, None] // powers % c), return_counts=True)
         for v, f in zip(uniq.tolist(), freq.tolist()):
             counter[v] = counter.get(v, 0) + f
     return {v: Fraction(f, total) for v, f in sorted(counter.items())}

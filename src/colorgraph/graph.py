@@ -15,7 +15,7 @@ Lines beginning with ``#`` are ignored.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
 import numpy as np
@@ -50,6 +50,7 @@ __all__ = [
     "FamilySpec",
     "generate",
     "parse_family",
+    "read_spec",
 ]
 
 
@@ -491,51 +492,41 @@ _FAMILY_HELP = (
 )
 
 
-def _int_arg(text: str) -> int:
-    # tolerate a 'seed' prefix, e.g. "er:100:0.05:seed7"
-    if text.startswith("seed"):
-        text = text[4:]
-    return int(text)
+_FAMILIES = {"complete": Complete, "bipartite": CompleteBipartite, "star": Star, "path": Path,
+             "cycle": Cycle, "hypercube": Hypercube, "er": ErdosRenyi, "regular": RandomRegular,
+             "gw": GaltonWatson, "gadget": PathCycleGadget}
+
+
+def read_spec(text: str, kinds: dict[str, type], noun: str, grammar: str):
+    """The dataclass ``kinds[name](arg, ...)`` that the string ``name:arg:...`` names.
+
+    The name is case-insensitive. The dataclass fields give the arity and
+    how each argument reads: an int (a ``seed`` field also reads ``seed7``),
+    a float, or a comma list of floats for a tuple. ValueError ``unknown
+    <noun>`` for a name not in ``kinds``, ``bad <noun> spec`` for arguments
+    that do not fit the fields.
+    """
+    name, *args = text.strip().split(":")
+    cls = kinds.get(name.lower())
+    if cls is None:
+        raise ValueError(f"unknown {noun} {name!r}; expected one of: {grammar}")
+    params = fields(cls)
+    try:
+        if len(args) != len(params):
+            raise ValueError(f"expected {len(params)} arguments, got {len(args)}")
+        return cls(*(_read_arg(arg, f) for arg, f in zip(args, params)))
+    except ValueError as exc:
+        raise ValueError(f"bad {noun} spec {text!r}: {exc}") from exc
+
+
+def _read_arg(text: str, field):
+    if field.type in ("float", float):
+        return float(text)
+    if str(field.type).startswith("tuple"):
+        return tuple(float(x) for x in text.split(","))
+    return int(text.removeprefix("seed") if field.name == "seed" else text)
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse the ``name:arg:arg`` family mini-grammar used by the CLI.
-
-    Grammar: """ + _FAMILY_HELP
-    parts = text.strip().split(":")
-    name, args = parts[0].lower(), parts[1:]
-    try:
-        if name == "complete":
-            (a,) = args
-            return Complete(int(a))
-        if name == "bipartite":
-            a, b = args
-            return CompleteBipartite(int(a), int(b))
-        if name == "star":
-            (a,) = args
-            return Star(int(a))
-        if name == "path":
-            (a,) = args
-            return Path(int(a))
-        if name == "cycle":
-            (a,) = args
-            return Cycle(int(a))
-        if name == "hypercube":
-            (a,) = args
-            return Hypercube(int(a))
-        if name == "er":
-            a, p, s = args
-            return ErdosRenyi(int(a), float(p), _int_arg(s))
-        if name == "regular":
-            a, d, s = args
-            return RandomRegular(int(a), int(d), _int_arg(s))
-        if name == "gw":
-            pmf, h, s = args
-            probs = tuple(float(x) for x in pmf.split(","))
-            return GaltonWatson(probs, int(h), _int_arg(s))
-        if name == "gadget":
-            a, b, g = args
-            return PathCycleGadget(int(a), int(b), int(g))
-    except ValueError as exc:
-        raise ValueError(f"bad family spec {text!r}: {exc}") from exc
-    raise ValueError(f"unknown family {name!r}; expected one of: {_FAMILY_HELP}")
+    """The family spec that ``name:arg:...`` names, in the grammar of ``_FAMILY_HELP``."""
+    return read_spec(text, _FAMILIES, "family", _FAMILY_HELP)

@@ -69,7 +69,6 @@ __all__ = [
 _PMF_REL_TAIL = 1e-12
 _WEIGHT_SUM_TOL = 1e-10
 _WEIGHT_TRUNCATION_TAIL = 1e-6
-_NORMAL_CHUNK = 4_000_000
 _MIXTURE_MAX_TERMS = 10_000
 _CDF_ACCURACY = 1e-6
 _CDF_MAX_TERMS = 10_000_000
@@ -555,44 +554,41 @@ def _normals_for(seed: int, idx: np.ndarray, *slots) -> np.ndarray:
 
 
 def sample_law(law: LimitLaw, count: int, seed: int) -> np.ndarray:
-    """``count`` independent draws; draw i depends only on (seed, i)."""
+    """``count`` independent draws; draw i depends only on (seed, i), not on ``count``."""
     if count < 1:
         raise ValueError(f"need at least one sample, got {count}")
-    idx = np.arange(count, dtype=np.int64)
+    row_cost = len(law.weights) * law.dof if isinstance(law, WeightedChiSquare) else 1
+    blocks = rng.batches(0, count, row_cost)
+    return np.concatenate([_draw_block(law, seed, idx) for idx in blocks]).astype(np.float64)
+
+
+def _draw_block(law: LimitLaw, seed: int, idx: np.ndarray) -> np.ndarray:
+    """The draws of the indices ``idx``, each from (seed, index) alone."""
     if isinstance(law, Poisson):
-        return rng.poissons(seed, law.mean, rng.STREAM_LAW, idx, 0).astype(np.float64)
+        return rng.poissons(seed, law.mean, rng.STREAM_LAW, idx, 0)
     if isinstance(law, PoissonMixture):
         mix = law.mixing
         if isinstance(mix, PointMass):
-            z = np.full(count, mix.value)
+            z = mix.value
         elif isinstance(mix, PoissonMixing):
             z = rng.poissons(seed, mix.mean, rng.STREAM_LAW, idx, 1).astype(np.float64)
         else:
             arr = np.asarray(mix.samples, dtype=np.float64)
-            pick = rng.uniform_ints(seed, arr.size, rng.STREAM_LAW, idx, 2)
-            z = arr[pick]
-        return rng.poissons(seed, z, rng.STREAM_LAW, idx, 0).astype(np.float64)
+            z = arr[rng.uniform_ints(seed, arr.size, rng.STREAM_LAW, idx, 2)]
+        return rng.poissons(seed, z, rng.STREAM_LAW, idx, 0)
     if isinstance(law, Normal):
         return law.mean + math.sqrt(law.variance) * _normals_for(seed, idx, 0)
     if isinstance(law, AtomPlusNormal):
-        u = rng.uniforms(seed, rng.STREAM_LAW, idx, 3)
         out = math.sqrt(law.variance) * _normals_for(seed, idx, 0)
-        out[u < law.atom_mass] = 0.0
+        out[rng.uniforms(seed, rng.STREAM_LAW, idx, 3) < law.atom_mass] = 0.0
         return out
     if isinstance(law, WeightedChiSquare):
-        kept, _ = law.effective_weights()
-        w = np.asarray(kept, dtype=np.float64)
-        nk, dof = w.size, law.dof
-        out = np.empty(count, dtype=np.float64)
-        step = max(1, _NORMAL_CHUNK // max(1, nk * dof))
-        cols = np.arange(nk, dtype=np.int64)[None, :, None]
-        comp = np.arange(dof, dtype=np.int64)[None, None, :]
-        for start in range(0, count, step):
-            block = idx[start : start + step]
-            z = _normals_for(seed, block[:, None, None], cols, comp)
-            xi = (z * z).sum(axis=2) - dof
-            out[start : start + block.size] = law.scale * (xi @ w)
-        return out
+        w = np.asarray(law.effective_weights()[0], dtype=np.float64)
+        cols = np.arange(w.size, dtype=np.int64)[None, :, None]
+        comp = np.arange(law.dof, dtype=np.int64)[None, None, :]
+        z = _normals_for(seed, idx[:, None, None], cols, comp)
+        # row-wise sums, not a BLAS product: a draw's rounding must not depend on the block's rows
+        return law.scale * (((z * z).sum(axis=2) - law.dof) * w).sum(axis=1)
     raise WrongLawKindError(f"unknown law {law!r}")
 
 
@@ -682,37 +678,30 @@ def gaussian_surrogate_delta(g: Graph, c: int, count: int, seed: int) -> np.ndar
     """Draws of Q(G)/sqrt(2m), the Gaussian surrogate of the standardized count.
 
     Q(G) = sum_{(i,j) in E} sum_a S_{ia} S_{ja} with the centered Gaussian
-    scores S; its conditional MGF is :func:`delta_conditional_mgf`.
+    scores S; its conditional MGF is :func:`delta_conditional_mgf`. Draw i
+    depends only on (seed, i).
     """
     if g.m < 1:
         raise ValueError("needs at least one edge")
     u, v = g.edge_arrays()
-    out = np.empty(count, dtype=np.float64)
-    step = max(1, _NORMAL_CHUNK // max(1, g.n * c))
-    idx = np.arange(count, dtype=np.int64)
-    for start in range(0, count, step):
-        block = idx[start : start + step]
-        s = _centered_gaussian_scores(seed, block, g.n, c)
-        q = (s[:, u, :] * s[:, v, :]).sum(axis=(1, 2))
-        out[start : start + block.size] = q / math.sqrt(2.0 * g.m)
-    return out
+    parts = []
+    for idx in rng.batches(0, count, (g.n + g.m) * c):
+        s = _centered_gaussian_scores(seed, idx, g.n, c)
+        # one row-wise sum over (edge, color), so the rounding ignores the block's rows
+        parts.append((s[:, u, :] * s[:, v, :]).reshape(idx.size, g.m * c).sum(axis=1))
+    return np.concatenate(parts) / math.sqrt(2.0 * g.m)
 
 
 def gaussian_surrogate_product(pattern, c: int, count: int, seed: int) -> np.ndarray:
-    """Draws of T(H) = prod over multi-edges of sum_a S_{ia} S_{ja}."""
-    nv = pattern.vertex_count
-    out = np.empty(count, dtype=np.float64)
-    step = max(1, _NORMAL_CHUNK // max(1, nv * c))
-    idx = np.arange(count, dtype=np.int64)
-    for start in range(0, count, step):
-        block = idx[start : start + step]
-        s = _centered_gaussian_scores(seed, block, nv, c)
-        prod = np.ones(block.size, dtype=np.float64)
+    """Draws of T(H) = prod over multi-edges of sum_a S_{ia} S_{ja}; draw i depends only on (seed, i)."""
+    parts = []
+    for idx in rng.batches(0, count, pattern.vertex_count * c):
+        s = _centered_gaussian_scores(seed, idx, pattern.vertex_count, c)
+        prod = np.ones(idx.size, dtype=np.float64)
         for u, v, mult in pattern.multi_edges:
-            factor = (s[:, u, :] * s[:, v, :]).sum(axis=1)
-            prod *= factor**mult
-        out[start : start + block.size] = prod
-    return out
+            prod *= (s[:, u, :] * s[:, v, :]).sum(axis=1) ** mult
+        parts.append(prod)
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -744,19 +733,21 @@ class Growing:
 
 Regime = Union[Fixed, Growing]
 
+_NO_EDGE = "fixed-color regime needs at least one edge"
+
 
 def _fixed_family_law(spec: FamilySpec, c: int) -> LimitLaw:
     if isinstance(spec, Complete):
-        weights = (1.0,)
+        weights, has_edge = (1.0,), spec.n >= 2
     elif isinstance(spec, CompleteBipartite):
-        if spec.a < 1 or spec.b < 1:
-            raise AmbiguousRegimeError("degenerate bipartite family")
-        weights = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0))
+        weights, has_edge = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)), min(spec.a, spec.b) >= 1
     else:
         raise AmbiguousRegimeError(
             f"no closed-form dense limit for family {type(spec).__name__}; "
             "pass a concrete graph instead"
         )
+    if not has_edge:
+        raise ValueError(_NO_EDGE)
     return WeightedChiSquare(weights=weights, dof=c - 1, scale=1.0 / (2.0 * c))
 
 
@@ -783,7 +774,7 @@ def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitL
         return _fixed_family_law(graph_or_spec, c)
     g = graph_or_spec
     if g.m < 1:
-        raise ValueError("fixed-color regime needs at least one edge")
+        raise ValueError(_NO_EDGE)
     spectral.check_dense_size(g)
     acf4 = census.four_cycle_count_from_traces(g) / g.m**2
     if acf4 < ACF4_NORMAL_THRESHOLD:

@@ -68,24 +68,6 @@ def bernoulli_central_moment(c: int, order: int) -> Fraction:
     return (1 - p) * (-p) ** order + p * (1 - p) ** order
 
 
-@lru_cache(maxsize=None)
-def _expected_central_products_cached(key: tuple, c: int) -> tuple[Fraction, Fraction]:
-    nv, multi_edges = key
-    pattern = MultiGraphPattern(nv, multi_edges)
-    slots = pattern.expanded_slots()
-    k = len(slots)
-    ez = Fraction(0)
-    minus = Fraction(-1, c)
-    for mask in range(1 << k):
-        chosen = tuple(slots[i] for i in range(k) if mask >> i & 1)
-        # rank |V| - components of the chosen slots' support; isolated vertices cancel out
-        ez += minus ** (k - len(chosen)) * Fraction(1, c ** (nv - len(components(nv, chosen))))
-    ew = Fraction(1)
-    for _, _, mult in pattern.multi_edges:
-        ew *= bernoulli_central_moment(c, mult)
-    return ez, ew
-
-
 def expected_central_products(pattern: MultiGraphPattern, c: int) -> tuple[Fraction, Fraction]:
     """(EZ, EW) for one pattern H.
 
@@ -99,7 +81,18 @@ def expected_central_products(pattern: MultiGraphPattern, c: int) -> tuple[Fract
         )
     if c < 2:
         raise ValueError(f"need at least 2 colors, got {c}")
-    return _expected_central_products_cached(pattern.canonical_key, c)
+    nv, slots = pattern.vertex_count, pattern.expanded_slots()
+    k = len(slots)
+    ez = Fraction(0)
+    minus = Fraction(-1, c)
+    for mask in range(1 << k):
+        chosen = tuple(slots[i] for i in range(k) if mask >> i & 1)
+        # rank |V| - components of the chosen slots' support; isolated vertices cancel out
+        ez += minus ** (k - len(chosen)) * Fraction(1, c ** (nv - len(components(nv, chosen))))
+    ew = Fraction(1)
+    for _, _, mult in pattern.multi_edges:
+        ew *= bernoulli_central_moment(c, mult)
+    return ez, ew
 
 
 class MomentKind(enum.Enum):
@@ -160,25 +153,22 @@ def conditional_moment(g: Graph, req: MomentRequest) -> MomentValue:
     standardization (m/c)^{-k/2}.
     """
     c, k = req.colors, req.order
-    classes = census.count_multigraph_tuples(g, k)
-    if req.kind is MomentKind.RAW_N:
-        total = Fraction(0)
-        for pat, cnt in classes.items():
-            rank = pat.vertex_count - pat.component_count()
-            total += Fraction(cnt, c**rank)
-        return MomentValue(total, Fraction(0), total)
-    if req.kind is MomentKind.RAW_M:
-        total = Fraction(0)
-        for pat, cnt in classes.items():
-            total += Fraction(cnt, c**pat.simple_edge_count)
-        return MomentValue(total, Fraction(0), total)
-    if g.m < 1:
+    central = req.kind in (MomentKind.CENTRAL_Z, MomentKind.CENTRAL_W)
+    if central and g.m < 1:
         raise ValueError("central moments need at least one edge")
-    total = Fraction(0)
-    for pat, cnt in classes.items():
-        ez, ew = expected_central_products(pat, c)
-        total += cnt * (ez if req.kind is MomentKind.CENTRAL_Z else ew)
-    return _scaled(total, g.m, c, k)
+    weight = _CLASS_WEIGHT[req.kind]
+    total = sum((cnt * weight(pat, c) for pat, cnt in census.count_multigraph_tuples(g, k).items()),
+                Fraction(0))
+    return _scaled(total, g.m, c, k) if central else MomentValue(total, Fraction(0), total)
+
+
+# weight of one tuple of class H in the moment of each kind
+_CLASS_WEIGHT = {
+    MomentKind.RAW_N: lambda pat, c: Fraction(1, c ** (pat.vertex_count - pat.component_count())),
+    MomentKind.RAW_M: lambda pat, c: Fraction(1, c**pat.simple_edge_count),
+    MomentKind.CENTRAL_Z: lambda pat, c: expected_central_products(pat, c)[0],
+    MomentKind.CENTRAL_W: lambda pat, c: expected_central_products(pat, c)[1],
+}
 
 
 @dataclass(frozen=True)

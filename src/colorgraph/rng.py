@@ -6,8 +6,8 @@ splitmix64 finalizer rounds (Steele, Lea, Flood; the SplittableRandom mixer).
 Consequences:
 
 * sample ``i`` of a run can be regenerated in isolation, so results are
-  bit-identical no matter how the index range is chunked or how many
-  workers produced it;
+  bit-identical however ``batches``, the package's one splitter of index
+  ranges, cuts the range into blocks and however many workers ran them;
 * distinct purposes use distinct leading stream constants and cannot
   collide structurally.
 
@@ -18,6 +18,7 @@ to fill an ``(s, v)`` matrix.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -45,6 +46,21 @@ STREAM_INHOM = 0x03
 STREAM_REGULAR = 0x04
 STREAM_GW = 0x05
 STREAM_LAW = 0x06
+
+BATCH_ENTRIES = 2_000_000  # array entries one block of ``batches`` may hold
+
+
+def batches(lo: int, hi: int, row_cost: int) -> Iterator[np.ndarray]:
+    """int64 index blocks that cover [lo, hi) in order; one empty block if hi <= lo.
+
+    ``row_cost`` is the array entries one index needs; a block holds
+    ``BATCH_ENTRIES // row_cost`` indices, and at least one. A caller draws
+    each index from (seed, index) and reduces each row on its own, so no
+    result depends on where the blocks fall.
+    """
+    rows = max(1, BATCH_ENTRIES // max(1, row_cost))
+    for start in range(lo, max(hi, lo + 1), rows):
+        yield np.arange(start, min(start + rows, hi), dtype=np.int64)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -116,17 +132,14 @@ def poissons(seed: int, mean, *path) -> np.ndarray:
     cdf = term.copy()
     out = np.zeros(u.shape, dtype=np.int64)
     pending = u >= cdf
+    kmax = np.floor(lam + 12 * np.sqrt(lam + 1.0) + 60)  # per index, so a draw ignores its block
     k = 0
-    kmax = int(np.max(lam) + 12 * math.sqrt(np.max(lam) + 1.0) + 60)
     while np.any(pending):
         k += 1
-        if k > kmax:
-            out[pending] = k
-            break
         term = term * lam / k
         cdf = cdf + term
         out[pending] = k
-        pending = u >= cdf
+        pending &= (u >= cdf) & (k <= kmax)
     return out
 
 

@@ -103,6 +103,19 @@ class TestSimulateExactCompare:
                                    "--stat", "edges", "--samples", "10", "--seed", "1"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("stat,message", [
+        ("Stars:2", None),
+        ("CYCLES:4", None),
+        ("stars", "bad statistic spec"),
+        ("stars:0", "bad statistic spec"),
+        ("cycles:x", "bad statistic spec"),
+        ("triangles", "unknown statistic"),
+    ])
+    def test_stat_spec(self, runner, stat, message):
+        res = runner.invoke(main, ["exact", "--graph", "complete:4", "--colors", "2", "--stat", stat])
+        assert res.exit_code == (0 if message is None else 2)
+        assert message is None or message in res.output
+
     @pytest.mark.parametrize("graph,colors,kernel", [
         ("complete:40", "2", "gemm"),
         ("complete:60", "1770", "gather"),
@@ -291,6 +304,10 @@ class TestBirthday:
         (["birthday", "--lambda-from", "--edges", "-5", "--days-power", "365:4"], 2),
         (["birthday", "--lambda-from", "--edges", "nan", "--days-power", "365:4"], 2),
         (["birthday", "--lambda-from", "--edges", "5", "--days-power", "0:4"], 2),
+        (["birthday", "--lambda-from", "--edges", "inf", "--days-power", "365:4"], 2),
+        (["birthday", "--lambda-from", "--edges", "5", "--days-power", "inf:2"], 2),
+        (["birthday", "--lambda-from", "--edges", "5", "--days-power", "0:-1"], 2),
+        (["limit", "--graph", "complete:1", "--colors", "2"], 2),
         (["simulate", "--graph", "complete:3", "--colors", "2", "--samples", "10", "--seed", "1",
           "--workers", "0"], 2),
         (["limit", "--growing-ratio", "nan"], 2),
@@ -302,7 +319,8 @@ class TestBirthday:
         (COMPARE_KS + ["--center", "inf"], 2),
         (["compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "tv", "--tol", "nan"], 2),
     ], ids=["zero-days", "days-power-overflow", "negative-people", "negative-edges", "nan-edges",
-            "zero-days-power", "zero-workers", "nan-growing-ratio", "zero-scale", "negative-scale",
+            "zero-days-power", "inf-edges", "inf-days-power", "zero-base-negative-power",
+            "edgeless-family", "zero-workers", "nan-growing-ratio", "zero-scale", "negative-scale",
             "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol"])
     def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the compare rows read these two files

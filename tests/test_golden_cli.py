@@ -4,7 +4,9 @@ The commands run in order in one working directory, so later commands read
 the files earlier ones wrote (``census`` reads ``g.edges``, ``compare`` reads
 ``sim.csv`` and ``law.json``). A manifest is compared without its
 ``wall_time_seconds`` line. After a deliberate output change, rewrite the
-goldens with ``PYTHONPATH=src python tests/test_golden_cli.py``.
+goldens with ``PYTHONPATH=src python tests/test_golden_cli.py [NAME ...]``:
+with names it rewrites only those entries (every case still runs, since
+later cases read earlier outputs), without names it rewrites them all.
 """
 import json
 import math
@@ -109,8 +111,16 @@ def test_golden_covers_every_case(golden):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    names = sys.argv[1:]
+    unknown = sorted(set(names) - {name for name, _ in CASES})
+    if unknown:
+        sys.exit(f"no golden case named {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(json.dumps(run_cases(Path(tmp)), indent=2) + "\n")
+        fresh = run_cases(Path(tmp))
+    doc = json.loads(GOLDEN.read_text()) if names else {}
+    doc.update({name: fresh[name] for name in names or fresh})
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(doc, indent=2) + "\n")

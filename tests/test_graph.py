@@ -198,6 +198,13 @@ class TestFamilyGrammar:
         with pytest.raises(ValueError):
             parse_family("complete:3:4")
 
+    def test_argument_types_come_from_the_fields(self):
+        assert parse_family("ER:100:0.05:7") == ErdosRenyi(100, 0.05, 7)
+        with pytest.raises(ValueError, match="bad family spec"):
+            parse_family("er:100:0.05:x")
+        with pytest.raises(ValueError, match="bad family spec"):
+            parse_family("complete:2.5")
+
 
 class TestBasicStats:
     def test_complete(self):

@@ -403,6 +403,15 @@ class TestLimitSelector:
         assert law.weights == pytest.approx((1 / SQ2, -1 / SQ2))
         assert law.dof == 1
 
+    @pytest.mark.parametrize("spec", [Complete(0), Complete(1), CompleteBipartite(0, 3),
+                                      CompleteBipartite(4, 0)])
+    def test_family_without_edges_has_no_fixed_law(self, spec):
+        # the same error as for its concrete graph, not the law of a host with edges
+        with pytest.raises(ValueError, match="needs at least one edge"):
+            limit_for(generate(spec), Fixed(2))
+        with pytest.raises(ValueError, match="needs at least one edge"):
+            limit_for(spec, Fixed(2))
+
     def test_sparse_host_skips_the_spectrum(self, monkeypatch):
         def refuse(g):
             raise AssertionError("spectrum built for a sparse host")
