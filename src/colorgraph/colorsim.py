@@ -26,7 +26,7 @@ import numpy as np
 
 from . import census, rng
 from .errors import BadColorVectorError, DomainExceededError, EnumerationGateExceededError
-from .graph import Graph
+from .graph import Graph, Params
 
 __all__ = [
     "MonoEdges",
@@ -46,30 +46,24 @@ _MAX_COLORS = 2**53  # uniform_ints resolves at most this many colors
 
 
 @dataclass(frozen=True)
-class MonoEdges:
+class MonoEdges(Params):
     """Number of edges whose endpoints share a color."""
 
 
 @dataclass(frozen=True)
-class MonoStars:
+class MonoStars(Params):
     """Number of monochromatic r-stars: sum_v C(#same-colored neighbors of v, r)."""
 
     r: int
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"star order must be >= 1, got {self.r}")
+    ranges = {"r": (lambda r: r >= 1, ">= 1")}
 
 
 @dataclass(frozen=True)
-class MonoCycles:
+class MonoCycles(Params):
     """Number of g-cycles whose vertices all share one color."""
 
     g: int
-
-    def __post_init__(self):
-        if not 3 <= self.g <= 8:
-            raise ValueError(f"cycle length must be in [3, 8], got {self.g}")
+    ranges = {"g": (lambda g: 3 <= g <= 8, "in [3, 8]")}
 
 
 Statistic = Union[MonoEdges, MonoStars, MonoCycles]
@@ -258,12 +252,12 @@ def simulate(
     stat: Statistic,
     samples: int,
     seed: int,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> SimulationRun:
     """Draw ``samples`` independent uniform c-colorings and evaluate ``stat``.
 
     Sample i is a pure function of (seed, i), so the result is identical for
-    any ``workers`` value; workers only bound process parallelism.
+    any ``workers`` value; workers (at least 1) only bound process parallelism.
     """
     if c < 2:
         raise ValueError(f"need at least 2 colors, got {c}")
@@ -273,8 +267,10 @@ def simulate(
         )
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
+    if workers < 1:
+        raise ValueError(f"need at least 1 worker, got {workers}")
     kernel = _kernel_for(g, c, stat)
-    if workers and workers > 1:
+    if workers > 1:
         bounds = sorted(set(np.linspace(0, samples, workers + 1).astype(int).tolist()))
         job = functools.partial(_simulate_range, kernel, seed, g.n, c)
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -15,8 +15,10 @@ Lines beginning with ``#`` are ignored.
 """
 from __future__ import annotations
 
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass, fields
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -50,6 +52,8 @@ __all__ = [
     "FamilySpec",
     "generate",
     "parse_family",
+    "Params",
+    "FIELD_KINDS",
     "read_spec",
 ]
 
@@ -204,55 +208,90 @@ def parse_edge_list_text(text: str) -> Graph:
     return Graph(n, pairs)
 
 
-# -- family specifications -----------------------------------------------------
+# -- parameter dataclasses and family specifications --------------------------
+
+
+def _plain(cls: type) -> Callable[[object], bool]:
+    """Whether a value is an instance of ``cls`` and neither a bool nor NaN."""
+    return lambda x: isinstance(x, cls) and not isinstance(x, bool) and x == x  # NaN != NaN
+
+
+_Kind = namedtuple("_Kind", "fits noun read")  # read: how a spec-string argument reads
+
+# field annotation -> the kind of value it holds; annotations not listed are not checked
+FIELD_KINDS = {
+    "int": _Kind(_plain(numbers.Integral), "an integer", int),
+    "float": _Kind(_plain(numbers.Real), "a number other than NaN", float),
+    "tuple[float, ...]": _Kind(lambda x: isinstance(x, tuple) and all(map(_plain(numbers.Real), x)),
+                               "a tuple of numbers other than NaN",
+                               lambda text: tuple(float(v) for v in text.split(","))),
+}
+
+
+class Params:
+    """Base of the frozen parameter dataclasses: each checks its fields when built.
+
+    A field annotated with a kind of ``FIELD_KINDS`` must hold a value of that
+    kind, and a field in ``ranges`` must then pass its (predicate, description)
+    rule. Values are never converted; a failed check raises ValueError.
+    """
+
+    ranges: dict[str, tuple[Callable[[object], bool], str]] = {}
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for fits, noun, *_ in filter(None, (FIELD_KINDS.get(f.type), self.ranges.get(f.name))):
+                if not fits(value):
+                    raise ValueError(f"{type(self).__name__}.{f.name} must be {noun}, got {value!r:.80}")
 
 
 @dataclass(frozen=True)
-class Complete:
+class Complete(Params):
     n: int
 
 
 @dataclass(frozen=True)
-class CompleteBipartite:
+class CompleteBipartite(Params):
     a: int
     b: int
 
 
 @dataclass(frozen=True)
-class Star:
+class Star(Params):
     """K_{1,leaves}: one center (vertex 0) plus ``leaves`` leaves."""
 
     leaves: int
 
 
 @dataclass(frozen=True)
-class Path:
+class Path(Params):
     """Path with ``edges`` edges on ``edges + 1`` vertices."""
 
     edges: int
 
 
 @dataclass(frozen=True)
-class Cycle:
+class Cycle(Params):
     length: int
 
 
 @dataclass(frozen=True)
-class Hypercube:
+class Hypercube(Params):
     """Hamming cube on 2**dim vertices; (dim)-regular."""
 
     dim: int
 
 
 @dataclass(frozen=True)
-class ErdosRenyi:
+class ErdosRenyi(Params):
     n: int
     p: float
     seed: int
 
 
 @dataclass(frozen=True)
-class Inhomogeneous:
+class Inhomogeneous(Params):
     """Independent edges with per-pair probabilities from an explicit grid.
 
     ``kernel[i][j]`` is the probability of edge (i, j); the grid must be
@@ -266,14 +305,14 @@ class Inhomogeneous:
 
 
 @dataclass(frozen=True)
-class RandomRegular:
+class RandomRegular(Params):
     n: int
     d: int
     seed: int
 
 
 @dataclass(frozen=True)
-class GaltonWatson:
+class GaltonWatson(Params):
     """Branching-process tree of all individuals born by ``height``.
 
     ``offspring`` is the finite offspring pmf (p_0, ..., p_K); mass beyond
@@ -286,7 +325,7 @@ class GaltonWatson:
 
 
 @dataclass(frozen=True)
-class PathCycleGadget:
+class PathCycleGadget(Params):
     """Path of length ``a`` with ``b`` cycles of length ``g`` across each path edge.
 
     Every path edge (v_i, v_{i+1}) carries ``b`` cycles, each closed through
@@ -500,11 +539,12 @@ _FAMILIES = {"complete": Complete, "bipartite": CompleteBipartite, "star": Star,
 def read_spec(text: str, kinds: dict[str, type], noun: str, grammar: str):
     """The dataclass ``kinds[name](arg, ...)`` that the string ``name:arg:...`` names.
 
-    The name is case-insensitive. The dataclass fields give the arity and
-    how each argument reads: an int (a ``seed`` field also reads ``seed7``),
-    a float, or a comma list of floats for a tuple. ValueError ``unknown
-    <noun>`` for a name not in ``kinds``, ``bad <noun> spec`` for arguments
-    that do not fit the fields.
+    The name is case-insensitive. The dataclass fields give the arity, and
+    the ``FIELD_KINDS`` entry of each field's annotation how its argument
+    reads: an int (a ``seed`` field also reads ``seed7``), a float, or a
+    comma list of floats for a tuple. ValueError ``unknown <noun>`` for a
+    name not in ``kinds``, ``bad <noun> spec`` for arguments that do not
+    fit the fields.
     """
     name, *args = text.strip().split(":")
     cls = kinds.get(name.lower())
@@ -520,11 +560,7 @@ def read_spec(text: str, kinds: dict[str, type], noun: str, grammar: str):
 
 
 def _read_arg(text: str, field):
-    if field.type in ("float", float):
-        return float(text)
-    if str(field.type).startswith("tuple"):
-        return tuple(float(x) for x in text.split(","))
-    return int(text.removeprefix("seed") if field.name == "seed" else text)
+    return FIELD_KINDS[field.type].read(text.removeprefix("seed") if field.name == "seed" else text)
 
 
 def parse_family(text: str) -> FamilySpec:

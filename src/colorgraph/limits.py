@@ -37,6 +37,7 @@ from .graph import (
     CompleteBipartite,
     FamilySpec,
     Graph,
+    Params,
 )
 
 __all__ = [
@@ -77,6 +78,11 @@ _CDF_BLOCK = 1 << 18
 ACF4_NORMAL_THRESHOLD = 1e-2
 ACF4_GRAY_UPPER = 1e-1
 
+# range rules of ``Params.ranges``; the limit laws exist for finite parameters only
+_FINITE = (math.isfinite, "finite")
+_NONNEGATIVE = (lambda x: 0 <= x < math.inf, "finite and >= 0")
+_POSITIVE = (lambda x: 0 < x < math.inf, "finite and > 0")
+
 
 # ---------------------------------------------------------------------------
 # law types
@@ -84,65 +90,48 @@ ACF4_GRAY_UPPER = 1e-1
 
 
 @dataclass(frozen=True)
-class Poisson:
+class Poisson(Params):
     mean: float
-
-    def __post_init__(self):
-        if not self.mean >= 0:
-            raise ValueError(f"Poisson mean must be nonnegative, got {self.mean}")
+    ranges = {"mean": _NONNEGATIVE}
 
 
 @dataclass(frozen=True)
-class PointMass:
+class PointMass(Params):
     value: float
-
-    def __post_init__(self):
-        if not self.value >= 0:
-            raise ValueError("mixing point mass must be nonnegative")
+    ranges = {"value": _NONNEGATIVE}
 
 
 @dataclass(frozen=True)
-class PoissonMixing:
+class PoissonMixing(Params):
     mean: float
-
-    def __post_init__(self):
-        if not self.mean >= 0:
-            raise ValueError("mixing mean must be nonnegative")
+    ranges = {"mean": _NONNEGATIVE}
 
 
 @dataclass(frozen=True)
-class EmpiricalMixing:
+class EmpiricalMixing(Params):
     samples: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.samples or not all(s >= 0 for s in self.samples):
-            raise ValueError("empirical mixing needs nonempty nonnegative samples")
+    ranges = {"samples": (lambda s: s and all(0 <= x < math.inf for x in s), "nonempty, finite, >= 0")}
 
 
 Mixing = Union[PointMass, PoissonMixing, EmpiricalMixing]
 
 
 @dataclass(frozen=True)
-class PoissonMixture:
+class PoissonMixture(Params):
     """Poisson with a random mean Z: P(W = k) = E[e^{-Z} Z^k / k!]."""
 
     mixing: Mixing
 
 
 @dataclass(frozen=True)
-class Normal:
+class Normal(Params):
     mean: float
     variance: float
-
-    def __post_init__(self):
-        if math.isnan(self.mean):
-            raise ValueError("mean must be a number, got nan")
-        if not self.variance > 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+    ranges = {"mean": _FINITE, "variance": _POSITIVE}
 
 
 @dataclass(frozen=True)
-class WeightedChiSquare:
+class WeightedChiSquare(Params):
     """scale * sum_i weights_i * xi_i with xi_i iid chi-square(dof) - dof.
 
     Weights must be normalized: sum of squares 1 (within 1e-10).
@@ -151,15 +140,8 @@ class WeightedChiSquare:
     weights: tuple[float, ...]
     dof: int
     scale: float
-
-    def __post_init__(self):
-        if self.dof < 1:
-            raise ValueError(f"dof must be >= 1, got {self.dof}")
-        ssq = sum(w * w for w in self.weights)
-        if not abs(ssq - 1.0) <= _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must have unit sum of squares, got {ssq!r}")
-        if not math.isfinite(self.scale):
-            raise ValueError(f"scale must be finite, got {self.scale}")
+    ranges = {"weights": (lambda w: abs(sum(x * x for x in w) - 1) <= _WEIGHT_SUM_TOL, "of unit norm"),
+              "dof": (lambda d: d >= 1, ">= 1"), "scale": _FINITE}
 
     def effective_weights(self) -> tuple[tuple[float, ...], float]:
         """(weights kept for sampling, dropped squared mass).
@@ -183,17 +165,12 @@ class WeightedChiSquare:
 
 
 @dataclass(frozen=True)
-class AtomPlusNormal:
+class AtomPlusNormal(Params):
     """Mixture of a point mass at 0 (weight atom_mass) and N(0, variance)."""
 
     atom_mass: float
     variance: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.atom_mass <= 1.0:
-            raise ValueError(f"atom mass must lie in [0, 1], got {self.atom_mass}")
-        if not self.variance > 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+    ranges = {"atom_mass": (lambda p: 0 <= p <= 1, "in [0, 1]"), "variance": _POSITIVE}
 
 
 LimitLaw = Union[Poisson, PoissonMixture, Normal, WeightedChiSquare, AtomPlusNormal]
@@ -295,12 +272,12 @@ def _mixture_pmf(mix: Mixing, k: int) -> float:
 
 
 def law_pmf(law: LimitLaw, k: int) -> float:
-    """P(law = k) for the discrete laws; WrongLawKindError otherwise."""
-    if isinstance(law, Poisson):
-        return _poisson_pmf(law.mean, k)
-    if isinstance(law, PoissonMixture):
-        return _mixture_pmf(law.mixing, k)
-    raise WrongLawKindError(f"{type(law).__name__} has no pmf")
+    """P(law = k) for the discrete laws; WrongLawKindError otherwise, ValueError at a non-integer k."""
+    if not isinstance(law, (Poisson, PoissonMixture)):
+        raise WrongLawKindError(f"{type(law).__name__} has no pmf")
+    if not float(k).is_integer():
+        raise ValueError(f"a discrete law has mass only at integers, got k = {k!r}")
+    return _poisson_pmf(law.mean, k) if isinstance(law, Poisson) else _mixture_pmf(law.mixing, k)
 
 
 def _phi(x: float) -> float:
@@ -308,15 +285,15 @@ def _phi(x: float) -> float:
 
 
 def law_cdf(law: LimitLaw, x: float) -> float:
-    """P(law <= x)."""
-    if isinstance(law, Poisson):
+    """P(law <= x); ValueError at NaN."""
+    if math.isnan(x):
+        raise ValueError(f"cdf point must be a number, got x = {x!r}")
+    if isinstance(law, (Poisson, PoissonMixture)):
         if x < 0:
             return 0.0
-        return sum(_poisson_pmf(law.mean, k) for k in range(0, int(math.floor(x)) + 1))
-    if isinstance(law, PoissonMixture):
-        if x < 0:
-            return 0.0
-        return sum(_mixture_pmf(law.mixing, k) for k in range(0, int(math.floor(x)) + 1))
+        if x == math.inf:
+            return 1.0
+        return sum(law_pmf(law, k) for k in range(int(x) + 1))
     if isinstance(law, Normal):
         return _phi((x - law.mean) / math.sqrt(law.variance))
     if isinstance(law, AtomPlusNormal):
@@ -670,7 +647,7 @@ def _centered_gaussian_scores(seed: int, idx, vertices: int, c: int) -> np.ndarr
     """S[v, a] = X[v, a] - mean_a X[v, .] with X iid N(0, 1/c); shape (batch, vertices, c)."""
     v = np.arange(vertices, dtype=np.int64)[None, :, None]
     a = np.arange(c, dtype=np.int64)[None, None, :]
-    x = rng.normals(seed, rng.STREAM_LAW, idx[:, None, None], v, a) / math.sqrt(c)
+    x = rng.normals(seed, rng.STREAM_SURROGATE, idx[:, None, None], v, a) / math.sqrt(c)
     return x - x.mean(axis=2, keepdims=True)
 
 
@@ -710,25 +687,19 @@ def gaussian_surrogate_product(pattern, c: int, count: int, seed: int) -> np.nda
 
 
 @dataclass(frozen=True)
-class Fixed:
+class Fixed(Params):
     """Fixed color count c while the host grows."""
 
     colors: int
-
-    def __post_init__(self):
-        if self.colors < 2:
-            raise ValueError(f"need at least 2 colors, got {self.colors}")
+    ranges = {"colors": (lambda c: c >= 2, ">= 2")}
 
 
 @dataclass(frozen=True)
-class Growing:
+class Growing(Params):
     """Growing color count; ``edge_color_ratio`` is the limit of m/c (may be inf)."""
 
     edge_color_ratio: float
-
-    def __post_init__(self):
-        if not self.edge_color_ratio >= 0:
-            raise ValueError(f"edge/color ratio must be nonnegative, got {self.edge_color_ratio}")
+    ranges = {"edge_color_ratio": (lambda r: r >= 0, ">= 0 (inf allowed)")}
 
 
 Regime = Union[Fixed, Growing]

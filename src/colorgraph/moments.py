@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import census
 from .census import MultiGraphPattern
 from .errors import PatternTooLargeError
-from .graph import Graph, components
+from .graph import Graph, Params, components
 
 __all__ = [
     "stirling_moment",
@@ -103,16 +103,11 @@ class MomentKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MomentRequest:
+class MomentRequest(Params):
     kind: MomentKind
     order: int
     colors: int
-
-    def __post_init__(self):
-        if not 1 <= self.order <= 4:
-            raise ValueError(f"moment order must be in [1, 4], got {self.order}")
-        if self.colors < 2:
-            raise ValueError(f"need at least 2 colors, got {self.colors}")
+    ranges = {"order": (lambda k: 1 <= k <= 4, "in [1, 4]"), "colors": (lambda c: c >= 2, ">= 2")}
 
 
 @dataclass(frozen=True)

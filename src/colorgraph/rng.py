@@ -46,6 +46,7 @@ STREAM_INHOM = 0x03
 STREAM_REGULAR = 0x04
 STREAM_GW = 0x05
 STREAM_LAW = 0x06
+STREAM_SURROGATE = 0x07
 
 BATCH_ENTRIES = 2_000_000  # array entries one block of ``batches`` may hold
 

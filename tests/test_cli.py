@@ -318,13 +318,20 @@ class TestBirthday:
         (COMPARE_KS + ["--center", "nan"], 2),
         (COMPARE_KS + ["--center", "inf"], 2),
         (["compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "tv", "--tol", "nan"], 2),
+        (["compare", "--empirical", "e.csv", "--law", "inf-mean.json", "--tol", "0.5"], 2),
+        (["compare", "--empirical", "e.csv", "--law", "half-dof.json", "--tol", "0.5"], 2),
+        (["generate", "--family", "gw:nan,1.0:3:1"], 2),
     ], ids=["zero-days", "days-power-overflow", "negative-people", "negative-edges", "nan-edges",
             "zero-days-power", "inf-edges", "inf-days-power", "zero-base-negative-power",
             "edgeless-family", "zero-workers", "nan-growing-ratio", "zero-scale", "negative-scale",
-            "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol"])
+            "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol", "inf-poisson-mean",
+            "fractional-dof", "nan-offspring"])
     def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)  # the compare rows read these two files
+        monkeypatch.chdir(tmp_path)  # the compare rows read these files
         (tmp_path / "e.csv").write_text("value,count\n3,10\n")
         (tmp_path / "law.json").write_text(json.dumps({"kind": "poisson", "mean": 5.0}))
+        (tmp_path / "inf-mean.json").write_text(json.dumps({"kind": "poisson", "mean": math.inf}))
+        (tmp_path / "half-dof.json").write_text(json.dumps(
+            {"kind": "weighted_chi_square", "weights": [1.0], "dof": 1.5, "scale": 0.25}))
         res = runner.invoke(main, args)
         assert res.exit_code == code, res.output

@@ -196,6 +196,9 @@ class TestSimulate:
             simulate(g, 1, MonoEdges(), 10, 0)
         with pytest.raises(ValueError):
             simulate(g, 2, MonoEdges(), 0, 0)
+        for workers in (0, -1):
+            with pytest.raises(ValueError):
+                simulate(g, 2, MonoEdges(), 10, 0, workers=workers)
 
     def test_colors_beyond_two_to_the_53_rejected(self):
         # 53-bit uniforms only reach multiples of 128 when c = 2^60

@@ -1,8 +1,11 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorgraph import census
+from colorgraph import census, colorsim, limits, moments
 from colorgraph.errors import (
     DuplicateEdgeError,
     GenerationTimeoutError,
@@ -20,6 +23,7 @@ from colorgraph.graph import (
     Hypercube,
     Inhomogeneous,
     Path,
+    Params,
     PathCycleGadget,
     RandomRegular,
     Star,
@@ -220,3 +224,44 @@ class TestBasicStats:
     def test_degree_sum(self):
         g = generate(ErdosRenyi(30, 0.3, 17))
         assert sum(g.degrees) == 2 * g.m
+
+
+# one valid instance of every Params subclass in the package
+VALID_PARAMS = [
+    Complete(3), CompleteBipartite(2, 3), Star(3), Path(2), Cycle(4), Hypercube(2),
+    ErdosRenyi(5, 0.5, 1), Inhomogeneous(2, ((0.0, 0.5), (0.5, 0.0)), 1), RandomRegular(4, 2, 1),
+    GaltonWatson((0.5, 0.5), 2, 1), PathCycleGadget(1, 1, 3),
+    limits.Poisson(1.0), limits.PointMass(1.0), limits.PoissonMixing(1.0),
+    limits.EmpiricalMixing((1.0,)), limits.PoissonMixture(limits.PointMass(1.0)),
+    limits.Normal(0.0, 1.0), limits.WeightedChiSquare((1.0,), 1, 0.5),
+    limits.AtomPlusNormal(0.5, 1.0), limits.Fixed(2), limits.Growing(1.0),
+    colorsim.MonoEdges(), colorsim.MonoStars(2), colorsim.MonoCycles(3),
+    moments.MomentRequest(moments.MomentKind.RAW_N, 2, 2),
+]
+
+# float fields that admit +-inf: a growing regime's m/c may be inf, and a family spec's
+# generator, not the spec, checks the spec's ranges
+INFINITE_OK = {(limits.Growing, "edge_color_ratio"), (ErdosRenyi, "p")}
+
+
+def _subclasses(cls):
+    return {s for sub in cls.__subclasses__() for s in (sub, *_subclasses(sub))}
+
+
+class TestParams:
+    def test_every_subclass_has_an_example(self):
+        assert {type(p) for p in VALID_PARAMS} == _subclasses(Params)
+
+    @pytest.mark.parametrize("valid", VALID_PARAMS, ids=lambda p: type(p).__name__)
+    def test_fields_reject_values_outside_their_kind(self, valid):
+        for f in dataclasses.fields(valid):
+            bad = {"int": [2.5, True], "float": [math.nan], "tuple[float, ...]": [(math.nan,)]}
+            bad = bad.get(f.type, [])
+            if f.type == "float" and (type(valid), f.name) not in INFINITE_OK:
+                bad += [math.inf, -math.inf]
+            for value in bad:
+                with pytest.raises(ValueError):
+                    dataclasses.replace(valid, **{f.name: value})
+
+    def test_values_are_not_converted(self):
+        assert type(limits.Poisson(2).mean) is int

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from colorgraph import census, limits, spectral, stats
+from colorgraph import census, limits, rng, spectral, stats
 from colorgraph.errors import (
     AmbiguousRegimeError,
     DomainExceededError,
@@ -134,6 +134,22 @@ class TestLawEvaluation:
 
     def test_infinite_growing_ratio_is_standard_normal(self):
         assert limit_for(None, Growing(math.inf)) == Normal(0.0, 1.0)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: law_pmf(Poisson(1.0), 2.5), "k = 2.5"),
+        (lambda: law_pmf(PoissonMixture(PoissonMixing(1.0)), 2.5), "k = 2.5"),
+        (lambda: law_cdf(Poisson(1.0), math.nan), "x = nan"),
+        (lambda: law_cdf(PoissonMixture(PoissonMixing(1.0)), math.nan), "x = nan"),
+        (lambda: law_cdf(Normal(0.0, 1.0), math.nan), "x = nan"),
+    ], ids=["poisson-pmf-half", "mixture-pmf-half", "poisson-cdf-nan", "mixture-cdf-nan", "normal-cdf-nan"])
+    def test_bad_evaluation_point(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("law", [Poisson(1.0), PoissonMixture(PoissonMixing(1.0))],
+                             ids=["poisson", "mixture"])
+    def test_discrete_cdf_at_infinity_is_one(self, law):
+        assert law_cdf(law, math.inf) == 1.0
 
 
 class TestLawDocuments:
@@ -339,6 +355,18 @@ class TestMgfs:
                 got = delta_conditional_mgf(g, c, t)
                 expect = weighted_chisq_mgf(w, c - 1, t / (2 * c))
                 assert got == pytest.approx(expect, rel=1e-10)
+
+    def test_surrogate_draws_use_their_own_stream(self):
+        # a weighted chi-square law draws rng.normals(seed, STREAM_LAW, i, weight, component)
+        tags = [v for name, v in vars(rng).items() if name.startswith("STREAM_")]
+        assert len(set(tags)) == len(tags)
+        c, idx = 3, np.arange(6)[:, None, None]
+        x = rng.normals(17, rng.STREAM_SURROGATE, idx, np.arange(2)[None, :, None],
+                        np.arange(c)[None, None, :]) / math.sqrt(c)
+        s = x - x.mean(axis=2, keepdims=True)
+        expect = (s[:, 0, :] * s[:, 1, :]).sum(axis=1) / math.sqrt(2)
+        got = gaussian_surrogate_delta(generate(Complete(2)), c, 6, seed=17)
+        np.testing.assert_allclose(got, expect, rtol=1e-13)
 
     def test_surrogate_draws_match_mgf(self):
         k33 = generate(CompleteBipartite(3, 3))
