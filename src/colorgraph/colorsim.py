@@ -6,12 +6,17 @@ sample range is cut into blocks or distributed over workers. ``exact_distributio
 is the brute-force oracle: it enumerates every coloring in base-c order and
 returns exact rational probabilities with denominator c**n.
 
+Colorings are held vertex-major: an (n, batch) matrix whose column j is
+one coloring, in the narrowest unsigned dtype holding c - 1. That is the
+layout and dtype ``rng.uniform_ints`` draws in, tile by tile, so no int64
+matrix is built and none is transposed.
+
 Both count with one of two kernels, built once per call by ``_kernel_for``: a one-hot
 float32 GEMM against the adjacency matrix, from the identity
 N = 1/2 sum_a x_a' A x_a over the color indicators x_a, or a gather that
-compares colors along edges, cycles or neighbour lists in a narrow
-unsigned dtype. They return identical counts. Both loop over the sample or
-coloring blocks of ``rng.batches``, sized by the kernel's ``row_cost``.
+compares colors along edges, cycles or neighbour lists, one contiguous
+row per vertex looked up. They return identical counts. Both loop over the
+sample or coloring blocks of ``rng.batches``, sized by the kernel's ``row_cost``.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from . import census, rng
-from .errors import BadColorVectorError, DomainExceededError, EnumerationGateExceededError
+from .errors import BadColorVectorError, EnumerationGateExceededError
 from .graph import Graph, Params
 
 __all__ = [
@@ -42,7 +47,6 @@ __all__ = [
 
 EXACT_ENUMERATION_GATE = 10**7
 _GEMM_BREAK_EVEN = 40  # GEMM when c*n^2 <= this * m: the measured break-even against the gather
-_MAX_COLORS = 2**53  # uniform_ints resolves at most this many colors
 
 
 @dataclass(frozen=True)
@@ -78,11 +82,12 @@ def _comb_array(values: np.ndarray, r: int) -> np.ndarray:
 
 
 def _gemm_counts(adj: np.ndarray, c: int, stat: Statistic, colors: np.ndarray) -> np.ndarray:
-    """Edges or stars per row from the mono-degree matrix D = sum_a X_a * (X_a @ A).
+    """Edges or stars per column from the mono-degree matrix D = sum_a X_a * (A @ X_a).
 
-    X_a is the 0/1 indicator matrix of color a, so D[i, v] counts the
-    neighbours of v that share its color in sample i. Its entries are
-    integers below n, exact in float32; sums are taken in int64.
+    X_a is the (n, batch) 0/1 indicator matrix of color a and A is
+    symmetric, so D[v, i] counts the neighbours of v that share its color
+    in sample i. Its entries are integers below n, exact in float32; sums
+    are taken in int64.
     """
     if isinstance(stat, MonoCycles):
         raise TypeError("the GEMM kernel counts edges and stars only")
@@ -90,11 +95,11 @@ def _gemm_counts(adj: np.ndarray, c: int, stat: Statistic, colors: np.ndarray) -
     # a block holds at most colors.size distinct colors; above that, loop over those present
     for a in range(c) if c <= colors.size else np.unique(colors):
         x = (colors == a).astype(np.float32)
-        mono_deg += x * (x @ adj)
+        mono_deg += x * (adj @ x)
     mono_deg = mono_deg.astype(np.int64)
     if isinstance(stat, MonoEdges):
-        return mono_deg.sum(axis=1) // 2
-    return _comb_array(mono_deg, stat.r).sum(axis=1)
+        return mono_deg.sum(axis=0) // 2
+    return _comb_array(mono_deg, stat.r).sum(axis=0)
 
 
 def _neighbour_columns(g: Graph) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -139,22 +144,12 @@ def _gather_index(g: Graph, stat: Statistic):
     return np.stack(g.edge_arrays(), axis=1)
 
 
-def _narrow_dtype(top: int) -> type:
-    """The narrowest unsigned dtype holding 0..top, else int64."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if top <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
+def _gather_counts(index, stat: Statistic, by_vertex: np.ndarray) -> np.ndarray:
+    """Statistic per column by comparing colors along edges, cycles or neighbour lists.
 
-
-def _gather_counts(index, top: int, stat: Statistic, colors: np.ndarray) -> np.ndarray:
-    """Statistic per row by comparing colors along edges, cycles or neighbour lists.
-
-    ``index`` comes from ``_gather_index``; ``top`` bounds the colors. The
-    color matrix is transposed to (n, batch) in the narrowest dtype holding
-    ``top``, so each vertex looked up gathers one contiguous row.
+    ``index`` comes from ``_gather_index``. ``by_vertex`` is the (n, batch)
+    color matrix, so each vertex looked up gathers one contiguous row.
     """
-    by_vertex = colors.T.astype(_narrow_dtype(top), order="C")
     if isinstance(stat, MonoStars):
         by_deg, columns, tails = index
         own = by_vertex[by_deg]
@@ -175,7 +170,7 @@ class _Kernel(NamedTuple):
     """The counting kernel for one (g, c, stat), built once per call."""
 
     name: str  # "gemm" or "gather"
-    count: Callable[[np.ndarray], np.ndarray]  # color matrix -> statistic per row
+    count: Callable[[np.ndarray], np.ndarray]  # (n, batch) color matrix -> statistic per column
     row_cost: int  # matrix entries per sample, for ``rng.batches``
 
 
@@ -194,7 +189,7 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
     else:
         index = _gather_index(g, stat)
         name, row_cost = "gather", n + g.m + (index.size if isinstance(stat, MonoCycles) else 0)
-        count = functools.partial(_gather_counts, index, c - 1, stat)
+        count = functools.partial(_gather_counts, index, stat)
     return _Kernel(name, count, row_cost)
 
 
@@ -205,8 +200,7 @@ def mono_count(g: Graph, colors, stat: Statistic) -> int:
         raise BadColorVectorError(f"expected {g.n} colors, got shape {arr.shape}")
     if g.n and arr.min() < 0:
         raise BadColorVectorError("colors must be nonnegative integers")
-    top = int(arr.max()) if g.n else 0  # no c here: the dtype must hold the largest color
-    return int(_gather_counts(_gather_index(g, stat), top, stat, arr[None, :])[0])
+    return int(_gather_counts(_gather_index(g, stat), stat, arr[:, None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,8 +234,8 @@ class SimulationRun:
 
 def _simulate_range(kernel: _Kernel, seed: int, n: int, c: int, lo: int, hi: int) -> np.ndarray:
     """Statistic of samples [lo, hi); the color of vertex v in sample i is drawn from (seed, i, v)."""
-    vertices = np.arange(n, dtype=np.int64)[None, :]
-    parts = [kernel.count(rng.uniform_ints(seed, c, rng.STREAM_COLORS, idx[:, None], vertices))
+    vertices = np.arange(n, dtype=np.int64)[:, None]
+    parts = [kernel.count(rng.uniform_ints(seed, c, rng.STREAM_COLORS, idx[None, :], vertices))
              for idx in rng.batches(lo, hi, kernel.row_cost)]
     return np.concatenate(parts)
 
@@ -258,13 +252,10 @@ def simulate(
 
     Sample i is a pure function of (seed, i), so the result is identical for
     any ``workers`` value; workers (at least 1) only bound process parallelism.
+    More than 2^53 colors raise ``DomainExceededError`` from ``rng.uniform_ints``.
     """
     if c < 2:
         raise ValueError(f"need at least 2 colors, got {c}")
-    if c > _MAX_COLORS:
-        raise DomainExceededError(
-            f"{c} colors exceed 2^53, the most that 53-bit uniforms draw uniformly"
-        )
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     if workers < 1:
@@ -297,11 +288,13 @@ def exact_distribution(g: Graph, c: int, stat: Statistic) -> dict[int, Fraction]
             total=total,
         )
     # vertex 0 is the most significant digit of the coloring index
-    powers = c ** np.arange(g.n - 1, -1, -1, dtype=np.int64)
+    powers = c ** np.arange(g.n - 1, -1, -1, dtype=np.int64)[:, None]
+    dtype = rng._narrow_dtype(c - 1)
     kernel = _kernel_for(g, c, stat)
     counter: dict[int, int] = {}
     for idx in rng.batches(0, total, kernel.row_cost):
-        uniq, freq = np.unique(kernel.count(idx[:, None] // powers % c), return_counts=True)
+        digits = (idx[None, :] // powers % c).astype(dtype)
+        uniq, freq = np.unique(kernel.count(digits), return_counts=True)
         for v, f in zip(uniq.tolist(), freq.tolist()):
             counter[v] = counter.get(v, 0) + f
     return {v: Fraction(f, total) for v, f in sorted(counter.items())}

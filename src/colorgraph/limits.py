@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -280,6 +280,40 @@ def law_pmf(law: LimitLaw, k: int) -> float:
     return _poisson_pmf(law.mean, k) if isinstance(law, Poisson) else _mixture_pmf(law.mixing, k)
 
 
+def _largest_mean(law: Union[Poisson, PoissonMixture]) -> float:
+    """The largest Poisson mean that ``law_pmf`` of ``law`` mixes over.
+
+    For ``PoissonMixing`` that is the first j whose weight, computed as
+    ``_mixture_pmf`` computes it, is exactly 0.0: no term from j on counts.
+    """
+    if isinstance(law, Poisson):
+        return law.mean
+    mix = law.mixing
+    if isinstance(mix, PointMass):
+        return mix.value
+    if isinstance(mix, EmpiricalMixing):
+        return max(mix.samples)
+    j, wj = 0, math.exp(-mix.mean)
+    while wj > 0.0:
+        j += 1
+        wj *= mix.mean / j
+    return j
+
+
+def _pmf_terms(law: Union[Poisson, PoissonMixture], top: int) -> Iterator[float]:
+    """law_pmf(law, k) for k = 0..top, stopping at the first 0.0 past the largest mean.
+
+    Past every mean each Poisson term falls with k, so once the pmf is 0.0
+    it stays 0.0, and the sum of the terms is the same to the bit.
+    """
+    largest = _largest_mean(law)
+    for k in range(top + 1):
+        p = law_pmf(law, k)
+        if p == 0.0 and k > largest:
+            return
+        yield p
+
+
 def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
@@ -293,7 +327,7 @@ def law_cdf(law: LimitLaw, x: float) -> float:
             return 0.0
         if x == math.inf:
             return 1.0
-        return sum(law_pmf(law, k) for k in range(int(x) + 1))
+        return sum(_pmf_terms(law, int(x)))
     if isinstance(law, Normal):
         return _phi((x - law.mean) / math.sqrt(law.variance))
     if isinstance(law, AtomPlusNormal):

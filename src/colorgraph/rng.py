@@ -13,7 +13,12 @@ Consequences:
 
 All bulk operations are vectorized over numpy uint64 arrays and broadcast
 like ordinary numpy ops: pass index arrays shaped ``(s, 1)`` and ``(1, v)``
-to fill an ``(s, v)`` matrix.
+to fill an ``(s, v)`` matrix, or ``(1, s)`` and ``(v, 1)`` for the
+vertex-major ``(v, s)`` matrix of the same draws. ``words`` mixes in place.
+``uniform_ints`` fills its output in tiles of about ``TILE_WORDS`` words,
+so each pass over a tile stays in cache, and returns the narrowest
+unsigned dtype that holds c - 1; no draw depends on the layout or the
+tiling.
 """
 from __future__ import annotations
 
@@ -49,6 +54,8 @@ STREAM_LAW = 0x06
 STREAM_SURROGATE = 0x07
 
 BATCH_ENTRIES = 2_000_000  # array entries one block of ``batches`` may hold
+TILE_WORDS = 2**15  # hash words ``uniform_ints`` draws per tile: 256 KiB, so a tile stays in cache
+_MAX_COLORS = 2**53  # ``uniform_ints`` resolves at most this many colors
 
 
 def batches(lo: int, hi: int, row_cost: int) -> Iterator[np.ndarray]:
@@ -64,24 +71,40 @@ def batches(lo: int, hi: int, row_cost: int) -> Iterator[np.ndarray]:
         yield np.arange(start, min(start + rows, hi), dtype=np.int64)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    # uint64 wraparound is intended; numpy only warns for scalar operands
-    with np.errstate(over="ignore"):
-        z = z ^ (z >> _U64(30))
-        z = z * _M1
-        z = z ^ (z >> _U64(27))
-        z = z * _M2
-        return z ^ (z >> _U64(31))
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer applied to ``z`` in place; ``tmp`` is scratch of z's shape."""
+    for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+        np.right_shift(z, _U64(shift), out=tmp)
+        z ^= tmp
+        if mult is not None:
+            z *= mult
+    return z
+
+
+def _mix_int(z: int) -> int:
+    """``_mix`` of one word as a Python int: far cheaper than numpy's 0-d arithmetic."""
+    z = ((z ^ (z >> 30)) * int(_M1)) & _MASK
+    z = ((z ^ (z >> 27)) * int(_M2)) & _MASK
+    return z ^ (z >> 31)
 
 
 def words(seed: int, *path) -> np.ndarray:
-    """uint64 hash words for every index combination in ``path`` (broadcast)."""
-    with np.errstate(over="ignore"):
-        h = _mix(_U64(int(seed) & _MASK) + _GOLDEN)
+    """uint64 hash words for every index combination in ``path`` (broadcast).
+
+    Leading scalar steps run on Python ints; each array step allocates its
+    prefix's broadcast shape once and mixes it in place. A path of scalars
+    gives a ``np.uint64``.
+    """
+    h = _mix_int((int(seed) + int(_GOLDEN)) & _MASK)
+    with np.errstate(over="ignore"):  # uint64 wraparound is intended; numpy warns for 0-d operands
         for pos, ix in enumerate(path):
-            a = np.asarray(ix, dtype=np.uint64)
-            h = _mix(h ^ (a * _POS[pos % len(_POS)]))
-    return h
+            a, mult = np.asarray(ix, dtype=np.uint64), _POS[pos % len(_POS)]
+            if a.ndim == 0 and isinstance(h, int):
+                h = _mix_int(h ^ (int(a) * int(mult) & _MASK))
+            else:
+                h = np.bitwise_xor(a * mult, h, dtype=np.uint64)
+                _mix(h, np.empty_like(h))
+    return _U64(h) if isinstance(h, int) else h
 
 
 def uniforms(seed: int, *path) -> np.ndarray:
@@ -94,14 +117,55 @@ def uniforms_open(seed: int, *path) -> np.ndarray:
     return ((words(seed, *path) >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
-    """Uniform integers in [0, c) as int64.
+def _narrow_dtype(top: int) -> type:
+    """The narrowest unsigned dtype holding 0..top, else int64."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
-    floor(u * c) of a 53-bit uniform; the residual bias is below c * 2^-53
-    and irrelevant at the package's tolerances.
+
+def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
+    """Uniform integers in [0, c), in the narrowest unsigned dtype holding c - 1.
+
+    floor(u * c) of the 53-bit uniform u = (w >> 11) * 2^-53 of ``words``;
+    the residual bias is below c * 2^-53 and irrelevant at the package's
+    tolerances. For c = 2^k that is the top k bits of w; otherwise it is
+    float(w >> 11) * (c * 2^-53), which rounds exactly as u * c does because
+    c * 2^-53 is exact. c must lie in [1, 2^53]: ValueError below, and
+    ``DomainExceededError`` above, where the uniforms miss colors.
+
+    The output has the path's broadcast shape and is filled in tiles of
+    leading-axis rows that hold about ``TILE_WORDS`` words (one row if a
+    row holds more), so every pass over a tile stays in cache. Each draw
+    depends only on its own path, so the tiling changes no value. Pass the
+    vertex index as the leading axis, ``(v, 1)`` against ``(1, s)``, for the
+    vertex-major (v, s) matrix the counting kernels read.
     """
-    vals = np.floor(uniforms(seed, *path) * c).astype(np.int64)
-    return np.minimum(vals, c - 1)
+    c = int(c)
+    if c < 1:
+        raise ValueError(f"need at least 1 color, got {c}")
+    if c > _MAX_COLORS:
+        raise DomainExceededError(
+            f"{c} colors exceed 2^53, the most that 53-bit uniforms draw uniformly"
+        )
+    parts = [np.asarray(ix, dtype=np.uint64) for ix in path]
+    shape = np.broadcast_shapes(*(a.shape for a in parts))
+    out = np.empty(shape or (1,), dtype=_narrow_dtype(c - 1))
+    # only parts of full rank with a leading axis longer than 1 vary along it
+    sliced = [a.ndim == len(shape) > 0 and a.shape[0] > 1 for a in parts]
+    step = max(1, TILE_WORDS // max(1, math.prod(out.shape[1:])))
+    shift = 64 - (c.bit_length() - 1) if c > 1 and c & (c - 1) == 0 else None
+    scale = c * 2.0**-53
+    for r in range(0, out.shape[0], step):
+        rows = slice(r, r + step)
+        tile = out[rows]
+        w = np.asarray(words(seed, *(a[rows] if cut else a for a, cut in zip(parts, sliced))))
+        if shift is not None:  # c = 2^k: the top k bits
+            tile[...] = np.right_shift(w, _U64(shift), out=w)
+        else:  # no clamp to c - 1: even (2^53 - 1) * (c * 2^-53) rounds to below c
+            np.multiply(np.right_shift(w, _U64(11), out=w), scale, out=tile, casting="unsafe")
+    return out.reshape(shape)
 
 
 def normals(seed: int, *path) -> np.ndarray:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from colorgraph import rng
 from colorgraph.graph import Graph
 
 
@@ -71,6 +72,17 @@ def loop_mono_counts(g: Graph, colorings, kind: str, order: int = 0) -> list[int
         else:
             out.append(sum(1 for cyc in cycles if len({colors[x] for x in cyc}) == 1))
     return out
+
+
+def uniform_ints_reference(seed: int, c: int, *path) -> np.ndarray:
+    """Colors in [0, c) from the stream's hash words by the original formula, as int64.
+
+    min(floor(((w >> 11) * 2^-53) * c), c - 1): a 53-bit uniform, then two
+    float multiplies and a clamp. Only the words come from the library.
+    """
+    w = rng.words(seed, *path)
+    u = (w >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.minimum(np.floor(u * c).astype(np.int64), c - 1)
 
 
 def brute_count_subgraph(g: Graph, h: Graph) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from oracles import (
     pmf_moment,
 )
 
-from colorgraph import census, stats
+from colorgraph import census, rng, stats
 from colorgraph.colorsim import (
     EXACT_ENUMERATION_GATE,
     MonoCycles,
@@ -37,6 +38,7 @@ from colorgraph.graph import (
     PathCycleGadget,
     Star,
     generate,
+    parse_family,
 )
 
 
@@ -205,7 +207,7 @@ class TestSimulate:
         k2 = generate(Complete(2))
         with pytest.raises(DomainExceededError):
             simulate(k2, 2**60, MonoEdges(), 10, 1)
-        with pytest.raises(DomainExceededError):
+        with pytest.raises(DomainExceededError, match="exceed 2\\^53"):
             simulate(k2, 2**53 + 1, MonoEdges(), 10, 1)
         assert set(simulate(k2, 2**53, MonoEdges(), 10, 1).counts.tolist()) <= {0, 1}
 
@@ -256,22 +258,30 @@ KERNEL_STATS = (
 
 
 def kernel_test_colorings(n: int, c: int, seed: int) -> np.ndarray:
-    """Uniform rows, rows over colors that collide when cut to 8 or 16 bits, one constant row."""
+    """(n, 51) vertex-major colorings in the dtype ``rng.uniform_ints`` draws for c.
+
+    Uniform columns, columns over colors that collide when cut to 8 or 16
+    bits, one constant column. The colliding colors check that the draw's
+    dtype holds c - 1.
+    """
     gen = np.random.default_rng(seed)
     top = c - 1
     clash = np.array(sorted({0, top, top % 256, top % 65536}), dtype=np.int64)
-    return np.vstack([
+    samples = np.vstack([
         gen.integers(0, c, size=(25, n)),
         gen.choice(clash, size=(25, n)),
         np.full((1, n), top),
     ]).astype(np.int64)
+    colors = samples.T.astype(rng.uniform_ints(0, c, 0).dtype, order="C")
+    assert np.array_equal(colors, samples.T), f"the draw's dtype {colors.dtype} cannot hold {top}"
+    return colors
 
 
 def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray) -> None:
-    rows = colors.tolist()
+    rows = colors.T.astype(np.int64).tolist()
     for kind, order, stat in KERNEL_STATS:
         expected = np.array(loop_mono_counts(g, rows, kind, order), dtype=np.int64)
-        gathered = _gather_counts(_gather_index(g, stat), c - 1, stat, colors)
+        gathered = _gather_counts(_gather_index(g, stat), stat, colors)
         assert np.array_equal(gathered, expected), (kind, order, c)
         if kind != "cycles":
             gemm = _gemm_counts(g.adjacency_matrix(np.float32), c, stat, colors)
@@ -298,7 +308,7 @@ class TestKernelsAgainstLoops:
     def test_gemm_rejects_cycles(self):
         g = generate(Complete(4))
         with pytest.raises(TypeError):
-            _gemm_counts(g.adjacency_matrix(np.float32), 2, MonoCycles(3), np.zeros((1, 4), dtype=np.int64))
+            _gemm_counts(g.adjacency_matrix(np.float32), 2, MonoCycles(3), np.zeros((4, 1), dtype=np.uint8))
 
 
 class TestMomentsAgainstOracle:
@@ -315,3 +325,26 @@ class TestMomentsAgainstOracle:
         pmf = exact_distribution(g, c, MonoEdges())
         m = g.m
         assert pmf_moment(pmf, 2) == Fraction(m, c) + Fraction(m * (m - 1), c * c)
+
+
+# -- counts frozen at the sample-major int64 drawing path ----------------------------
+
+# sha256 of simulate(generate(spec), c, stat, 3000, 11).counts, one case per kernel
+# and color dtype, recorded before colorings were drawn vertex-major in narrow dtypes
+FROZEN_DIGESTS = [
+    ("complete:30", 2, MonoEdges(), "gemm", "ac355202b414edba164d220a476250df7eed35f8c242ec58cd048af91fb39f9e"),
+    ("complete:30", 3, MonoEdges(), "gemm", "d179e741f18c3682e00d79587bc713c710253e58a26792a4733b6c76dd2dc101"),
+    ("regular:200:3:1", 2, MonoEdges(), "gather", "f24d428d2ef21bd283dc2ba20a313a103b8d356f972f0f9be47027b89760bdc9"),
+    ("regular:200:3:1", 1770, MonoEdges(), "gather", "0a7cc7fef6610010feb879a525ca16785ee7bb937421ae33fc9e088828b81525"),
+    ("regular:200:3:1", 70000, MonoEdges(), "gather", "871dc291ea72b232238d750da9131f40e206831f36fd8aad328676664bba0cd0"),
+    ("regular:200:3:1", 2**40 + 3, MonoEdges(), "gather", "151ff79f29e96d211576b9a2e3e78f518b26109916616945d50cdee82dd2ba8b"),
+    ("gadget:5:5:3", 3, MonoCycles(3), "gather", "d102aadc0a71fa57f6fee256a93f81405ec47ac784eb0781ecc4962e03501f71"),
+]
+
+
+@pytest.mark.parametrize("spec,c,stat,kernel,digest", FROZEN_DIGESTS)
+def test_frozen_simulate_digest(spec, c, stat, kernel, digest):
+    run = simulate(generate(parse_family(spec)), c, stat, 3000, 11)
+    assert run.kernel == kernel
+    assert run.counts.dtype == np.int64
+    assert hashlib.sha256(run.counts.tobytes()).hexdigest() == digest

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from test_purity import LAWS as PURITY_LAWS
 
 from colorgraph import census, limits, rng, spectral, stats
 from colorgraph.errors import (
@@ -45,6 +46,14 @@ from colorgraph.limits import (
 )
 
 SQ2 = math.sqrt(2.0)
+
+
+DISCRETE_LAWS = {
+    **{name: law for name, law in PURITY_LAWS.items() if isinstance(law, (Poisson, PoissonMixture))},
+    # e^-800 underflows: the pmf reads 0.0 for k = 0..10, far below the mean
+    "poisson-zero-below-mean": Poisson(800.0),
+    "mixture-zero-below-mean": PoissonMixture(EmpiricalMixing((810.0, 800.0))),
+}
 
 
 class TestLawEvaluation:
@@ -150,6 +159,23 @@ class TestLawEvaluation:
                              ids=["poisson", "mixture"])
     def test_discrete_cdf_at_infinity_is_one(self, law):
         assert law_cdf(law, math.inf) == 1.0
+
+    @pytest.mark.parametrize("name", DISCRETE_LAWS)
+    def test_discrete_cdf_equals_the_full_sum(self, name):
+        # the sum stops where the pmf underflows to 0.0; the terms it skips add nothing
+        law = DISCRETE_LAWS[name]
+        for x in (0.0, 0.5, 2.0, 7.9, 30.0, 150.0, 349.0, 350.0, 600.0, 1000.0, 2500.0):
+            assert law_cdf(law, x) == sum(law_pmf(law, k) for k in range(int(x) + 1)), x
+
+    @pytest.mark.parametrize("name", DISCRETE_LAWS)
+    def test_discrete_cdf_far_out_stops_early(self, name, monkeypatch):
+        law = DISCRETE_LAWS[name]
+        near = law_cdf(law, 2500.0)
+        calls = []
+        real = limits.law_pmf
+        monkeypatch.setattr(limits, "law_pmf", lambda law, k: calls.append(k) or real(law, k))
+        assert law_cdf(law, 1e6) == near
+        assert len(calls) < 2500
 
 
 class TestLawDocuments:

@@ -1,0 +1,104 @@
+"""``rng.uniform_ints`` against the original color formula.
+
+Colors are drawn tile by tile in the narrowest unsigned dtype holding
+c - 1, as a power-of-two shift or a single float multiply. Every value
+must equal ``oracles.uniform_ints_reference`` for any tile size and in
+either layout: vertex-major (v, s) is the transpose of sample-major (s, v).
+"""
+import numpy as np
+import pytest
+from oracles import uniform_ints_reference
+
+from colorgraph import rng
+from colorgraph.errors import DomainExceededError
+
+COLORS = (1, 2, 3, 7, 30, 255, 256, 257, 1770, 65536, 65537, 2**32 + 1, 2**40 + 3, 2**53)
+TINY_TILE = 7
+
+
+def narrow(c: int) -> type:
+    for dtype, top in ((np.uint8, 2**8), (np.uint16, 2**16), (np.uint32, 2**32)):
+        if c <= top:
+            return dtype
+    return np.int64
+
+
+SAMPLES = np.arange(1000, 1300, dtype=np.int64)  # 300 samples
+VERTICES = np.arange(201, dtype=np.int64)  # 60,300 draws: two default tiles
+
+
+def sample_major(c: int, samples=SAMPLES, vertices=VERTICES) -> np.ndarray:
+    return rng.uniform_ints(5, c, rng.STREAM_COLORS, samples[:, None], vertices[None, :])
+
+
+def vertex_major(c: int, samples=SAMPLES, vertices=VERTICES) -> np.ndarray:
+    return rng.uniform_ints(5, c, rng.STREAM_COLORS, samples[None, :], vertices[:, None])
+
+
+@pytest.mark.parametrize("c", COLORS)
+def test_values_and_dtype_match_reference(c):
+    drawn = sample_major(c)
+    assert drawn.dtype == narrow(c)
+    assert drawn.shape == (SAMPLES.size, VERTICES.size)
+    expected = uniform_ints_reference(5, c, rng.STREAM_COLORS, SAMPLES[:, None], VERTICES[None, :])
+    assert np.array_equal(drawn.astype(np.int64), expected)
+    assert 0 <= int(drawn.min()) and int(drawn.max()) <= c - 1
+
+
+@pytest.mark.parametrize("c", COLORS)
+def test_layouts_agree(c):
+    assert np.array_equal(vertex_major(c), sample_major(c).T)
+
+
+@pytest.mark.parametrize("c", COLORS)
+def test_tiny_tiles_change_nothing(c, monkeypatch):
+    # rows of 40 or 13 draws, wider than a tile of 7, go one to a tile; rows of 3 go two
+    grids = [(SAMPLES[:40], VERTICES[:13]), (SAMPLES[:40], VERTICES[:3])]
+    default = [(sample_major(c, *grid), vertex_major(c, *grid)) for grid in grids]
+    monkeypatch.setattr(rng, "TILE_WORDS", TINY_TILE)
+    for grid, (samples_first, vertices_first) in zip(grids, default):
+        assert np.array_equal(sample_major(c, *grid), samples_first)
+        assert np.array_equal(vertex_major(c, *grid), vertices_first)
+        assert np.array_equal(vertices_first, samples_first.T)
+
+
+@pytest.mark.parametrize("tile", [None, TINY_TILE])
+def test_other_path_shapes(tile, monkeypatch):
+    # scalars, a 1-D index (as limits draws) and a 3-D broadcast tile the same way
+    if tile is not None:
+        monkeypatch.setattr(rng, "TILE_WORDS", tile)
+    grid = (np.arange(4)[:, None, None], np.arange(5)[None, :, None], np.arange(6)[None, None, :])
+    for path in [(3, 4), (rng.STREAM_LAW, np.arange(50), 2), (1, *grid), (np.arange(3)[:, None], 9)]:
+        assert np.array_equal(rng.uniform_ints(8, 1770, *path), uniform_ints_reference(8, 1770, *path))
+    assert rng.uniform_ints(8, 3, np.arange(0), 1).shape == (0,)
+
+
+def test_float_path_never_reaches_c():
+    # the largest 53-bit value times c * 2^-53 rounds below c, so no clamp is needed
+    for c in (3, 7, 30, 255, 257, 1770, 65537, 2**32 + 1, 2**40 + 3, 2**53 - 1):
+        assert int((2**53 - 1) * (c * 2.0**-53)) == c - 1, c
+
+
+def test_one_color_draws_zeros():
+    drawn = rng.uniform_ints(5, 1, rng.STREAM_LAW, np.arange(40), 2)
+    assert drawn.dtype == np.uint8
+    assert not drawn.any()
+
+
+@pytest.mark.parametrize("c,error", [
+    (0, ValueError),
+    (-3, ValueError),
+    (2**53 + 1, DomainExceededError),
+    (2**60, DomainExceededError),
+])
+def test_color_count_out_of_range(c, error):
+    with pytest.raises(error):
+        rng.uniform_ints(5, c, rng.STREAM_COLORS, np.arange(4))
+
+
+def test_scalar_and_array_steps_agree():
+    # leading scalar steps run on Python ints, later steps on numpy arrays
+    grid = rng.words(2, 1, np.arange(3)[:, None], np.arange(4)[None, :])
+    assert isinstance(rng.words(2, 1, 2, 3), np.uint64)
+    assert rng.words(2, 1, 2, 3) == grid[2, 3]
+    assert np.array_equal(rng.words(2, np.ones(4, dtype=np.int64), 2, 3), np.full(4, grid[2, 3]))
