@@ -387,7 +387,8 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale):
         emp = {}
         for v, w in zip(values, weights):
             emp[v] = emp.get(v, 0.0) + w / total
-        ref = {float(k): limits.law_pmf(law, k) for k in range(0, int(max(emp)) + 80)}
+        # the table stops where law_cdf stops its sum: past it every term is 0.0
+        ref = {float(k): p for k, p in enumerate(limits._pmf_terms(law, int(max(emp)) + 79))}
         # emp has no mass past the summed range, so the law's mass there counts in full
         beyond = max(0.0, 1.0 - sum(ref.values()))
         value = stats.tv_distance(emp, ref) + 0.5 * beyond

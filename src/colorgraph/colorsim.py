@@ -12,11 +12,15 @@ layout and dtype ``rng.uniform_ints`` draws in, tile by tile, so no int64
 matrix is built and none is transposed.
 
 Both count with one of two kernels, built once per call by ``_kernel_for``: a one-hot
-float32 GEMM against the adjacency matrix, from the identity
-N = 1/2 sum_a x_a' A x_a over the color indicators x_a, or a gather that
-compares colors along edges, cycles or neighbour lists, one contiguous
-row per vertex looked up. They return identical counts. Both loop over the
-sample or coloring blocks of ``rng.batches``, sized by the kernel's ``row_cost``.
+float32 GEMM on the twin quotient of the host, or a gather that compares
+colors along edges, cycles or neighbour lists, one contiguous row per
+vertex looked up. The GEMM reads the host as a blow-up of its k twin
+classes (``Graph.twin_quotient``): with h_a the per-class count of color
+a and B the k x k quotient, N = 1/2 sum_a h_a' (B h_a - q), which is
+1/2 sum_a x_a' A x_a. So the complete host counts from its color-class
+sizes, and a twin-free host (k = n, B = A) runs the plain adjacency GEMM.
+The kernels return identical counts. Both loop over the sample or coloring
+blocks of ``rng.batches``, sized by the kernel's ``row_cost``.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ __all__ = [
 ]
 
 EXACT_ENUMERATION_GATE = 10**7
-_GEMM_BREAK_EVEN = 40  # GEMM when c*n^2 <= this * m: the measured break-even against the gather
+_GEMM_BREAK_EVEN = 40  # GEMM when c*(n + k^2) <= this * m: the measured break-even against the gather
 
 
 @dataclass(frozen=True)
@@ -81,25 +85,57 @@ def _comb_array(values: np.ndarray, r: int) -> np.ndarray:
     return table[values]
 
 
-def _gemm_counts(adj: np.ndarray, c: int, stat: Statistic, colors: np.ndarray) -> np.ndarray:
-    """Edges or stars per column from the mono-degree matrix D = sum_a X_a * (A @ X_a).
+def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k x[k, i] * y[k, i] per column i, in int64; x and y hold integers."""
+    return np.einsum("ki,ki->i", x, y, dtype=np.int64, casting="unsafe")
 
-    X_a is the (n, batch) 0/1 indicator matrix of color a and A is
-    symmetric, so D[v, i] counts the neighbours of v that share its color
-    in sample i. Its entries are integers below n, exact in float32; sums
-    are taken in int64.
+
+def _gemm_counts(quotient, c: int, stat: Statistic, colors: np.ndarray) -> np.ndarray:
+    """Edges or stars per column from class histograms and class mono-degrees.
+
+    ``quotient`` is ``Graph.twin_quotient(np.float32)``: vertex labels, the
+    k x k 0/1 quotient B and the clique flags q. For color a, the histogram
+    h_a = P' x_a counts the vertices of each class that have color a (P is
+    the n x k class membership, x_a the (n, batch) indicator of a), and
+    d_a = B h_a - q is the number of color-a neighbours of each of them. So
+    edges = 1/2 sum_a h_a . d_a and r-stars = sum_a h_a . C(d_a, r), over the
+    entries with h_a > 0. A twin-free host has k = n, P = I and B = A: there
+    d_a = A x_a, and stars take C(., r) once of each vertex's mono-degree
+    sum_a x_a * d_a. B h_a is a float32 GEMM, and the mono-degrees are
+    float32 sums of one nonzero term each, exact while n < 2^24; every other
+    product and sum is in int64.
     """
     if isinstance(stat, MonoCycles):
         raise TypeError("the GEMM kernel counts edges and stars only")
-    mono_deg = np.zeros(colors.shape, dtype=np.float32)
+    labels, blocks, clique = quotient
+    twin_free = clique.size == labels.size
+    if not twin_free:  # rows in class order: each histogram entry sums one run of rows
+        order = np.argsort(labels, kind="stable")
+        starts = np.searchsorted(labels[order], np.arange(clique.size))
+        colors = colors[order]
+    # one buffer each for x_a, h_a and d_a, reused by every color: fresh pages per color cost more
+    x = np.empty(colors.shape, dtype=np.float32)
+    hist = x if twin_free else np.empty((clique.size, colors.shape[1]), dtype=np.float32)
+    deg = np.empty(hist.shape, dtype=np.float32)
+    total = np.zeros(colors.shape[1], dtype=np.int64)
+    mono_deg = np.zeros(colors.shape, dtype=np.float32) if twin_free and isinstance(stat, MonoStars) else None
     # a block holds at most colors.size distinct colors; above that, loop over those present
     for a in range(c) if c <= colors.size else np.unique(colors):
-        x = (colors == a).astype(np.float32)
-        mono_deg += x * (adj @ x)
-    mono_deg = mono_deg.astype(np.int64)
-    if isinstance(stat, MonoEdges):
-        return mono_deg.sum(axis=0) // 2
-    return _comb_array(mono_deg, stat.r).sum(axis=0)
+        np.equal(colors, a, out=x)
+        if not twin_free:
+            np.add.reduceat(x, starts, axis=0, out=hist)
+        np.matmul(blocks, hist, out=deg)
+        if isinstance(stat, MonoEdges):
+            total += _column_dots(hist, deg)
+        elif twin_free:
+            deg *= x
+            mono_deg += deg
+        else:
+            deg -= clique[:, None]
+            total += _column_dots(hist, _comb_array(np.maximum(deg, 0).astype(np.int64), stat.r))
+    if isinstance(stat, MonoEdges):  # sum_a q . h_a counts each vertex of a clique class once
+        return (total - np.count_nonzero(clique[labels])) // 2
+    return _comb_array(mono_deg.astype(np.int64), stat.r).sum(axis=0) if twin_free else total
 
 
 def _neighbour_columns(g: Graph) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -175,17 +211,23 @@ class _Kernel(NamedTuple):
 
 
 def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
-    """The counting kernel for (g, c, stat), with the adjacency or index it counts over.
+    """The counting kernel for (g, c, stat), with the quotient or index it counts over.
 
-    GEMM does about c*n^2 multiply-adds per sample against the gather's m
-    compares, so it runs when c*n^2 <= _GEMM_BREAK_EVEN * m and the
-    adjacency fits one ``rng.batches`` block. Cycles always gather.
+    The GEMM on the twin quotient does about c*(n + k^2) work per sample
+    (indicators and histograms, then B h_a) against the gather's m compares,
+    so it runs when c*(n + k^2) <= _GEMM_BREAK_EVEN * m and B fits one
+    ``rng.batches`` block: that bounds k, and the twin search is skipped
+    when not even k = 1 passes. Cycles always gather.
     """
     n = g.n
-    if (not isinstance(stat, MonoCycles) and n * n <= rng.BATCH_ENTRIES
-            and c * n * n <= _GEMM_BREAK_EVEN * g.m):
-        name, row_cost = "gemm", 4 * n  # colors, one indicator, its product and D
-        count = functools.partial(_gemm_counts, g.adjacency_matrix(np.float32), c, stat)
+    budget = max(0, _GEMM_BREAK_EVEN * g.m - c * n)  # what c*k^2 may cost
+    max_classes = min(math.isqrt(budget // c), math.isqrt(rng.BATCH_ENTRIES))
+    quotient = None
+    if not isinstance(stat, MonoCycles) and max_classes >= 1:
+        quotient = g.twin_quotient(np.float32, max_classes)
+    if quotient is not None:
+        name, row_cost = "gemm", 2 * (n + quotient[2].size)  # colors, indicator, histogram, degrees
+        count = functools.partial(_gemm_counts, quotient, c, stat)
     else:
         index = _gather_index(g, stat)
         name, row_cost = "gather", n + g.m + (index.size if isinstance(stat, MonoCycles) else 0)

@@ -15,6 +15,8 @@ Lines beginning with ``#`` are ignored.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -120,11 +122,53 @@ class Graph:
         return a
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (U, V) of shape (m,), for vectorized work."""
-        if self.m == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        arr = np.asarray(self.edges, dtype=np.int64)
+        """Endpoint arrays (U, V) of shape (m,), for vectorized work; built per call, never cached."""
+        arr = np.fromiter(itertools.chain.from_iterable(self.edges), np.int64, 2 * self.m)
+        arr = arr.reshape(self.m, 2)
         return arr[:, 0], arr[:, 1]
+
+    def twin_quotient(self, dtype=np.float64, max_classes: int | None = None):
+        """The graph as a blow-up of its twin classes; built per call, never cached.
+
+        Vertices with one open neighbourhood (false twins, pairwise
+        nonadjacent) form a class; of the vertices left alone, those with one
+        closed neighbourhood (true twins, a clique) form a class. No vertex
+        has twins of both kinds. Returns ``(labels, B, q)``: the class of each
+        vertex, classes numbered by their smallest vertex; the k x k 0/1
+        quotient B in ``dtype``, with B[i, j] = 1 when classes i and j are
+        joined and B[i, i] = 1 on a clique class; and the clique flags q, the
+        diagonal of B. Distinct u and v are adjacent iff B[labels[u],
+        labels[v]] = 1, and a twin-free graph has k = n, labels 0..n-1 and
+        B = A. None when there are more than ``max_classes`` classes, found
+        before B is built and, on sparse twin-free hosts, before the closed
+        neighbourhoods are.
+        """
+        first_open: dict[tuple[int, ...], int] = {}
+        root = np.array([first_open.setdefault(nbrs, v) for v, nbrs in enumerate(self._adj)],
+                        dtype=np.int64)
+        sizes = np.bincount(root, minlength=self.n)
+        alone = np.flatnonzero(sizes == 1)
+        if max_classes is not None:
+            # true twins of degree d form cliques of at most d + 1 vertices: a floor on k
+            alone_by_degree = np.bincount(np.fromiter(map(len, self._adj), np.int64, self.n)[alone])
+            cliques = -(-alone_by_degree // np.arange(1, alone_by_degree.size + 1))  # ceil(count / (d + 1))
+            if np.count_nonzero(sizes > 1) + cliques.sum() > max_classes:
+                return None
+        first_closed: dict[tuple[int, ...], int] = {}
+        for v in alone.tolist():
+            nbrs = self._adj[v]
+            i = bisect.bisect(nbrs, v)
+            root[v] = first_closed.setdefault(nbrs[:i] + (v,) + nbrs[i:], v)
+        reps, labels = np.unique(root, return_inverse=True)
+        k = reps.size
+        if max_classes is not None and k > max_classes:
+            return None
+        rep_nbrs = [self._adj[r] for r in reps.tolist()]
+        rows = np.repeat(np.arange(k), [len(nbrs) for nbrs in rep_nbrs])
+        cols = labels[np.fromiter(itertools.chain.from_iterable(rep_nbrs), np.int64, rows.size)]
+        quotient = np.zeros((k, k), dtype=dtype)
+        quotient[rows, cols] = 1
+        return labels, quotient, quotient.diagonal().copy()
 
     def component_count(self) -> int:
         return len(components(self.n, self.edges))

@@ -29,8 +29,12 @@ def validate_pmf(p: Mapping) -> None:
 
 
 def tv_distance(p: Mapping, q: Mapping) -> float:
-    """Total variation distance: half the L1 gap over the union support."""
-    support = set(p) | set(q)
+    """Total variation distance: half the L1 gap over the union support, summed in sorted order.
+
+    The order fixes the value: support points where both sides are 0 add
+    nothing, so it does not depend on how far either table runs.
+    """
+    support = sorted(set(p) | set(q))
     return 0.5 * sum(abs(float(p.get(x, 0)) - float(q.get(x, 0))) for x in support)
 
 

@@ -11,6 +11,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from colorgraph import rng
 from colorgraph.graph import Graph
@@ -83,6 +84,53 @@ def uniform_ints_reference(seed: int, c: int, *path) -> np.ndarray:
     w = rng.words(seed, *path)
     u = (w >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return np.minimum(np.floor(u * c).astype(np.int64), c - 1)
+
+
+def blow_up(blocks, clique, sizes) -> Graph:
+    """The blow-up with sizes[i] vertices in block i, numbered block by block.
+
+    Vertices of distinct blocks i and j are adjacent iff blocks[i][j] is 1;
+    the vertices of block i form a clique if clique[i] is 1, else an
+    independent set. Plain loops over vertex pairs.
+    """
+    owner = [i for i, size in enumerate(sizes) for _ in range(size)]
+    pairs = []
+    for u, v in itertools.combinations(range(len(owner)), 2):
+        i, j = owner[u], owner[v]
+        if (clique[i] if i == j else blocks[i][j]):
+            pairs.append((u, v))
+    return Graph(len(owner), pairs)
+
+
+@st.composite
+def blow_up_specs(draw):
+    """(blocks, clique, sizes) for ``blow_up``: 1-4 blocks of 1-5 vertices, clique and independent blocks mixed."""
+    k = draw(st.integers(1, 4))
+    blocks = [[0] * k for _ in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        blocks[i][j] = blocks[j][i] = draw(st.integers(0, 1))
+    clique = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    return blocks, clique, sizes
+
+
+def brute_twin_classes(g: Graph) -> set[frozenset[int]]:
+    """Classes of the relation N(u) - {v} = N(v) - {u}, by comparing every pair of vertices.
+
+    The relation joins false twins (equal open neighbourhoods) and true
+    twins (equal closed neighbourhoods); no vertex has twins of both kinds,
+    so it is an equivalence.
+    """
+    classes = []
+    for v in range(g.n):
+        for cls in classes:
+            u = next(iter(cls))
+            if g.neighbor_set(u) - {v} == g.neighbor_set(v) - {u}:
+                cls.add(v)
+                break
+        else:
+            classes.append({v})
+    return {frozenset(cls) for cls in classes}
 
 
 def brute_count_subgraph(g: Graph, h: Graph) -> int:

@@ -4,6 +4,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from colorgraph import limits, stats
 from colorgraph.cli import main
 
 
@@ -172,6 +173,24 @@ class TestSimulateExactCompare:
         p10 = math.exp(-5) * 5**10 / math.factorial(10)
         assert json.loads(res.output)["value"] == pytest.approx(1 - p10, abs=1e-12)
         assert json.loads(res.output)["value"] == pytest.approx(0.98187, abs=1e-5)
+
+    def test_compare_tv_table_stops_where_the_pmf_vanishes(self, runner, tmp_path, monkeypatch):
+        # one stray value far in the tail cost one law_pmf call per integer below it
+        emp = tmp_path / "emp.csv"
+        law_path = tmp_path / "law.json"
+        emp.write_text("value,count\n1,40\n2,30\n100000,1\n")
+        law = limits.PoissonMixture(limits.PoissonMixing(1.0))
+        law_path.write_text(json.dumps(limits.law_to_dict(law)))
+        full = {float(k): limits.law_pmf(law, k) for k in range(100000 + 80)}
+        pmf = {1.0: 40 / 71, 2.0: 30 / 71, 100000.0: 1 / 71}
+        expect = stats.tv_distance(pmf, full) + 0.5 * max(0.0, 1.0 - sum(full.values()))
+        real, calls = limits.law_pmf, []
+        monkeypatch.setattr(limits, "law_pmf", lambda law, k: calls.append(k) or real(law, k))
+        res = runner.invoke(main, ["compare", "--empirical", str(emp), "--law", str(law_path),
+                                   "--metric", "tv", "--tol", "0.9"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["value"] == expect
+        assert len(calls) < 400
 
     def test_compare_tv_mixing_mean_underflow_exit_code(self, runner, tmp_path):
         emp = tmp_path / "emp.csv"

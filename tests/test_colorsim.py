@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    blow_up,
+    blow_up_specs,
     complete_graph_mono_edge_pmf,
     complete_two_color_lattice_law,
     gadget_mono_cycle_pmf,
@@ -220,6 +222,25 @@ class TestSimulate:
         assert _kernel_for(generate(Path(200)), 2, MonoEdges()).name == "gather"
         assert simulate(generate(Complete(40)), 2, MonoEdges(), 10, 1).kernel == "gemm"
         assert simulate(generate(Cycle(5)), 2, MonoCycles(5), 10, 1).kernel == "gather"
+        # the twin quotient has 2 classes, so c*(n + k^2) is small where c*n^2 was not
+        assert _kernel_for(generate(Star(300)), 2, MonoStars(2)).name == "gemm"
+        assert _kernel_for(generate(CompleteBipartite(100, 100)), 3, MonoEdges()).name == "gemm"
+
+    def test_gemm_gate_is_on_the_quotient_size(self, monkeypatch):
+        # n^2 = 3,600 entries exceed the budget, k^2 = 1 does not
+        monkeypatch.setattr(rng, "BATCH_ENTRIES", 1000)
+        g, stat = generate(Complete(60)), MonoEdges()
+        run = simulate(g, 2, stat, 200, 5)
+        assert run.kernel == "gemm"
+        colors = rng.uniform_ints(5, 2, rng.STREAM_COLORS, np.arange(200)[None, :], np.arange(60)[:, None])
+        assert np.array_equal(run.counts, _gather_counts(_gather_index(g, stat), stat, colors))
+
+    def test_no_twin_search_when_even_one_class_is_too_costly(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("twin_quotient called")
+        monkeypatch.setattr(Graph, "twin_quotient", refuse)
+        # c*(n + 1) = 107,970 > 40*m = 70,800
+        assert _kernel_for(generate(Complete(60)), 1770, MonoEdges()).name == "gather"
 
     def test_one_cycle_list_per_call(self, monkeypatch):
         real, calls = census.cycle_list, []
@@ -278,14 +299,18 @@ def kernel_test_colorings(n: int, c: int, seed: int) -> np.ndarray:
 
 
 def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray) -> None:
+    """Both kernels against the loop oracle; the GEMM on the twin quotient and on the
+    quotient of singletons (labels 0..n-1, B = A), which any graph also is."""
     rows = colors.T.astype(np.int64).tolist()
+    singletons = (np.arange(g.n), g.adjacency_matrix(np.float32), np.zeros(g.n, dtype=np.float32))
     for kind, order, stat in KERNEL_STATS:
         expected = np.array(loop_mono_counts(g, rows, kind, order), dtype=np.int64)
         gathered = _gather_counts(_gather_index(g, stat), stat, colors)
         assert np.array_equal(gathered, expected), (kind, order, c)
         if kind != "cycles":
-            gemm = _gemm_counts(g.adjacency_matrix(np.float32), c, stat, colors)
-            assert np.array_equal(gemm, expected), (kind, order, c)
+            for quotient in (g.twin_quotient(np.float32), singletons):
+                gemm = _gemm_counts(quotient, c, stat, colors)
+                assert np.array_equal(gemm, expected), (kind, order, c, quotient[2].size)
 
 
 class TestKernelsAgainstLoops:
@@ -305,10 +330,16 @@ class TestKernelsAgainstLoops:
         g = Graph(n, sorted(edges))
         assert_kernels_match_loops(g, c, kernel_test_colorings(n, c, seed))
 
+    @settings(max_examples=60, deadline=None)
+    @given(blow_up_specs(), st.sampled_from(KERNEL_COLORS), st.integers(0, 2**32 - 1))
+    def test_hypothesis_blow_ups(self, spec, c, seed):
+        g = blow_up(*spec)
+        assert_kernels_match_loops(g, c, kernel_test_colorings(g.n, c, seed))
+
     def test_gemm_rejects_cycles(self):
         g = generate(Complete(4))
         with pytest.raises(TypeError):
-            _gemm_counts(g.adjacency_matrix(np.float32), 2, MonoCycles(3), np.zeros((4, 1), dtype=np.uint8))
+            _gemm_counts(g.twin_quotient(np.float32), 2, MonoCycles(3), np.zeros((4, 1), dtype=np.uint8))
 
 
 class TestMomentsAgainstOracle:
@@ -342,9 +373,28 @@ FROZEN_DIGESTS = [
 ]
 
 
+# the same digests on twin hosts, recorded before the GEMM ran on the twin quotient
+FROZEN_DIGESTS += [
+    ("complete:200", 2, MonoEdges(), "gemm", "23864ad62dc87c092627bca5ea933d4f817858b6a82cdd5abc3f5bd8ec234c48"),
+    ("bipartite:100:100", 3, MonoEdges(), "gemm", "ba74367a61b32861249bcbfe00bd66010f964495f277d2bf2541e9b98f717cfa"),
+    ("bipartite:100:100", 3, MonoStars(2), "gemm", "2c5721a30a73a2c06437bdf80c8ac66c0051b0c43abfdd5312fd69f85bafdf1f"),
+    ("star:300", 2, MonoStars(2), "gemm", "e53f5738a205986958380e81ecfc0566d8b15dab2a71ce7ef0778817b7216470"),
+]
+
+
 @pytest.mark.parametrize("spec,c,stat,kernel,digest", FROZEN_DIGESTS)
 def test_frozen_simulate_digest(spec, c, stat, kernel, digest):
     run = simulate(generate(parse_family(spec)), c, stat, 3000, 11)
     assert run.kernel == kernel
     assert run.counts.dtype == np.int64
     assert hashlib.sha256(run.counts.tobytes()).hexdigest() == digest
+
+
+def test_frozen_exact_law_on_a_twin_host():
+    # exact_distribution(complete:8, 3), recorded before the GEMM ran on the twin quotient
+    assert exact_distribution(generate(Complete(8)), 3, MonoEdges()) == {
+        7: Fraction(560, 2187), 8: Fraction(140, 729), 9: Fraction(560, 2187),
+        11: Fraction(112, 729), 12: Fraction(70, 2187), 13: Fraction(112, 2187),
+        15: Fraction(56, 2187), 16: Fraction(56, 2187), 21: Fraction(16, 2187),
+        28: Fraction(1, 2187),
+    }

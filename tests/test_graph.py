@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import blow_up, blow_up_specs, brute_twin_classes
 
 from colorgraph import census, colorsim, limits, moments
+from colorgraph import graph as graph_module
 from colorgraph.errors import (
     DuplicateEdgeError,
     GenerationTimeoutError,
@@ -57,6 +61,100 @@ class TestConstruction:
         g = Graph(4, [(2, 0), (3, 1), (0, 1)])
         assert g.adjacency == ((1, 2), (0, 3), (0,), (1,))
         assert g.degrees == (2, 2, 1, 1)
+
+    def test_edge_arrays_match_the_tuple_construction(self, catalog):
+        for name, g in catalog + [("empty", Graph(0, [])), ("edgeless", Graph(3, []))]:
+            u, v = g.edge_arrays()
+            old = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+            assert u.dtype == v.dtype == np.int64, name
+            assert u.shape == v.shape == (g.m,), name
+            assert np.array_equal(u, old[:, 0]) and np.array_equal(v, old[:, 1]), name
+
+
+# -- twin quotient -------------------------------------------------------------------
+
+
+def assert_twin_quotient_rebuilds(g: Graph) -> tuple:
+    """twin_quotient(g) rebuilds g exactly and its classes are the brute-force twin classes."""
+    labels, blocks, clique = g.twin_quotient()
+    k = clique.size
+    assert labels.shape == (g.n,) and blocks.shape == (k, k)
+    assert np.array_equal(blocks, blocks.T) and set(np.unique(blocks)) <= {0.0, 1.0}
+    assert np.array_equal(clique, np.diagonal(blocks))
+    firsts = [labels.tolist().index(i) for i in range(k)]
+    assert firsts == sorted(firsts)  # classes are numbered by their smallest vertex
+    rebuilt = Graph(g.n, [(u, v) for u, v in itertools.combinations(range(g.n), 2)
+                          if blocks[labels[u], labels[v]]])
+    assert rebuilt == g
+    classes = {frozenset(np.flatnonzero(labels == i).tolist()) for i in range(k)}
+    assert classes == brute_twin_classes(g)
+    assert np.array_equal(g.twin_quotient(max_classes=k)[0], labels)
+    assert g.twin_quotient(max_classes=k - 1) is None
+    return labels, blocks, clique
+
+
+class TestTwinQuotient:
+    def test_catalog(self, catalog):
+        for name, g in catalog:
+            assert_twin_quotient_rebuilds(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_hypothesis_graphs(self, data):
+        n = data.draw(st.integers(0, 9))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        assert_twin_quotient_rebuilds(Graph(n, edges))
+
+    @settings(max_examples=80, deadline=None)
+    @given(blow_up_specs())
+    def test_hypothesis_blow_ups(self, spec):
+        *_, clique = assert_twin_quotient_rebuilds(blow_up(*spec))
+        assert clique.size <= len(spec[2])  # each block lies inside one twin class
+
+    @pytest.mark.parametrize("spec,classes,cliques", [
+        (Complete(2), [[0, 1]], [1]),
+        (Complete(7), [list(range(7))], [1]),
+        (CompleteBipartite(2, 3), [[0, 1], [2, 3, 4]], [0, 0]),
+        (CompleteBipartite(4, 4), [[0, 1, 2, 3], [4, 5, 6, 7]], [0, 0]),
+        (CompleteBipartite(1, 1), [[0, 1]], [1]),
+        (Star(5), [[0], [1, 2, 3, 4, 5]], [0, 0]),
+        (Cycle(4), [[0, 2], [1, 3]], [0, 0]),
+        (Path(2), [[0, 2], [1]], [0, 0]),
+        (Cycle(5), [[0], [1], [2], [3], [4]], [0, 0, 0, 0, 0]),
+    ])
+    def test_named_hosts(self, spec, classes, cliques):
+        labels, blocks, clique = generate(spec).twin_quotient()
+        assert [np.flatnonzero(labels == i).tolist() for i in range(clique.size)] == classes
+        assert clique.tolist() == cliques
+
+    def test_twin_free_host_is_its_own_quotient(self):
+        g = generate(ErdosRenyi(40, 0.5, 3))
+        labels, blocks, clique = g.twin_quotient(np.float32)
+        assert labels.tolist() == list(range(g.n))
+        assert blocks.dtype == np.float32
+        assert np.array_equal(blocks, g.adjacency_matrix(np.float32))
+        assert not clique.any()
+
+    def test_max_classes(self, monkeypatch):
+        g = generate(CompleteBipartite(3, 4))
+        assert g.twin_quotient(max_classes=1) is None
+        assert g.twin_quotient(max_classes=2)[2].size == 2
+        # three disjoint edges: six open singletons of degree 1 need at least 3 classes, and get 3
+        matching = Graph(6, [(0, 1), (2, 3), (4, 5)])
+        assert matching.twin_quotient(max_classes=2) is None
+        assert matching.twin_quotient(max_classes=3)[0].tolist() == [0, 0, 1, 1, 2, 2]
+        # a twin-free cubic host: the floor of 2000 / 4 classes is over the limit, so no
+        # closed neighbourhood is built
+        cubic = generate(RandomRegular(2000, 3, 5))
+        monkeypatch.setattr(graph_module.bisect, "bisect", None)
+        assert cubic.twin_quotient(max_classes=499) is None
+
+    def test_edgeless_and_empty(self):
+        labels, blocks, clique = Graph(3, []).twin_quotient()
+        assert labels.tolist() == [0, 0, 0] and blocks.tolist() == [[0.0]]
+        labels, blocks, clique = Graph(0, []).twin_quotient()
+        assert labels.size == 0 and blocks.shape == (0, 0) and clique.size == 0
 
 
 class TestSerialization:
