@@ -325,6 +325,8 @@ def limit_cmd(graph_source, colors, growing_ratio, sample, seed):
     """Select the limit law for a host and regime; print it or sample it."""
     if (colors is None) == (growing_ratio is None):
         raise click.UsageError("pass exactly one of --colors (fixed) or --growing-ratio")
+    if growing_ratio is not None and graph_source is not None:
+        raise click.UsageError("--growing-ratio is the limit of m/c itself and takes no --graph")
     if growing_ratio is not None:
         law = limits.limit_for(None, limits.Growing(growing_ratio))
     else:

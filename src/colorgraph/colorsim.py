@@ -11,16 +11,20 @@ one coloring, in the narrowest unsigned dtype holding c - 1. That is the
 layout and dtype ``rng.uniform_ints`` draws in, tile by tile, so no int64
 matrix is built and none is transposed.
 
-Both count with one of two kernels, built once per call by ``_kernel_for``: a one-hot
-float32 GEMM on the twin quotient of the host, or a gather that compares
-colors along edges, cycles or neighbour lists, one contiguous row per
-vertex looked up. The GEMM reads the host as a blow-up of its k twin
-classes (``Graph.twin_quotient``): with h_a the per-class count of color
-a and B the k x k quotient, N = 1/2 sum_a h_a' (B h_a - q), which is
+Both count with one of three kernels, the cheapest per sample, built once
+per call by ``_kernel_for``: a one-hot float32 GEMM on the twin quotient
+of the host, a sort of each coloring's (color, class) keys on the same
+quotient, or a gather that compares colors along edges, cycles or
+neighbour lists, one contiguous row per vertex looked up. The quotient
+kernels read the host as a blow-up of its k twin classes
+(``Graph.twin_quotient``): with h_a the per-class count of color a and B
+the k x k quotient, N = 1/2 sum_a h_a' (B h_a - q), which is
 1/2 sum_a x_a' A x_a. So the complete host counts from its color-class
 sizes, and a twin-free host (k = n, B = A) runs the plain adjacency GEMM.
-The kernels return identical counts. Both loop over the sample or coloring
-blocks of ``rng.batches``, sized by the kernel's ``row_cost``.
+The GEMM makes one pass per color; the sort reads h_a off the colors
+present only, so it serves the birthday regime (c > n). The kernels
+return identical counts. All loop over the sample or coloring blocks of
+``rng.batches``, sized by the kernel's ``row_cost``.
 """
 from __future__ import annotations
 
@@ -50,7 +54,10 @@ __all__ = [
 ]
 
 EXACT_ENUMERATION_GATE = 10**7
-_GEMM_BREAK_EVEN = 40  # GEMM when c*(n + k^2) <= this * m: the measured break-even against the gather
+# per-sample kernel costs in GEMM steps (c*(n + k^2) per sample), from measured break-evens
+_GATHER_STEP = 40  # one gather compare; m per sample
+_SORT_STEP = 16  # one step of the sorted kernel; n*(ceil(log2 n) + k) per sample
+_INT64_KEYS = 2**63  # the sorted kernel's keys c*k must stay below this
 
 
 @dataclass(frozen=True)
@@ -202,35 +209,95 @@ def _gather_counts(index, stat: Statistic, by_vertex: np.ndarray) -> np.ndarray:
     return np.count_nonzero(mono, axis=0).astype(np.int64)
 
 
+def _sorted_counts(quotient, c: int, stat: Statistic, colors: np.ndarray) -> np.ndarray:
+    """Edges or stars per column from each column's sorted (color, class) keys.
+
+    ``quotient`` is ``Graph.twin_quotient``'s (labels, B, q). Sorting the
+    keys color * k + label down each column puts the vertices of one color
+    next to each other, classes in order, so the class sizes h_a of each
+    color present are read off the runs of equal colors. A vertex of class j
+    and color a has d = (B h_a)_j - q_j neighbours of its color, the identity
+    ``_gemm_counts`` uses, and edges = 1/2 sum d, r-stars = sum C(d, r). A
+    vertex alone in its color has d = 0, so only runs of two or more vertices
+    are read: about m / c pairs per column on K_n. The keys take the
+    narrowest dtype holding c * k - 1, which ``_kernel_for`` keeps in int64.
+    """
+    if isinstance(stat, MonoCycles):
+        raise TypeError("the sorted kernel counts edges and stars only")
+    labels, blocks, clique = quotient
+    n, batch = colors.shape
+    k = clique.size
+    total = np.zeros(batch, dtype=np.int64)
+    if n < 2:
+        return total
+    keys = colors.astype(rng._narrow_dtype(c * k - 1))
+    keys *= k
+    keys += labels.astype(keys.dtype)[:, None]
+    keys.sort(axis=0)
+    color = keys // k
+    # links: sorted positions p and p + 1 of a column share a color; flat index column * (n - 1) + p
+    link = np.flatnonzero((color[1:] == color[:-1]).T)
+    column, pos = np.divmod(link, n - 1)
+    opens = np.ones(link.size, dtype=bool)  # the link opens a run: it does not extend the one before
+    opens[1:] = (link[1:] != link[:-1] + 1) | (pos[1:] == 0)
+    run = np.cumsum(opens) - 1
+    heads = np.flatnonzero(opens)
+    # the vertices of the runs: each run's first, then the second of every link
+    member_run = np.concatenate((np.arange(heads.size), run))
+    member_col = np.concatenate((column[heads], column))
+    member_label = keys[np.concatenate((pos[heads], pos + 1)), member_col] % k
+    hist = np.bincount(member_run * k + member_label, minlength=heads.size * k).reshape(-1, k)
+    blocks = blocks.astype(np.int64)
+    deg = _column_dots(hist[member_run].T, blocks[member_label].T) - clique.astype(np.int64)[member_label]
+    np.add.at(total, member_col, deg if isinstance(stat, MonoEdges) else _comb_array(deg, stat.r))
+    return total // 2 if isinstance(stat, MonoEdges) else total
+
+
 class _Kernel(NamedTuple):
     """The counting kernel for one (g, c, stat), built once per call."""
 
-    name: str  # "gemm" or "gather"
+    name: str  # "gemm", "sorted" or "gather"
     count: Callable[[np.ndarray], np.ndarray]  # (n, batch) color matrix -> statistic per column
     row_cost: int  # matrix entries per sample, for ``rng.batches``
 
 
 def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
-    """The counting kernel for (g, c, stat), with the quotient or index it counts over.
+    """The cheapest counting kernel for (g, c, stat), with the quotient or index it counts over.
 
-    The GEMM on the twin quotient does about c*(n + k^2) work per sample
-    (indicators and histograms, then B h_a) against the gather's m compares,
-    so it runs when c*(n + k^2) <= _GEMM_BREAK_EVEN * m and B fits one
-    ``rng.batches`` block: that bounds k, and the twin search is skipped
-    when not even k = 1 passes. Cycles always gather.
+    Per sample, the gather makes m compares; the GEMM on k twin classes
+    does about c*(n + k^2) work (indicators and histograms, then B h_a);
+    the sorted kernel about n*(ceil(log2 n) + k) (the sort, then class
+    mono-degrees). Weighted by their measured costs, the cheapest runs, a
+    tie going to the GEMM, then the sort. The GEMM needs B to fit one
+    ``rng.batches`` block and the sort needs its keys c*k to fit int64.
+    Those bounds and the gather's cost bound k, and the twin search is
+    skipped when not even k = 1 could beat the gather. Cycles always gather.
     """
-    n = g.n
-    budget = max(0, _GEMM_BREAK_EVEN * g.m - c * n)  # what c*k^2 may cost
-    max_classes = min(math.isqrt(budget // c), math.isqrt(rng.BATCH_ENTRIES))
+    n, depth = g.n, (g.n - 1).bit_length()  # depth = ceil(log2 n)
+    gather = _GATHER_STEP * g.m
+    gemm_classes = min(math.isqrt(max(0, gather - c * n) // c), math.isqrt(rng.BATCH_ENTRIES))
+    sort_classes = min(gather // (_SORT_STEP * max(n, 1)) - depth, _INT64_KEYS // c)
+    max_classes = max(gemm_classes, sort_classes)
     quotient = None
     if not isinstance(stat, MonoCycles) and max_classes >= 1:
         quotient = g.twin_quotient(np.float32, max_classes)
+    costs = {"gather": gather}
     if quotient is not None:
-        name, row_cost = "gemm", 2 * (n + quotient[2].size)  # colors, indicator, histogram, degrees
+        k = quotient[2].size
+        if k <= gemm_classes:
+            costs["gemm"] = c * (n + k * k)
+        if k <= sort_classes:
+            costs["sorted"] = _SORT_STEP * n * (depth + k)
+    name = min(("gemm", "sorted", "gather"), key=lambda kind: costs.get(kind, math.inf))
+    if name == "gemm":
+        row_cost = 2 * (n + k)  # colors, indicator, histogram, degrees
         count = functools.partial(_gemm_counts, quotient, c, stat)
+    elif name == "sorted":
+        row_cost = n * (15 + 3 * k)  # colors, keys and masks, link and vertex arrays, class histograms
+        count = functools.partial(_sorted_counts, quotient, c, stat)
     else:
         index = _gather_index(g, stat)
-        name, row_cost = "gather", n + g.m + (index.size if isinstance(stat, MonoCycles) else 0)
+        row_cost = n + g.m + (index.size if isinstance(stat, MonoCycles) else 0)
         count = functools.partial(_gather_counts, index, stat)
     return _Kernel(name, count, row_cost)
 
@@ -254,7 +321,7 @@ class SimulationRun:
     stat: Statistic
     sample_count: int
     counts: np.ndarray
-    kernel: str  # counting kernel that ran: "gemm" or "gather"
+    kernel: str  # counting kernel that ran: "gemm", "sorted" or "gather"
 
     def counts_by_value(self) -> dict[int, int]:
         values, freq = np.unique(self.counts, return_counts=True)

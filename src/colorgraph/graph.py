@@ -15,7 +15,6 @@ Lines beginning with ``#`` are ignored.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import numbers
 from collections import namedtuple
@@ -63,7 +62,7 @@ __all__ = [
 class Graph:
     """Immutable simple undirected graph on vertices ``0 .. n-1``."""
 
-    __slots__ = ("n", "edges", "_adj", "_nbr_sets")
+    __slots__ = ("n", "edges", "_adj", "_nbr_sets", "_nbrs", "_offsets")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -90,6 +89,11 @@ class Graph:
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._nbr_sets = None
+        # the same lists as numpy: vertex v's neighbours are _nbrs[_offsets[v]:_offsets[v + 1]]
+        self._nbrs = np.fromiter(itertools.chain.from_iterable(self._adj), np.int64, 2 * self.m)
+        self._offsets = np.concatenate(([0], np.cumsum(np.fromiter(map(len, self._adj), np.int64, n))))
+        self._nbrs.setflags(write=False)
+        self._offsets.setflags(write=False)
 
     # -- basic accessors ------------------------------------------------
 
@@ -123,9 +127,13 @@ class Graph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays (U, V) of shape (m,), for vectorized work; built per call, never cached."""
-        arr = np.fromiter(itertools.chain.from_iterable(self.edges), np.int64, 2 * self.m)
-        arr = arr.reshape(self.m, 2)
-        return arr[:, 0], arr[:, 1]
+        owner = self._owners()
+        keep = owner < self._nbrs
+        return owner[keep], self._nbrs[keep]
+
+    def _owners(self) -> np.ndarray:
+        """The vertex whose neighbour list holds each entry of ``_nbrs``."""
+        return np.repeat(np.arange(self.n), np.diff(self._offsets))
 
     def twin_quotient(self, dtype=np.float64, max_classes: int | None = None):
         """The graph as a blow-up of its twin classes; built per call, never cached.
@@ -141,34 +149,54 @@ class Graph:
         labels[v]] = 1, and a twin-free graph has k = n, labels 0..n-1 and
         B = A. None when there are more than ``max_classes`` classes, found
         before B is built and, on sparse twin-free hosts, before the closed
-        neighbourhoods are.
+        neighbourhoods are grouped.
+
+        Lists are grouped in numpy by a hash, the sum of their vertices' hash
+        words mod 2^64 (plus the vertex's own word for a closed list), and
+        each grouping is then checked exactly: the open one entry by entry,
+        the closed one by the blow-up reproducing every edge. On a collision
+        the next salt's words hash again, so the result never depends on luck.
         """
-        first_open: dict[tuple[int, ...], int] = {}
-        root = np.array([first_open.setdefault(nbrs, v) for v, nbrs in enumerate(self._adj)],
-                        dtype=np.int64)
-        sizes = np.bincount(root, minlength=self.n)
-        alone = np.flatnonzero(sizes == 1)
-        if max_classes is not None:
-            # true twins of degree d form cliques of at most d + 1 vertices: a floor on k
-            alone_by_degree = np.bincount(np.fromiter(map(len, self._adj), np.int64, self.n)[alone])
-            cliques = -(-alone_by_degree // np.arange(1, alone_by_degree.size + 1))  # ceil(count / (d + 1))
-            if np.count_nonzero(sizes > 1) + cliques.sum() > max_classes:
+        offsets, nbrs, owner = self._offsets, self._nbrs, self._owners()
+        degree, vertices = np.diff(offsets), np.arange(self.n)
+        for salt in itertools.count():  # a fresh hash after two distinct lists collide
+            # a neighbourhood's hash: the sum of its vertices' hash words, mod 2^64
+            weight = rng.words(salt, vertices)
+            open_hash = np.add.reduceat(np.append(weight[nbrs], np.uint64(0)), offsets[:-1])
+            open_hash[degree == 0] = 0  # reduceat reads an empty list as its next entry
+            root = _first_equal(open_hash)
+            # exact: a vertex that joins an earlier one has its list, entry by entry
+            moved = (root != vertices)[owner]
+            shift = (offsets[root] - offsets[:-1])[owner[moved]]
+            if not (np.array_equal(degree[root], degree)
+                    and np.array_equal(nbrs[moved], nbrs[np.flatnonzero(moved) + shift])):
+                continue
+            sizes = np.bincount(root, minlength=self.n)
+            alone = np.flatnonzero(sizes == 1)
+            if max_classes is not None:
+                # true twins of degree d form cliques of at most d + 1 vertices: a floor on k
+                alone_by_degree = np.bincount(degree[alone])
+                cliques = -(-alone_by_degree // np.arange(1, alone_by_degree.size + 1))  # ceil(count / (d + 1))
+                if np.count_nonzero(sizes > 1) + cliques.sum() > max_classes:
+                    return None
+            closed = alone[_first_equal(open_hash[alone] + weight[alone])]  # by the closed hash
+            root[alone] = closed
+            reps, labels = np.unique(root, return_inverse=True)
+            k = reps.size
+            if max_classes is not None and k > max_classes:  # a collision only merges classes
                 return None
-        first_closed: dict[tuple[int, ...], int] = {}
-        for v in alone.tolist():
-            nbrs = self._adj[v]
-            i = bisect.bisect(nbrs, v)
-            root[v] = first_closed.setdefault(nbrs[:i] + (v,) + nbrs[i:], v)
-        reps, labels = np.unique(root, return_inverse=True)
-        k = reps.size
-        if max_classes is not None and k > max_classes:
-            return None
-        rep_nbrs = [self._adj[r] for r in reps.tolist()]
-        rows = np.repeat(np.arange(k), [len(nbrs) for nbrs in rep_nbrs])
-        cols = labels[np.fromiter(itertools.chain.from_iterable(rep_nbrs), np.int64, rows.size)]
-        quotient = np.zeros((k, k), dtype=dtype)
-        quotient[rows, cols] = 1
-        return labels, quotient, quotient.diagonal().copy()
+            rows = np.repeat(labels, degree)  # the class of each entry's owner
+            lead = (root == vertices)[owner]  # the entries of the representatives' lists
+            quotient = np.zeros((k, k), dtype=dtype)
+            quotient[rows[lead], labels[nbrs[lead]]] = 1
+            clique = quotient.diagonal().copy()
+            if np.array_equal(closed, alone):
+                return labels, quotient, clique
+            # exact: the blow-up holds every edge and, having m edges too, is the graph
+            class_sizes = np.bincount(labels, minlength=k)
+            if (quotient[rows, labels[nbrs]].all()
+                    and class_sizes @ (quotient != 0) @ class_sizes - class_sizes @ (clique != 0) == 2 * self.m):
+                return labels, quotient, clique
 
     def component_count(self) -> int:
         return len(components(self.n, self.edges))
@@ -186,6 +214,12 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _first_equal(keys: np.ndarray) -> np.ndarray:
+    """For each position, the first position holding an equal key."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse]
 
 
 def components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:

@@ -5,6 +5,7 @@ occupancy sums) and shares no machinery with the library paths it checks.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter, defaultdict
@@ -131,6 +132,42 @@ def brute_twin_classes(g: Graph) -> set[frozenset[int]]:
         else:
             classes.append({v})
     return {frozenset(cls) for cls in classes}
+
+
+def tuple_twin_quotient(g: Graph, dtype=np.float64, max_classes: int | None = None):
+    """``Graph.twin_quotient`` as it was written on neighbourhood tuples: the oracle its
+    numpy grouping must equal byte for byte.
+
+    Vertices with one open neighbourhood tuple form a class, keyed by a dict;
+    of the vertices left alone, those with one closed neighbourhood tuple
+    (built per vertex) form a class. The degree floor on k and both None
+    returns are as in the library.
+    """
+    adj = g.adjacency
+    first_open: dict[tuple[int, ...], int] = {}
+    root = np.array([first_open.setdefault(nbrs, v) for v, nbrs in enumerate(adj)], dtype=np.int64)
+    sizes = np.bincount(root, minlength=g.n)
+    alone = np.flatnonzero(sizes == 1)
+    if max_classes is not None:
+        alone_by_degree = np.bincount(np.fromiter(map(len, adj), np.int64, g.n)[alone])
+        cliques = -(-alone_by_degree // np.arange(1, alone_by_degree.size + 1))
+        if np.count_nonzero(sizes > 1) + cliques.sum() > max_classes:
+            return None
+    first_closed: dict[tuple[int, ...], int] = {}
+    for v in alone.tolist():
+        nbrs = adj[v]
+        i = bisect.bisect(nbrs, v)
+        root[v] = first_closed.setdefault(nbrs[:i] + (v,) + nbrs[i:], v)
+    reps, labels = np.unique(root, return_inverse=True)
+    k = reps.size
+    if max_classes is not None and k > max_classes:
+        return None
+    rep_nbrs = [adj[r] for r in reps.tolist()]
+    rows = np.repeat(np.arange(k), [len(nbrs) for nbrs in rep_nbrs])
+    cols = labels[np.fromiter(itertools.chain.from_iterable(rep_nbrs), np.int64, rows.size)]
+    quotient = np.zeros((k, k), dtype=dtype)
+    quotient[rows, cols] = 1
+    return labels, quotient, quotient.diagonal().copy()
 
 
 def brute_count_subgraph(g: Graph, h: Graph) -> int:

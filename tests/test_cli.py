@@ -119,7 +119,8 @@ class TestSimulateExactCompare:
 
     @pytest.mark.parametrize("graph,colors,kernel", [
         ("complete:40", "2", "gemm"),
-        ("complete:60", "1770", "gather"),
+        ("complete:60", "1770", "sorted"),
+        ("cycle:200", "300", "gather"),
     ])
     def test_manifest_records_kernel(self, runner, tmp_path, graph, colors, kernel):
         out = tmp_path / "sim.csv"
@@ -330,6 +331,7 @@ class TestBirthday:
         (["simulate", "--graph", "complete:3", "--colors", "2", "--samples", "10", "--seed", "1",
           "--workers", "0"], 2),
         (["limit", "--growing-ratio", "nan"], 2),
+        (["limit", "--graph", "star:5", "--growing-ratio", "2.0"], 2),
         (COMPARE_KS + ["--scale", "0"], 2),
         (COMPARE_KS + ["--scale", "-1"], 2),
         (COMPARE_KS + ["--scale", "nan"], 2),
@@ -342,7 +344,8 @@ class TestBirthday:
         (["generate", "--family", "gw:nan,1.0:3:1"], 2),
     ], ids=["zero-days", "days-power-overflow", "negative-people", "negative-edges", "nan-edges",
             "zero-days-power", "inf-edges", "inf-days-power", "zero-base-negative-power",
-            "edgeless-family", "zero-workers", "nan-growing-ratio", "zero-scale", "negative-scale",
+            "edgeless-family", "zero-workers", "nan-growing-ratio", "graph-with-growing-ratio",
+            "zero-scale", "negative-scale",
             "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol", "inf-poisson-mean",
             "fractional-dof", "nan-offspring"])
     def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):

@@ -26,6 +26,7 @@ from colorgraph.colorsim import (
     _gather_index,
     _gemm_counts,
     _kernel_for,
+    _sorted_counts,
     exact_distribution,
     mono_count,
     simulate,
@@ -218,13 +219,26 @@ class TestSimulate:
         assert _kernel_for(k200, 2, MonoEdges()).name == "gemm"
         assert _kernel_for(k200, 2, MonoStars(2)).name == "gemm"
         assert _kernel_for(generate(Complete(6)), 2, MonoCycles(3)).name == "gather"
-        assert _kernel_for(generate(Complete(60)), 1770, MonoEdges()).name == "gather"
         assert _kernel_for(generate(Path(200)), 2, MonoEdges()).name == "gather"
         assert simulate(generate(Complete(40)), 2, MonoEdges(), 10, 1).kernel == "gemm"
         assert simulate(generate(Cycle(5)), 2, MonoCycles(5), 10, 1).kernel == "gather"
         # the twin quotient has 2 classes, so c*(n + k^2) is small where c*n^2 was not
         assert _kernel_for(generate(Star(300)), 2, MonoStars(2)).name == "gemm"
         assert _kernel_for(generate(CompleteBipartite(100, 100)), 3, MonoEdges()).name == "gemm"
+
+    @pytest.mark.parametrize("spec,c,stat,kernel", [
+        # the birthday regime: sorting 60 colors beats 1,770 compares and c passes of a GEMM
+        ("complete:60", 300, MonoEdges(), "sorted"),
+        ("complete:60", 1770, MonoEdges(), "sorted"),
+        # dense-chisq's hosts: few colors, so the GEMM's c passes are cheapest
+        ("complete:200", 2, MonoEdges(), "gemm"),
+        ("bipartite:100:100", 3, MonoEdges(), "gemm"),
+        # twin-free hosts: k = n makes both quotient kernels dearer than the m compares
+        ("regular:2000:3:5", 2, MonoEdges(), "gather"),
+        ("er:300:0.1:7", 10, MonoStars(2), "gather"),
+    ])
+    def test_kernel_chooser_grid(self, spec, c, stat, kernel):
+        assert _kernel_for(generate(parse_family(spec)), c, stat).name == kernel
 
     def test_gemm_gate_is_on_the_quotient_size(self, monkeypatch):
         # n^2 = 3,600 entries exceed the budget, k^2 = 1 does not
@@ -239,8 +253,8 @@ class TestSimulate:
         def refuse(self, *args, **kwargs):
             raise AssertionError("twin_quotient called")
         monkeypatch.setattr(Graph, "twin_quotient", refuse)
-        # c*(n + 1) = 107,970 > 40*m = 70,800
-        assert _kernel_for(generate(Complete(60)), 1770, MonoEdges()).name == "gather"
+        # 40*m = 8,000 is below both c*(n + 1) = 60,300 and 16*n*(ceil(log2 n) + 1) = 28,800
+        assert _kernel_for(generate(Cycle(200)), 300, MonoEdges()).name == "gather"
 
     def test_one_cycle_list_per_call(self, monkeypatch):
         real, calls = census.cycle_list, []
@@ -256,9 +270,10 @@ class TestSimulate:
         assert exact_distribution(empty, 2, MonoEdges()) == {0: Fraction(1)}
         assert simulate(empty, 2, MonoEdges(), 5, 1).counts.tolist() == [0] * 5
 
-    def test_worker_invariant_on_both_kernels(self):
-        g = generate(CompleteBipartite(4, 5))
-        for c, kernel in ((3, "gemm"), (300, "gather")):
+    def test_worker_invariant_on_every_kernel(self):
+        for spec, c, kernel in ((CompleteBipartite(4, 5), 3, "gemm"), (CompleteBipartite(4, 5), 300, "gather"),
+                                (Complete(20), 1770, "sorted")):
+            g = generate(spec)
             for stat in (MonoEdges(), MonoStars(2)):
                 one, four = (simulate(g, c, stat, 3000, 17, workers=w) for w in (1, 4))
                 assert one.kernel == four.kernel == kernel
@@ -299,8 +314,8 @@ def kernel_test_colorings(n: int, c: int, seed: int) -> np.ndarray:
 
 
 def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray) -> None:
-    """Both kernels against the loop oracle; the GEMM on the twin quotient and on the
-    quotient of singletons (labels 0..n-1, B = A), which any graph also is."""
+    """Every kernel against the loop oracle; the GEMM and the sort on the twin quotient and
+    on the quotient of singletons (labels 0..n-1, B = A), which any graph also is."""
     rows = colors.T.astype(np.int64).tolist()
     singletons = (np.arange(g.n), g.adjacency_matrix(np.float32), np.zeros(g.n, dtype=np.float32))
     for kind, order, stat in KERNEL_STATS:
@@ -311,6 +326,9 @@ def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray) -> None:
             for quotient in (g.twin_quotient(np.float32), singletons):
                 gemm = _gemm_counts(quotient, c, stat, colors)
                 assert np.array_equal(gemm, expected), (kind, order, c, quotient[2].size)
+                by_sort = _sorted_counts(quotient, c, stat, colors)
+                assert by_sort.dtype == np.int64
+                assert np.array_equal(by_sort, expected), ("sorted", kind, order, c, quotient[2].size)
 
 
 class TestKernelsAgainstLoops:
@@ -340,6 +358,11 @@ class TestKernelsAgainstLoops:
         g = generate(Complete(4))
         with pytest.raises(TypeError):
             _gemm_counts(g.twin_quotient(np.float32), 2, MonoCycles(3), np.zeros((4, 1), dtype=np.uint8))
+
+    def test_sorted_rejects_cycles(self):
+        g = generate(Complete(4))
+        with pytest.raises(TypeError):
+            _sorted_counts(g.twin_quotient(np.float32), 2, MonoCycles(3), np.zeros((4, 1), dtype=np.uint8))
 
 
 class TestMomentsAgainstOracle:
@@ -382,6 +405,17 @@ FROZEN_DIGESTS += [
 ]
 
 
+# the same digests in the birthday regime, recorded while these hosts ran the gather
+# (the GEMM for complete:60 at c=300), before the sorted kernel existed
+FROZEN_DIGESTS += [
+    ("complete:60", 1770, MonoEdges(), "sorted", "3cc7610b25766c412ed508d15a4df5a85f9f383de71ef04c5c54634d56ab4804"),
+    ("complete:60", 1770, MonoStars(2), "sorted", "f98c7652fd42644b83ef92deab3c1963dc678bb90293968a10bb02a4771bcd78"),
+    ("complete:60", 300, MonoEdges(), "sorted", "0616f8894a898f5644f4db592fdafa84f7eb9eb7053edd0355dc68fc04c427f4"),
+    ("bipartite:30:30", 1770, MonoEdges(), "sorted", "40c32f96ff945776f0f0ac8941c62675b51b5c0284d3249a5964bdfc508295e9"),
+    ("bipartite:30:30", 1770, MonoStars(2), "sorted", "21d7df6eef208a6ade3f68e2e1f7246504b0acaf74183063dacb4aada5c8e296"),
+]
+
+
 @pytest.mark.parametrize("spec,c,stat,kernel,digest", FROZEN_DIGESTS)
 def test_frozen_simulate_digest(spec, c, stat, kernel, digest):
     run = simulate(generate(parse_family(spec)), c, stat, 3000, 11)
@@ -397,4 +431,17 @@ def test_frozen_exact_law_on_a_twin_host():
         11: Fraction(112, 729), 12: Fraction(70, 2187), 13: Fraction(112, 2187),
         15: Fraction(56, 2187), 16: Fraction(56, 2187), 21: Fraction(16, 2187),
         28: Fraction(1, 2187),
+    }
+
+
+def test_frozen_exact_law_on_the_sorted_kernel():
+    # exact_distribution(complete:4, 50) on uint8 digits, recorded while it ran the gather
+    g = generate(Complete(4))
+    assert _kernel_for(g, 50, MonoEdges()).name == _kernel_for(g, 50, MonoStars(2)).name == "sorted"
+    assert exact_distribution(g, 50, MonoEdges()) == {
+        0: Fraction(13818, 15625), 1: Fraction(1764, 15625), 2: Fraction(147, 125000),
+        3: Fraction(49, 31250), 6: Fraction(1, 125000),
+    }
+    assert exact_distribution(g, 50, MonoStars(2)) == {
+        0: Fraction(124803, 125000), 3: Fraction(49, 31250), 12: Fraction(1, 125000),
     }

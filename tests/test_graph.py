@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import blow_up, blow_up_specs, brute_twin_classes
+from oracles import blow_up, blow_up_specs, brute_twin_classes, tuple_twin_quotient
 
 from colorgraph import census, colorsim, limits, moments
 from colorgraph import graph as graph_module
@@ -90,7 +90,19 @@ def assert_twin_quotient_rebuilds(g: Graph) -> tuple:
     assert classes == brute_twin_classes(g)
     assert np.array_equal(g.twin_quotient(max_classes=k)[0], labels)
     assert g.twin_quotient(max_classes=k - 1) is None
+    assert_twin_quotient_matches_tuples(g)
     return labels, blocks, clique
+
+
+def assert_twin_quotient_matches_tuples(g: Graph) -> None:
+    """The numpy grouping returns the tuple oracle's arrays byte for byte, or None where it does."""
+    k = len(brute_twin_classes(g))
+    for dtype, max_classes in ((np.float64, None), (np.float32, None), (np.float32, k), (np.float32, k - 1),
+                               (np.float32, 1)):
+        got, want = g.twin_quotient(dtype, max_classes), tuple_twin_quotient(g, dtype, max_classes)
+        assert (got is None) == (want is None), (dtype, max_classes)
+        for a, b in zip(got or (), want or ()):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (dtype, max_classes)
 
 
 class TestTwinQuotient:
@@ -144,11 +156,45 @@ class TestTwinQuotient:
         matching = Graph(6, [(0, 1), (2, 3), (4, 5)])
         assert matching.twin_quotient(max_classes=2) is None
         assert matching.twin_quotient(max_classes=3)[0].tolist() == [0, 0, 1, 1, 2, 2]
-        # a twin-free cubic host: the floor of 2000 / 4 classes is over the limit, so no
-        # closed neighbourhood is built
+        # a twin-free cubic host: the floor of 2000 / 4 classes is over the limit, so the
+        # closed neighbourhoods are never grouped: one grouping, the open one
         cubic = generate(RandomRegular(2000, 3, 5))
-        monkeypatch.setattr(graph_module.bisect, "bisect", None)
+        real, calls = graph_module._first_equal, []
+        monkeypatch.setattr(graph_module, "_first_equal", lambda keys: calls.append(keys.size) or real(keys))
         assert cubic.twin_quotient(max_classes=499) is None
+        assert calls == [2000]
+
+    def test_dense_hosts_match_the_tuple_oracle(self):
+        for spec in (Complete(200), CompleteBipartite(100, 100), Star(300), ErdosRenyi(300, 0.1, 7)):
+            assert_twin_quotient_matches_tuples(generate(spec))
+
+    def test_hash_collisions_are_caught(self, catalog, monkeypatch):
+        # salt 0 hashes every list to 0: the open check sees it and the next salt groups exactly
+        real, salts = graph_module.rng.words, []
+
+        def words(salt, *path):
+            salts.append(salt)
+            return np.zeros(len(path[0]), dtype=np.uint64) if salt == 0 else real(salt, *path)
+
+        monkeypatch.setattr(graph_module.rng, "words", words)
+        for name, g in catalog:
+            salts.clear()
+            assert_twin_quotient_matches_tuples(g)
+            assert salts == [0, 1] * 5, name  # every call hashed twice
+
+    def test_closed_hash_collision_is_caught(self, monkeypatch):
+        # on P4, words (1, 4, 2, 3) give distinct open hashes (4, 3, 7, 2) but equal closed
+        # hashes 5 to the ends 0 and 3, which are not twins: the blow-up check refuses them
+        real, salts = graph_module.rng.words, []
+
+        def words(salt, *path):
+            salts.append(salt)
+            return np.array([1, 4, 2, 3], dtype=np.uint64) if salt == 0 else real(salt, *path)
+
+        monkeypatch.setattr(graph_module.rng, "words", words)
+        g = generate(Path(3))
+        labels, _, _ = g.twin_quotient()
+        assert labels.tolist() == [0, 1, 2, 3] and salts == [0, 1]
 
     def test_edgeless_and_empty(self):
         labels, blocks, clique = Graph(3, []).twin_quotient()
