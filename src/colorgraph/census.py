@@ -5,6 +5,15 @@ patterns as edge subsets, the classification of all ordered edge k-tuples by
 the isomorphism class of the multigraph they span, and cycle homomorphism
 densities from the adjacency spectrum.
 
+:class:`PatternCounts` counts every simple pattern with at most 4 edges in
+closed form, in time polynomial in the host and with no enumeration of
+edge sets: a few host invariants give the homomorphism counts of the ten
+connected shapes, and Moebius inversion over the pattern's vertex
+partitions turns them into injective counts (Alon-Yuster-Zwick 1997;
+Lovasz 2012, ch. 5). It serves the tuple census for k <= 4, the length-3
+and length-4 cross-check of the cycle DFS, and the four-cycle count of
+``limits.limit_for``.
+
 Pattern isomorphism is decided by explicit canonical forms: vertices are
 first partitioned by iterated degree refinement, then the edge representation
 is minimized over the (usually tiny) set of partition-respecting relabelings.
@@ -13,21 +22,23 @@ a tuple length of 4 can produce.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
+from . import rng
 from .errors import (
-    EnumerationGateExceededError,
     PatternTooLargeError,
     PreconditionViolatedError,
     UnsupportedLengthError,
 )
-from .graph import Complete, Graph, components, generate
+from .graph import Graph, components
 
 __all__ = [
     "MultiGraphPattern",
@@ -35,6 +46,8 @@ __all__ = [
     "cycle_list",
     "count_subgraph",
     "count_multigraph_tuples",
+    "four_cycle_count_from_traces",
+    "PatternCounts",
     "all_patterns",
     "hom_density_cycle",
     "decompose_tight_multigraph",
@@ -43,7 +56,6 @@ __all__ = [
 ]
 
 _MAX_PATTERN_VERTICES = 10
-TUPLE_ENUMERATION_GATE = 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -296,63 +308,33 @@ def _enumerate_cycles(g: Graph, length: int, collect: bool):
     return count, found
 
 
-def _trace_powers(g: Graph) -> tuple[int, int]:
-    """Exact tr(A^3), tr(A^4) using float64 matmuls on the 0/1 matrix.
-
-    Entries stay far below 2^53 for any graph this package accepts, so the
-    arithmetic is exact.
-    """
-    a = g.adjacency_matrix(np.float64)
-    a2 = a @ a
-    tr3 = float((a2 * a).sum())
-    tr4 = float((a2 * a2).sum())
-    return int(round(tr3)), int(round(tr4))
-
-
 def count_cycles(g: Graph, length: int) -> int:
     """Exact number of unlabeled cycles of ``length`` (3..8) in ``g``.
 
-    For lengths 3 and 4 the DFS result is re-derived from closed-walk trace
-    identities and the two must agree; a mismatch means a bug, not an input
-    problem, and raises RuntimeError.
+    For lengths 3 and 4 the DFS result is re-derived in closed form by
+    :class:`PatternCounts` and the two must agree; a mismatch means a bug,
+    not an input problem, and raises RuntimeError.
     """
     if not 3 <= length <= 8:
         raise UnsupportedLengthError(f"cycle length must be in [3, 8], got {length}")
     count, _ = _enumerate_cycles(g, length, collect=False)
-    if length in (3, 4) and g.n > 0:
-        tr3, tr4 = _trace_powers(g)
-        if length == 3:
-            num, per_cycle = tr3, 6
-        else:
-            num, per_cycle = _closed_four_walks_on_cycles(g, tr4), 8
-        from_trace = num // per_cycle
-        ok = num % per_cycle == 0 and from_trace == count
-        if not ok:
+    if length in (3, 4):
+        closed_form = PatternCounts(g).copies(_CYCLES[length])
+        if closed_form != count:
             raise RuntimeError(
                 f"cycle census self-check failed for length {length}: "
-                f"enumeration={count}, trace formula={from_trace}"
+                f"enumeration={count}, closed form={closed_form}"
             )
     return count
 
 
-def _closed_four_walks_on_cycles(g: Graph, tr4: int) -> int:
-    """8 N(g, C4): tr(A^4) less the 2 closed 4-walks on each edge and the 4 on each wedge."""
-    wedges = sum(d * (d - 1) // 2 for d in g.degrees)
-    return tr4 - 4 * wedges - 2 * g.m
-
-
 def four_cycle_count_from_traces(g: Graph) -> int:
-    """N(g, C4) from exact closed-walk traces alone.
+    """N(g, C4) from the closed 4-walk count tr(A^4) = sum d^2 + sum codeg^2.
 
-    Same value as ``count_cycles(g, 4)`` at O(n^3) matmul cost instead of a
-    path enumeration; preferable on dense hosts.
+    Same value as ``count_cycles(g, 4)`` with no path enumeration and no
+    dense n x n matrix on sparse hosts (see :class:`PatternCounts`).
     """
-    if g.n == 0:
-        return 0
-    num = _closed_four_walks_on_cycles(g, _trace_powers(g)[1])
-    if num % 8 != 0:
-        raise RuntimeError("four-cycle trace identity produced a non-integer count")
-    return num // 8
+    return PatternCounts(g).copies(_CYCLES[4])
 
 
 def cycle_list(g: Graph, length: int) -> tuple[tuple[int, ...], ...]:
@@ -404,42 +386,288 @@ def count_subgraph(g: Graph, h: Graph) -> int:
 def count_multigraph_tuples(g: Graph, k: int) -> dict[MultiGraphPattern, int]:
     """Partition all m^k ordered edge k-tuples by induced multigraph class.
 
-    Returns a map pattern -> number of ordered tuples inducing it; the
-    counts always sum to m^k. Enumeration runs over edge multisets, each
-    weighted by its number of orderings.
+    Returns a map pattern -> number of ordered tuples inducing it, for the
+    classes that occur; the counts always sum to m^k. A tuple's class is
+    fixed by its simple support H and its edge multiplicities, so each class
+    count is the number of copies of H in ``g`` (:class:`PatternCounts`)
+    times the class's orderings on one copy.
     """
     if not 1 <= k <= 4:
         raise ValueError(f"tuple length must be in [1, 4], got {k}")
-    m = g.m
-    total = m**k
-    if total > TUPLE_ENUMERATION_GATE:
-        raise EnumerationGateExceededError(
-            f"m^k = {total} exceeds the enumeration gate {TUPLE_ENUMERATION_GATE}",
-            total=total,
-        )
-    kfact = math.factorial(k)
-    out: Counter = Counter()
-    edges = g.edges
-    for combo in itertools.combinations_with_replacement(range(m), k):
-        reps = Counter(combo)
-        orderings = kfact
-        for r in reps.values():
-            orderings //= math.factorial(r)
-        pat = _classify(tuple(edges[i] for i in combo))
-        out[pat] += orderings
-    return dict(out)
+    counts = PatternCounts(g)
+    out: dict[MultiGraphPattern, int] = {}
+    for support, classes in _tuple_classes(k):
+        copies = counts.copies(support)
+        if copies:
+            for pat, orderings in classes:
+                out[pat] = out.get(pat, 0) + copies * orderings
+    return out
 
 
 def all_patterns(k: int) -> tuple[MultiGraphPattern, ...]:
-    """Every multigraph class realizable by an ordered k-tuple of edges.
-
-    A k-tuple spans at most 2k vertices, so the census of the complete graph
-    on 2k vertices realizes every class.
-    """
+    """Every multigraph class realizable by an ordered k-tuple of edges."""
     if not 1 <= k <= 4:
         raise ValueError(f"tuple length must be in [1, 4], got {k}")
-    host = generate(Complete(2 * k))
-    return tuple(sorted(count_multigraph_tuples(host, k), key=lambda p: p.canonical_key))
+    return tuple(sorted((pat for _, classes in _tuple_classes(k) for pat, _ in classes),
+                        key=lambda p: p.canonical_key))
+
+
+@functools.lru_cache(maxsize=None)
+def _supports(k: int) -> tuple[MultiGraphPattern, ...]:
+    """Every simple graph with 1..k edges and no isolated vertex, up to isomorphism."""
+    level = {_classify(((0, 1),))}
+    found = set(level)
+    for _ in range(k - 1):
+        level = {
+            _classify(pairs + (new,))
+            for pairs in (tuple((u, v) for u, v, _ in h.multi_edges) for h in level)
+            for new in itertools.combinations(range(max(max(p) for p in pairs) + 3), 2)
+            if new not in pairs
+        }
+        found |= level
+    return tuple(sorted(found, key=lambda p: p.canonical_key))
+
+
+@functools.lru_cache(maxsize=None)
+def _tuple_classes(k: int) -> tuple[tuple[MultiGraphPattern, tuple[tuple[MultiGraphPattern, int], ...]], ...]:
+    """Per support H with at most k edges: each class T of the k-tuples that cover H, with its orderings.
+
+    A multiplicity vector (mu_e) on H's edges, summing to k, spans one class
+    and is spanned by k! / prod mu_e! ordered tuples.
+    """
+    out = []
+    for support in _supports(k):
+        pairs = [(u, v) for u, v, _ in support.multi_edges]
+        tally: Counter = Counter()
+        for mults in itertools.product(range(1, k + 1), repeat=len(pairs)):
+            if sum(mults) == k:
+                slots = tuple(p for p, mu in zip(pairs, mults) for _ in range(mu))
+                tally[_classify(slots)] += math.factorial(k) // math.prod(map(math.factorial, mults))
+        out.append((support, tuple(tally.items())))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# small-pattern counts in closed form
+# ---------------------------------------------------------------------------
+
+_CYCLES = {3: MultiGraphPattern.from_edges([(0, 1), (1, 2), (0, 2)]),
+           4: MultiGraphPattern.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])}
+
+# each connected simple F with at most 4 edges, keyed by its sorted degrees: |Aut(F)| and hom(F, g),
+# from d = degrees, s = A d, t = triangles per vertex and w = sum over u != v of codeg(u, v)^2
+_SHAPES = {
+    (1, 1): (2, lambda h: _exact_sum(h.d)),  # K2: 2m
+    (1, 1, 2): (2, lambda h: _exact_sum(h.d, h.d)),  # P3
+    (2, 2, 2): (6, lambda h: 2 * _exact_sum(h.triangles)),  # K3: tr A^3
+    (1, 1, 2, 2): (2, lambda h: _exact_sum(h.d, h.s)),  # P4: d^T A d
+    (1, 1, 1, 3): (6, lambda h: _exact_sum(h.d, h.d, h.d)),  # K1,3
+    (2, 2, 2, 2): (8, lambda h: _exact_sum(h.d, h.d) + h.w),  # C4: tr A^4
+    (1, 1, 2, 2, 2): (2, lambda h: _exact_sum(h.s, h.s)),  # P5
+    (1, 1, 1, 1, 4): (24, lambda h: _exact_sum(h.d, h.d, h.d, h.d)),  # K1,4
+    (1, 2, 2, 3): (2, lambda h: 2 * _exact_sum(h.triangles, h.d)),  # paw
+    (1, 1, 1, 2, 3): (2, lambda h: _exact_sum(h.d, h.d, h.s)),  # chair
+}
+
+# a k x k quotient costs about k^3 / this much as the wedge route's oriented wedges
+_MATMUL_PER_WEDGE = 256
+_MAX_CLASSES = 4000  # the quotient B in float32 then takes at most 64 MB
+_SMALL_HOST = 64  # up to this many vertices the n x n product costs less than a twin search
+
+
+class PatternCounts:
+    """Exact copy counts in one host of every simple pattern with at most 4 edges.
+
+    The host enters through four invariants only: its degrees d, s = A d, the
+    ``triangles`` at each vertex and w = sum over u != v of codeg(u, v)^2. They
+    give hom(F, g) in closed form for the ten connected shapes F with at most
+    4 edges, the homomorphism count of a disjoint union is the product over
+    its components, and injective counts follow by Moebius inversion over
+    the pattern's vertex partitions (Lovasz 2012, ch. 5). Copies are
+    injective counts over automorphisms. Pattern-side tables are cached per
+    pattern; nothing about the host is.
+
+    Codegrees and triangles come from wedges oriented by degree rank
+    (Chiba-Nishizeki 1985) or, when its k^3 is cheaper, from the k x k
+    matrices of ``g.twin_quotient`` (k = n and B = A on a twin-free host).
+    Both go in blocks of ``rng.BATCH_ENTRIES // 16`` entries, so neither
+    builds a large array. All sums are exact Python ints.
+    """
+
+    def __init__(self, g: Graph):
+        self.d, self.s, self.triangles, self.w = _host_invariants(g)
+        self._homs: dict[tuple, int] = {}
+
+    def hom(self, shape: tuple[int, ...]) -> int:
+        """hom(F, g) for the connected shape F with sorted degrees ``shape``."""
+        if shape not in self._homs:
+            self._homs[shape] = _SHAPES[shape][1](self)
+        return self._homs[shape]
+
+    def injective(self, h: MultiGraphPattern) -> int:
+        """Injective homomorphisms of the support of ``h`` into the host."""
+        return sum(coef * math.prod(map(self.hom, shapes)) for coef, shapes in _inversion(h))
+
+    def copies(self, h: MultiGraphPattern) -> int:
+        """Edge subsets of the host isomorphic to the support of ``h``."""
+        inj, aut = self.injective(h), _automorphisms(h)
+        if inj % aut:
+            raise RuntimeError(f"{inj} injective maps do not split into copies of a pattern with {aut} automorphisms")
+        return inj // aut
+
+
+def _exact_sum(*factors: np.ndarray) -> int:
+    """sum over i of prod_j factors[j][i] for nonnegative int arrays, in Python ints if int64 could overflow."""
+    bound = len(factors[0]) * math.prod(int(f.max(initial=0)) for f in factors)
+    if bound >= 2**63:
+        factors = tuple(f.astype(object) for f in factors)
+    return int(functools.reduce(operator.mul, factors).sum())
+
+
+@functools.lru_cache(maxsize=None)
+def _inversion(h: MultiGraphPattern) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """inj(H, g) = sum of coef * prod over shapes of hom(shape, g).
+
+    Moebius inversion of hom(H, g) = sum over partitions P of inj(H/P, g):
+    each partition of V(H) into independent blocks adds
+    prod over blocks of (-1)^(|B|-1) (|B|-1)! times the hom count of the
+    simple quotient H/P, whose components are named by their sorted degrees.
+    A block holding an edge would need a loop and adds nothing.
+    """
+    nv = h.vertex_count
+    edges = [(u, v) for u, v, _ in h.multi_edges]
+    nbrs = [0] * nv
+    for u, v in edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    by_quotient: Counter = Counter()  # coefficient per quotient edge list
+    blocks: list[int] = []
+    block_of = [0] * nv
+
+    def place(x: int, coef: int) -> None:
+        if x == nv:
+            by_quotient[frozenset((min(p), max(p)) for p in ((block_of[u], block_of[v]) for u, v in edges))] += coef
+            return
+        for i, b in enumerate(blocks):
+            if not nbrs[x] & b:  # joining a block of size s multiplies its factor by -s
+                blocks[i], block_of[x] = b | 1 << x, i
+                place(x + 1, -coef * b.bit_count())
+                blocks[i] = b
+        blocks.append(1 << x)
+        block_of[x] = len(blocks) - 1
+        place(x + 1, coef)
+        blocks.pop()
+
+    place(0, 1)
+    terms: Counter = Counter()
+    for pairs, coef in by_quotient.items():
+        terms[_shapes(pairs)] += coef
+    return tuple((coef, shapes) for shapes, coef in terms.items() if coef)
+
+
+@functools.lru_cache(maxsize=None)
+def _shapes(pairs: frozenset[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The sorted degrees of each component of the simple graph ``pairs`` on 0..k-1, sorted."""
+    degree = Counter(x for pair in pairs for x in pair)
+    return tuple(sorted(tuple(sorted(degree[x] for x in comp)) for comp in components(len(degree), pairs)))
+
+
+@functools.lru_cache(maxsize=None)
+def _automorphisms(h: MultiGraphPattern) -> int:
+    """|Aut(H)| of the support of ``h``: its components' own, and the swaps of alike components."""
+    alike = Counter(_shapes(frozenset((u, v) for u, v, _ in h.multi_edges)))
+    return math.prod(math.factorial(c) * _SHAPES[shape][0] ** c for shape, c in alike.items())
+
+
+def _host_invariants(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(d, s, t, w) of :class:`PatternCounts`, by the cheaper of two routes."""
+    u, v = g.edge_arrays()
+    d = np.bincount(u, minlength=g.n) + np.bincount(v, minlength=g.n)
+    if g.m == 0:
+        return d, d, d, 0
+    s = (np.bincount(u, d[v], g.n) + np.bincount(v, d[u], g.n)).astype(np.int64)
+    if g.n <= _SMALL_HOST:  # the blow-up of B = A, with no twin search
+        a = np.zeros((g.n, g.n), np.float32)
+        a[u, v] = a[v, u] = 1
+        return (d, s, *_quotient_invariants(np.arange(g.n), a, np.zeros(g.n, np.float32)))
+    wedges = int(np.minimum(d[u], d[v]).sum())  # bounds the oriented wedges
+    classes = min(round((_MATMUL_PER_WEDGE * wedges) ** (1 / 3)), _MAX_CLASSES)
+    quotient = g.twin_quotient(np.float32 if g.n < 2**24 else np.float64, max_classes=classes)
+    if quotient is not None:
+        return (d, s, *_quotient_invariants(*quotient))
+    return (d, s, *_wedge_invariants(g.n, d, u, v))
+
+
+def _quotient_invariants(labels: np.ndarray, b: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
+    """(t, w) of a blow-up: A = the blow-up of B, less the identity on clique classes.
+
+    Two distinct vertices of classes i and j have codeg (B D B)[i, j] less
+    B[i, j] for each of them on a clique class, where D holds the class
+    sizes; a vertex of class i has n_j - [i = j] others in class j. Rows go
+    in blocks of ``rng.BATCH_ENTRIES // 16`` entries, as the wedges do.
+    B D B is exact in float32 while n < 2^24: no entry or partial sum exceeds n.
+    """
+    sizes = np.bincount(labels)
+    k = sizes.size
+    step = max(1, rng.BATCH_ENTRIES // 16 // k)
+    triangles, w = np.zeros(k, np.int64), 0
+    for lo in range(0, k, step):
+        rows = np.arange(lo, min(k, lo + step))
+        codeg = ((b[rows] * sizes.astype(b.dtype)) @ b - (q[rows, None] + q) * b[rows]).astype(np.int64)
+        others = sizes - (rows[:, None] == np.arange(k))
+        triangles[rows] = (b[rows] * others * codeg).sum(axis=1).astype(np.int64) // 2
+        w += _exact_sum(np.repeat(sizes[rows], k), others.ravel(), codeg.ravel(), codeg.ravel())
+    return triangles[labels], w
+
+
+def _wedge_invariants(n: int, d: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(t, w) from the wedges x - y - z whose middle y and end z rank below the top x.
+
+    Vertices are renamed by (degree, id) rank. The wedges joining x and z
+    number cnt(x, z) = |{y < x : y ~ x, y ~ z}|; a four-cycle is one pair
+    of them, at its top x and the vertex opposite. A triangle a < b < c is
+    the two wedges c - a - b and c - b - a, so c gets cnt(c, z) for each
+    neighbour z below it and z gets it twice (once as an end, and on the
+    other wedge as the middle). Then w = sum d(d - 1) + 8 N(C4). Wedges go
+    in blocks of ``rng.BATCH_ENTRIES // 16``, so a block's few int64
+    temporaries stay small; the ends of the block's last top carry over.
+    """
+    rank = np.empty(n, np.int64)
+    rank[np.argsort(d, kind="stable")] = np.arange(n)
+    own, nbr = np.concatenate((rank[u], rank[v])), np.concatenate((rank[v], rank[u]))
+    order = np.lexsort((nbr, own))
+    own, nbr = own[order], nbr[order]
+    keys = own * n + nbr  # ascending: each vertex's neighbours, in rank order
+    start = np.searchsorted(own, np.arange(n))
+    # an edge y -> x up the ranking, and the neighbours of y ranked below x: the first pos of y's list
+    up = np.flatnonzero(nbr > own)
+    up = up[np.argsort(nbr[up], kind="stable")]  # by top, so a top's wedges are consecutive
+    pos = up - start[own[up]]
+    ends = np.cumsum(pos)
+    doubled = np.zeros(n, np.int64)
+    cycles, found, tally = 0, np.zeros(0, np.int64), np.zeros(0, np.int64)
+    lo = 0
+    while lo < up.size:
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + rng.BATCH_ENTRIES // 16, side="right")))
+        edge, cnt = up[lo:hi], pos[lo:hi]
+        z = np.arange(ends[hi - 1] - base) + np.repeat(start[own[edge]] - (ends[lo:hi] - base - cnt), cnt)
+        wedge = np.sort(np.repeat(nbr[edge] * n, cnt) + nbr[z])
+        first = np.flatnonzero(np.diff(wedge, prepend=-1))
+        found = np.concatenate((found, wedge[first]))  # the carried keys of the last block's top come first
+        tally = np.concatenate((tally, np.diff(first, append=wedge.size)))
+        order = np.argsort(found, kind="stable")
+        found, tally = found[order], tally[order]
+        first = np.flatnonzero(np.diff(found, prepend=-1))
+        found, tally = found[first], np.add.reduceat(tally, first)
+        lo = hi
+        done = found < (nbr[up[hi]] * n if hi < up.size else n * n)  # the next block may add to its top
+        tri = tally[done] * (keys[np.minimum(np.searchsorted(keys, found[done]), keys.size - 1)] == found[done])
+        doubled += np.bincount(found[done] // n, tri, n).astype(np.int64)
+        doubled += 2 * np.bincount(found[done] % n, tri, n).astype(np.int64)
+        cycles += _exact_sum(tally[done], tally[done] - 1) // 2
+        found, tally = found[~done], tally[~done]
+    return doubled[rank] // 2, _exact_sum(d, d - 1) + 8 * cycles
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union
@@ -371,6 +370,8 @@ def simulate(
         raise ValueError(f"need at least 1 worker, got {workers}")
     kernel = _kernel_for(g, c, stat)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it costs every CLI start 15-23 ms
+
         bounds = sorted(set(np.linspace(0, samples, workers + 1).astype(int).tolist()))
         job = functools.partial(_simulate_range, kernel, seed, g.n, c)
         with ProcessPoolExecutor(max_workers=workers) as pool:

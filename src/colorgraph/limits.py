@@ -765,7 +765,8 @@ def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitL
     N(C4)/m^2 decides: below 1e-2 the standardized count is N(0, 1 - 1/c),
     above 1e-1 the host is treated as dense and the normalized spectrum
     drives a weighted chi-square law for (N - m/c)/sqrt(2m); the zone
-    between is reported as ambiguous rather than guessed.
+    between is reported as ambiguous rather than guessed. Only the dense
+    case builds a spectrum, so only it meets the n <= 4000 size gate.
     """
     if isinstance(regime, Growing):
         ratio = regime.edge_color_ratio
@@ -780,7 +781,6 @@ def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitL
     g = graph_or_spec
     if g.m < 1:
         raise ValueError(_NO_EDGE)
-    spectral.check_dense_size(g)
     acf4 = census.four_cycle_count_from_traces(g) / g.m**2
     if acf4 < ACF4_NORMAL_THRESHOLD:
         return Normal(0.0, 1.0 - 1.0 / c)

@@ -147,14 +147,18 @@ def conditional_moment(g: Graph, req: MomentRequest) -> MomentValue:
     the standardized central moments E(Z^k | G), E(W^k | G) with
     standardization (m/c)^{-k/2}.
     """
+    return _class_sum(census.count_multigraph_tuples(g, req.order), g.m, req)
+
+
+def _class_sum(table: dict[MultiGraphPattern, int], m: int, req: MomentRequest) -> MomentValue:
+    """The moment ``req`` from the tuple census ``table`` of a host with m edges."""
     c, k = req.colors, req.order
     central = req.kind in (MomentKind.CENTRAL_Z, MomentKind.CENTRAL_W)
-    if central and g.m < 1:
+    if central and m < 1:
         raise ValueError("central moments need at least one edge")
     weight = _CLASS_WEIGHT[req.kind]
-    total = sum((cnt * weight(pat, c) for pat, cnt in census.count_multigraph_tuples(g, k).items()),
-                Fraction(0))
-    return _scaled(total, g.m, c, k) if central else MomentValue(total, Fraction(0), total)
+    total = sum((cnt * weight(pat, c) for pat, cnt in table.items()), Fraction(0))
+    return _scaled(total, m, c, k) if central else MomentValue(total, Fraction(0), total)
 
 
 # weight of one tuple of class H in the moment of each kind
@@ -183,11 +187,17 @@ class FourthMomentReport:
     remainder: Fraction
 
 
+_FOUR_CYCLE = MultiGraphPattern.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
 def fourth_moment_report(g: Graph, c: int) -> FourthMomentReport:
-    exact = conditional_moment(g, MomentRequest(MomentKind.CENTRAL_Z, 4, c)).value
+    """The exact fourth moment and its parts, from one census of the 4-tuples of ``g``."""
+    table = census.count_multigraph_tuples(g, 4)
+    exact = _class_sum(table, g.m, MomentRequest(MomentKind.CENTRAL_Z, 4, c)).value
     one_minus = 1 - Fraction(1, c)
     leading = 3 * one_minus**2
-    c4 = Fraction(1, c) * one_minus * Fraction(census.count_cycles(g, 4), g.m**2)
+    # each four-cycle spans its 4! orderings
+    c4 = Fraction(1, c) * one_minus * Fraction(table.get(_FOUR_CYCLE, 0) // 24, g.m**2)
     return FourthMomentReport(
         exact=exact,
         leading=leading,

@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from colorgraph import rng
+from colorgraph.census import MultiGraphPattern
 from colorgraph.graph import Graph
 
 
@@ -182,6 +183,33 @@ def brute_count_subgraph(g: Graph, h: Graph) -> int:
         if graphs_isomorphic(cand, h):
             count += 1
     return count
+
+
+def enumerate_multigraph_tuples(g: Graph, k: int) -> dict[MultiGraphPattern, int]:
+    """Ordered edge k-tuples of g by multigraph class, walking each edge multiset once."""
+    out: Counter = Counter()
+    for combo in itertools.combinations_with_replacement(g.edges, k):
+        orderings = math.factorial(k)
+        for r in Counter(combo).values():
+            orderings //= math.factorial(r)
+        out[MultiGraphPattern.from_edges(combo)] += orderings
+    return dict(out)
+
+
+def trace_powers(g: Graph) -> tuple[int, int]:
+    """Exact tr(A^3), tr(A^4) by float64 matmuls on the dense 0/1 matrix (entries stay below 2^53)."""
+    a = g.adjacency_matrix(np.float64)
+    a2 = a @ a
+    return int(round(float((a2 * a).sum()))), int(round(float((a2 * a2).sum())))
+
+
+def trace_cycle_counts(g: Graph) -> tuple[int, int]:
+    """(N(g, K3), N(g, C4)): tr A^3 / 6 and (tr A^4 - 4 wedges - 2m) / 8."""
+    tr3, tr4 = trace_powers(g) if g.n else (0, 0)
+    wedges = sum(d * (d - 1) // 2 for d in g.degrees)
+    four = tr4 - 4 * wedges - 2 * g.m
+    assert tr3 % 6 == 0 and four % 8 == 0
+    return tr3 // 6, four // 8
 
 
 def brute_gamma(g: Graph) -> Fraction:

@@ -1,16 +1,30 @@
+import contextlib
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_count_cycles, brute_count_subgraph, graphs_isomorphic
+from oracles import (
+    blow_up,
+    blow_up_specs,
+    brute_automorphisms,
+    brute_count_cycles,
+    brute_count_subgraph,
+    enumerate_multigraph_tuples,
+    graphs_isomorphic,
+    trace_cycle_counts,
+)
 
+from colorgraph import census, rng
 from colorgraph.census import (
     CycleFactor,
     DoubledEdgeFactor,
     MultiGraphPattern,
+    PatternCounts,
     all_patterns,
     count_cycles,
     count_multigraph_tuples,
@@ -20,7 +34,6 @@ from colorgraph.census import (
     hom_density_cycle,
 )
 from colorgraph.errors import (
-    EnumerationGateExceededError,
     PatternTooLargeError,
     PreconditionViolatedError,
     UnsupportedLengthError,
@@ -31,6 +44,8 @@ from colorgraph.graph import (
     Cycle,
     ErdosRenyi,
     Graph,
+    Hypercube,
+    RandomRegular,
     Star,
     generate,
 )
@@ -191,11 +206,20 @@ class TestMultigraphTuples:
         doubled_pairs = out4.get(shared, 0) + out4.get(disjoint, 0)
         assert doubled_pairs == 6 * math.comb(g.m, 2)
 
-    def test_enumeration_gate(self):
-        g = generate(Star(101))  # 101^4 > 10^8
-        with pytest.raises(EnumerationGateExceededError) as err:
-            count_multigraph_tuples(g, 4)
-        assert err.value.total == 101**4
+    def test_star_101_at_k4(self):
+        # 101^4 > 10^8 tuples: past the reach of any walk over edge multisets
+        g = generate(Star(101))
+        out = count_multigraph_tuples(g, 4)
+        assert sum(out.values()) == g.m**4
+        c4_class = MultiGraphPattern.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
+        assert out.get(c4_class, 0) == 24 * count_cycles(g, 4) == 0
+        shared = MultiGraphPattern.from_edges([(0, 1), (0, 1), (1, 2), (1, 2)])
+        disjoint = MultiGraphPattern.from_edges([(0, 1), (0, 1), (2, 3), (2, 3)])
+        assert out.get(shared, 0) + out.get(disjoint, 0) == 6 * math.comb(g.m, 2)
+        # every tuple of a star spans a star: 4 distinct leaves in 4! orders, and so on
+        star4 = MultiGraphPattern.from_edges([(0, 1), (0, 2), (0, 3), (0, 4)])
+        assert out[star4] == 24 * math.comb(101, 4)
+        assert out[shared] == 6 * math.comb(101, 2) and disjoint not in out
 
     def test_all_patterns_sizes(self):
         assert len(all_patterns(1)) == 1
@@ -265,3 +289,146 @@ class TestIsomorphismOracleAgreement:
         g2 = Graph(len(v2), [(v2.index(u), v2.index(v)) for u, v in e2])
         same = MultiGraphPattern.from_edges(g1.edges) == MultiGraphPattern.from_edges(g2.edges)
         assert same == graphs_isomorphic(g1, g2)
+
+
+# settings forcing each route of PatternCounts: the quotient B = A with no twin search, the twin
+# quotient, the wedges; a batch of 16 leaves the quotient blocks one row and the wedge blocks one up-edge
+_QUOTIENT = {"_SMALL_HOST": 0, "_MATMUL_PER_WEDGE": 10**9}
+_WEDGE = {"_SMALL_HOST": 0, "_MATMUL_PER_WEDGE": 0}
+ROUTES = {
+    "adjacency": {"_SMALL_HOST": 10**9},
+    "quotient": _QUOTIENT,
+    "quotient-rows": {**_QUOTIENT, "BATCH_ENTRIES": 16},
+    "wedge": _WEDGE,
+    "wedge-blocks": {**_WEDGE, "BATCH_ENTRIES": 16},
+}
+
+
+@contextlib.contextmanager
+def forced_route(name):
+    with pytest.MonkeyPatch.context() as mp:
+        for attr, value in ROUTES[name].items():
+            mp.setattr(rng if attr == "BATCH_ENTRIES" else census, attr, value)
+        yield
+
+
+def routes_taken(g, monkeypatch):
+    """The route functions that ``PatternCounts(g)`` calls."""
+    calls = []
+    for fn in ("_quotient_invariants", "_wedge_invariants"):
+        real = getattr(census, fn)
+        monkeypatch.setattr(census, fn, lambda *a, real=real, fn=fn: calls.append(fn) or real(*a))
+    PatternCounts(g)
+    return calls
+
+
+def assert_engine_matches_oracles(g, tuple_budget=20_000):
+    """Tuple classes for k = 1..4 (while the multiset walk stays cheap), N(K3), N(C4) and the
+    triangles at each vertex, on every route, against the enumeration and the dense traces."""
+    tables = {k: enumerate_multigraph_tuples(g, k) for k in range(1, 5) if math.comb(g.m + k - 1, k) <= tuple_budget}
+    k3, c4 = trace_cycle_counts(g)
+    a = g.adjacency_matrix(np.int64)
+    for name in ROUTES:
+        with forced_route(name):
+            counts = PatternCounts(g)
+            assert counts.copies(census._CYCLES[3]) == k3, name
+            assert counts.copies(census._CYCLES[4]) == four_cycle_count_from_traces(g) == c4, name
+            assert counts.triangles.tolist() == (np.diag(a @ a @ a) // 2).tolist(), name
+            for k, table in tables.items():
+                assert count_multigraph_tuples(g, k) == table, (name, k)
+
+
+class TestPatternCounts:
+    def test_catalog_matches_oracles(self, catalog):
+        for name, g in catalog:
+            assert_engine_matches_oracles(g)
+
+    @given(st.integers(1, 9), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs_match_oracles(self, n, data):
+        pool = list(itertools.combinations(range(n), 2))
+        pairs = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool))) if pool else []
+        assert_engine_matches_oracles(Graph(n, pairs))
+
+    @given(blow_up_specs())
+    @settings(max_examples=30, deadline=None)
+    def test_blow_ups_match_oracles(self, spec):
+        assert_engine_matches_oracles(blow_up(*spec))
+
+    @pytest.mark.parametrize("name", sorted(ROUTES))
+    def test_forced_route_is_taken(self, name, monkeypatch):
+        with forced_route(name):
+            calls = routes_taken(er(12, 0.4, 3), monkeypatch)
+        assert calls == ["_wedge_invariants" if name.startswith("wedge") else "_quotient_invariants"]
+
+    @pytest.mark.parametrize("spec,route", [
+        (ErdosRenyi(30, 0.2, 1), "_quotient_invariants"),  # B = A
+        (Star(20000), "_quotient_invariants"),  # two twin classes
+        (Complete(800), "_quotient_invariants"),  # one
+        (ErdosRenyi(300, 0.5, 1), "_quotient_invariants"),  # twin-free, but dense
+        (RandomRegular(2000, 3, 5), "_wedge_invariants"),
+        (ErdosRenyi(2000, 0.01, 1), "_wedge_invariants"),
+    ])
+    def test_route_choice(self, spec, route, monkeypatch):
+        assert routes_taken(generate(spec), monkeypatch) == [route]
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 30, 200])
+    def test_complete_graphs(self, n):
+        counts = PatternCounts(generate(Complete(n)))
+        assert counts.copies(census._CYCLES[4]) == 3 * math.comb(n, 4)
+        assert counts.copies(census._CYCLES[3]) == math.comb(n, 3)
+        assert counts.triangles.tolist() == [math.comb(n - 1, 2)] * n
+
+    @pytest.mark.parametrize("a,b", [(1, 5), (2, 2), (3, 7), (40, 90)])
+    def test_complete_bipartite_graphs(self, a, b):
+        counts = PatternCounts(generate(CompleteBipartite(a, b)))
+        assert counts.copies(census._CYCLES[4]) == math.comb(a, 2) * math.comb(b, 2)
+        assert counts.copies(census._CYCLES[3]) == 0
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6, 9])
+    def test_hypercubes(self, dim):
+        # a four-cycle of Q_d flips two coordinates and fixes the other d - 2
+        g = generate(Hypercube(dim))
+        for name in ROUTES:
+            with forced_route(name):
+                assert four_cycle_count_from_traces(g) == math.comb(dim, 2) * 2 ** (dim - 2)
+
+    def test_automorphisms_of_every_support(self):
+        for h in census._supports(4):
+            assert census._automorphisms(h) == brute_automorphisms(h.simple_support())
+
+    def test_supports_are_every_simple_graph_with_few_edges(self):
+        # the simple classes among all_patterns(k) are the simple graphs with exactly k edges
+        for k in (1, 2, 3, 4):
+            simple = {p for p in census._supports(k) if p.edge_count == k}
+            assert simple == {p for p in all_patterns(k) if p.simple_edge_count == k}
+        assert [sum(p.edge_count == e for p in census._supports(4)) for e in (1, 2, 3, 4)] == [1, 2, 5, 11]
+
+    def test_all_patterns_match_the_enumeration_on_k2k(self):
+        for k in (1, 2, 3):
+            host = generate(Complete(2 * k))
+            assert set(all_patterns(k)) == set(enumerate_multigraph_tuples(host, k))
+        assert len(all_patterns(4)) == 23
+
+    @pytest.mark.parametrize("spec", [Star(20000), Complete(800)], ids=["star20000", "K800"])
+    def test_peak_memory_stays_bounded(self, spec):
+        g = generate(spec)
+        tracemalloc.start()
+        try:
+            four_cycle_count_from_traces(g)
+            count_multigraph_tuples(g, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_counts_stay_exact_past_int64(self):
+        # sum d^4 = 60000^4 + 60000 > 2^63 on this star, so the sums run in Python ints
+        star4 = MultiGraphPattern.from_edges([(0, 1), (0, 2), (0, 3), (0, 4)])
+        assert PatternCounts(generate(Star(60_000))).copies(star4) == math.comb(60_000, 4)
+
+    def test_edgeless_hosts(self):
+        for g in (Graph(0, []), Graph(5, [])):
+            counts = PatternCounts(g)
+            assert counts.copies(census._CYCLES[4]) == 0
+            assert count_multigraph_tuples(g, 3) == {}

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import colorgraph
 from colorgraph import limits, stats
 from colorgraph.cli import main
 
@@ -255,6 +260,14 @@ class TestLimitCommand:
         # and a graph with no edges has no fixed-color law at all
         assert runner.invoke(main, ["limit", "--graph", "er:30:0:1", "--colors", "3"]).exit_code == 2
 
+    @pytest.mark.parametrize("graph", ["regular:5000:3:1", "star:5000"])
+    def test_sparse_host_above_the_size_gate(self, runner, graph):
+        # the four-cycle ratio needs no spectrum, so n = 5000 meets no size gate
+        res = invoke(runner, "limit", "--graph", graph, "--colors", "2")
+        assert res.exit_code == 0
+        assert json.loads(res.output) == {"schema": "colorgraph.law/1", "kind": "normal", "mean": 0.0,
+                                          "variance": 0.5}
+
     def test_sample_csv(self, runner):
         res = invoke(runner, "limit", "--growing-ratio", "2.0", "--sample", "50", "--seed", "9")
         lines = res.output.strip().splitlines()
@@ -342,12 +355,16 @@ class TestBirthday:
         (["compare", "--empirical", "e.csv", "--law", "inf-mean.json", "--tol", "0.5"], 2),
         (["compare", "--empirical", "e.csv", "--law", "half-dof.json", "--tol", "0.5"], 2),
         (["generate", "--family", "gw:nan,1.0:3:1"], 2),
+        (["limit", "--graph", "regular:5000:3:1", "--colors", "2"], 0),
+        (["limit", "--graph", "star:5000", "--colors", "2"], 0),
+        (["limit", "--graph", "dense.edges", "--colors", "2"], 3),
     ], ids=["zero-days", "days-power-overflow", "negative-people", "negative-edges", "nan-edges",
             "zero-days-power", "inf-edges", "inf-days-power", "zero-base-negative-power",
             "edgeless-family", "zero-workers", "nan-growing-ratio", "graph-with-growing-ratio",
             "zero-scale", "negative-scale",
             "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol", "inf-poisson-mean",
-            "fractional-dof", "nan-offspring"])
+            "fractional-dof", "nan-offspring", "sparse-host-above-size-gate", "star-above-size-gate",
+            "dense-host-above-size-gate"])
     def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the compare rows read these files
         (tmp_path / "e.csv").write_text("value,count\n3,10\n")
@@ -355,5 +372,17 @@ class TestBirthday:
         (tmp_path / "inf-mean.json").write_text(json.dumps({"kind": "poisson", "mean": math.inf}))
         (tmp_path / "half-dof.json").write_text(json.dumps(
             {"kind": "weighted_chi_square", "weights": [1.0], "dof": 1.5, "scale": 0.25}))
+        if "dense.edges" in args:  # K_{2,3999}: n = 4001 and four-cycle ratio 0.125, so a spectrum is needed
+            edges = [(i, j) for i in range(2) for j in range(2, 4001)]
+            (tmp_path / "dense.edges").write_text(f"4001 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
         res = runner.invoke(main, args)
         assert res.exit_code == code, res.output
+
+
+def test_cli_start_up_skips_the_process_pool():
+    # concurrent.futures.process costs every start 15-23 ms; only simulate --workers > 1 needs it
+    src = str(Path(colorgraph.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, colorgraph.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

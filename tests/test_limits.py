@@ -473,9 +473,13 @@ class TestLimitSelector:
         monkeypatch.setattr(spectral, "eigenvalues", refuse)
         assert limit_for(generate(RandomRegular(600, 3, 2)), Fixed(2)) == Normal(0.0, 0.5)
 
-    def test_size_gate_comes_first(self):
+    def test_size_gate_applies_only_to_the_spectrum(self):
+        n = spectral.DENSE_SIZE_GATE + 1
+        assert limit_for(Graph(n, [(0, 1)]), Fixed(2)) == Normal(0.0, 0.5)
+        # K_{2, n-2} has four-cycle ratio C(n-2, 2) / (2(n-2))^2 > 0.1: dense, so it needs the spectrum
+        dense = Graph(n, [(i, j) for i in range(2) for j in range(2, n)])
         with pytest.raises(SizeGateExceededError):
-            limit_for(Graph(spectral.DENSE_SIZE_GATE + 1, [(0, 1)]), Fixed(2))
+            limit_for(dense, Fixed(2))
 
     def test_matches_spectrum_first_selection_on_catalog(self, catalog):
         # the selection as made when the spectrum was built before the ratio

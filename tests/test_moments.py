@@ -6,7 +6,7 @@ import pytest
 from oracles import pmf_moment
 
 from colorgraph import limits
-from colorgraph.census import MultiGraphPattern, all_patterns
+from colorgraph.census import MultiGraphPattern, all_patterns, count_cycles
 from colorgraph.colorsim import MonoEdges, exact_distribution
 from colorgraph.errors import PatternTooLargeError
 from colorgraph.graph import (
@@ -15,6 +15,7 @@ from colorgraph.graph import (
     Cycle,
     ErdosRenyi,
     Path,
+    RandomRegular,
     Star,
     generate,
 )
@@ -165,6 +166,15 @@ class TestConditionalMoments:
                 got = conditional_moment(g, MomentRequest(MomentKind.CENTRAL_Z, k, c)).value
                 assert got == direct
 
+    def test_central_z_order_four_on_a_host_the_multiset_walk_found_slow(self):
+        # er:14:0.5:1 has m = 51: C(54, 4) edge multisets, against 2^14 colorings enumerated
+        g = generate(ErdosRenyi(14, 0.5, 1))
+        assert g.m == 51
+        pmf = exact_distribution(g, 2, MonoEdges())
+        center = scale2 = Fraction(g.m, 2)
+        direct = sum((Fraction(v) - center) ** 4 * p for v, p in pmf.items()) / scale2**2
+        assert conditional_moment(g, MomentRequest(MomentKind.CENTRAL_Z, 4, 2)).value == direct
+
     def test_odd_central_scaling(self):
         # m/c a perfect rational square: scaled value exists
         g = generate(Complete(3))  # m = 3
@@ -202,6 +212,14 @@ class TestFourthMomentReport:
         g = generate(Path(4))
         rep = fourth_moment_report(g, 3)
         assert rep.c4_term == 0
+
+    def test_large_sparse_host(self):
+        # m^4 = 2e19 tuples; the four-cycle term carries the DFS count
+        g = generate(RandomRegular(100_000, 3, 1))
+        rep = fourth_moment_report(g, 2)
+        assert rep.exact == rep.leading + rep.c4_term + rep.remainder
+        assert rep.c4_term == Fraction(1, 4) * Fraction(count_cycles(g, 4), g.m**2)
+        assert abs(rep.exact - rep.leading) < Fraction(1, 1000)
 
     def test_identity_always(self):
         for spec, c in ((Complete(5), 2), (CompleteBipartite(2, 4), 3), (Cycle(6), 2)):
