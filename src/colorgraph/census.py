@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 _MAX_PATTERN_VERTICES = 10
+CYCLE_LENGTHS = range(3, 9)  # the cycle lengths counted and listed: 3..8
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +278,11 @@ def _enumerate_cycles(g: Graph, length: int, collect: bool):
     """Count (and optionally list) unlabeled cycles of the given length.
 
     Each cycle is visited exactly once: rooted at its smallest vertex, with
-    the direction fixed by path[1] < path[-1].
+    the direction fixed by path[1] < path[-1]. A length that is not an
+    integer of ``CYCLE_LENGTHS`` raises UnsupportedLengthError.
     """
+    if not (isinstance(length, numbers.Integral) and length in CYCLE_LENGTHS):
+        raise UnsupportedLengthError(f"cycle length must be in [3, 8], got {length}")
     adj = g.adjacency
     count = 0
     found: list[tuple[int, ...]] = []
@@ -309,14 +314,12 @@ def _enumerate_cycles(g: Graph, length: int, collect: bool):
 
 
 def count_cycles(g: Graph, length: int) -> int:
-    """Exact number of unlabeled cycles of ``length`` (3..8) in ``g``.
+    """Exact number of unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) in ``g``.
 
     For lengths 3 and 4 the DFS result is re-derived in closed form by
     :class:`PatternCounts` and the two must agree; a mismatch means a bug,
     not an input problem, and raises RuntimeError.
     """
-    if not 3 <= length <= 8:
-        raise UnsupportedLengthError(f"cycle length must be in [3, 8], got {length}")
     count, _ = _enumerate_cycles(g, length, collect=False)
     if length in (3, 4):
         closed_form = PatternCounts(g).copies(_CYCLES[length])
@@ -338,9 +341,7 @@ def four_cycle_count_from_traces(g: Graph) -> int:
 
 
 def cycle_list(g: Graph, length: int) -> tuple[tuple[int, ...], ...]:
-    """All unlabeled cycles of ``length`` as vertex tuples."""
-    if not 3 <= length <= 8:
-        raise UnsupportedLengthError(f"cycle length must be in [3, 8], got {length}")
+    """All unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) as vertex tuples."""
     _, found = _enumerate_cycles(g, length, collect=True)
     return tuple(found)
 
@@ -490,8 +491,9 @@ class PatternCounts:
     Codegrees and triangles come from wedges oriented by degree rank
     (Chiba-Nishizeki 1985) or, when its k^3 is cheaper, from the k x k
     matrices of ``g.twin_quotient`` (k = n and B = A on a twin-free host).
-    Both go in blocks of ``rng.BATCH_ENTRIES // 16`` entries, so neither
-    builds a large array. All sums are exact Python ints.
+    Quotient rows go in ``rng.batches`` blocks and wedges in blocks of
+    ``rng.BATCH_ENTRIES // 16``, so neither builds a large array. All sums
+    are exact Python ints.
     """
 
     def __init__(self, g: Graph):
@@ -581,14 +583,13 @@ def _automorphisms(h: MultiGraphPattern) -> int:
 
 def _host_invariants(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """(d, s, t, w) of :class:`PatternCounts`, by the cheaper of two routes."""
-    u, v = g.edge_arrays()
-    d = np.bincount(u, minlength=g.n) + np.bincount(v, minlength=g.n)
+    d = np.diff(g.offsets)
     if g.m == 0:
         return d, d, d, 0
+    u, v = g.edge_arrays()
     s = (np.bincount(u, d[v], g.n) + np.bincount(v, d[u], g.n)).astype(np.int64)
     if g.n <= _SMALL_HOST:  # the blow-up of B = A, with no twin search
-        a = np.zeros((g.n, g.n), np.float32)
-        a[u, v] = a[v, u] = 1
+        a = g.adjacency_matrix(np.float32)
         return (d, s, *_quotient_invariants(np.arange(g.n), a, np.zeros(g.n, np.float32)))
     wedges = int(np.minimum(d[u], d[v]).sum())  # bounds the oriented wedges
     classes = min(round((_MATMUL_PER_WEDGE * wedges) ** (1 / 3)), _MAX_CLASSES)
@@ -604,15 +605,13 @@ def _quotient_invariants(labels: np.ndarray, b: np.ndarray, q: np.ndarray) -> tu
     Two distinct vertices of classes i and j have codeg (B D B)[i, j] less
     B[i, j] for each of them on a clique class, where D holds the class
     sizes; a vertex of class i has n_j - [i = j] others in class j. Rows go
-    in blocks of ``rng.BATCH_ENTRIES // 16`` entries, as the wedges do.
-    B D B is exact in float32 while n < 2^24: no entry or partial sum exceeds n.
+    in the blocks of ``rng.batches`` at 16 k entries a row. B D B is exact
+    in float32 while n < 2^24: no entry or partial sum exceeds n.
     """
     sizes = np.bincount(labels)
     k = sizes.size
-    step = max(1, rng.BATCH_ENTRIES // 16 // k)
     triangles, w = np.zeros(k, np.int64), 0
-    for lo in range(0, k, step):
-        rows = np.arange(lo, min(k, lo + step))
+    for rows in rng.batches(0, k, 16 * k):
         codeg = ((b[rows] * sizes.astype(b.dtype)) @ b - (q[rows, None] + q) * b[rows]).astype(np.int64)
         others = sizes - (rows[:, None] == np.arange(k))
         triangles[rows] = (b[rows] * others * codeg).sum(axis=1).astype(np.int64) // 2

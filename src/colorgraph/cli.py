@@ -6,8 +6,8 @@ Graphs are passed either as an edge-list file (header ``n m``, then one
 file also writes ``<out>.manifest.json`` beside it with the echoed
 configuration, library version, and wall time.
 
-Exit codes: 0 ok, 1 failed comparison, 2 usage error, 3 enumeration or size
-gate exceeded, 4 numerical failure.
+Exit codes: 0 ok, 1 failed comparison, 2 usage error or a path that cannot
+be read or written, 3 enumeration or size gate exceeded, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -127,8 +127,8 @@ def _command(name: str):
 
     The function returns ``(text, config)``, or ``(text, config, exit_code)``.
     The command adds ``--out``, maps library errors onto the documented exit
-    codes, and writes ``text`` (see :func:`_emit`) before it exits with
-    ``exit_code``.
+    codes (an OSError is a usage error), and writes ``text`` (see
+    :func:`_emit`) before it exits with ``exit_code``.
     """
 
     def register(fn):
@@ -137,15 +137,15 @@ def _command(name: str):
             started = time.time()
             try:
                 text, config, *exit_code = fn(**kwargs)
+                _emit(text, out, name, config, started)
             except GateExceededError as exc:
                 click.echo(f"gate exceeded: {exc}", err=True)
                 sys.exit(EXIT_GATE)
             except _NUMERICAL_ERRORS as exc:
                 click.echo(f"numerical failure: {exc}", err=True)
                 sys.exit(EXIT_NUMERICAL)
-            except (ColorGraphError, ValueError) as exc:
+            except (ColorGraphError, ValueError, OSError) as exc:
                 raise click.UsageError(str(exc)) from exc
-            _emit(text, out, name, config, started)
             if exit_code and exit_code[0]:
                 sys.exit(exit_code[0])
 
@@ -172,7 +172,7 @@ def generate_cmd(family, kernel_csv, seed):
     if kernel_csv is not None:
         from .graph import Inhomogeneous
 
-        grid = np.loadtxt(kernel_csv, delimiter=",", ndmin=2)
+        grid = np.loadtxt(Path(kernel_csv).read_text().splitlines(), delimiter=",", ndmin=2)
         if seed is None:
             raise click.UsageError("--kernel-csv requires --seed")
         spec = Inhomogeneous(grid.shape[0], tuple(map(tuple, grid.tolist())), seed)
@@ -200,7 +200,7 @@ def census_cmd(graph_source, k, cycles):
     }
     payload = {"n": g.n, "m": g.m, "tuple_length": k, "patterns": patterns}
     if cycles:
-        payload["cycles"] = {str(length): census.count_cycles(g, length) for length in range(3, 9)}
+        payload["cycles"] = {str(length): census.count_cycles(g, length) for length in census.CYCLE_LENGTHS}
     return _json_doc("census", payload), {"graph": graph_source, "tuples": k, "cycles": cycles}
 
 
@@ -382,6 +382,8 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale):
         parts = r.split(",")
         values.append(float(Fraction(parts[0])))
         weights.append(float(Fraction(parts[1])) if len(parts) > 1 else 1.0)
+    if not values:
+        raise click.UsageError(f"--empirical {empirical} has no value rows")
     if metric is None:
         metric = "tv" if isinstance(law, (limits.Poisson, limits.PoissonMixture)) else "ks"
     if metric == "tv":

@@ -14,9 +14,9 @@ matrix is built and none is transposed.
 Both count with one of three kernels, the cheapest per sample, built once
 per call by ``_kernel_for``: a one-hot float32 GEMM on the twin quotient
 of the host, a sort of each coloring's (color, class) keys on the same
-quotient, or a gather that compares colors along edges, cycles or
-neighbour lists, one contiguous row per vertex looked up. The quotient
-kernels read the host as a blow-up of its k twin classes
+quotient, or a gather that compares colors along edges, cycles or the
+neighbour lists of ``Graph.nbrs``, one contiguous row per vertex looked
+up. The quotient kernels read the host as a blow-up of its k twin classes
 (``Graph.twin_quotient``): with h_a the per-class count of color a and B
 the k x k quotient, N = 1/2 sum_a h_a' (B h_a - q), which is
 1/2 sum_a x_a' A x_a. So the complete host counts from its color-class
@@ -77,7 +77,7 @@ class MonoCycles(Params):
     """Number of g-cycles whose vertices all share one color."""
 
     g: int
-    ranges = {"g": (lambda g: 3 <= g <= 8, "in [3, 8]")}
+    ranges = {"g": (lambda g: g in census.CYCLE_LENGTHS, "in [3, 8]")}
 
 
 Statistic = Union[MonoEdges, MonoStars, MonoCycles]
@@ -151,25 +151,18 @@ def _neighbour_columns(g: Graph) -> tuple[np.ndarray, list[np.ndarray], list[np.
     neighbours, in that vertex order, so it lines up with a prefix of it.
     Columns stop at the cut j that minimizes j plus the size of column j;
     tail i holds the neighbours past the cut of the i-th vertex. The loops
-    over columns and tails stay short even on hubs.
+    over columns and tails stay short even on hubs. Both are read off
+    ``g.nbrs`` at ``g.offsets``: a column is one gather, a tail one slice.
     """
-    u, v = g.edge_arrays()
-    deg = np.bincount(u, minlength=g.n) + np.bincount(v, minlength=g.n)
+    deg = np.diff(g.offsets)
     by_deg = np.argsort(-deg, kind="stable")
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[by_deg] = np.arange(g.n)
-    owner, other = rank[np.concatenate((u, v))], np.concatenate((v, u))
-    order = np.argsort(owner, kind="stable")
-    owner, other = owner[order], other[order]
-    slot = np.arange(owner.size) - np.searchsorted(owner, owner)
-    sizes = np.append(np.bincount(slot), 0)
+    start = g.offsets[by_deg]
+    # sizes[j]: the vertices with more than j neighbours, a prefix of by_deg
+    sizes = np.searchsorted(-deg[by_deg], -np.arange(deg.max(initial=0) + 1))
     cut = int(np.argmin(np.arange(sizes.size) + sizes))
-    head = slot < cut
-    order = np.lexsort((owner[head], slot[head]))
-    columns = np.split(other[head][order], np.cumsum(sizes[:cut])[:-1])
-    hubs = int(sizes[cut])  # vertices with neighbours past the cut
-    tail_sizes = np.bincount(owner[~head], minlength=hubs)
-    tails = np.split(other[~head], np.cumsum(tail_sizes)[:-1]) if hubs else []
+    columns = [g.nbrs[start[:size] + j] for j, size in enumerate(sizes[:cut].tolist())]
+    hubs = by_deg[:sizes[cut]].tolist()  # the vertices with neighbours past the cut
+    tails = [g.nbrs[g.offsets[v] + cut:g.offsets[v + 1]] for v in hubs]
     return by_deg, columns, tails
 
 

@@ -286,7 +286,7 @@ def condition_report(g: Graph) -> ConditionReport:
         raise ValueError("condition report needs at least one edge")
     m = g.m
     spec = spectral.eigenvalues(g)
-    counts = {length: census.count_cycles(g, length) for length in range(3, 9)}
+    counts = {length: census.count_cycles(g, length) for length in census.CYCLE_LENGTHS}
     return ConditionReport(
         m=m,
         acf4_ratio=counts[4] / m**2,

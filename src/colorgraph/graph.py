@@ -62,7 +62,7 @@ __all__ = [
 class Graph:
     """Immutable simple undirected graph on vertices ``0 .. n-1``."""
 
-    __slots__ = ("n", "edges", "_adj", "_nbr_sets", "_nbrs", "_offsets")
+    __slots__ = ("n", "edges", "_adj", "_nbr_sets", "nbrs", "offsets")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -89,11 +89,12 @@ class Graph:
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._nbr_sets = None
-        # the same lists as numpy: vertex v's neighbours are _nbrs[_offsets[v]:_offsets[v + 1]]
-        self._nbrs = np.fromiter(itertools.chain.from_iterable(self._adj), np.int64, 2 * self.m)
-        self._offsets = np.concatenate(([0], np.cumsum(np.fromiter(map(len, self._adj), np.int64, n))))
-        self._nbrs.setflags(write=False)
-        self._offsets.setflags(write=False)
+        # the same lists as read-only numpy arrays, v's neighbours nbrs[offsets[v]:offsets[v + 1]];
+        # edge_arrays, the twin search, the census degrees and colorsim's star gather read them
+        self.nbrs = np.fromiter(itertools.chain.from_iterable(self._adj), np.int64, 2 * self.m)
+        self.offsets = np.concatenate(([0], np.cumsum(np.fromiter(map(len, self._adj), np.int64, n))))
+        self.nbrs.setflags(write=False)
+        self.offsets.setflags(write=False)
 
     # -- basic accessors ------------------------------------------------
 
@@ -128,12 +129,12 @@ class Graph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays (U, V) of shape (m,), for vectorized work; built per call, never cached."""
         owner = self._owners()
-        keep = owner < self._nbrs
-        return owner[keep], self._nbrs[keep]
+        keep = owner < self.nbrs
+        return owner[keep], self.nbrs[keep]
 
     def _owners(self) -> np.ndarray:
-        """The vertex whose neighbour list holds each entry of ``_nbrs``."""
-        return np.repeat(np.arange(self.n), np.diff(self._offsets))
+        """The vertex whose neighbour list holds each entry of ``nbrs``."""
+        return np.repeat(np.arange(self.n), np.diff(self.offsets))
 
     def twin_quotient(self, dtype=np.float64, max_classes: int | None = None):
         """The graph as a blow-up of its twin classes; built per call, never cached.
@@ -157,7 +158,7 @@ class Graph:
         the closed one by the blow-up reproducing every edge. On a collision
         the next salt's words hash again, so the result never depends on luck.
         """
-        offsets, nbrs, owner = self._offsets, self._nbrs, self._owners()
+        offsets, nbrs, owner = self.offsets, self.nbrs, self._owners()
         degree, vertices = np.diff(offsets), np.arange(self.n)
         for salt in itertools.count():  # a fresh hash after two distinct lists collide
             # a neighbourhood's hash: the sum of its vertices' hash words, mod 2^64

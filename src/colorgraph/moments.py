@@ -187,9 +187,6 @@ class FourthMomentReport:
     remainder: Fraction
 
 
-_FOUR_CYCLE = MultiGraphPattern.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])
-
-
 def fourth_moment_report(g: Graph, c: int) -> FourthMomentReport:
     """The exact fourth moment and its parts, from one census of the 4-tuples of ``g``."""
     table = census.count_multigraph_tuples(g, 4)
@@ -197,7 +194,7 @@ def fourth_moment_report(g: Graph, c: int) -> FourthMomentReport:
     one_minus = 1 - Fraction(1, c)
     leading = 3 * one_minus**2
     # each four-cycle spans its 4! orderings
-    c4 = Fraction(1, c) * one_minus * Fraction(table.get(_FOUR_CYCLE, 0) // 24, g.m**2)
+    c4 = Fraction(1, c) * one_minus * Fraction(table.get(census._CYCLES[4], 0) // 24, g.m**2)
     return FourthMomentReport(
         exact=exact,
         leading=leading,

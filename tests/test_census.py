@@ -29,6 +29,7 @@ from colorgraph.census import (
     count_cycles,
     count_multigraph_tuples,
     count_subgraph,
+    cycle_list,
     decompose_tight_multigraph,
     four_cycle_count_from_traces,
     hom_density_cycle,
@@ -69,6 +70,14 @@ class TestCountCycles:
             count_cycles(g, 2)
         with pytest.raises(UnsupportedLengthError):
             count_cycles(g, 9)
+
+    @pytest.mark.parametrize("fn,length", [
+        (count_cycles, 3.5), (count_cycles, 4.0), (cycle_list, 3.5), (cycle_list, 2), (cycle_list, 9),
+    ])
+    def test_unsupported_length_raises_the_typed_error(self, fn, length):
+        # a float passes a range comparison; the census takes integer lengths only
+        with pytest.raises(UnsupportedLengthError, match=r"cycle length must be in \[3, 8\]"):
+            fn(generate(Complete(4)), length)
 
     def test_matches_brute_force(self):
         for seed in range(30):

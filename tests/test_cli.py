@@ -309,6 +309,36 @@ class TestLimitCommand:
 COMPARE_KS = ["compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "ks", "--tol", "0.5"]
 
 
+# a path that cannot be read or written, and an empirical CSV with no value rows: usage errors
+PATH_ERRORS = [
+    (["compare", "--empirical", "e.csv", "--law", "missing.json", "--tol", "0.5"],
+     "No such file or directory: 'missing.json'"),
+    (["compare", "--empirical", "missing.csv", "--law", "law.json", "--tol", "0.5"],
+     "No such file or directory: 'missing.csv'"),
+    (["generate", "--kernel-csv", "missing.csv", "--seed", "1"], "No such file or directory: 'missing.csv'"),
+    (["census", "--graph", "a-directory"], "Is a directory: 'a-directory'"),
+    (["simulate", "--graph", "complete:3", "--colors", "2", "--samples", "5", "--seed", "1",
+      "--out", "no-such-dir/x.csv"], "No such file or directory: 'no-such-dir/x.csv'"),
+    (["compare", "--empirical", "empty.csv", "--law", "law.json", "--tol", "0.5"],
+     "--empirical empty.csv has no value rows"),
+]
+PATH_ERROR_IDS = ["missing-law", "missing-empirical", "missing-kernel-csv", "graph-is-a-directory",
+                  "out-in-missing-directory", "empirical-without-rows"]
+
+
+@pytest.mark.parametrize("args,message", PATH_ERRORS, ids=PATH_ERROR_IDS)
+def test_path_error_names_its_cause(runner, args, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.csv").write_text("value,count\n3,10\n")
+    (tmp_path / "empty.csv").write_text("value,count\n# no rows\n")
+    (tmp_path / "law.json").write_text(json.dumps({"kind": "poisson", "mean": 5.0}))
+    (tmp_path / "a-directory").mkdir()
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert "Traceback" not in res.output
+
+
 class TestBirthday:
     def test_classic(self, runner):
         res = invoke(runner, "birthday", "--people", "23", "--days", "365")
@@ -358,16 +388,19 @@ class TestBirthday:
         (["limit", "--graph", "regular:5000:3:1", "--colors", "2"], 0),
         (["limit", "--graph", "star:5000", "--colors", "2"], 0),
         (["limit", "--graph", "dense.edges", "--colors", "2"], 3),
+        *((args, 2) for args, _ in PATH_ERRORS),
     ], ids=["zero-days", "days-power-overflow", "negative-people", "negative-edges", "nan-edges",
             "zero-days-power", "inf-edges", "inf-days-power", "zero-base-negative-power",
             "edgeless-family", "zero-workers", "nan-growing-ratio", "graph-with-growing-ratio",
             "zero-scale", "negative-scale",
             "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol", "inf-poisson-mean",
             "fractional-dof", "nan-offspring", "sparse-host-above-size-gate", "star-above-size-gate",
-            "dense-host-above-size-gate"])
+            "dense-host-above-size-gate", *PATH_ERROR_IDS])
     def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the compare rows read these files
         (tmp_path / "e.csv").write_text("value,count\n3,10\n")
+        (tmp_path / "empty.csv").write_text("value,count\n# no rows\n")
+        (tmp_path / "a-directory").mkdir()
         (tmp_path / "law.json").write_text(json.dumps({"kind": "poisson", "mean": 5.0}))
         (tmp_path / "inf-mean.json").write_text(json.dumps({"kind": "poisson", "mean": math.inf}))
         (tmp_path / "half-dof.json").write_text(json.dumps(

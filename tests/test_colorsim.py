@@ -416,6 +416,14 @@ FROZEN_DIGESTS += [
 ]
 
 
+# stars through the gather, recorded while its neighbour columns were sorted from edge_arrays();
+# gadget:30:30:3 cuts its columns with 31 tails
+FROZEN_DIGESTS += [
+    ("er:300:0.1:7", 10, MonoStars(2), "gather", "5d6ba58ee737aa8dbb9be86e3a870900fc4040e7913d2bdef49418f5f3cbb2f3"),
+    ("gadget:30:30:3", 30, MonoStars(2), "gather", "4130ddf3b92cdb7c3271a7c94078d6eae66802346656d9fb13a2e7bee4997673"),
+]
+
+
 @pytest.mark.parametrize("spec,c,stat,kernel,digest", FROZEN_DIGESTS)
 def test_frozen_simulate_digest(spec, c, stat, kernel, digest):
     run = simulate(generate(parse_family(spec)), c, stat, 3000, 11)
