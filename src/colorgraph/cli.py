@@ -213,12 +213,11 @@ def extremal_cmd(graph_source):
     """Fractional stable number, deficiency, and structure flags."""
     g = _load_graph(graph_source)
     sol = extremal.gamma(g)
-    delta = extremal.deficiency(g)
     report = extremal.structural_check(sol, g)
     v0, vhalf, v1 = sol.partition
     payload = {
         "gamma": sol.gamma,
-        "delta": delta,
+        "delta": int(2 * sol.gamma) - g.n,  # gamma = (n + delta) / 2
         "phi": sol.phi,
         "partition_sizes": {"zero": len(v0), "half": len(vhalf), "one": len(v1)},
         "structure": report,
@@ -376,23 +375,22 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale):
     law = limits.law_from_dict(json.loads(Path(law_path).read_text()))
     rows = [ln.strip() for ln in Path(empirical).read_text().splitlines()]
     rows = [r for r in rows if r and not r.startswith("#") and not r[0].isalpha()]
-    values = []
-    weights = []
-    for r in rows:
-        parts = r.split(",")
-        values.append(float(Fraction(parts[0])))
-        weights.append(float(Fraction(parts[1])) if len(parts) > 1 else 1.0)
+    values, weights = [], []
+    try:
+        for r in rows:
+            parts = r.split(",")
+            values.append(float(Fraction(parts[0])))
+            weights.append(float(Fraction(parts[1])) if len(parts) > 1 else 1.0)
+    except OverflowError:
+        raise click.UsageError(f"--empirical row {r!r} holds a number outside the float range") from None
     if not values:
         raise click.UsageError(f"--empirical {empirical} has no value rows")
     if metric is None:
-        metric = "tv" if isinstance(law, (limits.Poisson, limits.PoissonMixture)) else "ks"
+        metric = "tv" if isinstance(law, limits.DiscreteLaw) else "ks"
     if metric == "tv":
-        total = sum(weights)
-        emp = {}
-        for v, w in zip(values, weights):
-            emp[v] = emp.get(v, 0.0) + w / total
+        emp = stats.empirical_pmf(values, weights)
         # the table stops where law_cdf stops its sum: past it every term is 0.0
-        ref = {float(k): p for k, p in enumerate(limits._pmf_terms(law, int(max(emp)) + 79))}
+        ref = {float(k): p for k, p in enumerate(limits.law_pmf_terms(law, int(max(emp)) + 79))}
         # emp has no mass past the summed range, so the law's mass there counts in full
         beyond = max(0.0, 1.0 - sum(ref.values()))
         value = stats.tv_distance(emp, ref) + 0.5 * beyond

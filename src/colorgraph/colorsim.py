@@ -18,13 +18,16 @@ quotient, or a gather that compares colors along edges, cycles or the
 neighbour lists of ``Graph.nbrs``, one contiguous row per vertex looked
 up. The quotient kernels read the host as a blow-up of its k twin classes
 (``Graph.twin_quotient``): with h_a the per-class count of color a and B
-the k x k quotient, N = 1/2 sum_a h_a' (B h_a - q), which is
-1/2 sum_a x_a' A x_a. So the complete host counts from its color-class
-sizes, and a twin-free host (k = n, B = A) runs the plain adjacency GEMM.
-The GEMM makes one pass per color; the sort reads h_a off the colors
-present only, so it serves the birthday regime (c > n). The kernels
-return identical counts. All loop over the sample or coloring blocks of
-``rng.batches``, sized by the kernel's ``row_cost``.
+the k x k quotient, a vertex of class j and color a has
+d = (B h_a - q)_j neighbours of its color, and the kernels count one star
+order r, sum_v C(d_v, r). Edges are 1-stars halved:
+N = 1/2 sum_a h_a' (B h_a - q), which is 1/2 sum_a x_a' A x_a. So the
+complete host counts from its color-class sizes, and a twin-free host
+(k = n, B = A) runs the plain adjacency GEMM. The GEMM makes one pass per
+color; the sort reads h_a off the colors present only, so it serves the
+birthday regime (c > n). The kernels return identical counts. All loop
+over the sample or coloring blocks of ``rng.batches``, sized by the
+kernel's ``row_cost``.
 """
 from __future__ import annotations
 
@@ -96,23 +99,21 @@ def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->i", x, y, dtype=np.int64, casting="unsafe")
 
 
-def _gemm_counts(quotient, c: int, stat: Statistic, colors: np.ndarray) -> np.ndarray:
-    """Edges or stars per column from class histograms and class mono-degrees.
+def _gemm_counts(quotient, c: int, r: int, colors: np.ndarray) -> np.ndarray:
+    """Monochromatic r-stars sum_v C(mono-degree of v, r) per column, from class histograms.
 
     ``quotient`` is ``Graph.twin_quotient(np.float32)``: vertex labels, the
     k x k 0/1 quotient B and the clique flags q. For color a, the histogram
     h_a = P' x_a counts the vertices of each class that have color a (P is
     the n x k class membership, x_a the (n, batch) indicator of a), and
     d_a = B h_a - q is the number of color-a neighbours of each of them. So
-    edges = 1/2 sum_a h_a . d_a and r-stars = sum_a h_a . C(d_a, r), over the
-    entries with h_a > 0. A twin-free host has k = n, P = I and B = A: there
-    d_a = A x_a, and stars take C(., r) once of each vertex's mono-degree
-    sum_a x_a * d_a. B h_a is a float32 GEMM, and the mono-degrees are
-    float32 sums of one nonzero term each, exact while n < 2^24; every other
-    product and sum is in int64.
+    the r-stars are sum_a h_a . C(d_a, r), over the entries with h_a > 0;
+    r = 1 gives sum_v d_v, twice the monochromatic edges. A twin-free host
+    has k = n, P = I and B = A: there d_a = A x_a, and r >= 2 takes C(., r)
+    once of each vertex's mono-degree sum_a x_a * d_a. B h_a is a float32
+    GEMM, and the mono-degrees are float32 sums of one nonzero term each,
+    exact while n < 2^24; every other product and sum is in int64.
     """
-    if isinstance(stat, MonoCycles):
-        raise TypeError("the GEMM kernel counts edges and stars only")
     labels, blocks, clique = quotient
     twin_free = clique.size == labels.size
     if not twin_free:  # rows in class order: each histogram entry sums one run of rows
@@ -124,24 +125,23 @@ def _gemm_counts(quotient, c: int, stat: Statistic, colors: np.ndarray) -> np.nd
     hist = x if twin_free else np.empty((clique.size, colors.shape[1]), dtype=np.float32)
     deg = np.empty(hist.shape, dtype=np.float32)
     total = np.zeros(colors.shape[1], dtype=np.int64)
-    mono_deg = np.zeros(colors.shape, dtype=np.float32) if twin_free and isinstance(stat, MonoStars) else None
+    mono_deg = np.zeros(colors.shape, dtype=np.float32) if twin_free and r > 1 else None
     # a block holds at most colors.size distinct colors; above that, loop over those present
     for a in range(c) if c <= colors.size else np.unique(colors):
         np.equal(colors, a, out=x)
         if not twin_free:
             np.add.reduceat(x, starts, axis=0, out=hist)
         np.matmul(blocks, hist, out=deg)
-        if isinstance(stat, MonoEdges):
+        if not twin_free:
+            deg -= clique[:, None]
+        if r == 1:
             total += _column_dots(hist, deg)
         elif twin_free:
             deg *= x
             mono_deg += deg
         else:
-            deg -= clique[:, None]
-            total += _column_dots(hist, _comb_array(np.maximum(deg, 0).astype(np.int64), stat.r))
-    if isinstance(stat, MonoEdges):  # sum_a q . h_a counts each vertex of a clique class once
-        return (total - np.count_nonzero(clique[labels])) // 2
-    return _comb_array(mono_deg.astype(np.int64), stat.r).sum(axis=0) if twin_free else total
+            total += _column_dots(hist, _comb_array(np.maximum(deg, 0).astype(np.int64), r))
+    return total if mono_deg is None else _comb_array(mono_deg.astype(np.int64), r).sum(axis=0)
 
 
 def _neighbour_columns(g: Graph) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -166,56 +166,41 @@ def _neighbour_columns(g: Graph) -> tuple[np.ndarray, list[np.ndarray], list[np.
     return by_deg, columns, tails
 
 
-def _gather_index(g: Graph, stat: Statistic):
-    """What the gather kernel compares for ``stat``.
+def _star_counts(index, r: int, by_vertex: np.ndarray) -> np.ndarray:
+    """r-stars per column of the (n, batch) ``by_vertex``, along ``_neighbour_columns``' lists."""
+    by_deg, columns, tails = index
+    own = by_vertex[by_deg]
+    mono_deg = np.zeros(own.shape, dtype=np.int64)
+    for col in columns:
+        mono_deg[: col.size] += by_vertex[col] == own[: col.size]
+    for i, tail in enumerate(tails):
+        mono_deg[i] += np.count_nonzero(by_vertex[tail] == own[i], axis=0)
+    return _comb_array(mono_deg, r).sum(axis=0)
 
-    Stars get ``_neighbour_columns``; edges and cycles get vertex tuples,
-    an (m, 2) or (#cycles, g) array.
-    """
-    if isinstance(stat, MonoStars):
-        return _neighbour_columns(g)
-    if isinstance(stat, MonoCycles):
-        return np.asarray(census.cycle_list(g, stat.g), dtype=np.int64).reshape(-1, stat.g)
-    return np.stack(g.edge_arrays(), axis=1)
 
-
-def _gather_counts(index, stat: Statistic, by_vertex: np.ndarray) -> np.ndarray:
-    """Statistic per column by comparing colors along edges, cycles or neighbour lists.
-
-    ``index`` comes from ``_gather_index``. ``by_vertex`` is the (n, batch)
-    color matrix, so each vertex looked up gathers one contiguous row.
-    """
-    if isinstance(stat, MonoStars):
-        by_deg, columns, tails = index
-        own = by_vertex[by_deg]
-        mono_deg = np.zeros(own.shape, dtype=np.int64)
-        for col in columns:
-            mono_deg[: col.size] += by_vertex[col] == own[: col.size]
-        for i, tail in enumerate(tails):
-            mono_deg[i] += np.count_nonzero(by_vertex[tail] == own[i], axis=0)
-        return _comb_array(mono_deg, stat.r).sum(axis=0)
-    first = by_vertex[index[:, 0]]
-    mono = first == by_vertex[index[:, 1]]
-    for j in range(2, index.shape[1]):
-        mono &= first == by_vertex[index[:, j]]
+def _tuple_counts(tuples: np.ndarray, by_vertex: np.ndarray) -> np.ndarray:
+    """Rows of ``tuples`` (edges or cycles) whose vertices share a color, per column of ``by_vertex``."""
+    first = by_vertex[tuples[:, 0]]
+    mono = first == by_vertex[tuples[:, 1]]
+    for j in range(2, tuples.shape[1]):
+        mono &= first == by_vertex[tuples[:, j]]
     return np.count_nonzero(mono, axis=0).astype(np.int64)
 
 
-def _sorted_counts(quotient, c: int, stat: Statistic, colors: np.ndarray) -> np.ndarray:
-    """Edges or stars per column from each column's sorted (color, class) keys.
+def _sorted_counts(quotient, c: int, r: int, colors: np.ndarray) -> np.ndarray:
+    """Monochromatic r-stars per column from each column's sorted (color, class) keys.
 
     ``quotient`` is ``Graph.twin_quotient``'s (labels, B, q). Sorting the
     keys color * k + label down each column puts the vertices of one color
     next to each other, classes in order, so the class sizes h_a of each
     color present are read off the runs of equal colors. A vertex of class j
     and color a has d = (B h_a)_j - q_j neighbours of its color, the identity
-    ``_gemm_counts`` uses, and edges = 1/2 sum d, r-stars = sum C(d, r). A
-    vertex alone in its color has d = 0, so only runs of two or more vertices
-    are read: about m / c pairs per column on K_n. The keys take the
-    narrowest dtype holding c * k - 1, which ``_kernel_for`` keeps in int64.
+    ``_gemm_counts`` uses, and r-stars = sum C(d, r); r = 1 sums d itself,
+    twice the monochromatic edges. A vertex alone in its color has d = 0, so
+    only runs of two or more vertices are read: about m / c pairs per column
+    on K_n. The keys take the narrowest dtype holding c * k - 1, which
+    ``_kernel_for`` keeps in int64.
     """
-    if isinstance(stat, MonoCycles):
-        raise TypeError("the sorted kernel counts edges and stars only")
     labels, blocks, clique = quotient
     n, batch = colors.shape
     k = clique.size
@@ -241,8 +226,13 @@ def _sorted_counts(quotient, c: int, stat: Statistic, colors: np.ndarray) -> np.
     hist = np.bincount(member_run * k + member_label, minlength=heads.size * k).reshape(-1, k)
     blocks = blocks.astype(np.int64)
     deg = _column_dots(hist[member_run].T, blocks[member_label].T) - clique.astype(np.int64)[member_label]
-    np.add.at(total, member_col, deg if isinstance(stat, MonoEdges) else _comb_array(deg, stat.r))
-    return total // 2 if isinstance(stat, MonoEdges) else total
+    np.add.at(total, member_col, deg if r == 1 else _comb_array(deg, r))
+    return total
+
+
+def _quotient_count(counts, quotient, c: int, r: int, share: int, colors: np.ndarray) -> np.ndarray:
+    """A quotient kernel's r-stars per column, divided by ``share``: edges are 1-stars halved."""
+    return counts(quotient, c, r, colors) // share
 
 
 class _Kernel(NamedTuple):
@@ -251,6 +241,19 @@ class _Kernel(NamedTuple):
     name: str  # "gemm", "sorted" or "gather"
     count: Callable[[np.ndarray], np.ndarray]  # (n, batch) color matrix -> statistic per column
     row_cost: int  # matrix entries per sample, for ``rng.batches``
+
+
+def _gather_for(g: Graph, stat: Statistic) -> _Kernel:
+    """The gather for ``stat``: stars along ``_neighbour_columns``, edges and cycles along tuples."""
+    row_cost = g.n + g.m
+    if isinstance(stat, MonoStars):
+        return _Kernel("gather", functools.partial(_star_counts, _neighbour_columns(g), stat.r), row_cost)
+    if isinstance(stat, MonoCycles):
+        tuples = np.asarray(census.cycle_list(g, stat.g), dtype=np.int64).reshape(-1, stat.g)
+        row_cost += tuples.size
+    else:
+        tuples = np.stack(g.edge_arrays(), axis=1)
+    return _Kernel("gather", functools.partial(_tuple_counts, tuples), row_cost)
 
 
 def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
@@ -264,6 +267,7 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
     ``rng.batches`` block and the sort needs its keys c*k to fit int64.
     Those bounds and the gather's cost bound k, and the twin search is
     skipped when not even k = 1 could beat the gather. Cycles always gather.
+    The quotient kernels count r-stars; edges are 1-stars halved.
     """
     n, depth = g.n, (g.n - 1).bit_length()  # depth = ceil(log2 n)
     gather = _GATHER_STEP * g.m
@@ -281,17 +285,13 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
         if k <= sort_classes:
             costs["sorted"] = _SORT_STEP * n * (depth + k)
     name = min(("gemm", "sorted", "gather"), key=lambda kind: costs.get(kind, math.inf))
-    if name == "gemm":
-        row_cost = 2 * (n + k)  # colors, indicator, histogram, degrees
-        count = functools.partial(_gemm_counts, quotient, c, stat)
-    elif name == "sorted":
-        row_cost = n * (15 + 3 * k)  # colors, keys and masks, link and vertex arrays, class histograms
-        count = functools.partial(_sorted_counts, quotient, c, stat)
-    else:
-        index = _gather_index(g, stat)
-        row_cost = n + g.m + (index.size if isinstance(stat, MonoCycles) else 0)
-        count = functools.partial(_gather_counts, index, stat)
-    return _Kernel(name, count, row_cost)
+    if name == "gather":
+        return _gather_for(g, stat)
+    r, share = (1, 2) if isinstance(stat, MonoEdges) else (stat.r, 1)
+    # row costs: colors, indicator, histogram, degrees; colors, keys and masks, link and vertex
+    # arrays, class histograms
+    counts, row_cost = (_gemm_counts, 2 * (n + k)) if name == "gemm" else (_sorted_counts, n * (15 + 3 * k))
+    return _Kernel(name, functools.partial(_quotient_count, counts, quotient, c, r, share), row_cost)
 
 
 def mono_count(g: Graph, colors, stat: Statistic) -> int:
@@ -301,7 +301,7 @@ def mono_count(g: Graph, colors, stat: Statistic) -> int:
         raise BadColorVectorError(f"expected {g.n} colors, got shape {arr.shape}")
     if g.n and arr.min() < 0:
         raise BadColorVectorError("colors must be nonnegative integers")
-    return int(_gather_counts(_gather_index(g, stat), stat, arr[:, None])[0])
+    return int(_gather_for(g, stat).count(arr[:, None])[0])
 
 
 @dataclass(frozen=True, eq=False)

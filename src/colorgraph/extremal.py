@@ -217,8 +217,7 @@ def _has_spanning_cycle_edge_factor(h: Graph) -> bool:
         return True
     if h.has_isolated_vertices():
         return False
-    size, _, _ = hopcroft_karp(h.n, h.n, h.adjacency)
-    return size == h.n
+    return deficiency(h) == 0
 
 
 def structural_check(sol: FractionalSolution, h: Graph) -> StructuralReport:

@@ -329,11 +329,21 @@ class Params:
 class Complete(Params):
     n: int
 
+    def build(self) -> Graph:
+        if self.n < 0:
+            raise InfeasibleSpecError("complete graph needs n >= 0")
+        return Graph(self.n, [(i, j) for i in range(self.n) for j in range(i + 1, self.n)])
+
 
 @dataclass(frozen=True)
 class CompleteBipartite(Params):
     a: int
     b: int
+
+    def build(self) -> Graph:
+        if self.a < 0 or self.b < 0:
+            raise InfeasibleSpecError("bipartite sides must be nonnegative")
+        return Graph(self.a + self.b, [(i, self.a + j) for i in range(self.a) for j in range(self.b)])
 
 
 @dataclass(frozen=True)
@@ -342,6 +352,11 @@ class Star(Params):
 
     leaves: int
 
+    def build(self) -> Graph:
+        if self.leaves < 0:
+            raise InfeasibleSpecError("star needs a nonnegative leaf count")
+        return Graph(self.leaves + 1, [(0, i) for i in range(1, self.leaves + 1)])
+
 
 @dataclass(frozen=True)
 class Path(Params):
@@ -349,10 +364,21 @@ class Path(Params):
 
     edges: int
 
+    def build(self) -> Graph:
+        if self.edges < 0:
+            raise InfeasibleSpecError("path needs a nonnegative edge count")
+        return Graph(self.edges + 1, [(i, i + 1) for i in range(self.edges)])
+
 
 @dataclass(frozen=True)
 class Cycle(Params):
     length: int
+
+    def build(self) -> Graph:
+        if self.length < 3:
+            raise InfeasibleSpecError("cycle length must be at least 3")
+        g = self.length
+        return Graph(g, [(i, (i + 1) % g) for i in range(g)])
 
 
 @dataclass(frozen=True)
@@ -361,12 +387,32 @@ class Hypercube(Params):
 
     dim: int
 
+    def build(self) -> Graph:
+        if self.dim < 0:
+            raise InfeasibleSpecError("hypercube dimension must be nonnegative")
+        n = 1 << self.dim
+        pairs = []
+        for x in range(n):
+            for b in range(self.dim):
+                y = x ^ (1 << b)
+                if y > x:
+                    pairs.append((x, y))
+        return Graph(n, pairs)
+
 
 @dataclass(frozen=True)
 class ErdosRenyi(Params):
     n: int
     p: float
     seed: int
+
+    def build(self) -> Graph:
+        if self.n < 0 or not (0.0 <= self.p <= 1.0):
+            raise InfeasibleSpecError("Erdos-Renyi needs n >= 0 and p in [0, 1]")
+        iu, jv = np.triu_indices(self.n, k=1)
+        u = rng.uniforms(self.seed, rng.STREAM_ER, iu, jv)
+        keep = u < self.p
+        return Graph(self.n, list(zip(iu[keep].tolist(), jv[keep].tolist())))
 
 
 @dataclass(frozen=True)
@@ -382,12 +428,51 @@ class Inhomogeneous(Params):
     kernel: tuple[tuple[float, ...], ...]
     seed: int
 
+    def build(self) -> Graph:
+        k = np.asarray(self.kernel, dtype=np.float64)
+        if k.shape != (self.n, self.n):
+            raise InfeasibleSpecError(f"kernel grid must be {self.n}x{self.n}, got {k.shape}")
+        if np.any(k < 0) or np.any(k > 1):
+            raise InfeasibleSpecError("kernel entries must lie in [0, 1]")
+        if not np.allclose(k, k.T, atol=1e-12):
+            raise InfeasibleSpecError("kernel grid must be symmetric")
+        iu, jv = np.triu_indices(self.n, k=1)
+        u = rng.uniforms(self.seed, rng.STREAM_INHOM, iu, jv)
+        keep = u < k[iu, jv]
+        return Graph(self.n, list(zip(iu[keep].tolist(), jv[keep].tolist())))
+
+
+_REGULAR_RETRY_CAP = 1000
+
 
 @dataclass(frozen=True)
 class RandomRegular(Params):
     n: int
     d: int
     seed: int
+
+    def build(self) -> Graph:
+        n, d = self.n, self.d
+        if n < 0 or d < 0 or d >= max(n, 1) or (n * d) % 2 != 0:
+            raise InfeasibleSpecError(f"random regular graph needs n*d even and d < n, got n={n}, d={d}")
+        if d == 0:
+            return Graph(n, [])
+        points = n * d
+        for attempt in range(_REGULAR_RETRY_CAP):
+            perm = rng.permutation(self.seed, points, rng.STREAM_REGULAR, attempt)
+            left = perm[0::2] // d
+            right = perm[1::2] // d
+            if np.any(left == right):
+                continue
+            lo = np.minimum(left, right)
+            hi = np.maximum(left, right)
+            pairs = set(zip(lo.tolist(), hi.tolist()))
+            if len(pairs) < points // 2:
+                continue
+            return Graph(n, sorted(pairs))
+        raise GenerationTimeoutError(
+            f"pairing model rejected {_REGULAR_RETRY_CAP} attempts for n={n}, d={d}"
+        )
 
 
 @dataclass(frozen=True)
@@ -401,6 +486,33 @@ class GaltonWatson(Params):
     offspring: tuple[float, ...]
     height: int
     seed: int
+
+    def build(self) -> Graph:
+        pmf = np.asarray(self.offspring, dtype=np.float64)
+        if pmf.size == 0 or np.any(pmf < 0):
+            raise InfeasibleSpecError("offspring pmf must be a nonempty nonnegative vector")
+        if abs(float(pmf.sum()) - 1.0) > 1e-9:
+            raise InfeasibleSpecError(f"offspring pmf must sum to 1, got {pmf.sum()!r}")
+        if self.height < 0:
+            raise InfeasibleSpecError("height must be nonnegative")
+        cdf = np.cumsum(pmf)
+        cdf[-1] = 1.0
+        pairs = []
+        frontier = [0]
+        next_id = 1
+        for _ in range(self.height):
+            new_frontier = []
+            for parent in frontier:
+                u = float(rng.uniforms(self.seed, rng.STREAM_GW, parent))
+                k = int(np.searchsorted(cdf, u, side="right"))
+                for _ in range(k):
+                    pairs.append((parent, next_id))
+                    new_frontier.append(next_id)
+                    next_id += 1
+            frontier = new_frontier
+            if not frontier:
+                break
+        return Graph(next_id, pairs)
 
 
 @dataclass(frozen=True)
@@ -417,183 +529,33 @@ class PathCycleGadget(Params):
     b: int
     g: int
 
-
-FamilySpec = Union[
-    Complete,
-    CompleteBipartite,
-    Star,
-    Path,
-    Cycle,
-    Hypercube,
-    ErdosRenyi,
-    Inhomogeneous,
-    RandomRegular,
-    GaltonWatson,
-    PathCycleGadget,
-]
-
-
-def _gen_complete(spec: Complete) -> Graph:
-    if spec.n < 0:
-        raise InfeasibleSpecError("complete graph needs n >= 0")
-    return Graph(spec.n, [(i, j) for i in range(spec.n) for j in range(i + 1, spec.n)])
+    def build(self) -> Graph:
+        a, b, g = self.a, self.b, self.g
+        if a < 1 or b < 1 or g < 3:
+            raise InfeasibleSpecError("gadget needs a >= 1, b >= 1, g >= 3")
+        inner = g - 2
+        pairs = [(i, i + 1) for i in range(a)]
+        base = a + 1
+        for i in range(a):
+            for j in range(b):
+                start = base + (i * b + j) * inner
+                chain = [i] + list(range(start, start + inner)) + [i + 1]
+                pairs.extend(
+                    (min(x, y), max(x, y)) for x, y in zip(chain[:-1], chain[1:])
+                )
+        return Graph(base + a * b * inner, pairs)
 
 
-def _gen_bipartite(spec: CompleteBipartite) -> Graph:
-    if spec.a < 0 or spec.b < 0:
-        raise InfeasibleSpecError("bipartite sides must be nonnegative")
-    return Graph(spec.a + spec.b, [(i, spec.a + j) for i in range(spec.a) for j in range(spec.b)])
-
-
-def _gen_star(spec: Star) -> Graph:
-    if spec.leaves < 0:
-        raise InfeasibleSpecError("star needs a nonnegative leaf count")
-    return Graph(spec.leaves + 1, [(0, i) for i in range(1, spec.leaves + 1)])
-
-
-def _gen_path(spec: Path) -> Graph:
-    if spec.edges < 0:
-        raise InfeasibleSpecError("path needs a nonnegative edge count")
-    return Graph(spec.edges + 1, [(i, i + 1) for i in range(spec.edges)])
-
-
-def _gen_cycle(spec: Cycle) -> Graph:
-    if spec.length < 3:
-        raise InfeasibleSpecError("cycle length must be at least 3")
-    g = spec.length
-    return Graph(g, [(i, (i + 1) % g) for i in range(g)])
-
-
-def _gen_hypercube(spec: Hypercube) -> Graph:
-    if spec.dim < 0:
-        raise InfeasibleSpecError("hypercube dimension must be nonnegative")
-    n = 1 << spec.dim
-    pairs = []
-    for x in range(n):
-        for b in range(spec.dim):
-            y = x ^ (1 << b)
-            if y > x:
-                pairs.append((x, y))
-    return Graph(n, pairs)
-
-
-def _gen_erdos_renyi(spec: ErdosRenyi) -> Graph:
-    if spec.n < 0 or not (0.0 <= spec.p <= 1.0):
-        raise InfeasibleSpecError("Erdos-Renyi needs n >= 0 and p in [0, 1]")
-    iu, jv = np.triu_indices(spec.n, k=1)
-    u = rng.uniforms(spec.seed, rng.STREAM_ER, iu, jv)
-    keep = u < spec.p
-    return Graph(spec.n, list(zip(iu[keep].tolist(), jv[keep].tolist())))
-
-
-def _gen_inhomogeneous(spec: Inhomogeneous) -> Graph:
-    k = np.asarray(spec.kernel, dtype=np.float64)
-    if k.shape != (spec.n, spec.n):
-        raise InfeasibleSpecError(f"kernel grid must be {spec.n}x{spec.n}, got {k.shape}")
-    if np.any(k < 0) or np.any(k > 1):
-        raise InfeasibleSpecError("kernel entries must lie in [0, 1]")
-    if not np.allclose(k, k.T, atol=1e-12):
-        raise InfeasibleSpecError("kernel grid must be symmetric")
-    iu, jv = np.triu_indices(spec.n, k=1)
-    u = rng.uniforms(spec.seed, rng.STREAM_INHOM, iu, jv)
-    keep = u < k[iu, jv]
-    return Graph(spec.n, list(zip(iu[keep].tolist(), jv[keep].tolist())))
-
-
-_REGULAR_RETRY_CAP = 1000
-
-
-def _gen_random_regular(spec: RandomRegular) -> Graph:
-    n, d = spec.n, spec.d
-    if n < 0 or d < 0 or d >= max(n, 1) or (n * d) % 2 != 0:
-        raise InfeasibleSpecError(f"random regular graph needs n*d even and d < n, got n={n}, d={d}")
-    if d == 0:
-        return Graph(n, [])
-    points = n * d
-    for attempt in range(_REGULAR_RETRY_CAP):
-        perm = rng.permutation(spec.seed, points, rng.STREAM_REGULAR, attempt)
-        left = perm[0::2] // d
-        right = perm[1::2] // d
-        if np.any(left == right):
-            continue
-        lo = np.minimum(left, right)
-        hi = np.maximum(left, right)
-        pairs = set(zip(lo.tolist(), hi.tolist()))
-        if len(pairs) < points // 2:
-            continue
-        return Graph(n, sorted(pairs))
-    raise GenerationTimeoutError(
-        f"pairing model rejected {_REGULAR_RETRY_CAP} attempts for n={n}, d={d}"
-    )
-
-
-def _gen_galton_watson(spec: GaltonWatson) -> Graph:
-    pmf = np.asarray(spec.offspring, dtype=np.float64)
-    if pmf.size == 0 or np.any(pmf < 0):
-        raise InfeasibleSpecError("offspring pmf must be a nonempty nonnegative vector")
-    if abs(float(pmf.sum()) - 1.0) > 1e-9:
-        raise InfeasibleSpecError(f"offspring pmf must sum to 1, got {pmf.sum()!r}")
-    if spec.height < 0:
-        raise InfeasibleSpecError("height must be nonnegative")
-    cdf = np.cumsum(pmf)
-    cdf[-1] = 1.0
-    pairs = []
-    frontier = [0]
-    next_id = 1
-    for _ in range(spec.height):
-        new_frontier = []
-        for parent in frontier:
-            u = float(rng.uniforms(spec.seed, rng.STREAM_GW, parent))
-            k = int(np.searchsorted(cdf, u, side="right"))
-            for _ in range(k):
-                pairs.append((parent, next_id))
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
-        if not frontier:
-            break
-    return Graph(next_id, pairs)
-
-
-def _gen_gadget(spec: PathCycleGadget) -> Graph:
-    a, b, g = spec.a, spec.b, spec.g
-    if a < 1 or b < 1 or g < 3:
-        raise InfeasibleSpecError("gadget needs a >= 1, b >= 1, g >= 3")
-    inner = g - 2
-    pairs = [(i, i + 1) for i in range(a)]
-    base = a + 1
-    for i in range(a):
-        for j in range(b):
-            start = base + (i * b + j) * inner
-            chain = [i] + list(range(start, start + inner)) + [i + 1]
-            pairs.extend(
-                (min(x, y), max(x, y)) for x, y in zip(chain[:-1], chain[1:])
-            )
-    return Graph(base + a * b * inner, pairs)
-
-
-_GENERATORS = {
-    Complete: _gen_complete,
-    CompleteBipartite: _gen_bipartite,
-    Star: _gen_star,
-    Path: _gen_path,
-    Cycle: _gen_cycle,
-    Hypercube: _gen_hypercube,
-    ErdosRenyi: _gen_erdos_renyi,
-    Inhomogeneous: _gen_inhomogeneous,
-    RandomRegular: _gen_random_regular,
-    GaltonWatson: _gen_galton_watson,
-    PathCycleGadget: _gen_gadget,
-}
+# each family spec builds its own graph with ``build()``
+FamilySpec = Union[Complete, CompleteBipartite, Star, Path, Cycle, Hypercube, ErdosRenyi, Inhomogeneous,
+                   RandomRegular, GaltonWatson, PathCycleGadget]
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph for ``spec``; deterministic for a fixed spec and seed."""
-    try:
-        fn = _GENERATORS[type(spec)]
-    except KeyError:
-        raise InfeasibleSpecError(f"unknown family spec {spec!r}") from None
-    return fn(spec)
+    if not isinstance(spec, FamilySpec):
+        raise InfeasibleSpecError(f"unknown family spec {spec!r}")
+    return spec.build()
 
 
 def mean_offspring(spec: GaltonWatson) -> float:

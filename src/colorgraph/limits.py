@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Iterator, Union
+from typing import Iterator, Union, get_args
 
 import numpy as np
 
@@ -55,7 +55,9 @@ __all__ = [
     "Fixed",
     "Growing",
     "limit_for",
+    "DiscreteLaw",
     "law_pmf",
+    "law_pmf_terms",
     "law_cdf",
     "sample_law",
     "weighted_chisq_mgf",
@@ -173,7 +175,9 @@ class AtomPlusNormal(Params):
     ranges = {"atom_mass": (lambda p: 0 <= p <= 1, "in [0, 1]"), "variance": _POSITIVE}
 
 
-LimitLaw = Union[Poisson, PoissonMixture, Normal, WeightedChiSquare, AtomPlusNormal]
+DiscreteLaw = Union[Poisson, PoissonMixture]  # the laws with a pmf
+LimitLaw = Union[DiscreteLaw, Normal, WeightedChiSquare, AtomPlusNormal]
+_DISCRETE = get_args(DiscreteLaw)  # isinstance reads a tuple about 10x faster than a Union
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +275,20 @@ def _mixture_pmf(mix: Mixing, k: int) -> float:
     raise TypeError(f"unknown mixing {mix!r}")
 
 
+def _require_pmf(law: LimitLaw) -> None:
+    if not isinstance(law, _DISCRETE):
+        raise WrongLawKindError(f"{type(law).__name__} has no pmf")
+
+
 def law_pmf(law: LimitLaw, k: int) -> float:
     """P(law = k) for the discrete laws; WrongLawKindError otherwise, ValueError at a non-integer k."""
-    if not isinstance(law, (Poisson, PoissonMixture)):
-        raise WrongLawKindError(f"{type(law).__name__} has no pmf")
+    _require_pmf(law)
     if not float(k).is_integer():
         raise ValueError(f"a discrete law has mass only at integers, got k = {k!r}")
     return _poisson_pmf(law.mean, k) if isinstance(law, Poisson) else _mixture_pmf(law.mixing, k)
 
 
-def _largest_mean(law: Union[Poisson, PoissonMixture]) -> float:
+def _largest_mean(law: DiscreteLaw) -> float:
     """The largest Poisson mean that ``law_pmf`` of ``law`` mixes over.
 
     For ``PoissonMixing`` that is the first j whose weight, computed as
@@ -300,12 +308,14 @@ def _largest_mean(law: Union[Poisson, PoissonMixture]) -> float:
     return j
 
 
-def _pmf_terms(law: Union[Poisson, PoissonMixture], top: int) -> Iterator[float]:
+def law_pmf_terms(law: LimitLaw, top: int) -> Iterator[float]:
     """law_pmf(law, k) for k = 0..top, stopping at the first 0.0 past the largest mean.
 
     Past every mean each Poisson term falls with k, so once the pmf is 0.0
-    it stays 0.0, and the sum of the terms is the same to the bit.
+    it stays 0.0, and the sum of the terms is the same to the bit. A law
+    without a pmf raises WrongLawKindError, as in ``law_pmf``.
     """
+    _require_pmf(law)
     largest = _largest_mean(law)
     for k in range(top + 1):
         p = law_pmf(law, k)
@@ -322,12 +332,12 @@ def law_cdf(law: LimitLaw, x: float) -> float:
     """P(law <= x); ValueError at NaN."""
     if math.isnan(x):
         raise ValueError(f"cdf point must be a number, got x = {x!r}")
-    if isinstance(law, (Poisson, PoissonMixture)):
+    if isinstance(law, _DISCRETE):
         if x < 0:
             return 0.0
         if x == math.inf:
             return 1.0
-        return sum(_pmf_terms(law, int(x)))
+        return sum(law_pmf_terms(law, int(x)))
     if isinstance(law, Normal):
         return _phi((x - law.mean) / math.sqrt(law.variance))
     if isinstance(law, AtomPlusNormal):

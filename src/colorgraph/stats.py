@@ -10,6 +10,7 @@ import numpy as np
 __all__ = [
     "validate_pmf",
     "tv_distance",
+    "empirical_pmf",
     "ks_statistic",
     "two_sample_ks",
     "ecdf",
@@ -38,6 +39,24 @@ def tv_distance(p: Mapping, q: Mapping) -> float:
     return 0.5 * sum(abs(float(p.get(x, 0)) - float(q.get(x, 0))) for x in support)
 
 
+def _checked_weights(arr: np.ndarray, weights) -> np.ndarray:
+    """``weights`` as float64, all 1 by default; ValueError unless nonnegative, one per sample, sum > 0."""
+    w = np.ones_like(arr) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != arr.shape or np.any(w < 0) or not w.sum() > 0:
+        raise ValueError("weights must be nonnegative, one per sample, with a positive sum")
+    return w
+
+
+def empirical_pmf(values, weights) -> dict:
+    """Each value's share of the total weight, added in input order; weights checked as in ``ks_statistic``."""
+    _checked_weights(np.asarray(values, dtype=np.float64), weights)
+    total = sum(weights)
+    pmf: dict = {}
+    for v, w in zip(values, weights):
+        pmf[v] = pmf.get(v, 0.0) + w / total
+    return pmf
+
+
 def ks_statistic(samples, cdf: Callable[[float], float], weights=None) -> float:
     """sup_x |empirical cdf - cdf| over the sample points, both sides of each jump.
 
@@ -47,9 +66,7 @@ def ks_statistic(samples, cdf: Callable[[float], float], weights=None) -> float:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("need at least one sample")
-    w = np.ones_like(arr) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != arr.shape or np.any(w < 0) or not w.sum() > 0:
-        raise ValueError("weights must be nonnegative, one per sample, with a positive sum")
+    w = _checked_weights(arr, weights)
     values, inverse = np.unique(arr, return_inverse=True)
     mass = np.bincount(inverse.ravel(), weights=w.ravel(), minlength=values.size)
     through = np.cumsum(mass)

@@ -339,6 +339,45 @@ def test_path_error_names_its_cause(runner, args, message, tmp_path, monkeypatch
     assert "Traceback" not in res.output
 
 
+# inputs compare cannot judge: usage errors (exit 2), never a failed comparison (exit 1)
+COMPARE_TV = ["compare", "--metric", "tv", "--tol", "0.5", "--empirical"]
+UNJUDGEABLE_COMPARES = [
+    (COMPARE_TV + ["e.csv", "--law", "normal.json"], "Normal has no pmf"),
+    (COMPARE_TV + ["e.csv", "--law", "chi-square.json"], "WeightedChiSquare has no pmf"),
+    (COMPARE_TV + ["e.csv", "--law", "atom.json"], "AtomPlusNormal has no pmf"),
+    (COMPARE_TV + ["zero-counts.csv", "--law", "law.json"], "weights must be nonnegative"),
+    (COMPARE_TV + ["negative-count.csv", "--law", "law.json"], "weights must be nonnegative"),
+    (COMPARE_KS[:2] + ["negative-count.csv"] + COMPARE_KS[3:], "weights must be nonnegative"),
+    (COMPARE_TV + ["huge.csv", "--law", "law.json"], "row '1e400,2' holds a number outside the float range"),
+    (COMPARE_KS[:2] + ["huge.csv"] + COMPARE_KS[3:], "row '1e400,2' holds a number outside the float range"),
+    (COMPARE_TV + ["huge-count.csv", "--law", "law.json"], "row '3,1e400' holds a number outside the float range"),
+]
+UNJUDGEABLE_IDS = ["tv-normal", "tv-weighted-chi-square", "tv-atom-plus-normal", "tv-zero-counts",
+                   "tv-negative-count", "ks-negative-count", "tv-huge-value", "ks-huge-value", "tv-huge-count"]
+
+
+def write_compare_inputs(tmp_path) -> None:
+    """The CSVs and law documents that ``UNJUDGEABLE_COMPARES`` reads."""
+    for name, text in (("e.csv", "value,count\n3,10\n"), ("zero-counts.csv", "value,count\n1,0\n2,0\n"),
+                       ("negative-count.csv", "value,count\n1,-3\n2,5\n"),
+                       ("huge.csv", "value,count\n1e400,2\n3,5\n"), ("huge-count.csv", "value,count\n3,1e400\n")):
+        (tmp_path / name).write_text(text)
+    for name, law in (("law.json", limits.Poisson(5.0)), ("normal.json", limits.Normal(0.0, 1.0)),
+                      ("chi-square.json", limits.WeightedChiSquare((1.0,), 1, 0.25)),
+                      ("atom.json", limits.AtomPlusNormal(0.5, 1.0))):
+        (tmp_path / name).write_text(json.dumps(limits.law_to_dict(law)))
+
+
+@pytest.mark.parametrize("args,message", UNJUDGEABLE_COMPARES, ids=UNJUDGEABLE_IDS)
+def test_unjudgeable_compare_names_its_cause(runner, args, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_compare_inputs(tmp_path)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert "Traceback" not in res.output
+
+
 class TestBirthday:
     def test_classic(self, runner):
         res = invoke(runner, "birthday", "--people", "23", "--days", "365")
@@ -389,19 +428,19 @@ class TestBirthday:
         (["limit", "--graph", "star:5000", "--colors", "2"], 0),
         (["limit", "--graph", "dense.edges", "--colors", "2"], 3),
         *((args, 2) for args, _ in PATH_ERRORS),
+        *((args, 2) for args, _ in UNJUDGEABLE_COMPARES),
     ], ids=["zero-days", "days-power-overflow", "negative-people", "negative-edges", "nan-edges",
             "zero-days-power", "inf-edges", "inf-days-power", "zero-base-negative-power",
             "edgeless-family", "zero-workers", "nan-growing-ratio", "graph-with-growing-ratio",
             "zero-scale", "negative-scale",
             "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol", "inf-poisson-mean",
             "fractional-dof", "nan-offspring", "sparse-host-above-size-gate", "star-above-size-gate",
-            "dense-host-above-size-gate", *PATH_ERROR_IDS])
+            "dense-host-above-size-gate", *PATH_ERROR_IDS, *UNJUDGEABLE_IDS])
     def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the compare rows read these files
-        (tmp_path / "e.csv").write_text("value,count\n3,10\n")
+        write_compare_inputs(tmp_path)
         (tmp_path / "empty.csv").write_text("value,count\n# no rows\n")
         (tmp_path / "a-directory").mkdir()
-        (tmp_path / "law.json").write_text(json.dumps({"kind": "poisson", "mean": 5.0}))
         (tmp_path / "inf-mean.json").write_text(json.dumps({"kind": "poisson", "mean": math.inf}))
         (tmp_path / "half-dof.json").write_text(json.dumps(
             {"kind": "weighted_chi_square", "weights": [1.0], "dof": 1.5, "scale": 0.25}))

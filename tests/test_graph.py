@@ -250,6 +250,12 @@ class TestDeterministicFamilies:
         with pytest.raises(InfeasibleSpecError):
             generate(Cycle(2))
 
+    def test_only_family_specs_generate(self):
+        for spec in (None, "complete:3", Graph(3, [])):
+            with pytest.raises(InfeasibleSpecError, match="unknown family spec"):
+                generate(spec)
+        assert generate(Complete(4)) == Complete(4).build()
+
     def test_gadget_counts(self):
         # a path edges, a*b attached cycles each on g-2 fresh vertices
         g = generate(PathCycleGadget(5, 3, 3))

@@ -101,6 +101,10 @@ class TestLawEvaluation:
             law_pmf(Normal(0, 1), 0)
         with pytest.raises(WrongLawKindError):
             law_pmf(AtomPlusNormal(0.5, 1.0), 0)
+        # the pmf table checks the kind before it reads a mixing or a mean
+        for law in (Normal(0, 1), AtomPlusNormal(0.5, 1.0), WeightedChiSquare((1.0,), 1, 0.25)):
+            with pytest.raises(WrongLawKindError, match="has no pmf"):
+                list(limits.law_pmf_terms(law, 5))
 
     def test_atom_plus_normal_cdf(self):
         law = AtomPlusNormal(0.5, 1.0)

@@ -10,6 +10,7 @@ from colorgraph import limits, rng
 from colorgraph.stats import (
     ecdf,
     empirical_moments,
+    empirical_pmf,
     ks_statistic,
     tv_distance,
     two_sample_ks,
@@ -107,10 +108,15 @@ class TestKsStatistic:
         cdf = lambda x: min(1.0, max(0.0, x / 4.0))
         assert ks_statistic([3.0, 1.0], cdf, weights=[0.25, 0.75]) == pytest.approx(0.5)
 
+    def test_empirical_pmf(self):
+        assert empirical_pmf([2.0, 1.0, 2.0], [1.0, 2.0, 1.0]) == {2.0: 0.5, 1.0: 0.5}
+
     def test_bad_weights_rejected(self):
         for weights in ([1.0], [1.0, -1.0], [0.0, 0.0]):
             with pytest.raises(ValueError):
                 ks_statistic([1.0, 2.0], normal_cdf, weights=weights)
+            with pytest.raises(ValueError, match="weights must be nonnegative"):  # TV's pmf, checked alike
+                empirical_pmf([1.0, 2.0], weights)
 
     def test_invariant_under_increasing_transform(self):
         samples = rng.normals(5, 1, np.arange(20_000))
