@@ -1,9 +1,9 @@
 """Exact censuses of small patterns inside a host graph.
 
-Covers unlabeled cycle counts by canonical DFS, copy counts of small simple
-patterns as edge subsets, the classification of all ordered edge k-tuples by
-the isomorphism class of the multigraph they span, and cycle homomorphism
-densities from the adjacency spectrum.
+Covers unlabeled cycle counts and lists by joining half-paths, copy counts
+of small simple patterns as edge subsets, the classification of all ordered
+edge k-tuples by the isomorphism class of the multigraph they span, and
+cycle homomorphism densities from the adjacency spectrum.
 
 :class:`PatternCounts` counts every simple pattern with at most 4 edges in
 closed form, in time polynomial in the host and with no enumeration of
@@ -11,14 +11,14 @@ edge sets: a few host invariants give the homomorphism counts of the ten
 connected shapes, and Moebius inversion over the pattern's vertex
 partitions turns them into injective counts (Alon-Yuster-Zwick 1997;
 Lovasz 2012, ch. 5). It serves the tuple census for k <= 4, the length-3
-and length-4 cross-check of the cycle DFS, and the four-cycle count of
+and length-4 cross-check of the cycle walk, and the four-cycle count of
 ``limits.limit_for``.
 
 Pattern isomorphism is decided by explicit canonical forms: vertices are
 first partitioned by iterated degree refinement, then the edge representation
-is minimized over the (usually tiny) set of partition-respecting relabelings.
-This is exact for patterns with at most 10 vertices, which covers everything
-a tuple length of 4 can produce.
+is minimized over the partition-respecting relabelings by individualization
+and refinement. This is exact for patterns with at most 10 vertices, which
+covers everything a tuple length of 4 can produce.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Collection, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .graph import Graph, components
 __all__ = [
     "MultiGraphPattern",
     "count_cycles",
+    "cycle_counts",
     "cycle_list",
     "count_subgraph",
     "count_multigraph_tuples",
@@ -186,26 +187,45 @@ def _refine_classes(nv: int, mult: dict[tuple[int, int], int]) -> list[list[int]
 
 
 def _canonical_rep(nv: int, mult: dict[tuple[int, int], int]) -> tuple[tuple[int, int, int], ...]:
-    """Minimal edge representation of one connected block over admissible relabelings."""
+    """Minimal edge representation of one connected block over the relabelings that keep its classes in order.
+
+    Individualization and refinement, label by label: each vertex x of the
+    class at label j in turn takes label j, and every later class splits
+    into the vertices x joins, by multiplicity, ahead of the rest. The split
+    puts the sorted representation's entries (j, v, k) at their least, and
+    only relabelings inside the split classes keep them there, so the least
+    leaf is the least relabeling. Of two interchangeable vertices (their
+    transposition is an automorphism) only one is tried.
+    """
     if nv > _MAX_PATTERN_VERTICES:
         raise PatternTooLargeError(
             f"canonical form supports at most {_MAX_PATTERN_VERTICES} vertices per component, got {nv}"
         )
-    classes = _refine_classes(nv, mult)
+    weight = [[0] * nv for _ in range(nv)]
+    for (u, v), k in mult.items():
+        weight[u][v] = weight[v][u] = k
+
+    def leaves(cells: list[list[int]], j: int) -> Iterator[list[list[int]]]:
+        if j == nv:
+            yield cells
+            return
+        tried: list[int] = []
+        for x in cells[j]:
+            if any(all(weight[x][w] == weight[y][w] for w in range(nv) if w not in (x, y)) for y in tried):
+                continue
+            tried.append(x)
+            split = [[x]]
+            for cell in [[y for y in cells[j] if y != x]] + cells[j + 1:]:
+                by_weight: dict[int, list[int]] = {}
+                for y in cell:
+                    by_weight.setdefault(weight[x][y], []).append(y)
+                split += [by_weight[w] for w in sorted(by_weight, key=lambda w: (w == 0, w))]
+            yield from leaves(cells[:j] + split, j + 1)
+
     best = None
-    for perm_parts in itertools.product(*(itertools.permutations(c) for c in classes)):
-        label = [0] * nv
-        counter = 0
-        for part in perm_parts:
-            for x in part:
-                label[x] = counter
-                counter += 1
-        rep = tuple(
-            sorted(
-                (min(label[u], label[v]), max(label[u], label[v]), k)
-                for (u, v), k in mult.items()
-            )
-        )
+    for cells in leaves(_refine_classes(nv, mult), 0):
+        label = {cell[0]: i for i, cell in enumerate(cells)}
+        rep = tuple(sorted((min(label[u], label[v]), max(label[u], label[v]), k) for (u, v), k in mult.items()))
         if best is None or rep < best:
             best = rep
     return best
@@ -274,61 +294,116 @@ def _classify(pairs: tuple[tuple[int, int], ...]) -> MultiGraphPattern:
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_cycles(g: Graph, length: int, collect: bool):
-    """Count (and optionally list) unlabeled cycles of the given length.
+def _cycle_blocks(g: Graph, lengths: Collection[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(length, cycles) blocks that hold each unlabeled cycle of each length once, one column each.
 
-    Each cycle is visited exactly once: rooted at its smallest vertex, with
-    the direction fixed by path[1] < path[-1]. A length that is not an
-    integer of ``CYCLE_LENGTHS`` raises UnsupportedLengthError.
+    The cycle (r, x1, ..., x_{L-1}) with r its least vertex and x1 < x_{L-1}
+    is met once, as the simple paths P = (r, x1, ..., x_a) and Q = (r,
+    x_{L-1}, ..., x_a) of a = ceil(L/2) and b = floor(L/2) edges above r:
+    they share their end, their interiors are disjoint and P[1] < Q[1]
+    (Alon-Yuster-Zwick 1997). Its column is P, then Q's interior reversed.
+    A length that is not an integer of ``CYCLE_LENGTHS`` raises
+    UnsupportedLengthError.
     """
-    if not (isinstance(length, numbers.Integral) and length in CYCLE_LENGTHS):
-        raise UnsupportedLengthError(f"cycle length must be in [3, 8], got {length}")
-    adj = g.adjacency
-    count = 0
-    found: list[tuple[int, ...]] = []
-    path = [0] * length
-    on_path = bytearray(g.n)
+    for length in lengths:
+        if not (isinstance(length, numbers.Integral) and length in CYCLE_LENGTHS):
+            raise UnsupportedLengthError(f"cycle length must be in [3, 8], got {length}")
+    depth = max(((length + 1) // 2 for length in lengths), default=0)
+    for roots in _root_blocks(g, depth):  # P and Q share their root, so root blocks split the work
+        levels = _half_paths(g, roots, depth)
+        for length in lengths:
+            for cycles in _closed_pairs(g, *levels[(length + 1) // 2 - 1], *levels[length // 2 - 1]):
+                yield length, cycles
 
-    def extend(root: int, depth: int):
-        nonlocal count
-        last = path[depth - 1]
-        if depth == length:
-            if path[1] < last and root in g.neighbor_set(last):
-                count += 1
-                if collect:
-                    found.append(tuple(path))
-            return
-        for w in adj[last]:
-            if w > root and not on_path[w]:
-                path[depth] = w
-                on_path[w] = 1
-                extend(root, depth + 1)
-                on_path[w] = 0
 
-    for root in range(g.n):
-        path[0] = root
-        on_path[root] = 1
-        extend(root, 1)
-        on_path[root] = 0
-    return count, found
+def _root_blocks(g: Graph, depth: int) -> list[np.ndarray]:
+    """Consecutive blocks of roots whose half-paths hold about ``rng.BATCH_ENTRIES`` entries or fewer.
+
+    A root's paths of k edges are at most the non-backtracking walks of k
+    edges that leave it upwards; a path and its extensions take about
+    depth + 5 entries. A root costlier than the budget is a block alone.
+    """
+    owner = np.repeat(np.arange(g.n), np.diff(g.offsets))
+    back = np.argsort(g.nbrs * g.n + owner)  # the arc w -> u of each arc u -> w
+    walks = np.ones(g.nbrs.size)  # per arc: the non-backtracking walks of k edges that start with it
+    paths = np.zeros(g.n)
+    for _ in range(depth):
+        paths += np.bincount(owner, walks * (g.nbrs > owner), g.n)
+        walks = np.bincount(owner, walks, g.n)[g.nbrs] - walks[back]
+    cost = (depth + 5) * paths + 1
+    block = (np.cumsum(cost) - cost) // rng.BATCH_ENTRIES  # by the entries before each root
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), g.n]
+    return [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _half_paths(g: Graph, roots: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per k in 1..depth, the simple paths (r, x1, ..., xk) from ``roots`` with every xi > r, and their keys.
+
+    A path's key is its end times 2m plus the index in ``g.nbrs`` of its arc
+    r -> x1, so keys order paths by end, then root, then x1. Each level holds
+    one path per column, sorted by key, and extends the level before it.
+    """
+    degree, path, first_arc, levels = np.diff(g.offsets), roots[None, :], None, []
+    for k in range(depth):
+        deg = degree[path[-1]]
+        col = np.repeat(np.arange(path.shape[1]), deg)
+        arc = np.arange(col.size) + np.repeat(g.offsets[path[-1]] - np.cumsum(deg) + deg, deg)
+        nxt = g.nbrs[arc]
+        keep = nxt > path[0, col]
+        for i in range(1, k):  # the end itself is never its own neighbour
+            keep &= nxt != path[i, col]
+        first_arc = arc[keep] if k == 0 else first_arc[col[keep]]
+        key = nxt[keep] * g.nbrs.size + first_arc
+        order = np.argsort(key)
+        col, first_arc = col[keep][order], first_arc[order]
+        path = np.concatenate((path[:, col], nxt[keep][order][None]))
+        levels.append((path, key[order]))
+    return levels
+
+
+def _closed_pairs(g: Graph, p: np.ndarray, p_key: np.ndarray, q: np.ndarray, q_key: np.ndarray) -> Iterator[np.ndarray]:
+    """The cycles, one column each, that paths P of ``p`` and Q of ``q`` close.
+
+    The Qs of a P share its end and root and have Q[1] > P[1], a range of
+    the keys. Pairs go in ``rng.batches`` blocks of their running count, at
+    three index arrays, a mask and a cycle per pair.
+    """
+    a, b = len(p) - 1, len(q) - 1
+    lo = np.searchsorted(q_key, p_key, side="right")
+    hi = np.searchsorted(q_key, p_key - p_key % g.nbrs.size + g.offsets[p[0] + 1])  # past the root's arcs
+    ends = np.cumsum(hi - lo)
+    for idx in rng.batches(0, int(ends[-1]) if ends.size else 0, a + b + 5):
+        left = np.searchsorted(ends, idx, side="right")
+        right = idx - ends[left] + hi[left]
+        ok = np.ones(idx.size, bool)
+        for i, j in itertools.product(range(1, a), range(1, b)):
+            ok &= p[i, left] != q[j, right]
+        yield np.concatenate((p[:, left[ok]], q[b - 1:0:-1, right[ok]]))
+
+
+def cycle_counts(g: Graph, lengths: Collection[int] = CYCLE_LENGTHS) -> dict[int, int]:
+    """Exact number of unlabeled cycles in ``g`` of each length of ``lengths`` (in ``CYCLE_LENGTHS``), from one walk.
+
+    Lengths 3 and 4 are re-derived in closed form by one
+    :class:`PatternCounts`; a mismatch means a bug, not an input problem,
+    and raises RuntimeError.
+    """
+    counts = dict.fromkeys(lengths, 0)
+    for length, cycles in _cycle_blocks(g, counts):
+        counts[length] += cycles.shape[1]
+    closed = PatternCounts(g) if 3 in counts or 4 in counts else None
+    for length in sorted({3, 4} & counts.keys()):
+        if closed.copies(_CYCLES[length]) != counts[length]:
+            raise RuntimeError(
+                f"cycle census self-check failed for length {length}: "
+                f"enumeration={counts[length]}, closed form={closed.copies(_CYCLES[length])}"
+            )
+    return counts
 
 
 def count_cycles(g: Graph, length: int) -> int:
-    """Exact number of unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) in ``g``.
-
-    For lengths 3 and 4 the DFS result is re-derived in closed form by
-    :class:`PatternCounts` and the two must agree; a mismatch means a bug,
-    not an input problem, and raises RuntimeError.
-    """
-    count, _ = _enumerate_cycles(g, length, collect=False)
-    if length in (3, 4):
-        closed_form = PatternCounts(g).copies(_CYCLES[length])
-        if closed_form != count:
-            raise RuntimeError(
-                f"cycle census self-check failed for length {length}: "
-                f"enumeration={count}, closed form={closed_form}"
-            )
-    return count
+    """Exact number of unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) in ``g``."""
+    return cycle_counts(g, (length,))[length]
 
 
 def four_cycle_count_from_traces(g: Graph) -> int:
@@ -341,9 +416,9 @@ def four_cycle_count_from_traces(g: Graph) -> int:
 
 
 def cycle_list(g: Graph, length: int) -> tuple[tuple[int, ...], ...]:
-    """All unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) as vertex tuples."""
-    _, found = _enumerate_cycles(g, length, collect=True)
-    return tuple(found)
+    """All unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) as vertex tuples, in lexicographic order."""
+    cycles = np.hstack([block for _, block in _cycle_blocks(g, (length,))])
+    return tuple(map(tuple, cycles[:, np.lexsort(cycles[::-1])].T.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def census_cmd(graph_source, k, cycles):
     }
     payload = {"n": g.n, "m": g.m, "tuple_length": k, "patterns": patterns}
     if cycles:
-        payload["cycles"] = {str(length): census.count_cycles(g, length) for length in census.CYCLE_LENGTHS}
+        payload["cycles"] = {str(length): count for length, count in census.cycle_counts(g).items()}
     return _json_doc("census", payload), {"graph": graph_source, "tuples": k, "cycles": cycles}
 
 

@@ -13,7 +13,7 @@ class ColorGraphError(Exception):
 # -- graph construction / generation ----------------------------------------
 
 class OutOfRangeError(ColorGraphError):
-    """An edge endpoint lies outside [0, n)."""
+    """An edge endpoint is not an integer in [0, n)."""
 
 
 class SelfLoopError(ColorGraphError):

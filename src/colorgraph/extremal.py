@@ -285,7 +285,7 @@ def condition_report(g: Graph) -> ConditionReport:
         raise ValueError("condition report needs at least one edge")
     m = g.m
     spec = spectral.eigenvalues(g)
-    counts = {length: census.count_cycles(g, length) for length in census.CYCLE_LENGTHS}
+    counts = census.cycle_counts(g)
     return ConditionReport(
         m=m,
         acf4_ratio=counts[4] / m**2,
@@ -306,7 +306,7 @@ def automorphism_count(h: Graph) -> int:
     if h.n == 0:
         return 1
     degs = h.degrees
-    nbr = [h.neighbor_set(v) for v in range(h.n)]
+    nbr = [frozenset(a) for a in h.adjacency]
     order = sorted(range(h.n), key=lambda v: (-degs[v], v))
     image = [-1] * h.n
     used = [False] * h.n

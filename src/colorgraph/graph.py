@@ -62,7 +62,7 @@ __all__ = [
 class Graph:
     """Immutable simple undirected graph on vertices ``0 .. n-1``."""
 
-    __slots__ = ("n", "edges", "_adj", "_nbr_sets", "nbrs", "offsets")
+    __slots__ = ("n", "edges", "_adj", "nbrs", "offsets")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -71,6 +71,10 @@ class Graph:
         seen = set()
         for pair in pairs:
             u, v = pair
+            if type(u) is not int or type(v) is not int:  # numpy integers are read as ints; bools and floats are refused
+                if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (u, v)):
+                    raise OutOfRangeError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
+                u, v = int(u), int(v)
             if not (0 <= u < n) or not (0 <= v < n):
                 raise OutOfRangeError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
             if u == v:
@@ -88,7 +92,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._nbr_sets = None
         # the same lists as read-only numpy arrays, v's neighbours nbrs[offsets[v]:offsets[v + 1]];
         # edge_arrays, the twin search, the census degrees and colorsim's star gather read them
         self.nbrs = np.fromiter(itertools.chain.from_iterable(self._adj), np.int64, 2 * self.m)
@@ -106,11 +109,6 @@ class Graph:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Per-vertex sorted neighbor tuples."""
         return self._adj
-
-    def neighbor_set(self, v: int) -> frozenset:
-        if self._nbr_sets is None:
-            self._nbr_sets = tuple(frozenset(a) for a in self._adj)
-        return self._nbr_sets[v]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from colorgraph import rng
-from colorgraph.census import MultiGraphPattern
+from colorgraph.census import MultiGraphPattern, _refine_classes
 from colorgraph.graph import Graph
 
 
@@ -32,9 +32,22 @@ def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
     return False
 
 
+def permutation_canonical_rep(nv: int, mult: dict[tuple[int, int], int]) -> tuple[tuple[int, int, int], ...]:
+    """The least sorted edge representation over every relabeling that keeps census's refinement classes in order."""
+    best = None
+    for perm_parts in itertools.product(*(itertools.permutations(c) for c in _refine_classes(nv, mult))):
+        label = [0] * nv
+        for i, x in enumerate(itertools.chain.from_iterable(perm_parts)):
+            label[x] = i
+        rep = tuple(sorted((min(label[u], label[v]), max(label[u], label[v]), k) for (u, v), k in mult.items()))
+        if best is None or rep < best:
+            best = rep
+    return best
+
+
 def brute_cycles(g: Graph, length: int) -> list[tuple[int, ...]]:
     """Cycles of a given length, one vertex sequence each, by vertex-subset enumeration."""
-    cycles = []
+    cycles, nbr = [], [set(a) for a in g.adjacency]
     for subset in itertools.combinations(range(g.n), length):
         first = subset[0]
         rest = subset[1:]
@@ -42,8 +55,8 @@ def brute_cycles(g: Graph, length: int) -> list[tuple[int, ...]]:
             seq = (first,) + perm
             if seq[1] > seq[-1]:
                 continue  # one direction per cycle
-            ok = all(seq[i + 1] in g.neighbor_set(seq[i]) for i in range(length - 1))
-            if ok and first in g.neighbor_set(seq[-1]):
+            ok = all(seq[i + 1] in nbr[seq[i]] for i in range(length - 1))
+            if ok and first in nbr[seq[-1]]:
                 cycles.append(seq)
     return cycles
 
@@ -51,6 +64,39 @@ def brute_cycles(g: Graph, length: int) -> list[tuple[int, ...]]:
 def brute_count_cycles(g: Graph, length: int) -> int:
     """Cycles of a given length by vertex-subset enumeration."""
     return len(brute_cycles(g, length))
+
+
+def dfs_cycles(g: Graph, length: int) -> list[tuple[int, ...]]:
+    """Cycles of a given length by depth-first search, in the order the search meets them.
+
+    Each cycle is visited once: rooted at its smallest vertex, with the
+    direction fixed by path[1] < path[-1]. Roots and neighbours go in
+    ascending order, so the cycles come out in lexicographic order.
+    """
+    adj, nbr = g.adjacency, [set(a) for a in g.adjacency]
+    found: list[tuple[int, ...]] = []
+    path = [0] * length
+    on_path = bytearray(g.n)
+
+    def extend(root: int, depth: int):
+        last = path[depth - 1]
+        if depth == length:
+            if path[1] < last and root in nbr[last]:
+                found.append(tuple(path))
+            return
+        for w in adj[last]:
+            if w > root and not on_path[w]:
+                path[depth] = w
+                on_path[w] = 1
+                extend(root, depth + 1)
+                on_path[w] = 0
+
+    for root in range(g.n):
+        path[0] = root
+        on_path[root] = 1
+        extend(root, 1)
+        on_path[root] = 0
+    return found
 
 
 def loop_mono_counts(g: Graph, colorings, kind: str, order: int = 0) -> list[int]:
@@ -123,11 +169,11 @@ def brute_twin_classes(g: Graph) -> set[frozenset[int]]:
     twins (equal closed neighbourhoods); no vertex has twins of both kinds,
     so it is an equivalence.
     """
-    classes = []
+    classes, nbr = [], [set(a) for a in g.adjacency]
     for v in range(g.n):
         for cls in classes:
             u = next(iter(cls))
-            if g.neighbor_set(u) - {v} == g.neighbor_set(v) - {u}:
+            if nbr[u] - {v} == nbr[v] - {u}:
                 cls.add(v)
                 break
         else:

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,11 @@ from oracles import (
     brute_automorphisms,
     brute_count_cycles,
     brute_count_subgraph,
+    brute_cycles,
+    dfs_cycles,
     enumerate_multigraph_tuples,
     graphs_isomorphic,
+    permutation_canonical_rep,
     trace_cycle_counts,
 )
 
@@ -29,6 +33,7 @@ from colorgraph.census import (
     count_cycles,
     count_multigraph_tuples,
     count_subgraph,
+    cycle_counts,
     cycle_list,
     decompose_tight_multigraph,
     four_cycle_count_from_traces,
@@ -46,6 +51,7 @@ from colorgraph.graph import (
     ErdosRenyi,
     Graph,
     Hypercube,
+    PathCycleGadget,
     RandomRegular,
     Star,
     generate,
@@ -72,7 +78,8 @@ class TestCountCycles:
             count_cycles(g, 9)
 
     @pytest.mark.parametrize("fn,length", [
-        (count_cycles, 3.5), (count_cycles, 4.0), (cycle_list, 3.5), (cycle_list, 2), (cycle_list, 9),
+        (count_cycles, 2), (count_cycles, 9), (count_cycles, 3.5), (count_cycles, 4.0),
+        (cycle_list, 2), (cycle_list, 9), (cycle_list, 3.5), (cycle_list, 4.0),
     ])
     def test_unsupported_length_raises_the_typed_error(self, fn, length):
         # a float passes a range comparison; the census takes integer lengths only
@@ -109,6 +116,73 @@ class TestCountCycles:
         for seed in range(20):
             g = er(12, 0.35, seed)
             assert four_cycle_count_from_traces(g) == count_cycles(g, 4)
+
+
+def assert_walk_matches_oracles(g, lengths=census.CYCLE_LENGTHS, brute=True):
+    """count_cycles, cycle_counts and cycle_list against the depth-first search, tuple order included,
+    and against the vertex-subset enumeration when ``brute``."""
+    found = {length: dfs_cycles(g, length) for length in lengths}
+    for length, cycles in found.items():
+        assert cycle_list(g, length) == tuple(cycles), length
+        assert count_cycles(g, length) == len(cycles), length
+        if brute:
+            assert sorted(cycles) == sorted(brute_cycles(g, length)), length
+    assert cycle_counts(g, lengths) == {length: len(cycles) for length, cycles in found.items()}
+
+
+class TestCycleWalk:
+    def test_catalog_matches_oracles(self, catalog):
+        for name, g in catalog:
+            assert_walk_matches_oracles(g)
+
+    @given(st.integers(0, 9), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs_match_oracles(self, n, data):
+        pool = list(itertools.combinations(range(n), 2))
+        pairs = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool))) if pool else []
+        assert_walk_matches_oracles(Graph(n, pairs), brute=n <= 8)
+
+    def test_sparse_hosts_match_the_search(self):
+        for g in (er(60, 0.08, 2), generate(RandomRegular(40, 3, 1)), generate(Hypercube(4))):
+            assert_walk_matches_oracles(g, brute=False)
+
+    def test_gadget_triangles(self):
+        # 900 triangles across a path whose vertices have degree about 60: many half-paths per root
+        assert_walk_matches_oracles(generate(PathCycleGadget(30, 30, 3)), lengths=(3,), brute=False)
+        assert count_cycles(generate(PathCycleGadget(30, 30, 3)), 3) == 900
+
+    def test_readme_host_counts(self):
+        assert cycle_counts(er(100, 0.05, 7)) == {3: 21, 4: 82, 5: 320, 6: 1261, 7: 5073, 8: 20807}
+
+    @pytest.mark.parametrize("budget", [1, 300])
+    def test_blocks_do_not_change_results(self, budget, monkeypatch):
+        # a budget of 1 puts each root and each pair of paths in a block of its own; at 300 a pair
+        # block holds a few dozen pairs
+        hosts = [er(9, 0.5, 1), generate(Complete(6))] + ([er(30, 0.2, 4)] if budget > 1 else [])
+        want = [(cycle_counts(g), [cycle_list(g, length) for length in census.CYCLE_LENGTHS]) for g in hosts]
+        monkeypatch.setattr(rng, "BATCH_ENTRIES", budget)
+        for g, (counts, lists) in zip(hosts, want):
+            if budget == 1:
+                assert len(census._root_blocks(g, 4)) == g.n
+            assert cycle_counts(g) == counts
+            assert [cycle_list(g, length) for length in census.CYCLE_LENGTHS] == lists
+
+    @pytest.mark.parametrize("spec", [ErdosRenyi(100, 0.05, 7), Cycle(4000)], ids=["er100", "C4000"])
+    def test_peak_memory_stays_bounded(self, spec):
+        g = generate(spec)
+        tracemalloc.start()
+        try:
+            cycle_counts(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_one_closed_form_check_per_walk(self, monkeypatch):
+        real, built = census.PatternCounts, []
+        monkeypatch.setattr(census, "PatternCounts", lambda g: built.append(g) or real(g))
+        cycle_counts(er(30, 0.2, 1))
+        assert len(built) == 1
 
 
 class TestCountSubgraph:
@@ -178,6 +252,38 @@ class TestPatternCanonicalization:
         perm = data.draw(st.permutations(range(nv)))
         relabeled = [(perm[u], perm[v]) for u, v in pairs]
         assert MultiGraphPattern.from_edges(pairs) == MultiGraphPattern.from_edges(relabeled)
+
+    def test_refinement_search_matches_the_permutation_search(self):
+        # every connected block of every tuple class, and cycles, each under random relabelings
+        blocks = []
+        for k in (1, 2, 3, 4):
+            for pat in all_patterns(k):
+                for comp in census.components(pat.vertex_count, [(u, v) for u, v, _ in pat.multi_edges]):
+                    local = {x: i for i, x in enumerate(comp)}
+                    blocks.append((len(comp), {(local[u], local[v]): mu for u, v, mu in pat.multi_edges if u in local}))
+        blocks += [(g, {(min(i, (i + 1) % g), max(i, (i + 1) % g)): 1 for i in range(g)}) for g in range(3, 9)]
+        rnd = np.random.default_rng(5)
+        for nv, mult in blocks:
+            want = permutation_canonical_rep(nv, mult)
+            for _ in range(4):
+                perm = rnd.permutation(nv).tolist()
+                relabeled = {(min(perm[u], perm[v]), max(perm[u], perm[v])): mu for (u, v), mu in mult.items()}
+                assert census._canonical_rep(nv, relabeled) == want, (nv, mult)
+
+    @pytest.mark.parametrize("g", range(3, 11))
+    def test_cycles_canonicalize_to_the_ladder(self, g):
+        # the least labeling of C_g walks out from 0 along both arms: 0-1, 0-2, i-(i+2), (g-2)-(g-1)
+        ladder = ((0, 1, 1), (0, 2, 1)) + tuple((i, i + 2, 1) for i in range(1, g - 2)) + ((g - 2, g - 1, 1),)
+        pairs = [(i, (i + 1) % g) for i in range(g)]
+        assert MultiGraphPattern.from_edges(pairs).multi_edges == tuple(sorted(ladder))
+        if g <= 8:
+            assert permutation_canonical_rep(g, {(min(u, v), max(u, v)): 1 for u, v in pairs}) == tuple(sorted(ladder))
+
+    def test_ten_cycle_is_fast(self, monkeypatch):
+        monkeypatch.setattr(census, "_classify_cache", {})
+        start = time.perf_counter()
+        MultiGraphPattern.from_edges([(i, (i + 1) % 10) for i in range(10)])
+        assert time.perf_counter() - start < 0.05
 
     def test_non_isomorphic_differ(self):
         path3 = MultiGraphPattern.from_edges([(0, 1), (1, 2), (2, 3)])

@@ -57,6 +57,21 @@ class TestConstruction:
         with pytest.raises(OutOfRangeError, match=r"\(0, 5\)"):
             Graph(3, [(0, 5)])
 
+    @pytest.mark.parametrize("pair,shown", [
+        ((True, 2), r"\(True, 2\)"), ((0, np.bool_(True)), r"\(0, (np\.)?True_?\)"),
+        ((1.0, 2), r"\(1\.0, 2\)"), ((0, np.float64(2.0)), r"\(0, (np\.float64\()?2\.0\)?\)"),
+    ])
+    def test_endpoints_must_be_integers(self, pair, shown):
+        # True == 1 and 1.0 == 1, but neither is a vertex; the edge-list text could not carry them
+        with pytest.raises(OutOfRangeError, match=shown + " has an endpoint that is not an integer"):
+            Graph(3, [pair])
+
+    def test_numpy_integer_endpoints_round_trip(self):
+        g = Graph(3, [(np.int64(2), np.int32(0)), (np.uint8(1), 2)])
+        assert g.edges == ((0, 2), (1, 2)) and all(type(x) is int for e in g.edges for x in e)
+        assert to_edge_list_text(g) == "3 2\n0 2\n1 2\n"
+        assert parse_edge_list_text(to_edge_list_text(g)) == g
+
     def test_adjacency_matches_edges(self):
         g = Graph(4, [(2, 0), (3, 1), (0, 1)])
         assert g.adjacency == ((1, 2), (0, 3), (0,), (1,))
