@@ -317,11 +317,12 @@ def _cycle_blocks(g: Graph, lengths: Collection[int]) -> Iterator[tuple[int, np.
 
 
 def _root_blocks(g: Graph, depth: int) -> list[np.ndarray]:
-    """Consecutive blocks of roots whose half-paths hold about ``rng.BATCH_ENTRIES`` entries or fewer.
+    """The ``rng.batches`` blocks of roots, each root priced by the entries of its half-paths.
 
     A root's paths of k edges are at most the non-backtracking walks of k
     edges that leave it upwards; a path and its extensions take about
-    depth + 5 entries. A root costlier than the budget is a block alone.
+    depth + 5 entries. So a block's half-paths hold about
+    ``rng.BATCH_ENTRIES`` entries or fewer, unless it is one root.
     """
     owner = np.repeat(np.arange(g.n), np.diff(g.offsets))
     back = np.argsort(g.nbrs * g.n + owner)  # the arc w -> u of each arc u -> w
@@ -330,10 +331,7 @@ def _root_blocks(g: Graph, depth: int) -> list[np.ndarray]:
     for _ in range(depth):
         paths += np.bincount(owner, walks * (g.nbrs > owner), g.n)
         walks = np.bincount(owner, walks, g.n)[g.nbrs] - walks[back]
-    cost = (depth + 5) * paths + 1
-    block = (np.cumsum(cost) - cost) // rng.BATCH_ENTRIES  # by the entries before each root
-    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), g.n]
-    return [np.arange(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    return list(rng.batches(0, g.n, (depth + 5) * paths + 1))
 
 
 def _half_paths(g: Graph, roots: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -566,9 +564,8 @@ class PatternCounts:
     Codegrees and triangles come from wedges oriented by degree rank
     (Chiba-Nishizeki 1985) or, when its k^3 is cheaper, from the k x k
     matrices of ``g.twin_quotient`` (k = n and B = A on a twin-free host).
-    Quotient rows go in ``rng.batches`` blocks and wedges in blocks of
-    ``rng.BATCH_ENTRIES // 16``, so neither builds a large array. All sums
-    are exact Python ints.
+    Quotient rows and the wedges' tops go in ``rng.batches`` blocks, so
+    neither builds a large array. All sums are exact Python ints.
     """
 
     def __init__(self, g: Graph):
@@ -702,45 +699,32 @@ def _wedge_invariants(n: int, d: np.ndarray, u: np.ndarray, v: np.ndarray) -> tu
     of them, at its top x and the vertex opposite. A triangle a < b < c is
     the two wedges c - a - b and c - b - a, so c gets cnt(c, z) for each
     neighbour z below it and z gets it twice (once as an end, and on the
-    other wedge as the middle). Then w = sum d(d - 1) + 8 N(C4). Wedges go
-    in blocks of ``rng.BATCH_ENTRIES // 16``, so a block's few int64
-    temporaries stay small; the ends of the block's last top carry over.
+    other wedge as the middle). Then w = sum d(d - 1) + 8 N(C4). Tops go in
+    the blocks of ``rng.batches`` at 16 entries a wedge, so a block's few
+    int64 temporaries stay small, and a block holds every wedge of its
+    tops, so its counts are final.
     """
     rank = np.empty(n, np.int64)
     rank[np.argsort(d, kind="stable")] = np.arange(n)
-    own, nbr = np.concatenate((rank[u], rank[v])), np.concatenate((rank[v], rank[u]))
-    order = np.lexsort((nbr, own))
-    own, nbr = own[order], nbr[order]
-    keys = own * n + nbr  # ascending: each vertex's neighbours, in rank order
+    ru, rv = rank[u], rank[v]
+    keys = np.sort(np.concatenate((ru * n + rv, rv * n + ru)))  # each vertex's neighbours, in rank order
+    own, nbr = keys // n, keys % n
     start = np.searchsorted(own, np.arange(n))
     # an edge y -> x up the ranking, and the neighbours of y ranked below x: the first pos of y's list
     up = np.flatnonzero(nbr > own)
     up = up[np.argsort(nbr[up], kind="stable")]  # by top, so a top's wedges are consecutive
-    pos = up - start[own[up]]
-    ends = np.cumsum(pos)
-    doubled = np.zeros(n, np.int64)
-    cycles, found, tally = 0, np.zeros(0, np.int64), np.zeros(0, np.int64)
-    lo = 0
-    while lo < up.size:
-        base = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + rng.BATCH_ENTRIES // 16, side="right")))
-        edge, cnt = up[lo:hi], pos[lo:hi]
-        z = np.arange(ends[hi - 1] - base) + np.repeat(start[own[edge]] - (ends[lo:hi] - base - cnt), cnt)
-        wedge = np.sort(np.repeat(nbr[edge] * n, cnt) + nbr[z])
-        first = np.flatnonzero(np.diff(wedge, prepend=-1))
-        found = np.concatenate((found, wedge[first]))  # the carried keys of the last block's top come first
-        tally = np.concatenate((tally, np.diff(first, append=wedge.size)))
-        order = np.argsort(found, kind="stable")
-        found, tally = found[order], tally[order]
-        first = np.flatnonzero(np.diff(found, prepend=-1))
-        found, tally = found[first], np.add.reduceat(tally, first)
-        lo = hi
-        done = found < (nbr[up[hi]] * n if hi < up.size else n * n)  # the next block may add to its top
-        tri = tally[done] * (keys[np.minimum(np.searchsorted(keys, found[done]), keys.size - 1)] == found[done])
-        doubled += np.bincount(found[done] // n, tri, n).astype(np.int64)
-        doubled += 2 * np.bincount(found[done] % n, tri, n).astype(np.int64)
-        cycles += _exact_sum(tally[done], tally[done] - 1) // 2
-        found, tally = found[~done], tally[~done]
+    pos, top = up - start[own[up]], nbr[up]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(top, minlength=n))))  # each top's edges in ``up``
+    doubled, cycles = np.zeros(n, np.int64), 0
+    for tops in rng.batches(0, n, 16 * np.bincount(top, pos, n)):
+        span = slice(bounds[tops[0]], bounds[tops[-1] + 1])
+        edge, cnt = up[span], pos[span]
+        z = np.arange(cnt.sum()) + np.repeat(start[own[edge]] - np.cumsum(cnt) + cnt, cnt)
+        found, tally = np.unique(np.repeat(top[span] * n, cnt) + nbr[z], return_counts=True)
+        tri = tally * (keys[np.minimum(np.searchsorted(keys, found), keys.size - 1)] == found)
+        doubled += np.bincount(found // n, tri, n).astype(np.int64)
+        doubled += 2 * np.bincount(found % n, tri, n).astype(np.int64)
+        cycles += _exact_sum(tally, tally - 1) // 2
     return doubled[rank] // 2, _exact_sum(d, d - 1) + 8 * cycles
 
 

@@ -37,6 +37,7 @@ from .graph import (
     FamilySpec,
     GaltonWatson,
     Graph,
+    Inhomogeneous,
     generate,
     mean_offspring,
     parse_edge_list_text,
@@ -60,23 +61,20 @@ _NUMERICAL_ERRORS = (
 def _load_graph(source: str, keep_family: bool = False) -> Graph | FamilySpec:
     """The graph in the edge-list file ``source``, else the family spec's graph.
 
-    With ``keep_family`` a family spec is returned without generating it.
+    With ``keep_family`` a family spec is returned without generating it. A
+    subcritical Galton-Watson spec gets a warning on stderr either way.
     """
     path = Path(source)
     if path.exists():
         return parse_edge_list_text(path.read_text())
     spec = parse_family(source)
-    return spec if keep_family else _generate(spec)
-
-
-def _generate(spec: FamilySpec) -> Graph:
     if isinstance(spec, GaltonWatson) and mean_offspring(spec) <= 1.0:
         click.echo(
             f"warning: offspring mean {mean_offspring(spec):.4g} <= 1; "
             "the tree stays small with high probability",
             err=True,
         )
-    return generate(spec)
+    return spec if keep_family else generate(spec)
 
 
 def _emit(text: str, out: str | None, command: str, config: dict, started: float) -> None:
@@ -170,13 +168,10 @@ def generate_cmd(family, kernel_csv, seed):
     if (family is None) == (kernel_csv is None):
         raise click.UsageError("pass exactly one of --family or --kernel-csv")
     if kernel_csv is not None:
-        from .graph import Inhomogeneous
-
-        grid = np.loadtxt(Path(kernel_csv).read_text().splitlines(), delimiter=",", ndmin=2)
         if seed is None:
             raise click.UsageError("--kernel-csv requires --seed")
-        spec = Inhomogeneous(grid.shape[0], tuple(map(tuple, grid.tolist())), seed)
-        g = generate(spec)
+        grid = np.loadtxt(Path(kernel_csv).read_text().splitlines(), delimiter=",", ndmin=2)
+        g = generate(Inhomogeneous(grid.shape[0], tuple(map(tuple, grid.tolist())), seed))
     else:
         g = _load_graph(family)
     return to_edge_list_text(g), {"family": family, "kernel_csv": kernel_csv, "seed": seed}
@@ -326,26 +321,17 @@ def limit_cmd(graph_source, colors, growing_ratio, sample, seed):
         raise click.UsageError("pass exactly one of --colors (fixed) or --growing-ratio")
     if growing_ratio is not None and graph_source is not None:
         raise click.UsageError("--growing-ratio is the limit of m/c itself and takes no --graph")
+    if colors is not None and graph_source is None:
+        raise click.UsageError("the fixed-color regime needs --graph")
+    if sample is not None and seed is None:
+        raise click.UsageError("--sample requires --seed")
     if growing_ratio is not None:
         law = limits.limit_for(None, limits.Growing(growing_ratio))
     else:
-        regime = limits.Fixed(colors)
-        if graph_source is None:
-            raise click.UsageError("the fixed-color regime needs --graph")
-        subject = _load_graph(graph_source, keep_family=True)
-        try:
-            law = limits.limit_for(subject, regime)
-        except AmbiguousRegimeError:
-            if isinstance(subject, Graph):
-                raise
-            # family without a closed-form dense limit: fall back to the
-            # concrete instance the spec string describes
-            law = limits.limit_for(_generate(subject), regime)
+        law = limits.limit_for(_load_graph(graph_source, keep_family=True), limits.Fixed(colors))
     config = {"graph": graph_source, "colors": colors, "growing_ratio": growing_ratio}
     if sample is None:
         return _json_doc("law", limits.law_to_dict(law)), config
-    if seed is None:
-        raise click.UsageError("--sample requires --seed")
     values = limits.sample_law(law, sample, seed)
     text = "value\n" + "\n".join(repr(float(v)) for v in values) + "\n"
     return text, {**config, "sample": sample, "seed": seed}

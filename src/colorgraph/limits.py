@@ -38,6 +38,7 @@ from .graph import (
     FamilySpec,
     Graph,
     Params,
+    generate,
 )
 
 __all__ = [
@@ -160,9 +161,6 @@ class WeightedChiSquare(Params):
                 break
             kept.append(w)
             acc += w * w
-        if not kept:
-            kept = ordered[:1]
-            acc = kept[0] ** 2
         return tuple(kept), max(0.0, total - acc)
 
 
@@ -570,10 +568,6 @@ class _Inversion:
 # ---------------------------------------------------------------------------
 
 
-def _normals_for(seed: int, idx: np.ndarray, *slots) -> np.ndarray:
-    return rng.normals(seed, rng.STREAM_LAW, idx, *slots)
-
-
 def sample_law(law: LimitLaw, count: int, seed: int) -> np.ndarray:
     """``count`` independent draws; draw i depends only on (seed, i), not on ``count``."""
     if count < 1:
@@ -598,16 +592,16 @@ def _draw_block(law: LimitLaw, seed: int, idx: np.ndarray) -> np.ndarray:
             z = arr[rng.uniform_ints(seed, arr.size, rng.STREAM_LAW, idx, 2)]
         return rng.poissons(seed, z, rng.STREAM_LAW, idx, 0)
     if isinstance(law, Normal):
-        return law.mean + math.sqrt(law.variance) * _normals_for(seed, idx, 0)
+        return law.mean + math.sqrt(law.variance) * rng.normals(seed, rng.STREAM_LAW, idx, 0)
     if isinstance(law, AtomPlusNormal):
-        out = math.sqrt(law.variance) * _normals_for(seed, idx, 0)
+        out = math.sqrt(law.variance) * rng.normals(seed, rng.STREAM_LAW, idx, 0)
         out[rng.uniforms(seed, rng.STREAM_LAW, idx, 3) < law.atom_mass] = 0.0
         return out
     if isinstance(law, WeightedChiSquare):
         w = np.asarray(law.effective_weights()[0], dtype=np.float64)
         cols = np.arange(w.size, dtype=np.int64)[None, :, None]
         comp = np.arange(law.dof, dtype=np.int64)[None, None, :]
-        z = _normals_for(seed, idx[:, None, None], cols, comp)
+        z = rng.normals(seed, rng.STREAM_LAW, idx[:, None, None], cols, comp)
         # row-wise sums, not a BLAS product: a draw's rounding must not depend on the block's rows
         return law.scale * (((z * z).sum(axis=2) - law.dof) * w).sum(axis=1)
     raise WrongLawKindError(f"unknown law {law!r}")
@@ -751,16 +745,12 @@ Regime = Union[Fixed, Growing]
 _NO_EDGE = "fixed-color regime needs at least one edge"
 
 
-def _fixed_family_law(spec: FamilySpec, c: int) -> LimitLaw:
+def _fixed_family_law(spec: Complete | CompleteBipartite, c: int) -> LimitLaw:
+    """The closed-form law of a complete or complete bipartite family."""
     if isinstance(spec, Complete):
         weights, has_edge = (1.0,), spec.n >= 2
-    elif isinstance(spec, CompleteBipartite):
-        weights, has_edge = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)), min(spec.a, spec.b) >= 1
     else:
-        raise AmbiguousRegimeError(
-            f"no closed-form dense limit for family {type(spec).__name__}; "
-            "pass a concrete graph instead"
-        )
+        weights, has_edge = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)), min(spec.a, spec.b) >= 1
     if not has_edge:
         raise ValueError(_NO_EDGE)
     return WeightedChiSquare(weights=weights, dof=c - 1, scale=1.0 / (2.0 * c))
@@ -776,7 +766,9 @@ def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitL
     above 1e-1 the host is treated as dense and the normalized spectrum
     drives a weighted chi-square law for (N - m/c)/sqrt(2m); the zone
     between is reported as ambiguous rather than guessed. Only the dense
-    case builds a spectrum, so only it meets the n <= 4000 size gate.
+    case builds a spectrum, so only it meets the n <= 4000 size gate. A
+    complete or complete bipartite family spec has a closed-form law; any
+    other spec is built, and its graph decides.
     """
     if isinstance(regime, Growing):
         ratio = regime.edge_color_ratio
@@ -786,8 +778,10 @@ def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitL
     if not isinstance(regime, Fixed):
         raise TypeError(f"unknown regime {regime!r}")
     c = regime.colors
-    if not isinstance(graph_or_spec, Graph):
+    if isinstance(graph_or_spec, (Complete, CompleteBipartite)):
         return _fixed_family_law(graph_or_spec, c)
+    if not isinstance(graph_or_spec, Graph):
+        return limit_for(generate(graph_or_spec), regime)
     g = graph_or_spec
     if g.m < 1:
         raise ValueError(_NO_EDGE)

@@ -58,17 +58,31 @@ TILE_WORDS = 2**15  # hash words ``uniform_ints`` draws per tile: 256 KiB, so a 
 _MAX_COLORS = 2**53  # ``uniform_ints`` resolves at most this many colors
 
 
-def batches(lo: int, hi: int, row_cost: int) -> Iterator[np.ndarray]:
+def batches(lo: int, hi: int, row_cost: int | np.ndarray) -> Iterator[np.ndarray]:
     """int64 index blocks that cover [lo, hi) in order; one empty block if hi <= lo.
 
-    ``row_cost`` is the array entries one index needs; a block holds
-    ``BATCH_ENTRIES // row_cost`` indices, and at least one. A caller draws
-    each index from (seed, index) and reduces each row on its own, so no
-    result depends on where the blocks fall.
+    ``row_cost`` is the array entries one index needs. As an int, a block
+    holds ``BATCH_ENTRIES // row_cost`` indices, and at least one. As an
+    array of the nonnegative costs of indices lo..hi-1, a block runs over
+    consecutive indices while their summed cost fits ``BATCH_ENTRIES``, and
+    an index costlier than that is a block alone. A caller draws each index
+    from (seed, index) and reduces each row on its own, so no result
+    depends on where the blocks fall.
     """
-    rows = max(1, BATCH_ENTRIES // max(1, row_cost))
-    for start in range(lo, max(hi, lo + 1), rows):
-        yield np.arange(start, min(start + rows, hi), dtype=np.int64)
+    if np.ndim(row_cost) == 0:
+        rows = max(1, BATCH_ENTRIES // max(1, row_cost))
+        for start in range(lo, max(hi, lo + 1), rows):
+            yield np.arange(start, min(start + rows, hi), dtype=np.int64)
+        return
+    count = np.size(row_cost)
+    if count != max(0, hi - lo):
+        raise ValueError(f"need one cost per index of [{lo}, {hi}), got {count}")
+    ends = np.concatenate(([0], np.cumsum(row_cost)))  # ends[i]: the summed cost of indices lo..lo+i-1
+    start = 0
+    while start < max(count, 1):  # an empty range still yields one block
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + BATCH_ENTRIES, side="right")) - 1)
+        yield np.arange(lo + start, lo + min(stop, count), dtype=np.int64)
+        start = stop
 
 
 def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:

@@ -290,6 +290,18 @@ class TestPatternCanonicalization:
         star3 = MultiGraphPattern.from_edges([(0, 1), (0, 2), (0, 3)])
         assert path3 != star3
 
+    @pytest.mark.parametrize("pairs,name", [
+        ([(0, 1), (1, 2), (0, 2)], "C3"),
+        ([(0, 1), (1, 2), (2, 3), (0, 3)], "C4"),
+        ([(0, 1), (1, 2), (2, 3)], "P3"),
+        ([(0, 1), (0, 2), (0, 3)], "star3"),
+        ([(0, 1), (1, 2), (0, 2), (2, 3)], "[0-3,1-2,1-3,2-3]"),  # the paw, by its canonical edges
+        ([(0, 1), (2, 3)], "edge + edge"),
+        ([(0, 1), (0, 1)], "edge^2"),
+    ], ids=["triangle", "four-cycle", "path", "star", "paw", "two-edges", "doubled-edge"])
+    def test_describe(self, pairs, name):
+        assert MultiGraphPattern.from_edges(pairs).describe() == name
+
 
 class TestMultigraphTuples:
     def test_triangle_pairs(self):

@@ -61,6 +61,11 @@ class TestGenerate:
         assert res.exit_code == 0
         assert "warning" in res.output  # CliRunner merges stderr by default
 
+    def test_gw_subcritical_limit_warns(self, runner):
+        # limit keeps the family spec, and limit_for builds it: the warning comes as the spec is parsed
+        res = runner.invoke(main, ["limit", "--graph", "gw:0.8,0.2:3:1", "--colors", "2"])
+        assert "warning: offspring mean 0.2 <= 1" in res.output
+
 
 class TestCensusExtremalSpectrum:
     def test_census_json(self, runner):
@@ -237,6 +242,19 @@ class TestSimulateExactCompare:
         ])
         assert res.exit_code == 0, res.output
 
+    @pytest.mark.parametrize("law,metric", [(limits.Poisson(3.0), "tv"), (limits.Normal(0.0, 1.0), "ks")],
+                             ids=["poisson", "normal"])
+    def test_compare_default_metric(self, runner, tmp_path, law, metric):
+        # with no --metric a discrete law is judged by tv and any other by ks
+        emp, doc = tmp_path / "emp.csv", tmp_path / "law.json"
+        emp.write_text("value,count\n2,3\n3,4\n")
+        doc.write_text(json.dumps(limits.law_to_dict(law)))
+        args = ["compare", "--empirical", str(emp), "--law", str(doc), "--tol", "1.5"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["metric"] == metric
+        assert res.output == runner.invoke(main, args + ["--metric", metric]).output
+
 
 class TestLimitCommand:
     def test_growing_law_json(self, runner):
@@ -248,14 +266,14 @@ class TestLimitCommand:
         from colorgraph import limits
         from colorgraph.graph import generate, parse_family
 
-        # an ER spec has no family law: the CLI falls back to the generated graph's law
+        # an ER spec has no family law: limit_for builds the spec and returns its graph's law
         res = invoke(runner, "limit", "--graph", "er:100:0.5:1", "--colors", "3")
         doc = json.loads(res.output)
         law = limits.limit_for(generate(parse_family("er:100:0.5:1")), limits.Fixed(3))
         assert doc == json.loads(json.dumps({"schema": "colorgraph.law/1", **limits.law_to_dict(law)}))
         assert doc["kind"] == "weighted_chi_square"
         assert doc["dof"] == 2
-        # er:100:0.4:1 has four-cycle ratio 0.077, in the gray zone, so the fallback exits 4
+        # er:100:0.4:1 has four-cycle ratio 0.077, in the gray zone, so it exits 4
         assert runner.invoke(main, ["limit", "--graph", "er:100:0.4:1", "--colors", "3"]).exit_code == 4
         # and a graph with no edges has no fixed-color law at all
         assert runner.invoke(main, ["limit", "--graph", "er:30:0:1", "--colors", "3"]).exit_code == 2
@@ -339,6 +357,26 @@ def test_path_error_names_its_cause(runner, args, message, tmp_path, monkeypatch
     assert "Traceback" not in res.output
 
 
+# usage errors caught before any file is read or law computed: the message names the missing option
+USAGE_ERRORS = [
+    (["generate", "--kernel-csv", "missing.csv"], "--kernel-csv requires --seed"),
+    (["limit", "--graph", "gadget:3:3:3", "--colors", "2", "--sample", "5"], "--sample requires --seed"),
+    (["limit", "--colors", "2"], "the fixed-color regime needs --graph"),
+    (["birthday"], "pass --people N"),
+    (["birthday", "--lambda-from", "--days-power", "365:4"], "--lambda-from needs --edges"),
+]
+USAGE_ERROR_IDS = ["kernel-csv-without-seed", "sample-without-seed", "fixed-colors-without-graph",
+                   "birthday-without-people", "lambda-from-without-edges"]
+
+
+@pytest.mark.parametrize("args,message", USAGE_ERRORS, ids=USAGE_ERROR_IDS)
+def test_usage_error_names_its_cause(runner, args, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no missing.csv here; gadget:3:3:3 would be in the gray zone (exit 4)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
 # inputs compare cannot judge: usage errors (exit 2), never a failed comparison (exit 1)
 COMPARE_TV = ["compare", "--metric", "tv", "--tol", "0.5", "--empirical"]
 UNJUDGEABLE_COMPARES = [
@@ -399,6 +437,11 @@ class TestBirthday:
             probs[people] = doc["exact_no_match"]
         assert probs[22] > 0.5 > probs[23]
 
+    def test_more_people_than_days(self, runner):
+        doc = json.loads(invoke(runner, "birthday", "--people", "400", "--days", "365").output)
+        assert doc["exact_no_match"] == 0.0
+        assert doc["match_prob"] == 1.0
+
     @pytest.mark.parametrize("args,code", [
         (["birthday", "--people", "23", "--days", "0"], 2),
         (["birthday", "--lambda-from", "--edges", "1.2e11", "--days-power", "365:1000"], 4),
@@ -429,13 +472,14 @@ class TestBirthday:
         (["limit", "--graph", "dense.edges", "--colors", "2"], 3),
         *((args, 2) for args, _ in PATH_ERRORS),
         *((args, 2) for args, _ in UNJUDGEABLE_COMPARES),
+        *((args, 2) for args, _ in USAGE_ERRORS),
     ], ids=["zero-days", "days-power-overflow", "negative-people", "negative-edges", "nan-edges",
             "zero-days-power", "inf-edges", "inf-days-power", "zero-base-negative-power",
             "edgeless-family", "zero-workers", "nan-growing-ratio", "graph-with-growing-ratio",
             "zero-scale", "negative-scale",
             "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol", "inf-poisson-mean",
             "fractional-dof", "nan-offspring", "sparse-host-above-size-gate", "star-above-size-gate",
-            "dense-host-above-size-gate", *PATH_ERROR_IDS, *UNJUDGEABLE_IDS])
+            "dense-host-above-size-gate", *PATH_ERROR_IDS, *UNJUDGEABLE_IDS, *USAGE_ERROR_IDS])
     def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the compare rows read these files
         write_compare_inputs(tmp_path)

@@ -45,6 +45,13 @@ class TestConstruction:
         assert g.m == 3
         assert g.edges == ((0, 1), (0, 2), (1, 2))
 
+    def test_equal_graphs_hash_equally(self):
+        # the same edges in another order make an equal graph, and it keys the same dict entry
+        g, h = Graph(4, [(0, 1), (2, 3), (1, 2)]), Graph(4, [(2, 1), (3, 2), (1, 0)])
+        assert g == h and hash(g) == hash(h)
+        assert len({(g, 3): 1, (h, 3): 2}) == 1
+        assert Graph(5, g.edges) != g
+
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError, match=r"\(0, 0\)"):
             Graph(2, [(0, 0)])

@@ -8,6 +8,7 @@ from test_purity import LAWS as PURITY_LAWS
 from colorgraph import census, limits, rng, spectral, stats
 from colorgraph.errors import (
     AmbiguousRegimeError,
+    ColorGraphError,
     DomainExceededError,
     SizeGateExceededError,
     WrongLawKindError,
@@ -431,6 +432,14 @@ class TestGadgetCharFunction:
             assert abs(got - w) < 0.02
 
 
+def fixed_outcome(subject, c):
+    """``limit_for(subject, Fixed(c))``, or the type and message of the error it raises."""
+    try:
+        return limit_for(subject, Fixed(c))
+    except (ColorGraphError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 class TestLimitSelector:
     def test_growing_finite(self):
         assert limit_for(None, Growing(0.5)) == Poisson(0.5)
@@ -452,9 +461,10 @@ class TestLimitSelector:
         assert max(law.weights) == pytest.approx(1.0, abs=0.05)  # single dominant weight
 
     def test_fixed_er_family(self):
-        # the complete graph's law is wrong for p < 1; only a concrete graph has one
-        with pytest.raises(AmbiguousRegimeError, match="pass a concrete graph"):
-            limit_for(ErdosRenyi(500, 0.4, 1), Fixed(3))
+        # the complete graph's law is wrong for p < 1, so the spec's own graph decides: here the gray zone
+        spec = ErdosRenyi(500, 0.4, 1)
+        assert fixed_outcome(spec, 3) == fixed_outcome(generate(spec), 3)
+        assert fixed_outcome(spec, 3)[0] is AmbiguousRegimeError
 
     def test_fixed_bipartite_family(self):
         law = limit_for(CompleteBipartite(100, 100), Fixed(2))
@@ -513,8 +523,9 @@ class TestLimitSelector:
         assert ACF4_NORMAL_THRESHOLD < 6 / 64 < ACF4_GRAY_UPPER
 
     def test_family_without_closed_form(self):
-        with pytest.raises(AmbiguousRegimeError):
-            limit_for(GaltonWatson((0.5, 0.5), 3, 1), Fixed(2))
+        # a family with no closed-form law gets the law, or the error, of the graph it builds
+        for spec in (GaltonWatson((0.5, 0.5), 3, 1), Star(200), RandomRegular(2000, 3, 5)):
+            assert fixed_outcome(spec, 2) == fixed_outcome(generate(spec), 2), spec
 
     def test_star_family_is_ambiguous_but_concrete_star_is_not_normal(self):
         # stars are four-cycle free yet fail the spectral condition; the

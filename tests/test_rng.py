@@ -4,9 +4,13 @@ Colors are drawn tile by tile in the narrowest unsigned dtype holding
 c - 1, as a power-of-two shift or a single float multiply. Every value
 must equal ``oracles.uniform_ints_reference`` for any tile size and in
 either layout: vertex-major (v, s) is the transpose of sample-major (s, v).
+``rng.batches`` cuts index ranges into blocks, by a cost per index or one
+cost for all.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import uniform_ints_reference
 
 from colorgraph import rng
@@ -102,3 +106,42 @@ def test_scalar_and_array_steps_agree():
     assert isinstance(rng.words(2, 1, 2, 3), np.uint64)
     assert rng.words(2, 1, 2, 3) == grid[2, 3]
     assert np.array_equal(rng.words(2, np.ones(4, dtype=np.int64), 2, 3), np.full(4, grid[2, 3]))
+
+
+def blocks(lo, hi, row_cost):
+    return [block.tolist() for block in rng.batches(lo, hi, row_cost)]
+
+
+@pytest.mark.parametrize("lo,hi,row_cost,want", [
+    (0, 5, 1, [[0, 1, 2, 3, 4]]),
+    (3, 10, 600_000, [[3, 4, 5], [6, 7, 8], [9]]),  # 2,000,000 // 600,000 = 3 indices a block
+    (0, 3, 10**9, [[0], [1], [2]]),  # an index costlier than the budget is a block alone
+    (4, 6, 0, [[4, 5]]),
+    (2, 2, 7, [[]]),
+    (5, 1, 1, [[]]),
+])
+def test_scalar_cost_blocks(lo, hi, row_cost, want):
+    assert blocks(lo, hi, row_cost) == want
+    assert all(block.dtype == np.int64 for block in rng.batches(lo, hi, row_cost))
+
+
+@given(st.integers(-5, 5), st.lists(st.integers(0, 40), max_size=30), st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+def test_cost_array_blocks_are_greedy(lo, costs, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "BATCH_ENTRIES", budget)
+        got = blocks(lo, lo + len(costs), np.array(costs, dtype=np.int64))
+    assert sum(got, []) == list(range(lo, lo + len(costs)))  # in order, each index once
+    assert all(got) or got == [[]]
+    for block, after in zip(got, got[1:] + [None]):
+        spent = sum(costs[i - lo] for i in block)
+        assert spent <= budget or len(block) == 1
+        assert after is None or spent + costs[after[0] - lo] > budget  # the next index would not fit
+
+
+def test_cost_array_blocks():
+    assert blocks(10, 16, np.array([1.0, 1_999_999, 3e6, 5e5, 5e5, 1e6])) == [[10, 11], [12], [13, 14, 15]]
+    assert blocks(0, 0, np.zeros(0)) == [[]]
+    assert blocks(0, 4, np.full(4, 700_000)) == blocks(0, 4, 700_000) == [[0, 1], [2, 3]]
+    with pytest.raises(ValueError, match="one cost per index"):
+        blocks(0, 4, np.ones(3))
