@@ -8,6 +8,9 @@ configuration, library version, and wall time.
 
 Exit codes: 0 ok, 1 failed comparison, 2 usage error or a path that cannot
 be read or written, 3 enumeration or size gate exceeded, 4 numerical failure.
+
+Each command imports the modules it runs when it runs, so ``birthday`` and
+``--version`` start without numpy.
 """
 from __future__ import annotations
 
@@ -19,12 +22,13 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import __version__, census, colorsim, extremal, limits, moments, spectral, stats
+from . import __version__
 from .errors import (
+    FAMILY_GRAMMAR,
     AmbiguousRegimeError,
     ColorGraphError,
     ConvergenceFailureError,
@@ -32,19 +36,10 @@ from .errors import (
     GateExceededError,
     GenerationTimeoutError,
 )
-from .graph import (
-    _FAMILY_HELP,
-    FamilySpec,
-    GaltonWatson,
-    Graph,
-    Inhomogeneous,
-    generate,
-    mean_offspring,
-    parse_edge_list_text,
-    parse_family,
-    read_spec,
-    to_edge_list_text,
-)
+
+if TYPE_CHECKING:
+    from . import colorsim
+    from .graph import FamilySpec, Graph
 
 EXIT_USAGE = 2
 EXIT_GATE = 3
@@ -64,6 +59,8 @@ def _load_graph(source: str, keep_family: bool = False) -> Graph | FamilySpec:
     With ``keep_family`` a family spec is returned without generating it. A
     subcritical Galton-Watson spec gets a warning on stderr either way.
     """
+    from .graph import GaltonWatson, generate, mean_offspring, parse_edge_list_text, parse_family
+
     path = Path(source)
     if path.exists():
         return parse_edge_list_text(path.read_text())
@@ -110,7 +107,7 @@ def _json_doc(kind: str, payload: dict) -> str:
 
 graph_option = click.option(
     "--graph", "graph_source", required=True, metavar="FILE|FAMILY",
-    help=f"Edge-list file or family spec ({_FAMILY_HELP}).",
+    help=f"Edge-list file or family spec ({FAMILY_GRAMMAR}).",
 )
 
 
@@ -165,11 +162,15 @@ def _command(name: str):
 @click.option("--seed", default=None, type=int, help="Seed for --kernel-csv mode.")
 def generate_cmd(family, kernel_csv, seed):
     """Generate a graph and emit its edge list."""
+    from .graph import Inhomogeneous, generate, to_edge_list_text
+
     if (family is None) == (kernel_csv is None):
         raise click.UsageError("pass exactly one of --family or --kernel-csv")
     if kernel_csv is not None:
         if seed is None:
             raise click.UsageError("--kernel-csv requires --seed")
+        import numpy as np
+
         grid = np.loadtxt(Path(kernel_csv).read_text().splitlines(), delimiter=",", ndmin=2)
         g = generate(Inhomogeneous(grid.shape[0], tuple(map(tuple, grid.tolist())), seed))
     else:
@@ -187,6 +188,8 @@ def generate_cmd(family, kernel_csv, seed):
 @click.option("--cycles/--no-cycles", default=False, help="Include cycle counts for g = 3..8.")
 def census_cmd(graph_source, k, cycles):
     """Classify ordered edge tuples by multigraph class; optionally count cycles."""
+    from . import census
+
     g = _load_graph(graph_source)
     table = census.count_multigraph_tuples(g, k)
     patterns = {
@@ -206,6 +209,8 @@ def census_cmd(graph_source, k, cycles):
 @graph_option
 def extremal_cmd(graph_source):
     """Fractional stable number, deficiency, and structure flags."""
+    from . import extremal
+
     g = _load_graph(graph_source)
     sol = extremal.gamma(g)
     report = extremal.structural_check(sol, g)
@@ -227,6 +232,8 @@ def extremal_cmd(graph_source):
 @graph_option
 def spectrum_cmd(graph_source):
     """Adjacency eigenvalues as CSV, descending, plus the spectral ratio."""
+    from . import spectral
+
     g = _load_graph(graph_source)
     spec = spectral.eigenvalues(g)
     lines = ["index,eigenvalue"]
@@ -238,12 +245,15 @@ def spectrum_cmd(graph_source):
 # -- simulate / exact -------------------------------------------------------------
 
 
-_STATISTICS = {"edges": colorsim.MonoEdges, "stars": colorsim.MonoStars, "cycles": colorsim.MonoCycles}
 _STAT_HELP = "edges | stars:r | cycles:g"
 
 
 def _parse_stat(text: str) -> colorsim.Statistic:
-    return read_spec(text, _STATISTICS, "statistic", _STAT_HELP)
+    from . import colorsim
+    from .graph import read_spec
+
+    statistics = {"edges": colorsim.MonoEdges, "stars": colorsim.MonoStars, "cycles": colorsim.MonoCycles}
+    return read_spec(text, statistics, "statistic", _STAT_HELP)
 
 
 stat_option = click.option("--stat", default="edges", show_default=True,
@@ -260,6 +270,8 @@ stat_option = click.option("--stat", default="edges", show_default=True,
               help="Process parallelism bound. Never affects results.")
 def simulate_cmd(graph_source, colors, stat, samples, seed, workers):
     """Monte Carlo of a monochromatic statistic; CSV of value,count."""
+    from . import colorsim
+
     g = _load_graph(graph_source)
     run = colorsim.simulate(g, colors, _parse_stat(stat), samples, seed, workers=workers)
     lines = ["value,count"]
@@ -274,6 +286,8 @@ def simulate_cmd(graph_source, colors, stat, samples, seed, workers):
 @stat_option
 def exact_cmd(graph_source, colors, stat):
     """Exact law by full enumeration; CSV of value,probability (p/q)."""
+    from . import colorsim
+
     g = _load_graph(graph_source)
     pmf = colorsim.exact_distribution(g, colors, _parse_stat(stat))
     lines = ["value,probability"]
@@ -283,17 +297,22 @@ def exact_cmd(graph_source, colors, stat):
 
 # -- moments -----------------------------------------------------------------------
 
+# the values of moments.MomentKind, spelled out so that the CLI loads without numpy
+_MOMENT_KINDS = ("rawn", "rawm", "centralz", "centralw")
+
 
 @_command("moments")
 @graph_option
 @click.option("--colors", required=True, type=int)
-@click.option("--kind", type=click.Choice([k.value for k in moments.MomentKind]),
+@click.option("--kind", type=click.Choice(_MOMENT_KINDS),
               default="rawn", show_default=True)
 @click.option("--order", default=2, show_default=True, type=int)
 @click.option("--fourth-report/--no-fourth-report", default=False,
               help="Also emit the exact fourth-moment decomposition.")
 def moments_cmd(graph_source, colors, kind, order, fourth_report):
     """Exact conditional moments as p/q strings."""
+    from . import moments
+
     g = _load_graph(graph_source)
     req = moments.MomentRequest(moments.MomentKind(kind), order, colors)
     val = moments.conditional_moment(g, req)
@@ -317,6 +336,8 @@ def moments_cmd(graph_source, colors, kind, order, fourth_report):
 @click.option("--seed", default=None, type=int, help="Seed for --sample.")
 def limit_cmd(graph_source, colors, growing_ratio, sample, seed):
     """Select the limit law for a host and regime; print it or sample it."""
+    from . import limits
+
     if (colors is None) == (growing_ratio is None):
         raise click.UsageError("pass exactly one of --colors (fixed) or --growing-ratio")
     if growing_ratio is not None and graph_source is not None:
@@ -353,6 +374,10 @@ def limit_cmd(graph_source, colors, growing_ratio, sample, seed):
               help="Divide by before a ks comparison.")
 def compare_cmd(empirical, law_path, metric, tol, center, scale):
     """Compare an empirical distribution against a law; exit 1 on failure."""
+    import numpy as np
+
+    from . import limits, stats
+
     for name, value in (("--tol", tol), ("--center", center), ("--scale", scale)):
         if not math.isfinite(value):
             raise click.UsageError(f"{name} must be a finite number, got {value}")

@@ -1,9 +1,17 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the family grammar that its messages quote.
 
 Gate violations (an input exceeding an enumeration or size limit) and
 numerical failures are distinct classes so the CLI can map them to distinct
-exit codes.
+exit codes. This module imports nothing, so the CLI reads it at start-up.
 """
+
+#: The family spec grammar that ``graph.parse_family`` quotes in its errors
+#: and the CLI in ``--graph``'s help.
+FAMILY_GRAMMAR = (
+    "complete:n | bipartite:a:b | star:leaves | path:edges | cycle:g | "
+    "hypercube:s | er:n:p:seed | regular:n:d:seed | gw:p0,p1,...:height:seed | "
+    "gadget:a:b:g"
+)
 
 
 class ColorGraphError(Exception):

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import rng
 from .errors import (
+    FAMILY_GRAMMAR,
     DuplicateEdgeError,
     GenerationTimeoutError,
     InfeasibleSpecError,
@@ -563,13 +564,6 @@ def mean_offspring(spec: GaltonWatson) -> float:
 
 # -- family mini-grammar -------------------------------------------------------
 
-_FAMILY_HELP = (
-    "complete:n | bipartite:a:b | star:leaves | path:edges | cycle:g | "
-    "hypercube:s | er:n:p:seed | regular:n:d:seed | gw:p0,p1,...:height:seed | "
-    "gadget:a:b:g"
-)
-
-
 _FAMILIES = {"complete": Complete, "bipartite": CompleteBipartite, "star": Star, "path": Path,
              "cycle": Cycle, "hypercube": Hypercube, "er": ErdosRenyi, "regular": RandomRegular,
              "gw": GaltonWatson, "gadget": PathCycleGadget}
@@ -603,5 +597,5 @@ def _read_arg(text: str, field):
 
 
 def parse_family(text: str) -> FamilySpec:
-    """The family spec that ``name:arg:...`` names, in the grammar of ``_FAMILY_HELP``."""
-    return read_spec(text, _FAMILIES, "family", _FAMILY_HELP)
+    """The family spec that ``name:arg:...`` names, in the grammar of ``FAMILY_GRAMMAR``."""
+    return read_spec(text, _FAMILIES, "family", FAMILY_GRAMMAR)

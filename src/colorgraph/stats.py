@@ -131,8 +131,8 @@ def empirical_moments(samples, k_max: int, max_blocks: int = 10_000) -> Empirica
         powers = powers * x
         sums[:, k] = np.add.reduceat(powers, bounds[:-1])
     total = sums.sum(axis=0)
-    # row 0: the full sample; row 1 + b: the sample without block b
-    power_sums = np.vstack((total, total - sums))
+    # row 0: the full sample; row 1 + b: the sample without block b (no such rows for one block)
+    power_sums = np.vstack((total, total - sums)) if blocks > 1 else total[None]
     raw = power_sums[:, 1:] / power_sums[:, :1]
     # mu_k = sum_j C(k, j) raw_j (-mean)^{k-j}, with raw_0 = 1 and C(k, j) = 0 for j > k
     orders = np.arange(k_max + 1)

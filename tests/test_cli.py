@@ -495,10 +495,70 @@ class TestBirthday:
         assert res.exit_code == code, res.output
 
 
-def test_cli_start_up_skips_the_process_pool():
-    # concurrent.futures.process costs every start 15-23 ms; only simulate --workers > 1 needs it
+# -- start-up: what a fresh interpreter loads -------------------------------------------
+
+
+def child_output(code: str) -> str:
+    """The last stdout line of ``python -c code`` in a fresh interpreter that imports this colorgraph."""
     src = str(Path(colorgraph.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, colorgraph.cli; print('concurrent.futures.process' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.splitlines()[-1]
+
+
+def modules_after_cli(*args: str) -> set[str]:
+    """The modules loaded once ``python -m colorgraph.cli ARGS`` has run (and exited 0)."""
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['colorgraph', *{list(args)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('colorgraph.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print(*sorted(sys.modules))\n")
+    return set(child_output(code).split())
+
+
+def test_cli_start_up_skips_the_process_pool():
+    # concurrent.futures.process costs every start 15-23 ms; only simulate --workers > 1 needs it
+    code = "import sys, colorgraph.cli; print('concurrent.futures.process' in sys.modules)"
+    assert child_output(code) == "False"
+
+
+@pytest.mark.parametrize("args", [("birthday", "--people", "23", "--days", "365"), ("--version",)],
+                         ids=["birthday", "version"])
+def test_numpy_free_commands_load_no_numpy(args):
+    loaded = modules_after_cli(*args)
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("colorgraph")} == {"colorgraph", "colorgraph.errors"}
+
+
+def test_census_loads_only_what_it_runs():
+    loaded = modules_after_cli("census", "--graph", "complete:4")
+    assert {"colorgraph.graph", "colorgraph.census"} <= loaded
+    assert not {"colorgraph.limits", "colorgraph.colorsim", "colorgraph.moments"} & loaded
+
+
+def test_import_colorgraph_loads_no_submodule():
+    code = "import sys, colorgraph; print(*sorted(m for m in sys.modules if m.split('.')[0] in ('colorgraph', 'numpy')))"
+    assert child_output(code) == "colorgraph"
+
+
+def test_submodules_load_on_first_access():
+    code = ("import sys, colorgraph\n"
+            "census = colorgraph.census\n"
+            "from colorgraph import rng\n"
+            "print(census.__name__, rng.__name__, 'colorgraph.limits' in sys.modules, "
+            "{'census', 'limits', 'rng', '__version__'} <= set(dir(colorgraph)))\n")
+    assert child_output(code) == "colorgraph.census colorgraph.rng False True"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'census_table'"):
+        colorgraph.census_table  # noqa: B018
+    assert not hasattr(colorgraph, "numpy")
+
+
+def test_kind_choices_are_the_moment_kinds():
+    from colorgraph import cli, moments
+
+    assert list(cli._MOMENT_KINDS) == [k.value for k in moments.MomentKind]

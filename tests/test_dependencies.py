@@ -1,4 +1,4 @@
-"""The package imports only the standard library, numpy and click."""
+"""The package imports only the standard library, numpy and click; the CLI loads neither numpy nor a submodule."""
 import ast
 import sys
 from pathlib import Path
@@ -24,6 +24,12 @@ def test_sources_found():
     assert any(path.name == "colorsim.py" for path in SOURCES)
 
 
+def test_every_module_loads_lazily_from_the_package():
+    import colorgraph
+
+    assert set(colorgraph._SUBMODULES) == {path.stem for path in SOURCES} - {"__init__"}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_imports_only_stdlib_numpy_click(path):
     undeclared = imported_packages(ast.parse(path.read_text(), filename=str(path))) - ALLOWED
@@ -32,3 +38,54 @@ def test_imports_only_stdlib_numpy_click(path):
 
 def test_guard_catches_scipy():
     assert imported_packages(ast.parse("import scipy.stats\nfrom scipy import linalg\n")) == {"scipy"}
+
+
+# what cli.py may import when it loads: each command imports the rest when it runs
+CLI_START_UP = {"click", "colorgraph", "colorgraph.__version__", "colorgraph.errors"}
+
+
+def load_time_imports(tree: ast.AST) -> set[str]:
+    """Each name that ``tree`` imports when the module loads, as ``package.module`` or ``package.name``.
+
+    Function bodies and ``if TYPE_CHECKING:`` blocks do not run at load time
+    and are skipped; relative imports are named from ``colorgraph``.
+    """
+    names, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            todo.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("colorgraph" if node.level else None, node.module)))
+            names.update(f"{module}.{alias.name}" if module == "colorgraph" else module for alias in node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_cli_loads_only_stdlib_click_and_errors():
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    eager = load_time_imports(ast.parse(cli.read_text(), filename=str(cli)))
+    outside = {name for name in eager if name.split(".")[0] not in sys.stdlib_module_names} - CLI_START_UP
+    assert not outside, f"cli.py imports {sorted(outside)} at load time; import them in the command that runs them"
+
+
+def test_cli_guard_catches_eager_imports():
+    source = (
+        "import numpy as np\n"
+        "from . import __version__, census\n"
+        "from .errors import ColorGraphError\n"
+        "from .graph import Graph\n"
+        "from colorgraph import limits\n"
+        "if TYPE_CHECKING:\n"
+        "    from .limits import Law\n"
+        "def run():\n"
+        "    from . import stats\n"
+    )
+    assert load_time_imports(ast.parse(source)) == {
+        "numpy", "colorgraph.__version__", "colorgraph.census", "colorgraph.errors", "colorgraph.graph",
+        "colorgraph.limits"}

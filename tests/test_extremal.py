@@ -11,6 +11,7 @@ from colorgraph.errors import (
     SolutionMismatchError,
 )
 from colorgraph.extremal import (
+    _has_spanning_cycle_edge_factor,
     alon_asymptotic,
     automorphism_count,
     condition_report,
@@ -65,6 +66,12 @@ class TestDeficiency:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(ValueError):
             deficiency(Graph(3, [(0, 1)]))
+
+    def test_spanning_cycle_edge_factor_edge_cases(self):
+        # the empty graph is its own empty factor; an isolated vertex lies on no cycle or edge
+        assert _has_spanning_cycle_edge_factor(Graph(0, [])) is True
+        assert _has_spanning_cycle_edge_factor(Graph(3, [(0, 1)])) is False
+        assert _has_spanning_cycle_edge_factor(Graph(2, [(0, 1)])) is True
 
 
 class TestGamma:

@@ -331,6 +331,10 @@ class TestRandomFamilies:
         with pytest.raises(GenerationTimeoutError):
             generate(RandomRegular(8, 7, 0))
 
+    def test_regular_degree_zero_is_edgeless(self):
+        g = generate(RandomRegular(6, 0, 1))
+        assert (g.n, g.edges) == (6, ())
+
     def test_regular_deterministic(self):
         assert generate(RandomRegular(16, 3, 5)) == generate(RandomRegular(16, 3, 5))
 

@@ -222,6 +222,12 @@ def chisq_cdf(y, dof):
 class TestWeightedChiSquareCdf:
     """law_cdf inverts the characteristic function to within 1e-6."""
 
+    def test_smoothing_bound_gives_up_past_exponent_100(self):
+        # weights (1, 0.5) at c = 0.1: the exponent is 2 dof, so 50 dof reach 100 and 51 pass it
+        assert limits._Inversion(np.array([1.0, 0.5]), 50)._smoothing_error(0.1) == pytest.approx(
+            2.0**25 / (math.pi * 0.1**2), rel=1e-12)
+        assert limits._Inversion(np.array([1.0, 0.5]), 51)._smoothing_error(0.1) is None
+
     @pytest.mark.parametrize("dof", [1, 2, 4])
     def test_single_weight_closed_form(self, dof):
         law = WeightedChiSquare((1.0,), dof, 0.25)
@@ -527,8 +533,9 @@ class TestLimitSelector:
         for spec in (GaltonWatson((0.5, 0.5), 3, 1), Star(200), RandomRegular(2000, 3, 5)):
             assert fixed_outcome(spec, 2) == fixed_outcome(generate(spec), 2), spec
 
-    def test_star_family_is_ambiguous_but_concrete_star_is_not_normal(self):
+    def test_star_family_and_concrete_star_are_normal(self):
         # stars are four-cycle free yet fail the spectral condition; the
-        # selector still reports the normal law from the four-cycle ratio
-        g = generate(Star(200))
-        assert limit_for(g, Fixed(2)) == Normal(0.0, 0.5)
+        # selector reports the normal law from the four-cycle ratio for the
+        # family spec and for the generated graph alike
+        assert limit_for(Star(200), Fixed(2)) == Normal(0.0, 0.5)
+        assert limit_for(generate(Star(200)), Fixed(2)) == Normal(0.0, 0.5)

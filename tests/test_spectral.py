@@ -66,6 +66,12 @@ class TestEigenvalues:
         spec = eigenvalues(Graph(0, []))
         assert spec.eigenvalues.size == 0
         assert spec.usn_ratio == 0.0
+        assert spec.max_abs == 0.0
+
+    def test_edgeless_spectrum_normalizes_to_zeros(self):
+        spec = eigenvalues(Graph(3, []))
+        assert spec.l2_norm == 0.0
+        assert spec.normalized.tolist() == [0.0, 0.0, 0.0]
 
     def test_usn_star_exactly_isqrt2(self):
         spec = eigenvalues(generate(Star(50)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,15 @@ class TestEmpiricalMoments:
             scale = np.maximum(np.abs(want_part), 1.0)
             assert np.allclose(np.asarray(got_part) / scale, np.asarray(want_part) / scale,
                                rtol=0, atol=1e-11)
+
+    def test_one_block_has_zero_spreads(self):
+        # with one block there is no block to leave out: plug-in moments, zero SEs, no 0/0 warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            em = empirical_moments([1.0, 2.0, 4.0], 2, max_blocks=1)
+        assert em.raw == pytest.approx((7 / 3, 7.0))
+        assert em.central == pytest.approx((0.0, 14 / 9))
+        assert em.raw_se == em.central_se == (0.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
