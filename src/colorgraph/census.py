@@ -1,9 +1,9 @@
 """Exact censuses of small patterns inside a host graph.
 
 Covers unlabeled cycle counts and lists by joining half-paths, copy counts
-of small simple patterns as edge subsets, the classification of all ordered
-edge k-tuples by the isomorphism class of the multigraph they span, and
-cycle homomorphism densities from the adjacency spectrum.
+of small simple patterns by one embedding search, the classification of
+all ordered edge k-tuples by the isomorphism class of the multigraph they
+span, and cycle homomorphism densities from the adjacency spectrum.
 
 :class:`PatternCounts` counts every simple pattern with at most 4 edges in
 closed form, in time polynomial in the host and with no enumeration of
@@ -37,6 +37,7 @@ from . import rng
 from .errors import (
     PatternTooLargeError,
     PreconditionViolatedError,
+    SizeGateExceededError,
     UnsupportedLengthError,
 )
 from .graph import Graph, components
@@ -59,6 +60,7 @@ __all__ = [
 
 _MAX_PATTERN_VERTICES = 10
 CYCLE_LENGTHS = range(3, 9)  # the cycle lengths counted and listed: 3..8
+_MAX_CYCLE_ENTRIES = 64 * rng.BATCH_ENTRIES  # 1 GiB of int64, before cycle_list's tuples
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +416,18 @@ def four_cycle_count_from_traces(g: Graph) -> int:
 
 
 def cycle_list(g: Graph, length: int) -> tuple[tuple[int, ...], ...]:
-    """All unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) as vertex tuples, in lexicographic order."""
-    cycles = np.hstack([block for _, block in _cycle_blocks(g, (length,))])
+    """All unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) as vertex tuples, in lexicographic order.
+
+    Raises SizeGateExceededError, before building more, once the cycles
+    hold more than ``_MAX_CYCLE_ENTRIES`` vertex entries.
+    """
+    blocks, entries = [], 0
+    for _, block in _cycle_blocks(g, (length,)):
+        entries += block.size
+        if entries > _MAX_CYCLE_ENTRIES:
+            raise SizeGateExceededError(f"the cycles of length {length} hold more than {_MAX_CYCLE_ENTRIES} entries")
+        blocks.append(block)
+    cycles = np.hstack(blocks)
     return tuple(map(tuple, cycles[:, np.lexsort(cycles[::-1])].T.tolist()))
 
 
@@ -427,29 +439,71 @@ def cycle_list(g: Graph, length: int) -> tuple[tuple[int, ...], ...]:
 def count_subgraph(g: Graph, h: Graph) -> int:
     """Number of edge subsets S of ``g`` with g[S] isomorphic to ``h``.
 
-    ``h`` must have at most 6 edges and no isolated vertices. Cost is
-    O(C(m, |E(h)|)) subsets with cheap degree filters before each exact
-    isomorphism comparison.
+    ``h`` must have at most 6 edges and no isolated vertices. The count is
+    inj(h, g) / inj(h, h) (see :func:`injective_homomorphisms`), so its cost
+    grows with the copies found, not with the C(m, |E(h)|) edge subsets.
     """
     if h.m > 6:
         raise PatternTooLargeError(f"pattern has {h.m} > 6 edges")
     if h.n == 0 or h.has_isolated_vertices():
         raise ValueError("pattern must be nonempty with no isolated vertices")
-    target = _classify(h.edges)
-    t_nv = target.vertex_count
-    t_degs = sorted(target.multi_degrees())
-    k = h.m
-    count = 0
-    for subset in itertools.combinations(g.edges, k):
-        deg = Counter()
-        for u, v in subset:
-            deg[u] += 1
-            deg[v] += 1
-        if len(deg) != t_nv or sorted(deg.values()) != t_degs:
+    return injective_homomorphisms(h, g) // injective_homomorphisms(h, h)
+
+
+def injective_homomorphisms(h: Graph, g: Graph) -> int:
+    """inj(h, g): the injective maps V(h) -> V(g) that send every edge of ``h`` to an edge of ``g``.
+
+    Copies of h in g number inj(h, g) / |Aut(h)|, and |Aut(h)| = inj(h, h)
+    (Lovasz 2012, ch. 5). A backtracking walk on its own stack, so not
+    bounded by the recursion limit, places h's vertices component by
+    component, largest first, in breadth-first order: each among the
+    neighbours of its parent's image, of degree at least its own and joined
+    to its placed neighbours' images. Permuting a class of twins (equal open
+    or closed neighbourhoods) or the single-edge components is an
+    automorphism acting freely on the maps, so the walk keeps the maps whose
+    images increase along each class and along the single edges' first
+    ends, and multiplies their number by the order of that group. The empty
+    pattern has inj = 1.
+    """
+    if not h.n:
+        return 1
+    adj = h.adjacency
+    opens = Counter(adj)  # an open twin class and a closed one never share a neighbourhood
+    key = [adj[x] if opens[adj[x]] > 1 else tuple(sorted((x,) + adj[x])) for x in range(h.n)]
+    single = [len(a) == 1 == len(adj[a[0]]) for a in adj]  # an end of a single-edge component
+    group = math.factorial(sum(single) // 2) * math.prod(map(math.factorial, Counter(key).values()))
+    order: list[int] = []
+    for comp in sorted(components(h.n, h.edges), key=len, reverse=True):
+        queue = [max(comp, key=lambda x: len(adj[x]))]
+        for x in queue:
+            queue += [y for y in adj[x] if y not in queue]
+        order += queue
+    position = {x: i for i, x in enumerate(order)}
+    plan, last = [], {}  # per placed vertex: degree, parent, other placed neighbours, the one its image exceeds
+    for i, x in enumerate(order):
+        placed = sorted(position[y] for y in adj[x] if position[y] < i)
+        tag = "single edge" if single[x] and not placed else key[x]
+        plan.append((len(adj[x]), placed[0] if placed else -1, tuple(placed[1:]), last.get(tag, -1)))
+        last[tag] = last[key[x]] = i
+    nbr, degree = [set(a) for a in g.adjacency], g.degrees
+    # -1 is no vertex: image[h.n] is the floor of a vertex that exceeds none, and used[-1] a spare slot
+    image, used = [-1] * (h.n + 1), bytearray(g.n + 1)
+    total, i, pools = 0, 0, [iter(range(g.n))] + [None] * (h.n - 1)  # per placed vertex, the images left to try
+    while i >= 0:
+        deg, _, back, lower = plan[i]
+        used[image[i]] = 0
+        for x in pools[i]:
+            if x > image[lower] and not used[x] and degree[x] >= deg and (not back or all(image[j] in nbr[x] for j in back)):
+                break
+        else:  # no image left: back up
+            image[i], i = -1, i - 1
             continue
-        if _classify(subset) == target:
-            count += 1
-    return count
+        if i == h.n - 1:
+            total += 1
+            continue
+        image[i], used[x], i = x, 1, i + 1
+        pools[i] = iter(range(g.n) if plan[i][1] < 0 else g.adjacency[image[plan[i][1]]])
+    return group * total
 
 
 # ---------------------------------------------------------------------------
@@ -528,19 +582,19 @@ def _tuple_classes(k: int) -> tuple[tuple[MultiGraphPattern, tuple[tuple[MultiGr
 _CYCLES = {3: MultiGraphPattern.from_edges([(0, 1), (1, 2), (0, 2)]),
            4: MultiGraphPattern.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])}
 
-# each connected simple F with at most 4 edges, keyed by its sorted degrees: |Aut(F)| and hom(F, g),
+# each connected simple F with at most 4 edges, keyed by its sorted degrees: hom(F, g),
 # from d = degrees, s = A d, t = triangles per vertex and w = sum over u != v of codeg(u, v)^2
 _SHAPES = {
-    (1, 1): (2, lambda h: _exact_sum(h.d)),  # K2: 2m
-    (1, 1, 2): (2, lambda h: _exact_sum(h.d, h.d)),  # P3
-    (2, 2, 2): (6, lambda h: 2 * _exact_sum(h.triangles)),  # K3: tr A^3
-    (1, 1, 2, 2): (2, lambda h: _exact_sum(h.d, h.s)),  # P4: d^T A d
-    (1, 1, 1, 3): (6, lambda h: _exact_sum(h.d, h.d, h.d)),  # K1,3
-    (2, 2, 2, 2): (8, lambda h: _exact_sum(h.d, h.d) + h.w),  # C4: tr A^4
-    (1, 1, 2, 2, 2): (2, lambda h: _exact_sum(h.s, h.s)),  # P5
-    (1, 1, 1, 1, 4): (24, lambda h: _exact_sum(h.d, h.d, h.d, h.d)),  # K1,4
-    (1, 2, 2, 3): (2, lambda h: 2 * _exact_sum(h.triangles, h.d)),  # paw
-    (1, 1, 1, 2, 3): (2, lambda h: _exact_sum(h.d, h.d, h.s)),  # chair
+    (1, 1): lambda h: _exact_sum(h.d),  # K2: 2m
+    (1, 1, 2): lambda h: _exact_sum(h.d, h.d),  # P3
+    (2, 2, 2): lambda h: 2 * _exact_sum(h.triangles),  # K3: tr A^3
+    (1, 1, 2, 2): lambda h: _exact_sum(h.d, h.s),  # P4: d^T A d
+    (1, 1, 1, 3): lambda h: _exact_sum(h.d, h.d, h.d),  # K1,3
+    (2, 2, 2, 2): lambda h: _exact_sum(h.d, h.d) + h.w,  # C4: tr A^4
+    (1, 1, 2, 2, 2): lambda h: _exact_sum(h.s, h.s),  # P5
+    (1, 1, 1, 1, 4): lambda h: _exact_sum(h.d, h.d, h.d, h.d),  # K1,4
+    (1, 2, 2, 3): lambda h: 2 * _exact_sum(h.triangles, h.d),  # paw
+    (1, 1, 1, 2, 3): lambda h: _exact_sum(h.d, h.d, h.s),  # chair
 }
 
 # a k x k quotient costs about k^3 / this much as the wedge route's oriented wedges
@@ -575,7 +629,7 @@ class PatternCounts:
     def hom(self, shape: tuple[int, ...]) -> int:
         """hom(F, g) for the connected shape F with sorted degrees ``shape``."""
         if shape not in self._homs:
-            self._homs[shape] = _SHAPES[shape][1](self)
+            self._homs[shape] = _SHAPES[shape](self)
         return self._homs[shape]
 
     def injective(self, h: MultiGraphPattern) -> int:
@@ -648,9 +702,9 @@ def _shapes(pairs: frozenset[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=None)
 def _automorphisms(h: MultiGraphPattern) -> int:
-    """|Aut(H)| of the support of ``h``: its components' own, and the swaps of alike components."""
-    alike = Counter(_shapes(frozenset((u, v) for u, v, _ in h.multi_edges)))
-    return math.prod(math.factorial(c) * _SHAPES[shape][0] ** c for shape, c in alike.items())
+    """|Aut(H)| of the support of ``h``, as its injective maps onto itself."""
+    support = h.simple_support()
+    return injective_homomorphisms(support, support)
 
 
 def _host_invariants(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

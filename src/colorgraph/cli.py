@@ -434,15 +434,17 @@ def birthday_cmd(people, days, lambda_from, edges, days_power):
             raise click.UsageError("--lambda-from needs --edges and --days-power BASE:K")
         if not 0 <= edges < math.inf:
             raise click.UsageError(f"--edges must be a finite nonnegative count, got {edges}")
-        base, power = days_power.split(":")
-        if not math.isfinite(float(base)):
-            raise click.UsageError(f"--days-power base must be a finite number, got {base}")
         try:
+            base, power = days_power.split(":")
             c = float(base) ** int(power)
+        except ValueError:
+            raise click.UsageError(f"--days-power must be BASE:K, a number and an integer, got {days_power}") from None
         except OverflowError:
             raise DomainExceededError(f"{base}**{power} overflows a double") from None
         except ZeroDivisionError:
             raise click.UsageError(f"--days-power {days_power} divides by zero") from None
+        if not math.isfinite(float(base)):
+            raise click.UsageError(f"--days-power base must be a finite number, got {base}")
         if not c >= 1.0:
             raise click.UsageError(f"--days-power {days_power} gives {c!r} days; need at least 1")
         lam = edges / c

@@ -85,20 +85,29 @@ def hopcroft_karp(n_left: int, n_right: int, adj: list[tuple[int, ...]]) -> tupl
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = pair_r[v]
-            if w == _INF or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_l[u] = v
-                pair_r[v] = u
+    def augment(root: int) -> bool:
+        """Depth-first search for an augmenting path from ``root``, on a stack of [u, next neighbour index]."""
+        stack = [[root, 0]]
+        while stack:
+            u, i = frame = stack[-1]
+            if i == len(adj[u]):  # no path through u: drop it for this phase
+                dist[u] = _INF
+                stack.pop()
+                continue
+            frame[1] += 1
+            w = pair_r[adj[u][i]]
+            if w == _INF:  # a free right vertex: each u on the stack takes the neighbour it went through
+                for x, j in stack:
+                    pair_l[x], pair_r[adj[x][j - 1]] = adj[x][j - 1], x
                 return True
-        dist[u] = _INF
+            if dist[w] == dist[u] + 1:
+                stack.append([w, 0])
         return False
 
     size = 0
     while bfs():
         for u in range(n_left):
-            if pair_l[u] == _INF and dfs(u):
+            if pair_l[u] == _INF and augment(u):
                 size += 1
     return size, pair_l, pair_r
 
@@ -300,41 +309,10 @@ def condition_report(g: Graph) -> ConditionReport:
 
 
 def automorphism_count(h: Graph) -> int:
-    """|Aut(h)| by backtracking over degree-compatible vertex maps."""
+    """|Aut(h)| = inj(h, h), from :func:`census.injective_homomorphisms`."""
     if h.n > 10:
         raise PatternTooLargeError(f"automorphism search supports <= 10 vertices, got {h.n}")
-    if h.n == 0:
-        return 1
-    degs = h.degrees
-    nbr = [frozenset(a) for a in h.adjacency]
-    order = sorted(range(h.n), key=lambda v: (-degs[v], v))
-    image = [-1] * h.n
-    used = [False] * h.n
-    count = 0
-
-    def backtrack(pos: int):
-        nonlocal count
-        if pos == h.n:
-            count += 1
-            return
-        v = order[pos]
-        for w in range(h.n):
-            if used[w] or degs[w] != degs[v]:
-                continue
-            ok = True
-            for u in order[:pos]:
-                if (u in nbr[v]) != (image[u] in nbr[w]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                backtrack(pos + 1)
-                used[w] = False
-        image[v] = -1
-
-    backtrack(0)
-    return count
+    return census.injective_homomorphisms(h, h)
 
 
 def alon_asymptotic(h: Graph, edge_budget: float) -> float:

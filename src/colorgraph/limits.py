@@ -43,7 +43,6 @@ from .graph import (
 
 __all__ = [
     "Poisson",
-    "PointMass",
     "PoissonMixing",
     "EmpiricalMixing",
     "PoissonMixture",
@@ -99,12 +98,6 @@ class Poisson(Params):
 
 
 @dataclass(frozen=True)
-class PointMass(Params):
-    value: float
-    ranges = {"value": _NONNEGATIVE}
-
-
-@dataclass(frozen=True)
 class PoissonMixing(Params):
     mean: float
     ranges = {"mean": _NONNEGATIVE}
@@ -116,7 +109,7 @@ class EmpiricalMixing(Params):
     ranges = {"samples": (lambda s: s and all(0 <= x < math.inf for x in s), "nonempty, finite, >= 0")}
 
 
-Mixing = Union[PointMass, PoissonMixing, EmpiricalMixing]
+Mixing = Union[PoissonMixing, EmpiricalMixing]
 
 
 @dataclass(frozen=True)
@@ -186,7 +179,7 @@ _DISCRETE = get_args(DiscreteLaw)  # isinstance reads a tuple about 10x faster t
 # the mixing of a Poisson mixture as a nested document of a mixing kind.
 _LAW_KINDS = {"poisson": Poisson, "normal": Normal, "weighted_chi_square": WeightedChiSquare,
               "atom_plus_normal": AtomPlusNormal, "poisson_mixture": PoissonMixture}
-_MIXING_KINDS = {"point_mass": PointMass, "poisson": PoissonMixing, "empirical": EmpiricalMixing}
+_MIXING_KINDS = {"poisson": PoissonMixing, "empirical": EmpiricalMixing}
 _KIND_OF = {cls: kind for table in (_LAW_KINDS, _MIXING_KINDS) for kind, cls in table.items()}
 
 
@@ -239,8 +232,6 @@ def _poisson_pmf(lam: float, k: int) -> float:
 
 
 def _mixture_pmf(mix: Mixing, k: int) -> float:
-    if isinstance(mix, PointMass):
-        return _poisson_pmf(mix.value, k)
     if isinstance(mix, EmpiricalMixing):
         return float(np.mean([_poisson_pmf(z, k) for z in mix.samples]))
     if isinstance(mix, PoissonMixing):
@@ -295,8 +286,6 @@ def _largest_mean(law: DiscreteLaw) -> float:
     if isinstance(law, Poisson):
         return law.mean
     mix = law.mixing
-    if isinstance(mix, PointMass):
-        return mix.value
     if isinstance(mix, EmpiricalMixing):
         return max(mix.samples)
     j, wj = 0, math.exp(-mix.mean)
@@ -583,9 +572,7 @@ def _draw_block(law: LimitLaw, seed: int, idx: np.ndarray) -> np.ndarray:
         return rng.poissons(seed, law.mean, rng.STREAM_LAW, idx, 0)
     if isinstance(law, PoissonMixture):
         mix = law.mixing
-        if isinstance(mix, PointMass):
-            z = mix.value
-        elif isinstance(mix, PoissonMixing):
+        if isinstance(mix, PoissonMixing):
             z = rng.poissons(seed, mix.mean, rng.STREAM_LAW, idx, 1).astype(np.float64)
         else:
             arr = np.asarray(mix.samples, dtype=np.float64)

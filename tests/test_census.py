@@ -23,7 +23,7 @@ from oracles import (
     trace_cycle_counts,
 )
 
-from colorgraph import census, rng
+from colorgraph import census, colorsim, rng
 from colorgraph.census import (
     CycleFactor,
     DoubledEdgeFactor,
@@ -38,10 +38,12 @@ from colorgraph.census import (
     decompose_tight_multigraph,
     four_cycle_count_from_traces,
     hom_density_cycle,
+    injective_homomorphisms,
 )
 from colorgraph.errors import (
     PatternTooLargeError,
     PreconditionViolatedError,
+    SizeGateExceededError,
     UnsupportedLengthError,
 )
 from colorgraph.graph import (
@@ -51,6 +53,7 @@ from colorgraph.graph import (
     ErdosRenyi,
     Graph,
     Hypercube,
+    Path,
     PathCycleGadget,
     RandomRegular,
     Star,
@@ -131,6 +134,17 @@ def assert_walk_matches_oracles(g, lengths=census.CYCLE_LENGTHS, brute=True):
 
 
 class TestCycleWalk:
+    def test_cycle_list_gate(self, monkeypatch):
+        g = generate(Complete(6))  # 20 triangles, 60 entries
+        monkeypatch.setattr(census, "_MAX_CYCLE_ENTRIES", 60)
+        assert len(cycle_list(g, 3)) == 20
+        monkeypatch.setattr(census, "_MAX_CYCLE_ENTRIES", 59)
+        stat = colorsim.MonoCycles(3)
+        for call in (lambda: cycle_list(g, 3), lambda: colorsim.simulate(g, 2, stat, 10, 1),
+                     lambda: colorsim.exact_distribution(g, 2, stat), lambda: colorsim.mono_count(g, [0] * 6, stat)):
+            with pytest.raises(SizeGateExceededError, match="more than 59 entries"):
+                call()
+
     def test_catalog_matches_oracles(self, catalog):
         for name, g in catalog:
             assert_walk_matches_oracles(g)
@@ -185,6 +199,21 @@ class TestCycleWalk:
         assert len(built) == 1
 
 
+# single edges, stars, unions of alike components, isolated vertices and the empty pattern
+INJECTIVE_PATTERNS = [
+    *(Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)]) for k in (1, 2, 3, 4)),
+    *(generate(Star(k)) for k in (2, 3, 5)),
+    Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+    Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+    Graph(6, [(0, 4), (2, 4), (3, 5)]),
+    Graph(5, [(1, 2), (2, 3), (1, 3)]),
+    Graph(3, []),
+    Graph(0, []),
+    generate(Cycle(5)),
+    Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]),
+]
+
+
 class TestCountSubgraph:
     def test_frozen_examples(self):
         k4 = generate(Complete(4))
@@ -221,6 +250,34 @@ class TestCountSubgraph:
         h = Graph(12, [(2 * i, 2 * i + 1) for i in range(6)])
         got = count_subgraph(generate(CompleteBipartite(2, 6)), h)
         assert got == brute_count_subgraph(generate(CompleteBipartite(2, 6)), h)
+
+    @pytest.mark.parametrize("host,pattern,copies", [
+        (Complete(10), Complete(4), math.comb(10, 4)),
+        (Complete(8), Cycle(6), math.comb(8, 6) * math.factorial(5) // 2),
+        (Complete(7), Path(6), math.factorial(7) // 2),
+    ], ids=["K4-in-K10", "C6-in-K8", "six-edge-path-in-K7"])
+    def test_closed_forms_beyond_an_edge_subset_scan(self, host, pattern, copies):
+        start = time.perf_counter()
+        assert count_subgraph(generate(host), generate(pattern)) == copies
+        assert time.perf_counter() - start < 1.0
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # a hub with two leaves and a 2,996-edge tail: one placement per vertex, and the leaves swap
+        h = Graph(3000, [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, 2999)])
+        assert injective_homomorphisms(h, h) == 2
+
+    @given(st.integers(0, 8), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_injective_homomorphisms_match_the_oracles(self, n, data):
+        pool = list(itertools.combinations(range(n), 2))
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=12)) if pool else [])
+        h = data.draw(st.sampled_from(INJECTIVE_PATTERNS))
+        core = {v: i for i, v in enumerate(v for v in range(h.n) if h.degree(v))}
+        support = Graph(len(core), [(core[u], core[v]) for u, v in h.edges])
+        # each copy of the support takes |Aut| maps, and the isolated vertices any distinct others
+        spread = math.perm(max(g.n - support.n, 0), h.n - support.n)
+        assert injective_homomorphisms(h, g) == brute_count_subgraph(g, support) * brute_automorphisms(support) * spread
+        assert injective_homomorphisms(h, h) == brute_automorphisms(h)
 
 
 class TestPatternCanonicalization:

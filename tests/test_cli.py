@@ -109,6 +109,15 @@ class TestSimulateExactCompare:
         res = runner.invoke(main, ["exact", "--graph", "complete:30", "--colors", "3"])
         assert res.exit_code == 3
 
+    def test_cycle_listing_gate_exit_code(self, runner, monkeypatch):
+        from colorgraph import census
+
+        monkeypatch.setattr(census, "_MAX_CYCLE_ENTRIES", 59)  # complete:6 has 20 triangles, 60 entries
+        res = runner.invoke(main, ["simulate", "--graph", "complete:6", "--colors", "2",
+                                   "--stat", "cycles:3", "--samples", "10", "--seed", "1"])
+        assert res.exit_code == 3
+        assert "more than 59 entries" in res.output
+
     def test_usage_error_exit_code(self, runner):
         res = runner.invoke(main, ["simulate", "--graph", "nosuch:1", "--colors", "2",
                                    "--stat", "edges", "--samples", "10", "--seed", "1"])
@@ -306,7 +315,6 @@ class TestLimitCommand:
             limits.Normal(0.0, 0.5),
             limits.WeightedChiSquare((1.0,), 2, 0.25),
             limits.AtomPlusNormal(0.5, 1.0),
-            limits.PoissonMixture(limits.PointMass(1.2)),
             limits.PoissonMixture(limits.PoissonMixing(1.0)),
             limits.PoissonMixture(limits.EmpiricalMixing((0.5, 1.5))),
         ]
@@ -318,10 +326,12 @@ class TestLimitCommand:
         emp = tmp_path / "emp.csv"
         law = tmp_path / "law.json"
         emp.write_text("value,count\n1,10\n")
-        law.write_text(json.dumps({"kind": "normal", "mean": 0, "variance": "x"}))
-        res = runner.invoke(main, ["compare", "--empirical", str(emp), "--law", str(law),
-                                   "--metric", "ks", "--tol", "0.5"])
-        assert res.exit_code == 2, res.output
+        for doc in ({"kind": "normal", "mean": 0, "variance": "x"},
+                    {"kind": "poisson_mixture", "mixing": {"kind": "point_mass", "value": 1.0}}):
+            law.write_text(json.dumps(doc))
+            res = runner.invoke(main, ["compare", "--empirical", str(emp), "--law", str(law),
+                                       "--metric", "ks", "--tol", "0.5"])
+            assert res.exit_code == 2, res.output
 
 
 COMPARE_KS = ["compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "ks", "--tol", "0.5"]
@@ -364,9 +374,12 @@ USAGE_ERRORS = [
     (["limit", "--colors", "2"], "the fixed-color regime needs --graph"),
     (["birthday"], "pass --people N"),
     (["birthday", "--lambda-from", "--days-power", "365:4"], "--lambda-from needs --edges"),
+    *((["birthday", "--lambda-from", "--edges", "5", "--days-power", bad], "--days-power must be BASE:K")
+      for bad in ("abc", "2:x", "1:2:3")),
 ]
 USAGE_ERROR_IDS = ["kernel-csv-without-seed", "sample-without-seed", "fixed-colors-without-graph",
-                   "birthday-without-people", "lambda-from-without-edges"]
+                   "birthday-without-people", "lambda-from-without-edges",
+                   "days-power-without-colon", "days-power-non-integer-k", "days-power-two-colons"]
 
 
 @pytest.mark.parametrize("args,message", USAGE_ERRORS, ids=USAGE_ERROR_IDS)
@@ -470,6 +483,7 @@ class TestBirthday:
         (["limit", "--graph", "regular:5000:3:1", "--colors", "2"], 0),
         (["limit", "--graph", "star:5000", "--colors", "2"], 0),
         (["limit", "--graph", "dense.edges", "--colors", "2"], 3),
+        (["extremal", "--graph", "cycle:3001"], 0),
         *((args, 2) for args, _ in PATH_ERRORS),
         *((args, 2) for args, _ in UNJUDGEABLE_COMPARES),
         *((args, 2) for args, _ in USAGE_ERRORS),
@@ -479,7 +493,7 @@ class TestBirthday:
             "zero-scale", "negative-scale",
             "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol", "inf-poisson-mean",
             "fractional-dof", "nan-offspring", "sparse-host-above-size-gate", "star-above-size-gate",
-            "dense-host-above-size-gate", *PATH_ERROR_IDS, *UNJUDGEABLE_IDS, *USAGE_ERROR_IDS])
+            "dense-host-above-size-gate", "long-cycle-extremal", *PATH_ERROR_IDS, *UNJUDGEABLE_IDS, *USAGE_ERROR_IDS])
     def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the compare rows read these files
         write_compare_inputs(tmp_path)

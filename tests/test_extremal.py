@@ -85,6 +85,12 @@ class TestGamma:
         assert sol.gamma == Fraction(5, 2)
         assert set(sol.phi) == {HALF}
 
+    def test_long_cycle_needs_no_deep_recursion(self):
+        # its last augmenting paths run longer than the interpreter's default recursion limit
+        g = generate(Cycle(3001))
+        assert gamma(g).gamma == Fraction(3001, 2)
+        assert deficiency(g) == 0
+
     def test_three_edge_path(self):
         assert gamma(generate(Path(3))).gamma == 2
 
@@ -216,6 +222,7 @@ class TestAutomorphismsAndAsymptotics:
         assert automorphism_count(generate(Cycle(3))) == 6
         assert automorphism_count(generate(Cycle(4))) == 8
         assert automorphism_count(generate(Star(3))) == 6
+        assert automorphism_count(generate(Complete(10))) == math.factorial(10)
 
     def test_automorphisms_match_brute_force(self):
         for seed in range(25):

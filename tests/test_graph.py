@@ -407,8 +407,8 @@ VALID_PARAMS = [
     Complete(3), CompleteBipartite(2, 3), Star(3), Path(2), Cycle(4), Hypercube(2),
     ErdosRenyi(5, 0.5, 1), Inhomogeneous(2, ((0.0, 0.5), (0.5, 0.0)), 1), RandomRegular(4, 2, 1),
     GaltonWatson((0.5, 0.5), 2, 1), PathCycleGadget(1, 1, 3),
-    limits.Poisson(1.0), limits.PointMass(1.0), limits.PoissonMixing(1.0),
-    limits.EmpiricalMixing((1.0,)), limits.PoissonMixture(limits.PointMass(1.0)),
+    limits.Poisson(1.0), limits.PoissonMixing(1.0),
+    limits.EmpiricalMixing((1.0,)), limits.PoissonMixture(limits.PoissonMixing(1.0)),
     limits.Normal(0.0, 1.0), limits.WeightedChiSquare((1.0,), 1, 0.5),
     limits.AtomPlusNormal(0.5, 1.0), limits.Fixed(2), limits.Growing(1.0),
     colorsim.MonoEdges(), colorsim.MonoStars(2), colorsim.MonoCycles(3),

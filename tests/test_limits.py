@@ -31,7 +31,6 @@ from colorgraph.limits import (
     Fixed,
     Growing,
     Normal,
-    PointMass,
     Poisson,
     PoissonMixing,
     PoissonMixture,
@@ -61,12 +60,6 @@ class TestLawEvaluation:
     def test_poisson_pmf(self):
         assert law_pmf(Poisson(1.0), 0) == pytest.approx(math.exp(-1))
         assert sum(law_pmf(Poisson(2.5), k) for k in range(80)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_mixture_point_mass_equals_poisson(self):
-        lam = 1.7
-        mix = PoissonMixture(PointMass(lam))
-        for k in range(25):
-            assert law_pmf(mix, k) == pytest.approx(law_pmf(Poisson(lam), k), abs=1e-12)
 
     def test_mixture_poisson_mixing(self):
         # P(W=0) = E e^{-Z} = exp(e^{-1} - 1) for Z ~ Poisson(1)
@@ -189,7 +182,8 @@ class TestLawDocuments:
         {"kind": "normal", "mean": 0, "variance": "x"},
         [1, 2],
         {"kind": "poisson_mixture", "mixing": {"kind": "gamma", "shape": 2.0}},
-    ], ids=["missing-field", "string-variance", "not-an-object", "unknown-mixing"])
+        {"kind": "poisson_mixture", "mixing": {"kind": "point_mass", "value": 1.0}},
+    ], ids=["missing-field", "string-variance", "not-an-object", "unknown-mixing", "point-mass-mixing"])
     def test_malformed_document_raises_value_error(self, doc):
         with pytest.raises(ValueError):
             limits.law_from_dict(doc)

@@ -24,7 +24,6 @@ _W60 = tuple((_W60 / np.linalg.norm(_W60)).tolist())
 
 LAWS = {
     "poisson": limits.Poisson(3.0),
-    "mixture-point-mass": limits.PoissonMixture(limits.PointMass(1.5)),
     "mixture-poisson": limits.PoissonMixture(limits.PoissonMixing(2.0)),
     "mixture-empirical": limits.PoissonMixture(limits.EmpiricalMixing((0.5, 3.0, 7.0))),
     "normal": limits.Normal(1.0, 2.0),
