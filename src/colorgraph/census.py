@@ -10,9 +10,9 @@ closed form, in time polynomial in the host and with no enumeration of
 edge sets: a few host invariants give the homomorphism counts of the ten
 connected shapes, and Moebius inversion over the pattern's vertex
 partitions turns them into injective counts (Alon-Yuster-Zwick 1997;
-Lovasz 2012, ch. 5). It serves the tuple census for k <= 4, the length-3
-and length-4 cross-check of the cycle walk, and the four-cycle count of
-``limits.limit_for``.
+Lovasz 2012, ch. 5). It serves the tuple census for k <= 4,
+``count_cycles`` at lengths 3 and 4 (so ``limits.limit_for``'s four-cycle
+count), and the length-3 and length-4 cross-check of the cycle walk.
 
 Pattern isomorphism is decided by explicit canonical forms: vertices are
 first partitioned by iterated degree refinement, then the edge representation
@@ -49,7 +49,6 @@ __all__ = [
     "cycle_list",
     "count_subgraph",
     "count_multigraph_tuples",
-    "four_cycle_count_from_traces",
     "PatternCounts",
     "all_patterns",
     "hom_density_cycle",
@@ -60,7 +59,7 @@ __all__ = [
 
 _MAX_PATTERN_VERTICES = 10
 CYCLE_LENGTHS = range(3, 9)  # the cycle lengths counted and listed: 3..8
-_MAX_CYCLE_ENTRIES = 64 * rng.BATCH_ENTRIES  # 1 GiB of int64, before cycle_list's tuples
+_MAX_CYCLE_ENTRIES = 64 * rng.BATCH_ENTRIES  # 1 GiB of int64; cycle_list's peak is its blocks plus one hstack
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +401,19 @@ def cycle_counts(g: Graph, lengths: Collection[int] = CYCLE_LENGTHS) -> dict[int
 
 
 def count_cycles(g: Graph, length: int) -> int:
-    """Exact number of unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) in ``g``."""
+    """Exact number of unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) in ``g``; 3 and 4 in closed form, no walk."""
+    if isinstance(length, numbers.Integral) and length in _CYCLES:
+        return PatternCounts(g).copies(_CYCLES[length])
     return cycle_counts(g, (length,))[length]
 
 
-def four_cycle_count_from_traces(g: Graph) -> int:
-    """N(g, C4) from the closed 4-walk count tr(A^4) = sum d^2 + sum codeg^2.
+def cycle_list(g: Graph, length: int) -> np.ndarray:
+    """All unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) as an int64 (cycles, length) array in walk order.
 
-    Same value as ``count_cycles(g, 4)`` with no path enumeration and no
-    dense n x n matrix on sparse hosts (see :class:`PatternCounts`).
-    """
-    return PatternCounts(g).copies(_CYCLES[4])
-
-
-def cycle_list(g: Graph, length: int) -> tuple[tuple[int, ...], ...]:
-    """All unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) as vertex tuples, in lexicographic order.
-
-    Raises SizeGateExceededError, before building more, once the cycles
-    hold more than ``_MAX_CYCLE_ENTRIES`` vertex entries.
+    A row is (r, x1, ..., x_{L-1}) with r the cycle's least vertex and
+    x1 < x_{L-1}, as ``_cycle_blocks`` meets it. Raises SizeGateExceededError,
+    before building more, once the cycles hold more than
+    ``_MAX_CYCLE_ENTRIES`` vertex entries.
     """
     blocks, entries = [], 0
     for _, block in _cycle_blocks(g, (length,)):
@@ -427,8 +421,7 @@ def cycle_list(g: Graph, length: int) -> tuple[tuple[int, ...], ...]:
         if entries > _MAX_CYCLE_ENTRIES:
             raise SizeGateExceededError(f"the cycles of length {length} hold more than {_MAX_CYCLE_ENTRIES} entries")
         blocks.append(block)
-    cycles = np.hstack(blocks)
-    return tuple(map(tuple, cycles[:, np.lexsort(cycles[::-1])].T.tolist()))
+    return np.hstack(blocks).T
 
 
 # ---------------------------------------------------------------------------

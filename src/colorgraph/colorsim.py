@@ -249,7 +249,7 @@ def _gather_for(g: Graph, stat: Statistic) -> _Kernel:
     if isinstance(stat, MonoStars):
         return _Kernel("gather", functools.partial(_star_counts, _neighbour_columns(g), stat.r), row_cost)
     if isinstance(stat, MonoCycles):
-        tuples = np.asarray(census.cycle_list(g, stat.g), dtype=np.int64).reshape(-1, stat.g)
+        tuples = census.cycle_list(g, stat.g)
         row_cost += tuples.size
     else:
         tuples = np.stack(g.edge_arrays(), axis=1)

@@ -772,7 +772,7 @@ def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitL
     g = graph_or_spec
     if g.m < 1:
         raise ValueError(_NO_EDGE)
-    acf4 = census.four_cycle_count_from_traces(g) / g.m**2
+    acf4 = census.count_cycles(g, 4) / g.m**2
     if acf4 < ACF4_NORMAL_THRESHOLD:
         return Normal(0.0, 1.0 - 1.0 / c)
     if acf4 <= ACF4_GRAY_UPPER:

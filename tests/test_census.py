@@ -36,7 +36,6 @@ from colorgraph.census import (
     cycle_counts,
     cycle_list,
     decompose_tight_multigraph,
-    four_cycle_count_from_traces,
     hom_density_cycle,
     injective_homomorphisms,
 )
@@ -106,27 +105,39 @@ class TestCountCycles:
                 assert count_cycles(g, length) == count_subgraph(g, cg)
 
     def test_trace_identity_ten_thousand_hosts(self):
-        # the g in {3,4} walk-trace recomputation is asserted inside
-        # count_cycles; sweep 10^4 random hosts so a mismatch would surface
+        # cycle_counts asserts the walk against the closed form at lengths 3 and 4;
+        # sweep 10^4 random hosts so a mismatch would surface
         for seed in range(10_000):
             n = 4 + seed % 27
             d = 1.0 + 2.5 * ((seed * 11) % 13) / 13
             g = er(n, d / n, seed)
-            count_cycles(g, 3)
-            count_cycles(g, 4)
+            cycle_counts(g, (3, 4))
 
     def test_four_cycle_trace_helper(self):
         for seed in range(20):
             g = er(12, 0.35, seed)
-            assert four_cycle_count_from_traces(g) == count_cycles(g, 4)
+            assert count_cycles(g, 4) == cycle_counts(g, (4,))[4]
+
+    def test_short_lengths_run_no_walk(self, monkeypatch):
+        def no_walk(g, lengths):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(census, "_cycle_blocks", no_walk)
+        g = generate(Complete(7))
+        assert count_cycles(g, 3) == math.comb(7, 3)
+        assert count_cycles(g, 4) == 3 * math.comb(7, 4)
+        with pytest.raises(AssertionError, match="walked"):
+            count_cycles(g, 5)
 
 
 def assert_walk_matches_oracles(g, lengths=census.CYCLE_LENGTHS, brute=True):
-    """count_cycles, cycle_counts and cycle_list against the depth-first search, tuple order included,
-    and against the vertex-subset enumeration when ``brute``."""
+    """count_cycles, cycle_counts and cycle_list against the depth-first search, each row's orientation
+    included but not the row order, and against the vertex-subset enumeration when ``brute``."""
     found = {length: dfs_cycles(g, length) for length in lengths}
     for length, cycles in found.items():
-        assert cycle_list(g, length) == tuple(cycles), length
+        listed = cycle_list(g, length)
+        assert listed.dtype == np.int64 and listed.shape == (len(cycles), length), length
+        assert sorted(map(tuple, listed.tolist())) == sorted(cycles), length
         assert count_cycles(g, length) == len(cycles), length
         if brute:
             assert sorted(cycles) == sorted(brute_cycles(g, length)), length
@@ -173,13 +184,17 @@ class TestCycleWalk:
         # a budget of 1 puts each root and each pair of paths in a block of its own; at 300 a pair
         # block holds a few dozen pairs
         hosts = [er(9, 0.5, 1), generate(Complete(6))] + ([er(30, 0.2, 4)] if budget > 1 else [])
-        want = [(cycle_counts(g), [cycle_list(g, length) for length in census.CYCLE_LENGTHS]) for g in hosts]
+
+        def lists(g):
+            return [sorted(map(tuple, cycle_list(g, length).tolist())) for length in census.CYCLE_LENGTHS]
+
+        want = [(cycle_counts(g), lists(g)) for g in hosts]
         monkeypatch.setattr(rng, "BATCH_ENTRIES", budget)
-        for g, (counts, lists) in zip(hosts, want):
+        for g, (counts, listed) in zip(hosts, want):
             if budget == 1:
                 assert len(census._root_blocks(g, 4)) == g.n
             assert cycle_counts(g) == counts
-            assert [cycle_list(g, length) for length in census.CYCLE_LENGTHS] == lists
+            assert lists(g) == listed
 
     @pytest.mark.parametrize("spec", [ErdosRenyi(100, 0.05, 7), Cycle(4000)], ids=["er100", "C4000"])
     def test_peak_memory_stays_bounded(self, spec):
@@ -191,6 +206,17 @@ class TestCycleWalk:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+    def test_cycle_list_peak_is_its_blocks_and_one_copy(self):
+        g = generate(Complete(10))
+        tracemalloc.start()
+        try:
+            cycles = cycle_list(g, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cycles.shape == (math.comb(10, 8) * math.factorial(7) // 2, 8)
+        assert peak <= 2.5 * cycles.nbytes
 
     def test_one_closed_form_check_per_walk(self, monkeypatch):
         real, built = census.PatternCounts, []
@@ -516,7 +542,7 @@ def assert_engine_matches_oracles(g, tuple_budget=20_000):
         with forced_route(name):
             counts = PatternCounts(g)
             assert counts.copies(census._CYCLES[3]) == k3, name
-            assert counts.copies(census._CYCLES[4]) == four_cycle_count_from_traces(g) == c4, name
+            assert counts.copies(census._CYCLES[4]) == count_cycles(g, 4) == c4, name
             assert counts.triangles.tolist() == (np.diag(a @ a @ a) // 2).tolist(), name
             for k, table in tables.items():
                 assert count_multigraph_tuples(g, k) == table, (name, k)
@@ -575,7 +601,7 @@ class TestPatternCounts:
         g = generate(Hypercube(dim))
         for name in ROUTES:
             with forced_route(name):
-                assert four_cycle_count_from_traces(g) == math.comb(dim, 2) * 2 ** (dim - 2)
+                assert count_cycles(g, 4) == math.comb(dim, 2) * 2 ** (dim - 2)
 
     def test_automorphisms_of_every_support(self):
         for h in census._supports(4):
@@ -599,7 +625,7 @@ class TestPatternCounts:
         g = generate(spec)
         tracemalloc.start()
         try:
-            four_cycle_count_from_traces(g)
+            count_cycles(g, 4)
             count_multigraph_tuples(g, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

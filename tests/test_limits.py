@@ -499,7 +499,7 @@ class TestLimitSelector:
         # the selection as made when the spectrum was built before the ratio
         def spectrum_first(g, c):
             lam = spectral.eigenvalues(g).normalized
-            acf4 = census.four_cycle_count_from_traces(g) / g.m**2
+            acf4 = census.count_cycles(g, 4) / g.m**2
             if acf4 < ACF4_NORMAL_THRESHOLD:
                 return Normal(0.0, 1.0 - 1.0 / c)
             if acf4 <= ACF4_GRAY_UPPER:
