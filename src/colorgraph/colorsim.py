@@ -35,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Union, get_args
 
 import numpy as np
 
@@ -84,6 +84,11 @@ class MonoCycles(Params):
 
 
 Statistic = Union[MonoEdges, MonoStars, MonoCycles]
+
+
+def _require_statistic(stat) -> None:
+    if not isinstance(stat, get_args(Statistic)):
+        raise TypeError(f"unknown statistic {stat!r}")
 
 
 def _comb_array(values: np.ndarray, r: int) -> np.ndarray:
@@ -269,6 +274,7 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
     skipped when not even k = 1 could beat the gather. Cycles always gather.
     The quotient kernels count r-stars; edges are 1-stars halved.
     """
+    _require_statistic(stat)
     n, depth = g.n, (g.n - 1).bit_length()  # depth = ceil(log2 n)
     gather = _GATHER_STEP * g.m
     gemm_classes = min(math.isqrt(max(0, gather - c * n) // c), math.isqrt(rng.BATCH_ENTRIES))
@@ -296,12 +302,13 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
 
 def mono_count(g: Graph, colors, stat: Statistic) -> int:
     """Evaluate one statistic on one explicit coloring."""
-    arr = np.asarray(colors, dtype=np.int64)
+    _require_statistic(stat)
+    arr = np.asarray(colors)
     if arr.shape != (g.n,):
         raise BadColorVectorError(f"expected {g.n} colors, got shape {arr.shape}")
-    if g.n and arr.min() < 0:
-        raise BadColorVectorError("colors must be nonnegative integers")
-    return int(_gather_for(g, stat).count(arr[:, None])[0])
+    if g.n and (arr.dtype.kind not in "iu" or arr.min() < 0):
+        raise BadColorVectorError(f"colors must be nonnegative integers, got {colors!r:.80}")
+    return int(_gather_for(g, stat).count(arr.astype(np.int64)[:, None])[0])
 
 
 @dataclass(frozen=True, eq=False)

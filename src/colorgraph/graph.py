@@ -389,14 +389,8 @@ class Hypercube(Params):
     def build(self) -> Graph:
         if self.dim < 0:
             raise InfeasibleSpecError("hypercube dimension must be nonnegative")
-        n = 1 << self.dim
-        pairs = []
-        for x in range(n):
-            for b in range(self.dim):
-                y = x ^ (1 << b)
-                if y > x:
-                    pairs.append((x, y))
-        return Graph(n, pairs)
+        x, bit = np.nonzero(~np.arange(1 << self.dim)[:, None] & (1 << np.arange(self.dim)))
+        return _graph(1 << self.dim, x, x | (1 << bit))  # x joins x + 2^b for each bit b clear in x
 
 
 @dataclass(frozen=True)
@@ -408,10 +402,7 @@ class ErdosRenyi(Params):
     def build(self) -> Graph:
         if self.n < 0 or not (0.0 <= self.p <= 1.0):
             raise InfeasibleSpecError("Erdos-Renyi needs n >= 0 and p in [0, 1]")
-        iu, jv = np.triu_indices(self.n, k=1)
-        u = rng.uniforms(self.seed, rng.STREAM_ER, iu, jv)
-        keep = u < self.p
-        return Graph(self.n, list(zip(iu[keep].tolist(), jv[keep].tolist())))
+        return _independent_edges(self.n, self.seed, rng.STREAM_ER, self.p)
 
 
 @dataclass(frozen=True)
@@ -435,10 +426,7 @@ class Inhomogeneous(Params):
             raise InfeasibleSpecError("kernel entries must lie in [0, 1]")
         if not np.allclose(k, k.T, atol=1e-12):
             raise InfeasibleSpecError("kernel grid must be symmetric")
-        iu, jv = np.triu_indices(self.n, k=1)
-        u = rng.uniforms(self.seed, rng.STREAM_INHOM, iu, jv)
-        keep = u < k[iu, jv]
-        return Graph(self.n, list(zip(iu[keep].tolist(), jv[keep].tolist())))
+        return _independent_edges(self.n, self.seed, rng.STREAM_INHOM, k)
 
 
 _REGULAR_RETRY_CAP = 1000
@@ -463,12 +451,10 @@ class RandomRegular(Params):
             right = perm[1::2] // d
             if np.any(left == right):
                 continue
-            lo = np.minimum(left, right)
-            hi = np.maximum(left, right)
-            pairs = set(zip(lo.tolist(), hi.tolist()))
-            if len(pairs) < points // 2:
+            keys = np.sort(np.minimum(left, right) * n + np.maximum(left, right))
+            if np.any(keys[1:] == keys[:-1]):  # a multi-edge
                 continue
-            return Graph(n, sorted(pairs))
+            return _graph(n, *np.divmod(keys, n))
         raise GenerationTimeoutError(
             f"pairing model rejected {_REGULAR_RETRY_CAP} attempts for n={n}, d={d}"
         )
@@ -496,22 +482,13 @@ class GaltonWatson(Params):
             raise InfeasibleSpecError("height must be nonnegative")
         cdf = np.cumsum(pmf)
         cdf[-1] = 1.0
-        pairs = []
-        frontier = [0]
-        next_id = 1
-        for _ in range(self.height):
-            new_frontier = []
-            for parent in frontier:
-                u = float(rng.uniforms(self.seed, rng.STREAM_GW, parent))
-                k = int(np.searchsorted(cdf, u, side="right"))
-                for _ in range(k):
-                    pairs.append((parent, next_id))
-                    new_frontier.append(next_id)
-                    next_id += 1
-            frontier = new_frontier
-            if not frontier:
-                break
-        return Graph(next_id, pairs)
+        parents, frontier, n = [np.zeros(0, np.int64)], np.zeros(1, np.int64), 1
+        while frontier.size and len(parents) <= self.height:  # a level a pass; children numbered on in order
+            kids = np.searchsorted(cdf, rng.uniforms(self.seed, rng.STREAM_GW, frontier), side="right")
+            parents.append(np.repeat(frontier, kids))
+            frontier = n + np.arange(kids.sum())
+            n += frontier.size
+        return _graph(n, np.concatenate(parents), np.arange(1, n))  # vertex i > 0 is a child of parents[i - 1]
 
 
 @dataclass(frozen=True)
@@ -532,17 +509,24 @@ class PathCycleGadget(Params):
         a, b, g = self.a, self.b, self.g
         if a < 1 or b < 1 or g < 3:
             raise InfeasibleSpecError("gadget needs a >= 1, b >= 1, g >= 3")
-        inner = g - 2
-        pairs = [(i, i + 1) for i in range(a)]
-        base = a + 1
-        for i in range(a):
-            for j in range(b):
-                start = base + (i * b + j) * inner
-                chain = [i] + list(range(start, start + inner)) + [i + 1]
-                pairs.extend(
-                    (min(x, y), max(x, y)) for x, y in zip(chain[:-1], chain[1:])
-                )
-        return Graph(base + a * b * inner, pairs)
+        # cycle i*b + j runs i, its g - 2 interior vertices from a + 1 + (i*b + j)*(g - 2) on, i + 1
+        cycles = a * b
+        edge = np.arange(cycles) // b
+        chain = np.column_stack((edge, a + 1 + np.arange(cycles * (g - 2)).reshape(cycles, g - 2), edge + 1))
+        return _graph(a + 1 + cycles * (g - 2), np.append(np.arange(a), chain[:, :-1]),
+                      np.append(np.arange(1, a + 1), chain[:, 1:]))
+
+
+def _graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """The graph on n vertices with the edges (u[i], v[i])."""
+    return Graph(n, zip(u.tolist(), v.tolist()))
+
+
+def _independent_edges(n: int, seed: int, stream: int, p: float | np.ndarray) -> Graph:
+    """Each pair i < j an edge on its own, kept when its uniform on ``stream`` is below p or grid entry p[i, j]."""
+    iu, jv = np.triu_indices(n, k=1)
+    keep = rng.uniforms(seed, stream, iu, jv) < (p[iu, jv] if np.ndim(p) else p)
+    return _graph(n, iu[keep], jv[keep])
 
 
 # each family spec builds its own graph with ``build()``

@@ -117,6 +117,7 @@ class PoissonMixture(Params):
     """Poisson with a random mean Z: P(W = k) = E[e^{-Z} Z^k / k!]."""
 
     mixing: Mixing
+    ranges = {"mixing": (lambda m: isinstance(m, get_args(Mixing)), "a PoissonMixing or EmpiricalMixing")}
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,7 @@ class AtomPlusNormal(Params):
 DiscreteLaw = Union[Poisson, PoissonMixture]  # the laws with a pmf
 LimitLaw = Union[DiscreteLaw, Normal, WeightedChiSquare, AtomPlusNormal]
 _DISCRETE = get_args(DiscreteLaw)  # isinstance reads a tuple about 10x faster than a Union
+_LAWS = get_args(LimitLaw)
 
 
 # ---------------------------------------------------------------------------
@@ -234,34 +236,32 @@ def _poisson_pmf(lam: float, k: int) -> float:
 def _mixture_pmf(mix: Mixing, k: int) -> float:
     if isinstance(mix, EmpiricalMixing):
         return float(np.mean([_poisson_pmf(z, k) for z in mix.samples]))
-    if isinstance(mix, PoissonMixing):
-        # sum_j P(Z = j) e^{-j} j^k / k!, truncated when the Poisson tail of
-        # the mixing law is negligible relative to the accumulated sum
-        mu = mix.mean
-        wj = math.exp(-mu)
-        if wj < np.finfo(np.float64).tiny:
+    # sum_j P(Z = j) e^{-j} j^k / k!, truncated when the Poisson tail of
+    # the mixing law is negligible relative to the accumulated sum
+    mu = mix.mean
+    wj = math.exp(-mu)
+    if wj < np.finfo(np.float64).tiny:
+        raise DomainExceededError(
+            f"Poisson mixing mean {mu:.6g} is too large: "
+            "exp(-mean) underflows below the smallest normal double"
+        )
+    total = 0.0
+    weight_tail = 1.0
+    j = 0
+    while True:
+        total += wj * _poisson_pmf(float(j), k)
+        weight_tail -= wj
+        # once wj underflows to 0 no later term changes the sum; the
+        # rounded weight_tail alone may never reach the tolerance
+        if j > mu and (wj == 0.0 or weight_tail <= _PMF_REL_TAIL * max(total, _PMF_REL_TAIL)):
+            break
+        j += 1
+        wj *= mu / j
+        if j > _MIXTURE_MAX_TERMS:
             raise DomainExceededError(
-                f"Poisson mixing mean {mu:.6g} is too large: "
-                "exp(-mean) underflows below the smallest normal double"
+                f"Poisson mixing mean {mu} needs more than {_MIXTURE_MAX_TERMS} terms"
             )
-        total = 0.0
-        weight_tail = 1.0
-        j = 0
-        while True:
-            total += wj * _poisson_pmf(float(j), k)
-            weight_tail -= wj
-            # once wj underflows to 0 no later term changes the sum; the
-            # rounded weight_tail alone may never reach the tolerance
-            if j > mu and (wj == 0.0 or weight_tail <= _PMF_REL_TAIL * max(total, _PMF_REL_TAIL)):
-                break
-            j += 1
-            wj *= mu / j
-            if j > _MIXTURE_MAX_TERMS:
-                raise DomainExceededError(
-                    f"Poisson mixing mean {mu} needs more than {_MIXTURE_MAX_TERMS} terms"
-                )
-        return total
-    raise TypeError(f"unknown mixing {mix!r}")
+    return total
 
 
 def _require_pmf(law: LimitLaw) -> None:
@@ -316,23 +316,21 @@ def _phi(x: float) -> float:
 
 
 def law_cdf(law: LimitLaw, x: float) -> float:
-    """P(law <= x); ValueError at NaN."""
+    """P(law <= x); exactly 0 at -inf and 1 at +inf, ValueError at NaN."""
     if math.isnan(x):
         raise ValueError(f"cdf point must be a number, got x = {x!r}")
+    if not isinstance(law, _LAWS):
+        raise WrongLawKindError(f"unknown law {law!r}")
+    if math.isinf(x):
+        return 0.0 if x < 0 else 1.0
     if isinstance(law, _DISCRETE):
-        if x < 0:
-            return 0.0
-        if x == math.inf:
-            return 1.0
-        return sum(law_pmf_terms(law, int(x)))
+        return 0.0 if x < 0 else sum(law_pmf_terms(law, int(x)))
     if isinstance(law, Normal):
         return _phi((x - law.mean) / math.sqrt(law.variance))
     if isinstance(law, AtomPlusNormal):
         atom = law.atom_mass if x >= 0 else 0.0
         return atom + (1.0 - law.atom_mass) * _phi(x / math.sqrt(law.variance))
-    if isinstance(law, WeightedChiSquare):
-        return _weighted_chisq_cdf(law, x)
-    raise WrongLawKindError(f"unknown law {law!r}")
+    return _weighted_chisq_cdf(law, x)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +448,8 @@ class _Inversion:
         Davies' bound: from |c|, subtract the means of the same-signed
         weights, smallest first, while the rest stays beyond |lam_j| / log28;
         the dof of the larger weights left over enter as 2^{dof/4}. None
-        where that exponent passes 100 and the bound is useless.
+        where the bound is useless: the exponent passes 100, or far out the
+        coefficient underflows to 0.
         """
         sign = 1.0 if c > 0.0 else -1.0
         rising = self.lam[::-1] * sign
@@ -469,7 +468,7 @@ class _Inversion:
             exponent = (axl - float(after[k])) / lj + self.dof * larger
         if exponent > 100.0:
             return None
-        return 2.0 ** (exponent / 4.0) / (math.pi * axl * axl)
+        return 2.0 ** (exponent / 4.0) / (math.pi * axl * axl) or None
 
     def _integrate(self, nterm: int, step: float, c: float, tausq: float | None):
         """Midpoint sum of the inversion integrand over u_k = (k + 1/2) step, k <= nterm.

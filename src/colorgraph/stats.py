@@ -19,6 +19,7 @@ __all__ = [
 ]
 
 _PMF_SUM_TOL = 1e-10
+_MAX_BLOCKS = 10_000  # the most jackknife blocks ``empirical_moments`` groups samples into
 
 
 def validate_pmf(p: Mapping) -> None:
@@ -108,10 +109,10 @@ class EmpiricalMoments:
     central_se: tuple[float, ...]
 
 
-def empirical_moments(samples, k_max: int, max_blocks: int = 10_000) -> EmpiricalMoments:
+def empirical_moments(samples, k_max: int) -> EmpiricalMoments:
     """Plug-in raw and central moments with delete-one-block jackknife SEs.
 
-    Samples are grouped into at most ``max_blocks`` contiguous blocks; the
+    Samples are grouped into at most ``_MAX_BLOCKS`` contiguous blocks; the
     jackknife recomputes each estimator with one block removed, which keeps
     the whole computation O(n + blocks * k^2).
     """
@@ -121,7 +122,7 @@ def empirical_moments(samples, k_max: int, max_blocks: int = 10_000) -> Empirica
     n = x.size
     if n < 2:
         raise ValueError("need at least two samples")
-    blocks = min(max_blocks, n)
+    blocks = min(_MAX_BLOCKS, n)  # at least 2
     bounds = np.linspace(0, n, blocks + 1).astype(int)
     # per-block power sums, order 0..k_max; blocks + 1 <= n + 1 keeps every block nonempty
     sums = np.empty((blocks, k_max + 1))
@@ -131,8 +132,8 @@ def empirical_moments(samples, k_max: int, max_blocks: int = 10_000) -> Empirica
         powers = powers * x
         sums[:, k] = np.add.reduceat(powers, bounds[:-1])
     total = sums.sum(axis=0)
-    # row 0: the full sample; row 1 + b: the sample without block b (no such rows for one block)
-    power_sums = np.vstack((total, total - sums)) if blocks > 1 else total[None]
+    # row 0: the full sample; row 1 + b: the sample without block b
+    power_sums = np.vstack((total, total - sums))
     raw = power_sums[:, 1:] / power_sums[:, :1]
     # mu_k = sum_j C(k, j) raw_j (-mean)^{k-j}, with raw_0 = 1 and C(k, j) = 0 for j > k
     orders = np.arange(k_max + 1)
@@ -140,9 +141,6 @@ def empirical_moments(samples, k_max: int, max_blocks: int = 10_000) -> Empirica
     raw_from_0 = np.hstack((np.ones((raw.shape[0], 1)), raw))
     neg_mean_powers = (-raw[:, :1, None]) ** np.maximum(orders[:, None] - orders[None, :], 0)
     central = (binom * raw_from_0[:, None, :] * neg_mean_powers).sum(axis=2)[:, 1:]
-    if blocks < 2:
-        zeros = tuple(0.0 for _ in range(k_max))
-        return EmpiricalMoments(tuple(raw[0]), tuple(central[0]), zeros, zeros)
 
     def jack_se(jacks: np.ndarray) -> np.ndarray:
         mean = jacks.mean(axis=0)

@@ -217,6 +217,39 @@ def tuple_twin_quotient(g: Graph, dtype=np.float64, max_classes: int | None = No
     return labels, quotient, quotient.diagonal().copy()
 
 
+def loop_hypercube(dim: int) -> Graph:
+    """Q_dim vertex by vertex: x joins x with one bit flipped, when that is larger."""
+    n = 1 << dim
+    return Graph(n, [(x, x ^ (1 << b)) for x in range(n) for b in range(dim) if x ^ (1 << b) > x])
+
+
+def loop_galton_watson(offspring, height: int, seed: int) -> Graph:
+    """The GW tree parent by parent: one scalar uniform per parent, children numbered as born."""
+    cdf = np.cumsum(offspring)
+    cdf[-1] = 1.0
+    pairs, frontier, born = [], [0], 1
+    for _ in range(height):
+        next_frontier = []
+        for parent in frontier:
+            for _ in range(bisect.bisect_right(cdf.tolist(), float(rng.uniforms(seed, rng.STREAM_GW, parent)))):
+                pairs.append((parent, born))
+                next_frontier.append(born)
+                born += 1
+        frontier = next_frontier
+    return Graph(born, pairs)
+
+
+def loop_gadget(a: int, b: int, g: int) -> Graph:
+    """The path-cycle gadget cycle by cycle: each closes through its own g - 2 fresh vertices."""
+    pairs, fresh = [(i, i + 1) for i in range(a)], a + 1
+    for i in range(a):
+        for _ in range(b):
+            chain = [i, *range(fresh, fresh + g - 2), i + 1]
+            pairs += zip(chain, chain[1:])
+            fresh += g - 2
+    return Graph(fresh, pairs)
+
+
 def brute_count_subgraph(g: Graph, h: Graph) -> int:
     """Edge subsets of g inducing a copy of h, checked by permutation search."""
     count = 0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -250,6 +251,18 @@ class TestSimulateExactCompare:
             "--tol", "0.08", "--center", str(m / 2), "--scale", str(math.sqrt(m / 2)),
         ])
         assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("tol,code", [(0.5, 1), (1.5, 0)], ids=["fail", "pass"])
+    def test_compare_ks_at_a_far_point_exits_by_its_verdict(self, runner, tmp_path, tol, code):
+        # the cdf at 1e300 divided by a smoothing bound that underflowed to 0: a traceback and exit 1
+        emp, law = tmp_path / "emp.csv", tmp_path / "law.json"
+        emp.write_text("1e300,1\n")
+        law.write_text(json.dumps({"kind": "weighted_chi_square", "weights": [1.0], "dof": 1, "scale": 0.25}))
+        res = runner.invoke(main, ["compare", "--empirical", str(emp), "--law", str(law),
+                                   "--metric", "ks", "--tol", str(tol)])
+        assert res.exit_code == code, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)  # no traceback
+        assert json.loads(res.output)["value"] == 1.0
 
     @pytest.mark.parametrize("law,metric", [(limits.Poisson(3.0), "tv"), (limits.Normal(0.0, 1.0), "ks")],
                              ids=["poisson", "normal"])
@@ -570,6 +583,11 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'census_table'"):
         colorgraph.census_table  # noqa: B018
     assert not hasattr(colorgraph, "numpy")
+
+
+def test_package_version_is_the_project_version():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == colorgraph.__version__
 
 
 def test_kind_choices_are_the_moment_kinds():

@@ -62,6 +62,28 @@ class TestMonoCount:
         with pytest.raises(BadColorVectorError):
             mono_count(generate(Complete(3)), [0, -1, 0], MonoEdges())
 
+    @pytest.mark.parametrize("colors", [[0.5, 0.7, 1], [1.0, 1.0, 2.0], [True, True, False]],
+                             ids=["fractions", "whole-floats", "bools"])
+    def test_non_integer_colors(self, colors):
+        # the cast to int64 truncated 0.5 and 0.7 to one color
+        with pytest.raises(BadColorVectorError, match="nonnegative integers"):
+            mono_count(Graph(3, [(0, 1)]), colors, MonoEdges())
+
+    @pytest.mark.parametrize("host", ["regular:200:3:1", "complete:30"], ids=["gather", "quotient"])
+    def test_unknown_statistic(self, host, monkeypatch):
+        # anything not a statistic was counted as edges, or died in a quotient kernel
+        g = generate(parse_family(host))
+
+        def searched(*args):
+            raise AssertionError("a twin search or cycle listing ran")
+
+        monkeypatch.setattr(Graph, "twin_quotient", searched)
+        monkeypatch.setattr(census, "cycle_list", searched)
+        for stat in ("cycles", None, MonoCycles):
+            for call in (lambda: simulate(g, 2, stat, 5, 1), lambda: mono_count(g, [0] * g.n, stat)):
+                with pytest.raises(TypeError, match="unknown statistic"):
+                    call()
+
     def test_colors_wider_than_narrow_dtypes(self):
         # mono_count has no c: a uint8 or uint16 cast would make 256 or 65536 equal 0
         k2 = generate(Complete(2))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -6,11 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import blow_up, blow_up_specs, brute_twin_classes, tuple_twin_quotient
+from oracles import (
+    blow_up,
+    blow_up_specs,
+    brute_twin_classes,
+    loop_gadget,
+    loop_galton_watson,
+    loop_hypercube,
+    tuple_twin_quotient,
+)
 
 from colorgraph import census, colorsim, limits, moments
 from colorgraph import graph as graph_module
 from colorgraph.errors import (
+    FAMILY_GRAMMAR,
     DuplicateEdgeError,
     GenerationTimeoutError,
     InfeasibleSpecError,
@@ -363,6 +373,111 @@ class TestRandomFamilies:
             generate(GaltonWatson((), 3, 1))
 
 
+def _grid(n, entry):
+    """The symmetric n x n grid with entry(i, j) at i <= j."""
+    return tuple(tuple(float(entry(min(i, j), max(i, j))) for j in range(n)) for i in range(n))
+
+
+# sha256 of to_edge_list_text(generate(spec)), frozen from the vertex-by-vertex builders: an array
+# builder must give every family the same n and the same edges, word for word of the same streams
+FROZEN_EDGE_DIGESTS = [
+    ("hypercube:0",
+     "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),  # n=1 m=0
+    ("hypercube:1",
+     "4a6ae7226283a4b6277ce3e77a91585c0cad93929046f3c7bd9105d7ed101834"),  # n=2 m=1
+    ("hypercube:12",
+     "4fc006fbebf0e59ca28d0889b92ec9eb8cf5b46312708a53183a6d31404d0811"),  # n=4096 m=24576
+    ("gw:0.2,0.3,0.5:0:1",
+     "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),  # n=1 m=0
+    ("gw:0.6,0.2,0.2:10:7",
+     "0b7bf3892268f58dc62da8481683868de50faf17c6bdd35867fbe282709bc5cd"),  # n=6 m=5
+    ("gw:1:5:3",
+     "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),  # n=1 m=0
+    ("gw:0.2,0.2,0.2,0.4:12:5",
+     "b7dcc4903f5f49ac5f6e2030dfdc297469c609c3c31fb2008045df028584c44e"),  # n=1197 m=1196
+    ("gw:0.2,0.3,0.5:6:11",
+     "5355419258e74273a6c9b8297aa83dd1d38cfbb95976daa323b95ea4716a8fc3"),  # n=25 m=24
+    ("gadget:1:1:3",
+     "7c0343f77a3c54a7b291511fde0fd472255dbdfd45e57dc93771a4b4e021c6ad"),  # n=3 m=3
+    ("gadget:3:3:3",
+     "fd4128ad810949120d9b8aa4b46248c97d8015c05a09d546f80d12bf11777d70"),  # n=13 m=21
+    ("gadget:5:2:7",
+     "ae9ff6af29044c42c5de911b54af69f7557b8eb6d1f869e4765a9784e0942d49"),  # n=56 m=65
+    ("gadget:30:30:3",
+     "6c2533bacef45bc87e3b5814eceeaa4fd5a4d55e8964cdae68bfebc5afa8b53d"),  # n=931 m=1830
+    ("er:0:0.5:1",
+     "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101"),  # n=0 m=0
+    ("er:1:0.5:1",
+     "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),  # n=1 m=0
+    ("er:10:0:1",
+     "88401cdce0f0466b01d2dbdde250d17cab1a783cd5a7d82bba6da2a3cb8c3338"),  # n=10 m=0
+    ("er:10:1:1",
+     "1df85460ce06d8c58223cfd1f4578b56f4ca71b66182291bfa1732f3659ee352"),  # n=10 m=45
+    ("er:100:0.05:7",
+     "7264d3d4269c5bf25472ca99122caa085e61d29c68b2f557da5162245d27416d"),  # n=100 m=256
+    ("er:300:0.1:7",
+     "4e948c72b997072ad2145178c7dd7f0e2ac7355d7aacf2ec1c57eb318556c060"),  # n=300 m=4412
+    ("er:40:0.2:7",
+     "a318de7c353e6095fc2851f655c645f5267c6edd1dff2777fde9089c4ec807c4"),  # n=40 m=155
+    ("regular:6:0:1",
+     "3e6a55c946ac49027ba9b8aa0aed2362f58b55fd739cb84287ea16693421fb1b"),  # n=6 m=0
+    ("regular:0:0:1",
+     "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101"),  # n=0 m=0
+    ("regular:2000:3:5",
+     "5b0305a62c142fe709284b3734d6fc3095e9ceffa4511a0fb50861d4e5c3ae58"),  # n=2000 m=3000
+    ("regular:16:3:5",
+     "776bfdbfd32c2cc7f98e0922eec0e5ff83a8961cdf7c33e1f4fcb1f36d798bb2"),  # n=16 m=24
+    ("complete:0",
+     "0ccdb5a77ba5bf7687f2565a8ed97dfb9c1af45503c496fb646312239fab5101"),  # n=0 m=0
+    ("complete:23",
+     "762497d3e378afc811aa0181ea35f51f2287a3b7e22506ed3ed07172e1ff7519"),  # n=23 m=253
+    ("bipartite:3:4",
+     "422344b30ee4125595a0f354ac8ac5e0e00d7a56f4ae4565a39f389c4eff9730"),  # n=7 m=12
+    ("star:5",
+     "3db5e8ddfb250b11597146c3001b4182211d2629675162634231a1de71388b0a"),  # n=6 m=5
+    ("path:0",
+     "f4a8ae8e74ddfb896a256de4e3099911dcaa6a9302591713898069b0bcd6e3d7"),  # n=1 m=0
+    ("path:4",
+     "750640d6ef4dfdeaef090e73e34a5a10560b26ebcd4d75960b8037acedee3b39"),  # n=5 m=4
+    ("cycle:3",
+     "7c0343f77a3c54a7b291511fde0fd472255dbdfd45e57dc93771a4b4e021c6ad"),  # n=3 m=3
+    ("cycle:7",
+     "27a7f20c8c1ac069284c4322f47695fb2d6f86e9d201a3fbd466947ce89b97ef"),  # n=7 m=7
+    pytest.param(Inhomogeneous(12, _grid(12, lambda i, j: (i * 7 + j * 3 + i * j) % 11 / 10), 4),  # n=12 m=31
+                 "00bc89a006ed42ed8b4bcc6af93940b1b4055874fa5ff5ff22df9218ec4f8820", id="inhomogeneous-random"),
+    pytest.param(Inhomogeneous(8, _grid(8, lambda i, j: 0.0), 1),  # n=8 m=0
+                 "f20d961db0814769179475eefc5d1075b03dab5a12ff4a53e5f1676def9f89f7", id="inhomogeneous-zero"),
+    pytest.param(Inhomogeneous(8, _grid(8, lambda i, j: 1.0), 1),  # n=8 m=28
+                 "1e2ecc1e89815835b832f4fc8a274b799d7931ac93e5aaed4b80773ced878bec", id="inhomogeneous-one"),
+]
+
+
+@pytest.mark.parametrize("spec,digest", FROZEN_EDGE_DIGESTS,
+                         ids=[getattr(row, "id", None) or row[0] for row in FROZEN_EDGE_DIGESTS])
+def test_family_edges_are_frozen(spec, digest):
+    g = generate(parse_family(spec) if isinstance(spec, str) else spec)
+    assert hashlib.sha256(to_edge_list_text(g).encode()).hexdigest() == digest
+
+
+class TestArrayBuilders:
+    # each array builder against its vertex-by-vertex oracle, on more parameters than the frozen table
+
+    def test_hypercube(self):
+        for dim in range(9):
+            assert generate(Hypercube(dim)) == loop_hypercube(dim), dim
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=4).filter(any), st.integers(0, 7),
+           st.integers(0, 2**64 - 1))
+    def test_galton_watson(self, weights, height, seed):
+        pmf = tuple(w / sum(weights) for w in weights)
+        assert generate(GaltonWatson(pmf, height, seed)) == loop_galton_watson(pmf, height, seed)
+
+    @pytest.mark.parametrize("a,b,g", list(itertools.product((1, 2, 5), (1, 3), (3, 4, 8))))
+    def test_gadget(self, a, b, g):
+        assert generate(PathCycleGadget(a, b, g)) == loop_gadget(a, b, g)
+
+
 class TestFamilyGrammar:
     def test_examples(self):
         assert parse_family("complete:23") == Complete(23)
@@ -377,6 +492,11 @@ class TestFamilyGrammar:
     def test_bad_arity(self):
         with pytest.raises(ValueError):
             parse_family("complete:3:4")
+
+    def test_grammar_lists_every_family_and_its_arity(self):
+        # errors.FAMILY_GRAMMAR is written out by hand, so the CLI reads it without importing graph
+        quoted = {name: len(args) for name, *args in (part.strip().split(":") for part in FAMILY_GRAMMAR.split("|"))}
+        assert quoted == {name: len(dataclasses.fields(cls)) for name, cls in graph_module._FAMILIES.items()}
 
     def test_argument_types_come_from_the_fields(self):
         assert parse_family("ER:100:0.05:7") == ErdosRenyi(100, 0.05, 7)

@@ -55,6 +55,15 @@ DISCRETE_LAWS = {
     "mixture-zero-below-mean": PoissonMixture(EmpiricalMixing((810.0, 800.0))),
 }
 
+# one law of every kind, with a weighted chi-square of each sign pattern
+FAR_LAWS = {
+    "poisson": Poisson(1.0), "poisson-mixing": PoissonMixture(PoissonMixing(1.0)),
+    "empirical-mixing": PoissonMixture(EmpiricalMixing((0.5, 2.0))), "normal": Normal(0.0, 1.0),
+    "atom-plus-normal": AtomPlusNormal(0.3, 2.0), "chi-square": WeightedChiSquare((1.0,), 1, 0.25),
+    "signed-chi-square": WeightedChiSquare((1 / SQ2, -1 / SQ2), 1, 1.0),
+    "negative-chi-square": WeightedChiSquare((0.6, 0.8), 2, -1.0),
+}
+
 
 class TestLawEvaluation:
     def test_poisson_pmf(self):
@@ -133,8 +142,9 @@ class TestLawEvaluation:
         lambda: PoissonMixture(PoissonMixing(math.nan)),
         lambda: PoissonMixture(EmpiricalMixing((1.0, math.nan))),
         lambda: Growing(math.nan),
+        lambda: PoissonMixture(Normal(0.0, 1.0)),
     ], ids=["poisson", "normal-variance", "normal-mean", "wcs-weight", "wcs-scale", "atom-variance",
-            "poisson-mixing", "empirical-mixing", "growing"])
+            "poisson-mixing", "empirical-mixing", "growing", "normal-mixing"])
     def test_validation_rejects_nan(self, make):
         with pytest.raises(ValueError):
             make()
@@ -157,6 +167,19 @@ class TestLawEvaluation:
                              ids=["poisson", "mixture"])
     def test_discrete_cdf_at_infinity_is_one(self, law):
         assert law_cdf(law, math.inf) == 1.0
+
+    @pytest.mark.parametrize("name", FAR_LAWS)
+    def test_cdf_at_the_far_ends(self, name):
+        # exactly 0 and 1 at -inf and +inf; far out, Davies' smoothing bound underflowed to 0 and was divided by
+        law = FAR_LAWS[name]
+        assert law_cdf(law, -math.inf) == 0.0 and law_cdf(law, math.inf) == 1.0
+        for x in (1e154, 1e160, 1e300):
+            assert law_cdf(law, -x) == 0.0
+            assert law_cdf(law, x) == pytest.approx(1.0, abs=1e-12)
+
+    def test_cdf_of_an_unknown_law_raises_at_infinity_too(self):
+        with pytest.raises(WrongLawKindError, match="unknown law"):
+            law_cdf(PoissonMixing(1.0), math.inf)
 
     @pytest.mark.parametrize("name", DISCRETE_LAWS)
     def test_discrete_cdf_equals_the_full_sum(self, name):
