@@ -466,7 +466,7 @@ def injective_homomorphisms(h: Graph, g: Graph) -> int:
     single = [len(a) == 1 == len(adj[a[0]]) for a in adj]  # an end of a single-edge component
     group = math.factorial(sum(single) // 2) * math.prod(map(math.factorial, Counter(key).values()))
     order: list[int] = []
-    for comp in sorted(components(h.n, h.edges), key=len, reverse=True):
+    for comp in sorted(components(h.n, h.edges.tolist()), key=len, reverse=True):
         queue = [max(comp, key=lambda x: len(adj[x]))]
         for x in queue:
             queue += [y for y in adj[x] if y not in queue]
@@ -478,7 +478,7 @@ def injective_homomorphisms(h: Graph, g: Graph) -> int:
         tag = "single edge" if single[x] and not placed else key[x]
         plan.append((len(adj[x]), placed[0] if placed else -1, tuple(placed[1:]), last.get(tag, -1)))
         last[tag] = last[key[x]] = i
-    nbr, degree = [set(a) for a in g.adjacency], g.degrees
+    nbr, degree = [set(a) for a in g.adjacency], g.degrees  # the walk's count does not depend on the order tried
     # -1 is no vertex: image[h.n] is the floor of a vertex that exceeds none, and used[-1] a spare slot
     image, used = [-1] * (h.n + 1), bytearray(g.n + 1)
     total, i, pools = 0, 0, [iter(range(g.n))] + [None] * (h.n - 1)  # per placed vertex, the images left to try
@@ -495,7 +495,7 @@ def injective_homomorphisms(h: Graph, g: Graph) -> int:
             total += 1
             continue
         image[i], used[x], i = x, 1, i + 1
-        pools[i] = iter(range(g.n) if plan[i][1] < 0 else g.adjacency[image[plan[i][1]]])
+        pools[i] = iter(range(g.n) if plan[i][1] < 0 else nbr[image[plan[i][1]]])
     return group * total
 
 

@@ -257,7 +257,7 @@ def _gather_for(g: Graph, stat: Statistic) -> _Kernel:
         tuples = census.cycle_list(g, stat.g)
         row_cost += tuples.size
     else:
-        tuples = np.stack(g.edge_arrays(), axis=1)
+        tuples = g.edges
     return _Kernel("gather", functools.partial(_tuple_counts, tuples), row_cost)
 
 

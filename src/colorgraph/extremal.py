@@ -21,13 +21,15 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import census, spectral
 from .errors import (
     NoSpanningCycleEdgeFactorError,
     PatternTooLargeError,
     SolutionMismatchError,
 )
-from .graph import Graph, components
+from .graph import Graph
 
 __all__ = [
     "deficiency",
@@ -184,7 +186,7 @@ def gamma(h: Graph) -> FractionalSolution:
         raise RuntimeError(
             f"cover construction gave objective {value}, expected {expected}"
         )
-    for u, v in h.edges:
+    for u, v in h.edges.tolist():
         if phi[u] + phi[v] > ONE:
             raise RuntimeError("cover construction produced an infeasible solution")
     part = (
@@ -208,11 +210,9 @@ class StructuralReport:
 
 
 def _is_union_of_stars(h: Graph) -> bool:
-    for comp in components(h.n, h.edges):
-        degrees = [h.degree(v) for v in comp]
-        if sum(degrees) // 2 != len(comp) - 1 or sum(d >= 2 for d in degrees) > 1:
-            return False
-    return True
+    # a component is a star or a lone vertex iff each of its edges has an end of degree 1
+    degree, (u, v) = np.diff(h.offsets), h.edge_arrays()
+    return bool(np.all((degree[u] == 1) | (degree[v] == 1)))
 
 
 def _has_spanning_cycle_edge_factor(h: Graph) -> bool:
@@ -233,7 +233,7 @@ def structural_check(sol: FractionalSolution, h: Graph) -> StructuralReport:
     """Certificate checks for an optimal solution produced by :func:`gamma`."""
     if len(sol.phi) != h.n or any(p not in (ZERO, HALF, ONE) for p in sol.phi):
         raise SolutionMismatchError("solution shape does not match the graph")
-    for u, v in h.edges:
+    for u, v in h.edges.tolist():
         if sol.phi[u] + sol.phi[v] > ONE:
             raise SolutionMismatchError(f"solution violates edge ({u}, {v})")
     if sum(sol.phi, start=ZERO) != sol.gamma:
@@ -243,24 +243,15 @@ def structural_check(sol: FractionalSolution, h: Graph) -> StructuralReport:
 
     saturating = True
     if sol.gamma > Fraction(h.n, 2) and v0:
-        index_r = {v: i for i, v in enumerate(v1)}
-        adj01 = [
-            tuple(sorted(index_r[w] for w in h.adjacency[u] if w in index_r))
-            for u in v0
-        ]
+        index_r, adj = {v: i for i, v in enumerate(v1)}, h.adjacency
+        adj01 = [tuple(sorted(index_r[w] for w in adj[u] if w in index_r)) for u in v0]
         size, _, _ = hopcroft_karp(len(v0), len(v1), adj01)
         saturating = size == len(v0)
 
-    if vhalf:
-        keep = set(vhalf)
-        index = {v: i for i, v in enumerate(vhalf)}
-        induced = Graph(
-            len(vhalf),
-            [(index[u], index[v]) for u, v in h.edges if u in keep and v in keep],
-        )
-        half_spanning = _has_spanning_cycle_edge_factor(induced)
-    else:
-        half_spanning = True
+    index = np.full(h.n, -1)
+    index[list(vhalf)] = np.arange(len(vhalf))
+    ends = index[h.edges]  # the edges inside the 1/2 part, relabelled; -1 marks an end outside it
+    half_spanning = _has_spanning_cycle_edge_factor(Graph(len(vhalf), ends[(ends >= 0).all(axis=1)]))
 
     return StructuralReport(
         saturating_matching=saturating,

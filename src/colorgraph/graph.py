@@ -1,9 +1,9 @@
 """Simple undirected graphs: validation, family generators, text interchange.
 
-Vertices are the contiguous integers ``0 .. n-1``. Edges are stored
-canonically as a lexicographically sorted tuple of pairs ``(u, v)`` with
-``u < v``; a :class:`Graph` is immutable after construction and safe to
-share between threads.
+Vertices are the contiguous integers ``0 .. n-1``. A :class:`Graph` is its
+read-only int64 arrays, so immutable and safe to share between threads:
+``edges``, the pairs ``(u, v)`` with ``u < v`` sorted, and ``nbrs`` /
+``offsets``, each vertex's sorted neighbours.
 
 The text interchange format (used by every CLI subcommand) is::
 
@@ -63,42 +63,42 @@ __all__ = [
 class Graph:
     """Immutable simple undirected graph on vertices ``0 .. n-1``."""
 
-    __slots__ = ("n", "edges", "_adj", "nbrs", "offsets")
+    __slots__ = ("n", "edges", "nbrs", "offsets")
 
-    def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
+    def __init__(self, n: int, pairs: np.ndarray | Iterable[tuple[int, int]]):
+        """The graph with the edges ``pairs``, an (m, 2) integer array or any iterable of integer pairs.
+
+        The first bad pair in input order raises: a bool or float endpoint, one outside [0, n), a self-loop, a repeat."""
         if n < 0:
             raise OutOfRangeError(f"vertex count must be nonnegative, got {n}")
-        canon = []
-        seen = set()
-        for pair in pairs:
-            u, v = pair
-            if type(u) is not int or type(v) is not int:  # numpy integers are read as ints; bools and floats are refused
-                if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (u, v)):
-                    raise OutOfRangeError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
-                u, v = int(u), int(v)
-            if not (0 <= u < n) or not (0 <= v < n):
+        if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,):
+            ends, stop = pairs.astype(np.int64, copy=False), None
+        else:
+            pairs = list(pairs)
+            ends, stop = _integer_pairs(n, pairs)
+        lo, hi = np.minimum(*ends.T), np.maximum(*ends.T)
+        bad = (lo < 0) | (hi >= n) | (lo == hi)
+        first = int(bad.argmax()) if bad.any() else len(ends)  # the pairs before it are edges
+        keys = lo[:first] * n + hi[:first]
+        ordered = np.sort(keys)
+        if np.any(ordered[1:] == ordered[:-1]):  # the first repeat: a stable sort keeps equal keys in input order
+            order = np.argsort(keys, kind="stable")
+            first = int(order[1:][keys[order[1:]] == keys[order[:-1]]].min())
+        if first < len(ends):
+            u, v = map(int, pairs[first])
+            if lo[first] < 0 or hi[first] >= n:
                 raise OutOfRangeError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
             if u == v:
                 raise SelfLoopError(f"edge ({u}, {v}) is a self-loop")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise DuplicateEdgeError(f"edge ({u}, {v}) duplicates {e}")
-            seen.add(e)
-            canon.append(e)
-        canon.sort()
-        self.n = n
-        self.edges = tuple(canon)
-        adj = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-        # the same lists as read-only numpy arrays, v's neighbours nbrs[offsets[v]:offsets[v + 1]];
-        # edge_arrays, the twin search, the census degrees and colorsim's star gather read them
-        self.nbrs = np.fromiter(itertools.chain.from_iterable(self._adj), np.int64, 2 * self.m)
-        self.offsets = np.concatenate(([0], np.cumsum(np.fromiter(map(len, self._adj), np.int64, n))))
-        self.nbrs.setflags(write=False)
-        self.offsets.setflags(write=False)
+            raise DuplicateEdgeError(f"edge ({u}, {v}) duplicates {min(u, v), max(u, v)}")
+        if stop is not None:
+            raise stop
+        self.n, self.edges = n, np.column_stack(np.divmod(ordered, n))
+        # the keys v·n + w of both orientations of every edge, sorted: vertex by vertex, its neighbours w ascending
+        entries = np.sort(np.concatenate((ordered, self.edges[:, 1] * n + self.edges[:, 0])))
+        self.nbrs, self.offsets = entries % n, np.searchsorted(entries, np.arange(n + 1) * n)
+        for a in (self.edges, self.nbrs, self.offsets):
+            a.setflags(write=False)
 
     # -- basic accessors ------------------------------------------------
 
@@ -108,15 +108,13 @@ class Graph:
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex sorted neighbor tuples."""
-        return self._adj
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        """Per-vertex sorted neighbor tuples; built per call, never cached."""
+        nbrs, offsets = self.nbrs.tolist(), self.offsets.tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(offsets, offsets[1:]))
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self._adj)
+        return tuple(np.diff(self.offsets).tolist())
 
     def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
         """Dense 0/1 adjacency matrix in ``dtype``; built per call, never cached."""
@@ -126,14 +124,8 @@ class Graph:
         return a
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (U, V) of shape (m,), for vectorized work; built per call, never cached."""
-        owner = self._owners()
-        keep = owner < self.nbrs
-        return owner[keep], self.nbrs[keep]
-
-    def _owners(self) -> np.ndarray:
-        """The vertex whose neighbour list holds each entry of ``nbrs``."""
-        return np.repeat(np.arange(self.n), np.diff(self.offsets))
+        """Endpoint arrays (U, V) of shape (m,), the columns of ``edges``."""
+        return self.edges[:, 0], self.edges[:, 1]
 
     def twin_quotient(self, dtype=np.float64, max_classes: int | None = None):
         """The graph as a blow-up of its twin classes; built per call, never cached.
@@ -157,8 +149,8 @@ class Graph:
         the closed one by the blow-up reproducing every edge. On a collision
         the next salt's words hash again, so the result never depends on luck.
         """
-        offsets, nbrs, owner = self.offsets, self.nbrs, self._owners()
-        degree, vertices = np.diff(offsets), np.arange(self.n)
+        offsets, nbrs, degree, vertices = self.offsets, self.nbrs, np.diff(self.offsets), np.arange(self.n)
+        owner = np.repeat(vertices, degree)  # the vertex whose list holds each entry of nbrs
         for salt in itertools.count():  # a fresh hash after two distinct lists collide
             # a neighbourhood's hash: the sum of its vertices' hash words, mod 2^64
             weight = rng.words(salt, vertices)
@@ -199,21 +191,39 @@ class Graph:
                 return labels, quotient, clique
 
     def component_count(self) -> int:
-        return len(components(self.n, self.edges))
+        return len(components(self.n, self.edges.tolist()))
 
     def has_isolated_vertices(self) -> bool:
-        return any(len(a) == 0 for a in self._adj)
+        return bool(np.any(self.offsets[1:] == self.offsets[:-1]))
 
     # -- value semantics --------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and np.array_equal(self.edges, other.edges)
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.edges.tobytes()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _integer_pairs(n: int, pairs: list) -> tuple[np.ndarray, Exception | None]:
+    """The pairs before the first that is not two integers, as a (k, 2) int64 array, and that pair's error or None."""
+    stop = None
+    for t, pair in enumerate(pairs):
+        try:
+            u, v = pair
+            if not (type(u) is int and type(v) is int
+                    or all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (u, v))):
+                raise OutOfRangeError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
+        except (TypeError, ValueError, OutOfRangeError) as exc:  # raised once the pairs before it pass
+            pairs, stop = pairs[:t], exc
+            break
+    try:
+        return np.array(pairs, np.int64).reshape(-1, 2), stop
+    except OverflowError:  # an integer beyond int64 lies outside [0, n) all the same
+        return np.array(pairs, object).reshape(-1, 2).clip(-1, n).astype(np.int64), stop
 
 
 def _first_equal(keys: np.ndarray) -> np.ndarray:
@@ -261,29 +271,26 @@ def basic_stats(g: Graph) -> BasicStats:
 
 
 def to_edge_list_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return "".join(f"{u} {v}\n" for u, v in [(g.n, g.m), *g.edges.tolist()])
 
 
 def parse_edge_list_text(text: str) -> Graph:
-    rows = [ln.strip() for ln in text.splitlines()]
-    rows = [ln for ln in rows if ln and not ln.startswith("#")]
+    rows = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not rows:
         raise ValueError("empty edge-list document")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError(f"header must be 'n m', got {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(rows[0], "header must be 'n m', got {!r}")
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
-    pairs = []
-    for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return Graph(n, pairs)
+    return Graph(n, [_int_pair(ln, "bad edge line {!r}") for ln in rows[1:]])
+
+
+def _int_pair(line: str, error: str) -> tuple[int, int]:
+    """The two integers of ``line``; ValueError ``error`` naming the line when it holds anything else."""
+    try:
+        u, v = map(int, line.split())
+    except ValueError:
+        raise ValueError(error.format(line)) from None
+    return u, v
 
 
 # -- parameter dataclasses and family specifications --------------------------
@@ -331,7 +338,7 @@ class Complete(Params):
     def build(self) -> Graph:
         if self.n < 0:
             raise InfeasibleSpecError("complete graph needs n >= 0")
-        return Graph(self.n, [(i, j) for i in range(self.n) for j in range(i + 1, self.n)])
+        return Graph(self.n, np.column_stack(np.triu_indices(self.n, k=1)))
 
 
 @dataclass(frozen=True)
@@ -342,7 +349,7 @@ class CompleteBipartite(Params):
     def build(self) -> Graph:
         if self.a < 0 or self.b < 0:
             raise InfeasibleSpecError("bipartite sides must be nonnegative")
-        return Graph(self.a + self.b, [(i, self.a + j) for i in range(self.a) for j in range(self.b)])
+        return Graph(self.a + self.b, np.indices((self.a, self.b)).reshape(2, -1).T + (0, self.a))
 
 
 @dataclass(frozen=True)
@@ -354,7 +361,7 @@ class Star(Params):
     def build(self) -> Graph:
         if self.leaves < 0:
             raise InfeasibleSpecError("star needs a nonnegative leaf count")
-        return Graph(self.leaves + 1, [(0, i) for i in range(1, self.leaves + 1)])
+        return Graph(self.leaves + 1, np.arange(1, self.leaves + 1)[:, None] * (0, 1))
 
 
 @dataclass(frozen=True)
@@ -366,7 +373,7 @@ class Path(Params):
     def build(self) -> Graph:
         if self.edges < 0:
             raise InfeasibleSpecError("path needs a nonnegative edge count")
-        return Graph(self.edges + 1, [(i, i + 1) for i in range(self.edges)])
+        return Graph(self.edges + 1, np.arange(self.edges)[:, None] + (0, 1))
 
 
 @dataclass(frozen=True)
@@ -376,8 +383,7 @@ class Cycle(Params):
     def build(self) -> Graph:
         if self.length < 3:
             raise InfeasibleSpecError("cycle length must be at least 3")
-        g = self.length
-        return Graph(g, [(i, (i + 1) % g) for i in range(g)])
+        return Graph(self.length, (np.arange(self.length)[:, None] + (0, 1)) % self.length)
 
 
 @dataclass(frozen=True)
@@ -390,7 +396,7 @@ class Hypercube(Params):
         if self.dim < 0:
             raise InfeasibleSpecError("hypercube dimension must be nonnegative")
         x, bit = np.nonzero(~np.arange(1 << self.dim)[:, None] & (1 << np.arange(self.dim)))
-        return _graph(1 << self.dim, x, x | (1 << bit))  # x joins x + 2^b for each bit b clear in x
+        return Graph(1 << self.dim, np.column_stack((x, x | (1 << bit))))  # x joins x + 2^b for each bit b clear in x
 
 
 @dataclass(frozen=True)
@@ -442,8 +448,6 @@ class RandomRegular(Params):
         n, d = self.n, self.d
         if n < 0 or d < 0 or d >= max(n, 1) or (n * d) % 2 != 0:
             raise InfeasibleSpecError(f"random regular graph needs n*d even and d < n, got n={n}, d={d}")
-        if d == 0:
-            return Graph(n, [])
         points = n * d
         for attempt in range(_REGULAR_RETRY_CAP):
             perm = rng.permutation(self.seed, points, rng.STREAM_REGULAR, attempt)
@@ -454,7 +458,7 @@ class RandomRegular(Params):
             keys = np.sort(np.minimum(left, right) * n + np.maximum(left, right))
             if np.any(keys[1:] == keys[:-1]):  # a multi-edge
                 continue
-            return _graph(n, *np.divmod(keys, n))
+            return Graph(n, np.column_stack(np.divmod(keys, n)))
         raise GenerationTimeoutError(
             f"pairing model rejected {_REGULAR_RETRY_CAP} attempts for n={n}, d={d}"
         )
@@ -488,7 +492,7 @@ class GaltonWatson(Params):
             parents.append(np.repeat(frontier, kids))
             frontier = n + np.arange(kids.sum())
             n += frontier.size
-        return _graph(n, np.concatenate(parents), np.arange(1, n))  # vertex i > 0 is a child of parents[i - 1]
+        return Graph(n, np.column_stack((np.concatenate(parents), np.arange(1, n))))  # vertex i > 0 is a child of parents[i - 1]
 
 
 @dataclass(frozen=True)
@@ -513,20 +517,15 @@ class PathCycleGadget(Params):
         cycles = a * b
         edge = np.arange(cycles) // b
         chain = np.column_stack((edge, a + 1 + np.arange(cycles * (g - 2)).reshape(cycles, g - 2), edge + 1))
-        return _graph(a + 1 + cycles * (g - 2), np.append(np.arange(a), chain[:, :-1]),
-                      np.append(np.arange(1, a + 1), chain[:, 1:]))
-
-
-def _graph(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
-    """The graph on n vertices with the edges (u[i], v[i])."""
-    return Graph(n, zip(u.tolist(), v.tolist()))
+        return Graph(a + 1 + cycles * (g - 2), np.column_stack((np.append(np.arange(a), chain[:, :-1]),
+                                                                np.append(np.arange(1, a + 1), chain[:, 1:]))))
 
 
 def _independent_edges(n: int, seed: int, stream: int, p: float | np.ndarray) -> Graph:
     """Each pair i < j an edge on its own, kept when its uniform on ``stream`` is below p or grid entry p[i, j]."""
     iu, jv = np.triu_indices(n, k=1)
     keep = rng.uniforms(seed, stream, iu, jv) < (p[iu, jv] if np.ndim(p) else p)
-    return _graph(n, iu[keep], jv[keep])
+    return Graph(n, np.column_stack((iu[keep], jv[keep])))
 
 
 # each family spec builds its own graph with ``build()``

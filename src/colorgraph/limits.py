@@ -324,7 +324,7 @@ def law_cdf(law: LimitLaw, x: float) -> float:
     if math.isinf(x):
         return 0.0 if x < 0 else 1.0
     if isinstance(law, _DISCRETE):
-        return 0.0 if x < 0 else sum(law_pmf_terms(law, int(x)))
+        return 0.0 if x < 0 else min(1.0, sum(law_pmf_terms(law, int(x))))  # the rounded sum can pass 1
     if isinstance(law, Normal):
         return _phi((x - law.mean) / math.sqrt(law.variance))
     if isinstance(law, AtomPlusNormal):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 
 from colorgraph import rng
 from colorgraph.census import MultiGraphPattern, _refine_classes
+from colorgraph.errors import DuplicateEdgeError, OutOfRangeError, SelfLoopError
 from colorgraph.graph import Graph
+
+
+def edge_pairs(g: Graph) -> list[tuple[int, int]]:
+    """The rows of ``g.edges`` as (u, v) tuples of Python ints, in their sorted order."""
+    return list(map(tuple, g.edges.tolist()))
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -25,9 +32,9 @@ def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
     if sorted(g1.degrees) != sorted(g2.degrees):
         return False
-    e2 = set(g2.edges)
+    e2 = set(edge_pairs(g2))
     for perm in itertools.permutations(range(g1.n)):
-        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in e2 for u, v in g1.edges):
+        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in e2 for u, v in edge_pairs(g1)):
             return True
     return False
 
@@ -110,10 +117,10 @@ def loop_mono_counts(g: Graph, colorings, kind: str, order: int = 0) -> list[int
     out = []
     for colors in colorings:
         if kind == "edges":
-            out.append(sum(1 for u, v in g.edges if colors[u] == colors[v]))
+            out.append(sum(1 for u, v in edge_pairs(g) if colors[u] == colors[v]))
         elif kind == "stars":
             same = [0] * g.n
-            for u, v in g.edges:
+            for u, v in edge_pairs(g):
                 if colors[u] == colors[v]:
                     same[u] += 1
                     same[v] += 1
@@ -217,6 +224,42 @@ def tuple_twin_quotient(g: Graph, dtype=np.float64, max_classes: int | None = No
     return labels, quotient, quotient.diagonal().copy()
 
 
+def loop_graph_arrays(n: int, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(edges, nbrs, offsets) of the graph on n vertices with ``pairs``, one Python tuple at a time.
+
+    Each pair is checked in input order (integer endpoints, numpy integers
+    read as ints, bools and floats refused; range; self-loop; a repeat of an
+    earlier pair through a set), the canonical tuples are sorted, and each
+    vertex's neighbour tuple is built and sorted on its own. Raises
+    ``Graph``'s error classes and messages, naming the first bad pair.
+    """
+    if n < 0:
+        raise OutOfRangeError(f"vertex count must be nonnegative, got {n}")
+    canon, seen = [], set()
+    for pair in pairs:
+        u, v = pair
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (u, v)):
+            raise OutOfRangeError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
+        u, v = int(u), int(v)
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise OutOfRangeError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+        if u == v:
+            raise SelfLoopError(f"edge ({u}, {v}) is a self-loop")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise DuplicateEdgeError(f"edge ({u}, {v}) duplicates {e}")
+        seen.add(e)
+        canon.append(e)
+    canon.sort()
+    adj = [[] for _ in range(n)]
+    for u, v in canon:
+        adj[u].append(v)
+        adj[v].append(u)
+    adj = [sorted(a) for a in adj]
+    offsets = np.cumsum([0] + [len(a) for a in adj], dtype=np.int64)
+    return (np.array(canon, np.int64).reshape(-1, 2), np.array([x for a in adj for x in a], np.int64), offsets)
+
+
 def loop_hypercube(dim: int) -> Graph:
     """Q_dim vertex by vertex: x joins x with one bit flipped, when that is larger."""
     n = 1 << dim
@@ -253,7 +296,7 @@ def loop_gadget(a: int, b: int, g: int) -> Graph:
 def brute_count_subgraph(g: Graph, h: Graph) -> int:
     """Edge subsets of g inducing a copy of h, checked by permutation search."""
     count = 0
-    for subset in itertools.combinations(g.edges, h.m):
+    for subset in itertools.combinations(edge_pairs(g), h.m):
         verts = sorted({x for e in subset for x in e})
         if len(verts) != h.n:
             continue
@@ -267,7 +310,7 @@ def brute_count_subgraph(g: Graph, h: Graph) -> int:
 def enumerate_multigraph_tuples(g: Graph, k: int) -> dict[MultiGraphPattern, int]:
     """Ordered edge k-tuples of g by multigraph class, walking each edge multiset once."""
     out: Counter = Counter()
-    for combo in itertools.combinations_with_replacement(g.edges, k):
+    for combo in itertools.combinations_with_replacement(edge_pairs(g), k):
         orderings = math.factorial(k)
         for r in Counter(combo).values():
             orderings //= math.factorial(r)
@@ -297,7 +340,7 @@ def brute_gamma(g: Graph) -> Fraction:
     best = Fraction(0)
     grid = np.array(list(itertools.product((0, 1, 2), repeat=n)), dtype=np.int8)
     ok = np.ones(len(grid), dtype=bool)
-    for u, v in g.edges:
+    for u, v in edge_pairs(g):
         ok &= grid[:, u] + grid[:, v] <= 2
     if ok.any():
         best = Fraction(int(grid[ok].sum(axis=1).max()), 2)
@@ -318,9 +361,9 @@ def brute_deficiency(g: Graph) -> int:
 
 def brute_automorphisms(g: Graph) -> int:
     count = 0
-    e = set(g.edges)
+    e = set(edge_pairs(g))
     for perm in itertools.permutations(range(g.n)):
-        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in e for u, v in g.edges):
+        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in e for u, v in e):
             count += 1
     return count
 

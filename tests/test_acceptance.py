@@ -86,7 +86,7 @@ def test_02_moment_engine_exactness():
 
 
 def _drop_isolated(g: Graph) -> Graph | None:
-    keep = [v for v in range(g.n) if g.degree(v) > 0]
+    keep = [v for v, d in enumerate(g.degrees) if d > 0]
     if len(keep) < 2:
         return None
     relabel = {v: i for i, v in enumerate(keep)}

@@ -350,7 +350,7 @@ class TestLimitCommand:
 COMPARE_KS = ["compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "ks", "--tol", "0.5"]
 
 
-# a path that cannot be read or written, and an empirical CSV with no value rows: usage errors
+# a path that cannot be read or written, an empirical CSV with no value rows and an edge file with a bad line: usage errors
 PATH_ERRORS = [
     (["compare", "--empirical", "e.csv", "--law", "missing.json", "--tol", "0.5"],
      "No such file or directory: 'missing.json'"),
@@ -362,9 +362,10 @@ PATH_ERRORS = [
       "--out", "no-such-dir/x.csv"], "No such file or directory: 'no-such-dir/x.csv'"),
     (["compare", "--empirical", "empty.csv", "--law", "law.json", "--tol", "0.5"],
      "--empirical empty.csv has no value rows"),
+    (["census", "--graph", "bad.edges"], "bad edge line '0 x'"),
 ]
 PATH_ERROR_IDS = ["missing-law", "missing-empirical", "missing-kernel-csv", "graph-is-a-directory",
-                  "out-in-missing-directory", "empirical-without-rows"]
+                  "out-in-missing-directory", "empirical-without-rows", "edge-file-with-a-non-integer"]
 
 
 @pytest.mark.parametrize("args,message", PATH_ERRORS, ids=PATH_ERROR_IDS)
@@ -374,6 +375,7 @@ def test_path_error_names_its_cause(runner, args, message, tmp_path, monkeypatch
     (tmp_path / "empty.csv").write_text("value,count\n# no rows\n")
     (tmp_path / "law.json").write_text(json.dumps({"kind": "poisson", "mean": 5.0}))
     (tmp_path / "a-directory").mkdir()
+    (tmp_path / "bad.edges").write_text("3 1\n0 x\n")
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert message in res.output

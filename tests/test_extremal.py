@@ -35,7 +35,7 @@ HALF = Fraction(1, 2)
 
 def random_no_isolated(n, p, seed):
     g = generate(ErdosRenyi(n, p, seed))
-    keep = [v for v in range(g.n) if g.degree(v) > 0]
+    keep = [v for v, d in enumerate(g.degrees) if d > 0]
     if len(keep) < 2:
         return None
     relabel = {v: i for i, v in enumerate(keep)}

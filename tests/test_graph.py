@@ -11,8 +11,10 @@ from oracles import (
     blow_up,
     blow_up_specs,
     brute_twin_classes,
+    edge_pairs,
     loop_gadget,
     loop_galton_watson,
+    loop_graph_arrays,
     loop_hypercube,
     tuple_twin_quotient,
 )
@@ -53,7 +55,8 @@ class TestConstruction:
     def test_triangle(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         assert g.m == 3
-        assert g.edges == ((0, 1), (0, 2), (1, 2))
+        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert not (g.edges.flags.writeable or g.nbrs.flags.writeable or g.offsets.flags.writeable)
 
     def test_equal_graphs_hash_equally(self):
         # the same edges in another order make an equal graph, and it keys the same dict entry
@@ -85,7 +88,7 @@ class TestConstruction:
 
     def test_numpy_integer_endpoints_round_trip(self):
         g = Graph(3, [(np.int64(2), np.int32(0)), (np.uint8(1), 2)])
-        assert g.edges == ((0, 2), (1, 2)) and all(type(x) is int for e in g.edges for x in e)
+        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 2], [1, 2]]
         assert to_edge_list_text(g) == "3 2\n0 2\n1 2\n"
         assert parse_edge_list_text(to_edge_list_text(g)) == g
 
@@ -101,6 +104,83 @@ class TestConstruction:
             assert u.dtype == v.dtype == np.int64, name
             assert u.shape == v.shape == (g.m,), name
             assert np.array_equal(u, old[:, 0]) and np.array_equal(v, old[:, 1]), name
+
+
+def assert_constructors_agree(n: int, pairs) -> None:
+    """Graph(n, pairs) has the loop oracle's edges, nbrs and offsets, or raises its error class and message."""
+    try:
+        want = loop_graph_arrays(n, pairs)
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            Graph(n, pairs)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    g = Graph(n, pairs)
+    for got, expected in zip((g.edges, g.nbrs, g.offsets), want):
+        assert got.dtype == np.int64 and got.shape == expected.shape and np.array_equal(got, expected)
+
+
+@st.composite
+def pair_lists(draw):
+    """(n, pairs): a simple graph's edges, each in either orientation, with up to four bad pairs mixed in.
+
+    A bad pair is out of range, a self-loop, a repeat of a drawn edge in
+    either orientation, or holds a bool, a float or an integer beyond int64;
+    some integer endpoints become numpy integers.
+    """
+    n = draw(st.integers(0, 9))
+    some = st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), unique=True) if n > 1 else st.just([])
+    pairs = [draw(st.sampled_from([e, e[::-1]])) for e in draw(some)]
+    vertex = st.integers(-2, n + 1)
+    odd = st.sampled_from([True, False, np.bool_(True), 1.0, np.float64(2.0), 2**70, -2**64])
+    bad = [st.tuples(vertex, vertex), st.tuples(vertex, vertex), st.one_of(st.tuples(vertex, odd), st.tuples(odd, vertex))]
+    if pairs:
+        bad += [st.sampled_from(pairs).flatmap(lambda e: st.sampled_from([e, e[::-1]]))] * 2
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 4]))):
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.one_of(bad)))
+    numpy_ints = st.sampled_from([int, np.int64, np.int32, np.intp])
+    return n, [tuple(draw(numpy_ints)(x) if type(x) is int and abs(x) < 2**31 else x for x in e) for e in pairs]
+
+
+class TestArrayConstructor:
+    """Graph's array constructor against the per-pair loop it replaced (``loop_graph_arrays``)."""
+
+    def test_catalog_and_families(self, catalog):
+        hosts = [g for _, g in catalog] + [generate(parse_family(spec)) for spec in (
+            "hypercube:5", "er:40:0.3:2", "regular:20:3:1", "gw:0.2,0.3,0.5:6:4", "gadget:2:3:5", "complete:0")]
+        for g in hosts:
+            pairs = edge_pairs(g)
+            for given in (pairs, [e[::-1] for e in reversed(pairs)], np.array(pairs, np.int64).reshape(-1, 2)):
+                assert_constructors_agree(g.n, given)
+            edges, nbrs, offsets = loop_graph_arrays(g.n, pairs)
+            assert np.array_equal(g.edges, edges) and np.array_equal(g.nbrs, nbrs)
+            assert np.array_equal(g.offsets, offsets)
+
+    @given(pair_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_pair_lists(self, case):
+        n, pairs = case
+        assert_constructors_agree(n, pairs)
+        if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) and abs(x) < 2**63 for e in pairs for x in e):
+            assert_constructors_agree(n, np.array(pairs, np.int64).reshape(-1, 2))  # the array path
+
+    @pytest.mark.parametrize("n,pairs", [
+        (4, [(0, 1), (3, 3), (1, 0), (0, 9)]),  # a self-loop before a repeat and an endpoint out of range
+        (4, [(0, 1), (1, 0), (3, 3)]),
+        (4, [(0, 5), (1, 2, 3)]),  # a pair of three is refused only after the pairs before it
+        (4, [(0, 1), (1, 2, 3)]),
+        (4, [(2, 1), (0, 2**70), (1.0, 2)]),
+        (4, [(2, 1), (True, 2), (0, 2**70)]),
+        (3, np.array([[2, 1], [0, 1], [1, 2]], np.uint8)),
+        (3, np.array([[2, 1], [0, 1]], np.float64)),  # an array of another dtype is read pair by pair
+        (3, np.array([[2, 1], [0, 1]], bool)),
+        (3, np.array([[2, 1, 0], [0, 1, 2]])),  # so is an integer array of another shape
+        (3, np.array([0, 1])),
+        (3, np.zeros(0, np.int64)),
+        (-1, []),
+    ])
+    def test_mixed_bad_pairs(self, n, pairs):
+        assert_constructors_agree(n, pairs)
 
 
 # -- twin quotient -------------------------------------------------------------------
@@ -253,6 +333,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="declares"):
             parse_edge_list_text("2 2\n0 1\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("# only a comment\n\n", "empty edge-list document"),
+        ("3\n", "header must be 'n m', got '3'"),
+        ("3 x\n0 1\n", "header must be 'n m', got '3 x'"),
+        ("3 2\n0 1\n", "header declares 2 edges but 1 lines follow"),
+        ("3 1\n0 1 2\n", "bad edge line '0 1 2'"),
+        ("3 1\n0\n", "bad edge line '0'"),
+        ("3 1\n0 x\n", "bad edge line '0 x'"),
+        ("3 1\n0 1.0\n", "bad edge line '0 1.0'"),
+    ], ids=["empty", "short-header", "header-not-integers", "count-mismatch", "three-tokens", "one-token",
+            "non-integer-token", "float-token"])
+    def test_malformed_documents(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_edge_list_text(text)
+        assert type(err.value) is ValueError and str(err.value) == message
+
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=50, deadline=None)
     def test_round_trip_random(self, n, data):
@@ -325,7 +421,7 @@ class TestRandomFamilies:
         grid[0][1] = grid[1][0] = 1.0
         grid[2][3] = grid[3][2] = 1.0
         g = generate(Inhomogeneous(n, tuple(map(tuple, grid)), 3))
-        assert g.edges == ((0, 1), (2, 3))
+        assert g.edges.tolist() == [[0, 1], [2, 3]]
 
     def test_inhomogeneous_validation(self):
         with pytest.raises(InfeasibleSpecError):
@@ -343,7 +439,7 @@ class TestRandomFamilies:
 
     def test_regular_degree_zero_is_edgeless(self):
         g = generate(RandomRegular(6, 0, 1))
-        assert (g.n, g.edges) == (6, ())
+        assert (g.n, g.edges.shape, g.edges.dtype) == (6, (0, 2), np.int64)
 
     def test_regular_deterministic(self):
         assert generate(RandomRegular(16, 3, 5)) == generate(RandomRegular(16, 3, 5))

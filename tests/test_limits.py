@@ -177,6 +177,18 @@ class TestLawEvaluation:
             assert law_cdf(law, -x) == 0.0
             assert law_cdf(law, x) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name", FAR_LAWS)
+    def test_cdf_is_a_probability(self, name):
+        law = FAR_LAWS[name]
+        for x in (-1e300, -1.0, 0.0, 0.5, 3.0, 40.0, 2500.0, 1e6, 1e154, 1e300):
+            assert 0.0 <= law_cdf(law, x) <= 1.0, x
+
+    def test_discrete_cdf_is_clamped_to_one(self):
+        # its pmf terms sum to 1.0000000000000002 in floating point
+        law = PoissonMixture(EmpiricalMixing((0.5, 2.0)))
+        assert sum(limits.law_pmf_terms(law, 10**6)) > 1.0
+        assert law_cdf(law, 1e300) == 1.0
+
     def test_cdf_of_an_unknown_law_raises_at_infinity_too(self):
         with pytest.raises(WrongLawKindError, match="unknown law"):
             law_cdf(PoissonMixing(1.0), math.inf)
