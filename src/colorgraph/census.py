@@ -40,7 +40,7 @@ from .errors import (
     SizeGateExceededError,
     UnsupportedLengthError,
 )
-from .graph import Graph, components
+from .graph import Blowup, Graph, components
 
 __all__ = [
     "MultiGraphPattern",
@@ -708,17 +708,17 @@ def _host_invariants(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
     u, v = g.edge_arrays()
     s = (np.bincount(u, d[v], g.n) + np.bincount(v, d[u], g.n)).astype(np.int64)
     if g.n <= _SMALL_HOST:  # the blow-up of B = A, with no twin search
-        a = g.adjacency_matrix(np.float32)
-        return (d, s, *_quotient_invariants(np.arange(g.n), a, np.zeros(g.n, np.float32)))
+        singletons = Blowup(np.arange(g.n), np.ones(g.n, np.int64), g.adjacency_matrix(np.float32))
+        return (d, s, *_quotient_invariants(singletons))
     wedges = int(np.minimum(d[u], d[v]).sum())  # bounds the oriented wedges
     classes = min(round((_MATMUL_PER_WEDGE * wedges) ** (1 / 3)), _MAX_CLASSES)
     quotient = g.twin_quotient(np.float32 if g.n < 2**24 else np.float64, max_classes=classes)
     if quotient is not None:
-        return (d, s, *_quotient_invariants(*quotient))
+        return (d, s, *_quotient_invariants(quotient))
     return (d, s, *_wedge_invariants(g.n, d, u, v))
 
 
-def _quotient_invariants(labels: np.ndarray, b: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
+def _quotient_invariants(quotient: Blowup) -> tuple[np.ndarray, int]:
     """(t, w) of a blow-up: A = the blow-up of B, less the identity on clique classes.
 
     Two distinct vertices of classes i and j have codeg (B D B)[i, j] less
@@ -727,15 +727,14 @@ def _quotient_invariants(labels: np.ndarray, b: np.ndarray, q: np.ndarray) -> tu
     in the blocks of ``rng.batches`` at 16 k entries a row. B D B is exact
     in float32 while n < 2^24: no entry or partial sum exceeds n.
     """
-    sizes = np.bincount(labels)
-    k = sizes.size
+    b, q, sizes, k = quotient.blocks, quotient.blocks.diagonal(), quotient.sizes, quotient.k
     triangles, w = np.zeros(k, np.int64), 0
     for rows in rng.batches(0, k, 16 * k):
         codeg = ((b[rows] * sizes.astype(b.dtype)) @ b - (q[rows, None] + q) * b[rows]).astype(np.int64)
         others = sizes - (rows[:, None] == np.arange(k))
         triangles[rows] = (b[rows] * others * codeg).sum(axis=1).astype(np.int64) // 2
         w += _exact_sum(np.repeat(sizes[rows], k), others.ravel(), codeg.ravel(), codeg.ravel())
-    return triangles[labels], w
+    return triangles[quotient.labels], w
 
 
 def _wedge_invariants(n: int, d: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:

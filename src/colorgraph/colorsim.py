@@ -16,11 +16,11 @@ per call by ``_kernel_for``: a one-hot float32 GEMM on the twin quotient
 of the host, a sort of each coloring's (color, class) keys on the same
 quotient, or a gather that compares colors along edges, cycles or the
 neighbour lists of ``Graph.nbrs``, one contiguous row per vertex looked
-up. The quotient kernels read the host as a blow-up of its k twin classes
-(``Graph.twin_quotient``): with h_a the per-class count of color a and B
-the k x k quotient, a vertex of class j and color a has
-d = (B h_a - q)_j neighbours of its color, and the kernels count one star
-order r, sum_v C(d_v, r). Edges are 1-stars halved:
+up. The quotient kernels take ``Graph.twin_quotient``'s ``Blowup``, the
+host as a blow-up of its k twin classes: with h_a the per-class count of
+color a, B the k x k quotient and q its diagonal, a vertex of class j and
+color a has d = (B h_a - q)_j neighbours of its color, and the kernels
+count one star order r, sum_v C(d_v, r), over a share. Edges are 1-stars halved:
 N = 1/2 sum_a h_a' (B h_a - q), which is 1/2 sum_a x_a' A x_a. So the
 complete host counts from its color-class sizes, and a twin-free host
 (k = n, B = A) runs the plain adjacency GEMM. The GEMM makes one pass per
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import census, rng
 from .errors import BadColorVectorError, EnumerationGateExceededError
-from .graph import Graph, Params
+from .graph import Blowup, Graph, Params
 
 __all__ = [
     "MonoEdges",
@@ -104,30 +104,28 @@ def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->i", x, y, dtype=np.int64, casting="unsafe")
 
 
-def _gemm_counts(quotient, c: int, r: int, colors: np.ndarray) -> np.ndarray:
-    """Monochromatic r-stars sum_v C(mono-degree of v, r) per column, from class histograms.
+def _gemm_counts(quotient: Blowup, c: int, r: int, share: int, colors: np.ndarray) -> np.ndarray:
+    """Monochromatic r-stars sum_v C(mono-degree of v, r) per column, from class histograms, over ``share``.
 
-    ``quotient`` is ``Graph.twin_quotient(np.float32)``: vertex labels, the
-    k x k 0/1 quotient B and the clique flags q. For color a, the histogram
-    h_a = P' x_a counts the vertices of each class that have color a (P is
-    the n x k class membership, x_a the (n, batch) indicator of a), and
-    d_a = B h_a - q is the number of color-a neighbours of each of them. So
-    the r-stars are sum_a h_a . C(d_a, r), over the entries with h_a > 0;
-    r = 1 gives sum_v d_v, twice the monochromatic edges. A twin-free host
+    ``quotient`` is a ``Blowup`` with float32 blocks B, clique flags q its diagonal.
+    For color a, the histogram h_a = P' x_a counts the vertices of each
+    class that have color a (P is the n x k class membership, x_a the
+    (n, batch) indicator of a), and d_a = B h_a - q is the number of color-a
+    neighbours of each of them. So the r-stars are sum_a h_a . C(d_a, r),
+    over the entries with h_a > 0; r = 1 gives sum_v d_v, twice the
+    monochromatic edges, which ``share`` = 2 halves. A twin-free host
     has k = n, P = I and B = A: there d_a = A x_a, and r >= 2 takes C(., r)
     once of each vertex's mono-degree sum_a x_a * d_a. B h_a is a float32
     GEMM, and the mono-degrees are float32 sums of one nonzero term each,
     exact while n < 2^24; every other product and sum is in int64.
     """
-    labels, blocks, clique = quotient
-    twin_free = clique.size == labels.size
+    twin_free = quotient.k == quotient.labels.size
     if not twin_free:  # rows in class order: each histogram entry sums one run of rows
-        order = np.argsort(labels, kind="stable")
-        starts = np.searchsorted(labels[order], np.arange(clique.size))
-        colors = colors[order]
+        starts = np.cumsum(quotient.sizes) - quotient.sizes
+        colors = colors[np.argsort(quotient.labels, kind="stable")]
     # one buffer each for x_a, h_a and d_a, reused by every color: fresh pages per color cost more
     x = np.empty(colors.shape, dtype=np.float32)
-    hist = x if twin_free else np.empty((clique.size, colors.shape[1]), dtype=np.float32)
+    hist = x if twin_free else np.empty((quotient.k, colors.shape[1]), dtype=np.float32)
     deg = np.empty(hist.shape, dtype=np.float32)
     total = np.zeros(colors.shape[1], dtype=np.int64)
     mono_deg = np.zeros(colors.shape, dtype=np.float32) if twin_free and r > 1 else None
@@ -136,9 +134,9 @@ def _gemm_counts(quotient, c: int, r: int, colors: np.ndarray) -> np.ndarray:
         np.equal(colors, a, out=x)
         if not twin_free:
             np.add.reduceat(x, starts, axis=0, out=hist)
-        np.matmul(blocks, hist, out=deg)
+        np.matmul(quotient.blocks, hist, out=deg)
         if not twin_free:
-            deg -= clique[:, None]
+            deg -= quotient.blocks.diagonal()[:, None]
         if r == 1:
             total += _column_dots(hist, deg)
         elif twin_free:
@@ -146,7 +144,7 @@ def _gemm_counts(quotient, c: int, r: int, colors: np.ndarray) -> np.ndarray:
             mono_deg += deg
         else:
             total += _column_dots(hist, _comb_array(np.maximum(deg, 0).astype(np.int64), r))
-    return total if mono_deg is None else _comb_array(mono_deg.astype(np.int64), r).sum(axis=0)
+    return (total if mono_deg is None else _comb_array(mono_deg.astype(np.int64), r).sum(axis=0)) // share
 
 
 def _neighbour_columns(g: Graph) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -192,29 +190,28 @@ def _tuple_counts(tuples: np.ndarray, by_vertex: np.ndarray) -> np.ndarray:
     return np.count_nonzero(mono, axis=0).astype(np.int64)
 
 
-def _sorted_counts(quotient, c: int, r: int, colors: np.ndarray) -> np.ndarray:
-    """Monochromatic r-stars per column from each column's sorted (color, class) keys.
+def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, colors: np.ndarray) -> np.ndarray:
+    """Monochromatic r-stars per column from each column's sorted (color, class) keys, over ``share``.
 
-    ``quotient`` is ``Graph.twin_quotient``'s (labels, B, q). Sorting the
-    keys color * k + label down each column puts the vertices of one color
-    next to each other, classes in order, so the class sizes h_a of each
-    color present are read off the runs of equal colors. A vertex of class j
-    and color a has d = (B h_a)_j - q_j neighbours of its color, the identity
+    Sorting the keys color * k + label of the ``Blowup`` ``quotient`` down
+    each column puts the vertices of one color next to each other, classes
+    in order, so the class sizes h_a of each color present are read off the
+    runs of equal colors. A vertex of class j and color a has
+    d = (B h_a)_j - q_j neighbours of its color, the identity
     ``_gemm_counts`` uses, and r-stars = sum C(d, r); r = 1 sums d itself,
     twice the monochromatic edges. A vertex alone in its color has d = 0, so
     only runs of two or more vertices are read: about m / c pairs per column
     on K_n. The keys take the narrowest dtype holding c * k - 1, which
     ``_kernel_for`` keeps in int64.
     """
-    labels, blocks, clique = quotient
     n, batch = colors.shape
-    k = clique.size
+    k = quotient.k
     total = np.zeros(batch, dtype=np.int64)
     if n < 2:
         return total
     keys = colors.astype(rng._narrow_dtype(c * k - 1))
     keys *= k
-    keys += labels.astype(keys.dtype)[:, None]
+    keys += quotient.labels.astype(keys.dtype)[:, None]
     keys.sort(axis=0)
     color = keys // k
     # links: sorted positions p and p + 1 of a column share a color; flat index column * (n - 1) + p
@@ -229,15 +226,10 @@ def _sorted_counts(quotient, c: int, r: int, colors: np.ndarray) -> np.ndarray:
     member_col = np.concatenate((column[heads], column))
     member_label = keys[np.concatenate((pos[heads], pos + 1)), member_col] % k
     hist = np.bincount(member_run * k + member_label, minlength=heads.size * k).reshape(-1, k)
-    blocks = blocks.astype(np.int64)
-    deg = _column_dots(hist[member_run].T, blocks[member_label].T) - clique.astype(np.int64)[member_label]
+    blocks = quotient.blocks.astype(np.int64)
+    deg = _column_dots(hist[member_run].T, blocks[member_label].T) - blocks.diagonal()[member_label]
     np.add.at(total, member_col, deg if r == 1 else _comb_array(deg, r))
-    return total
-
-
-def _quotient_count(counts, quotient, c: int, r: int, share: int, colors: np.ndarray) -> np.ndarray:
-    """A quotient kernel's r-stars per column, divided by ``share``: edges are 1-stars halved."""
-    return counts(quotient, c, r, colors) // share
+    return total // share
 
 
 class _Kernel(NamedTuple):
@@ -285,7 +277,7 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
         quotient = g.twin_quotient(np.float32, max_classes)
     costs = {"gather": gather}
     if quotient is not None:
-        k = quotient[2].size
+        k = quotient.k
         if k <= gemm_classes:
             costs["gemm"] = c * (n + k * k)
         if k <= sort_classes:
@@ -297,7 +289,7 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
     # row costs: colors, indicator, histogram, degrees; colors, keys and masks, link and vertex
     # arrays, class histograms
     counts, row_cost = (_gemm_counts, 2 * (n + k)) if name == "gemm" else (_sorted_counts, n * (15 + 3 * k))
-    return _Kernel(name, functools.partial(_quotient_count, counts, quotient, c, r, share), row_cost)
+    return _Kernel(name, functools.partial(counts, quotient, c, r, share), row_cost)
 
 
 def mono_count(g: Graph, colors, stat: Statistic) -> int:

@@ -35,6 +35,7 @@ from .errors import (
 
 __all__ = [
     "Graph",
+    "Blowup",
     "components",
     "basic_stats",
     "BasicStats",
@@ -127,19 +128,15 @@ class Graph:
         """Endpoint arrays (U, V) of shape (m,), the columns of ``edges``."""
         return self.edges[:, 0], self.edges[:, 1]
 
-    def twin_quotient(self, dtype=np.float64, max_classes: int | None = None):
+    def twin_quotient(self, dtype=np.float64, max_classes: int | None = None) -> Blowup | None:
         """The graph as a blow-up of its twin classes; built per call, never cached.
 
         Vertices with one open neighbourhood (false twins, pairwise
         nonadjacent) form a class; of the vertices left alone, those with one
         closed neighbourhood (true twins, a clique) form a class. No vertex
-        has twins of both kinds. Returns ``(labels, B, q)``: the class of each
-        vertex, classes numbered by their smallest vertex; the k x k 0/1
-        quotient B in ``dtype``, with B[i, j] = 1 when classes i and j are
-        joined and B[i, i] = 1 on a clique class; and the clique flags q, the
-        diagonal of B. Distinct u and v are adjacent iff B[labels[u],
-        labels[v]] = 1, and a twin-free graph has k = n, labels 0..n-1 and
-        B = A. None when there are more than ``max_classes`` classes, found
+        has twins of both kinds. Returns the :class:`Blowup` of these classes,
+        its blocks in ``dtype``; a twin-free graph has k = n, labels 0..n-1
+        and B = A. None when there are more than ``max_classes`` classes, found
         before B is built and, on sparse twin-free hosts, before the closed
         neighbourhoods are grouped.
 
@@ -163,13 +160,13 @@ class Graph:
             if not (np.array_equal(degree[root], degree)
                     and np.array_equal(nbrs[moved], nbrs[np.flatnonzero(moved) + shift])):
                 continue
-            sizes = np.bincount(root, minlength=self.n)
-            alone = np.flatnonzero(sizes == 1)
+            open_sizes = np.bincount(root, minlength=self.n)
+            alone = np.flatnonzero(open_sizes == 1)
             if max_classes is not None:
                 # true twins of degree d form cliques of at most d + 1 vertices: a floor on k
                 alone_by_degree = np.bincount(degree[alone])
                 cliques = -(-alone_by_degree // np.arange(1, alone_by_degree.size + 1))  # ceil(count / (d + 1))
-                if np.count_nonzero(sizes > 1) + cliques.sum() > max_classes:
+                if np.count_nonzero(open_sizes > 1) + cliques.sum() > max_classes:
                     return None
             closed = alone[_first_equal(open_hash[alone] + weight[alone])]  # by the closed hash
             root[alone] = closed
@@ -179,16 +176,15 @@ class Graph:
                 return None
             rows = np.repeat(labels, degree)  # the class of each entry's owner
             lead = (root == vertices)[owner]  # the entries of the representatives' lists
-            quotient = np.zeros((k, k), dtype=dtype)
-            quotient[rows[lead], labels[nbrs[lead]]] = 1
-            clique = quotient.diagonal().copy()
+            blowup = Blowup(labels, np.bincount(labels, minlength=k), np.zeros((k, k), dtype=dtype))
+            blowup.blocks[rows[lead], labels[nbrs[lead]]] = 1
             if np.array_equal(closed, alone):
-                return labels, quotient, clique
+                return blowup
             # exact: the blow-up holds every edge and, having m edges too, is the graph
-            class_sizes = np.bincount(labels, minlength=k)
-            if (quotient[rows, labels[nbrs]].all()
-                    and class_sizes @ (quotient != 0) @ class_sizes - class_sizes @ (clique != 0) == 2 * self.m):
-                return labels, quotient, clique
+            sizes, linked = blowup.sizes, blowup.blocks != 0
+            if (blowup.blocks[rows, labels[nbrs]].all()
+                    and sizes @ linked @ sizes - sizes @ linked.diagonal() == 2 * self.m):
+                return blowup
 
     def component_count(self) -> int:
         return len(components(self.n, self.edges.tolist()))
@@ -206,6 +202,22 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+@dataclass(frozen=True, eq=False)
+class Blowup:
+    """A graph as the blow-up of a k x k 0/1 quotient B = ``blocks`` on classes of ``sizes`` vertices.
+
+    Vertex v lies in class ``labels[v]``, classes numbered by their smallest vertex. Distinct u and v
+    are adjacent iff B[labels[u], labels[v]] = 1; the diagonal q of B flags the clique classes."""
+
+    labels: np.ndarray
+    sizes: np.ndarray
+    blocks: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.sizes.size
 
 
 def _integer_pairs(n: int, pairs: list) -> tuple[np.ndarray, Exception | None]:

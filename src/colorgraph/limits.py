@@ -752,7 +752,7 @@ def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitL
     above 1e-1 the host is treated as dense and the normalized spectrum
     drives a weighted chi-square law for (N - m/c)/sqrt(2m); the zone
     between is reported as ambiguous rather than guessed. Only the dense
-    case builds a spectrum, so only it meets the n <= 4000 size gate. A
+    case builds a spectrum, so only it meets the gate of 4000 twin classes. A
     complete or complete bipartite family spec has a closed-form law; any
     other spec is built, and its graph decides.
     """

@@ -1,9 +1,9 @@
 """Adjacency spectra, trace powers, and spectral cycle bounds.
 
-The full symmetric eigendecomposition is delegated to LAPACK via
-``numpy.linalg.eigvalsh`` behind a hard dense-size gate; the returned
-spectrum is validated against the exact trace identities sum(lambda) = 0 and
-sum(lambda^2) = 2m before it is handed out.
+A graph is the blow-up of its k twin classes, a step graphon, so its spectrum is that of a
+k x k matrix plus known class eigenvalues (Lovasz 2012, *Large Networks and Graph Limits*,
+ch. 5). LAPACK's ``numpy.linalg.eigvalsh`` takes the k x k matrix behind a hard gate on k; the
+spectrum is validated against the trace identities sum(lambda) = 0 and sum(lambda^2) = 2m.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConvergenceFailureError, SizeGateExceededError
 from .graph import Graph
 
-__all__ = ["Spectrum", "eigenvalues", "check_dense_size", "cycle_upper_bound", "CycleBound"]
+__all__ = ["Spectrum", "eigenvalues", "cycle_upper_bound", "CycleBound"]
 
 DENSE_SIZE_GATE = 4000
 _TRACE_TOL = 1e-8
@@ -40,9 +40,7 @@ class Spectrum:
 
     @property
     def max_abs(self) -> float:
-        if self.eigenvalues.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.eigenvalues)))
+        return float(np.abs(self.eigenvalues).max(initial=0.0))
 
     @property
     def usn_ratio(self) -> float:
@@ -57,33 +55,31 @@ class Spectrum:
         return float(np.sum(self.eigenvalues**g))
 
 
-def check_dense_size(g: Graph) -> None:
-    """Raise SizeGateExceededError when ``g`` is too large for :func:`eigenvalues`."""
-    if g.n > DENSE_SIZE_GATE:
-        raise SizeGateExceededError(
-            f"dense eigendecomposition is gated at n <= {DENSE_SIZE_GATE}, got n = {g.n}"
-        )
-
-
 def eigenvalues(g: Graph) -> Spectrum:
-    """Full adjacency spectrum of ``g`` (dense; gated at n <= 4000)."""
-    check_dense_size(g)
-    if g.n == 0:
-        vals = np.zeros(0)
-    else:
-        try:
-            vals = np.linalg.eigvalsh(g.adjacency_matrix(np.float64))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailureError(f"eigendecomposition failed: {exc}") from exc
-    vals = np.sort(vals)[::-1].copy()
+    """Full adjacency spectrum of ``g`` from its ``Blowup`` (gated at k <= 4000 twin classes).
+
+    Vectors constant on each class give the eigenvalues of D^1/2 B D^1/2 - diag q, D = diag(sizes);
+    those summing to zero on class j give -q_j, s_j - 1 times. On a twin-free host that matrix is A."""
+    quotient = g.twin_quotient(np.float64, DENSE_SIZE_GATE)
+    if quotient is None:
+        raise SizeGateExceededError(f"the spectrum is gated at k <= {DENSE_SIZE_GATE} twin classes; n = {g.n} has more")
+    # in place in this call's B; sqrt(s_i s_j) is exact on a square product, so K_{3,3} gives +-3
+    blocks, clique, sizes = quotient.blocks, quotient.blocks.diagonal().copy(), quotient.sizes.astype(np.float64)
+    scale = np.multiply.outer(sizes, sizes)
+    blocks *= np.sqrt(scale, out=scale)
+    blocks[np.diag_indices(quotient.k)] -= clique
+    try:
+        vals = np.linalg.eigvalsh(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailureError(f"eigendecomposition failed: {exc}") from exc
+    vals = np.sort(np.concatenate((vals, np.repeat(0.0 - clique, quotient.sizes - 1))))[::-1].copy()  # 0.0 - q: no -0.0
     vals.setflags(write=False)
-    spec = Spectrum(vals)
     if abs(float(np.sum(vals))) > _TRACE_TOL:
         raise ConvergenceFailureError("spectrum failed the zero-trace identity")
     two_m = 2.0 * g.m
     if abs(float(np.sum(vals**2)) - two_m) > _TRACE_TOL * (1.0 + two_m):
         raise ConvergenceFailureError("spectrum failed the tr(A^2) = 2m identity")
-    return spec
+    return Spectrum(vals)
 
 
 @dataclass(frozen=True)

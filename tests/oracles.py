@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from colorgraph import rng
 from colorgraph.census import MultiGraphPattern, _refine_classes
 from colorgraph.errors import DuplicateEdgeError, OutOfRangeError, SelfLoopError
-from colorgraph.graph import Graph
+from colorgraph.graph import Blowup, Graph
 
 
 def edge_pairs(g: Graph) -> list[tuple[int, int]]:
@@ -221,7 +221,7 @@ def tuple_twin_quotient(g: Graph, dtype=np.float64, max_classes: int | None = No
     cols = labels[np.fromiter(itertools.chain.from_iterable(rep_nbrs), np.int64, rows.size)]
     quotient = np.zeros((k, k), dtype=dtype)
     quotient[rows, cols] = 1
-    return labels, quotient, quotient.diagonal().copy()
+    return Blowup(labels, np.bincount(labels, minlength=k), quotient)
 
 
 def loop_graph_arrays(n: int, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -316,6 +316,11 @@ def enumerate_multigraph_tuples(g: Graph, k: int) -> dict[MultiGraphPattern, int
             orderings //= math.factorial(r)
         out[MultiGraphPattern.from_edges(combo)] += orderings
     return dict(out)
+
+
+def dense_eigenvalues(g: Graph) -> np.ndarray:
+    """The adjacency spectrum, descending, by ``eigvalsh`` of the dense n x n matrix."""
+    return np.sort(np.linalg.eigvalsh(g.adjacency_matrix(np.float64)))[::-1]
 
 
 def trace_powers(g: Graph) -> tuple[int, int]:

@@ -10,8 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import colorgraph
-from colorgraph import limits, stats
+from colorgraph import limits, spectral, stats
 from colorgraph.cli import main
+from colorgraph.graph import ErdosRenyi, generate, to_edge_list_text
 
 
 @pytest.fixture
@@ -498,6 +499,7 @@ class TestBirthday:
         (["limit", "--graph", "regular:5000:3:1", "--colors", "2"], 0),
         (["limit", "--graph", "star:5000", "--colors", "2"], 0),
         (["limit", "--graph", "dense.edges", "--colors", "2"], 3),
+        (["limit", "--graph", "blowup.edges", "--colors", "2"], 0),
         (["extremal", "--graph", "cycle:3001"], 0),
         *((args, 2) for args, _ in PATH_ERRORS),
         *((args, 2) for args, _ in UNJUDGEABLE_COMPARES),
@@ -508,7 +510,8 @@ class TestBirthday:
             "zero-scale", "negative-scale",
             "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol", "inf-poisson-mean",
             "fractional-dof", "nan-offspring", "sparse-host-above-size-gate", "star-above-size-gate",
-            "dense-host-above-size-gate", "long-cycle-extremal", *PATH_ERROR_IDS, *UNJUDGEABLE_IDS, *USAGE_ERROR_IDS])
+            "dense-host-above-size-gate", "dense-blow-up-below-class-gate", "long-cycle-extremal",
+            *PATH_ERROR_IDS, *UNJUDGEABLE_IDS, *USAGE_ERROR_IDS])
     def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the compare rows read these files
         write_compare_inputs(tmp_path)
@@ -517,9 +520,12 @@ class TestBirthday:
         (tmp_path / "inf-mean.json").write_text(json.dumps({"kind": "poisson", "mean": math.inf}))
         (tmp_path / "half-dof.json").write_text(json.dumps(
             {"kind": "weighted_chi_square", "weights": [1.0], "dof": 1.5, "scale": 0.25}))
-        if "dense.edges" in args:  # K_{2,3999}: n = 4001 and four-cycle ratio 0.125, so a spectrum is needed
+        if "dense.edges" in args:  # dense (four-cycle ratio above 0.1), so a spectrum is needed, and twin-free
+            (tmp_path / "dense.edges").write_text(to_edge_list_text(generate(ErdosRenyi(60, 0.5, 3))))
+            monkeypatch.setattr(spectral, "DENSE_SIZE_GATE", 59)  # below its 60 twin classes
+        if "blowup.edges" in args:  # K_{2,3999}: n = 4001 and four-cycle ratio 0.125, but 2 twin classes
             edges = [(i, j) for i in range(2) for j in range(2, 4001)]
-            (tmp_path / "dense.edges").write_text(f"4001 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+            (tmp_path / "blowup.edges").write_text(f"4001 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
         res = runner.invoke(main, args)
         assert res.exit_code == code, res.output
 

@@ -32,6 +32,7 @@ from colorgraph.colorsim import (
 )
 from colorgraph.errors import BadColorVectorError, DomainExceededError, EnumerationGateExceededError
 from colorgraph.graph import (
+    Blowup,
     Complete,
     CompleteBipartite,
     Cycle,
@@ -338,7 +339,7 @@ def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray) -> None:
     """Every kernel against the loop oracle; the GEMM and the sort on the twin quotient and
     on the quotient of singletons (labels 0..n-1, B = A), which any graph also is."""
     rows = colors.T.astype(np.int64).tolist()
-    singletons = (np.arange(g.n), g.adjacency_matrix(np.float32), np.zeros(g.n, dtype=np.float32))
+    singletons = Blowup(np.arange(g.n), np.ones(g.n, np.int64), g.adjacency_matrix(np.float32))
     for kind, order, stat in KERNEL_STATS:
         expected = np.array(loop_mono_counts(g, rows, kind, order), dtype=np.int64)
         gathered = _gather_for(g, stat).count(colors)
@@ -346,11 +347,11 @@ def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray) -> None:
         if kind != "cycles":
             r, share = (1, 2) if kind == "edges" else (order, 1)  # edges are 1-stars halved
             for quotient in (g.twin_quotient(np.float32), singletons):
-                gemm = _gemm_counts(quotient, c, r, colors) // share
-                assert np.array_equal(gemm, expected), (kind, order, c, quotient[2].size)
-                by_sort = _sorted_counts(quotient, c, r, colors) // share
+                gemm = _gemm_counts(quotient, c, r, share, colors)
+                assert np.array_equal(gemm, expected), (kind, order, c, quotient.k)
+                by_sort = _sorted_counts(quotient, c, r, share, colors)
                 assert by_sort.dtype == np.int64
-                assert np.array_equal(by_sort, expected), ("sorted", kind, order, c, quotient[2].size)
+                assert np.array_equal(by_sort, expected), ("sorted", kind, order, c, quotient.k)
 
 
 class TestKernelsAgainstLoops:

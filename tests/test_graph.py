@@ -30,6 +30,7 @@ from colorgraph.errors import (
     SelfLoopError,
 )
 from colorgraph.graph import (
+    Blowup,
     Complete,
     CompleteBipartite,
     Cycle,
@@ -186,13 +187,13 @@ class TestArrayConstructor:
 # -- twin quotient -------------------------------------------------------------------
 
 
-def assert_twin_quotient_rebuilds(g: Graph) -> tuple:
+def assert_twin_quotient_rebuilds(g: Graph) -> Blowup:
     """twin_quotient(g) rebuilds g exactly and its classes are the brute-force twin classes."""
-    labels, blocks, clique = g.twin_quotient()
-    k = clique.size
+    quotient = g.twin_quotient()
+    labels, blocks, k = quotient.labels, quotient.blocks, quotient.k
     assert labels.shape == (g.n,) and blocks.shape == (k, k)
     assert np.array_equal(blocks, blocks.T) and set(np.unique(blocks)) <= {0.0, 1.0}
-    assert np.array_equal(clique, np.diagonal(blocks))
+    assert quotient.sizes.tolist() == np.bincount(labels, minlength=k).tolist()
     firsts = [labels.tolist().index(i) for i in range(k)]
     assert firsts == sorted(firsts)  # classes are numbered by their smallest vertex
     rebuilt = Graph(g.n, [(u, v) for u, v in itertools.combinations(range(g.n), 2)
@@ -200,10 +201,10 @@ def assert_twin_quotient_rebuilds(g: Graph) -> tuple:
     assert rebuilt == g
     classes = {frozenset(np.flatnonzero(labels == i).tolist()) for i in range(k)}
     assert classes == brute_twin_classes(g)
-    assert np.array_equal(g.twin_quotient(max_classes=k)[0], labels)
+    assert np.array_equal(g.twin_quotient(max_classes=k).labels, labels)
     assert g.twin_quotient(max_classes=k - 1) is None
     assert_twin_quotient_matches_tuples(g)
-    return labels, blocks, clique
+    return quotient
 
 
 def assert_twin_quotient_matches_tuples(g: Graph) -> None:
@@ -213,7 +214,8 @@ def assert_twin_quotient_matches_tuples(g: Graph) -> None:
                                (np.float32, 1)):
         got, want = g.twin_quotient(dtype, max_classes), tuple_twin_quotient(g, dtype, max_classes)
         assert (got is None) == (want is None), (dtype, max_classes)
-        for a, b in zip(got or (), want or ()):
+        for field in ("labels", "sizes", "blocks") if got else ():
+            a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (dtype, max_classes)
 
 
@@ -233,8 +235,8 @@ class TestTwinQuotient:
     @settings(max_examples=80, deadline=None)
     @given(blow_up_specs())
     def test_hypothesis_blow_ups(self, spec):
-        *_, clique = assert_twin_quotient_rebuilds(blow_up(*spec))
-        assert clique.size <= len(spec[2])  # each block lies inside one twin class
+        # each block lies inside one twin class
+        assert assert_twin_quotient_rebuilds(blow_up(*spec)).k <= len(spec[2])
 
     @pytest.mark.parametrize("spec,classes,cliques", [
         (Complete(2), [[0, 1]], [1]),
@@ -248,26 +250,27 @@ class TestTwinQuotient:
         (Cycle(5), [[0], [1], [2], [3], [4]], [0, 0, 0, 0, 0]),
     ])
     def test_named_hosts(self, spec, classes, cliques):
-        labels, blocks, clique = generate(spec).twin_quotient()
-        assert [np.flatnonzero(labels == i).tolist() for i in range(clique.size)] == classes
-        assert clique.tolist() == cliques
+        quotient = generate(spec).twin_quotient()
+        assert [np.flatnonzero(quotient.labels == i).tolist() for i in range(quotient.k)] == classes
+        assert quotient.sizes.tolist() == list(map(len, classes))
+        assert quotient.blocks.diagonal().tolist() == cliques
 
     def test_twin_free_host_is_its_own_quotient(self):
         g = generate(ErdosRenyi(40, 0.5, 3))
-        labels, blocks, clique = g.twin_quotient(np.float32)
-        assert labels.tolist() == list(range(g.n))
-        assert blocks.dtype == np.float32
-        assert np.array_equal(blocks, g.adjacency_matrix(np.float32))
-        assert not clique.any()
+        quotient = g.twin_quotient(np.float32)
+        assert quotient.labels.tolist() == list(range(g.n)) and quotient.sizes.tolist() == [1] * g.n
+        assert quotient.blocks.dtype == np.float32
+        assert np.array_equal(quotient.blocks, g.adjacency_matrix(np.float32))
+        assert not quotient.blocks.diagonal().any()
 
     def test_max_classes(self, monkeypatch):
         g = generate(CompleteBipartite(3, 4))
         assert g.twin_quotient(max_classes=1) is None
-        assert g.twin_quotient(max_classes=2)[2].size == 2
+        assert g.twin_quotient(max_classes=2).k == 2
         # three disjoint edges: six open singletons of degree 1 need at least 3 classes, and get 3
         matching = Graph(6, [(0, 1), (2, 3), (4, 5)])
         assert matching.twin_quotient(max_classes=2) is None
-        assert matching.twin_quotient(max_classes=3)[0].tolist() == [0, 0, 1, 1, 2, 2]
+        assert matching.twin_quotient(max_classes=3).labels.tolist() == [0, 0, 1, 1, 2, 2]
         # a twin-free cubic host: the floor of 2000 / 4 classes is over the limit, so the
         # closed neighbourhoods are never grouped: one grouping, the open one
         cubic = generate(RandomRegular(2000, 3, 5))
@@ -305,14 +308,14 @@ class TestTwinQuotient:
 
         monkeypatch.setattr(graph_module.rng, "words", words)
         g = generate(Path(3))
-        labels, _, _ = g.twin_quotient()
-        assert labels.tolist() == [0, 1, 2, 3] and salts == [0, 1]
+        assert g.twin_quotient().labels.tolist() == [0, 1, 2, 3] and salts == [0, 1]
 
     def test_edgeless_and_empty(self):
-        labels, blocks, clique = Graph(3, []).twin_quotient()
-        assert labels.tolist() == [0, 0, 0] and blocks.tolist() == [[0.0]]
-        labels, blocks, clique = Graph(0, []).twin_quotient()
-        assert labels.size == 0 and blocks.shape == (0, 0) and clique.size == 0
+        quotient = Graph(3, []).twin_quotient()
+        assert quotient.labels.tolist() == [0, 0, 0] and quotient.sizes.tolist() == [3]
+        assert quotient.blocks.tolist() == [[0.0]]
+        quotient = Graph(0, []).twin_quotient()
+        assert quotient.labels.size == 0 and quotient.blocks.shape == (0, 0) and quotient.k == 0
 
 
 class TestSerialization:

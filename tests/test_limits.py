@@ -522,13 +522,32 @@ class TestLimitSelector:
         monkeypatch.setattr(spectral, "eigenvalues", refuse)
         assert limit_for(generate(RandomRegular(600, 3, 2)), Fixed(2)) == Normal(0.0, 0.5)
 
-    def test_size_gate_applies_only_to_the_spectrum(self):
+    def test_size_gate_applies_only_to_the_spectrum(self, monkeypatch):
         n = spectral.DENSE_SIZE_GATE + 1
         assert limit_for(Graph(n, [(0, 1)]), Fixed(2)) == Normal(0.0, 0.5)
-        # K_{2, n-2} has four-cycle ratio C(n-2, 2) / (2(n-2))^2 > 0.1: dense, so it needs the spectrum
-        dense = Graph(n, [(i, j) for i in range(2) for j in range(2, n)])
+        # K_{2, n-2} has four-cycle ratio C(n-2, 2) / (2(n-2))^2 > 0.1: dense, so it needs the
+        # spectrum, and its two twin classes pass the gate on classes
+        law = limit_for(Graph(n, [(i, j) for i in range(2) for j in range(2, n)]), Fixed(2))
+        assert isinstance(law, WeightedChiSquare)
+        assert np.allclose(law.weights, (1 / SQ2, -1 / SQ2), rtol=0, atol=1e-12)
+        # er:60:0.5:3 is dense and twin-free: 60 classes
+        monkeypatch.setattr(spectral, "DENSE_SIZE_GATE", 59)
         with pytest.raises(SizeGateExceededError):
-            limit_for(dense, Fixed(2))
+            limit_for(generate(ErdosRenyi(60, 0.5, 3)), Fixed(2))
+
+    @pytest.mark.parametrize("spec,k", [(CompleteBipartite(60, 3000), 2), (Complete(300), 1)])
+    def test_concrete_dense_host_reads_its_quotient(self, spec, k, monkeypatch):
+        real, shapes = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or real(a))
+        law = limit_for(generate(spec), Fixed(2))
+        assert shapes and set(shapes) == {(k, k)}
+        if isinstance(spec, CompleteBipartite):
+            want = limit_for(spec, Fixed(2)).weights
+        else:  # K_n's exact spectrum n - 1 and -1 (n - 1 times), normalized; the family law is its n -> inf limit
+            n = spec.n
+            want = ((n - 1) / math.sqrt(n * (n - 1)),) + (-1 / math.sqrt(n * (n - 1)),) * (n - 1)
+        assert len(law.weights) == len(want)
+        assert np.allclose(law.weights, want, rtol=0, atol=1e-12)
 
     def test_matches_spectrum_first_selection_on_catalog(self, catalog):
         # the selection as made when the spectrum was built before the ratio

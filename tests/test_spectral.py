@@ -1,7 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import blow_up, blow_up_specs, dense_eigenvalues
 
 from colorgraph import census
 from colorgraph.errors import SizeGateExceededError
@@ -12,6 +16,7 @@ from colorgraph.graph import (
     ErdosRenyi,
     Graph,
     Hypercube,
+    RandomRegular,
     Star,
     generate,
 )
@@ -59,8 +64,10 @@ class TestEigenvalues:
             assert abs(cubic - 6 * census.count_cycles(g, 3)) <= 1e-8 * (1 + np.abs(lam) ** 3 @ np.ones_like(lam))
 
     def test_size_gate(self):
-        with pytest.raises(SizeGateExceededError):
-            eigenvalues(Graph(4001, []))
+        # the gate counts twin classes: 4001 isolated vertices are one class, a 4001-cycle is 4001
+        assert eigenvalues(Graph(4001, [])).eigenvalues.tolist() == [0.0] * 4001
+        with pytest.raises(SizeGateExceededError, match="k <= 4000 twin classes"):
+            eigenvalues(generate(Cycle(4001)))
 
     def test_empty_graph(self):
         spec = eigenvalues(Graph(0, []))
@@ -81,6 +88,53 @@ class TestEigenvalues:
         for seed in range(5):
             g = generate(ErdosRenyi(25, 0.3, seed))
             assert eigenvalues(g).usn_ratio <= 1.0 + 1e-12
+
+
+def assert_matches_dense(g: Graph) -> None:
+    """The quotient spectrum is within 1e-12 * max(1, max |lambda|) of dense eigvalsh."""
+    got, want = eigenvalues(g).eigenvalues, dense_eigenvalues(g)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * max(1.0, float(np.abs(want).max(initial=0.0))))
+
+
+class TestQuotientSpectrum:
+    def test_catalog_matches_dense(self, catalog):
+        for name, g in catalog:
+            assert_matches_dense(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_hypothesis_graphs_match_dense(self, data):
+        n = data.draw(st.integers(0, 9))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        assert_matches_dense(Graph(n, edges))
+
+    @settings(max_examples=80, deadline=None)
+    @given(blow_up_specs())
+    def test_hypothesis_blow_ups_match_dense(self, spec):
+        assert_matches_dense(blow_up(*spec))
+
+    @pytest.mark.parametrize("spec", [ErdosRenyi(60, 0.5, 3), RandomRegular(200, 3, 1)])
+    def test_twin_free_hosts_are_bit_identical(self, spec):
+        g = generate(spec)
+        assert g.twin_quotient().k == g.n  # so the k x k matrix is A itself
+        assert np.array_equal(eigenvalues(g).eigenvalues, dense_eigenvalues(g))
+
+    @pytest.mark.parametrize("spec,minus_ones,zeros", [
+        (Complete(2), 1, 0),
+        (Complete(5), 4, 0),
+        (Complete(300), 299, 0),
+        (CompleteBipartite(3, 3), 0, 4),
+        (CompleteBipartite(60, 3000), 0, 3058),
+        (Star(1), 1, 0),  # K2: one clique class
+        (Star(4), 0, 3),
+        (Star(50), 0, 49),
+    ])
+    def test_class_eigenvalues_are_exact(self, spec, minus_ones, zeros):
+        lam = eigenvalues(generate(spec)).eigenvalues
+        assert np.count_nonzero(lam == -1.0) == minus_ones
+        assert np.count_nonzero(lam == 0.0) == zeros
 
 
 class TestCycleUpperBound:
