@@ -6,21 +6,28 @@ sample range is cut into blocks or distributed over workers. ``exact_distributio
 is the brute-force oracle: it enumerates every coloring in base-c order and
 returns exact rational probabilities with denominator c**n.
 
-Colorings are held vertex-major: an (n, batch) matrix whose column j is
-one coloring, in the narrowest unsigned dtype holding c - 1. That is the
-layout and dtype ``rng.uniform_ints`` draws in, tile by tile, so no int64
-matrix is built and none is transposed.
+Every kernel reads its colors through one coloring source, a pure
+function of (vertices, samples): ``simulate``'s draws from the generator,
+``exact_distribution``'s base-c digits of the coloring index, or a given
+matrix (``mono_count``). Read densely, colorings are vertex-major: an
+(n, batch) matrix whose column j is one coloring, in the narrowest
+unsigned dtype holding c - 1. That is the layout and dtype
+``rng.uniform_ints`` draws in, tile by tile, so no int64 matrix is built
+and none is transposed.
 
-Both count with one of three kernels, the cheapest per sample, built once
+Both count with one of four kernels, the cheapest per sample, built once
 per call by ``_kernel_for``: a one-hot float32 GEMM on the twin quotient
 of the host, a sort of each coloring's (color, class) keys on the same
-quotient, or a gather that compares colors along edges, cycles or the
+quotient, a gather that compares colors along edges, cycles or the
 neighbour lists of ``Graph.nbrs``, one contiguous row per vertex looked
-up. The quotient kernels take ``Graph.twin_quotient``'s ``Blowup``, the
-host as a blow-up of its k twin classes: with h_a the per-class count of
-color a, B the k x k quotient and q its diagonal, a vertex of class j and
-color a has d = (B h_a - q)_j neighbours of its color, and the kernels
-count one star order r, sum_v C(d_v, r), over a share. Edges are 1-stars halved:
+up, or, for cycles at many colors, a sieve that reads every sample's
+colors only at the cycles' first two vertices and a cycle's later
+vertices only while it is still monochromatic. The quotient kernels take
+``Graph.twin_quotient``'s ``Blowup``, the host as a blow-up of its k twin
+classes: with h_a the per-class count of color a, B the k x k quotient
+and q its diagonal, a vertex of class j and color a has d = (B h_a - q)_j
+neighbours of its color, and the kernels count one star order r,
+sum_v C(d_v, r), over a share. Edges are 1-stars halved:
 N = 1/2 sum_a h_a' (B h_a - q), which is 1/2 sum_a x_a' A x_a. So the
 complete host counts from its color-class sizes, and a twin-free host
 (k = n, B = A) runs the plain adjacency GEMM. The GEMM makes one pass per
@@ -56,9 +63,16 @@ __all__ = [
 ]
 
 EXACT_ENUMERATION_GATE = 10**7
-# per-sample kernel costs in GEMM steps (c*(n + k^2) per sample), from measured break-evens
+# per-sample kernel costs in units of one multiply-add of the GEMM's B h_a (c*k^2 per sample); the
+# weights come from measured break-evens and per-sample kernel times
 _GATHER_STEP = 40  # one gather compare; m per sample
+_STAR_STEP = 300  # one vertex's mono-degree and its C(d, r) in the star gather; n per sample
+_PASS_STEP = 48  # one vertex in one of the GEMM's per-color passes; c*n per sample, beside c*k^2 for B h_a
 _SORT_STEP = 16  # one step of the sorted kernel; n*(ceil(log2 n) + k) per sample
+_LINK_STEP = 4500  # one sorted vertex sharing its color with the one before it; n - E[colors present] per sample
+_WORD_STEP = 400  # one color drawn for one vertex of a sample; n per sample, |dense set| for the sieve
+_FIRST_STEP = 280  # one first edge compared by the sieve, and its pairs found
+_READ_STEP = 3500  # one (cycle, sample) pair of the sieve reading and comparing its next vertex
 _INT64_KEYS = 2**63  # the sorted kernel's keys c*k must stay below this
 
 
@@ -232,56 +246,161 @@ def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, colors: np.ndar
     return total // share
 
 
+# coloring sources: source(vertices, samples) is the color of each vertex in each sample, index
+# arrays broadcast like the path of ``rng.uniform_ints``; every kernel reads its colors through one
+
+
+def _drawn_colors(seed: int, c: int, vertices: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """``simulate``'s source: the color of vertex v in sample i is drawn from (seed, i, v)."""
+    return rng.uniform_ints(seed, c, rng.STREAM_COLORS, samples, vertices)
+
+
+def _digit_colors(c: int, powers: np.ndarray, dtype: type, vertices: np.ndarray,
+                  samples: np.ndarray) -> np.ndarray:
+    """``exact_distribution``'s source: digit v of coloring index i in base c, ``powers[v]`` its place value."""
+    return (samples // powers[vertices] % c).astype(dtype)
+
+
+def _matrix_colors(colors: np.ndarray, vertices: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """A given (n, samples) color matrix as a source: sample i is its column i."""
+    return colors[vertices, samples]
+
+
 class _Kernel(NamedTuple):
     """The counting kernel for one (g, c, stat), built once per call."""
 
-    name: str  # "gemm", "sorted" or "gather"
-    count: Callable[[np.ndarray], np.ndarray]  # (n, batch) color matrix -> statistic per column
+    name: str  # "gemm", "sorted", "gather" or "sieve"
+    count: Callable[[Callable, np.ndarray], np.ndarray]  # (coloring source, sample indices) -> statistic per sample
     row_cost: int  # matrix entries per sample, for ``rng.batches``
 
 
-def _gather_for(g: Graph, stat: Statistic) -> _Kernel:
-    """The gather for ``stat``: stars along ``_neighbour_columns``, edges and cycles along tuples."""
+def _read_all(count: Callable[[np.ndarray], np.ndarray], n: int, source: Callable,
+              samples: np.ndarray) -> np.ndarray:
+    """``count`` of the (n, batch) matrix of every vertex's color in each sample, read once from ``source``."""
+    return count(source(np.arange(n)[:, None], samples[None, :]))
+
+
+def _gather_for(g: Graph, stat: Statistic, cycles: np.ndarray | None = None) -> _Kernel:
+    """The gather for ``stat``: stars along ``_neighbour_columns``, edges and cycles along tuples.
+
+    Cycles are ``census.cycle_list``'s, or ``cycles`` if the caller has listed them.
+    """
     row_cost = g.n + g.m
     if isinstance(stat, MonoStars):
-        return _Kernel("gather", functools.partial(_star_counts, _neighbour_columns(g), stat.r), row_cost)
-    if isinstance(stat, MonoCycles):
-        tuples = census.cycle_list(g, stat.g)
-        row_cost += tuples.size
+        count = functools.partial(_star_counts, _neighbour_columns(g), stat.r)
+    elif isinstance(stat, MonoCycles):
+        cycles = census.cycle_list(g, stat.g) if cycles is None else cycles
+        row_cost += cycles.size
+        count = functools.partial(_tuple_counts, cycles)
     else:
-        tuples = g.edges
-    return _Kernel("gather", functools.partial(_tuple_counts, tuples), row_cost)
+        count = functools.partial(_tuple_counts, g.edges)
+    return _Kernel("gather", functools.partial(_read_all, count, g.n), row_cost)
+
+
+class _SieveIndex(NamedTuple):
+    """A (cycles, L) cycle list laid out for ``_sieve_counts``, the cycles grouped by first edge."""
+
+    dense: np.ndarray  # the distinct vertices of columns 0 and 1, sorted: read in every sample
+    first: np.ndarray  # (E, 2) positions in ``dense`` of each distinct first edge (r, x1)
+    starts: np.ndarray  # the cycles over first edge e are starts[e]:starts[e + 1] in first-edge order
+    later: np.ndarray  # (L - 2, cycles): columns 2.. of the cycles in first-edge order, one row each
+    slots: tuple  # per row of ``later``: its vertices' positions in ``dense``, -1 if absent; None if none is in
+
+
+def _sieve_index(cycles: np.ndarray) -> _SieveIndex:
+    """The sieve's layout of ``census.cycle_list``'s (cycles, L) array."""
+    dense, pos = np.unique(cycles[:, :2].ravel(), return_inverse=True)
+    keys, edge_of, sizes = np.unique(pos.reshape(-1, 2) @ np.array([dense.size, 1]), return_inverse=True,
+                                     return_counts=True)
+    later = np.ascontiguousarray(cycles[np.argsort(edge_of, kind="stable"), 2:].T)
+    slots = np.searchsorted(dense, later)
+    slots[dense[np.minimum(slots, dense.size - 1)] != later] = -1
+    return _SieveIndex(dense, np.column_stack(np.divmod(keys, dense.size)),
+                       np.concatenate(([0], np.cumsum(sizes))), later,
+                       tuple(row if (row >= 0).any() else None for row in slots))
+
+
+def _sieve_counts(index: _SieveIndex, source: Callable, samples: np.ndarray) -> np.ndarray:
+    """Monochromatic cycles per sample, reading a cycle's later vertices only while it is monochromatic.
+
+    Columns 0 and 1 of the cycle list are read for every sample, and each
+    distinct first edge (r, x1) is compared once. Each monochromatic one
+    gives a (cycle, sample) pair for every cycle over it. Column by column, a
+    pair reads its next vertex, from the dense colors or else pointwise from
+    ``source``, and is dropped at the first color that differs from r's. At
+    c colors about cycles / c pairs per sample reach column 2.
+    """
+    colors = source(index.dense[:, None], samples[None, :])
+    lead = colors[index.first[:, 0]]
+    edge, column = np.nonzero(lead == colors[index.first[:, 1]])
+    color = lead[edge, column]
+    sizes = index.starts[edge + 1] - index.starts[edge]  # the cycles over each monochromatic first edge
+    cycle = np.repeat(index.starts[edge] - np.cumsum(sizes) + sizes, sizes)
+    cycle += np.arange(cycle.size)
+    column, color = np.repeat(column, sizes), np.repeat(color, sizes)
+    for vertices, slots in zip(index.later, index.slots):
+        if slots is None:
+            got = source(vertices[cycle], samples[column])
+        else:
+            slot = slots[cycle]
+            got = colors[slot, column]
+            drawn = slot < 0
+            if drawn.any():
+                got[drawn] = source(vertices[cycle[drawn]], samples[column[drawn]])
+        keep = got == color
+        cycle, column, color = cycle[keep], column[keep], color[keep]
+    return np.bincount(column, minlength=samples.size)
 
 
 def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
     """The cheapest counting kernel for (g, c, stat), with the quotient or index it counts over.
 
-    Per sample, the gather makes m compares; the GEMM on k twin classes
-    does about c*(n + k^2) work (indicators and histograms, then B h_a);
-    the sorted kernel about n*(ceil(log2 n) + k) (the sort, then class
-    mono-degrees). Weighted by their measured costs, the cheapest runs, a
-    tie going to the GEMM, then the sort. The GEMM needs B to fit one
+    Per sample, each weighted by its measured cost: the gather makes m
+    compares, and for stars adds each vertex's C(d, r); the GEMM on k twin
+    classes makes c passes over the n colors (indicators and histograms)
+    and c products B h_a of k^2; the sorted kernel sorts, n*(ceil(log2 n)
+    + k), and then reads each vertex that shares its color with the one
+    before it, n - E[colors present] of them. The cheapest runs, a tie
+    going to the GEMM, then the sort. The GEMM needs B to fit one
     ``rng.batches`` block and the sort needs its keys c*k to fit int64.
     Those bounds and the gather's cost bound k, and the twin search is
-    skipped when not even k = 1 could beat the gather. Cycles always gather.
-    The quotient kernels count r-stars; edges are 1-stars halved.
+    skipped when not even k = 1 could beat the gather. The quotient
+    kernels count r-stars; edges are 1-stars halved.
+
+    Cycles of length L are the gather's or the sieve's. Both draw colors:
+    the gather n, the sieve only the dense set of the cycles' first two
+    vertices. The gather then makes L - 1 compares per cycle; the sieve
+    compares each distinct first edge once and reads about cycles / c^j
+    (cycle, sample) pairs at column j + 1 for j = 1..L-2. The sieve runs
+    when it is strictly cheaper, so few colors keep the gather.
     """
     _require_statistic(stat)
     n, depth = g.n, (g.n - 1).bit_length()  # depth = ceil(log2 n)
-    gather = _GATHER_STEP * g.m
-    gemm_classes = min(math.isqrt(max(0, gather - c * n) // c), math.isqrt(rng.BATCH_ENTRIES))
-    sort_classes = min(gather // (_SORT_STEP * max(n, 1)) - depth, _INT64_KEYS // c)
+    if isinstance(stat, MonoCycles):
+        cycles = census.cycle_list(g, stat.g)
+        dense, first = np.unique(cycles[:, :2]).size, np.unique(cycles[:, 0] * n + cycles[:, 1]).size
+        reads = len(cycles) * sum(c ** -j for j in range(1, stat.g - 1))  # the pairs reaching columns 2..L-1
+        gather = _WORD_STEP * n + _GATHER_STEP * len(cycles) * (stat.g - 1)
+        if _WORD_STEP * dense + _FIRST_STEP * first + _READ_STEP * reads >= gather:
+            return _gather_for(g, stat, cycles)
+        # row cost: dense colors, first-edge colors and matches, about 8 arrays over the expected pairs
+        row_cost = dense + 2 * first + 8 * math.ceil(len(cycles) / c)
+        return _Kernel("sieve", functools.partial(_sieve_counts, _sieve_index(cycles)), row_cost)
+    gather = _GATHER_STEP * g.m + (_STAR_STEP * n if isinstance(stat, MonoStars) else 0)
+    links = _LINK_STEP * (n + c * math.expm1(n * math.log1p(-1 / c)))  # n - E[colors present], weighted
+    gemm_classes = min(math.isqrt(max(0, gather - c * _PASS_STEP * n) // c), math.isqrt(rng.BATCH_ENTRIES))
+    sort_classes = min(int(gather - links) // (_SORT_STEP * max(n, 1)) - depth, _INT64_KEYS // c)
     max_classes = max(gemm_classes, sort_classes)
     quotient = None
-    if not isinstance(stat, MonoCycles) and max_classes >= 1:
+    if max_classes >= 1:
         quotient = g.twin_quotient(np.float32, max_classes)
     costs = {"gather": gather}
     if quotient is not None:
         k = quotient.k
         if k <= gemm_classes:
-            costs["gemm"] = c * (n + k * k)
+            costs["gemm"] = c * (_PASS_STEP * n + k * k)
         if k <= sort_classes:
-            costs["sorted"] = _SORT_STEP * n * (depth + k)
+            costs["sorted"] = _SORT_STEP * n * (depth + k) + links
     name = min(("gemm", "sorted", "gather"), key=lambda kind: costs.get(kind, math.inf))
     if name == "gather":
         return _gather_for(g, stat)
@@ -289,7 +408,7 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
     # row costs: colors, indicator, histogram, degrees; colors, keys and masks, link and vertex
     # arrays, class histograms
     counts, row_cost = (_gemm_counts, 2 * (n + k)) if name == "gemm" else (_sorted_counts, n * (15 + 3 * k))
-    return _Kernel(name, functools.partial(counts, quotient, c, r, share), row_cost)
+    return _Kernel(name, functools.partial(_read_all, functools.partial(counts, quotient, c, r, share), n), row_cost)
 
 
 def mono_count(g: Graph, colors, stat: Statistic) -> int:
@@ -300,7 +419,8 @@ def mono_count(g: Graph, colors, stat: Statistic) -> int:
         raise BadColorVectorError(f"expected {g.n} colors, got shape {arr.shape}")
     if g.n and (arr.dtype.kind not in "iu" or arr.min() < 0):
         raise BadColorVectorError(f"colors must be nonnegative integers, got {colors!r:.80}")
-    return int(_gather_for(g, stat).count(arr.astype(np.int64)[:, None])[0])
+    source = functools.partial(_matrix_colors, arr.astype(np.int64)[:, None])
+    return int(_gather_for(g, stat).count(source, np.zeros(1, dtype=np.int64))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,7 +432,7 @@ class SimulationRun:
     stat: Statistic
     sample_count: int
     counts: np.ndarray
-    kernel: str  # counting kernel that ran: "gemm", "sorted" or "gather"
+    kernel: str  # counting kernel that ran: "gemm", "sorted", "gather" or "sieve"
 
     def counts_by_value(self) -> dict[int, int]:
         values, freq = np.unique(self.counts, return_counts=True)
@@ -332,12 +452,10 @@ class SimulationRun:
         return float(self.counts.mean())
 
 
-def _simulate_range(kernel: _Kernel, seed: int, n: int, c: int, lo: int, hi: int) -> np.ndarray:
+def _simulate_range(kernel: _Kernel, seed: int, c: int, lo: int, hi: int) -> np.ndarray:
     """Statistic of samples [lo, hi); the color of vertex v in sample i is drawn from (seed, i, v)."""
-    vertices = np.arange(n, dtype=np.int64)[:, None]
-    parts = [kernel.count(rng.uniform_ints(seed, c, rng.STREAM_COLORS, idx[None, :], vertices))
-             for idx in rng.batches(lo, hi, kernel.row_cost)]
-    return np.concatenate(parts)
+    source = functools.partial(_drawn_colors, seed, c)
+    return np.concatenate([kernel.count(source, idx) for idx in rng.batches(lo, hi, kernel.row_cost)])
 
 
 def simulate(
@@ -365,11 +483,11 @@ def simulate(
         from concurrent.futures import ProcessPoolExecutor  # imported here: it costs every CLI start 15-23 ms
 
         bounds = sorted(set(np.linspace(0, samples, workers + 1).astype(int).tolist()))
-        job = functools.partial(_simulate_range, kernel, seed, g.n, c)
+        job = functools.partial(_simulate_range, kernel, seed, c)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             counts = np.concatenate(list(pool.map(job, bounds[:-1], bounds[1:])))
     else:
-        counts = _simulate_range(kernel, seed, g.n, c, 0, samples)
+        counts = _simulate_range(kernel, seed, c, 0, samples)
     counts.setflags(write=False)
     return SimulationRun(seed=seed, colors=c, stat=stat, sample_count=samples, counts=counts,
                          kernel=kernel.name)
@@ -390,13 +508,12 @@ def exact_distribution(g: Graph, c: int, stat: Statistic) -> dict[int, Fraction]
             total=total,
         )
     # vertex 0 is the most significant digit of the coloring index
-    powers = c ** np.arange(g.n - 1, -1, -1, dtype=np.int64)[:, None]
-    dtype = rng._narrow_dtype(c - 1)
+    powers = c ** np.arange(g.n - 1, -1, -1, dtype=np.int64)
+    source = functools.partial(_digit_colors, c, powers, rng._narrow_dtype(c - 1))
     kernel = _kernel_for(g, c, stat)
     counter: dict[int, int] = {}
     for idx in rng.batches(0, total, kernel.row_cost):
-        digits = (idx[None, :] // powers % c).astype(dtype)
-        uniq, freq = np.unique(kernel.count(digits), return_counts=True)
+        uniq, freq = np.unique(kernel.count(source, idx), return_counts=True)
         for v, f in zip(uniq.tolist(), freq.tolist()):
             counter[v] = counter.get(v, 0) + f
     return {v: Fraction(f, total) for v, f in sorted(counter.items())}

@@ -158,14 +158,15 @@ def blow_up(blocks, clique, sizes) -> Graph:
 
 
 @st.composite
-def blow_up_specs(draw):
-    """(blocks, clique, sizes) for ``blow_up``: 1-4 blocks of 1-5 vertices, clique and independent blocks mixed."""
+def blow_up_specs(draw, max_size: int = 5):
+    """(blocks, clique, sizes) for ``blow_up``: 1-4 blocks of 1-``max_size`` vertices, clique and independent
+    blocks mixed."""
     k = draw(st.integers(1, 4))
     blocks = [[0] * k for _ in range(k)]
     for i, j in itertools.combinations(range(k), 2):
         blocks[i][j] = blocks[j][i] = draw(st.integers(0, 1))
     clique = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
-    sizes = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=k, max_size=k))
     return blocks, clique, sizes
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -25,6 +26,9 @@ from colorgraph.colorsim import (
     _gather_for,
     _gemm_counts,
     _kernel_for,
+    _matrix_colors,
+    _sieve_counts,
+    _sieve_index,
     _sorted_counts,
     exact_distribution,
     mono_count,
@@ -258,6 +262,19 @@ class TestSimulate:
         # twin-free hosts: k = n makes both quotient kernels dearer than the m compares
         ("regular:2000:3:5", 2, MonoEdges(), "gather"),
         ("er:300:0.1:7", 10, MonoStars(2), "gather"),
+        # cycles: at few colors most pairs survive the first compare, so the gather; at many the sieve
+        ("gadget:30:30:3", 2, MonoCycles(3), "gather"),
+        ("gadget:30:30:3", 30, MonoCycles(3), "sieve"),
+        ("gadget:30:30:3", 300, MonoCycles(3), "sieve"),
+        ("gadget:10:10:5", 10, MonoCycles(5), "sieve"),
+        ("er:60:0.3:1", 5, MonoCycles(4), "gather"),
+        ("hypercube:8", 4, MonoCycles(4), "gather"),
+        ("er:100:0.05:7", 3, MonoCycles(5), "gather"),
+        ("complete:12", 30, MonoCycles(6), "sieve"),
+        # the GEMM's c passes over the colors and the sort's same-color runs outweigh the m compares
+        ("complete:60", 50, MonoEdges(), "gather"),
+        ("complete:60", 100, MonoEdges(), "gather"),
+        ("star:300", 2, MonoEdges(), "gather"),
     ])
     def test_kernel_chooser_grid(self, spec, c, stat, kernel):
         assert _kernel_for(generate(parse_family(spec)), c, stat).name == kernel
@@ -269,7 +286,7 @@ class TestSimulate:
         run = simulate(g, 2, stat, 200, 5)
         assert run.kernel == "gemm"
         colors = rng.uniform_ints(5, 2, rng.STREAM_COLORS, np.arange(200)[None, :], np.arange(60)[:, None])
-        assert np.array_equal(run.counts, _gather_for(g, stat).count(colors))
+        assert np.array_equal(run.counts, matrix_count(_gather_for(g, stat).count, colors))
 
     def test_no_twin_search_when_even_one_class_is_too_costly(self, monkeypatch):
         def refuse(self, *args, **kwargs):
@@ -287,13 +304,39 @@ class TestSimulate:
         exact_distribution(generate(Cycle(6)), 3, MonoCycles(6))
         assert calls == [3, 6]
 
+    def test_sieve_counts_ignore_blocks_tiles_and_workers(self, monkeypatch):
+        g, stat = generate(PathCycleGadget(6, 5, 4)), MonoCycles(4)
+        base = simulate(g, 7, stat, 1500, 21)
+        assert base.kernel == "sieve"
+        assert np.array_equal(base.counts, simulate(g, 7, stat, 1500, 21, workers=2).counts)
+        monkeypatch.setattr(rng, "BATCH_ENTRIES", 7)
+        monkeypatch.setattr(rng, "TILE_WORDS", 7)
+        assert np.array_equal(base.counts, simulate(g, 7, stat, 1500, 21).counts)
+        # the same counts as the gather drawing every vertex
+        colors = rng.uniform_ints(21, 7, rng.STREAM_COLORS, np.arange(1500)[None, :], np.arange(g.n)[:, None])
+        assert np.array_equal(base.counts, matrix_count(_gather_for(g, stat).count, colors))
+
+    def test_sieve_draws_few_colors(self, monkeypatch):
+        # at c = 30 the 31 path vertices are drawn densely and about 30 triangle tips per sample pointwise
+        real, drawn = rng.uniform_ints, []
+
+        def counted(*args):
+            out = real(*args)
+            drawn.append(out.size)
+            return out
+
+        monkeypatch.setattr(rng, "uniform_ints", counted)
+        g, samples = generate(PathCycleGadget(30, 30, 3)), 20_000
+        assert simulate(g, 30, MonoCycles(3), samples, 5).kernel == "sieve"
+        assert 0 < sum(drawn) < 0.1 * g.n * samples
+
     def test_empty_graph(self):
         empty = Graph(0, [])
         assert exact_distribution(empty, 2, MonoEdges()) == {0: Fraction(1)}
         assert simulate(empty, 2, MonoEdges(), 5, 1).counts.tolist() == [0] * 5
 
     def test_worker_invariant_on_every_kernel(self):
-        for spec, c, kernel in ((CompleteBipartite(4, 5), 3, "gemm"), (CompleteBipartite(4, 5), 300, "gather"),
+        for spec, c, kernel in ((CompleteBipartite(20, 25), 3, "gemm"), (Cycle(30), 300, "gather"),
                                 (Complete(20), 1770, "sorted")):
             g = generate(spec)
             for stat in (MonoEdges(), MonoStars(2)):
@@ -310,8 +353,7 @@ KERNEL_STATS = (
     ("stars", 1, MonoStars(1)),
     ("stars", 2, MonoStars(2)),
     ("stars", 3, MonoStars(3)),
-    ("cycles", 3, MonoCycles(3)),
-    ("cycles", 4, MonoCycles(4)),
+    *(("cycles", length, MonoCycles(length)) for length in census.CYCLE_LENGTHS),
 )
 
 
@@ -335,16 +377,28 @@ def kernel_test_colorings(n: int, c: int, seed: int) -> np.ndarray:
     return colors
 
 
-def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray) -> None:
+def matrix_count(count, colors: np.ndarray) -> np.ndarray:
+    """A kernel's ``count`` of every column of the (n, samples) ``colors``, read as a coloring source."""
+    return count(functools.partial(_matrix_colors, colors), np.arange(colors.shape[1]))
+
+
+def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray, lengths=census.CYCLE_LENGTHS) -> None:
     """Every kernel against the loop oracle; the GEMM and the sort on the twin quotient and
-    on the quotient of singletons (labels 0..n-1, B = A), which any graph also is."""
+    on the quotient of singletons (labels 0..n-1, B = A), which any graph also is; the gather
+    and the sieve on the cycles of ``lengths``."""
     rows = colors.T.astype(np.int64).tolist()
     singletons = Blowup(np.arange(g.n), np.ones(g.n, np.int64), g.adjacency_matrix(np.float32))
     for kind, order, stat in KERNEL_STATS:
+        if kind == "cycles" and order not in lengths:
+            continue
         expected = np.array(loop_mono_counts(g, rows, kind, order), dtype=np.int64)
-        gathered = _gather_for(g, stat).count(colors)
+        gathered = matrix_count(_gather_for(g, stat).count, colors)
         assert np.array_equal(gathered, expected), (kind, order, c)
-        if kind != "cycles":
+        if kind == "cycles":
+            sieved = matrix_count(functools.partial(_sieve_counts, _sieve_index(census.cycle_list(g, order))), colors)
+            assert sieved.dtype == np.int64
+            assert np.array_equal(sieved, expected), ("sieve", order, c)
+        else:
             r, share = (1, 2) if kind == "edges" else (order, 1)  # edges are 1-stars halved
             for quotient in (g.twin_quotient(np.float32), singletons):
                 gemm = _gemm_counts(quotient, c, r, share, colors)
@@ -374,6 +428,13 @@ class TestKernelsAgainstLoops:
     @settings(max_examples=60, deadline=None)
     @given(blow_up_specs(), st.sampled_from(KERNEL_COLORS), st.integers(0, 2**32 - 1))
     def test_hypothesis_blow_ups(self, spec, c, seed):
+        # up to 20 vertices: a dense one has too many long cycles for the loop oracle
+        g = blow_up(*spec)
+        assert_kernels_match_loops(g, c, kernel_test_colorings(g.n, c, seed), lengths=(3, 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(blow_up_specs(max_size=2), st.sampled_from(KERNEL_COLORS), st.integers(0, 2**32 - 1))
+    def test_hypothesis_small_blow_ups(self, spec, c, seed):
         g = blow_up(*spec)
         assert_kernels_match_loops(g, c, kernel_test_colorings(g.n, c, seed))
 
@@ -445,6 +506,15 @@ FROZEN_DIGESTS += [
 ]
 
 
+# cycles in the birthday regime, recorded while every cycle host ran the gather, before the sieve existed
+FROZEN_DIGESTS += [
+    ("gadget:30:30:3", 10, MonoCycles(3), "sieve", "78efe9291d39ff581f327a0077ba143eb85091a0d41e1bcf9c7552d0b90c21b1"),
+    ("gadget:30:30:3", 30, MonoCycles(3), "sieve", "9fc6e7b0737f5697dc0899386c79c271bd334797030528833a86a9c9c1aa7b67"),
+    ("gadget:30:30:3", 300, MonoCycles(3), "sieve", "442cf51d2a544c9fd5d97150ad644984ac9a3e770cd0698f8198aba0c3c6e4d5"),
+    ("gadget:10:10:5", 10, MonoCycles(5), "sieve", "bb1c178be8a37218c0b62905b89452e46e72e857c95c9a603661ed47960fd074"),
+]
+
+
 @pytest.mark.parametrize("spec,c,stat,kernel,digest", FROZEN_DIGESTS)
 def test_frozen_simulate_digest(spec, c, stat, kernel, digest):
     run = simulate(generate(parse_family(spec)), c, stat, 3000, 11)
@@ -466,11 +536,21 @@ def test_frozen_exact_law_on_a_twin_host():
 def test_frozen_exact_law_on_the_sorted_kernel():
     # exact_distribution(complete:4, 50) on uint8 digits, recorded while it ran the gather
     g = generate(Complete(4))
-    assert _kernel_for(g, 50, MonoEdges()).name == _kernel_for(g, 50, MonoStars(2)).name == "sorted"
+    assert _kernel_for(g, 50, MonoEdges()).name == "gather"
+    assert _kernel_for(g, 50, MonoStars(2)).name == "sorted"
     assert exact_distribution(g, 50, MonoEdges()) == {
         0: Fraction(13818, 15625), 1: Fraction(1764, 15625), 2: Fraction(147, 125000),
         3: Fraction(49, 31250), 6: Fraction(1, 125000),
     }
     assert exact_distribution(g, 50, MonoStars(2)) == {
         0: Fraction(124803, 125000), 3: Fraction(49, 31250), 12: Fraction(1, 125000),
+    }
+
+
+def test_frozen_exact_law_on_the_sieve():
+    # exact_distribution(gadget:1:3:4, 7, cycles:4) on base-7 digits, recorded while it ran the gather
+    g = generate(PathCycleGadget(1, 3, 4))
+    assert _kernel_for(g, 7, MonoCycles(4)).name == "sieve"
+    assert exact_distribution(g, 7, MonoCycles(4)) == {
+        0: Fraction(816486, 823543), 1: Fraction(6912, 823543), 2: Fraction(144, 823543), 3: Fraction(1, 823543),
     }

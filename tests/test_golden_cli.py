@@ -47,6 +47,8 @@ CASES = [
     ("simulate-stars", "simulate --graph er:30:0.3:1 --colors 3 --stat stars:2 --samples 2000 --seed 7"),
     ("simulate-cycles", "simulate --graph er:30:0.3:1 --colors 3 --stat cycles:3 "
                         "--samples 2000 --seed 7 --out cycles.csv"),
+    ("simulate-gadget-cycles", "simulate --graph gadget:30:30:3 --colors 30 --stat cycles:3 "
+                               "--samples 2000 --seed 7 --out gadget.csv"),
     # documented failure exits
     ("exit-usage", "limit --graph complete:5"),
     ("exit-gate", "exact --graph complete:30 --colors 3"),
