@@ -66,7 +66,7 @@ EXACT_ENUMERATION_GATE = 10**7
 # per-sample kernel costs in units of one multiply-add of the GEMM's B h_a (c*k^2 per sample); the
 # weights come from measured break-evens and per-sample kernel times
 _GATHER_STEP = 40  # one gather compare; m per sample
-_STAR_STEP = 300  # one vertex's mono-degree and its C(d, r) in the star gather; n per sample
+_STAR_STEP = 64  # one vertex's mono-degree and its C(d, r) in the star gather; n per sample
 _PASS_STEP = 48  # one vertex in one of the GEMM's per-color passes; c*n per sample, beside c*k^2 for B h_a
 _SORT_STEP = 16  # one step of the sorted kernel; n*(ceil(log2 n) + k) per sample
 _LINK_STEP = 4500  # one sorted vertex sharing its color with the one before it; n - E[colors present] per sample
@@ -184,24 +184,31 @@ def _neighbour_columns(g: Graph) -> tuple[np.ndarray, list[np.ndarray], list[np.
 
 
 def _star_counts(index, r: int, by_vertex: np.ndarray) -> np.ndarray:
-    """r-stars per column of the (n, batch) ``by_vertex``, along ``_neighbour_columns``' lists."""
+    """r-stars per column of the (n, batch) ``by_vertex``, along ``_neighbour_columns``' lists.
+
+    Mono-degrees are kept in the narrowest unsigned dtype holding the largest degree.
+    """
     by_deg, columns, tails = index
     own = by_vertex[by_deg]
-    mono_deg = np.zeros(own.shape, dtype=np.int64)
+    top = len(columns) + (tails[0].size if tails else 0)  # the degree of by_deg[0], the largest
+    mono_deg = np.zeros(own.shape, dtype=rng._narrow_dtype(top))
     for col in columns:
         mono_deg[: col.size] += by_vertex[col] == own[: col.size]
     for i, tail in enumerate(tails):
-        mono_deg[i] += np.count_nonzero(by_vertex[tail] == own[i], axis=0)
+        mono_deg[i] += np.add.reduce(by_vertex[tail] == own[i], axis=0, dtype=mono_deg.dtype)
     return _comb_array(mono_deg, r).sum(axis=0)
 
 
 def _tuple_counts(tuples: np.ndarray, by_vertex: np.ndarray) -> np.ndarray:
-    """Rows of ``tuples`` (edges or cycles) whose vertices share a color, per column of ``by_vertex``."""
+    """Rows of ``tuples`` (edges or cycles) whose vertices share a color, per column of ``by_vertex``.
+
+    The mask is summed in the narrowest unsigned dtype holding the number of rows, then widened.
+    """
     first = by_vertex[tuples[:, 0]]
     mono = first == by_vertex[tuples[:, 1]]
     for j in range(2, tuples.shape[1]):
         mono &= first == by_vertex[tuples[:, j]]
-    return np.count_nonzero(mono, axis=0).astype(np.int64)
+    return np.add.reduce(mono, axis=0, dtype=rng._narrow_dtype(len(tuples))).astype(np.int64)
 
 
 def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, colors: np.ndarray) -> np.ndarray:

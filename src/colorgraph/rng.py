@@ -18,7 +18,12 @@ vertex-major ``(v, s)`` matrix of the same draws. ``words`` mixes in place.
 ``uniform_ints`` fills its output in tiles of about ``TILE_WORDS`` words,
 so each pass over a tile stays in cache, and returns the narrowest
 unsigned dtype that holds c - 1; no draw depends on the layout or the
-tiling.
+tiling. It hashes the path up to its last step with ``words``, then runs
+the last step and the finalizer in two uint64 tile buffers allocated once
+per call, and writes each tile's shift or scale-multiply straight into the
+output. For c = 2^k with k <= 31 it skips the finalizer's last round,
+which leaves the top 31 bits unchanged. ``normals`` hashes its path once
+and finishes both of its words from that prefix.
 """
 from __future__ import annotations
 
@@ -85,9 +90,13 @@ def batches(lo: int, hi: int, row_cost: int | np.ndarray) -> Iterator[np.ndarray
         start = stop
 
 
-def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer applied to ``z`` in place; ``tmp`` is scratch of z's shape."""
-    for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+def _mix(z: np.ndarray, tmp: np.ndarray, last_round: bool = True) -> np.ndarray:
+    """The splitmix64 finalizer applied to ``z`` in place; ``tmp`` is scratch of z's shape.
+
+    Without ``last_round`` the final z ^= z >> 31 is left out, which leaves
+    the top 31 bits as they are.
+    """
+    for shift, mult in ((30, _M1), (27, _M2), (31, None))[: 3 if last_round else 2]:
         np.right_shift(z, _U64(shift), out=tmp)
         z ^= tmp
         if mult is not None:
@@ -126,11 +135,6 @@ def uniforms(seed: int, *path) -> np.ndarray:
     return (words(seed, *path) >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
-def uniforms_open(seed: int, *path) -> np.ndarray:
-    """float64 uniforms on (0, 1), safe as a log argument."""
-    return ((words(seed, *path) >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-
 def _narrow_dtype(top: int) -> type:
     """The narrowest unsigned dtype holding 0..top, else int64."""
     for dtype in (np.uint8, np.uint16, np.uint32):
@@ -147,14 +151,20 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
     tolerances. For c = 2^k that is the top k bits of w; otherwise it is
     float(w >> 11) * (c * 2^-53), which rounds exactly as u * c does because
     c * 2^-53 is exact. c must lie in [1, 2^53]: ValueError below, and
-    ``DomainExceededError`` above, where the uniforms miss colors.
+    ``DomainExceededError`` above, where the uniforms miss colors. The path
+    needs at least one step.
 
     The output has the path's broadcast shape and is filled in tiles of
     leading-axis rows that hold about ``TILE_WORDS`` words (one row if a
-    row holds more), so every pass over a tile stays in cache. Each draw
-    depends only on its own path, so the tiling changes no value. Pass the
-    vertex index as the leading axis, ``(v, 1)`` against ``(1, s)``, for the
-    vertex-major (v, s) matrix the counting kernels read.
+    row holds more), so every pass over a tile stays in cache. ``words``
+    hashes the path up to its last step; the last step and the finalizer
+    run here, in two tile buffers allocated once per call, and the shift or
+    the scale-multiply writes each tile's colors straight into the output.
+    For c = 2^k with k <= 31 the finalizer's last round, z ^= z >> 31, is
+    skipped: it never changes the top 31 bits. Each draw depends only on its
+    own path, so the tiling changes no value. Pass the vertex index as the
+    leading axis, ``(v, 1)`` against ``(1, s)``, for the vertex-major (v, s)
+    matrix the counting kernels read.
     """
     c = int(c)
     if c < 1:
@@ -163,29 +173,46 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
         raise DomainExceededError(
             f"{c} colors exceed 2^53, the most that 53-bit uniforms draw uniformly"
         )
+    if not path:
+        raise ValueError("need at least one path step")
     parts = [np.asarray(ix, dtype=np.uint64) for ix in path]
     shape = np.broadcast_shapes(*(a.shape for a in parts))
     out = np.empty(shape or (1,), dtype=_narrow_dtype(c - 1))
     # only parts of full rank with a leading axis longer than 1 vary along it
     sliced = [a.ndim == len(shape) > 0 and a.shape[0] > 1 for a in parts]
     step = max(1, TILE_WORDS // max(1, math.prod(out.shape[1:])))
+    z = np.empty((min(step, out.shape[0]), *out.shape[1:]), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    *prefix, last = parts
+    last = last * _POS[(len(parts) - 1) % len(_POS)]
+    head = None if any(sliced[:-1]) else words(seed, *prefix)  # a prefix that varies by row is hashed per tile
     shift = 64 - (c.bit_length() - 1) if c > 1 and c & (c - 1) == 0 else None
     scale = c * 2.0**-53
     for r in range(0, out.shape[0], step):
         rows = slice(r, r + step)
         tile = out[rows]
-        w = np.asarray(words(seed, *(a[rows] if cut else a for a, cut in zip(parts, sliced))))
+        zt, tt = z[: len(tile)], tmp[: len(tile)]
+        h = words(seed, *(a[rows] if cut else a for a, cut in zip(prefix, sliced))) if head is None else head
+        np.bitwise_xor(last[rows] if sliced[-1] else last, h, out=zt)
+        _mix(zt, tt, last_round=shift is None or shift < 33)
         if shift is not None:  # c = 2^k: the top k bits
-            tile[...] = np.right_shift(w, _U64(shift), out=w)
+            np.right_shift(zt, _U64(shift), out=tile, casting="unsafe")
         else:  # no clamp to c - 1: even (2^53 - 1) * (c * 2^-53) rounds to below c
-            np.multiply(np.right_shift(w, _U64(11), out=w), scale, out=tile, casting="unsafe")
+            np.multiply(np.right_shift(zt, _U64(11), out=zt), scale, out=tile, casting="unsafe")
     return out.reshape(shape)
 
 
 def normals(seed: int, *path) -> np.ndarray:
-    """Standard normals via Box-Muller; two words per variate."""
-    u1 = uniforms_open(seed, *path, 0)
-    u2 = uniforms(seed, *path, 1)
+    """Standard normals via Box-Muller; two words per variate.
+
+    The words are ``words(seed, *path, 0)`` and ``words(seed, *path, 1)``:
+    the path is hashed once, and both trailing steps finish from it.
+    """
+    h = np.array(words(seed, *path), dtype=np.uint64)
+    other = np.bitwise_xor(h, _POS[len(path) % len(_POS)], out=np.empty_like(h))  # trailing step 1
+    tmp = np.empty_like(h)
+    u1 = ((_mix(h, tmp) >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53  # step 0 leaves h; u1 in (0, 1) for the log
+    u2 = (_mix(other, tmp) >> _U64(11)).astype(np.float64) * 2.0**-53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 

@@ -141,6 +141,17 @@ def uniform_ints_reference(seed: int, c: int, *path) -> np.ndarray:
     return np.minimum(np.floor(u * c).astype(np.int64), c - 1)
 
 
+def normals_reference(seed: int, *path) -> np.ndarray:
+    """Box-Muller normals from two separate ``rng.words`` calls, one per trailing step 0 and 1.
+
+    u1 = ((w0 >> 11) + 1/2) * 2^-53 lies in (0, 1), u2 = (w1 >> 11) * 2^-53
+    in [0, 1); the normal is sqrt(-2 log u1) cos(2 pi u2).
+    """
+    u1 = ((rng.words(seed, *path, 0) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u2 = (rng.words(seed, *path, 1) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+
+
 def blow_up(blocks, clique, sizes) -> Graph:
     """The blow-up with sizes[i] vertices in block i, numbered block by block.
 

@@ -97,6 +97,26 @@ class TestMonoCount:
             assert mono_count(k2, [big, big], MonoEdges()) == 1
         assert mono_count(generate(Star(2)), [300, 44, 300], MonoStars(1)) == 2
 
+    def test_counts_past_narrow_counters(self):
+        # the gathers count in the narrowest dtype holding their bound; one color makes every
+        # edge monochromatic, and star:70000's counts pass uint16
+        star = generate(parse_family("star:69999"))  # a center and 69,999 leaves
+        assert mono_count(star, np.zeros(star.n, dtype=np.int64), MonoEdges()) == 69_999
+        assert mono_count(star, np.zeros(star.n, dtype=np.int64), MonoStars(2)) == math.comb(69_999, 2) == 2_449_895_001
+        k24 = generate(Complete(24))
+        assert mono_count(k24, [5] * 24, MonoEdges()) == 276
+        assert mono_count(k24, [5] * 24, MonoStars(1)) == 552
+
+    def test_gather_block_past_uint8(self):
+        # 276 monochromatic edges in one column of a block, past 255, beside columns that count less
+        g = generate(Complete(24))
+        colors = np.zeros((24, 3), dtype=np.uint8)
+        colors[:12, 1] = 1
+        colors[:, 2] = np.arange(24)
+        counts = matrix_count(_gather_for(g, MonoEdges()).count, colors)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [276, 2 * math.comb(12, 2), 0]
+
     def test_stat_validation(self):
         with pytest.raises(ValueError):
             MonoStars(0)
@@ -275,6 +295,11 @@ class TestSimulate:
         ("complete:60", 50, MonoEdges(), "gather"),
         ("complete:60", 100, MonoEdges(), "gather"),
         ("star:300", 2, MonoEdges(), "gather"),
+        # the star gather's narrow mono-degrees beat the GEMM's c passes on twin-free hosts at c = 2 or 3,
+        # not the two-class GEMM of a star
+        ("er:300:0.1:7", 2, MonoStars(2), "gather"),
+        ("er:30:0.3:1", 3, MonoStars(2), "gather"),
+        ("star:300", 2, MonoStars(2), "gemm"),
     ])
     def test_kernel_chooser_grid(self, spec, c, stat, kernel):
         assert _kernel_for(generate(parse_family(spec)), c, stat).name == kernel
@@ -534,17 +559,26 @@ def test_frozen_exact_law_on_a_twin_host():
 
 
 def test_frozen_exact_law_on_the_sorted_kernel():
-    # exact_distribution(complete:4, 50) on uint8 digits, recorded while it ran the gather
+    # exact_distribution(complete:4, 50) on uint8 digits, recorded while it ran the gather; both
+    # statistics run the gather there, so the sorted kernel counts every coloring here too
     g = generate(Complete(4))
     assert _kernel_for(g, 50, MonoEdges()).name == "gather"
-    assert _kernel_for(g, 50, MonoStars(2)).name == "sorted"
-    assert exact_distribution(g, 50, MonoEdges()) == {
-        0: Fraction(13818, 15625), 1: Fraction(1764, 15625), 2: Fraction(147, 125000),
-        3: Fraction(49, 31250), 6: Fraction(1, 125000),
+    assert _kernel_for(g, 50, MonoStars(2)).name == "gather"
+    laws = {
+        MonoEdges(): {
+            0: Fraction(13818, 15625), 1: Fraction(1764, 15625), 2: Fraction(147, 125000),
+            3: Fraction(49, 31250), 6: Fraction(1, 125000),
+        },
+        MonoStars(2): {0: Fraction(124803, 125000), 3: Fraction(49, 31250), 12: Fraction(1, 125000)},
     }
-    assert exact_distribution(g, 50, MonoStars(2)) == {
-        0: Fraction(124803, 125000), 3: Fraction(49, 31250), 12: Fraction(1, 125000),
-    }
+    powers = 50 ** np.arange(3, -1, -1)
+    for (r, share), (stat, law) in zip(((1, 2), (2, 1)), laws.items()):
+        assert exact_distribution(g, 50, stat) == law
+        sort = functools.partial(_sorted_counts, g.twin_quotient(np.float32), 50, r, share)
+        counts = np.concatenate([sort((idx[None, :] // powers[:, None] % 50).astype(np.uint8))
+                                 for idx in rng.batches(0, 50**4, 4 * 18)])
+        values, freq = np.unique(counts, return_counts=True)
+        assert {int(v): Fraction(int(f), 50**4) for v, f in zip(values, freq)} == law
 
 
 def test_frozen_exact_law_on_the_sieve():

@@ -4,6 +4,10 @@ Colors are drawn tile by tile in the narrowest unsigned dtype holding
 c - 1, as a power-of-two shift or a single float multiply. Every value
 must equal ``oracles.uniform_ints_reference`` for any tile size and in
 either layout: vertex-major (v, s) is the transpose of sample-major (s, v).
+c = 2^31 is the last power of two whose draw skips the finalizer's last
+round, 2^32 the first that runs it, and 2^33 the first drawn as int64.
+``rng.normals`` finishes both of its words from one hash of the path and
+must equal ``oracles.normals_reference``, built from two ``rng.words`` calls.
 ``rng.batches`` cuts index ranges into blocks, by a cost per index or one
 cost for all.
 """
@@ -11,12 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import uniform_ints_reference
+from oracles import normals_reference, uniform_ints_reference
 
 from colorgraph import rng
 from colorgraph.errors import DomainExceededError
 
-COLORS = (1, 2, 3, 7, 30, 255, 256, 257, 1770, 65536, 65537, 2**32 + 1, 2**40 + 3, 2**53)
+COLORS = (1, 2, 3, 7, 30, 255, 256, 257, 1770, 65536, 65537, 2**31, 2**32, 2**32 + 1, 2**33, 2**40 + 3, 2**53)
 TINY_TILE = 7
 
 
@@ -68,13 +72,34 @@ def test_tiny_tiles_change_nothing(c, monkeypatch):
 
 @pytest.mark.parametrize("tile", [None, TINY_TILE])
 def test_other_path_shapes(tile, monkeypatch):
-    # scalars, a 1-D index (as limits draws) and a 3-D broadcast tile the same way
+    # scalars, a 1-D index (as limits draws) and a 3-D broadcast tile the same way; so do prefixes
+    # that vary by row, hashed tile by tile, and last steps of full shape, sliced into the tile buffer
     if tile is not None:
         monkeypatch.setattr(rng, "TILE_WORDS", tile)
     grid = (np.arange(4)[:, None, None], np.arange(5)[None, :, None], np.arange(6)[None, None, :])
-    for path in [(3, 4), (rng.STREAM_LAW, np.arange(50), 2), (1, *grid), (np.arange(3)[:, None], 9)]:
-        assert np.array_equal(rng.uniform_ints(8, 1770, *path), uniform_ints_reference(8, 1770, *path))
+    rows, cols = np.arange(9)[:, None], np.arange(6)[None, :]
+    for c in (2, 2**31, 2**32, 1770):
+        for path in [(3, 4), (rng.STREAM_LAW, np.arange(50), 2), (1, *grid), (np.arange(3)[:, None], 9),
+                     (cols, rows + 3 * cols), (rows, rows * cols), (rows * cols, 1, rows)]:
+            assert np.array_equal(rng.uniform_ints(8, c, *path), uniform_ints_reference(8, c, *path)), (c, path)
     assert rng.uniform_ints(8, 3, np.arange(0), 1).shape == (0,)
+
+
+def test_path_needs_a_step():
+    with pytest.raises(ValueError, match="path step"):
+        rng.uniform_ints(5, 2)
+
+
+@pytest.mark.parametrize("path", [
+    (rng.STREAM_LAW, 7, 0),
+    (rng.STREAM_LAW, np.arange(300), 0),
+    (rng.STREAM_LAW, np.arange(5)[:, None, None], np.arange(4)[None, :, None], np.arange(3)[None, None, :]),
+], ids=["scalar", "1-D", "3-D"])
+def test_normals_match_reference(path):
+    drawn = rng.normals(11, *path)
+    expected = normals_reference(11, *path)
+    assert np.shape(drawn) == np.shape(expected)
+    assert np.array_equal(drawn, expected)
 
 
 def test_float_path_never_reaches_c():
