@@ -14,11 +14,12 @@ Lovasz 2012, ch. 5). It serves the tuple census for k <= 4,
 ``count_cycles`` at lengths 3 and 4 (so ``limits.limit_for``'s four-cycle
 count), and the length-3 and length-4 cross-check of the cycle walk.
 
-Pattern isomorphism is decided by explicit canonical forms: vertices are
-first partitioned by iterated degree refinement, then the edge representation
-is minimized over the partition-respecting relabelings by individualization
-and refinement. This is exact for patterns with at most 10 vertices, which
-covers everything a tuple length of 4 can produce.
+Pattern isomorphism is decided by explicit canonical forms, computed
+afresh per call with no cache: the labels are renamed once, then each
+component's vertices are partitioned by iterated degree refinement and its
+edge representation is minimized over the partition-respecting relabelings
+by individualization and refinement. This is exact for components with at
+most 10 vertices, which covers everything a tuple length of 4 can produce.
 """
 from __future__ import annotations
 
@@ -232,62 +233,30 @@ def _canonical_rep(nv: int, mult: dict[tuple[int, int], int]) -> tuple[tuple[int
     return best
 
 
-def _canonicalize(nv: int, mult: dict[tuple[int, int], int]) -> MultiGraphPattern:
-    """Canonical pattern via per-component minimization.
-
-    Components are canonicalized independently, ordered by their canonical
-    representations, and relabeled with offsets; isomorphic multigraphs
-    always produce the identical result.
-    """
-    reps = []
-    for verts in components(nv, mult):
-        local = {x: i for i, x in enumerate(verts)}
-        local_mult = {
-            (min(local[u], local[v]), max(local[u], local[v])): k
-            for (u, v), k in mult.items()
-            if u in local
-        }
-        reps.append((len(verts), _canonical_rep(len(verts), local_mult)))
-    reps.sort()
-    offset = 0
-    edges: list[tuple[int, int, int]] = []
-    for cn, rep in reps:
-        edges.extend((u + offset, v + offset, k) for u, v, k in rep)
-        offset += cn
-    return MultiGraphPattern(nv, tuple(sorted(edges)))
-
-
-_classify_cache: dict[tuple, MultiGraphPattern] = {}
-
-
 def _classify(pairs: tuple[tuple[int, int], ...]) -> MultiGraphPattern:
-    """Canonical pattern for endpoint pairs (repetition = multiplicity)."""
-    if not pairs:
-        return MultiGraphPattern(0, ())
+    """Canonical pattern for endpoint pairs (repetition = multiplicity).
+
+    The labels are renamed 0..nv-1 in sorted order, once. Each component is
+    then minimized on its own (:func:`_canonical_rep`), the components are
+    ordered by size and representation, and each is shifted past those
+    before it, so isomorphic multigraphs always give the identical pattern.
+    """
+    label = {x: i for i, x in enumerate(sorted({x for pair in pairs for x in pair}))}
     mult = Counter()
     for u, v in pairs:
         if u == v:
             raise ValueError(f"pattern edge ({u}, {v}) is a self-loop")
-        mult[(u, v) if u < v else (v, u)] += 1
-    # signature: relabel by first appearance in the sorted edge list, so
-    # identically-shaped inputs share one cache entry regardless of labels
-    relabel: dict[int, int] = {}
-    sig_edges = []
-    for (u, v), k in sorted(mult.items()):
-        for x in (u, v):
-            if x not in relabel:
-                relabel[x] = len(relabel)
-        a, b = relabel[u], relabel[v]
-        sig_edges.append((min(a, b), max(a, b), k))
-    sig = tuple(sorted(sig_edges))
-    hit = _classify_cache.get(sig)
-    if hit is not None:
-        return hit
-    nv = len(relabel)
-    remapped = {(min(relabel[u], relabel[v]), max(relabel[u], relabel[v])): k for (u, v), k in mult.items()}
-    pat = _canonicalize(nv, remapped)
-    _classify_cache[sig] = pat
-    return pat
+        mult[tuple(sorted((label[u], label[v])))] += 1
+    reps = []
+    for comp in components(len(label), mult):  # ascending, so local labels keep u < v
+        local = {x: i for i, x in enumerate(comp)}
+        block = {(local[u], local[v]): k for (u, v), k in mult.items() if u in local}
+        reps.append((len(comp), _canonical_rep(len(comp), block)))
+    edges, offset = [], 0
+    for size, rep in sorted(reps):
+        edges += [(u + offset, v + offset, k) for u, v, k in rep]
+        offset += size
+    return MultiGraphPattern(offset, tuple(sorted(edges)))
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,8 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale):
             weights.append(float(Fraction(parts[1])) if len(parts) > 1 else 1.0)
     except OverflowError:
         raise click.UsageError(f"--empirical row {r!r} holds a number outside the float range") from None
+    except ZeroDivisionError:
+        raise click.UsageError(f"--empirical row {r!r} divides by zero") from None
     if not values:
         raise click.UsageError(f"--empirical {empirical} has no value rows")
     if metric is None:

@@ -9,9 +9,11 @@ quantities are computed combinatorially, in exact rational arithmetic:
 * the deficiency comes from a maximum matching of the bipartite double
   cover (two copies of V, one edge (u, v') per adjacency) through the
   defect form of Hall's theorem;
-* an optimal phi comes from a minimum vertex cover of the double cover
-  (Koenig's construction from the matching), via
-  phi(v) = 1 - (cover_left(v) + cover_right(v)) / 2.
+* an optimal phi comes from a minimum vertex cover of the double cover,
+  via phi(v) = 1 - (cover_left(v) + cover_right(v)) / 2. The cover is
+  Koenig's, read off the left vertices that Hopcroft-Karp's last search
+  reached (no second search); phi is computed and checked in integer
+  halves 2 phi, and becomes Fractions only for the output.
 
 No floating point enters except in the diagnostic ratio report.
 """
@@ -44,9 +46,7 @@ __all__ = [
     "hopcroft_karp",
 ]
 
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
-ZERO = Fraction(0)
+PHI_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1))  # indexed by 2 phi
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +56,14 @@ ZERO = Fraction(0)
 _INF = -1
 
 
-def hopcroft_karp(n_left: int, n_right: int, adj: list[tuple[int, ...]]) -> tuple[int, list[int], list[int]]:
+def hopcroft_karp(n_left: int, n_right: int, adj: list[tuple[int, ...]]) -> tuple[int, list[bool]]:
     """Maximum matching of a bipartite graph; O(E sqrt(V)).
 
     ``adj[u]`` lists the right neighbors of left vertex ``u`` in sorted
-    order, which makes the returned matching deterministic. Returns
-    (size, pair_left, pair_right) with -1 for unmatched.
+    order, which makes the result deterministic. Returns (size, reached):
+    ``reached[u]`` says that the last search, the one that finds no
+    augmenting path, marked ``u`` in ``dist``. Then (L minus reached) union
+    N(reached) is a minimum vertex cover (Koenig 1931).
     """
     pair_l = [_INF] * n_left
     pair_r = [_INF] * n_right
@@ -111,33 +113,7 @@ def hopcroft_karp(n_left: int, n_right: int, adj: list[tuple[int, ...]]) -> tupl
         for u in range(n_left):
             if pair_l[u] == _INF and augment(u):
                 size += 1
-    return size, pair_l, pair_r
-
-
-def _koenig_cover(n_left: int, n_right: int, adj, pair_l, pair_r) -> tuple[list[bool], list[bool]]:
-    """Minimum vertex cover from a maximum matching.
-
-    Alternating reachability from the unmatched left vertices: the cover is
-    (L minus reached) union (R intersect reached). Deterministic given the
-    matching and the sorted adjacency.
-    """
-    reached_l = [False] * n_left
-    reached_r = [False] * n_right
-    queue = deque(u for u in range(n_left) if pair_l[u] == _INF)
-    for u in queue:
-        reached_l[u] = True
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not reached_r[v]:
-                reached_r[v] = True
-                w = pair_r[v]
-                if w != _INF and not reached_l[w]:
-                    reached_l[w] = True
-                    queue.append(w)
-    cover_l = [not r for r in reached_l]
-    cover_r = list(reached_r)
-    return cover_l, cover_r
+    return size, [d != _INF for d in dist]
 
 
 def _require_no_isolated(h: Graph, what: str) -> None:
@@ -155,7 +131,7 @@ def _require_no_isolated(h: Graph, what: str) -> None:
 def deficiency(h: Graph) -> int:
     """max over S of |S| - |N_H(S)|, via the double-cover matching defect."""
     _require_no_isolated(h, "deficiency")
-    size, _, _ = hopcroft_karp(h.n, h.n, h.adjacency)
+    size, _ = hopcroft_karp(h.n, h.n, h.adjacency)
     return h.n - size
 
 
@@ -173,28 +149,32 @@ class FractionalSolution:
     partition: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
+def _partition(twice: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The vertex sets where 2 phi is 0, 1 and 2."""
+    return tuple(tuple(np.flatnonzero(twice == t).tolist()) for t in (0, 1, 2))
+
+
+def _violated_edge(h: Graph, twice: np.ndarray) -> tuple[int, int] | None:
+    """The first edge (u, v) of ``h.edges`` with 2 phi(u) + 2 phi(v) > 2, if any."""
+    u, v = h.edge_arrays()
+    bad = np.flatnonzero(twice[u] + twice[v] > 2)
+    return (int(u[bad[0]]), int(v[bad[0]])) if bad.size else None
+
+
 def gamma(h: Graph) -> FractionalSolution:
-    """Optimal half-integral solution; objective equals (|V| + deficiency)/2."""
+    """Optimal half-integral solution; objective equals (|V| + deficiency)/2.
+
+    2 phi(v) = 2 - [v not reached] - [v in N(reached)], read off the cover of
+    :func:`hopcroft_karp`, is checked in integers; Fractions are built for the output only.
+    """
     _require_no_isolated(h, "gamma")
-    adj = h.adjacency
-    size, pair_l, pair_r = hopcroft_karp(h.n, h.n, adj)
-    cover_l, cover_r = _koenig_cover(h.n, h.n, adj, pair_l, pair_r)
-    phi = tuple(ONE - Fraction(int(cover_l[v]) + int(cover_r[v]), 2) for v in range(h.n))
-    value = sum(phi, start=ZERO)
-    expected = Fraction(h.n + (h.n - size), 2)
-    if value != expected:
-        raise RuntimeError(
-            f"cover construction gave objective {value}, expected {expected}"
-        )
-    for u, v in h.edges.tolist():
-        if phi[u] + phi[v] > ONE:
-            raise RuntimeError("cover construction produced an infeasible solution")
-    part = (
-        tuple(v for v in range(h.n) if phi[v] == ZERO),
-        tuple(v for v in range(h.n) if phi[v] == HALF),
-        tuple(v for v in range(h.n) if phi[v] == ONE),
-    )
-    return FractionalSolution(phi=phi, gamma=value, partition=part)
+    size, reached = hopcroft_karp(h.n, h.n, h.adjacency)
+    reached = np.array(reached, bool)
+    twice = 1 + reached - (np.bincount(h.nbrs[np.repeat(reached, np.diff(h.offsets))], minlength=h.n) > 0)
+    if twice.sum() != 2 * h.n - size or _violated_edge(h, twice):
+        raise RuntimeError(f"cover construction gave an infeasible phi or a sum other than {2 * h.n - size}/2")
+    phi = tuple(PHI_VALUES[t] for t in twice.tolist())
+    return FractionalSolution(phi=phi, gamma=Fraction(int(twice.sum()), 2), partition=_partition(twice))
 
 
 # ---------------------------------------------------------------------------
@@ -222,30 +202,31 @@ def _has_spanning_cycle_edge_factor(h: Graph) -> bool:
     matching there is a vertex bijection sigma with sigma(v) adjacent to v,
     and the cycles of sigma trace the factor.
     """
-    if h.n == 0:
-        return True
-    if h.has_isolated_vertices():
-        return False
-    return deficiency(h) == 0
+    return h.n == 0 or (not h.has_isolated_vertices() and deficiency(h) == 0)
 
 
 def structural_check(sol: FractionalSolution, h: Graph) -> StructuralReport:
-    """Certificate checks for an optimal solution produced by :func:`gamma`."""
-    if len(sol.phi) != h.n or any(p not in (ZERO, HALF, ONE) for p in sol.phi):
+    """Certificate checks for an optimal solution produced by :func:`gamma`.
+
+    The solution is checked in integer halves 2 phi first: feasibility on
+    every edge, the sum against ``gamma``, and ``partition`` against the sets
+    where phi is 0, 1/2 and 1. A failure raises SolutionMismatchError.
+    """
+    if len(sol.phi) != h.n or any(p not in PHI_VALUES for p in sol.phi):
         raise SolutionMismatchError("solution shape does not match the graph")
-    for u, v in h.edges.tolist():
-        if sol.phi[u] + sol.phi[v] > ONE:
-            raise SolutionMismatchError(f"solution violates edge ({u}, {v})")
-    if sum(sol.phi, start=ZERO) != sol.gamma:
+    twice = np.array([int(2 * p) for p in sol.phi], np.int64)
+    if edge := _violated_edge(h, twice):
+        raise SolutionMismatchError(f"solution violates edge {edge}")
+    if int(twice.sum()) != 2 * sol.gamma:
         raise SolutionMismatchError("solution values do not sum to the stated objective")
-
+    if tuple(map(tuple, sol.partition)) != _partition(twice):
+        raise SolutionMismatchError("solution partition is not the sets where phi is 0, 1/2 and 1")
     v0, vhalf, v1 = sol.partition
-
     saturating = True
-    if sol.gamma > Fraction(h.n, 2) and v0:
+    if twice.sum() > h.n and v0:
         index_r, adj = {v: i for i, v in enumerate(v1)}, h.adjacency
         adj01 = [tuple(sorted(index_r[w] for w in adj[u] if w in index_r)) for u in v0]
-        size, _, _ = hopcroft_karp(len(v0), len(v1), adj01)
+        size, _ = hopcroft_karp(len(v0), len(v1), adj01)
         saturating = size == len(v0)
 
     index = np.full(h.n, -1)

@@ -376,6 +376,17 @@ def brute_deficiency(g: Graph) -> int:
     return best
 
 
+def brute_max_matching(n_right: int, adj) -> int:
+    """Maximum matching of the bipartite graph with left neighbour lists ``adj``, over every set of used right vertices."""
+    best = {0: 0}  # used right vertices -> the largest matching of the left vertices so far that uses them
+    for nbrs in adj:
+        for used, size in list(best.items()):
+            for v in nbrs:
+                if not used >> v & 1 and best.get(used | 1 << v, -1) < size + 1:
+                    best[used | 1 << v] = size + 1
+    return max(best.values())
+
+
 def brute_automorphisms(g: Graph) -> int:
     count = 0
     e = set(edge_pairs(g))

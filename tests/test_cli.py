@@ -418,16 +418,21 @@ UNJUDGEABLE_COMPARES = [
     (COMPARE_TV + ["huge.csv", "--law", "law.json"], "row '1e400,2' holds a number outside the float range"),
     (COMPARE_KS[:2] + ["huge.csv"] + COMPARE_KS[3:], "row '1e400,2' holds a number outside the float range"),
     (COMPARE_TV + ["huge-count.csv", "--law", "law.json"], "row '3,1e400' holds a number outside the float range"),
+    (COMPARE_TV + ["zero-denominator-count.csv", "--law", "law.json"], "row '1,1/0' divides by zero"),
+    (COMPARE_KS[:2] + ["zero-denominator-value.csv"] + COMPARE_KS[3:], "row '1/0,3' divides by zero"),
 ]
 UNJUDGEABLE_IDS = ["tv-normal", "tv-weighted-chi-square", "tv-atom-plus-normal", "tv-zero-counts",
-                   "tv-negative-count", "ks-negative-count", "tv-huge-value", "ks-huge-value", "tv-huge-count"]
+                   "tv-negative-count", "ks-negative-count", "tv-huge-value", "ks-huge-value", "tv-huge-count",
+                   "tv-zero-denominator-count", "ks-zero-denominator-value"]
 
 
 def write_compare_inputs(tmp_path) -> None:
     """The CSVs and law documents that ``UNJUDGEABLE_COMPARES`` reads."""
     for name, text in (("e.csv", "value,count\n3,10\n"), ("zero-counts.csv", "value,count\n1,0\n2,0\n"),
                        ("negative-count.csv", "value,count\n1,-3\n2,5\n"),
-                       ("huge.csv", "value,count\n1e400,2\n3,5\n"), ("huge-count.csv", "value,count\n3,1e400\n")):
+                       ("huge.csv", "value,count\n1e400,2\n3,5\n"), ("huge-count.csv", "value,count\n3,1e400\n"),
+                       ("zero-denominator-count.csv", "value,count\n1,1/0\n"),
+                       ("zero-denominator-value.csv", "value,count\n1/0,3\n")):
         (tmp_path / name).write_text(text)
     for name, law in (("law.json", limits.Poisson(5.0)), ("normal.json", limits.Normal(0.0, 1.0)),
                       ("chi-square.json", limits.WeightedChiSquare((1.0,), 1, 0.25)),

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_automorphisms, brute_deficiency, brute_gamma
+from oracles import brute_automorphisms, brute_deficiency, brute_gamma, brute_max_matching
 
 from colorgraph.errors import (
     NoSpanningCycleEdgeFactorError,
@@ -17,6 +20,7 @@ from colorgraph.extremal import (
     condition_report,
     deficiency,
     gamma,
+    hopcroft_karp,
     structural_check,
 )
 from colorgraph.graph import (
@@ -40,6 +44,28 @@ def random_no_isolated(n, p, seed):
         return None
     relabel = {v: i for i, v in enumerate(keep)}
     return Graph(len(keep), [(relabel[u], relabel[v]) for u, v in g.edges])
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """(n_left, n_right, adj) with at most 8 + 8 vertices, each ``adj[u]`` sorted."""
+    n_left, n_right = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n_right, max_size=n_right), min_size=n_left, max_size=n_left))
+    return n_left, n_right, [tuple(v for v, joined in enumerate(row) if joined) for row in rows]
+
+
+class TestHopcroftKarp:
+    @given(bipartite_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_last_search_reads_off_a_minimum_cover(self, case):
+        # Koenig: (L minus reached) union N(reached) covers every edge and has exactly size vertices
+        n_left, n_right, adj = case
+        size, reached = hopcroft_karp(n_left, n_right, adj)
+        assert size == brute_max_matching(n_right, adj)
+        left = {u for u in range(n_left) if not reached[u]}
+        right = {v for u in range(n_left) if reached[u] for v in adj[u]}
+        assert all(u in left or v in right for u in range(n_left) for v in adj[u])
+        assert len(left) + len(right) == size
 
 
 class TestDeficiency:
@@ -145,6 +171,20 @@ class TestStructuralCheck:
         sol = gamma(generate(Star(3)))
         with pytest.raises(SolutionMismatchError):
             structural_check(sol, generate(Cycle(4)))
+
+    def test_partition_must_be_the_sets_of_phi(self):
+        # all of C5's phi is 1/2: a partition that puts 3 and 4 at 1 would read the half part as a path
+        g = generate(Cycle(5))
+        forged = dataclasses.replace(gamma(g), partition=((), (0, 1, 2), (3, 4)))
+        with pytest.raises(SolutionMismatchError, match="partition"):
+            structural_check(forged, g)
+        assert structural_check(gamma(g), g).half_part_spanning
+
+    def test_violated_edge_is_named(self):
+        g = generate(Path(2))
+        ones = (Fraction(1),) * 3
+        with pytest.raises(SolutionMismatchError, match=r"violates edge \(0, 1\)"):
+            structural_check(dataclasses.replace(gamma(g), phi=ones, gamma=Fraction(3)), g)
 
     def test_certificates_hold_generally(self):
         for seed in range(60):
