@@ -396,6 +396,8 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale):
         raise click.UsageError(f"--empirical row {r!r} holds a number outside the float range") from None
     except ZeroDivisionError:
         raise click.UsageError(f"--empirical row {r!r} divides by zero") from None
+    except ValueError:
+        raise click.UsageError(f"--empirical row {r!r} holds a field that is not a number") from None
     if not values:
         raise click.UsageError(f"--empirical {empirical} has no value rows")
     if metric is None:

@@ -222,15 +222,15 @@ def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, colors: np.ndar
     ``_gemm_counts`` uses, and r-stars = sum C(d, r); r = 1 sums d itself,
     twice the monochromatic edges. A vertex alone in its color has d = 0, so
     only runs of two or more vertices are read: about m / c pairs per column
-    on K_n. The keys take the narrowest dtype holding c * k - 1, which
-    ``_kernel_for`` keeps in int64.
+    on K_n. The keys take the narrowest dtype of at least 16 bits (numpy sorts
+    uint8 far slower) holding c * k - 1, which ``_kernel_for`` keeps in int64.
     """
     n, batch = colors.shape
     k = quotient.k
     total = np.zeros(batch, dtype=np.int64)
     if n < 2:
         return total
-    keys = colors.astype(rng._narrow_dtype(c * k - 1))
+    keys = colors.astype(np.promote_types(rng._narrow_dtype(c * k - 1), np.uint16))
     keys *= k
     keys += quotient.labels.astype(keys.dtype)[:, None]
     keys.sort(axis=0)

@@ -534,10 +534,18 @@ class PathCycleGadget(Params):
 
 
 def _independent_edges(n: int, seed: int, stream: int, p: float | np.ndarray) -> Graph:
-    """Each pair i < j an edge on its own, kept when its uniform on ``stream`` is below p or grid entry p[i, j]."""
-    iu, jv = np.triu_indices(n, k=1)
-    keep = rng.uniforms(seed, stream, iu, jv) < (p[iu, jv] if np.ndim(p) else p)
-    return Graph(n, np.column_stack((iu[keep], jv[keep])))
+    """Each pair i < j an edge on its own, kept when its uniform on ``stream`` is below p or grid entry p[i, j].
+
+    Rows i go in ``rng.batches`` blocks of their n - 1 - i pairs, so no block holds all C(n, 2) uniforms.
+    """
+    kept = []
+    for rows in rng.batches(0, n, np.arange(n - 1, -1, -1)):
+        counts = n - 1 - rows
+        iu = np.repeat(rows, counts)
+        jv = np.arange(iu.size) + np.repeat(n - np.cumsum(counts), counts)  # i + 1 .. n - 1 on row i
+        keep = rng.uniforms(seed, stream, iu, jv) < (p[iu, jv] if np.ndim(p) else p)
+        kept.append(np.column_stack((iu[keep], jv[keep])))
+    return Graph(n, np.concatenate(kept))
 
 
 # each family spec builds its own graph with ``build()``

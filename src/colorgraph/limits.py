@@ -13,6 +13,10 @@ Four families cover every regime:
 * ``PoissonMixture`` and ``AtomPlusNormal`` for the mixture phenomena
   exhibited by branching-tree and coarse bipartite hosts.
 
+Each law type owns its ``cdf`` and its ``draw``; ``LimitLaw`` and
+``DiscreteLaw`` are their base classes. A discrete law is Poisson with a
+mean drawn from its ``mixing``, and ``Poisson`` is its own one-point
+mixing, so every discrete law takes one pmf, cdf and sampling path.
 Sampling is counter-based: element i of a sample path is a pure function of
 (seed, i).
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Iterator, Union, get_args
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -91,10 +95,49 @@ _POSITIVE = (lambda x: 0 < x < math.inf, "finite and > 0")
 # ---------------------------------------------------------------------------
 
 
+class LimitLaw:
+    """Base of the limit laws: ``cdf(x)`` at a finite x, ``draw(seed, idx)`` for one ``rng.batches`` block."""
+
+    row_cost = 1  # the array entries one draw needs
+
+
+class DiscreteLaw(LimitLaw):
+    """Poisson with a random mean drawn from ``mixing``: the laws with a pmf.
+
+    A mixing gives ``mixed_pmf(k)``, the mixture's pmf at k, its ``largest_mean()``, and
+    ``means(seed, idx)``, the Poisson means of a block. ``Poisson`` is its own one-point mixing.
+    """
+
+    def cdf(self, x: float) -> float:
+        return 0.0 if x < 0 else min(1.0, sum(law_pmf_terms(self, int(x))))  # the rounded sum can pass 1
+
+    def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
+        return rng.poissons(seed, self.mixing.means(seed, idx), rng.STREAM_LAW, idx, 0)
+
+
+def _poisson_pmf(lam: float, k: int) -> float:
+    if k < 0:
+        return 0.0
+    if lam == 0.0:
+        return 1.0 if k == 0 else 0.0
+    return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+
+
 @dataclass(frozen=True)
-class Poisson(Params):
+class Poisson(Params, DiscreteLaw):
     mean: float
     ranges = {"mean": _NONNEGATIVE}
+
+    mixing = property(lambda self: self)  # Poisson is its own one-point mixing
+
+    def mixed_pmf(self, k: int) -> float:
+        return _poisson_pmf(self.mean, k)
+
+    def largest_mean(self) -> float:
+        return self.mean
+
+    def means(self, seed: int, idx: np.ndarray) -> float:
+        return self.mean
 
 
 @dataclass(frozen=True)
@@ -102,33 +145,83 @@ class PoissonMixing(Params):
     mean: float
     ranges = {"mean": _NONNEGATIVE}
 
+    def mixed_pmf(self, k: int) -> float:
+        # sum_j P(Z = j) e^{-j} j^k / k!, truncated when the Poisson tail of
+        # the mixing law is negligible relative to the accumulated sum
+        mu = self.mean
+        wj = math.exp(-mu)
+        if wj < np.finfo(np.float64).tiny:
+            raise DomainExceededError(f"Poisson mixing mean {mu:.6g} is too large: "
+                                      "exp(-mean) underflows below the smallest normal double")
+        total, weight_tail, j = 0.0, 1.0, 0
+        while True:
+            total += wj * _poisson_pmf(float(j), k)
+            weight_tail -= wj
+            # once wj underflows to 0 no later term changes the sum; the
+            # rounded weight_tail alone may never reach the tolerance
+            if j > mu and (wj == 0.0 or weight_tail <= _PMF_REL_TAIL * max(total, _PMF_REL_TAIL)):
+                break
+            j += 1
+            wj *= mu / j
+            if j > _MIXTURE_MAX_TERMS:
+                raise DomainExceededError(f"Poisson mixing mean {mu} needs more than {_MIXTURE_MAX_TERMS} terms")
+        return total
+
+    def largest_mean(self) -> float:
+        """The first j whose weight, computed as ``mixed_pmf`` computes it, is exactly 0.0."""
+        j, wj = 0, math.exp(-self.mean)
+        while wj > 0.0:
+            j += 1
+            wj *= self.mean / j
+        return j
+
+    def means(self, seed: int, idx: np.ndarray) -> np.ndarray:
+        return rng.poissons(seed, self.mean, rng.STREAM_LAW, idx, 1).astype(np.float64)
+
 
 @dataclass(frozen=True)
 class EmpiricalMixing(Params):
     samples: tuple[float, ...]
     ranges = {"samples": (lambda s: s and all(0 <= x < math.inf for x in s), "nonempty, finite, >= 0")}
 
+    def mixed_pmf(self, k: int) -> float:
+        return float(np.mean([_poisson_pmf(z, k) for z in self.samples]))
 
-Mixing = Union[PoissonMixing, EmpiricalMixing]
+    def largest_mean(self) -> float:
+        return max(self.samples)
+
+    def means(self, seed: int, idx: np.ndarray) -> np.ndarray:
+        arr = np.asarray(self.samples, dtype=np.float64)
+        return arr[rng.uniform_ints(seed, arr.size, rng.STREAM_LAW, idx, 2)]
 
 
 @dataclass(frozen=True)
-class PoissonMixture(Params):
+class PoissonMixture(Params, DiscreteLaw):
     """Poisson with a random mean Z: P(W = k) = E[e^{-Z} Z^k / k!]."""
 
-    mixing: Mixing
-    ranges = {"mixing": (lambda m: isinstance(m, get_args(Mixing)), "a PoissonMixing or EmpiricalMixing")}
+    mixing: PoissonMixing | EmpiricalMixing
+    ranges = {"mixing": (lambda m: isinstance(m, (PoissonMixing, EmpiricalMixing)), "a PoissonMixing or EmpiricalMixing")}
+
+
+def _phi(x: float) -> float:
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
-class Normal(Params):
+class Normal(Params, LimitLaw):
     mean: float
     variance: float
     ranges = {"mean": _FINITE, "variance": _POSITIVE}
 
+    def cdf(self, x: float) -> float:
+        return _phi((x - self.mean) / math.sqrt(self.variance))
+
+    def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
+        return self.mean + math.sqrt(self.variance) * rng.normals(seed, rng.STREAM_LAW, idx, 0)
+
 
 @dataclass(frozen=True)
-class WeightedChiSquare(Params):
+class WeightedChiSquare(Params, LimitLaw):
     """scale * sum_i weights_i * xi_i with xi_i iid chi-square(dof) - dof.
 
     Weights must be normalized: sum of squares 1 (within 1e-10).
@@ -139,6 +232,10 @@ class WeightedChiSquare(Params):
     scale: float
     ranges = {"weights": (lambda w: abs(sum(x * x for x in w) - 1) <= _WEIGHT_SUM_TOL, "of unit norm"),
               "dof": (lambda d: d >= 1, ">= 1"), "scale": _FINITE}
+
+    @property
+    def row_cost(self) -> int:
+        return len(self.weights) * self.dof
 
     def effective_weights(self) -> tuple[tuple[float, ...], float]:
         """(weights kept for sampling, dropped squared mass).
@@ -157,20 +254,49 @@ class WeightedChiSquare(Params):
             acc += w * w
         return tuple(kept), max(0.0, total - acc)
 
+    def cdf(self, x: float) -> float:
+        """P(law <= x) for the kept weights of ``effective_weights()``, the law ``draw`` draws.
+
+        Within ``_CDF_ACCURACY``: exact 0 or 1 beyond a finite support endpoint, otherwise
+        Imhof's inversion integral summed by :class:`_Inversion`.
+        """
+        kept, _ = self.effective_weights()
+        lam = self.scale * np.asarray(kept, dtype=np.float64)
+        endpoint = -self.dof * float(lam.sum())
+        if lam.min() > 0.0 and x <= endpoint:
+            return 0.0
+        if lam.max() < 0.0 and x >= endpoint:
+            return 1.0
+        if not lam.any():
+            return 1.0 if x >= 0.0 else 0.0
+        value = _Inversion(lam, self.dof).probability_below(x - endpoint)
+        return min(1.0, max(0.0, value))
+
+    def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
+        w = np.asarray(self.effective_weights()[0], dtype=np.float64)
+        cols = np.arange(w.size, dtype=np.int64)[None, :, None]
+        comp = np.arange(self.dof, dtype=np.int64)[None, None, :]
+        z = rng.normals(seed, rng.STREAM_LAW, idx[:, None, None], cols, comp)
+        # row-wise sums, not a BLAS product: a draw's rounding must not depend on the block's rows
+        return self.scale * (((z * z).sum(axis=2) - self.dof) * w).sum(axis=1)
+
 
 @dataclass(frozen=True)
-class AtomPlusNormal(Params):
+class AtomPlusNormal(Params, LimitLaw):
     """Mixture of a point mass at 0 (weight atom_mass) and N(0, variance)."""
 
     atom_mass: float
     variance: float
     ranges = {"atom_mass": (lambda p: 0 <= p <= 1, "in [0, 1]"), "variance": _POSITIVE}
 
+    def cdf(self, x: float) -> float:
+        atom = self.atom_mass if x >= 0 else 0.0
+        return atom + (1.0 - self.atom_mass) * _phi(x / math.sqrt(self.variance))
 
-DiscreteLaw = Union[Poisson, PoissonMixture]  # the laws with a pmf
-LimitLaw = Union[DiscreteLaw, Normal, WeightedChiSquare, AtomPlusNormal]
-_DISCRETE = get_args(DiscreteLaw)  # isinstance reads a tuple about 10x faster than a Union
-_LAWS = get_args(LimitLaw)
+    def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
+        out = math.sqrt(self.variance) * rng.normals(seed, rng.STREAM_LAW, idx, 0)
+        out[rng.uniforms(seed, rng.STREAM_LAW, idx, 3) < self.atom_mass] = 0.0
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,78 +347,17 @@ def law_from_dict(doc) -> LimitLaw:
 
 
 # ---------------------------------------------------------------------------
-# pmf / cdf
+# pmf, cdf and sampling
 # ---------------------------------------------------------------------------
-
-
-def _poisson_pmf(lam: float, k: int) -> float:
-    if k < 0:
-        return 0.0
-    if lam == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
-
-
-def _mixture_pmf(mix: Mixing, k: int) -> float:
-    if isinstance(mix, EmpiricalMixing):
-        return float(np.mean([_poisson_pmf(z, k) for z in mix.samples]))
-    # sum_j P(Z = j) e^{-j} j^k / k!, truncated when the Poisson tail of
-    # the mixing law is negligible relative to the accumulated sum
-    mu = mix.mean
-    wj = math.exp(-mu)
-    if wj < np.finfo(np.float64).tiny:
-        raise DomainExceededError(
-            f"Poisson mixing mean {mu:.6g} is too large: "
-            "exp(-mean) underflows below the smallest normal double"
-        )
-    total = 0.0
-    weight_tail = 1.0
-    j = 0
-    while True:
-        total += wj * _poisson_pmf(float(j), k)
-        weight_tail -= wj
-        # once wj underflows to 0 no later term changes the sum; the
-        # rounded weight_tail alone may never reach the tolerance
-        if j > mu and (wj == 0.0 or weight_tail <= _PMF_REL_TAIL * max(total, _PMF_REL_TAIL)):
-            break
-        j += 1
-        wj *= mu / j
-        if j > _MIXTURE_MAX_TERMS:
-            raise DomainExceededError(
-                f"Poisson mixing mean {mu} needs more than {_MIXTURE_MAX_TERMS} terms"
-            )
-    return total
-
-
-def _require_pmf(law: LimitLaw) -> None:
-    if not isinstance(law, _DISCRETE):
-        raise WrongLawKindError(f"{type(law).__name__} has no pmf")
 
 
 def law_pmf(law: LimitLaw, k: int) -> float:
     """P(law = k) for the discrete laws; WrongLawKindError otherwise, ValueError at a non-integer k."""
-    _require_pmf(law)
+    if not isinstance(law, DiscreteLaw):
+        raise WrongLawKindError(f"{type(law).__name__} has no pmf")
     if not float(k).is_integer():
         raise ValueError(f"a discrete law has mass only at integers, got k = {k!r}")
-    return _poisson_pmf(law.mean, k) if isinstance(law, Poisson) else _mixture_pmf(law.mixing, k)
-
-
-def _largest_mean(law: DiscreteLaw) -> float:
-    """The largest Poisson mean that ``law_pmf`` of ``law`` mixes over.
-
-    For ``PoissonMixing`` that is the first j whose weight, computed as
-    ``_mixture_pmf`` computes it, is exactly 0.0: no term from j on counts.
-    """
-    if isinstance(law, Poisson):
-        return law.mean
-    mix = law.mixing
-    if isinstance(mix, EmpiricalMixing):
-        return max(mix.samples)
-    j, wj = 0, math.exp(-mix.mean)
-    while wj > 0.0:
-        j += 1
-        wj *= mix.mean / j
-    return j
+    return law.mixing.mixed_pmf(k)
 
 
 def law_pmf_terms(law: LimitLaw, top: int) -> Iterator[float]:
@@ -302,8 +367,9 @@ def law_pmf_terms(law: LimitLaw, top: int) -> Iterator[float]:
     it stays 0.0, and the sum of the terms is the same to the bit. A law
     without a pmf raises WrongLawKindError, as in ``law_pmf``.
     """
-    _require_pmf(law)
-    largest = _largest_mean(law)
+    if not isinstance(law, DiscreteLaw):
+        raise WrongLawKindError(f"{type(law).__name__} has no pmf")
+    largest = law.mixing.largest_mean()
     for k in range(top + 1):
         p = law_pmf(law, k)
         if p == 0.0 and k > largest:
@@ -311,51 +377,27 @@ def law_pmf_terms(law: LimitLaw, top: int) -> Iterator[float]:
         yield p
 
 
-def _phi(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def law_cdf(law: LimitLaw, x: float) -> float:
     """P(law <= x); exactly 0 at -inf and 1 at +inf, ValueError at NaN."""
     if math.isnan(x):
         raise ValueError(f"cdf point must be a number, got x = {x!r}")
-    if not isinstance(law, _LAWS):
+    if not isinstance(law, LimitLaw):
         raise WrongLawKindError(f"unknown law {law!r}")
-    if math.isinf(x):
-        return 0.0 if x < 0 else 1.0
-    if isinstance(law, _DISCRETE):
-        return 0.0 if x < 0 else min(1.0, sum(law_pmf_terms(law, int(x))))  # the rounded sum can pass 1
-    if isinstance(law, Normal):
-        return _phi((x - law.mean) / math.sqrt(law.variance))
-    if isinstance(law, AtomPlusNormal):
-        atom = law.atom_mass if x >= 0 else 0.0
-        return atom + (1.0 - law.atom_mass) * _phi(x / math.sqrt(law.variance))
-    return _weighted_chisq_cdf(law, x)
+    return (0.0 if x < 0 else 1.0) if math.isinf(x) else law.cdf(x)
+
+
+def sample_law(law: LimitLaw, count: int, seed: int) -> np.ndarray:
+    """``count`` independent draws; draw i depends only on (seed, i), not on ``count``."""
+    if count < 1:
+        raise ValueError(f"need at least one sample, got {count}")
+    if not isinstance(law, LimitLaw):
+        raise WrongLawKindError(f"unknown law {law!r}")
+    return np.concatenate([law.draw(seed, idx) for idx in rng.batches(0, count, law.row_cost)]).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
 # weighted chi-square cdf: Imhof inversion with Davies' error control
 # ---------------------------------------------------------------------------
-
-
-def _weighted_chisq_cdf(law: WeightedChiSquare, x: float) -> float:
-    """P(law <= x) for the kept weights of ``law.effective_weights()``.
-
-    That is the law ``sample_law`` draws. The value is within
-    ``_CDF_ACCURACY`` of it: exact 0 or 1 beyond a finite support endpoint,
-    otherwise Imhof's inversion integral summed by :class:`_Inversion`.
-    """
-    kept, _ = law.effective_weights()
-    lam = law.scale * np.asarray(kept, dtype=np.float64)
-    endpoint = -law.dof * float(lam.sum())
-    if lam.min() > 0.0 and x <= endpoint:
-        return 0.0
-    if lam.max() < 0.0 and x >= endpoint:
-        return 1.0
-    if not lam.any():
-        return 1.0 if x >= 0.0 else 0.0
-    value = _Inversion(lam, law.dof).probability_below(x - endpoint)
-    return min(1.0, max(0.0, value))
 
 
 class _Inversion:
@@ -549,48 +591,6 @@ class _Inversion:
         if roundoff + 0.1 * _CDF_ACCURACY == roundoff:
             raise ConvergenceFailureError("weighted chi-square cdf lost its accuracy to round-off")
         return 0.5 - total
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-
-def sample_law(law: LimitLaw, count: int, seed: int) -> np.ndarray:
-    """``count`` independent draws; draw i depends only on (seed, i), not on ``count``."""
-    if count < 1:
-        raise ValueError(f"need at least one sample, got {count}")
-    row_cost = len(law.weights) * law.dof if isinstance(law, WeightedChiSquare) else 1
-    blocks = rng.batches(0, count, row_cost)
-    return np.concatenate([_draw_block(law, seed, idx) for idx in blocks]).astype(np.float64)
-
-
-def _draw_block(law: LimitLaw, seed: int, idx: np.ndarray) -> np.ndarray:
-    """The draws of the indices ``idx``, each from (seed, index) alone."""
-    if isinstance(law, Poisson):
-        return rng.poissons(seed, law.mean, rng.STREAM_LAW, idx, 0)
-    if isinstance(law, PoissonMixture):
-        mix = law.mixing
-        if isinstance(mix, PoissonMixing):
-            z = rng.poissons(seed, mix.mean, rng.STREAM_LAW, idx, 1).astype(np.float64)
-        else:
-            arr = np.asarray(mix.samples, dtype=np.float64)
-            z = arr[rng.uniform_ints(seed, arr.size, rng.STREAM_LAW, idx, 2)]
-        return rng.poissons(seed, z, rng.STREAM_LAW, idx, 0)
-    if isinstance(law, Normal):
-        return law.mean + math.sqrt(law.variance) * rng.normals(seed, rng.STREAM_LAW, idx, 0)
-    if isinstance(law, AtomPlusNormal):
-        out = math.sqrt(law.variance) * rng.normals(seed, rng.STREAM_LAW, idx, 0)
-        out[rng.uniforms(seed, rng.STREAM_LAW, idx, 3) < law.atom_mass] = 0.0
-        return out
-    if isinstance(law, WeightedChiSquare):
-        w = np.asarray(law.effective_weights()[0], dtype=np.float64)
-        cols = np.arange(w.size, dtype=np.int64)[None, :, None]
-        comp = np.arange(law.dof, dtype=np.int64)[None, None, :]
-        z = rng.normals(seed, rng.STREAM_LAW, idx[:, None, None], cols, comp)
-        # row-wise sums, not a BLAS product: a draw's rounding must not depend on the block's rows
-        return law.scale * (((z * z).sum(axis=2) - law.dof) * w).sum(axis=1)
-    raise WrongLawKindError(f"unknown law {law!r}")
 
 
 # ---------------------------------------------------------------------------

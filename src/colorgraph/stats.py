@@ -8,7 +8,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 __all__ = [
-    "validate_pmf",
     "tv_distance",
     "empirical_pmf",
     "ks_statistic",
@@ -18,16 +17,7 @@ __all__ = [
     "EmpiricalMoments",
 ]
 
-_PMF_SUM_TOL = 1e-10
 _MAX_BLOCKS = 10_000  # the most jackknife blocks ``empirical_moments`` groups samples into
-
-
-def validate_pmf(p: Mapping) -> None:
-    total = sum(float(x) for x in p.values())
-    if any(float(x) < 0 for x in p.values()):
-        raise ValueError("pmf has negative probabilities")
-    if abs(total - 1.0) > _PMF_SUM_TOL:
-        raise ValueError(f"pmf sums to {total!r}, not 1")
 
 
 def tv_distance(p: Mapping, q: Mapping) -> float:

@@ -420,10 +420,12 @@ UNJUDGEABLE_COMPARES = [
     (COMPARE_TV + ["huge-count.csv", "--law", "law.json"], "row '3,1e400' holds a number outside the float range"),
     (COMPARE_TV + ["zero-denominator-count.csv", "--law", "law.json"], "row '1,1/0' divides by zero"),
     (COMPARE_KS[:2] + ["zero-denominator-value.csv"] + COMPARE_KS[3:], "row '1/0,3' divides by zero"),
+    (COMPARE_TV + ["word-count.csv", "--law", "law.json"], "row '3,x' holds a field that is not a number"),
+    (COMPARE_KS[:2] + ["word-value.csv"] + COMPARE_KS[3:], "row '1.5.2,3' holds a field that is not a number"),
 ]
 UNJUDGEABLE_IDS = ["tv-normal", "tv-weighted-chi-square", "tv-atom-plus-normal", "tv-zero-counts",
                    "tv-negative-count", "ks-negative-count", "tv-huge-value", "ks-huge-value", "tv-huge-count",
-                   "tv-zero-denominator-count", "ks-zero-denominator-value"]
+                   "tv-zero-denominator-count", "ks-zero-denominator-value", "tv-word-count", "ks-word-value"]
 
 
 def write_compare_inputs(tmp_path) -> None:
@@ -432,7 +434,8 @@ def write_compare_inputs(tmp_path) -> None:
                        ("negative-count.csv", "value,count\n1,-3\n2,5\n"),
                        ("huge.csv", "value,count\n1e400,2\n3,5\n"), ("huge-count.csv", "value,count\n3,1e400\n"),
                        ("zero-denominator-count.csv", "value,count\n1,1/0\n"),
-                       ("zero-denominator-value.csv", "value,count\n1/0,3\n")):
+                       ("zero-denominator-value.csv", "value,count\n1/0,3\n"),
+                       ("word-count.csv", "value,count\n3,x\n"), ("word-value.csv", "value,count\n1.5.2,3\n")):
         (tmp_path / name).write_text(text)
     for name, law in (("law.json", limits.Poisson(5.0)), ("normal.json", limits.Normal(0.0, 1.0)),
                       ("chi-square.json", limits.WeightedChiSquare((1.0,), 1, 0.25)),

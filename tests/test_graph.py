@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -556,6 +557,22 @@ FROZEN_EDGE_DIGESTS = [
 def test_family_edges_are_frozen(spec, digest):
     g = generate(parse_family(spec) if isinstance(spec, str) else spec)
     assert hashlib.sha256(to_edge_list_text(g).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec", [ErdosRenyi(3000, 0.001, 1), Inhomogeneous(40, _grid(40, lambda i, j: (i + j) % 7 / 7), 3)],
+                         ids=["er3000", "inhomogeneous-40"])
+def test_independent_edges_ignore_the_batch_budget(spec, monkeypatch):
+    # rows of pairs are drawn in blocks of the batch budget, so a small budget keeps the peak small
+    edges = generate(spec).edges
+    monkeypatch.setattr(graph_module.rng, "BATCH_ENTRIES", 10**5)
+    tracemalloc.start()
+    try:
+        small = generate(spec).edges
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(small, edges)
+    assert peak < 16 * 2**20
 
 
 class TestArrayBuilders:

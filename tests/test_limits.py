@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -209,6 +210,41 @@ class TestLawEvaluation:
         monkeypatch.setattr(limits, "law_pmf", lambda law, k: calls.append(k) or real(law, k))
         assert law_cdf(law, 1e6) == near
         assert len(calls) < 2500
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()[:16]
+
+
+# -dof * scale * sum(weights) of each chi-square law: the left end of a positive one's support
+CHISQ_ENDS = [-law.dof * law.scale * math.fsum(law.weights)
+              for law in PURITY_LAWS.values() if isinstance(law, WeightedChiSquare)]
+CDF_GRID = [-math.inf, math.inf, 0.0] + [end + d for end in CHISQ_ENDS for d in (-1e-6, 1e-6)]
+
+# sha256 prefixes of (sample_law(law, 1000, 4), law_cdf on CDF_GRID) per law, then of law_pmf at k = 0..60
+FROZEN_LAWS = {
+    "poisson": ("4d7c5228b4d9fc32", "e7e5a066669549e7"),
+    "mixture-poisson": ("63141695ac9061b9", "3adf5f4e64f95af2"),
+    "mixture-empirical": ("a28258f2fe6ef873", "1701e9b5ffa1ee97"),
+    "normal": ("7a222b1093b2e7bf", "3728a3c5bd0ca395"),
+    "atom-plus-normal": ("ba229f4b8dc8cf35", "49c33d070fe7d0a4"),
+    "chisq-1-weight": ("e6f28ee2e07ffe7a", "1afad86c9c39a26c"),
+    "chisq-2-weights": ("d8b5084111f3730f", "87163d9a2b904001"),
+    "chisq-60-weights": ("d3979877752e3daf", "4db7ed573e69ba54"),
+}
+FROZEN_PMFS = {
+    "poisson": "9f80d473ee595098",
+    "mixture-poisson": "d121fc8d4601821a",
+    "mixture-empirical": "de180448ab8b0900",
+    "poisson-800": "256958bc39dff36b",
+}
+
+
+def test_laws_are_frozen():
+    laws = {**PURITY_LAWS, "poisson-800": Poisson(800.0)}
+    assert {name: (_digest(sample_law(laws[name], 1000, 4)), _digest([law_cdf(laws[name], x) for x in CDF_GRID]))
+            for name in FROZEN_LAWS} == FROZEN_LAWS
+    assert {name: _digest([law_pmf(laws[name], k) for k in range(61)]) for name in FROZEN_PMFS} == FROZEN_PMFS
 
 
 class TestLawDocuments:

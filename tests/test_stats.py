@@ -14,7 +14,6 @@ from colorgraph.stats import (
     ks_statistic,
     tv_distance,
     two_sample_ks,
-    validate_pmf,
 )
 
 
@@ -54,13 +53,6 @@ class TestTvDistance:
         assert tv_distance(p, q) == pytest.approx(tv_distance(q, p))
         assert tv_distance(p, q) <= tv_distance(p, r) + tv_distance(r, q) + 1e-12
         assert 0.0 <= tv_distance(p, q) <= 1.0
-
-    def test_validate(self):
-        validate_pmf({0: 0.5, 2: 0.5})
-        with pytest.raises(ValueError):
-            validate_pmf({0: 0.5, 2: 0.6})
-        with pytest.raises(ValueError):
-            validate_pmf({0: -0.1, 1: 1.1})
 
 
 class TestKsStatistic:
