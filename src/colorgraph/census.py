@@ -61,6 +61,7 @@ __all__ = [
 _MAX_PATTERN_VERTICES = 10
 CYCLE_LENGTHS = range(3, 9)  # the cycle lengths counted and listed: 3..8
 _MAX_CYCLE_ENTRIES = 64 * rng.BATCH_ENTRIES  # 1 GiB of int64; cycle_list's peak is its blocks plus one hstack
+_MAX_CYCLE_PAIRS = 10**8  # path pairs one cycle walk compares: complete:16 has 8.0e7 over lengths 3..8
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +280,15 @@ def _cycle_blocks(g: Graph, lengths: Collection[int]) -> Iterator[tuple[int, np.
         if not (isinstance(length, numbers.Integral) and length in CYCLE_LENGTHS):
             raise UnsupportedLengthError(f"cycle length must be in [3, 8], got {length}")
     depth = max(((length + 1) // 2 for length in lengths), default=0)
+    pairs = 0
     for roots in _root_blocks(g, depth):  # P and Q share their root, so root blocks split the work
         levels = _half_paths(g, roots, depth)
-        for length in lengths:
-            for cycles in _closed_pairs(g, *levels[(length + 1) // 2 - 1], *levels[length // 2 - 1]):
-                yield length, cycles
+        closing = [(length, *_closed_pairs(g, *levels[(length + 1) // 2 - 1], *levels[length // 2 - 1]))
+                   for length in lengths]
+        pairs += sum(count for _, count, _ in closing)
+        if pairs > _MAX_CYCLE_PAIRS:
+            raise SizeGateExceededError(f"the cycle walk compares more than {_MAX_CYCLE_PAIRS} path pairs")
+        yield from ((length, cycles) for length, _, blocks in closing for cycles in blocks)
 
 
 def _root_blocks(g: Graph, depth: int) -> list[np.ndarray]:
@@ -329,24 +334,29 @@ def _half_paths(g: Graph, roots: np.ndarray, depth: int) -> list[tuple[np.ndarra
     return levels
 
 
-def _closed_pairs(g: Graph, p: np.ndarray, p_key: np.ndarray, q: np.ndarray, q_key: np.ndarray) -> Iterator[np.ndarray]:
-    """The cycles, one column each, that paths P of ``p`` and Q of ``q`` close.
+def _closed_pairs(g: Graph, p: np.ndarray, p_key: np.ndarray, q: np.ndarray, q_key: np.ndarray) -> tuple[int, Iterator]:
+    """The pairs of paths P of ``p`` and Q of ``q`` to compare, and the cycles they close, one column each.
 
-    The Qs of a P share its end and root and have Q[1] > P[1], a range of
-    the keys. Pairs go in ``rng.batches`` blocks of their running count, at
-    three index arrays, a mask and a cycle per pair.
+    The Qs of a P share its end and root and have Q[1] > P[1], a range of the
+    keys counted before any pair is compared. Pairs go in ``rng.batches``
+    blocks of their running count, at 3 index arrays, a mask and a cycle each.
     """
     a, b = len(p) - 1, len(q) - 1
     lo = np.searchsorted(q_key, p_key, side="right")
     hi = np.searchsorted(q_key, p_key - p_key % g.nbrs.size + g.offsets[p[0] + 1])  # past the root's arcs
     ends = np.cumsum(hi - lo)
-    for idx in rng.batches(0, int(ends[-1]) if ends.size else 0, a + b + 5):
-        left = np.searchsorted(ends, idx, side="right")
-        right = idx - ends[left] + hi[left]
-        ok = np.ones(idx.size, bool)
-        for i, j in itertools.product(range(1, a), range(1, b)):
-            ok &= p[i, left] != q[j, right]
-        yield np.concatenate((p[:, left[ok]], q[b - 1:0:-1, right[ok]]))
+    total = int(ends[-1]) if ends.size else 0
+
+    def cycles() -> Iterator[np.ndarray]:
+        for idx in rng.batches(0, total, a + b + 5):
+            left = np.searchsorted(ends, idx, side="right")
+            right = idx - ends[left] + hi[left]
+            ok = np.ones(idx.size, bool)
+            for i, j in itertools.product(range(1, a), range(1, b)):
+                ok &= p[i, left] != q[j, right]
+            yield np.concatenate((p[:, left[ok]], q[b - 1:0:-1, right[ok]]))
+
+    return total, cycles()
 
 
 def cycle_counts(g: Graph, lengths: Collection[int] = CYCLE_LENGTHS) -> dict[int, int]:

@@ -15,26 +15,24 @@ unsigned dtype holding c - 1. That is the layout and dtype
 ``rng.uniform_ints`` draws in, tile by tile, so no int64 matrix is built
 and none is transposed.
 
-Both count with one of four kernels, the cheapest per sample, built once
-per call by ``_kernel_for``: a one-hot float32 GEMM on the twin quotient
-of the host, a sort of each coloring's (color, class) keys on the same
-quotient, a gather that compares colors along edges, cycles or the
-neighbour lists of ``Graph.nbrs``, one contiguous row per vertex looked
-up, or, for cycles at many colors, a sieve that reads every sample's
-colors only at the cycles' first two vertices and a cycle's later
-vertices only while it is still monochromatic. The quotient kernels take
-``Graph.twin_quotient``'s ``Blowup``, the host as a blow-up of its k twin
-classes: with h_a the per-class count of color a, B the k x k quotient
-and q its diagonal, a vertex of class j and color a has d = (B h_a - q)_j
-neighbours of its color, and the kernels count one star order r,
-sum_v C(d_v, r), over a share. Edges are 1-stars halved:
-N = 1/2 sum_a h_a' (B h_a - q), which is 1/2 sum_a x_a' A x_a. So the
-complete host counts from its color-class sizes, and a twin-free host
-(k = n, B = A) runs the plain adjacency GEMM. The GEMM makes one pass per
-color; the sort reads h_a off the colors present only, so it serves the
-birthday regime (c > n). The kernels return identical counts. All loop
-over the sample or coloring blocks of ``rng.batches``, sized by the
-kernel's ``row_cost``.
+Both count with the cheapest per sample of four kernels, built once per
+call by ``_kernel_for`` (priced in GEMM multiply-adds: 900 per color drawn,
+8 per pass element, 4 per sort step, 2300 per fancy-indexed move, fitted
+on the 29-case grid its docstring names): a
+one-hot float32 GEMM on the twin quotient of the host, a sort of each
+coloring's (color, class) keys on the same quotient, a gather that
+compares colors along edges, cycles or the neighbour lists of
+``Graph.nbrs``, one contiguous row per vertex looked up, or, for cycles at
+many colors, a sieve that reads every sample's colors only at the cycles'
+first two vertices and a cycle's later vertices only while it is still
+monochromatic. The quotient kernels take ``Graph.twin_quotient``'s
+``Blowup``, the host as a blow-up of its k twin classes, and count one
+star order r from each color's class sizes h_a (``_gemm_counts`` gives the
+identity; edges are 1-stars halved), so the complete host counts from its
+color-class sizes and a twin-free host runs the plain adjacency GEMM. The
+GEMM makes one pass per color; the sort reads h_a off the colors present
+only, so it serves the birthday regime (c > n). The kernels return
+identical counts, each over the ``rng.batches`` blocks its ``row_cost`` sizes.
 """
 from __future__ import annotations
 
@@ -63,17 +61,11 @@ __all__ = [
 ]
 
 EXACT_ENUMERATION_GATE = 10**7
-# per-sample kernel costs in units of one multiply-add of the GEMM's B h_a (c*k^2 per sample); the
-# weights come from measured break-evens and per-sample kernel times
-_GATHER_STEP = 40  # one gather compare; m per sample
-_STAR_STEP = 64  # one vertex's mono-degree and its C(d, r) in the star gather; n per sample
-_PASS_STEP = 48  # one vertex in one of the GEMM's per-color passes; c*n per sample, beside c*k^2 for B h_a
-_SORT_STEP = 16  # one step of the sorted kernel; n*(ceil(log2 n) + k) per sample
-_LINK_STEP = 4500  # one sorted vertex sharing its color with the one before it; n - E[colors present] per sample
-_WORD_STEP = 400  # one color drawn for one vertex of a sample; n per sample, |dense set| for the sieve
-_FIRST_STEP = 280  # one first edge compared by the sieve, and its pairs found
-_READ_STEP = 3500  # one (cycle, sample) pair of the sieve reading and comparing its next vertex
-_INT64_KEYS = 2**63  # the sorted kernel's keys c*k must stay below this
+# ``_kernel_for``'s unit costs in multiply-adds of the GEMM's B h_a, fitted on the grid it names
+_DRAW = 900  # one color drawn
+_PASS = 8  # one element of a contiguous pass: a gather compare, a GEMM per-color pass, a star slot
+_SORT = 4  # one step of a sort
+_MOVE = 2300  # one element moved by fancy indexing: a gather row, a sorted run link, a sieve first edge or read
 
 
 @dataclass(frozen=True)
@@ -362,58 +354,55 @@ def _sieve_counts(index: _SieveIndex, source: Callable, samples: np.ndarray) -> 
 def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
     """The cheapest counting kernel for (g, c, stat), with the quotient or index it counts over.
 
-    Per sample, each weighted by its measured cost: the gather makes m
-    compares, and for stars adds each vertex's C(d, r); the GEMM on k twin
-    classes makes c passes over the n colors (indicators and histograms)
-    and c products B h_a of k^2; the sorted kernel sorts, n*(ceil(log2 n)
-    + k), and then reads each vertex that shares its color with the one
-    before it, n - E[colors present] of them. The cheapest runs, a tie
-    going to the GEMM, then the sort. The GEMM needs B to fit one
-    ``rng.batches`` block and the sort needs its keys c*k to fit int64.
-    Those bounds and the gather's cost bound k, and the twin search is
-    skipped when not even k = 1 could beat the gather. The quotient
-    kernels count r-stars; edges are 1-stars halved.
-
-    Cycles of length L are the gather's or the sieve's. Both draw colors:
-    the gather n, the sieve only the dense set of the cycles' first two
-    vertices. The gather then makes L - 1 compares per cycle; the sieve
-    compares each distinct first edge once and reads about cycles / c^j
-    (cycle, sample) pairs at column j + 1 for j = 1..L-2. The sieve runs
-    when it is strictly cheaper, so few colors keep the gather.
+    A price is the counted work per sample times the unit costs. The gather
+    makes m compares (stars: two passes over the 2m + n neighbour and own
+    slots) and moves a row per edge end and ``rng.batches`` block; the GEMM
+    on k twin classes makes c passes of 3n and c products B h_a of k^2; the
+    sort takes ceil(log2 n) steps per key, then a move and four k-long passes
+    per link, a vertex sharing its color with the one before it (n -
+    E[colors present]). Their n draws are left out. The cheapest runs, ties
+    going to the GEMM, then the sort. B must fit a block and the keys c*k
+    int64; those bounds and the gather's price bound k, and no twin search
+    runs when k = 1 cannot win. Edges are 1-stars halved. Of cycles of
+    length L, the gather draws n colors, compares L - 1 times per cycle and
+    moves L rows per block; the sieve draws the dense set of the cycles'
+    first two vertices, moves each first edge and about cycles / c^j reads
+    at column j + 1, j = 1..L-2, and runs only when strictly cheaper. The
+    units were fitted once (nothing is timed at run time) on interleaved
+    per-kernel timings, each the minimum of 7 runs, of 29 cases: the rows of
+    ``test_kernel_chooser_grid``, er:30:0.3:1 ``stars:2`` at c=2, complete:60
+    ``edges`` at c = 255, 256 and 257, and er:300:0.5:1 ``edges`` at c=2.
     """
     _require_statistic(stat)
-    n, depth = g.n, (g.n - 1).bit_length()  # depth = ceil(log2 n)
+    n = g.n
     if isinstance(stat, MonoCycles):
         cycles = census.cycle_list(g, stat.g)
-        dense, first = np.unique(cycles[:, :2]).size, np.unique(cycles[:, 0] * n + cycles[:, 1]).size
+        index = _sieve_index(cycles)
         reads = len(cycles) * sum(c ** -j for j in range(1, stat.g - 1))  # the pairs reaching columns 2..L-1
-        gather = _WORD_STEP * n + _GATHER_STEP * len(cycles) * (stat.g - 1)
-        if _WORD_STEP * dense + _FIRST_STEP * first + _READ_STEP * reads >= gather:
+        block = max(1, rng.BATCH_ENTRIES // (n + g.m + cycles.size))
+        gather = _DRAW * n + _PASS * len(cycles) * (stat.g - 1) + _MOVE * cycles.size / block
+        if _DRAW * index.dense.size + _MOVE * (len(index.first) + reads) >= gather:
             return _gather_for(g, stat, cycles)
         # row cost: dense colors, first-edge colors and matches, about 8 arrays over the expected pairs
-        row_cost = dense + 2 * first + 8 * math.ceil(len(cycles) / c)
-        return _Kernel("sieve", functools.partial(_sieve_counts, _sieve_index(cycles)), row_cost)
-    gather = _GATHER_STEP * g.m + (_STAR_STEP * n if isinstance(stat, MonoStars) else 0)
-    links = _LINK_STEP * (n + c * math.expm1(n * math.log1p(-1 / c)))  # n - E[colors present], weighted
-    gemm_classes = min(math.isqrt(max(0, gather - c * _PASS_STEP * n) // c), math.isqrt(rng.BATCH_ENTRIES))
-    sort_classes = min(int(gather - links) // (_SORT_STEP * max(n, 1)) - depth, _INT64_KEYS // c)
+        row_cost = index.dense.size + 2 * len(index.first) + 8 * math.ceil(len(cycles) / c)
+        return _Kernel("sieve", functools.partial(_sieve_counts, index), row_cost)
+    passes = 2 * (2 * g.m + n) if isinstance(stat, MonoStars) else g.m
+    gather = _PASS * passes + _MOVE * 2 * g.m / max(1, rng.BATCH_ENTRIES // max(1, n + g.m))
+    links, depth = n + c * math.expm1(n * math.log1p(-1 / c)), (n - 1).bit_length()  # n - E[present], ceil(log2 n)
+    gemm_classes = min(math.isqrt(max(0, int(gather / c - 3 * _PASS * n))), math.isqrt(rng.BATCH_ENTRIES))
+    spare = gather - _SORT * n * depth - _MOVE * links  # left for the sort's k-long rows
+    sort_classes = min(int(spare / (4 * _PASS * links)), 2**63 // c) if links > 0 else 0  # keys c*k in int64
     max_classes = max(gemm_classes, sort_classes)
-    quotient = None
-    if max_classes >= 1:
-        quotient = g.twin_quotient(np.float32, max_classes)
-    costs = {"gather": gather}
-    if quotient is not None:
-        k = quotient.k
-        if k <= gemm_classes:
-            costs["gemm"] = c * (_PASS_STEP * n + k * k)
-        if k <= sort_classes:
-            costs["sorted"] = _SORT_STEP * n * (depth + k) + links
-    name = min(("gemm", "sorted", "gather"), key=lambda kind: costs.get(kind, math.inf))
+    quotient = g.twin_quotient(np.float32, max_classes) if max_classes >= 1 else None
+    k = math.inf if quotient is None else quotient.k
+    costs = {"gemm": c * (3 * _PASS * n + k * k) if k <= gemm_classes else math.inf,
+             "sorted": _SORT * n * depth + (_MOVE + 4 * _PASS * k) * links if k <= sort_classes else math.inf,
+             "gather": gather}
+    name = min(costs, key=costs.get)
     if name == "gather":
         return _gather_for(g, stat)
     r, share = (1, 2) if isinstance(stat, MonoEdges) else (stat.r, 1)
-    # row costs: colors, indicator, histogram, degrees; colors, keys and masks, link and vertex
-    # arrays, class histograms
+    # row costs: colors, indicator, histogram, degrees; colors, keys, masks, link and vertex arrays, histograms
     counts, row_cost = (_gemm_counts, 2 * (n + k)) if name == "gemm" else (_sorted_counts, n * (15 + 3 * k))
     return _Kernel(name, functools.partial(_read_all, functools.partial(counts, quotient, c, r, share), n), row_cost)
 

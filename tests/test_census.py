@@ -157,6 +157,17 @@ class TestCycleWalk:
             with pytest.raises(SizeGateExceededError, match="more than 59 entries"):
                 call()
 
+    def test_cycle_walk_gate(self, monkeypatch):
+        # complete:6's walk compares 20 path pairs for its triangles, 117 for its 5-cycles, 2,219 for lengths 3..8
+        g = generate(Complete(6))
+        monkeypatch.setattr(census, "_MAX_CYCLE_PAIRS", 2219)
+        assert cycle_counts(g) == {3: 20, 4: 45, 5: 72, 6: 60, 7: 0, 8: 0}
+        monkeypatch.setattr(census, "_MAX_CYCLE_PAIRS", 116)
+        assert len(cycle_list(g, 3)) == 20
+        for call in (lambda: cycle_counts(g), lambda: count_cycles(g, 5), lambda: cycle_list(g, 5)):
+            with pytest.raises(SizeGateExceededError, match="more than 116 path pairs"):
+                call()
+
     def test_catalog_matches_oracles(self, catalog):
         for name, g in catalog:
             assert_walk_matches_oracles(g)

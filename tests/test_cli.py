@@ -509,6 +509,7 @@ class TestBirthday:
         (["limit", "--graph", "dense.edges", "--colors", "2"], 3),
         (["limit", "--graph", "blowup.edges", "--colors", "2"], 0),
         (["extremal", "--graph", "cycle:3001"], 0),
+        (["census", "--graph", "complete:20", "--cycles"], 3),
         *((args, 2) for args, _ in PATH_ERRORS),
         *((args, 2) for args, _ in UNJUDGEABLE_COMPARES),
         *((args, 2) for args, _ in USAGE_ERRORS),
@@ -519,6 +520,7 @@ class TestBirthday:
             "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol", "inf-poisson-mean",
             "fractional-dof", "nan-offspring", "sparse-host-above-size-gate", "star-above-size-gate",
             "dense-host-above-size-gate", "dense-blow-up-below-class-gate", "long-cycle-extremal",
+            "cycle-walk-gate",
             *PATH_ERROR_IDS, *UNJUDGEABLE_IDS, *USAGE_ERROR_IDS])
     def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the compare rows read these files

@@ -43,6 +43,7 @@ from colorgraph.graph import (
     Graph,
     Path,
     PathCycleGadget,
+    RandomRegular,
     Star,
     generate,
     parse_family,
@@ -300,6 +301,14 @@ class TestSimulate:
         ("er:300:0.1:7", 2, MonoStars(2), "gather"),
         ("er:30:0.3:1", 3, MonoStars(2), "gather"),
         ("star:300", 2, MonoStars(2), "gemm"),
+        # picks that the measured kernel times settle by 1.3x or more: the sieve 4x faster than the
+        # gather's 40,677 compares, the gather 2x faster than a GEMM on 30 classes, the GEMM 1.4-1.7x
+        # faster than a gather whose blocks hold 22 samples
+        ("er:60:0.3:1", 30, MonoCycles(4), "sieve"),
+        ("er:30:0.3:1", 2, MonoEdges(), "gather"),
+        ("er:600:0.5:1", 30, MonoEdges(), "gemm"),
+        # readme-cli's K40, like dense-chisq's hosts
+        ("complete:40", 2, MonoEdges(), "gemm"),
     ])
     def test_kernel_chooser_grid(self, spec, c, stat, kernel):
         assert _kernel_for(generate(parse_family(spec)), c, stat).name == kernel
@@ -317,8 +326,10 @@ class TestSimulate:
         def refuse(self, *args, **kwargs):
             raise AssertionError("twin_quotient called")
         monkeypatch.setattr(Graph, "twin_quotient", refuse)
-        # 40*m = 8,000 is below both c*(n + 1) = 60,300 and 16*n*(ceil(log2 n) + 1) = 28,800
+        # the gather's m compares and their rows are below the GEMM's c passes of 3n and the sort's
+        # n*ceil(log2 n) steps and its links, each at k = 1
         assert _kernel_for(generate(Cycle(200)), 300, MonoEdges()).name == "gather"
+        assert _kernel_for(generate(RandomRegular(2000, 3, 5)), 2, MonoEdges()).name == "gather"
 
     def test_one_cycle_list_per_call(self, monkeypatch):
         real, calls = census.cycle_list, []
