@@ -98,10 +98,8 @@ def _require_statistic(stat) -> None:
 
 
 def _comb_array(values: np.ndarray, r: int) -> np.ndarray:
-    """Elementwise C(value, r) of nonnegative ints, exact, via a table of the values present."""
-    present = np.flatnonzero(np.bincount(values.ravel()))
-    table = np.zeros(present[-1] + 1 if present.size else 1, dtype=np.int64)
-    table[present] = [math.comb(int(x), r) for x in present]
+    """Elementwise C(value, r) of nonnegative ints, exact, via a table up to the largest value."""
+    table = np.array([math.comb(x, r) for x in range(int(values.max(initial=0)) + 1)], dtype=np.int64)
     return table[values]
 
 
@@ -367,7 +365,7 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
     length L, the gather draws n colors, compares L - 1 times per cycle and
     moves L rows per block; the sieve draws the dense set of the cycles'
     first two vertices, moves each first edge and about cycles / c^j reads
-    at column j + 1, j = 1..L-2, and runs only when strictly cheaper. The
+    at column j + 1, j = 1..L-2; only when strictly cheaper is its index built. The
     units were fitted once (nothing is timed at run time) on interleaved
     per-kernel timings, each the minimum of 7 runs, of 29 cases: the rows of
     ``test_kernel_chooser_grid``, er:30:0.3:1 ``stars:2`` at c=2, complete:60
@@ -377,15 +375,16 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
     n = g.n
     if isinstance(stat, MonoCycles):
         cycles = census.cycle_list(g, stat.g)
-        index = _sieve_index(cycles)
+        dense = np.count_nonzero(np.bincount(cycles[:, :2].ravel(), minlength=n))  # the sieve's sizes, unindexed
+        first = np.unique(cycles[:, 0] * n + cycles[:, 1]).size
         reads = len(cycles) * sum(c ** -j for j in range(1, stat.g - 1))  # the pairs reaching columns 2..L-1
         block = max(1, rng.BATCH_ENTRIES // (n + g.m + cycles.size))
         gather = _DRAW * n + _PASS * len(cycles) * (stat.g - 1) + _MOVE * cycles.size / block
-        if _DRAW * index.dense.size + _MOVE * (len(index.first) + reads) >= gather:
+        if _DRAW * dense + _MOVE * (first + reads) >= gather:
             return _gather_for(g, stat, cycles)
         # row cost: dense colors, first-edge colors and matches, about 8 arrays over the expected pairs
-        row_cost = index.dense.size + 2 * len(index.first) + 8 * math.ceil(len(cycles) / c)
-        return _Kernel("sieve", functools.partial(_sieve_counts, index), row_cost)
+        row_cost = dense + 2 * first + 8 * math.ceil(len(cycles) / c)
+        return _Kernel("sieve", functools.partial(_sieve_counts, _sieve_index(cycles)), row_cost)
     passes = 2 * (2 * g.m + n) if isinstance(stat, MonoStars) else g.m
     gather = _PASS * passes + _MOVE * 2 * g.m / max(1, rng.BATCH_ENTRIES // max(1, n + g.m))
     links, depth = n + c * math.expm1(n * math.log1p(-1 / c)), (n - 1).bit_length()  # n - E[present], ceil(log2 n)

@@ -15,13 +15,17 @@ All bulk operations are vectorized over numpy uint64 arrays and broadcast
 like ordinary numpy ops: pass index arrays shaped ``(s, 1)`` and ``(1, v)``
 to fill an ``(s, v)`` matrix, or ``(1, s)`` and ``(v, 1)`` for the
 vertex-major ``(v, s)`` matrix of the same draws. ``words`` mixes in place.
-``uniform_ints`` fills its output in tiles of about ``TILE_WORDS`` words,
-so each pass over a tile stays in cache, and returns the narrowest
-unsigned dtype that holds c - 1; no draw depends on the layout or the
-tiling. It hashes the path up to its last step with ``words``, then runs
-the last step and the finalizer in two uint64 tile buffers allocated once
-per call, and writes each tile's shift or scale-multiply straight into the
-output. For c = 2^k with k <= 31 it skips the finalizer's last round,
+The finalizer's first step, z ^= z >> 30, distributes over xor, so a step
+that broadcasts two smaller operands folds both before it and skips that
+step on the full size. ``uniform_ints`` and ``normals`` finish their words
+in tiles of about ``TILE_WORDS`` words through buffers allocated once per
+call, so each pass over a tile stays in cache; no draw depends on the
+layout or the tiling. ``uniform_ints`` hashes the path up to its last
+step with ``words`` and lays the folded head out once as a contiguous
+tile; per tile it copies in the folded last step and xors the head (two
+contiguous passes beat one two-way broadcast), and writes the shift or
+scale-multiply straight into its output, the narrowest unsigned dtype that
+holds c - 1. For c = 2^k with k <= 31 it skips the finalizer's last round,
 which leaves the top 31 bits unchanged. ``normals`` hashes its path once
 and finishes both of its words from that prefix.
 """
@@ -90,15 +94,23 @@ def batches(lo: int, hi: int, row_cost: int | np.ndarray) -> Iterator[np.ndarray
         start = stop
 
 
-def _mix(z: np.ndarray, tmp: np.ndarray, last_round: bool = True) -> np.ndarray:
+def _fold(z):
+    """z ^= z >> 30, the finalizer's first step, in place for an array: fold(a ^ b) = fold(a) ^ fold(b)."""
+    z ^= z >> _U64(30)
+    return z
+
+
+def _mix(z: np.ndarray, tmp: np.ndarray, last_round: bool = True, folded: bool = False) -> np.ndarray:
     """The splitmix64 finalizer applied to ``z`` in place; ``tmp`` is scratch of z's shape.
 
-    Without ``last_round`` the final z ^= z >> 31 is left out, which leaves
-    the top 31 bits as they are.
+    With ``folded`` the first step, z ^= z >> 30, is taken as done (see
+    ``_fold``). Without ``last_round`` the final z ^= z >> 31 is left out,
+    which leaves the top 31 bits as they are.
     """
     for shift, mult in ((30, _M1), (27, _M2), (31, None))[: 3 if last_round else 2]:
-        np.right_shift(z, _U64(shift), out=tmp)
-        z ^= tmp
+        if shift != 30 or not folded:
+            np.right_shift(z, _U64(shift), out=tmp)
+            z ^= tmp
         if mult is not None:
             z *= mult
     return z
@@ -115,8 +127,9 @@ def words(seed: int, *path) -> np.ndarray:
     """uint64 hash words for every index combination in ``path`` (broadcast).
 
     Leading scalar steps run on Python ints; each array step allocates its
-    prefix's broadcast shape once and mixes it in place. A path of scalars
-    gives a ``np.uint64``.
+    prefix's broadcast shape once and mixes it in place. Where both
+    operands of a step are smaller than their broadcast, they are folded
+    before it. A path of scalars gives a ``np.uint64``.
     """
     h = _mix_int((int(seed) + int(_GOLDEN)) & _MASK)
     with np.errstate(over="ignore"):  # uint64 wraparound is intended; numpy warns for 0-d operands
@@ -124,9 +137,14 @@ def words(seed: int, *path) -> np.ndarray:
             a, mult = np.asarray(ix, dtype=np.uint64), _POS[pos % len(_POS)]
             if a.ndim == 0 and isinstance(h, int):
                 h = _mix_int(h ^ (int(a) * int(mult) & _MASK))
-            else:
-                h = np.bitwise_xor(a * mult, h, dtype=np.uint64)
-                _mix(h, np.empty_like(h))
+                continue
+            a = a * mult
+            h = _U64(h) if isinstance(h, int) else h
+            folded = max(a.size, h.size) < math.prod(np.broadcast_shapes(a.shape, h.shape))
+            if folded:
+                a, h = _fold(a), _fold(h)
+            h = np.bitwise_xor(a, h, dtype=np.uint64)
+            _mix(h, np.empty_like(h), folded=folded)
     return _U64(h) if isinstance(h, int) else h
 
 
@@ -158,8 +176,10 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
     leading-axis rows that hold about ``TILE_WORDS`` words (one row if a
     row holds more), so every pass over a tile stays in cache. ``words``
     hashes the path up to its last step; the last step and the finalizer
-    run here, in two tile buffers allocated once per call, and the shift or
-    the scale-multiply writes each tile's colors straight into the output.
+    run here, in tile buffers allocated once per call. Unless the prefix
+    varies by row, both operands are folded first (see ``_fold``) and the
+    head is laid out once as a tile. The shift or the scale-multiply writes
+    each tile's colors straight into the output.
     For c = 2^k with k <= 31 the finalizer's last round, z ^= z >> 31, is
     skipped: it never changes the top 31 bits. Each draw depends only on its
     own path, so the tiling changes no value. Pass the vertex index as the
@@ -184,17 +204,22 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
     z = np.empty((min(step, out.shape[0]), *out.shape[1:]), dtype=np.uint64)
     tmp = np.empty_like(z)
     *prefix, last = parts
-    last = last * _POS[(len(parts) - 1) % len(_POS)]
-    head = None if any(sliced[:-1]) else words(seed, *prefix)  # a prefix that varies by row is hashed per tile
+    head = None  # a prefix that varies by row is hashed per tile, and each tile runs the whole finalizer
+    with np.errstate(over="ignore"):  # uint64 wraparound is intended; numpy warns for 0-d operands
+        last = last * _POS[(len(parts) - 1) % len(_POS)]
+        if not any(sliced[:-1]):  # else both operands are folded, the head laid out once as a contiguous tile
+            last, head = _fold(last), np.empty_like(z)
+            np.copyto(head, _fold(np.asarray(words(seed, *prefix))))
     shift = 64 - (c.bit_length() - 1) if c > 1 and c & (c - 1) == 0 else None
     scale = c * 2.0**-53
     for r in range(0, out.shape[0], step):
         rows = slice(r, r + step)
         tile = out[rows]
         zt, tt = z[: len(tile)], tmp[: len(tile)]
-        h = words(seed, *(a[rows] if cut else a for a, cut in zip(prefix, sliced))) if head is None else head
-        np.bitwise_xor(last[rows] if sliced[-1] else last, h, out=zt)
-        _mix(zt, tt, last_round=shift is None or shift < 33)
+        np.copyto(zt, last[rows] if sliced[-1] else last)  # then one contiguous xor: a two-way broadcast is slower
+        zt ^= words(seed, *(a[rows] if cut else a for a, cut in zip(prefix, sliced))) if head is None \
+            else head[: len(tile)]
+        _mix(zt, tt, last_round=shift is None or shift < 33, folded=head is not None)
         if shift is not None:  # c = 2^k: the top k bits
             np.right_shift(zt, _U64(shift), out=tile, casting="unsafe")
         else:  # no clamp to c - 1: even (2^53 - 1) * (c * 2^-53) rounds to below c
@@ -206,14 +231,28 @@ def normals(seed: int, *path) -> np.ndarray:
     """Standard normals via Box-Muller; two words per variate.
 
     The words are ``words(seed, *path, 0)`` and ``words(seed, *path, 1)``:
-    the path is hashed once, and both trailing steps finish from it.
+    the path is hashed once, and both trailing steps finish from it in
+    tiles of ``TILE_WORDS`` words, through buffers allocated once per call.
     """
-    h = np.array(words(seed, *path), dtype=np.uint64)
-    other = np.bitwise_xor(h, _POS[len(path) % len(_POS)], out=np.empty_like(h))  # trailing step 1
-    tmp = np.empty_like(h)
-    u1 = ((_mix(h, tmp) >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53  # step 0 leaves h; u1 in (0, 1) for the log
-    u2 = (_mix(other, tmp) >> _U64(11)).astype(np.float64) * 2.0**-53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    hashed = np.asarray(words(seed, *path))
+    h, out = hashed.reshape(-1), np.empty(hashed.size)
+    w0, w1, tmp = (np.empty(min(h.size, TILE_WORDS), dtype=np.uint64) for _ in range(3))
+    u1, u2 = np.empty(w0.shape), np.empty(w0.shape)
+    other = _fold(_POS[len(path) % len(_POS)])  # trailing step 1 folded; step 0 leaves h as it is
+    for r in range(0, h.size, TILE_WORDS):
+        ht = h[r: r + TILE_WORDS]
+        a, b, t, x, y = (buf[: ht.size] for buf in (w0, w1, tmp, u1, u2))
+        np.bitwise_xor(np.right_shift(ht, _U64(30), out=a), ht, out=a)
+        np.bitwise_xor(a, other, out=b)
+        np.copyto(x, np.right_shift(_mix(a, t, folded=True), _U64(11), out=a), casting="unsafe")
+        np.copyto(y, np.right_shift(_mix(b, t, folded=True), _U64(11), out=b), casting="unsafe")
+        x += 0.5
+        x *= 2.0**-53  # u1 in (0, 1) for the log
+        y *= 2.0**-53
+        np.sqrt(np.multiply(np.log(x, out=x), -2.0, out=x), out=x)
+        np.cos(np.multiply(y, 2.0 * math.pi, out=y), out=y)
+        np.multiply(x, y, out=out[r: r + ht.size])
+    return out.reshape(hashed.shape) if hashed.ndim else out[0]
 
 
 def poissons(seed: int, mean, *path) -> np.ndarray:

@@ -130,25 +130,59 @@ def loop_mono_counts(g: Graph, colorings, kind: str, order: int = 0) -> list[int
     return out
 
 
+# stream v1's constants, restated so that the references below run none of the library's hashing
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_POS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93, 0xA5A5A5A5A5A5A5A5 | 1)
+
+
+def _mix_int(z: int) -> int:
+    """The splitmix64 finalizer of one word, in Python ints."""
+    z ^= z >> 30
+    z = (z * _M1) & _MASK
+    z ^= z >> 27
+    z = (z * _M2) & _MASK
+    return z ^ (z >> 31)
+
+
+def words_reference(seed: int, *path) -> np.ndarray:
+    """Stream v1's hash words of the broadcast ``path``, one element at a time in Python ints.
+
+    h = mix(seed + golden), then h = mix(h ^ (i_j * pos_j)) for each step
+    j, all mod 2^64, with pos_j = _POS[j % 5]. A uint64 array of the path's
+    broadcast shape, 0-d for a path of scalars.
+    """
+    shape = np.broadcast_shapes(*(np.shape(ix) for ix in path))
+    steps = [np.broadcast_to(ix, shape).ravel().tolist() for ix in path]
+    out = []
+    for values in zip(*steps) if steps else [()]:
+        h = _mix_int((int(seed) + _GOLDEN) & _MASK)
+        for j, i in enumerate(values):
+            h = _mix_int(h ^ (int(i) * _POS[j % len(_POS)] & _MASK))
+        out.append(h)
+    return np.array(out, dtype=np.uint64).reshape(shape)
+
+
 def uniform_ints_reference(seed: int, c: int, *path) -> np.ndarray:
-    """Colors in [0, c) from the stream's hash words by the original formula, as int64.
+    """Colors in [0, c) from ``words_reference`` by the original formula, as int64.
 
     min(floor(((w >> 11) * 2^-53) * c), c - 1): a 53-bit uniform, then two
-    float multiplies and a clamp. Only the words come from the library.
+    float multiplies and a clamp.
     """
-    w = rng.words(seed, *path)
+    w = words_reference(seed, *path)
     u = (w >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return np.minimum(np.floor(u * c).astype(np.int64), c - 1)
 
 
 def normals_reference(seed: int, *path) -> np.ndarray:
-    """Box-Muller normals from two separate ``rng.words`` calls, one per trailing step 0 and 1.
+    """Box-Muller normals from two ``words_reference`` calls, one per trailing step 0 and 1.
 
     u1 = ((w0 >> 11) + 1/2) * 2^-53 lies in (0, 1), u2 = (w1 >> 11) * 2^-53
     in [0, 1); the normal is sqrt(-2 log u1) cos(2 pi u2).
     """
-    u1 = ((rng.words(seed, *path, 0) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    u2 = (rng.words(seed, *path, 1) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u1 = ((words_reference(seed, *path, 0) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u2 = (words_reference(seed, *path, 1) >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 

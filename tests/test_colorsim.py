@@ -17,7 +17,7 @@ from oracles import (
     pmf_moment,
 )
 
-from colorgraph import census, rng, stats
+from colorgraph import census, colorsim, rng, stats
 from colorgraph.colorsim import (
     EXACT_ENUMERATION_GATE,
     MonoCycles,
@@ -330,6 +330,20 @@ class TestSimulate:
         # n*ceil(log2 n) steps and its links, each at k = 1
         assert _kernel_for(generate(Cycle(200)), 300, MonoEdges()).name == "gather"
         assert _kernel_for(generate(RandomRegular(2000, 3, 5)), 2, MonoEdges()).name == "gather"
+
+    @pytest.mark.parametrize("spec,c,order,kernel", [
+        ("er:60:0.3:1", 5, 4, "gather"),
+        ("hypercube:8", 4, 4, "gather"),
+        ("er:60:0.3:1", 30, 4, "sieve"),
+        ("gadget:30:30:3", 30, 3, "sieve"),
+    ])
+    def test_sieve_index_built_only_for_the_sieve(self, spec, c, order, kernel, monkeypatch):
+        # the sieve is priced from its dense and first-edge sizes; its index is built only once it wins
+        built = []
+        monkeypatch.setattr(colorsim, "_sieve_index", lambda cycles: built.append(len(cycles)) or _sieve_index(cycles))
+        g = generate(parse_family(spec))
+        assert _kernel_for(g, c, MonoCycles(order)).name == kernel
+        assert built == ([len(census.cycle_list(g, order))] if kernel == "sieve" else [])
 
     def test_one_cycle_list_per_call(self, monkeypatch):
         real, calls = census.cycle_list, []

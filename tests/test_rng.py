@@ -7,15 +7,19 @@ either layout: vertex-major (v, s) is the transpose of sample-major (s, v).
 c = 2^31 is the last power of two whose draw skips the finalizer's last
 round, 2^32 the first that runs it, and 2^33 the first drawn as int64.
 ``rng.normals`` finishes both of its words from one hash of the path and
-must equal ``oracles.normals_reference``, built from two ``rng.words`` calls.
+must equal ``oracles.normals_reference``. The references are built on
+``oracles.words_reference``, the splitmix chain in Python ints one element
+at a time, so a wrong fold or tile in ``rng.words`` cannot pass them.
 ``rng.batches`` cuts index ranges into blocks, by a cost per index or one
 cost for all.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import normals_reference, uniform_ints_reference
+from oracles import normals_reference, uniform_ints_reference, words_reference
 
 from colorgraph import rng
 from colorgraph.errors import DomainExceededError
@@ -100,6 +104,51 @@ def test_normals_match_reference(path):
     expected = normals_reference(11, *path)
     assert np.shape(drawn) == np.shape(expected)
     assert np.array_equal(drawn, expected)
+
+
+ORACLE_PATHS = {
+    "broadcast (s,w,d)": (rng.STREAM_LAW, np.arange(9)[:, None, None], np.arange(4)[None, :, None],
+                          np.arange(3)[None, None, :]),
+    "vertex-major": (rng.STREAM_COLORS, np.arange(23)[None, :], np.arange(9)[:, None]),
+    "sample-major": (rng.STREAM_COLORS, np.arange(23)[:, None], np.arange(9)[None, :]),
+    "row-varying prefix": (np.arange(11)[:, None], np.arange(11)[:, None] * np.arange(5)[None, :] + 7),
+    "1-D prefix": (rng.STREAM_LAW, np.arange(40), 2),
+    "full last step": (3, np.arange(6)[:, None] + np.arange(5)[None, :]),
+}
+
+
+@pytest.mark.parametrize("tile", [None, TINY_TILE])
+@pytest.mark.parametrize("name", ORACLE_PATHS)
+def test_words_colors_and_normals_match_the_python_chain(name, tile, monkeypatch):
+    # both operands of a broadcast step are folded before it; a prefix that varies by row is not
+    path = ORACLE_PATHS[name]
+    if tile is not None:
+        monkeypatch.setattr(rng, "TILE_WORDS", tile)
+    assert np.array_equal(rng.words(4, *path), words_reference(4, *path))
+    for c in (2, 3, 256, 1770, 2**32, 2**32 + 1):
+        assert np.array_equal(rng.uniform_ints(4, c, *path), uniform_ints_reference(4, c, *path)), c
+    assert np.array_equal(rng.normals(4, *path), normals_reference(4, *path))
+
+
+def test_sizes_off_the_tile_match_the_python_chain():
+    # 137 rows of 241 draws: a default tile of 135 rows, then one of 2; 33,001 normals: a tile and one more
+    path = (rng.STREAM_COLORS, np.arange(241)[None, :], np.arange(137)[:, None])
+    assert np.array_equal(rng.words(6, *path), words_reference(6, *path))
+    for c in (2, 1770):
+        assert np.array_equal(rng.uniform_ints(6, c, *path), uniform_ints_reference(6, c, *path)), c
+    flat = (rng.STREAM_LAW, np.arange(rng.TILE_WORDS + 233))
+    assert np.array_equal(rng.normals(6, *flat), normals_reference(6, *flat))
+
+
+@pytest.mark.parametrize("path", [(3, 4), (np.int64(3), np.array(2**40)), (np.array(7),)], ids=["ints", "0-d", "one"])
+def test_scalar_paths_raise_no_warning(path):
+    # the uint64 products of 0-d steps wrap around, as the hash intends, and numpy warns for 0-d operands
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rng.words(9, *path) == words_reference(9, *path)
+        for c in (2, 7):
+            assert rng.uniform_ints(9, c, *path) == uniform_ints_reference(9, c, *path)
+        assert rng.normals(9, *path) == normals_reference(9, *path)
 
 
 def test_float_path_never_reaches_c():
