@@ -3,8 +3,8 @@
 Graphs are passed either as an edge-list file (header ``n m``, then one
 ``u v`` line per edge) or as a family spec string such as ``complete:23``,
 ``er:100:0.05:7``, or ``gadget:30:30:3``. Every run that writes an output
-file also writes ``<out>.manifest.json`` beside it with the echoed
-configuration, library version, and wall time.
+file also writes ``<out>.manifest.json`` beside it with every option the
+command parsed, the library version, and the wall time.
 
 Exit codes: 0 ok, 1 failed comparison, 2 usage error or a path that cannot
 be read or written, 3 enumeration or size gate exceeded, 4 numerical failure.
@@ -74,24 +74,6 @@ def _load_graph(source: str, keep_family: bool = False) -> Graph | FamilySpec:
     return spec if keep_family else generate(spec)
 
 
-def _emit(text: str, out: str | None, command: str, config: dict, started: float) -> None:
-    """Write output to a file (with manifest beside it) or to stdout."""
-    if out is None:
-        click.echo(text, nl=not text.endswith("\n"))
-        return
-    path = Path(out)
-    path.write_text(text if text.endswith("\n") else text + "\n")
-    manifest = {
-        "schema": "colorgraph.manifest/1",
-        "command": command,
-        "config": config,
-        "version": __version__,
-        "wall_time_seconds": round(time.time() - started, 6),
-        "outputs": [str(path)],
-    }
-    Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
 def _jsonable(obj):
     """JSON form of the values ``json`` cannot encode: a Fraction as "p/q", a dataclass as its fields."""
     if isinstance(obj, Fraction):
@@ -120,10 +102,14 @@ def main():
 def _command(name: str):
     """Register the decorated function as the subcommand ``name``.
 
-    The function returns ``(text, config)``, or ``(text, config, exit_code)``.
-    The command adds ``--out``, maps library errors onto the documented exit
-    codes (an OSError is a usage error), and writes ``text`` (see
-    :func:`_emit`) before it exits with ``exit_code``.
+    The function returns its ``text``, or ``(text, learned)``, or ``(text,
+    learned, exit_code)``. The command adds ``--out``, maps library errors
+    onto the documented exit codes (an OSError is a usage error), and writes
+    ``text`` to stdout, or to ``--out`` with ``<out>.manifest.json`` beside
+    it, before it exits with ``exit_code``. The manifest's ``config`` holds
+    every option but ``--out``, in declaration order and by long name
+    (``--growing-ratio`` as ``growing_ratio``), then what the run
+    ``learned``: ``simulate``'s kernel, ``compare``'s resolved metric.
     """
 
     def register(fn):
@@ -131,8 +117,23 @@ def _command(name: str):
         def run(out, **kwargs):
             started = time.time()
             try:
-                text, config, *exit_code = fn(**kwargs)
-                _emit(text, out, name, config, started)
+                result = fn(**kwargs)
+                text, learned, *exit_code = (result, {}) if isinstance(result, str) else result
+                if out is None:
+                    click.echo(text, nl=not text.endswith("\n"))
+                else:
+                    path = Path(out)
+                    path.write_text(text if text.endswith("\n") else text + "\n")
+                    config = {p.opts[0][2:].replace("-", "_"): kwargs[p.name] for p in cmd.params if p.name != "out"}
+                    manifest = {
+                        "schema": "colorgraph.manifest/1",
+                        "command": name,
+                        "config": {**config, **learned},
+                        "version": __version__,
+                        "wall_time_seconds": round(time.time() - started, 6),
+                        "outputs": [str(path)],
+                    }
+                    Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
             except GateExceededError as exc:
                 click.echo(f"gate exceeded: {exc}", err=True)
                 sys.exit(EXIT_GATE)
@@ -175,7 +176,7 @@ def generate_cmd(family, kernel_csv, seed):
         g = generate(Inhomogeneous(grid.shape[0], tuple(map(tuple, grid.tolist())), seed))
     else:
         g = _load_graph(family)
-    return to_edge_list_text(g), {"family": family, "kernel_csv": kernel_csv, "seed": seed}
+    return to_edge_list_text(g)
 
 
 # -- census --------------------------------------------------------------------
@@ -199,7 +200,7 @@ def census_cmd(graph_source, k, cycles):
     payload = {"n": g.n, "m": g.m, "tuple_length": k, "patterns": patterns}
     if cycles:
         payload["cycles"] = {str(length): count for length, count in census.cycle_counts(g).items()}
-    return _json_doc("census", payload), {"graph": graph_source, "tuples": k, "cycles": cycles}
+    return _json_doc("census", payload)
 
 
 # -- extremal --------------------------------------------------------------------
@@ -222,7 +223,7 @@ def extremal_cmd(graph_source):
         "partition_sizes": {"zero": len(v0), "half": len(vhalf), "one": len(v1)},
         "structure": report,
     }
-    return _json_doc("extremal", payload), {"graph": graph_source}
+    return _json_doc("extremal", payload)
 
 
 # -- spectrum --------------------------------------------------------------------
@@ -239,7 +240,7 @@ def spectrum_cmd(graph_source):
     lines = ["index,eigenvalue"]
     lines.extend(f"{i},{v!r}" for i, v in enumerate(spec.eigenvalues.tolist()))
     lines.append(f"# usn_ratio,{spec.usn_ratio!r}")
-    return "\n".join(lines) + "\n", {"graph": graph_source}
+    return "\n".join(lines) + "\n"
 
 
 # -- simulate / exact -------------------------------------------------------------
@@ -276,8 +277,7 @@ def simulate_cmd(graph_source, colors, stat, samples, seed, workers):
     run = colorsim.simulate(g, colors, _parse_stat(stat), samples, seed, workers=workers)
     lines = ["value,count"]
     lines.extend(f"{v},{cnt}" for v, cnt in sorted(run.counts_by_value().items()))
-    return "\n".join(lines) + "\n", {"graph": graph_source, "colors": colors, "stat": stat,
-                                     "samples": samples, "seed": seed, "kernel": run.kernel}
+    return "\n".join(lines) + "\n", {"kernel": run.kernel}
 
 
 @_command("exact")
@@ -292,7 +292,7 @@ def exact_cmd(graph_source, colors, stat):
     pmf = colorsim.exact_distribution(g, colors, _parse_stat(stat))
     lines = ["value,probability"]
     lines.extend(f"{v},{p.numerator}/{p.denominator}" for v, p in pmf.items())
-    return "\n".join(lines) + "\n", {"graph": graph_source, "colors": colors, "stat": stat}
+    return "\n".join(lines) + "\n"
 
 
 # -- moments -----------------------------------------------------------------------
@@ -304,8 +304,7 @@ _MOMENT_KINDS = ("rawn", "rawm", "centralz", "centralw")
 @_command("moments")
 @graph_option
 @click.option("--colors", required=True, type=int)
-@click.option("--kind", type=click.Choice(_MOMENT_KINDS),
-              default="rawn", show_default=True)
+@click.option("--kind", type=click.Choice(_MOMENT_KINDS), default="rawn", show_default=True)
 @click.option("--order", default=2, show_default=True, type=int)
 @click.option("--fourth-report/--no-fourth-report", default=False,
               help="Also emit the exact fourth-moment decomposition.")
@@ -319,8 +318,7 @@ def moments_cmd(graph_source, colors, kind, order, fourth_report):
     payload = {"kind": kind, "order": order, "colors": colors, **_jsonable(val)}
     if fourth_report:
         payload["fourth_moment"] = moments.fourth_moment_report(g, colors)
-    return _json_doc("moments", payload), {"graph": graph_source, "colors": colors,
-                                           "kind": kind, "order": order}
+    return _json_doc("moments", payload)
 
 
 # -- limit --------------------------------------------------------------------------
@@ -350,12 +348,10 @@ def limit_cmd(graph_source, colors, growing_ratio, sample, seed):
         law = limits.limit_for(None, limits.Growing(growing_ratio))
     else:
         law = limits.limit_for(_load_graph(graph_source, keep_family=True), limits.Fixed(colors))
-    config = {"graph": graph_source, "colors": colors, "growing_ratio": growing_ratio}
     if sample is None:
-        return _json_doc("law", limits.law_to_dict(law)), config
+        return _json_doc("law", limits.law_to_dict(law))
     values = limits.sample_law(law, sample, seed)
-    text = "value\n" + "\n".join(repr(float(v)) for v in values) + "\n"
-    return text, {**config, "sample": sample, "seed": seed}
+    return "value\n" + "\n".join(repr(float(v)) for v in values) + "\n"
 
 
 # -- compare -----------------------------------------------------------------------
@@ -414,8 +410,7 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale):
         value = stats.ks_statistic(standardized, lambda x: limits.law_cdf(law, x), weights=weights)
     passed = value < tol
     return (_json_doc("compare", {"metric": metric, "value": value, "tol": tol, "pass": passed}),
-            {"empirical": empirical, "law": law_path, "metric": metric, "tol": tol},
-            0 if passed else 1)
+            {"metric": metric}, 0 if passed else 1)
 
 
 # -- birthday -----------------------------------------------------------------------
@@ -461,12 +456,16 @@ def birthday_cmd(people, days, lambda_from, edges, days_power):
     else:
         if people is None:
             raise click.UsageError("pass --people N (or --lambda-from)")
-        if people > days + 1:
-            exact = 0.0
-        else:
-            exact = 1.0
-            for i in range(people):
-                exact *= 1.0 - i / days
+        exact, i = float(people <= days + 1), 0  # prod (1 - i/days) over i < people, rounded step by step
+        while i < people and exact:
+            step = exact * (1.0 - i / days)
+            if step == exact:  # the factors only shrink, so steps that change nothing form a run: bisect its end
+                i, hi = i + 1, people
+                while i < hi:
+                    mid = (i + hi) // 2
+                    i, hi = (mid + 1, hi) if exact * (1.0 - mid / days) == exact else (i, mid)
+            else:
+                exact, i = step, i + 1
         pairs = people * (people - 1) // 2
         payload = {
             "people": people,
@@ -475,8 +474,7 @@ def birthday_cmd(people, days, lambda_from, edges, days_power):
             "poisson_approx_no_match": math.exp(-pairs / days),
             "match_prob": 1.0 - exact,
         }
-    return _json_doc("birthday", payload), {"people": people, "days": days, "lambda_from": lambda_from,
-                                            "edges": edges, "days_power": days_power}
+    return _json_doc("birthday", payload)
 
 
 if __name__ == "__main__":

@@ -673,3 +673,14 @@ class TestPatternCounts:
             counts = PatternCounts(g)
             assert counts.copies(census._CYCLES[4]) == 0
             assert count_multigraph_tuples(g, 3) == {}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MultiGraphPattern.from_edges([(1, 1)]), ValueError, "self-loop"),
+    (lambda: count_multigraph_tuples(generate(Complete(4)), 5), ValueError, "tuple length"),
+    (lambda: all_patterns(0), ValueError, "tuple length"),
+    (lambda: MultiGraphPattern.from_edges([(i, i + 1) for i in range(10)]), PatternTooLargeError, "10 vertices"),
+], ids=["self-loop", "five-tuples", "zero-tuples", "eleven-vertex-component"])
+def test_input_checks_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,58 @@ class TestSimulateExactCompare:
         assert res.output == runner.invoke(main, args + ["--metric", metric]).output
 
 
+# per command: arguments, the manifest's config keys in order, and some of their values
+MANIFEST_CASES = {
+    "generate": (["--family", "cycle:5"], ["family", "kernel_csv", "seed"], {"family": "cycle:5"}),
+    "census": (["--graph", "cycle:5"], ["graph", "tuples", "cycles"], {"tuples": 2, "cycles": False}),
+    "extremal": (["--graph", "cycle:5"], ["graph"], {"graph": "cycle:5"}),
+    "spectrum": (["--graph", "cycle:5"], ["graph"], {"graph": "cycle:5"}),
+    "simulate": (["--graph", "cycle:5", "--colors", "2", "--samples", "10", "--seed", "1"],
+                 ["graph", "colors", "stat", "samples", "seed", "workers", "kernel"], {"workers": 1, "stat": "edges"}),
+    "exact": (["--graph", "cycle:5", "--colors", "2"], ["graph", "colors", "stat"], {"colors": 2}),
+    "moments": (["--graph", "complete:5", "--colors", "2", "--order", "4", "--fourth-report"],
+                ["graph", "colors", "kind", "order", "fourth_report"], {"kind": "rawn", "fourth_report": True}),
+    "limit": (["--growing-ratio", "1.0", "--sample", "3", "--seed", "2"],
+              ["graph", "colors", "growing_ratio", "sample", "seed"], {"graph": None, "sample": 3, "seed": 2}),
+    "compare": (["--empirical", "emp.csv", "--law", "law.json", "--tol", "0.5", "--scale", "2"],
+                ["empirical", "law", "metric", "tol", "center", "scale"], {"metric": "ks", "center": 0.0, "scale": 2.0}),
+    "birthday": (["--people", "23"], ["people", "days", "lambda_from", "edges", "days_power"],
+                 {"days": 365, "lambda_from": False, "edges": None}),
+}
+
+
+def test_manifest_cases_cover_every_command():
+    assert sorted(MANIFEST_CASES) == sorted(main.commands)
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_CASES))
+def test_manifest_config_holds_every_option(runner, tmp_path, monkeypatch, command):
+    args, keys, values = MANIFEST_CASES[command]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "emp.csv").write_text("value\n0.1\n0.7\n")
+    invoke(runner, "limit", "--graph", "complete:40", "--colors", "2", "--out", "law.json")  # a ks law
+    res = runner.invoke(main, [command, *args, "--out", "out.txt"])
+    assert res.exit_code in (0, 1), res.output  # compare exits by its verdict
+    config = json.loads((tmp_path / "out.txt.manifest.json").read_text())["config"]
+    assert list(config) == keys
+    assert {k: config[k] for k in values} == values
+
+
+def test_compare_manifests_record_center_and_scale(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    invoke(runner, "simulate", "--graph", "complete:40", "--colors", "2", "--samples", "2000", "--seed", "11",
+           "--out", "sim40.csv")
+    invoke(runner, "limit", "--graph", "complete:40", "--colors", "2", "--out", "law40.json")
+    configs = []
+    for center, scale, code in (("390.0", repr(math.sqrt(1560)), 0), ("0", "1", 1)):
+        res = runner.invoke(main, ["compare", "--empirical", "sim40.csv", "--law", "law40.json", "--metric", "ks",
+                                   "--tol", "0.5", "--center", center, "--scale", scale, "--out", f"cmp{code}.json"])
+        assert res.exit_code == code
+        configs.append(json.loads((tmp_path / f"cmp{code}.json.manifest.json").read_text())["config"])
+    assert list(configs[0]) == list(configs[1])
+    assert {k for k in configs[0] if configs[0][k] != configs[1][k]} == {"center", "scale"}
+
+
 class TestLimitCommand:
     def test_growing_law_json(self, runner):
         res = invoke(runner, "limit", "--growing-ratio", "0.5")
@@ -478,6 +531,38 @@ class TestBirthday:
         doc = json.loads(invoke(runner, "birthday", "--people", "400", "--days", "365").output)
         assert doc["exact_no_match"] == 0.0
         assert doc["match_prob"] == 1.0
+
+    @pytest.mark.parametrize("people,days", [
+        (0, 5), (2, 1), (3, 1), (23, 365), (366, 365), (367, 365), (1000, 10**30),
+        (40_000, 200_000), (99_999, 200_000), (100_001, 200_000), (200_001, 200_000),
+    ])
+    def test_exact_is_the_product_rounded_step_by_step(self, runner, people, days):
+        plain = 1.0
+        for i in range(min(people, days + 1)):  # the factor at i = days is 0
+            plain *= 1.0 - i / days
+        doc = json.loads(invoke(runner, "birthday", "--people", str(people), "--days", str(days)).output)
+        assert repr(doc["exact_no_match"]) == repr(plain)
+
+    def test_huge_group_skips_the_steps_that_change_nothing(self, runner):
+        # a product stuck at the least subnormal stays there until its factor falls to 1/2, so a
+        # step-by-step loop took a billion steps here
+        started = time.perf_counter()
+        res = invoke(runner, "birthday", "--people", "2000000000", "--days", "2000000000")
+        assert time.perf_counter() - started < 0.5
+        assert json.loads(res.output) == {"schema": "colorgraph.birthday/1", "people": 2_000_000_000,
+                                          "days": 2_000_000_000, "exact_no_match": 0.0,
+                                          "poisson_approx_no_match": 0.0, "match_prob": 1.0}
+
+    @pytest.mark.parametrize("people,days,exact", [
+        (2**64, 365, 0.0),  # more people than days, past sys.maxsize
+        (10**16, 10**15, 0.0),
+        (2**64, 2**200, 1.0),  # every factor rounds to 1: one bisection over more than sys.maxsize steps
+    ])
+    def test_huge_inputs_answer_at_once(self, runner, people, days, exact):
+        started = time.perf_counter()
+        res = invoke(runner, "birthday", "--people", str(people), "--days", str(days))
+        assert time.perf_counter() - started < 0.5
+        assert json.loads(res.output)["exact_no_match"] == exact
 
     @pytest.mark.parametrize("args,code", [
         (["birthday", "--people", "23", "--days", "0"], 2),

@@ -613,3 +613,12 @@ def test_frozen_exact_law_on_the_sieve():
     assert exact_distribution(g, 7, MonoCycles(4)) == {
         0: Fraction(816486, 823543), 1: Fraction(6912, 823543), 2: Fraction(144, 823543), 3: Fraction(1, 823543),
     }
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: simulate(generate(Complete(4)), 2, MonoEdges(), 10, 1).standardized(0.0, 0.0), "scale must be positive"),
+    (lambda: exact_distribution(generate(Complete(4)), 1, MonoEdges()), "at least 2 colors"),
+], ids=["zero-scale", "one-color"])
+def test_input_checks_raise_typed_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -291,3 +291,19 @@ class TestAutomorphismsAndAsymptotics:
             budget = 37.0
             expect = (2 * budget) ** (g_len / 2) / (2 * g_len)
             assert alon_asymptotic(cyc, budget) == pytest.approx(expect)
+
+
+C5_SOLUTION = gamma(generate(Cycle(5)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: deficiency(Graph(0, [])), ValueError, "nonempty"),
+    (lambda: structural_check(dataclasses.replace(C5_SOLUTION, phi=C5_SOLUTION.phi[:-1]), generate(Cycle(5))),
+     SolutionMismatchError, "shape"),
+    (lambda: structural_check(dataclasses.replace(C5_SOLUTION, gamma=C5_SOLUTION.gamma + 1), generate(Cycle(5))),
+     SolutionMismatchError, "sum"),
+    (lambda: automorphism_count(generate(Path(10))), PatternTooLargeError, "10 vertices"),
+], ids=["empty-graph", "short-phi", "wrong-sum", "eleven-vertices"])
+def test_input_checks_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -677,3 +677,13 @@ class TestParams:
 
     def test_values_are_not_converted(self):
         assert type(limits.Poisson(2).mean) is int
+
+
+@pytest.mark.parametrize("spec", [
+    Complete(-1), CompleteBipartite(-1, 2), CompleteBipartite(2, -1), Star(-1), Path(-1), Hypercube(-1),
+    ErdosRenyi(-1, 0.5, 1), ErdosRenyi(5, 1.5, 1), GaltonWatson((0.5, 0.5), -1, 1), PathCycleGadget(0, 1, 3),
+    Inhomogeneous(3, ((0.1, 0.2), (0.2, 0.1)), 1), Inhomogeneous(2, ((0.1, 1.5), (1.5, 0.1)), 1),
+], ids=repr)
+def test_input_checks_raise_typed_errors(spec):
+    with pytest.raises(InfeasibleSpecError):
+        generate(spec)

@@ -623,3 +623,26 @@ class TestLimitSelector:
         # family spec and for the generated graph alike
         assert limit_for(Star(200), Fixed(2)) == Normal(0.0, 0.5)
         assert limit_for(generate(Star(200)), Fixed(2)) == Normal(0.0, 0.5)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sample_law(Poisson(1.0), 0, 1), ValueError, "at least one sample"),
+    (lambda: sample_law(object(), 5, 1), WrongLawKindError, "unknown law"),
+    (lambda: weighted_chisq_mgf([1.0], 0, 0.1), ValueError, "dof"),
+    (lambda: delta_conditional_mgf(generate(Complete(4)), 1, 0.1), ValueError, "at least 2 colors"),
+    (lambda: delta_conditional_mgf(Graph(3, []), 2, 0.1), ValueError, "one edge"),
+    (lambda: gadget_char_function(1, 1, 2, 2, 0.1), ValueError, "cycle length"),
+    (lambda: gadget_char_function(0, 1, 2, 3, 0.1), ValueError, "a >= 1"),
+    (lambda: gaussian_surrogate_delta(Graph(3, []), 2, 5, 1), ValueError, "one edge"),
+    (lambda: limit_for(generate(Complete(4)), object()), TypeError, "unknown regime"),
+], ids=["zero-samples", "unknown-law", "zero-dof", "delta-one-color", "delta-no-edge", "gadget-g2", "gadget-a0",
+        "surrogate-no-edge", "unknown-regime"])
+def test_input_checks_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_degenerate_points_and_laws():
+    assert law_pmf(Poisson(1.0), -1) == 0.0
+    zero = WeightedChiSquare((1.0,), 1, 0.0)  # scale 0: all mass at 0
+    assert (zero.cdf(-1e-9), zero.cdf(0.0), zero.cdf(1.0)) == (0.0, 1.0, 1.0)

@@ -14,6 +14,7 @@ from colorgraph.graph import (
     CompleteBipartite,
     Cycle,
     ErdosRenyi,
+    Graph,
     Path,
     RandomRegular,
     Star,
@@ -244,3 +245,14 @@ class TestGaussianSurrogateAgreement:
         draws = limits.gaussian_surrogate_product(pat, c, 1_000_000, seed=31)
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - float(ez)) <= 4 * se
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: stirling_moment(3, 2, -1), ValueError, "nonnegative"),
+    (lambda: stirling_moment(3, 0, 1), ValueError, "positive"),
+    (lambda: expected_central_products(pattern((0, 1)), 1), ValueError, "at least 2 colors"),
+    (lambda: conditional_moment(Graph(3, []), MomentRequest(MomentKind.CENTRAL_Z, 2, 2)), ValueError, "one edge"),
+], ids=["negative-order", "zero-colors", "one-color", "edgeless-host"])
+def test_input_checks_raise_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -219,3 +219,16 @@ def test_cost_array_blocks():
     assert blocks(0, 4, np.full(4, 700_000)) == blocks(0, 4, 700_000) == [[0, 1], [2, 3]]
     with pytest.raises(ValueError, match="one cost per index"):
         blocks(0, 4, np.ones(3))
+
+
+@pytest.mark.parametrize("mean", [-1.0, np.array([1.0, -1.0])], ids=["scalar", "array"])
+def test_negative_poisson_mean_raises(mean):
+    with pytest.raises(ValueError, match="nonnegative"):
+        rng.poissons(1, mean, np.arange(2))
+
+
+@pytest.mark.parametrize("path", [(0, 3), (0, np.int64(3)), (1, np.arange(100)),
+                                  (2, np.arange(30)[:, None], np.arange(40)), (3, np.array(5))], ids=repr)
+def test_uniforms_are_the_top_53_bits(path):
+    got, want = rng.uniforms(9, *path), (rng.words(9, *path) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    assert type(got) is type(want) and np.shape(got) == np.shape(want) and np.array_equal(got, want)

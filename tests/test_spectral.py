@@ -174,3 +174,9 @@ class TestCycleUpperBound:
             (4 - 2 * bin(x).count("1") for x in range(16)), reverse=True
         )
         assert np.allclose(spec.eigenvalues, expect, atol=1e-9)
+
+
+@pytest.mark.parametrize("length", [2, 0, -1])
+def test_cycle_bound_needs_length_three(length):
+    with pytest.raises(ValueError, match="length >= 3"):
+        cycle_upper_bound(generate(Complete(4)), length)

@@ -175,3 +175,9 @@ class TestEmpiricalMoments:
             empirical_moments(np.arange(10.0), 9)
         with pytest.raises(ValueError):
             empirical_moments(np.array([1.0]), 2)
+
+
+@pytest.mark.parametrize("a, b", [([], [1]), ([1], []), ([], [])], ids=["left", "right", "both"])
+def test_two_sample_ks_needs_both_samples(a, b):
+    with pytest.raises(ValueError, match="at least one sample"):
+        two_sample_ks(a, b)
