@@ -381,7 +381,9 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale):
         raise click.UsageError(f"--scale must be positive, got {scale}")
     law = limits.law_from_dict(json.loads(Path(law_path).read_text()))
     rows = [ln.strip() for ln in Path(empirical).read_text().splitlines()]
-    rows = [r for r in rows if r and not r.startswith("#") and not r[0].isalpha()]
+    rows = [r for r in rows if r and not r.startswith("#")]
+    if rows and rows[0][0].isalpha():  # a header, only ever the first row
+        rows = rows[1:]
     values, weights = [], []
     try:
         for r in rows:

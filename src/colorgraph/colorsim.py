@@ -19,7 +19,7 @@ Both count with the cheapest per sample of four kernels, built once per
 call by ``_kernel_for`` (priced in GEMM multiply-adds: 900 per color drawn,
 8 per pass element, 4 per sort step, 2300 per fancy-indexed move, fitted
 on the 29-case grid its docstring names): a
-one-hot float32 GEMM on the twin quotient of the host, a sort of each
+float32 GEMM on the twin quotient of the host, a sort of each
 coloring's (color, class) keys on the same quotient, a gather that
 compares colors along edges, cycles or the neighbour lists of
 ``Graph.nbrs``, one contiguous row per vertex looked up, or, for cycles at
@@ -30,9 +30,14 @@ monochromatic. The quotient kernels take ``Graph.twin_quotient``'s
 star order r from each color's class sizes h_a (``_gemm_counts`` gives the
 identity; edges are 1-stars halved), so the complete host counts from its
 color-class sizes and a twin-free host runs the plain adjacency GEMM. The
-GEMM makes one pass per color; the sort reads h_a off the colors present
-only, so it serves the birthday regime (c > n). The kernels return
-identical counts, each over the ``rng.batches`` blocks its ``row_cost`` sizes.
+GEMM makes one pass per color: it reads the colors class by class, the
+classes by falling size, and sums h_a exactly in narrow integers from a
+bool indicator, as row sums over each class's rows cut into columns and
+contiguous tails (``_columns_and_tails``, which also cuts the star
+gather's neighbour lists), then casts h_a once for B h_a. The sort reads
+h_a off the colors present only, so it serves the birthday regime (c > n).
+The kernels return identical counts, each over the ``rng.batches`` blocks
+its ``row_cost`` sizes.
 """
 from __future__ import annotations
 
@@ -108,28 +113,57 @@ def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ki,ki->i", x, y, dtype=np.int64, casting="unsafe")
 
 
-def _gemm_counts(quotient: Blowup, c: int, r: int, share: int, colors: np.ndarray) -> np.ndarray:
+class _Classes(NamedTuple):
+    """A ``Blowup``'s classes relabelled by falling size, laid out for ``_gemm_counts``; built once per kernel.
+
+    A color block's rows run class by class, the largest class first: row i
+    holds vertex ``vertices[i]``. ``columns`` and ``tails`` are
+    ``_columns_and_tails`` of the classes' rows.
+    """
+
+    blocks: np.ndarray  # the float32 k x k quotient B, rows and columns in the new class order
+    vertices: np.ndarray  # the vertices class by class, the order the coloring source is read in
+    columns: list  # per column j: the row of the j-th vertex of every class with more than j
+    tails: list  # per class, in order: the slice of its rows past the cut
+    counter: type  # the narrowest unsigned dtype holding the largest class size
+
+
+def _classes_of(quotient: Blowup) -> _Classes:
+    """``quotient``'s classes by falling size, B permuted with them, and the cut of their rows."""
+    by_size = np.argsort(-quotient.sizes, kind="stable")
+    rank = np.empty_like(by_size)
+    rank[by_size] = np.arange(by_size.size)
+    _, columns, tails = _columns_and_tails(np.concatenate(([0], np.cumsum(quotient.sizes[by_size]))))
+    return _Classes(quotient.blocks[np.ix_(by_size, by_size)], np.argsort(rank[quotient.labels], kind="stable"),
+                    columns, tails, rng._narrow_dtype(int(quotient.sizes.max(initial=0))))
+
+
+def _gemm_counts(classes: _Classes, c: int, r: int, share: int, colors: np.ndarray) -> np.ndarray:
     """Monochromatic r-stars sum_v C(mono-degree of v, r) per column, from class histograms, over ``share``.
 
-    ``quotient`` is a ``Blowup`` with float32 blocks B, clique flags q its diagonal.
+    Row i of ``colors`` is vertex ``classes.vertices[i]``. The blocks B of
+    ``classes`` are float32, and their diagonal q flags the clique classes.
     For color a, the histogram h_a = P' x_a counts the vertices of each
     class that have color a (P is the n x k class membership, x_a the
-    (n, batch) indicator of a), and d_a = B h_a - q is the number of color-a
-    neighbours of each of them. So the r-stars are sum_a h_a . C(d_a, r),
-    over the entries with h_a > 0; r = 1 gives sum_v d_v, twice the
-    monochromatic edges, which ``share`` = 2 halves. A twin-free host
-    has k = n, P = I and B = A: there d_a = A x_a, and r >= 2 takes C(., r)
-    once of each vertex's mono-degree sum_a x_a * d_a. B h_a is a float32
-    GEMM, and the mono-degrees are float32 sums of one nonzero term each,
-    exact while n < 2^24; every other product and sum is in int64.
+    (n, batch) bool indicator of a), and d_a = B h_a - q is the number of
+    color-a neighbours of each of them. So the r-stars are sum_a h_a .
+    C(d_a, r), over the entries with h_a > 0; r = 1 gives sum_v d_v, twice
+    the monochromatic edges, which ``share`` = 2 halves. h_a is summed
+    exactly in ``classes.counter`` over the rows of each class: a column of
+    ``classes`` adds one row to each class it reaches, a tail reduces one
+    class's contiguous rows. A twin-free host has k = n, P = I and B = A:
+    there d_a = A x_a, and r >= 2 takes C(., r) once of each vertex's
+    mono-degree sum_a x_a * d_a. B h_a is a float32 GEMM of h_a cast once,
+    and the mono-degrees are float32 sums of one nonzero term each, exact
+    while n < 2^24; every other product and sum is in int64.
     """
-    twin_free = quotient.k == quotient.labels.size
-    if not twin_free:  # rows in class order: each histogram entry sums one run of rows
-        starts = np.cumsum(quotient.sizes) - quotient.sizes
-        colors = colors[np.argsort(quotient.labels, kind="stable")]
-    # one buffer each for x_a, h_a and d_a, reused by every color: fresh pages per color cost more
-    x = np.empty(colors.shape, dtype=np.float32)
-    hist = x if twin_free else np.empty((quotient.k, colors.shape[1]), dtype=np.float32)
+    blocks = classes.blocks
+    twin_free = blocks.shape[0] == colors.shape[0]
+    # one buffer each for x_a, h_a, its float32 cast and d_a, reused by every color: fresh pages per color cost more
+    x = np.empty(colors.shape, dtype=bool)
+    ones = x.view(np.uint8)  # x as 0/1 bytes, summed without a cast
+    hist = ones if twin_free else np.empty((blocks.shape[0], colors.shape[1]), dtype=classes.counter)
+    cast = np.empty(hist.shape, dtype=np.float32)
     deg = np.empty(hist.shape, dtype=np.float32)
     total = np.zeros(colors.shape[1], dtype=np.int64)
     mono_deg = np.zeros(colors.shape, dtype=np.float32) if twin_free and r > 1 else None
@@ -137,46 +171,54 @@ def _gemm_counts(quotient: Blowup, c: int, r: int, share: int, colors: np.ndarra
     for a in range(c) if c <= colors.size else np.unique(colors):
         np.equal(colors, a, out=x)
         if not twin_free:
-            np.add.reduceat(x, starts, axis=0, out=hist)
-        np.matmul(quotient.blocks, hist, out=deg)
+            hist.fill(0)
+            for col in classes.columns:
+                hist[: col.size] += ones[col]
+            for i, rows in enumerate(classes.tails):
+                hist[i] += np.add.reduce(ones[rows], axis=0, dtype=hist.dtype)
+        np.copyto(cast, hist)
+        np.matmul(blocks, cast, out=deg)
         if not twin_free:
-            deg -= quotient.blocks.diagonal()[:, None]
+            deg -= blocks.diagonal()[:, None]
         if r == 1:
             total += _column_dots(hist, deg)
         elif twin_free:
-            deg *= x
+            deg *= cast
             mono_deg += deg
         else:
             total += _column_dots(hist, _comb_array(np.maximum(deg, 0).astype(np.int64), r))
     return (total if mono_deg is None else _comb_array(mono_deg.astype(np.int64), r).sum(axis=0)) // share
 
 
-def _neighbour_columns(g: Graph) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Vertices by falling degree, their neighbours as columns, and the tails.
+def _columns_and_tails(offsets: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[slice]]:
+    """CSR lists (list i holds entries offsets[i]:offsets[i + 1]) by falling length, as columns and tails.
 
-    Column j lists the j-th neighbour of every vertex with more than j
-    neighbours, in that vertex order, so it lines up with a prefix of it.
+    Column j holds the entry positions of the j-th entry of every list
+    longer than j, in that list order, so it lines up with a prefix of it.
     Columns stop at the cut j that minimizes j plus the size of column j;
-    tail i holds the neighbours past the cut of the i-th vertex. The loops
-    over columns and tails stay short even on hubs. Both are read off
-    ``g.nbrs`` at ``g.offsets``: a column is one gather, a tail one slice.
+    tail i is the slice of positions past the cut of the i-th list in that
+    order. The loops over columns and tails stay short whether the lists
+    are many and short or few and long: a column is one gather of entries,
+    a tail one contiguous slice of them. The star gather cuts the
+    neighbour lists, the GEMM the rows of its classes.
     """
-    deg = np.diff(g.offsets)
-    by_deg = np.argsort(-deg, kind="stable")
-    start = g.offsets[by_deg]
-    # sizes[j]: the vertices with more than j neighbours, a prefix of by_deg
-    sizes = np.searchsorted(-deg[by_deg], -np.arange(deg.max(initial=0) + 1))
+    length = np.diff(offsets)
+    order = np.argsort(-length, kind="stable")
+    start = offsets[order]
+    # sizes[j]: the lists longer than j, a prefix of order
+    sizes = np.searchsorted(-length[order], -np.arange(length.max(initial=0) + 1))
     cut = int(np.argmin(np.arange(sizes.size) + sizes))
-    columns = [g.nbrs[start[:size] + j] for j, size in enumerate(sizes[:cut].tolist())]
-    hubs = by_deg[:sizes[cut]].tolist()  # the vertices with neighbours past the cut
-    tails = [g.nbrs[g.offsets[v] + cut:g.offsets[v + 1]] for v in hubs]
-    return by_deg, columns, tails
+    columns = [start[:size] + j for j, size in enumerate(sizes[:cut].tolist())]
+    tails = [slice(int(offsets[i]) + cut, int(offsets[i + 1])) for i in order[:sizes[cut]].tolist()]
+    return order, columns, tails
 
 
 def _star_counts(index, r: int, by_vertex: np.ndarray) -> np.ndarray:
-    """r-stars per column of the (n, batch) ``by_vertex``, along ``_neighbour_columns``' lists.
+    """r-stars per column of the (n, batch) ``by_vertex``, along ``_columns_and_tails``' neighbour lists.
 
-    Mono-degrees are kept in the narrowest unsigned dtype holding the largest degree.
+    ``index`` holds the vertices by falling degree and their neighbours as
+    columns and tails. Mono-degrees are kept in the narrowest unsigned dtype
+    holding the largest degree.
     """
     by_deg, columns, tails = index
     own = by_vertex[by_deg]
@@ -271,27 +313,32 @@ class _Kernel(NamedTuple):
     row_cost: int  # matrix entries per sample, for ``rng.batches``
 
 
-def _read_all(count: Callable[[np.ndarray], np.ndarray], n: int, source: Callable,
+def _read_all(count: Callable[[np.ndarray], np.ndarray], vertices: np.ndarray, source: Callable,
               samples: np.ndarray) -> np.ndarray:
-    """``count`` of the (n, batch) matrix of every vertex's color in each sample, read once from ``source``."""
-    return count(source(np.arange(n)[:, None], samples[None, :]))
+    """``count`` of the (n, batch) matrix of every vertex's color in each sample, read once from ``source``.
+
+    Row i holds vertex ``vertices[i]``: the vertices, or the GEMM's class order of them.
+    """
+    return count(source(vertices[:, None], samples[None, :]))
 
 
 def _gather_for(g: Graph, stat: Statistic, cycles: np.ndarray | None = None) -> _Kernel:
-    """The gather for ``stat``: stars along ``_neighbour_columns``, edges and cycles along tuples.
+    """The gather for ``stat``: stars along the neighbour lists' columns and tails, edges and cycles along tuples.
 
     Cycles are ``census.cycle_list``'s, or ``cycles`` if the caller has listed them.
     """
     row_cost = g.n + g.m
     if isinstance(stat, MonoStars):
-        count = functools.partial(_star_counts, _neighbour_columns(g), stat.r)
+        by_deg, columns, tails = _columns_and_tails(g.offsets)
+        index = (by_deg, [g.nbrs[col] for col in columns], [g.nbrs[rows] for rows in tails])
+        count = functools.partial(_star_counts, index, stat.r)
     elif isinstance(stat, MonoCycles):
         cycles = census.cycle_list(g, stat.g) if cycles is None else cycles
         row_cost += cycles.size
         count = functools.partial(_tuple_counts, cycles)
     else:
         count = functools.partial(_tuple_counts, g.edges)
-    return _Kernel("gather", functools.partial(_read_all, count, g.n), row_cost)
+    return _Kernel("gather", functools.partial(_read_all, count, np.arange(g.n)), row_cost)
 
 
 class _SieveIndex(NamedTuple):
@@ -402,8 +449,13 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
         return _gather_for(g, stat)
     r, share = (1, 2) if isinstance(stat, MonoEdges) else (stat.r, 1)
     # row costs: colors, indicator, histogram, degrees; colors, keys, masks, link and vertex arrays, histograms
-    counts, row_cost = (_gemm_counts, 2 * (n + k)) if name == "gemm" else (_sorted_counts, n * (15 + 3 * k))
-    return _Kernel(name, functools.partial(_read_all, functools.partial(counts, quotient, c, r, share), n), row_cost)
+    if name == "gemm":
+        classes = _classes_of(quotient)
+        count, vertices, row_cost = functools.partial(_gemm_counts, classes), classes.vertices, 2 * (n + k)
+    else:
+        count, vertices, row_cost = functools.partial(_sorted_counts, quotient), np.arange(n), n * (15 + 3 * k)
+    count = functools.partial(count, c, r, share)
+    return _Kernel(name, functools.partial(_read_all, count, vertices), row_cost)
 
 
 def mono_count(g: Graph, colors, stat: Statistic) -> int:

@@ -29,7 +29,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from . import census, rng, spectral
+from . import rng
 from .errors import (
     AmbiguousRegimeError,
     ConvergenceFailureError,
@@ -220,6 +220,21 @@ class Normal(Params, LimitLaw):
         return self.mean + math.sqrt(self.variance) * rng.normals(seed, rng.STREAM_LAW, idx, 0)
 
 
+def _sum_last_axis(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)``, bit for bit, without numpy's slow reduction over a short last axis.
+
+    numpy adds fewer than 8 terms from left to right, starting from +0.0, so
+    there the slices are added in that order; from 8 terms up it sums
+    pairwise, and ``ndarray.sum`` runs.
+    """
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    total = a[..., 0] + 0.0
+    for j in range(1, a.shape[-1]):
+        total += a[..., j]
+    return total
+
+
 @dataclass(frozen=True)
 class WeightedChiSquare(Params, LimitLaw):
     """scale * sum_i weights_i * xi_i with xi_i iid chi-square(dof) - dof.
@@ -277,8 +292,12 @@ class WeightedChiSquare(Params, LimitLaw):
         cols = np.arange(w.size, dtype=np.int64)[None, :, None]
         comp = np.arange(self.dof, dtype=np.int64)[None, None, :]
         z = rng.normals(seed, rng.STREAM_LAW, idx[:, None, None], cols, comp)
-        # row-wise sums, not a BLAS product: a draw's rounding must not depend on the block's rows
-        return self.scale * (((z * z).sum(axis=2) - self.dof) * w).sum(axis=1)
+        # row-wise sums in ``ndarray.sum``'s order, not a BLAS product: a draw's rounding must not
+        # depend on the block's rows
+        squares = _sum_last_axis(np.multiply(z, z, out=z))
+        squares -= self.dof
+        squares *= w
+        return self.scale * _sum_last_axis(squares)
 
 
 @dataclass(frozen=True)
@@ -630,6 +649,8 @@ def delta_conditional_mgf(g: Graph, c: int, t: float) -> float:
         raise ValueError(f"need at least 2 colors, got {c}")
     if g.m < 1:
         raise ValueError("needs at least one edge")
+    from . import spectral  # imported here: the laws and their sampling never need it
+
     lam = spectral.eigenvalues(g).normalized
     lmax = float(np.max(np.abs(lam)))
     if abs(t) >= c / (2.0 * lmax):
@@ -771,6 +792,8 @@ def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitL
     g = graph_or_spec
     if g.m < 1:
         raise ValueError(_NO_EDGE)
+    from . import census, spectral  # imported here: only a built host's fixed-c law needs them
+
     acf4 = census.count_cycles(g, 4) / g.m**2
     if acf4 < ACF4_NORMAL_THRESHOLD:
         return Normal(0.0, 1.0 - 1.0 / c)

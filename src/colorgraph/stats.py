@@ -59,6 +59,8 @@ def ks_statistic(samples, cdf: Callable[[float], float], weights=None) -> float:
         raise ValueError("need at least one sample")
     w = _checked_weights(arr, weights)
     values, inverse = np.unique(arr, return_inverse=True)
+    if np.isnan(values[-1]):  # NaN sorts last
+        raise ValueError("samples hold NaN")
     mass = np.bincount(inverse.ravel(), weights=w.ravel(), minlength=values.size)
     through = np.cumsum(mass)
     total = through[-1]
@@ -79,16 +81,34 @@ def ecdf(reference) -> Callable[[float], float]:
     return cdf
 
 
-def two_sample_ks(a, b) -> float:
-    """sup_x |F_a(x) - F_b(x)| between two empirical cdfs, evaluated exactly."""
-    xa = np.sort(np.asarray(a, dtype=np.float64))
-    xb = np.sort(np.asarray(b, dtype=np.float64))
-    if xa.size == 0 or xb.size == 0:
+def _sorted_sample(samples) -> np.ndarray:
+    """``samples`` as sorted float64; ValueError if empty or if one is NaN (NaN sorts last)."""
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    if x.size == 0:
         raise ValueError("need at least one sample on each side")
-    grid = np.concatenate((xa, xb))
-    fa = np.searchsorted(xa, grid, side="right") / xa.size
-    fb = np.searchsorted(xb, grid, side="right") / xb.size
-    return float(np.max(np.abs(fa - fb)))
+    if np.isnan(x[-1]):
+        raise ValueError("samples hold NaN")
+    return x
+
+
+def _run_ends(x: np.ndarray) -> np.ndarray:
+    """For each point of the sorted ``x``: the end of its run of equal values, #{x <= x[i]}."""
+    last = np.flatnonzero(x[1:] != x[:-1]) + 1  # the end of every run but the final one
+    ends = np.append(last, x.size)
+    return np.repeat(ends, np.diff(ends, prepend=0))
+
+
+def two_sample_ks(a, b) -> float:
+    """sup_x |F_a(x) - F_b(x)| between two empirical cdfs, evaluated exactly; ValueError on NaN.
+
+    The sup is taken over both samples' points. A side's cdf at its own
+    points is the end of each point's run of equal values over its size;
+    only the other side's points are searched for.
+    """
+    xa, xb = _sorted_sample(a), _sorted_sample(b)
+    gap_a = _run_ends(xa) / xa.size - np.searchsorted(xb, xa, side="right") / xb.size
+    gap_b = np.searchsorted(xa, xb, side="right") / xa.size - _run_ends(xb) / xb.size
+    return float(max(np.abs(gap_a).max(), np.abs(gap_b).max()))
 
 
 @dataclass(frozen=True)
@@ -129,7 +149,8 @@ def empirical_moments(samples, k_max: int) -> EmpiricalMoments:
     orders = np.arange(k_max + 1)
     binom = np.array([[math.comb(k, j) for j in range(k_max + 1)] for k in range(k_max + 1)], dtype=np.float64)
     raw_from_0 = np.hstack((np.ones((raw.shape[0], 1)), raw))
-    neg_mean_powers = (-raw[:, :1, None]) ** np.maximum(orders[:, None] - orders[None, :], 0)
+    # (-mean)^e once per order e = 0..k_max, then laid out as (-mean)^(k - j)
+    neg_mean_powers = np.power(-raw[:, :1], orders)[:, np.maximum(orders[:, None] - orders[None, :], 0)]
     central = (binom * raw_from_0[:, None, :] * neg_mean_powers).sum(axis=2)[:, 1:]
 
     def jack_se(jacks: np.ndarray) -> np.ndarray:

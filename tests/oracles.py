@@ -519,6 +519,15 @@ def poisson_pmf_dict(mean: float, kmax: int) -> dict[int, float]:
             for k in range(kmax + 1)}
 
 
+def brute_two_sample_ks(a, b) -> float:
+    """sup_x |F_a(x) - F_b(x)| over the union of both samples, each cdf counted point by point."""
+    a, b = [float(x) for x in a], [float(x) for x in b]
+    gap = 0.0
+    for x in sorted(set(a) | set(b)):
+        gap = max(gap, abs(sum(y <= x for y in a) / len(a) - sum(y <= x for y in b) / len(b)))
+    return gap
+
+
 def block_jackknife_moments_loop(samples, k_max: int, max_blocks: int = 10_000):
     """(raw, central, raw_se, central_se) of ``stats.empirical_moments``, one block at a time.
 

@@ -475,10 +475,15 @@ UNJUDGEABLE_COMPARES = [
     (COMPARE_KS[:2] + ["zero-denominator-value.csv"] + COMPARE_KS[3:], "row '1/0,3' divides by zero"),
     (COMPARE_TV + ["word-count.csv", "--law", "law.json"], "row '3,x' holds a field that is not a number"),
     (COMPARE_KS[:2] + ["word-value.csv"] + COMPARE_KS[3:], "row '1.5.2,3' holds a field that is not a number"),
+    # past the first row nothing is a header: a row that does not parse is named, not skipped
+    (COMPARE_KS[:2] + ["nan-row.csv"] + COMPARE_KS[3:], "row 'nan,3' holds a field that is not a number"),
+    (COMPARE_TV + ["inf-row.csv", "--law", "law.json"], "row 'inf,3' holds a field that is not a number"),
+    (COMPARE_KS[:2] + ["stray-row.csv"] + COMPARE_KS[3:], "row 'x,1' holds a field that is not a number"),
 ]
 UNJUDGEABLE_IDS = ["tv-normal", "tv-weighted-chi-square", "tv-atom-plus-normal", "tv-zero-counts",
                    "tv-negative-count", "ks-negative-count", "tv-huge-value", "ks-huge-value", "tv-huge-count",
-                   "tv-zero-denominator-count", "ks-zero-denominator-value", "tv-word-count", "ks-word-value"]
+                   "tv-zero-denominator-count", "ks-zero-denominator-value", "tv-word-count", "ks-word-value",
+                   "ks-nan-row", "tv-inf-row", "ks-stray-row"]
 
 
 def write_compare_inputs(tmp_path) -> None:
@@ -488,7 +493,9 @@ def write_compare_inputs(tmp_path) -> None:
                        ("huge.csv", "value,count\n1e400,2\n3,5\n"), ("huge-count.csv", "value,count\n3,1e400\n"),
                        ("zero-denominator-count.csv", "value,count\n1,1/0\n"),
                        ("zero-denominator-value.csv", "value,count\n1/0,3\n"),
-                       ("word-count.csv", "value,count\n3,x\n"), ("word-value.csv", "value,count\n1.5.2,3\n")):
+                       ("word-count.csv", "value,count\n3,x\n"), ("word-value.csv", "value,count\n1.5.2,3\n"),
+                       ("nan-row.csv", "value,count\n1,2\nnan,3\n2,5\n"), ("inf-row.csv", "value,count\n1,2\ninf,3\n"),
+                       ("stray-row.csv", "# a comment\nvalue,count\n1,2\nx,1\n")):
         (tmp_path / name).write_text(text)
     for name, law in (("law.json", limits.Poisson(5.0)), ("normal.json", limits.Normal(0.0, 1.0)),
                       ("chi-square.json", limits.WeightedChiSquare((1.0,), 1, 0.25)),
@@ -666,6 +673,17 @@ def test_census_loads_only_what_it_runs():
     loaded = modules_after_cli("census", "--graph", "complete:4")
     assert {"colorgraph.graph", "colorgraph.census"} <= loaded
     assert not {"colorgraph.limits", "colorgraph.colorsim", "colorgraph.moments"} & loaded
+
+
+@pytest.mark.parametrize("args", [("limit", "--growing-ratio", "2"),
+                                  ("compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "ks",
+                                   "--tol", "1.5")], ids=["limit-growing", "compare-ks"])
+def test_law_commands_load_no_census_or_spectrum(args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_compare_inputs(tmp_path)
+    loaded = modules_after_cli(*args)
+    assert "colorgraph.limits" in loaded
+    assert not {"colorgraph.census", "colorgraph.spectral"} & loaded
 
 
 def test_import_colorgraph_loads_no_submodule():

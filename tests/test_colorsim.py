@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from colorgraph.colorsim import (
     MonoCycles,
     MonoEdges,
     MonoStars,
+    _classes_of,
     _gather_for,
     _gemm_counts,
     _kernel_for,
@@ -451,7 +453,8 @@ def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray, lengths=cen
         else:
             r, share = (1, 2) if kind == "edges" else (order, 1)  # edges are 1-stars halved
             for quotient in (g.twin_quotient(np.float32), singletons):
-                gemm = _gemm_counts(quotient, c, r, share, colors)
+                classes = _classes_of(quotient)
+                gemm = _gemm_counts(classes, c, r, share, colors[classes.vertices])
                 assert np.array_equal(gemm, expected), (kind, order, c, quotient.k)
                 by_sort = _sorted_counts(quotient, c, r, share, colors)
                 assert by_sort.dtype == np.int64
@@ -487,6 +490,59 @@ class TestKernelsAgainstLoops:
     def test_hypothesis_small_blow_ups(self, spec, c, seed):
         g = blow_up(*spec)
         assert_kernels_match_loops(g, c, kernel_test_colorings(g.n, c, seed))
+
+
+# blow-ups whose class sizes take each side of the GEMM's cut of its class rows: (blocks, clique, sizes),
+# then the columns and tails that cut gives; no class of a host is the twin of another
+_C8 = [[1 if abs(i - j) in (1, 7) else 0 for j in range(8)] for i in range(8)]
+_P5 = [[1 if abs(i - j) == 1 else 0 for j in range(5)] for i in range(5)]
+GEMM_CLASS_HOSTS = {
+    "one-class": (([[0]], [1], [12]), 0, 1),
+    "two-large-classes": (([[0, 1], [1, 0]], [0, 0], [10, 10]), 0, 2),
+    "twin-pairs": ((_C8, [0, 1] * 4, [2] * 8), 2, 0),
+    "large-class-and-singletons": ((_P5, [0] * 5, [10, 1, 1, 1, 1]), 1, 1),
+    "mixed-sizes": ((_P5, [0, 1, 0, 1, 0], [6, 2, 2, 1, 1]), 2, 1),
+    "class-past-uint8": (([[0, 1], [1, 0]], [0, 0], [300, 2]), 0, 2),
+}
+
+
+class TestGemmClassSums:
+    @pytest.mark.parametrize("host", GEMM_CLASS_HOSTS)
+    def test_cut_of_the_class_rows(self, host):
+        spec, columns, tails = GEMM_CLASS_HOSTS[host]
+        quotient = blow_up(*spec).twin_quotient(np.float32)
+        assert sorted(quotient.sizes.tolist(), reverse=True) == sorted(spec[2], reverse=True)
+        classes = _classes_of(quotient)
+        assert (len(classes.columns), len(classes.tails)) == (columns, tails)
+        # the rows run class by class, the classes by falling size
+        runs = [len(list(rows)) for _, rows in itertools.groupby(quotient.labels[classes.vertices].tolist())]
+        assert runs == sorted(spec[2], reverse=True)
+        assert classes.counter == (np.uint16 if max(spec[2]) > 255 else np.uint8)
+
+    @pytest.mark.parametrize("c", [2, 3, 7])
+    @pytest.mark.parametrize("host", GEMM_CLASS_HOSTS)
+    def test_simulate_matches_loops_over_split_blocks(self, host, c, monkeypatch):
+        # a 200-entry budget cuts 20 samples into blocks of 1 to 8
+        monkeypatch.setattr(rng, "BATCH_ENTRIES", 200)
+        g = blow_up(*GEMM_CLASS_HOSTS[host][0])
+        samples = 20
+        colors = rng.uniform_ints(9, c, rng.STREAM_COLORS, np.arange(samples)[None, :], np.arange(g.n)[:, None])
+        rows = colors.T.astype(np.int64).tolist()
+        for kind, order, stat in (("edges", 0, MonoEdges()), ("stars", 1, MonoStars(1)), ("stars", 2, MonoStars(2))):
+            run = simulate(g, c, stat, samples, 9)
+            assert run.kernel == "gemm", (host, c, stat)
+            assert run.counts.tolist() == loop_mono_counts(g, rows, kind, order), (host, c, stat)
+
+    def test_class_of_300_one_color(self):
+        # all of a 300-vertex class in one color: its histogram entry needs the uint16 counter
+        g = blow_up(*GEMM_CLASS_HOSTS["class-past-uint8"][0])
+        classes = _classes_of(g.twin_quotient(np.float32))
+        colors = np.zeros((g.n, 3), dtype=np.uint8)
+        colors[-1, 1] = colors[::2, 2] = 1
+        rows = colors.T.astype(np.int64).tolist()
+        for kind, order, r, share in (("edges", 0, 1, 2), ("stars", 2, 2, 1)):
+            got = _gemm_counts(classes, 2, r, share, colors[classes.vertices])
+            assert got.tolist() == loop_mono_counts(g, rows, kind, order), kind
 
 
 class TestMomentsAgainstOracle:

@@ -247,6 +247,19 @@ def test_laws_are_frozen():
     assert {name: _digest([law_pmf(laws[name], k) for k in range(61)]) for name in FROZEN_PMFS} == FROZEN_PMFS
 
 
+@pytest.mark.parametrize("length", range(1, 21))
+def test_short_axis_sum_is_ndarray_sum(length):
+    # magnitudes over 16 decades and signed zeros, so any change of order or start shows in the bits
+    gen = np.random.default_rng(length)
+    a = gen.standard_normal((40, 3, 2 * length)) * 10.0 ** gen.integers(-8, 8, (40, 3, 2 * length))
+    a[gen.random(a.shape) < 0.2] = -0.0
+    for x in (a[..., :length], a[..., ::2], a[::3, :, 1::2], np.ascontiguousarray(a[..., :length]),
+              np.moveaxis(np.ascontiguousarray(np.moveaxis(a[..., :length], -1, 0)), 0, -1)):
+        got, want = limits._sum_last_axis(x), x.sum(axis=-1)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (length, x.strides)
+
+
 class TestLawDocuments:
     @pytest.mark.parametrize("doc", [
         {"kind": "poisson"},

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_jackknife_moments_loop
+from oracles import block_jackknife_moments_loop, brute_two_sample_ks
 
 from colorgraph import limits, rng, stats
 from colorgraph.stats import (
@@ -131,6 +131,32 @@ class TestKsStatistic:
         assert two_sample_ks(a, b) == pytest.approx(
             max(ks_statistic(a, ecdf(b)), ks_statistic(b, ecdf(a))), abs=1e-12
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=40), st.lists(st.integers(-4, 4), min_size=1, max_size=40),
+           st.floats(0.1, 10.0))
+    def test_two_sample_matches_brute_force(self, a, b, step):
+        # few distinct values, so most points are tied on their own side and across the sides
+        xa, xb = np.array(a) * step, np.array(b) * step
+        assert two_sample_ks(xa, xb) == brute_two_sample_ks(xa, xb)
+
+    @pytest.mark.parametrize("a,b", [([1.0], [1.0]), ([1.0], [2.0]), ([2.0], [1.0, 2.0, 2.0, 3.0]),
+                                     ([0.0, 0.0, 1.0], [0.5]), ([np.inf], [-np.inf, 3.0, 3.0])],
+                             ids=["equal-points", "apart", "one-in-ties", "one-between", "infinities"])
+    def test_two_sample_one_element_sides(self, a, b):
+        assert two_sample_ks(a, b) == two_sample_ks(b, a) == brute_two_sample_ks(a, b)
+
+    @pytest.mark.parametrize("a,b", [([np.nan, 1.0], [1.0, 2.0]), ([1.0, 2.0], [2.0, np.nan]), ([np.nan], [np.nan])],
+                             ids=["left", "right", "both"])
+    def test_two_sample_rejects_nan(self, a, b):
+        with pytest.raises(ValueError, match="NaN"):
+            two_sample_ks(a, b)
+
+    def test_one_sample_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_statistic([np.nan, 1.0], normal_cdf)
+        with pytest.raises(ValueError, match="NaN"):
+            ks_statistic([1.0, np.nan], normal_cdf, weights=[1.0, 2.0])
 
 
 class TestEmpiricalMoments:
