@@ -15,29 +15,30 @@ unsigned dtype holding c - 1. That is the layout and dtype
 ``rng.uniform_ints`` draws in, tile by tile, so no int64 matrix is built
 and none is transposed.
 
-Both count with the cheapest per sample of four kernels, built once per
-call by ``_kernel_for`` (priced in GEMM multiply-adds: 900 per color drawn,
-8 per pass element, 4 per sort step, 2300 per fancy-indexed move, fitted
-on the 29-case grid its docstring names): a
-float32 GEMM on the twin quotient of the host, a sort of each
-coloring's (color, class) keys on the same quotient, a gather that
-compares colors along edges, cycles or the neighbour lists of
-``Graph.nbrs``, one contiguous row per vertex looked up, or, for cycles at
-many colors, a sieve that reads every sample's colors only at the cycles'
-first two vertices and a cycle's later vertices only while it is still
-monochromatic. The quotient kernels take ``Graph.twin_quotient``'s
-``Blowup``, the host as a blow-up of its k twin classes, and count one
-star order r from each color's class sizes h_a (``_gemm_counts`` gives the
-identity; edges are 1-stars halved), so the complete host counts from its
-color-class sizes and a twin-free host runs the plain adjacency GEMM. The
-GEMM makes one pass per color: it reads the colors class by class, the
-classes by falling size, and sums h_a exactly in narrow integers from a
-bool indicator, as row sums over each class's rows cut into columns and
-contiguous tails (``_columns_and_tails``, which also cuts the star
-gather's neighbour lists), then casts h_a once for B h_a. The sort reads
-h_a off the colors present only, so it serves the birthday regime (c > n).
-The kernels return identical counts, each over the ``rng.batches`` blocks
-its ``row_cost`` sizes.
+``_kernel_for`` builds the kernel of each call from one table of the
+kernels that can count the statistic, each with its price in GEMM
+multiply-adds (900 per color drawn, 8 per pass element, 4 per sort step,
+2300 per fancy-indexed move, fitted on the 29-case grid its docstring
+names): the cheapest for ``simulate`` and ``exact_distribution``, the
+gather by name for ``mono_count``. The four kernels are a float32 GEMM on
+the twin quotient of the host, a sort of each coloring's (color, class)
+keys on the same quotient, a gather that compares colors along edges,
+cycles or the neighbour lists of ``Graph.nbrs``, one contiguous row per
+vertex looked up, or, for cycles at many colors, a sieve that reads every
+sample's colors only at the cycles' first two vertices and a cycle's later
+vertices only while it is still monochromatic. The quotient kernels take
+``Graph.twin_quotient``'s ``Blowup``, the host as a blow-up of its k twin
+classes, and count one star order r from each color's class sizes h_a
+(``_gemm_counts`` gives the identity; edges are 1-stars halved), so the
+complete host counts from its color-class sizes and a twin-free host runs
+the plain adjacency GEMM. The GEMM makes one pass per color: it reads the
+colors class by class, the classes by falling size, and sums h_a exactly in
+narrow integers from a bool indicator, as row sums over each class's rows
+cut into columns and contiguous tails (``_columns_and_tails``, which also
+cuts the star gather's neighbour lists), then casts h_a once for B h_a. The
+sort reads h_a off the colors present only, so it serves the birthday
+regime (c > n). The kernels return identical counts, each over the
+``rng.batches`` blocks its ``row_cost`` sizes.
 """
 from __future__ import annotations
 
@@ -97,11 +98,6 @@ class MonoCycles(Params):
 Statistic = Union[MonoEdges, MonoStars, MonoCycles]
 
 
-def _require_statistic(stat) -> None:
-    if not isinstance(stat, get_args(Statistic)):
-        raise TypeError(f"unknown statistic {stat!r}")
-
-
 def _comb_array(values: np.ndarray, r: int) -> np.ndarray:
     """Elementwise C(value, r) of nonnegative ints, exact, via a table up to the largest value."""
     table = np.array([math.comb(x, r) for x in range(int(values.max(initial=0)) + 1)], dtype=np.int64)
@@ -138,10 +134,11 @@ def _classes_of(quotient: Blowup) -> _Classes:
                     columns, tails, rng._narrow_dtype(int(quotient.sizes.max(initial=0))))
 
 
-def _gemm_counts(classes: _Classes, c: int, r: int, share: int, colors: np.ndarray) -> np.ndarray:
-    """Monochromatic r-stars sum_v C(mono-degree of v, r) per column, from class histograms, over ``share``.
+def _gemm_counts(classes: _Classes, c: int, r: int, share: int, source: Callable, samples: np.ndarray) -> np.ndarray:
+    """Monochromatic r-stars sum_v C(mono-degree of v, r) per sample, from class histograms, over ``share``.
 
-    Row i of ``colors`` is vertex ``classes.vertices[i]``. The blocks B of
+    The colors are read from ``source`` class by class: row i of the (n,
+    batch) block is vertex ``classes.vertices[i]``. The blocks B of
     ``classes`` are float32, and their diagonal q flags the clique classes.
     For color a, the histogram h_a = P' x_a counts the vertices of each
     class that have color a (P is the n x k class membership, x_a the
@@ -157,7 +154,7 @@ def _gemm_counts(classes: _Classes, c: int, r: int, share: int, colors: np.ndarr
     and the mono-degrees are float32 sums of one nonzero term each, exact
     while n < 2^24; every other product and sum is in int64.
     """
-    blocks = classes.blocks
+    colors, blocks = source(classes.vertices[:, None], samples[None, :]), classes.blocks
     twin_free = blocks.shape[0] == colors.shape[0]
     # one buffer each for x_a, h_a, its float32 cast and d_a, reused by every color: fresh pages per color cost more
     x = np.empty(colors.shape, dtype=bool)
@@ -213,14 +210,15 @@ def _columns_and_tails(offsets: np.ndarray) -> tuple[np.ndarray, list[np.ndarray
     return order, columns, tails
 
 
-def _star_counts(index, r: int, by_vertex: np.ndarray) -> np.ndarray:
-    """r-stars per column of the (n, batch) ``by_vertex``, along ``_columns_and_tails``' neighbour lists.
+def _star_counts(index, r: int, source: Callable, samples: np.ndarray) -> np.ndarray:
+    """r-stars per sample along ``_columns_and_tails``' neighbour lists, every vertex's colors read from ``source``.
 
     ``index`` holds the vertices by falling degree and their neighbours as
     columns and tails. Mono-degrees are kept in the narrowest unsigned dtype
     holding the largest degree.
     """
     by_deg, columns, tails = index
+    by_vertex = source(np.arange(by_deg.size)[:, None], samples[None, :])
     own = by_vertex[by_deg]
     top = len(columns) + (tails[0].size if tails else 0)  # the degree of by_deg[0], the largest
     mono_deg = np.zeros(own.shape, dtype=rng._narrow_dtype(top))
@@ -231,11 +229,18 @@ def _star_counts(index, r: int, by_vertex: np.ndarray) -> np.ndarray:
     return _comb_array(mono_deg, r).sum(axis=0)
 
 
-def _tuple_counts(tuples: np.ndarray, by_vertex: np.ndarray) -> np.ndarray:
-    """Rows of ``tuples`` (edges or cycles) whose vertices share a color, per column of ``by_vertex``.
+def _star_index(g: Graph) -> tuple:
+    """``_star_counts``' index of g: the vertices by falling degree, their neighbour lists as columns and tails."""
+    by_deg, columns, tails = _columns_and_tails(g.offsets)
+    return by_deg, [g.nbrs[col] for col in columns], [g.nbrs[rows] for rows in tails]
+
+
+def _tuple_counts(tuples: np.ndarray, n: int, source: Callable, samples: np.ndarray) -> np.ndarray:
+    """Rows of ``tuples`` (edges or cycles) whose vertices share a color, per sample; all n colors read from ``source``.
 
     The mask is summed in the narrowest unsigned dtype holding the number of rows, then widened.
     """
+    by_vertex = source(np.arange(n)[:, None], samples[None, :])
     first = by_vertex[tuples[:, 0]]
     mono = first == by_vertex[tuples[:, 1]]
     for j in range(2, tuples.shape[1]):
@@ -243,8 +248,8 @@ def _tuple_counts(tuples: np.ndarray, by_vertex: np.ndarray) -> np.ndarray:
     return np.add.reduce(mono, axis=0, dtype=rng._narrow_dtype(len(tuples))).astype(np.int64)
 
 
-def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, colors: np.ndarray) -> np.ndarray:
-    """Monochromatic r-stars per column from each column's sorted (color, class) keys, over ``share``.
+def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callable, samples: np.ndarray) -> np.ndarray:
+    """Monochromatic r-stars per sample from each sample's sorted (color, class) keys, over ``share``.
 
     Sorting the keys color * k + label of the ``Blowup`` ``quotient`` down
     each column puts the vertices of one color next to each other, classes
@@ -256,7 +261,9 @@ def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, colors: np.ndar
     only runs of two or more vertices are read: about m / c pairs per column
     on K_n. The keys take the narrowest dtype of at least 16 bits (numpy sorts
     uint8 far slower) holding c * k - 1, which ``_kernel_for`` keeps in int64.
+    The (n, batch) colors of every vertex are read from ``source``.
     """
+    colors = source(np.arange(quotient.labels.size)[:, None], samples[None, :])
     n, batch = colors.shape
     k = quotient.k
     total = np.zeros(batch, dtype=np.int64)
@@ -308,37 +315,9 @@ def _matrix_colors(colors: np.ndarray, vertices: np.ndarray, samples: np.ndarray
 class _Kernel(NamedTuple):
     """The counting kernel for one (g, c, stat), built once per call."""
 
-    name: str  # "gemm", "sorted", "gather" or "sieve"
+    name: str  # its key in ``_kernel_for``'s table: "gemm", "sorted", "gather" or "sieve"
     count: Callable[[Callable, np.ndarray], np.ndarray]  # (coloring source, sample indices) -> statistic per sample
     row_cost: int  # matrix entries per sample, for ``rng.batches``
-
-
-def _read_all(count: Callable[[np.ndarray], np.ndarray], vertices: np.ndarray, source: Callable,
-              samples: np.ndarray) -> np.ndarray:
-    """``count`` of the (n, batch) matrix of every vertex's color in each sample, read once from ``source``.
-
-    Row i holds vertex ``vertices[i]``: the vertices, or the GEMM's class order of them.
-    """
-    return count(source(vertices[:, None], samples[None, :]))
-
-
-def _gather_for(g: Graph, stat: Statistic, cycles: np.ndarray | None = None) -> _Kernel:
-    """The gather for ``stat``: stars along the neighbour lists' columns and tails, edges and cycles along tuples.
-
-    Cycles are ``census.cycle_list``'s, or ``cycles`` if the caller has listed them.
-    """
-    row_cost = g.n + g.m
-    if isinstance(stat, MonoStars):
-        by_deg, columns, tails = _columns_and_tails(g.offsets)
-        index = (by_deg, [g.nbrs[col] for col in columns], [g.nbrs[rows] for rows in tails])
-        count = functools.partial(_star_counts, index, stat.r)
-    elif isinstance(stat, MonoCycles):
-        cycles = census.cycle_list(g, stat.g) if cycles is None else cycles
-        row_cost += cycles.size
-        count = functools.partial(_tuple_counts, cycles)
-    else:
-        count = functools.partial(_tuple_counts, g.edges)
-    return _Kernel("gather", functools.partial(_read_all, count, np.arange(g.n)), row_cost)
 
 
 class _SieveIndex(NamedTuple):
@@ -396,10 +375,11 @@ def _sieve_counts(index: _SieveIndex, source: Callable, samples: np.ndarray) -> 
     return np.bincount(column, minlength=samples.size)
 
 
-def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
-    """The cheapest counting kernel for (g, c, stat), with the quotient or index it counts over.
+def _kernel_for(g: Graph, c: int, stat: Statistic, name: str | None = None) -> _Kernel:
+    """The cheapest counting kernel for (g, c, stat), or the one ``name`` names, with its quotient or index.
 
-    A price is the counted work per sample times the unit costs. The gather
+    ``kernels`` holds each kernel that can count ``stat``: its price per
+    sample, the counted work times the unit costs, and its build. The gather
     makes m compares (stars: two passes over the 2m + n neighbour and own
     slots) and moves a row per edge end and ``rng.batches`` block; the GEMM
     on k twin classes makes c passes of 3n and c products B h_a of k^2; the
@@ -412,62 +392,75 @@ def _kernel_for(g: Graph, c: int, stat: Statistic) -> _Kernel:
     length L, the gather draws n colors, compares L - 1 times per cycle and
     moves L rows per block; the sieve draws the dense set of the cycles'
     first two vertices, moves each first edge and about cycles / c^j reads
-    at column j + 1, j = 1..L-2; only when strictly cheaper is its index built. The
-    units were fitted once (nothing is timed at run time) on interleaved
-    per-kernel timings, each the minimum of 7 runs, of 29 cases: the rows of
-    ``test_kernel_chooser_grid``, er:30:0.3:1 ``stars:2`` at c=2, complete:60
-    ``edges`` at c = 255, 256 and 257, and er:300:0.5:1 ``edges`` at c=2.
+    at column j + 1, j = 1..L-2, and wins only when strictly cheaper. Only
+    the kernel that runs is built. The units were fitted once (nothing is
+    timed at run time) on interleaved per-kernel timings, each the minimum
+    of 7 runs, of 29 cases: the rows of ``test_kernel_chooser_grid``,
+    er:30:0.3:1 ``stars:2`` at c=2, complete:60 ``edges`` at c = 255, 256 and
+    257, and er:300:0.5:1 ``edges`` at c=2.
+
+    A named kernel is held only to the bounds on B and c*k, not to the
+    gather's price, and a named gather runs no twin search. ValueError if
+    the named kernel cannot count ``stat`` on g at c.
     """
-    _require_statistic(stat)
-    n = g.n
+    if not isinstance(stat, get_args(Statistic)):
+        raise TypeError(f"unknown statistic {stat!r}")
+    n, m = g.n, g.m
     if isinstance(stat, MonoCycles):
         cycles = census.cycle_list(g, stat.g)
         dense = np.count_nonzero(np.bincount(cycles[:, :2].ravel(), minlength=n))  # the sieve's sizes, unindexed
         first = np.unique(cycles[:, 0] * n + cycles[:, 1]).size
         reads = len(cycles) * sum(c ** -j for j in range(1, stat.g - 1))  # the pairs reaching columns 2..L-1
-        block = max(1, rng.BATCH_ENTRIES // (n + g.m + cycles.size))
-        gather = _DRAW * n + _PASS * len(cycles) * (stat.g - 1) + _MOVE * cycles.size / block
-        if _DRAW * dense + _MOVE * (first + reads) >= gather:
-            return _gather_for(g, stat, cycles)
-        # row cost: dense colors, first-edge colors and matches, about 8 arrays over the expected pairs
-        row_cost = dense + 2 * first + 8 * math.ceil(len(cycles) / c)
-        return _Kernel("sieve", functools.partial(_sieve_counts, _sieve_index(cycles)), row_cost)
-    passes = 2 * (2 * g.m + n) if isinstance(stat, MonoStars) else g.m
-    gather = _PASS * passes + _MOVE * 2 * g.m / max(1, rng.BATCH_ENTRIES // max(1, n + g.m))
-    links, depth = n + c * math.expm1(n * math.log1p(-1 / c)), (n - 1).bit_length()  # n - E[present], ceil(log2 n)
-    gemm_classes = min(math.isqrt(max(0, int(gather / c - 3 * _PASS * n))), math.isqrt(rng.BATCH_ENTRIES))
-    spare = gather - _SORT * n * depth - _MOVE * links  # left for the sort's k-long rows
-    sort_classes = min(int(spare / (4 * _PASS * links)), 2**63 // c) if links > 0 else 0  # keys c*k in int64
-    max_classes = max(gemm_classes, sort_classes)
-    quotient = g.twin_quotient(np.float32, max_classes) if max_classes >= 1 else None
-    k = math.inf if quotient is None else quotient.k
-    costs = {"gemm": c * (3 * _PASS * n + k * k) if k <= gemm_classes else math.inf,
-             "sorted": _SORT * n * depth + (_MOVE + 4 * _PASS * k) * links if k <= sort_classes else math.inf,
-             "gather": gather}
-    name = min(costs, key=costs.get)
-    if name == "gather":
-        return _gather_for(g, stat)
-    r, share = (1, 2) if isinstance(stat, MonoEdges) else (stat.r, 1)
-    # row costs: colors, indicator, histogram, degrees; colors, keys, masks, link and vertex arrays, histograms
-    if name == "gemm":
-        classes = _classes_of(quotient)
-        count, vertices, row_cost = functools.partial(_gemm_counts, classes), classes.vertices, 2 * (n + k)
+        block = max(1, rng.BATCH_ENTRIES // (n + m + cycles.size))
+        # the sieve's row cost: dense colors, first-edge colors and matches, about 8 arrays over the expected pairs
+        kernels = {
+            "gather": (_DRAW * n + _PASS * len(cycles) * (stat.g - 1) + _MOVE * cycles.size / block,
+                       lambda: _Kernel("gather", functools.partial(_tuple_counts, cycles, n), n + m + cycles.size)),
+            "sieve": (_DRAW * dense + _MOVE * (first + reads),
+                      lambda: _Kernel("sieve", functools.partial(_sieve_counts, _sieve_index(cycles)),
+                                      dense + 2 * first + 8 * math.ceil(len(cycles) / c))),
+        }
     else:
-        count, vertices, row_cost = functools.partial(_sorted_counts, quotient), np.arange(n), n * (15 + 3 * k)
-    count = functools.partial(count, c, r, share)
-    return _Kernel(name, functools.partial(_read_all, count, vertices), row_cost)
+        stars = isinstance(stat, MonoStars)
+        r, share = (stat.r, 1) if stars else (1, 2)
+        gather = _PASS * (2 * (2 * m + n) if stars else m) + _MOVE * 2 * m / max(1, rng.BATCH_ENTRIES // max(1, n + m))
+        links, depth = n + c * math.expm1(n * math.log1p(-1 / c)), (n - 1).bit_length()  # n - E[present], ceil(log2 n)
+        bound = {"gemm": math.isqrt(rng.BATCH_ENTRIES), "sorted": 2**63 // c}  # k for B in a block, keys c*k in int64
+        if name is None:  # and k for a price below the gather's
+            spare = gather - _SORT * n * depth - _MOVE * links  # left for the sort's k-long rows
+            bound["gemm"] = min(bound["gemm"], math.isqrt(max(0, int(gather / c - 3 * _PASS * n))))
+            bound["sorted"] = min(bound["sorted"], int(spare / (4 * _PASS * links)) if links > 0 else 0)
+        most = max(bound.values()) if name is None else bound.get(name, 0)
+        quotient = g.twin_quotient(np.float32, most) if most >= 1 else None
+        k = math.inf if quotient is None else quotient.k
+        # row costs: colors, indicator, histogram, degrees; colors, keys, masks, link and vertex arrays, histograms
+        kernels = {
+            "gemm": (c * (3 * _PASS * n + k * k) if k <= bound["gemm"] else math.inf,
+                     lambda: _Kernel("gemm", functools.partial(_gemm_counts, _classes_of(quotient), c, r, share),
+                                     2 * (n + k))),
+            "sorted": (_SORT * n * depth + (_MOVE + 4 * _PASS * k) * links if k <= bound["sorted"] else math.inf,
+                       lambda: _Kernel("sorted", functools.partial(_sorted_counts, quotient, c, r, share),
+                                       n * (15 + 3 * k))),
+            "gather": (gather, lambda: _Kernel("gather", functools.partial(_star_counts, _star_index(g), r) if stars
+                                               else functools.partial(_tuple_counts, g.edges, n), n + m)),
+        }
+    if name is None:
+        name = min(kernels, key=lambda key: kernels[key][0])
+    elif kernels.get(name, (math.inf,))[0] == math.inf:
+        raise ValueError(f"no {name!r} kernel counts {stat} on this host at c={c}")
+    return kernels[name][1]()
 
 
 def mono_count(g: Graph, colors, stat: Statistic) -> int:
     """Evaluate one statistic on one explicit coloring."""
-    _require_statistic(stat)
+    kernel = _kernel_for(g, 2, stat, "gather")  # the gather never reads c; an unknown statistic fails first
     arr = np.asarray(colors)
     if arr.shape != (g.n,):
         raise BadColorVectorError(f"expected {g.n} colors, got shape {arr.shape}")
     if g.n and (arr.dtype.kind not in "iu" or arr.min() < 0):
         raise BadColorVectorError(f"colors must be nonnegative integers, got {colors!r:.80}")
     source = functools.partial(_matrix_colors, arr.astype(np.int64)[:, None])
-    return int(_gather_for(g, stat).count(source, np.zeros(1, dtype=np.int64))[0])
+    return int(kernel.count(source, np.zeros(1, dtype=np.int64))[0])
 
 
 @dataclass(frozen=True, eq=False)

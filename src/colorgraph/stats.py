@@ -124,7 +124,9 @@ def empirical_moments(samples, k_max: int) -> EmpiricalMoments:
 
     Samples are grouped into at most ``_MAX_BLOCKS`` contiguous blocks; the
     jackknife recomputes each estimator with one block removed, which keeps
-    the whole computation O(n + blocks * k^2).
+    the whole computation O(n + blocks * k^2). The power sums are taken about
+    the integer nearest the mean, so a mean large against the spread does not
+    cancel them: the central moments do not move, and the raw ones add it back.
     """
     if not 1 <= k_max <= 8:
         raise ValueError(f"k_max must be in [1, 8], got {k_max}")
@@ -132,6 +134,7 @@ def empirical_moments(samples, k_max: int) -> EmpiricalMoments:
     n = x.size
     if n < 2:
         raise ValueError("need at least two samples")
+    shift = np.rint(x.mean())
     blocks = min(_MAX_BLOCKS, n)  # at least 2
     bounds = np.linspace(0, n, blocks + 1).astype(int)
     # per-block power sums, order 0..k_max; blocks + 1 <= n + 1 keeps every block nonempty
@@ -139,27 +142,30 @@ def empirical_moments(samples, k_max: int) -> EmpiricalMoments:
     sums[:, 0] = np.diff(bounds)
     powers = np.ones_like(x)
     for k in range(1, k_max + 1):
-        powers = powers * x
+        powers = powers * (x - shift)
         sums[:, k] = np.add.reduceat(powers, bounds[:-1])
     total = sums.sum(axis=0)
     # row 0: the full sample; row 1 + b: the sample without block b
     power_sums = np.vstack((total, total - sums))
-    raw = power_sums[:, 1:] / power_sums[:, :1]
-    # mu_k = sum_j C(k, j) raw_j (-mean)^{k-j}, with raw_0 = 1 and C(k, j) = 0 for j > k
+    shifted = power_sums[:, 1:] / power_sums[:, :1]  # the raw moments of x - shift
+    # mu_k = sum_j C(k, j) shifted_j (-mean)^{k-j}, the mean of x - shift, shifted_0 = 1 and C(k, j) = 0 for j > k
     orders = np.arange(k_max + 1)
+    lags = np.maximum(orders[:, None] - orders[None, :], 0)
     binom = np.array([[math.comb(k, j) for j in range(k_max + 1)] for k in range(k_max + 1)], dtype=np.float64)
-    raw_from_0 = np.hstack((np.ones((raw.shape[0], 1)), raw))
+    shifted_from_0 = np.hstack((np.ones((shifted.shape[0], 1)), shifted))
     # (-mean)^e once per order e = 0..k_max, then laid out as (-mean)^(k - j)
-    neg_mean_powers = np.power(-raw[:, :1], orders)[:, np.maximum(orders[:, None] - orders[None, :], 0)]
-    central = (binom * raw_from_0[:, None, :] * neg_mean_powers).sum(axis=2)[:, 1:]
+    neg_mean_powers = np.power(-shifted[:, :1], orders)[:, lags]
+    central = (binom * shifted_from_0[:, None, :] * neg_mean_powers).sum(axis=2)[:, 1:]
+    shift_up = (binom * shift**lags)[1:]  # raw_k = shift^k + sum_{j >= 1} C(k, j) shift^{k-j} shifted_j
+    linear = shifted @ shift_up[:, 1:].T  # the sum alone: the jackknife spreads it without cancelling shift^k
 
     def jack_se(jacks: np.ndarray) -> np.ndarray:
         mean = jacks.mean(axis=0)
         return np.sqrt((blocks - 1) / blocks * ((jacks - mean) ** 2).sum(axis=0))
 
     return EmpiricalMoments(
-        raw=tuple(raw[0]),
+        raw=tuple(linear[0] + shift_up[:, 0]),
         central=tuple(central[0]),
-        raw_se=tuple(jack_se(raw[1:])),
+        raw_se=tuple(jack_se(linear[1:])),
         central_se=tuple(jack_se(central[1:])),
     )

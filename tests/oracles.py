@@ -568,3 +568,31 @@ def block_jackknife_moments_loop(samples, k_max: int, max_blocks: int = 10_000):
 
     return (tuple(raw_full), tuple(central_full),
             jack_se(np.array([r for r, _ in jacks])), jack_se(np.array([c for _, c in jacks])))
+
+
+def exact_jackknife_moments(samples, k_max: int):
+    """(raw, central, raw_se, central_se) of ``stats.empirical_moments`` in exact rationals, blocks of one sample.
+
+    Holds while there are at most ``stats._MAX_BLOCKS`` samples. A
+    delete-one replicate depends only on the value left out, so each
+    distinct value's estimates are computed once and weighted by its count.
+    Each output is the float nearest the exact value, the SEs the square
+    root of the float nearest the exact jackknife variance.
+    """
+    counts = Counter(Fraction(float(x)) for x in samples)
+    n = sum(counts.values())
+    sums = [sum(f * v**k for v, f in counts.items()) for k in range(k_max + 1)]
+
+    def estimates(power_sums: list) -> list:
+        raw = [s / power_sums[0] for s in power_sums[1:]]
+        central = [sum(math.comb(k, j) * (raw[j - 1] if j else 1) * (-raw[0]) ** (k - j) for j in range(k + 1))
+                   for k in range(1, k_max + 1)]
+        return raw + central
+
+    jacks = {v: estimates([s - v**k for k, s in enumerate(sums)]) for v in counts}
+    ses = []
+    for i in range(2 * k_max):
+        mean = sum(f * jacks[v][i] for v, f in counts.items()) / n
+        ses.append(math.sqrt(Fraction(n - 1, n) * sum(f * (jacks[v][i] - mean) ** 2 for v, f in counts.items())))
+    full = [float(x) for x in estimates(sums)]
+    return tuple(full[:k_max]), tuple(full[k_max:]), tuple(ses[:k_max]), tuple(ses[k_max:])

@@ -25,11 +25,10 @@ from colorgraph.colorsim import (
     MonoEdges,
     MonoStars,
     _classes_of,
-    _gather_for,
+    _digit_colors,
     _gemm_counts,
     _kernel_for,
     _matrix_colors,
-    _sieve_counts,
     _sieve_index,
     _sorted_counts,
     exact_distribution,
@@ -116,7 +115,7 @@ class TestMonoCount:
         colors = np.zeros((24, 3), dtype=np.uint8)
         colors[:12, 1] = 1
         colors[:, 2] = np.arange(24)
-        counts = matrix_count(_gather_for(g, MonoEdges()).count, colors)
+        counts = matrix_count(_kernel_for(g, 24, MonoEdges(), "gather").count, colors)
         assert counts.dtype == np.int64
         assert counts.tolist() == [276, 2 * math.comb(12, 2), 0]
 
@@ -294,7 +293,10 @@ class TestSimulate:
         ("hypercube:8", 4, MonoCycles(4), "gather"),
         ("er:100:0.05:7", 3, MonoCycles(5), "gather"),
         ("complete:12", 30, MonoCycles(6), "sieve"),
-        # the GEMM's c passes over the colors and the sort's same-color runs outweigh the m compares
+        # today's prices put the GEMM's c passes over the colors and the sort's same-color runs above the
+        # m compares, but the GEMM measured faster on all three rows: 0.82-1.18 against 2.6-3.3 us/sample
+        # at c=50, 1.35-1.73 against 2.7-3.1 at c=100, 0.87-1.05 against 1.36-1.55 on the star. These rows
+        # pin today's prices until the unit costs are fitted again
         ("complete:60", 50, MonoEdges(), "gather"),
         ("complete:60", 100, MonoEdges(), "gather"),
         ("star:300", 2, MonoEdges(), "gather"),
@@ -322,7 +324,7 @@ class TestSimulate:
         run = simulate(g, 2, stat, 200, 5)
         assert run.kernel == "gemm"
         colors = rng.uniform_ints(5, 2, rng.STREAM_COLORS, np.arange(200)[None, :], np.arange(60)[:, None])
-        assert np.array_equal(run.counts, matrix_count(_gather_for(g, stat).count, colors))
+        assert np.array_equal(run.counts, matrix_count(_kernel_for(g, 2, stat, "gather").count, colors))
 
     def test_no_twin_search_when_even_one_class_is_too_costly(self, monkeypatch):
         def refuse(self, *args, **kwargs):
@@ -347,6 +349,45 @@ class TestSimulate:
         assert _kernel_for(g, c, MonoCycles(order)).name == kernel
         assert built == ([len(census.cycle_list(g, order))] if kernel == "sieve" else [])
 
+    def test_named_gather_builds_no_sieve_index(self, monkeypatch):
+        # the chooser takes the sieve here; the gather needs only the cycle list
+        built = []
+        monkeypatch.setattr(colorsim, "_sieve_index", lambda cycles: built.append(len(cycles)) or _sieve_index(cycles))
+        assert _kernel_for(generate(PathCycleGadget(30, 30, 3)), 30, MonoCycles(3), "gather").name == "gather"
+        assert built == []
+
+    def test_mono_count_runs_no_twin_search(self, monkeypatch):
+        # mono_count names the gather, so complete:30 counts without its one-class quotient
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("twin_quotient called")
+        monkeypatch.setattr(Graph, "twin_quotient", refuse)
+        g = generate(Complete(30))
+        assert mono_count(g, [0] * 30, MonoEdges()) == 435
+        assert mono_count(g, [0] * 15 + [1] * 15, MonoStars(2)) == 30 * math.comb(14, 2)
+
+    def test_named_kernels_meet_only_the_hard_bounds(self):
+        # the chooser takes the gather on path:200 at c=2; the GEMM and the sort still count its 200 classes
+        g, stat = generate(Path(200)), MonoEdges()
+        colors = kernel_test_colorings(g.n, 2, 3)
+        gathered = matrix_count(_kernel_for(g, 2, stat, "gather").count, colors)
+        for name in ("gemm", "sorted"):
+            kernel = _kernel_for(g, 2, stat, name)
+            assert kernel.name == name
+            assert np.array_equal(matrix_count(kernel.count, colors), gathered), name
+
+    @pytest.mark.parametrize("c,stat,name,budget", [
+        (3, MonoCycles(3), "sorted", rng.BATCH_ENTRIES),
+        (3, MonoCycles(3), "gemm", rng.BATCH_ENTRIES),
+        (3, MonoEdges(), "sieve", rng.BATCH_ENTRIES),
+        (3, MonoEdges(), "bitsliced", rng.BATCH_ENTRIES),
+        (3, MonoEdges(), "gemm", 100),  # B of 200 x 200 classes is past a 100-entry block
+        (2**62, MonoEdges(), "sorted", rng.BATCH_ENTRIES),  # keys c * 200 are past int64
+    ], ids=["sorted-cycles", "gemm-cycles", "sieve-edges", "unknown", "gemm-past-a-block", "sorted-past-int64"])
+    def test_named_kernel_that_cannot_count_raises(self, c, stat, name, budget, monkeypatch):
+        monkeypatch.setattr(rng, "BATCH_ENTRIES", budget)
+        with pytest.raises(ValueError, match=name):
+            _kernel_for(generate(Path(200)), c, stat, name)
+
     def test_one_cycle_list_per_call(self, monkeypatch):
         real, calls = census.cycle_list, []
         monkeypatch.setattr(census, "cycle_list", lambda g, length: calls.append(length) or real(g, length))
@@ -366,7 +407,7 @@ class TestSimulate:
         assert np.array_equal(base.counts, simulate(g, 7, stat, 1500, 21).counts)
         # the same counts as the gather drawing every vertex
         colors = rng.uniform_ints(21, 7, rng.STREAM_COLORS, np.arange(1500)[None, :], np.arange(g.n)[:, None])
-        assert np.array_equal(base.counts, matrix_count(_gather_for(g, stat).count, colors))
+        assert np.array_equal(base.counts, matrix_count(_kernel_for(g, 7, stat, "gather").count, colors))
 
     def test_sieve_draws_few_colors(self, monkeypatch):
         # at c = 30 the 31 path vertices are drawn densely and about 30 triangle tips per sample pointwise
@@ -435,30 +476,26 @@ def matrix_count(count, colors: np.ndarray) -> np.ndarray:
 
 
 def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray, lengths=census.CYCLE_LENGTHS) -> None:
-    """Every kernel against the loop oracle; the GEMM and the sort on the twin quotient and
-    on the quotient of singletons (labels 0..n-1, B = A), which any graph also is; the gather
-    and the sieve on the cycles of ``lengths``."""
+    """Every kernel against the loop oracle, named on g: the GEMM and the sort on its twin quotient,
+    the gather and the sieve on the cycles of ``lengths``. The GEMM and the sort also count on the
+    quotient of singletons (labels 0..n-1, B = A), which any graph also is."""
     rows = colors.T.astype(np.int64).tolist()
     singletons = Blowup(np.arange(g.n), np.ones(g.n, np.int64), g.adjacency_matrix(np.float32))
     for kind, order, stat in KERNEL_STATS:
         if kind == "cycles" and order not in lengths:
             continue
         expected = np.array(loop_mono_counts(g, rows, kind, order), dtype=np.int64)
-        gathered = matrix_count(_gather_for(g, stat).count, colors)
-        assert np.array_equal(gathered, expected), (kind, order, c)
-        if kind == "cycles":
-            sieved = matrix_count(functools.partial(_sieve_counts, _sieve_index(census.cycle_list(g, order))), colors)
-            assert sieved.dtype == np.int64
-            assert np.array_equal(sieved, expected), ("sieve", order, c)
-        else:
+        for name in ("gather", "sieve") if kind == "cycles" else ("gather", "gemm", "sorted"):
+            counts = matrix_count(_kernel_for(g, c, stat, name).count, colors)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, expected), (name, kind, order, c)
+        if kind != "cycles":
             r, share = (1, 2) if kind == "edges" else (order, 1)  # edges are 1-stars halved
-            for quotient in (g.twin_quotient(np.float32), singletons):
-                classes = _classes_of(quotient)
-                gemm = _gemm_counts(classes, c, r, share, colors[classes.vertices])
-                assert np.array_equal(gemm, expected), (kind, order, c, quotient.k)
-                by_sort = _sorted_counts(quotient, c, r, share, colors)
-                assert by_sort.dtype == np.int64
-                assert np.array_equal(by_sort, expected), ("sorted", kind, order, c, quotient.k)
+            gemm = matrix_count(functools.partial(_gemm_counts, _classes_of(singletons), c, r, share), colors)
+            assert np.array_equal(gemm, expected), ("gemm", kind, order, c, "singletons")
+            by_sort = matrix_count(functools.partial(_sorted_counts, singletons, c, r, share), colors)
+            assert by_sort.dtype == np.int64
+            assert np.array_equal(by_sort, expected), ("sorted", kind, order, c, "singletons")
 
 
 class TestKernelsAgainstLoops:
@@ -536,12 +573,11 @@ class TestGemmClassSums:
     def test_class_of_300_one_color(self):
         # all of a 300-vertex class in one color: its histogram entry needs the uint16 counter
         g = blow_up(*GEMM_CLASS_HOSTS["class-past-uint8"][0])
-        classes = _classes_of(g.twin_quotient(np.float32))
         colors = np.zeros((g.n, 3), dtype=np.uint8)
         colors[-1, 1] = colors[::2, 2] = 1
         rows = colors.T.astype(np.int64).tolist()
-        for kind, order, r, share in (("edges", 0, 1, 2), ("stars", 2, 2, 1)):
-            got = _gemm_counts(classes, 2, r, share, colors[classes.vertices])
+        for kind, order, stat in (("edges", 0, MonoEdges()), ("stars", 2, MonoStars(2))):
+            got = matrix_count(_kernel_for(g, 2, stat, "gemm").count, colors)
             assert got.tolist() == loop_mono_counts(g, rows, kind, order), kind
 
 
@@ -652,12 +688,11 @@ def test_frozen_exact_law_on_the_sorted_kernel():
         },
         MonoStars(2): {0: Fraction(124803, 125000), 3: Fraction(49, 31250), 12: Fraction(1, 125000)},
     }
-    powers = 50 ** np.arange(3, -1, -1)
-    for (r, share), (stat, law) in zip(((1, 2), (2, 1)), laws.items()):
+    digits = functools.partial(_digit_colors, 50, 50 ** np.arange(3, -1, -1), np.uint8)
+    for stat, law in laws.items():
         assert exact_distribution(g, 50, stat) == law
-        sort = functools.partial(_sorted_counts, g.twin_quotient(np.float32), 50, r, share)
-        counts = np.concatenate([sort((idx[None, :] // powers[:, None] % 50).astype(np.uint8))
-                                 for idx in rng.batches(0, 50**4, 4 * 18)])
+        sort = _kernel_for(g, 50, stat, "sorted")
+        counts = np.concatenate([sort.count(digits, idx) for idx in rng.batches(0, 50**4, sort.row_cost)])
         values, freq = np.unique(counts, return_counts=True)
         assert {int(v): Fraction(int(f), 50**4) for v, f in zip(values, freq)} == law
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_jackknife_moments_loop, brute_two_sample_ks
+from oracles import block_jackknife_moments_loop, brute_two_sample_ks, exact_jackknife_moments
 
 from colorgraph import limits, rng, stats
+from colorgraph.colorsim import MonoEdges, MonoStars, simulate
+from colorgraph.graph import generate, parse_family
 from colorgraph.stats import (
     ecdf,
     empirical_moments,
@@ -195,6 +197,16 @@ class TestEmpiricalMoments:
             scale = np.maximum(np.abs(want_part), 1.0)
             assert np.allclose(np.asarray(got_part) / scale, np.asarray(want_part) / scale,
                                rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("spec,c,stat", [("regular:2000:3:5", 2, MonoEdges()), ("er:300:0.1:7", 10, MonoStars(2))])
+    def test_large_mean_matches_exact_oracle(self, spec, c, stat):
+        # means near 1,500 and 1,289: power sums about 0 cancelled, and mu_4 was off by 1.9e-7 relative
+        x = simulate(generate(parse_family(spec)), c, stat, 5000, 11).counts
+        got = empirical_moments(x, 4)
+        for got_part, want_part in zip((got.raw, got.central, got.raw_se, got.central_se),
+                                       exact_jackknife_moments(x, 4)):
+            for value, exact in zip(got_part, want_part):
+                assert abs(value - exact) <= 1e-13 * abs(exact), (got_part, want_part)
 
     def test_validation(self):
         with pytest.raises(ValueError):
