@@ -38,7 +38,8 @@ cut into columns and contiguous tails (``_columns_and_tails``, which also
 cuts the star gather's neighbour lists), then casts h_a once for B h_a. The
 sort reads h_a off the colors present only, so it serves the birthday
 regime (c > n). The kernels return identical counts, each over the
-``rng.batches`` blocks its ``row_cost`` sizes.
+``rng.batches`` blocks its ``row_cost`` sizes. Past isqrt(``BATCH_ENTRIES``)
+twin classes B would not fit a block, and the quotient kernels stand aside.
 """
 from __future__ import annotations
 
@@ -286,7 +287,7 @@ def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callabl
     member_col = np.concatenate((column[heads], column))
     member_label = keys[np.concatenate((pos[heads], pos + 1)), member_col] % k
     hist = np.bincount(member_run * k + member_label, minlength=heads.size * k).reshape(-1, k)
-    blocks = quotient.blocks.astype(np.int64)
+    blocks = quotient.blocks.astype(np.int64, copy=False)
     deg = _column_dots(hist[member_run].T, blocks[member_label].T) - blocks.diagonal()[member_label]
     np.add.at(total, member_col, deg if r == 1 else _comb_array(deg, r))
     return total // share
@@ -384,23 +385,24 @@ def _kernel_for(g: Graph, c: int, stat: Statistic, name: str | None = None) -> _
     slots) and moves a row per edge end and ``rng.batches`` block; the GEMM
     on k twin classes makes c passes of 3n and c products B h_a of k^2; the
     sort takes ceil(log2 n) steps per key, then a move and four k-long passes
-    per link, a vertex sharing its color with the one before it (n -
-    E[colors present]). Their n draws are left out. The cheapest runs, ties
-    going to the GEMM, then the sort. B must fit a block and the keys c*k
-    int64; those bounds and the gather's price bound k, and no twin search
-    runs when k = 1 cannot win. Edges are 1-stars halved. Of cycles of
-    length L, the gather draws n colors, compares L - 1 times per cycle and
-    moves L rows per block; the sieve draws the dense set of the cycles'
-    first two vertices, moves each first edge and about cycles / c^j reads
-    at column j + 1, j = 1..L-2, and wins only when strictly cheaper. Only
-    the kernel that runs is built. The units were fitted once (nothing is
-    timed at run time) on interleaved per-kernel timings, each the minimum
+    per link, a vertex sharing its color with the one before it (n - E[colors
+    present]). Their n draws are left out. The cheapest runs, ties going to
+    the GEMM, then the sort. Both quotient kernels hold B in a block, k <=
+    isqrt(BATCH_ENTRIES), and the sort its keys c*k in int64. The twin search
+    stops at that cap, and runs only for a named quotient kernel or when one
+    class is priced at or below the gather. Edges are 1-stars halved. Of
+    cycles of length L, the gather draws n colors, compares L - 1 times per
+    cycle and moves L rows per block; the sieve draws the dense set of the
+    cycles' first two vertices, moves each first edge and about cycles / c^j
+    reads at column j + 1, j = 1..L-2, and wins only when strictly cheaper.
+    Only the kernel that runs is built. The units were fitted once (nothing
+    is timed at run time) on interleaved per-kernel timings, each the minimum
     of 7 runs, of 29 cases: the rows of ``test_kernel_chooser_grid``,
     er:30:0.3:1 ``stars:2`` at c=2, complete:60 ``edges`` at c = 255, 256 and
     257, and er:300:0.5:1 ``edges`` at c=2.
 
-    A named kernel is held only to the bounds on B and c*k, not to the
-    gather's price, and a named gather runs no twin search. ValueError if
+    A named kernel is held only to the caps on k, not to the gather's
+    price, and a named gather runs no twin search. ValueError if
     the named kernel cannot count ``stat`` on g at c.
     """
     if not isinstance(stat, get_args(Statistic)):
@@ -424,26 +426,23 @@ def _kernel_for(g: Graph, c: int, stat: Statistic, name: str | None = None) -> _
         stars = isinstance(stat, MonoStars)
         r, share = (stat.r, 1) if stars else (1, 2)
         gather = _PASS * (2 * (2 * m + n) if stars else m) + _MOVE * 2 * m / max(1, rng.BATCH_ENTRIES // max(1, n + m))
-        links, depth = n + c * math.expm1(n * math.log1p(-1 / c)), (n - 1).bit_length()  # n - E[present], ceil(log2 n)
-        bound = {"gemm": math.isqrt(rng.BATCH_ENTRIES), "sorted": 2**63 // c}  # k for B in a block, keys c*k in int64
-        if name is None:  # and k for a price below the gather's
-            spare = gather - _SORT * n * depth - _MOVE * links  # left for the sort's k-long rows
-            bound["gemm"] = min(bound["gemm"], math.isqrt(max(0, int(gather / c - 3 * _PASS * n))))
-            bound["sorted"] = min(bound["sorted"], int(spare / (4 * _PASS * links)) if links > 0 else 0)
-        most = max(bound.values()) if name is None else bound.get(name, 0)
-        quotient = g.twin_quotient(np.float32, most) if most >= 1 else None
-        k = math.inf if quotient is None else quotient.k
+        links = max(0, n + c * math.expm1(n * math.log1p(-1 / c)))  # n - E[colors present], not below 0 at huge c
+        depth, most = (n - 1).bit_length(), math.isqrt(rng.BATCH_ENTRIES)  # ceil(log2 n); k for B in a block
         # row costs: colors, indicator, histogram, degrees; colors, keys, masks, link and vertex arrays, histograms
-        kernels = {
-            "gemm": (c * (3 * _PASS * n + k * k) if k <= bound["gemm"] else math.inf,
-                     lambda: _Kernel("gemm", functools.partial(_gemm_counts, _classes_of(quotient), c, r, share),
-                                     2 * (n + k))),
-            "sorted": (_SORT * n * depth + (_MOVE + 4 * _PASS * k) * links if k <= bound["sorted"] else math.inf,
-                       lambda: _Kernel("sorted", functools.partial(_sorted_counts, quotient, c, r, share),
-                                       n * (15 + 3 * k))),
-            "gather": (gather, lambda: _Kernel("gather", functools.partial(_star_counts, _star_index(g), r) if stars
-                                               else functools.partial(_tuple_counts, g.edges, n), n + m)),
+        quotients = {  # the kernels on the twin quotient: price at k classes, cap on k (sort keys c*k in int64), build
+            "gemm": (lambda k: c * (3 * _PASS * n + k * k), most,
+                     lambda q: _Kernel("gemm", functools.partial(_gemm_counts, _classes_of(q), c, r, share),
+                                       2 * (n + q.k))),
+            "sorted": (lambda k: _SORT * n * depth + (_MOVE + 4 * _PASS * k) * links, min(most, 2**63 // c),
+                       lambda q: _Kernel("sorted", functools.partial(_sorted_counts, Blowup(
+                           q.labels, q.sizes, q.blocks.astype(np.int64)), c, r, share), n * (15 + 3 * q.k))),
         }
+        search = name in quotients if name else min(price(1) for price, _, _ in quotients.values()) <= gather
+        quotient = g.twin_quotient(np.float32, most) if search else None
+        kernels = {key: (price(quotient.k) if quotient is not None and quotient.k <= cap else math.inf,
+                         functools.partial(build, quotient)) for key, (price, cap, build) in quotients.items()}
+        kernels["gather"] = (gather, lambda: _Kernel("gather", functools.partial(_star_counts, _star_index(g), r)
+                                                     if stars else functools.partial(_tuple_counts, g.edges, n), n + m))
     if name is None:
         name = min(kernels, key=lambda key: kernels[key][0])
     elif kernels.get(name, (math.inf,))[0] == math.inf:

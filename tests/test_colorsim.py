@@ -313,6 +313,9 @@ class TestSimulate:
         ("er:600:0.5:1", 30, MonoEdges(), "gemm"),
         # readme-cli's K40, like dense-chisq's hosts
         ("complete:40", 2, MonoEdges(), "gemm"),
+        # the birthday regime on a twin-free host past a block's 1,414 classes: the sort's blocks would
+        # hold one sample each, so the gather counts
+        ("regular:2000:3:5", 10**9, MonoStars(2), "gather"),
     ])
     def test_kernel_chooser_grid(self, spec, c, stat, kernel):
         assert _kernel_for(generate(parse_family(spec)), c, stat).name == kernel
@@ -334,6 +337,14 @@ class TestSimulate:
         # n*ceil(log2 n) steps and its links, each at k = 1
         assert _kernel_for(generate(Cycle(200)), 300, MonoEdges()).name == "gather"
         assert _kernel_for(generate(RandomRegular(2000, 3, 5)), 2, MonoEdges()).name == "gather"
+
+    def test_twin_search_stops_at_a_block(self, monkeypatch):
+        # both quotient kernels keep B in one block, so no twin search looks past isqrt(BATCH_ENTRIES) classes
+        real, caps = Graph.twin_quotient, []
+        monkeypatch.setattr(Graph, "twin_quotient", lambda self, dtype, max_classes=None:
+                            caps.append(max_classes) or real(self, dtype, max_classes))
+        assert _kernel_for(generate(RandomRegular(2000, 3, 5)), 10**9, MonoStars(2)).name == "gather"
+        assert caps and all(cap is not None and cap <= math.isqrt(rng.BATCH_ENTRIES) for cap in caps)
 
     @pytest.mark.parametrize("spec,c,order,kernel", [
         ("er:60:0.3:1", 5, 4, "gather"),
@@ -381,8 +392,10 @@ class TestSimulate:
         (3, MonoEdges(), "sieve", rng.BATCH_ENTRIES),
         (3, MonoEdges(), "bitsliced", rng.BATCH_ENTRIES),
         (3, MonoEdges(), "gemm", 100),  # B of 200 x 200 classes is past a 100-entry block
+        (3, MonoEdges(), "sorted", 100),  # so is the sort's B
         (2**62, MonoEdges(), "sorted", rng.BATCH_ENTRIES),  # keys c * 200 are past int64
-    ], ids=["sorted-cycles", "gemm-cycles", "sieve-edges", "unknown", "gemm-past-a-block", "sorted-past-int64"])
+    ], ids=["sorted-cycles", "gemm-cycles", "sieve-edges", "unknown", "gemm-past-a-block", "sorted-past-a-block",
+            "sorted-past-int64"])
     def test_named_kernel_that_cannot_count_raises(self, c, stat, name, budget, monkeypatch):
         monkeypatch.setattr(rng, "BATCH_ENTRIES", budget)
         with pytest.raises(ValueError, match=name):
