@@ -571,7 +571,7 @@ _SHAPES = {
 
 # a k x k quotient costs about k^3 / this much as the wedge route's oriented wedges
 _MATMUL_PER_WEDGE = 256
-_MAX_CLASSES = 4000  # the quotient B in float32 then takes at most 64 MB
+_MAX_CLASSES = 4000  # the quotient B then takes at most 64 MB in float32, 128 MB in float64
 _SMALL_HOST = 64  # up to this many vertices the n x n product costs less than a twin search
 
 
@@ -687,11 +687,10 @@ def _host_invariants(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
     u, v = g.edge_arrays()
     s = (np.bincount(u, d[v], g.n) + np.bincount(v, d[u], g.n)).astype(np.int64)
     if g.n <= _SMALL_HOST:  # the blow-up of B = A, with no twin search
-        singletons = Blowup(np.arange(g.n), np.ones(g.n, np.int64), g.adjacency_matrix(np.float32))
-        return (d, s, *_quotient_invariants(singletons))
+        return (d, s, *_quotient_invariants(Blowup.singletons(g)))
     wedges = int(np.minimum(d[u], d[v]).sum())  # bounds the oriented wedges
     classes = min(round((_MATMUL_PER_WEDGE * wedges) ** (1 / 3)), _MAX_CLASSES)
-    quotient = g.twin_quotient(np.float32 if g.n < 2**24 else np.float64, max_classes=classes)
+    quotient = g.twin_quotient(max_classes=classes)
     if quotient is not None:
         return (d, s, *_quotient_invariants(quotient))
     return (d, s, *_wedge_invariants(g.n, d, u, v))
@@ -704,7 +703,7 @@ def _quotient_invariants(quotient: Blowup) -> tuple[np.ndarray, int]:
     B[i, j] for each of them on a clique class, where D holds the class
     sizes; a vertex of class i has n_j - [i = j] others in class j. Rows go
     in the blocks of ``rng.batches`` at 16 k entries a row. B D B is exact
-    in float32 while n < 2^24: no entry or partial sum exceeds n.
+    in B's own type: no entry or partial sum exceeds n (``Graph.twin_quotient``).
     """
     b, q, sizes, k = quotient.blocks, quotient.blocks.diagonal(), quotient.sizes, quotient.k
     triangles, w = np.zeros(k, np.int64), 0

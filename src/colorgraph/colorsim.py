@@ -20,13 +20,14 @@ kernels that can count the statistic, each with its price in GEMM
 multiply-adds (900 per color drawn, 8 per pass element, 4 per sort step,
 2300 per fancy-indexed move, fitted on the 29-case grid its docstring
 names): the cheapest for ``simulate`` and ``exact_distribution``, the
-gather by name for ``mono_count``. The four kernels are a float32 GEMM on
-the twin quotient of the host, a sort of each coloring's (color, class)
-keys on the same quotient, a gather that compares colors along edges,
-cycles or the neighbour lists of ``Graph.nbrs``, one contiguous row per
-vertex looked up, or, for cycles at many colors, a sieve that reads every
-sample's colors only at the cycles' first two vertices and a cycle's later
-vertices only while it is still monochromatic. The quotient kernels take
+gather by name for ``mono_count``. The four kernels are a GEMM on the twin
+quotient of the host, in the float type of its B, a sort of each
+coloring's (color, class) keys on the same quotient, a gather that
+compares colors along edges, cycles or the neighbour lists of
+``Graph.nbrs``, one contiguous row per vertex looked up, or, for cycles at
+many colors, a sieve that reads every sample's colors only at the cycles'
+first two vertices and a cycle's later vertices only while it is still
+monochromatic. The quotient kernels take
 ``Graph.twin_quotient``'s ``Blowup``, the host as a blow-up of its k twin
 classes, and count one star order r from each color's class sizes h_a
 (``_gemm_counts`` gives the identity; edges are 1-stars halved), so the
@@ -35,16 +36,20 @@ the plain adjacency GEMM. The GEMM makes one pass per color: it reads the
 colors class by class, the classes by falling size, and sums h_a exactly in
 narrow integers from a bool indicator, as row sums over each class's rows
 cut into columns and contiguous tails (``_columns_and_tails``, which also
-cuts the star gather's neighbour lists), then casts h_a once for B h_a. The
-sort reads h_a off the colors present only, so it serves the birthday
-regime (c > n). The kernels return identical counts, each over the
+cuts the star gather's neighbour lists), then casts h_a once for B h_a, in
+B's type: float32 below 2^24 vertices, float64 from there on. The sort
+reads h_a off the colors present only, so it serves the birthday regime
+(c > n). The kernels return identical counts, each over the
 ``rng.batches`` blocks its ``row_cost`` sizes. Past isqrt(``BATCH_ENTRIES``)
 twin classes B would not fit a block, and the quotient kernels stand aside.
+Star counts are int64: a count of r-stars that could pass it raises
+``DomainExceededError`` before any is summed.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union, get_args
@@ -52,7 +57,7 @@ from typing import Callable, NamedTuple, Union, get_args
 import numpy as np
 
 from . import census, rng
-from .errors import BadColorVectorError, EnumerationGateExceededError
+from .errors import BadColorVectorError, DomainExceededError, EnumerationGateExceededError
 from .graph import Blowup, Graph, Params
 
 __all__ = [
@@ -99,9 +104,15 @@ class MonoCycles(Params):
 Statistic = Union[MonoEdges, MonoStars, MonoCycles]
 
 
-def _comb_array(values: np.ndarray, r: int) -> np.ndarray:
-    """Elementwise C(value, r) of nonnegative ints, exact, via a table up to the largest value."""
-    table = np.array([math.comb(x, r) for x in range(int(values.max(initial=0)) + 1)], dtype=np.int64)
+def _comb_array(values: np.ndarray, r: int, terms: int) -> np.ndarray:
+    """Elementwise C(value, r) of nonnegative ints, exact, via a table up to the largest value.
+
+    ``terms`` bounds the entries the caller sums per sample; ``DomainExceededError`` when that many
+    of the largest C(value, r) could pass int64, raised before the table is built."""
+    top = int(values.max(initial=0))
+    if terms * math.comb(top, r) > 2**63 - 1:
+        raise DomainExceededError(f"star counts could pass int64: {terms} terms of up to C({top}, {r}) each")
+    table = np.array([math.comb(x, r) for x in range(top + 1)], dtype=np.int64)
     return table[values]
 
 
@@ -118,7 +129,7 @@ class _Classes(NamedTuple):
     ``_columns_and_tails`` of the classes' rows.
     """
 
-    blocks: np.ndarray  # the float32 k x k quotient B, rows and columns in the new class order
+    blocks: np.ndarray  # the k x k quotient B in its own float type, rows and columns in the new class order
     vertices: np.ndarray  # the vertices class by class, the order the coloring source is read in
     columns: list  # per column j: the row of the j-th vertex of every class with more than j
     tails: list  # per class, in order: the slice of its rows past the cut
@@ -139,8 +150,8 @@ def _gemm_counts(classes: _Classes, c: int, r: int, share: int, source: Callable
     """Monochromatic r-stars sum_v C(mono-degree of v, r) per sample, from class histograms, over ``share``.
 
     The colors are read from ``source`` class by class: row i of the (n,
-    batch) block is vertex ``classes.vertices[i]``. The blocks B of
-    ``classes`` are float32, and their diagonal q flags the clique classes.
+    batch) block is vertex ``classes.vertices[i]``. The diagonal q of the
+    blocks B of ``classes`` flags the clique classes.
     For color a, the histogram h_a = P' x_a counts the vertices of each
     class that have color a (P is the n x k class membership, x_a the
     (n, batch) bool indicator of a), and d_a = B h_a - q is the number of
@@ -151,20 +162,21 @@ def _gemm_counts(classes: _Classes, c: int, r: int, share: int, source: Callable
     ``classes`` adds one row to each class it reaches, a tail reduces one
     class's contiguous rows. A twin-free host has k = n, P = I and B = A:
     there d_a = A x_a, and r >= 2 takes C(., r) once of each vertex's
-    mono-degree sum_a x_a * d_a. B h_a is a float32 GEMM of h_a cast once,
-    and the mono-degrees are float32 sums of one nonzero term each, exact
-    while n < 2^24; every other product and sum is in int64.
+    mono-degree sum_a x_a * d_a. B h_a is a GEMM of h_a cast once to B's
+    type, and the mono-degrees are sums of one nonzero term each in it:
+    exact, as B is float32 only while n < 2^24 (``Graph.twin_quotient``);
+    every other product and sum is in int64.
     """
     colors, blocks = source(classes.vertices[:, None], samples[None, :]), classes.blocks
     twin_free = blocks.shape[0] == colors.shape[0]
-    # one buffer each for x_a, h_a, its float32 cast and d_a, reused by every color: fresh pages per color cost more
+    # one buffer each for x_a, h_a, its cast to B's type and d_a, reused by every color: fresh pages per color cost more
     x = np.empty(colors.shape, dtype=bool)
     ones = x.view(np.uint8)  # x as 0/1 bytes, summed without a cast
     hist = ones if twin_free else np.empty((blocks.shape[0], colors.shape[1]), dtype=classes.counter)
-    cast = np.empty(hist.shape, dtype=np.float32)
-    deg = np.empty(hist.shape, dtype=np.float32)
+    cast = np.empty(hist.shape, dtype=blocks.dtype)
+    deg = np.empty(hist.shape, dtype=blocks.dtype)
     total = np.zeros(colors.shape[1], dtype=np.int64)
-    mono_deg = np.zeros(colors.shape, dtype=np.float32) if twin_free and r > 1 else None
+    mono_deg = np.zeros(colors.shape, dtype=blocks.dtype) if twin_free and r > 1 else None
     # a block holds at most colors.size distinct colors; above that, loop over those present
     for a in range(c) if c <= colors.size else np.unique(colors):
         np.equal(colors, a, out=x)
@@ -184,8 +196,10 @@ def _gemm_counts(classes: _Classes, c: int, r: int, share: int, source: Callable
             deg *= cast
             mono_deg += deg
         else:
-            total += _column_dots(hist, _comb_array(np.maximum(deg, 0).astype(np.int64), r))
-    return (total if mono_deg is None else _comb_array(mono_deg.astype(np.int64), r).sum(axis=0)) // share
+            total += _column_dots(hist, _comb_array(np.maximum(deg, 0).astype(np.int64), r, colors.shape[0]))
+    if mono_deg is not None:
+        total = _comb_array(mono_deg.astype(np.int64), r, colors.shape[0]).sum(axis=0)
+    return total // share
 
 
 def _columns_and_tails(offsets: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[slice]]:
@@ -227,7 +241,7 @@ def _star_counts(index, r: int, source: Callable, samples: np.ndarray) -> np.nda
         mono_deg[: col.size] += by_vertex[col] == own[: col.size]
     for i, tail in enumerate(tails):
         mono_deg[i] += np.add.reduce(by_vertex[tail] == own[i], axis=0, dtype=mono_deg.dtype)
-    return _comb_array(mono_deg, r).sum(axis=0)
+    return _comb_array(mono_deg, r, by_deg.size).sum(axis=0)
 
 
 def _star_index(g: Graph) -> tuple:
@@ -289,7 +303,7 @@ def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callabl
     hist = np.bincount(member_run * k + member_label, minlength=heads.size * k).reshape(-1, k)
     blocks = quotient.blocks.astype(np.int64, copy=False)
     deg = _column_dots(hist[member_run].T, blocks[member_label].T) - blocks.diagonal()[member_label]
-    np.add.at(total, member_col, deg if r == 1 else _comb_array(deg, r))
+    np.add.at(total, member_col, deg if r == 1 else _comb_array(deg, r, n))
     return total // share
 
 
@@ -438,7 +452,7 @@ def _kernel_for(g: Graph, c: int, stat: Statistic, name: str | None = None) -> _
                            q.labels, q.sizes, q.blocks.astype(np.int64)), c, r, share), n * (15 + 3 * q.k))),
         }
         search = name in quotients if name else min(price(1) for price, _, _ in quotients.values()) <= gather
-        quotient = g.twin_quotient(np.float32, most) if search else None
+        quotient = g.twin_quotient(most) if search else None
         kernels = {key: (price(quotient.k) if quotient is not None and quotient.k <= cap else math.inf,
                          functools.partial(build, quotient)) for key, (price, cap, build) in quotients.items()}
         kernels["gather"] = (gather, lambda: _Kernel("gather", functools.partial(_star_counts, _star_index(g), r)
@@ -510,7 +524,9 @@ def simulate(
     Sample i is a pure function of (seed, i), so the result is identical for
     any ``workers`` value; workers (at least 1) only bound process parallelism.
     More than 2^53 colors raise ``DomainExceededError`` from ``rng.uniform_ints``.
+    ``c`` and ``seed`` are integers (``operator.index``): a float is a TypeError.
     """
+    c = operator.index(c)
     if c < 2:
         raise ValueError(f"need at least 2 colors, got {c}")
     if samples < 1:
@@ -536,8 +552,9 @@ def exact_distribution(g: Graph, c: int, stat: Statistic) -> dict[int, Fraction]
     """Exact law of the statistic under uniform c-coloring, by full enumeration.
 
     Probabilities are exact rationals with denominator c**n. Gated at
-    c**n <= 10^7 enumerated colorings.
+    c**n <= 10^7 enumerated colorings. ``c`` is an integer (``operator.index``).
     """
+    c = operator.index(c)
     if c < 2:
         raise ValueError(f"need at least 2 colors, got {c}")
     total = c**g.n

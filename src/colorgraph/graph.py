@@ -128,17 +128,18 @@ class Graph:
         """Endpoint arrays (U, V) of shape (m,), the columns of ``edges``."""
         return self.edges[:, 0], self.edges[:, 1]
 
-    def twin_quotient(self, dtype=np.float64, max_classes: int | None = None) -> Blowup | None:
+    def twin_quotient(self, max_classes: int | None = None) -> Blowup | None:
         """The graph as a blow-up of its twin classes; built per call, never cached.
 
         Vertices with one open neighbourhood (false twins, pairwise
         nonadjacent) form a class; of the vertices left alone, those with one
         closed neighbourhood (true twins, a clique) form a class. No vertex
-        has twins of both kinds. Returns the :class:`Blowup` of these classes,
-        its blocks in ``dtype``; a twin-free graph has k = n, labels 0..n-1
-        and B = A. None when there are more than ``max_classes`` classes, found
-        before B is built and, on sparse twin-free hosts, before the closed
-        neighbourhoods are grouped.
+        has twins of both kinds. Returns the :class:`Blowup` of these classes;
+        a twin-free graph has k = n, labels 0..n-1 and B = A. B is float32
+        while n < 2^24 and float64 from there on, so every sum B h or B D B of
+        class sizes, none above n, is exact in B's own type. None when there
+        are more than ``max_classes`` classes, found before B is built and, on
+        sparse twin-free hosts, before the closed neighbourhoods are grouped.
 
         Lists are grouped in numpy by a hash, the sum of their vertices' hash
         words mod 2^64 (plus the vertex's own word for a closed list), and
@@ -176,7 +177,7 @@ class Graph:
                 return None
             rows = np.repeat(labels, degree)  # the class of each entry's owner
             lead = (root == vertices)[owner]  # the entries of the representatives' lists
-            blowup = Blowup(labels, np.bincount(labels, minlength=k), np.zeros((k, k), dtype=dtype))
+            blowup = Blowup(labels, np.bincount(labels, minlength=k), np.zeros((k, k), _block_dtype(self.n)))
             blowup.blocks[rows[lead], labels[nbrs[lead]]] = 1
             if np.array_equal(closed, alone):
                 return blowup
@@ -218,6 +219,16 @@ class Blowup:
     @property
     def k(self) -> int:
         return self.sizes.size
+
+    @classmethod
+    def singletons(cls, g: Graph) -> Blowup:
+        """g as the blow-up of its n one-vertex classes, labels 0..n-1 and B = A, with no twin search."""
+        return cls(np.arange(g.n), np.ones(g.n, np.int64), g.adjacency_matrix(_block_dtype(g.n)))
+
+
+def _block_dtype(n: int) -> type:
+    """The float type of a quotient of an n-vertex host: float32 holds every integer up to 2^24."""
+    return np.float32 if n < 2**24 else np.float64
 
 
 def _integer_pairs(n: int, pairs: list) -> tuple[np.ndarray, Exception | None]:

@@ -690,6 +690,8 @@ def gadget_char_function(a: int, b: int, c: int, g: int, t: float) -> complex:
 
 def _centered_gaussian_scores(seed: int, idx, vertices: int, c: int) -> np.ndarray:
     """S[v, a] = X[v, a] - mean_a X[v, .] with X iid N(0, 1/c); shape (batch, vertices, c)."""
+    if c < 2:
+        raise ValueError(f"need at least 2 colors, got {c}")
     v = np.arange(vertices, dtype=np.int64)[None, :, None]
     a = np.arange(c, dtype=np.int64)[None, None, :]
     x = rng.normals(seed, rng.STREAM_SURROGATE, idx[:, None, None], v, a) / math.sqrt(c)

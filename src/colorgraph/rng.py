@@ -32,6 +32,7 @@ and finishes both of its words from that prefix.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -129,9 +130,10 @@ def words(seed: int, *path) -> np.ndarray:
     Leading scalar steps run on Python ints; each array step allocates its
     prefix's broadcast shape once and mixes it in place. Where both
     operands of a step are smaller than their broadcast, they are folded
-    before it. A path of scalars gives a ``np.uint64``.
+    before it. A path of scalars gives a ``np.uint64``. ``seed`` is an
+    integer (``operator.index``): a float is a TypeError, never truncated.
     """
-    h = _mix_int((int(seed) + int(_GOLDEN)) & _MASK)
+    h = _mix_int((operator.index(seed) + int(_GOLDEN)) & _MASK)
     with np.errstate(over="ignore"):  # uint64 wraparound is intended; numpy warns for 0-d operands
         for pos, ix in enumerate(path):
             a, mult = np.asarray(ix, dtype=np.uint64), _POS[pos % len(_POS)]
@@ -168,7 +170,8 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
     the residual bias is below c * 2^-53 and irrelevant at the package's
     tolerances. For c = 2^k that is the top k bits of w; otherwise it is
     float(w >> 11) * (c * 2^-53), which rounds exactly as u * c does because
-    c * 2^-53 is exact. c must lie in [1, 2^53]: ValueError below, and
+    c * 2^-53 is exact. c must be an integer (``operator.index``, else
+    TypeError) in [1, 2^53]: ValueError below, and
     ``DomainExceededError`` above, where the uniforms miss colors. The path
     needs at least one step.
 
@@ -186,7 +189,7 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
     leading axis, ``(v, 1)`` against ``(1, s)``, for the vertex-major (v, s)
     matrix the counting kernels read.
     """
-    c = int(c)
+    c = operator.index(c)
     if c < 1:
         raise ValueError(f"need at least 1 color, got {c}")
     if c > _MAX_COLORS:

@@ -60,13 +60,13 @@ def eigenvalues(g: Graph) -> Spectrum:
 
     Vectors constant on each class give the eigenvalues of D^1/2 B D^1/2 - diag q, D = diag(sizes);
     those summing to zero on class j give -q_j, s_j - 1 times. On a twin-free host that matrix is A."""
-    quotient = g.twin_quotient(np.float64, DENSE_SIZE_GATE)
+    quotient = g.twin_quotient(DENSE_SIZE_GATE)
     if quotient is None:
         raise SizeGateExceededError(f"the spectrum is gated at k <= {DENSE_SIZE_GATE} twin classes; n = {g.n} has more")
-    # in place in this call's B; sqrt(s_i s_j) is exact on a square product, so K_{3,3} gives +-3
-    blocks, clique, sizes = quotient.blocks, quotient.blocks.diagonal().copy(), quotient.sizes.astype(np.float64)
+    # B sqrt(s_i s_j), written over the float64 scale; sqrt is exact on a square product, so K_{3,3} gives +-3
+    clique, sizes = quotient.blocks.diagonal().astype(np.float64), quotient.sizes.astype(np.float64)
     scale = np.multiply.outer(sizes, sizes)
-    blocks *= np.sqrt(scale, out=scale)
+    blocks = np.multiply(quotient.blocks, np.sqrt(scale, out=scale), out=scale)
     blocks[np.diag_indices(quotient.k)] -= clique
     try:
         vals = np.linalg.eigvalsh(blocks)

@@ -157,6 +157,12 @@ class TestSimulateExactCompare:
                                    "--samples", "10", "--seed", "1"])
         assert res.exit_code == 4
 
+    def test_star_counts_past_int64_exit_code(self, runner):
+        # the counts are about 10^21: int64 wrapped them to negative numbers and the command exited 0
+        res = runner.invoke(main, ["simulate", "--graph", "complete:600", "--colors", "2", "--stat", "stars:10",
+                                   "--samples", "3", "--seed", "1"])
+        assert res.exit_code == 4 and "int64" in res.output
+
     def test_compare_tv_pass_and_fail(self, runner, tmp_path):
         emp = tmp_path / "emp.csv"
         law = tmp_path / "law.json"

@@ -341,8 +341,8 @@ class TestSimulate:
     def test_twin_search_stops_at_a_block(self, monkeypatch):
         # both quotient kernels keep B in one block, so no twin search looks past isqrt(BATCH_ENTRIES) classes
         real, caps = Graph.twin_quotient, []
-        monkeypatch.setattr(Graph, "twin_quotient", lambda self, dtype, max_classes=None:
-                            caps.append(max_classes) or real(self, dtype, max_classes))
+        monkeypatch.setattr(Graph, "twin_quotient", lambda self, max_classes=None:
+                            caps.append(max_classes) or real(self, max_classes))
         assert _kernel_for(generate(RandomRegular(2000, 3, 5)), 10**9, MonoStars(2)).name == "gather"
         assert caps and all(cap is not None and cap <= math.isqrt(rng.BATCH_ENTRIES) for cap in caps)
 
@@ -493,7 +493,7 @@ def assert_kernels_match_loops(g: Graph, c: int, colors: np.ndarray, lengths=cen
     the gather and the sieve on the cycles of ``lengths``. The GEMM and the sort also count on the
     quotient of singletons (labels 0..n-1, B = A), which any graph also is."""
     rows = colors.T.astype(np.int64).tolist()
-    singletons = Blowup(np.arange(g.n), np.ones(g.n, np.int64), g.adjacency_matrix(np.float32))
+    singletons = Blowup.singletons(g)
     for kind, order, stat in KERNEL_STATS:
         if kind == "cycles" and order not in lengths:
             continue
@@ -560,7 +560,7 @@ class TestGemmClassSums:
     @pytest.mark.parametrize("host", GEMM_CLASS_HOSTS)
     def test_cut_of_the_class_rows(self, host):
         spec, columns, tails = GEMM_CLASS_HOSTS[host]
-        quotient = blow_up(*spec).twin_quotient(np.float32)
+        quotient = blow_up(*spec).twin_quotient()
         assert sorted(quotient.sizes.tolist(), reverse=True) == sorted(spec[2], reverse=True)
         classes = _classes_of(quotient)
         assert (len(classes.columns), len(classes.tails)) == (columns, tails)
@@ -592,6 +592,16 @@ class TestGemmClassSums:
         for kind, order, stat in (("edges", 0, MonoEdges()), ("stars", 2, MonoStars(2))):
             got = matrix_count(_kernel_for(g, 2, stat, "gemm").count, colors)
             assert got.tolist() == loop_mono_counts(g, rows, kind, order), kind
+
+    def test_star_past_two_to_the_24_leaves(self):
+        # all of a star's 2^24 + 1 leaves in one color: float32 rounds its class size to 2^24, so the
+        # GEMM counts in B's float64
+        leaves = 2**24 + 1
+        quotient = Blowup(np.concatenate(([0], np.ones(leaves, np.int64))), np.array([1, leaves]),
+                          np.array([[0.0, 1.0], [1.0, 0.0]]))
+        one_color = lambda vertices, samples: np.zeros(np.broadcast_shapes(vertices.shape, samples.shape), np.uint8)
+        edges = _gemm_counts(_classes_of(quotient), 2, 1, 2, one_color, np.zeros(1, np.int64))
+        assert edges.tolist() == [leaves]
 
 
 class TestMomentsAgainstOracle:
@@ -717,6 +727,53 @@ def test_frozen_exact_law_on_the_sieve():
     assert exact_distribution(g, 7, MonoCycles(4)) == {
         0: Fraction(816486, 823543), 1: Fraction(6912, 823543), 2: Fraction(144, 823543), 3: Fraction(1, 823543),
     }
+
+
+class TestStarCountsPastInt64:
+    def test_every_kernel_refuses(self):
+        # K600 in one color: 600 * C(599, 10) passes int64, and C(599, 12) passes it on its own
+        g = generate(Complete(600))
+        colors = np.zeros((g.n, 1), dtype=np.uint8)
+        for r in (10, 12):
+            counts = [_kernel_for(g, 2, MonoStars(r), name).count for name in ("gemm", "sorted", "gather")]
+            counts.append(functools.partial(_gemm_counts, _classes_of(Blowup.singletons(g)), 2, r, 1))
+            for count in counts:
+                with pytest.raises(DomainExceededError, match="int64"):
+                    matrix_count(count, colors)
+            with pytest.raises(DomainExceededError, match="int64"):
+                mono_count(g, [0] * g.n, MonoStars(r))
+
+    def test_simulate_refuses(self):
+        # the exact counts of these samples are about 10^21; int64 wrapped them to negative numbers
+        with pytest.raises(DomainExceededError, match="int64"):
+            simulate(generate(Complete(600)), 2, MonoStars(10), 3, 1)
+
+    def test_counts_inside_int64_are_kept(self):
+        # K600 at c = 2: sum over colors of h * C(h - 1, 6), h the color's class size
+        g = generate(Complete(600))
+        run = simulate(g, 2, MonoStars(6), 3, 1)
+        colors = rng.uniform_ints(1, 2, rng.STREAM_COLORS, np.arange(3)[None, :], np.arange(g.n)[:, None])
+        sizes = [np.bincount(column, minlength=2).tolist() for column in colors.T]
+        assert run.counts.tolist() == [sum(h * math.comb(h - 1, 6) for h in hs) for hs in sizes]
+
+
+class TestIntegerArguments:
+    def test_float_colors_and_seeds_raise(self):
+        # 2.5 colors drew 2 and recorded 2.5; seed 1.5 drew the seed-1 colors
+        g = generate(Path(50))
+        for call in (lambda: simulate(g, 2.5, MonoEdges(), 10, 1), lambda: simulate(g, 2, MonoEdges(), 10, 1.5),
+                     lambda: exact_distribution(generate(Path(3)), 2.0, MonoEdges())):
+            with pytest.raises(TypeError):
+                call()
+
+    @pytest.mark.parametrize("stat", [MonoEdges(), MonoStars(2), MonoCycles(3)], ids=["edges", "stars", "cycles"])
+    def test_numpy_integer_colors(self, stat):
+        # 2**63 // np.int64(3) overflowed, and c ** -j is no numpy integer power
+        g = generate(Complete(5))
+        run = simulate(g, np.int64(3), stat, 50, 7)
+        assert type(run.colors) is int and run.colors == 3
+        assert np.array_equal(run.counts, simulate(g, 3, stat, 50, 7).counts)
+        assert exact_distribution(g, np.int64(3), stat) == exact_distribution(g, 3, stat)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -211,13 +211,13 @@ def assert_twin_quotient_rebuilds(g: Graph) -> Blowup:
 def assert_twin_quotient_matches_tuples(g: Graph) -> None:
     """The numpy grouping returns the tuple oracle's arrays byte for byte, or None where it does."""
     k = len(brute_twin_classes(g))
-    for dtype, max_classes in ((np.float64, None), (np.float32, None), (np.float32, k), (np.float32, k - 1),
-                               (np.float32, 1)):
-        got, want = g.twin_quotient(dtype, max_classes), tuple_twin_quotient(g, dtype, max_classes)
-        assert (got is None) == (want is None), (dtype, max_classes)
+    dtype = np.float32 if g.n < 2**24 else np.float64  # the type twin_quotient picks for B
+    for max_classes in (None, k, k - 1, 1):
+        got, want = g.twin_quotient(max_classes), tuple_twin_quotient(g, dtype, max_classes)
+        assert (got is None) == (want is None), max_classes
         for field in ("labels", "sizes", "blocks") if got else ():
             a, b = getattr(got, field), getattr(want, field)
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (dtype, max_classes)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), max_classes
 
 
 class TestTwinQuotient:
@@ -258,11 +258,22 @@ class TestTwinQuotient:
 
     def test_twin_free_host_is_its_own_quotient(self):
         g = generate(ErdosRenyi(40, 0.5, 3))
-        quotient = g.twin_quotient(np.float32)
+        quotient = g.twin_quotient()
         assert quotient.labels.tolist() == list(range(g.n)) and quotient.sizes.tolist() == [1] * g.n
         assert quotient.blocks.dtype == np.float32
         assert np.array_equal(quotient.blocks, g.adjacency_matrix(np.float32))
         assert not quotient.blocks.diagonal().any()
+
+    def test_block_type_follows_the_vertex_count(self, monkeypatch):
+        # float32 holds every integer up to 2^24, so B's sums of class sizes, at most n, need float64 from there
+        assert graph_module._block_dtype(2**24 - 1) is np.float32
+        assert graph_module._block_dtype(2**24) is np.float64
+        g = generate(CompleteBipartite(3, 4))
+        singletons = Blowup.singletons(g)
+        assert singletons.labels.tolist() == list(range(g.n)) and singletons.sizes.tolist() == [1] * g.n
+        assert singletons.blocks.dtype == np.float32 and np.array_equal(singletons.blocks, g.adjacency_matrix())
+        monkeypatch.setattr(graph_module, "_block_dtype", lambda n: np.float64)
+        assert g.twin_quotient().blocks.dtype == Blowup.singletons(g).blocks.dtype == np.float64
 
     def test_max_classes(self, monkeypatch):
         g = generate(CompleteBipartite(3, 4))
@@ -296,7 +307,7 @@ class TestTwinQuotient:
         for name, g in catalog:
             salts.clear()
             assert_twin_quotient_matches_tuples(g)
-            assert salts == [0, 1] * 5, name  # every call hashed twice
+            assert salts == [0, 1] * 4, name  # each of the four calls hashed twice
 
     def test_closed_hash_collision_is_caught(self, monkeypatch):
         # on P4, words (1, 4, 2, 3) give distinct open hashes (4, 3, 7, 2) but equal closed

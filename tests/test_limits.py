@@ -647,9 +647,13 @@ class TestLimitSelector:
     (lambda: gadget_char_function(1, 1, 2, 2, 0.1), ValueError, "cycle length"),
     (lambda: gadget_char_function(0, 1, 2, 3, 0.1), ValueError, "a >= 1"),
     (lambda: gaussian_surrogate_delta(Graph(3, []), 2, 5, 1), ValueError, "one edge"),
+    (lambda: gaussian_surrogate_delta(generate(Complete(4)), 1, 3, 1), ValueError, "at least 2 colors"),
+    (lambda: gaussian_surrogate_delta(generate(Complete(4)), 0, 3, 1), ValueError, "at least 2 colors"),
+    (lambda: limits.gaussian_surrogate_product(census.MultiGraphPattern.from_edges([(0, 1)]), 1, 3, 1), ValueError,
+     "at least 2 colors"),
     (lambda: limit_for(generate(Complete(4)), object()), TypeError, "unknown regime"),
 ], ids=["zero-samples", "unknown-law", "zero-dof", "delta-one-color", "delta-no-edge", "gadget-g2", "gadget-a0",
-        "surrogate-no-edge", "unknown-regime"])
+        "surrogate-no-edge", "surrogate-one-color", "surrogate-no-color", "product-one-color", "unknown-regime"])
 def test_input_checks_raise_typed_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()

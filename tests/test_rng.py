@@ -168,10 +168,20 @@ def test_one_color_draws_zeros():
     (-3, ValueError),
     (2**53 + 1, DomainExceededError),
     (2**60, DomainExceededError),
+    (2.5, TypeError),  # int() truncated it to 2
 ])
 def test_color_count_out_of_range(c, error):
     with pytest.raises(error):
         rng.uniform_ints(5, c, rng.STREAM_COLORS, np.arange(4))
+
+
+def test_integer_arguments():
+    # int() truncated a float seed; numpy integers are integers
+    with pytest.raises(TypeError):
+        rng.words(1.5, 0)
+    assert rng.words(np.uint64(1), 0) == rng.words(1, 0)
+    assert np.array_equal(rng.uniform_ints(np.int64(5), np.int64(3), rng.STREAM_COLORS, np.arange(4)),
+                          rng.uniform_ints(5, 3, rng.STREAM_COLORS, np.arange(4)))
 
 
 def test_scalar_and_array_steps_agree():
