@@ -104,16 +104,34 @@ class MonoCycles(Params):
 Statistic = Union[MonoEdges, MonoStars, MonoCycles]
 
 
-def _comb_array(values: np.ndarray, r: int, terms: int) -> np.ndarray:
-    """Elementwise C(value, r) of nonnegative ints, exact, via a table up to the largest value.
+def _comb_sums(values: np.ndarray, r: int, terms: int, sums: Callable) -> np.ndarray:
+    """``sums`` of the elementwise C(value, r) of nonnegative ints: per-sample int64 totals, exact.
 
-    ``terms`` bounds the entries the caller sums per sample; ``DomainExceededError`` when that many
-    of the largest C(value, r) could pass int64, raised before the table is built."""
+    ``sums`` adds an array shaped like ``values`` into per-sample int64 totals,
+    with nonnegative integer weights of at most ``terms`` per sample in all.
+    While ``terms`` of the largest C(value, r) fit int64, the table up to the
+    largest value is gathered. Otherwise each distinct value's C(value, r) is
+    split as high * 2^31 + low, high capped at 2^32 (such a term alone passes
+    int64), both halves are summed, and ``DomainExceededError`` is raised only
+    if a sample's exact total passes 2^63 - 1.
+    """
     top = int(values.max(initial=0))
-    if terms * math.comb(top, r) > 2**63 - 1:
-        raise DomainExceededError(f"star counts could pass int64: {terms} terms of up to C({top}, {r}) each")
-    table = np.array([math.comb(x, r) for x in range(top + 1)], dtype=np.int64)
-    return table[values]
+    if terms * math.comb(top, r) <= 2**63 - 1:
+        return sums(np.array([math.comb(x, r) for x in range(top + 1)], dtype=np.int64)[values])
+    distinct, inverse = np.unique(values, return_inverse=True)
+    inverse = inverse.reshape(values.shape)  # its shape differs across numpy versions
+    combs = [math.comb(x, r) for x in distinct.tolist()]
+    high = np.array([min(t >> 31, 2**32) for t in combs], dtype=np.int64)[inverse]
+    low = np.array([t & (2**31 - 1) for t in combs], dtype=np.int64)[inverse]
+    exact = [(hi << 31) + lo for hi, lo in zip(sums(high).tolist(), sums(low).tolist())]
+    if max(exact, default=0) > 2**63 - 1:
+        raise DomainExceededError(f"star counts pass int64: a sample holds {max(exact)} {r}-stars")
+    return np.array(exact, dtype=np.int64)
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """sum_k x[k, i] per column i."""
+    return x.sum(axis=0)
 
 
 def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -196,9 +214,12 @@ def _gemm_counts(classes: _Classes, c: int, r: int, share: int, source: Callable
             deg *= cast
             mono_deg += deg
         else:
-            total += _column_dots(hist, _comb_array(np.maximum(deg, 0).astype(np.int64), r, colors.shape[0]))
+            total += _comb_sums(np.maximum(deg, 0).astype(np.int64), r, colors.shape[0],
+                                functools.partial(_column_dots, hist))
+            if total.min(initial=0) < 0:  # two int64 totals, each exact, wrapped: their sum passed 2^63 - 1
+                raise DomainExceededError(f"star counts pass int64 by color {a}: r = {r} stars")
     if mono_deg is not None:
-        total = _comb_array(mono_deg.astype(np.int64), r, colors.shape[0]).sum(axis=0)
+        total = _comb_sums(mono_deg.astype(np.int64), r, colors.shape[0], _row_sums)
     return total // share
 
 
@@ -241,7 +262,7 @@ def _star_counts(index, r: int, source: Callable, samples: np.ndarray) -> np.nda
         mono_deg[: col.size] += by_vertex[col] == own[: col.size]
     for i, tail in enumerate(tails):
         mono_deg[i] += np.add.reduce(by_vertex[tail] == own[i], axis=0, dtype=mono_deg.dtype)
-    return _comb_array(mono_deg, r, by_deg.size).sum(axis=0)
+    return _comb_sums(mono_deg, r, by_deg.size, _row_sums)
 
 
 def _star_index(g: Graph) -> tuple:
@@ -303,8 +324,13 @@ def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callabl
     hist = np.bincount(member_run * k + member_label, minlength=heads.size * k).reshape(-1, k)
     blocks = quotient.blocks.astype(np.int64, copy=False)
     deg = _column_dots(hist[member_run].T, blocks[member_label].T) - blocks.diagonal()[member_label]
-    np.add.at(total, member_col, deg if r == 1 else _comb_array(deg, r, n))
-    return total // share
+
+    def column_sums(terms: np.ndarray) -> np.ndarray:
+        out = np.zeros(batch, dtype=np.int64)
+        np.add.at(out, member_col, terms)
+        return out
+
+    return (column_sums(deg) if r == 1 else _comb_sums(deg, r, n, column_sums)) // share
 
 
 # coloring sources: source(vertices, samples) is the color of each vertex in each sample, index

@@ -128,7 +128,7 @@ class Graph:
         """Endpoint arrays (U, V) of shape (m,), the columns of ``edges``."""
         return self.edges[:, 0], self.edges[:, 1]
 
-    def twin_quotient(self, max_classes: int | None = None) -> Blowup | None:
+    def twin_quotient(self, max_classes: int) -> Blowup | None:
         """The graph as a blow-up of its twin classes; built per call, never cached.
 
         Vertices with one open neighbourhood (false twins, pairwise
@@ -140,6 +140,7 @@ class Graph:
         class sizes, none above n, is exact in B's own type. None when there
         are more than ``max_classes`` classes, found before B is built and, on
         sparse twin-free hosts, before the closed neighbourhoods are grouped.
+        The cap is required, since B has k^2 entries: pass ``self.n`` for any k.
 
         Lists are grouped in numpy by a hash, the sum of their vertices' hash
         words mod 2^64 (plus the vertex's own word for a closed list), and
@@ -163,17 +164,16 @@ class Graph:
                 continue
             open_sizes = np.bincount(root, minlength=self.n)
             alone = np.flatnonzero(open_sizes == 1)
-            if max_classes is not None:
-                # true twins of degree d form cliques of at most d + 1 vertices: a floor on k
-                alone_by_degree = np.bincount(degree[alone])
-                cliques = -(-alone_by_degree // np.arange(1, alone_by_degree.size + 1))  # ceil(count / (d + 1))
-                if np.count_nonzero(open_sizes > 1) + cliques.sum() > max_classes:
-                    return None
+            # true twins of degree d form cliques of at most d + 1 vertices: a floor on k
+            alone_by_degree = np.bincount(degree[alone])
+            cliques = -(-alone_by_degree // np.arange(1, alone_by_degree.size + 1))  # ceil(count / (d + 1))
+            if np.count_nonzero(open_sizes > 1) + cliques.sum() > max_classes:
+                return None
             closed = alone[_first_equal(open_hash[alone] + weight[alone])]  # by the closed hash
             root[alone] = closed
             reps, labels = np.unique(root, return_inverse=True)
             k = reps.size
-            if max_classes is not None and k > max_classes:  # a collision only merges classes
+            if k > max_classes:  # a collision only merges classes
                 return None
             rows = np.repeat(labels, degree)  # the class of each entry's owner
             lead = (root == vertices)[owner]  # the entries of the representatives' lists

@@ -220,18 +220,19 @@ class Normal(Params, LimitLaw):
         return self.mean + math.sqrt(self.variance) * rng.normals(seed, rng.STREAM_LAW, idx, 0)
 
 
-def _sum_last_axis(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-1)``, bit for bit, without numpy's slow reduction over a short last axis.
+def _sum_first_axis(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)`` in the order ``ndarray.sum`` takes over a contiguous last axis, bit for bit.
 
     numpy adds fewer than 8 terms from left to right, starting from +0.0, so
-    there the slices are added in that order; from 8 terms up it sums
-    pairwise, and ``ndarray.sum`` runs.
+    there the slices a[0], a[1], ... are added in that order, each a pass
+    over contiguous rows; from 8 terms up it sums pairwise, and
+    ``ndarray.sum`` runs on a copy with the axis last.
     """
-    if a.shape[-1] >= 8:
-        return a.sum(axis=-1)
-    total = a[..., 0] + 0.0
-    for j in range(1, a.shape[-1]):
-        total += a[..., j]
+    if a.shape[0] >= 8:
+        return np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(axis=-1)
+    total = a[0] + 0.0
+    for part in a[1:]:
+        total += part
     return total
 
 
@@ -290,14 +291,15 @@ class WeightedChiSquare(Params, LimitLaw):
     def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
         w = np.asarray(self.effective_weights()[0], dtype=np.float64)
         cols = np.arange(w.size, dtype=np.int64)[None, :, None]
-        comp = np.arange(self.dof, dtype=np.int64)[None, None, :]
-        z = rng.normals(seed, rng.STREAM_LAW, idx[:, None, None], cols, comp)
-        # row-wise sums in ``ndarray.sum``'s order, not a BLAS product: a draw's rounding must not
+        comp = np.arange(self.dof, dtype=np.int64)[:, None, None]
+        # the path stays (draw, weight, component); laid out (component, weight, draw), every pass runs along draws
+        z = rng.normals(seed, rng.STREAM_LAW, idx[None, None, :], cols, comp)
+        # per-draw sums in ``ndarray.sum``'s order, not a BLAS product: a draw's rounding must not
         # depend on the block's rows
-        squares = _sum_last_axis(np.multiply(z, z, out=z))
+        squares = _sum_first_axis(np.multiply(z, z, out=z))
         squares -= self.dof
-        squares *= w
-        return self.scale * _sum_last_axis(squares)
+        squares *= w[:, None]
+        return self.scale * _sum_first_axis(squares)
 
 
 @dataclass(frozen=True)

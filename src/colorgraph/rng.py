@@ -27,7 +27,8 @@ contiguous passes beat one two-way broadcast), and writes the shift or
 scale-multiply straight into its output, the narrowest unsigned dtype that
 holds c - 1. For c = 2^k with k <= 31 it skips the finalizer's last round,
 which leaves the top 31 bits unchanged. ``normals`` hashes its path once
-and finishes both of its words from that prefix.
+and finishes both of its words from that prefix. Words shifted below 2^53
+become float64 through an int64 view: exact, and faster than from uint64.
 """
 from __future__ import annotations
 
@@ -215,6 +216,7 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
             np.copyto(head, _fold(np.asarray(words(seed, *prefix))))
     shift = 64 - (c.bit_length() - 1) if c > 1 and c & (c - 1) == 0 else None
     scale = c * 2.0**-53
+    bits = out.view(np.uint64) if out.dtype == np.int64 else out  # the shift's values are below 2^53: same bits
     for r in range(0, out.shape[0], step):
         rows = slice(r, r + step)
         tile = out[rows]
@@ -224,9 +226,9 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
             else head[: len(tile)]
         _mix(zt, tt, last_round=shift is None or shift < 33, folded=head is not None)
         if shift is not None:  # c = 2^k: the top k bits
-            np.right_shift(zt, _U64(shift), out=tile, casting="unsafe")
+            np.right_shift(zt, _U64(shift), out=bits[rows], casting="unsafe")
         else:  # no clamp to c - 1: even (2^53 - 1) * (c * 2^-53) rounds to below c
-            np.multiply(np.right_shift(zt, _U64(11), out=zt), scale, out=tile, casting="unsafe")
+            np.multiply(np.right_shift(zt, _U64(11), out=zt).view(np.int64), scale, out=tile, casting="unsafe")
     return out.reshape(shape)
 
 
@@ -247,8 +249,8 @@ def normals(seed: int, *path) -> np.ndarray:
         a, b, t, x, y = (buf[: ht.size] for buf in (w0, w1, tmp, u1, u2))
         np.bitwise_xor(np.right_shift(ht, _U64(30), out=a), ht, out=a)
         np.bitwise_xor(a, other, out=b)
-        np.copyto(x, np.right_shift(_mix(a, t, folded=True), _U64(11), out=a), casting="unsafe")
-        np.copyto(y, np.right_shift(_mix(b, t, folded=True), _U64(11), out=b), casting="unsafe")
+        np.copyto(x, np.right_shift(_mix(a, t, folded=True), _U64(11), out=a).view(np.int64))
+        np.copyto(y, np.right_shift(_mix(b, t, folded=True), _U64(11), out=b).view(np.int64))
         x += 0.5
         x *= 2.0**-53  # u1 in (0, 1) for the log
         y *= 2.0**-53

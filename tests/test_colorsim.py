@@ -560,7 +560,8 @@ class TestGemmClassSums:
     @pytest.mark.parametrize("host", GEMM_CLASS_HOSTS)
     def test_cut_of_the_class_rows(self, host):
         spec, columns, tails = GEMM_CLASS_HOSTS[host]
-        quotient = blow_up(*spec).twin_quotient()
+        g = blow_up(*spec)
+        quotient = g.twin_quotient(g.n)
         assert sorted(quotient.sizes.tolist(), reverse=True) == sorted(spec[2], reverse=True)
         classes = _classes_of(quotient)
         assert (len(classes.columns), len(classes.tails)) == (columns, tails)
@@ -755,6 +756,35 @@ class TestStarCountsPastInt64:
         colors = rng.uniform_ints(1, 2, rng.STREAM_COLORS, np.arange(3)[None, :], np.arange(g.n)[:, None])
         sizes = [np.bincount(column, minlength=2).tolist() for column in colors.T]
         assert run.counts.tolist() == [sum(h * math.comb(h - 1, 6) for h in hs) for hs in sizes]
+
+    def test_one_color_star_past_the_coarse_bound_is_counted(self):
+        # 3,000,001 * C(3,000,000, 2) passes int64, but the hub's C(3,000,000, 2) ~ 4.5e12 is the whole count
+        g = generate(Star(3_000_000))
+        assert mono_count(g, np.zeros(g.n, dtype=np.uint8), MonoStars(2)) == math.comb(3_000_000, 2)
+
+    def test_exact_totals_decide(self):
+        # two stars of 14,500 leaves, hubs 0 and 14,501: C(14,500, 5) fits int64 and twice it does not
+        leaves = 14_500
+        g = Graph(2 * (leaves + 1), [(hub, hub + i) for hub in (0, leaves + 1) for i in range(1, leaves + 1)])
+        apart = np.repeat(np.array([0, 1], dtype=np.uint8), leaves + 1)  # each star in a color of its own
+        split = apart.copy()
+        split[leaves + 2::2] = 0  # half of the second star's leaves join the first color
+        kept = math.comb(leaves, 5) + math.comb(leaves // 2, 5)
+        for name in ("gemm", "sorted", "gather"):
+            count = _kernel_for(g, 2, MonoStars(5), name).count
+            assert matrix_count(count, np.stack((split, split[::-1]), axis=1)).tolist() == [kept, kept], name
+            with pytest.raises(DomainExceededError, match="int64"):  # the GEMM: one color at a time fits
+                matrix_count(count, apart[:, None])
+
+    def test_comb_sums_at_the_int64_edge(self):
+        values = np.array([[2**62, 2**62], [2**62 - 1, 2**62]])
+        with pytest.raises(DomainExceededError, match="int64"):
+            colorsim._comb_sums(values, 1, 2, colorsim._row_sums)
+        assert colorsim._comb_sums(values[:, :1], 1, 2, colorsim._row_sums).tolist() == [2**63 - 1]
+        # C(3e10, 2) passes int64 on its own, but its class holds no vertex of the color
+        weights = np.array([[0], [3]])
+        assert colorsim._comb_sums(np.array([[3 * 10**10], [5]]), 2, 3,
+                                   functools.partial(colorsim._column_dots, weights)).tolist() == [30]
 
 
 class TestIntegerArguments:

@@ -190,7 +190,7 @@ class TestArrayConstructor:
 
 def assert_twin_quotient_rebuilds(g: Graph) -> Blowup:
     """twin_quotient(g) rebuilds g exactly and its classes are the brute-force twin classes."""
-    quotient = g.twin_quotient()
+    quotient = g.twin_quotient(g.n)
     labels, blocks, k = quotient.labels, quotient.blocks, quotient.k
     assert labels.shape == (g.n,) and blocks.shape == (k, k)
     assert np.array_equal(blocks, blocks.T) and set(np.unique(blocks)) <= {0.0, 1.0}
@@ -212,7 +212,7 @@ def assert_twin_quotient_matches_tuples(g: Graph) -> None:
     """The numpy grouping returns the tuple oracle's arrays byte for byte, or None where it does."""
     k = len(brute_twin_classes(g))
     dtype = np.float32 if g.n < 2**24 else np.float64  # the type twin_quotient picks for B
-    for max_classes in (None, k, k - 1, 1):
+    for max_classes in (g.n, k, k - 1, 1):
         got, want = g.twin_quotient(max_classes), tuple_twin_quotient(g, dtype, max_classes)
         assert (got is None) == (want is None), max_classes
         for field in ("labels", "sizes", "blocks") if got else ():
@@ -251,14 +251,15 @@ class TestTwinQuotient:
         (Cycle(5), [[0], [1], [2], [3], [4]], [0, 0, 0, 0, 0]),
     ])
     def test_named_hosts(self, spec, classes, cliques):
-        quotient = generate(spec).twin_quotient()
+        g = generate(spec)
+        quotient = g.twin_quotient(g.n)
         assert [np.flatnonzero(quotient.labels == i).tolist() for i in range(quotient.k)] == classes
         assert quotient.sizes.tolist() == list(map(len, classes))
         assert quotient.blocks.diagonal().tolist() == cliques
 
     def test_twin_free_host_is_its_own_quotient(self):
         g = generate(ErdosRenyi(40, 0.5, 3))
-        quotient = g.twin_quotient()
+        quotient = g.twin_quotient(g.n)
         assert quotient.labels.tolist() == list(range(g.n)) and quotient.sizes.tolist() == [1] * g.n
         assert quotient.blocks.dtype == np.float32
         assert np.array_equal(quotient.blocks, g.adjacency_matrix(np.float32))
@@ -273,10 +274,12 @@ class TestTwinQuotient:
         assert singletons.labels.tolist() == list(range(g.n)) and singletons.sizes.tolist() == [1] * g.n
         assert singletons.blocks.dtype == np.float32 and np.array_equal(singletons.blocks, g.adjacency_matrix())
         monkeypatch.setattr(graph_module, "_block_dtype", lambda n: np.float64)
-        assert g.twin_quotient().blocks.dtype == Blowup.singletons(g).blocks.dtype == np.float64
+        assert g.twin_quotient(g.n).blocks.dtype == Blowup.singletons(g).blocks.dtype == np.float64
 
     def test_max_classes(self, monkeypatch):
         g = generate(CompleteBipartite(3, 4))
+        with pytest.raises(TypeError):  # no uncapped call: B has k^2 entries
+            g.twin_quotient()
         assert g.twin_quotient(max_classes=1) is None
         assert g.twin_quotient(max_classes=2).k == 2
         # three disjoint edges: six open singletons of degree 1 need at least 3 classes, and get 3
@@ -320,13 +323,13 @@ class TestTwinQuotient:
 
         monkeypatch.setattr(graph_module.rng, "words", words)
         g = generate(Path(3))
-        assert g.twin_quotient().labels.tolist() == [0, 1, 2, 3] and salts == [0, 1]
+        assert g.twin_quotient(g.n).labels.tolist() == [0, 1, 2, 3] and salts == [0, 1]
 
     def test_edgeless_and_empty(self):
-        quotient = Graph(3, []).twin_quotient()
+        quotient = Graph(3, []).twin_quotient(3)
         assert quotient.labels.tolist() == [0, 0, 0] and quotient.sizes.tolist() == [3]
         assert quotient.blocks.tolist() == [[0.0]]
-        quotient = Graph(0, []).twin_quotient()
+        quotient = Graph(0, []).twin_quotient(0)
         assert quotient.labels.size == 0 and quotient.blocks.shape == (0, 0) and quotient.k == 0
 
 

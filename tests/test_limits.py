@@ -247,6 +247,29 @@ def test_laws_are_frozen():
     assert {name: _digest([law_pmf(laws[name], k) for k in range(61)]) for name in FROZEN_PMFS} == FROZEN_PMFS
 
 
+def _unit_sines(k: int) -> tuple[float, ...]:
+    w = np.sin(np.arange(1, k + 1))
+    return tuple((w / np.linalg.norm(w)).tolist())
+
+
+# sha256 prefixes of sample_law(law, 1000, 4) for chi-square laws either side of the 8-term switch of both
+# per-draw sums (over a weight's components, then over the weights); not in test_purity.LAWS, whose
+# chi-square ends set CDF_GRID
+SUM_ORDER_LAWS = {
+    "chisq-7-weights-dof-1": (WeightedChiSquare(_unit_sines(7), 1, 0.5), "f863bbd3ea505c03"),
+    "chisq-8-weights-dof-1": (WeightedChiSquare(_unit_sines(8), 1, 0.5), "960d74c18e382235"),
+    "chisq-1-weight-dof-8": (WeightedChiSquare((1.0,), 8, 0.25), "21452217c95475fb"),
+    "chisq-3-weights-dof-9": (WeightedChiSquare(_unit_sines(3), 9, 1 / 6), "99e20acd6e1b61bb"),
+}
+
+
+@pytest.mark.parametrize("name", SUM_ORDER_LAWS)
+def test_chisq_draws_are_frozen_across_the_sum_switch(name):
+    law, digest = SUM_ORDER_LAWS[name]
+    assert len(law.effective_weights()[0]) == len(law.weights)  # every weight is drawn
+    assert _digest(sample_law(law, 1000, 4)) == digest
+
+
 @pytest.mark.parametrize("length", range(1, 21))
 def test_short_axis_sum_is_ndarray_sum(length):
     # magnitudes over 16 decades and signed zeros, so any change of order or start shows in the bits
@@ -255,7 +278,8 @@ def test_short_axis_sum_is_ndarray_sum(length):
     a[gen.random(a.shape) < 0.2] = -0.0
     for x in (a[..., :length], a[..., ::2], a[::3, :, 1::2], np.ascontiguousarray(a[..., :length]),
               np.moveaxis(np.ascontiguousarray(np.moveaxis(a[..., :length], -1, 0)), 0, -1)):
-        got, want = limits._sum_last_axis(x), x.sum(axis=-1)
+        # the summed axis first, in any layout, against ndarray.sum over a contiguous last axis
+        got, want = limits._sum_first_axis(np.moveaxis(x, -1, 0)), np.ascontiguousarray(x).sum(axis=-1)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes(), (length, x.strides)
 

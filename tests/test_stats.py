@@ -148,6 +148,18 @@ class TestKsStatistic:
     def test_two_sample_one_element_sides(self, a, b):
         assert two_sample_ks(a, b) == two_sample_ks(b, a) == brute_two_sample_ks(a, b)
 
+    @pytest.mark.parametrize("a,b", [
+        (np.round(rng.normals(5, 0, np.arange(300)), 1), np.round(rng.normals(5, 1, np.arange(40)) + 0.2, 1)),
+        ([3.0, 1.0, 2.0, 2.0, 2.0, 5.0, 1.0], [2.0, 2.0, 4.0, 1.0]),
+        ([0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0], [3.0]),
+        ([0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0], [-1.0]),
+        ([0.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0], [9.0]),
+    ], ids=["longer-first-rounded", "ties-on-both-sides", "one-point-on-a-tie", "one-point-below", "one-point-above"])
+    def test_two_sample_uneven_sides(self, a, b):
+        # the longer side first: its points are the ones not searched for
+        assert len(a) > len(b)
+        assert two_sample_ks(a, b) == two_sample_ks(b, a) == brute_two_sample_ks(a, b)
+
     @pytest.mark.parametrize("a,b", [([np.nan, 1.0], [1.0, 2.0]), ([1.0, 2.0], [2.0, np.nan]), ([np.nan], [np.nan])],
                              ids=["left", "right", "both"])
     def test_two_sample_rejects_nan(self, a, b):
