@@ -13,7 +13,11 @@ matrix (``mono_count``). Read densely, colorings are vertex-major: an
 (n, batch) matrix whose column j is one coloring, in the narrowest
 unsigned dtype holding c - 1. That is the layout and dtype
 ``rng.uniform_ints`` draws in, tile by tile, so no int64 matrix is built
-and none is transposed.
+and none is transposed. Read pointwise, ``source(vertices, samples,
+at=positions)`` is vertex ``vertices[j]`` in sample
+``samples[positions[j]]``, a position in the block: the generator then
+hashes each block sample's path prefix once (``rng.uniform_ints_at``), not
+once per read.
 
 ``_kernel_for`` builds the kernel of each call from one table of the
 kernels that can count the statistic, each with its price in GEMM
@@ -26,8 +30,13 @@ coloring's (color, class) keys on the same quotient, a gather that
 compares colors along edges, cycles or the neighbour lists of
 ``Graph.nbrs``, one contiguous row per vertex looked up, or, for cycles at
 many colors, a sieve that reads every sample's colors only at the cycles'
-first two vertices and a cycle's later vertices only while it is still
-monochromatic. The quotient kernels take
+first two vertices and a cycle's later vertices, by position, only while it
+is still monochromatic. The gathers take rows with ``take`` into row
+buffers allocated once per block (the edge and cycle gather walks its rows
+in chunks of ``_CHUNK_ENTRIES`` entries, so its buffers stay in cache and
+reach no fresh pages), compare them into one bool buffer and add it
+through its uint8 view; C(d, r) comes from a table in the narrowest dtype
+holding the largest C(d, r) and is summed into int64. The quotient kernels take
 ``Graph.twin_quotient``'s ``Blowup``, the host as a blow-up of its k twin
 classes, and count one star order r from each color's class sizes h_a
 (``_gemm_counts`` gives the identity; edges are 1-stars halved), so the
@@ -78,6 +87,7 @@ _DRAW = 900  # one color drawn
 _PASS = 8  # one element of a contiguous pass: a gather compare, a GEMM per-color pass, a star slot
 _SORT = 4  # one step of a sort
 _MOVE = 2300  # one element moved by fancy indexing: a gather row, a sorted run link, a sieve first edge or read
+_CHUNK_ENTRIES = 2**16  # (row, sample) entries per chunk of the tuple gather: its buffers stay in cache
 
 
 @dataclass(frozen=True)
@@ -110,14 +120,16 @@ def _comb_sums(values: np.ndarray, r: int, terms: int, sums: Callable) -> np.nda
     ``sums`` adds an array shaped like ``values`` into per-sample int64 totals,
     with nonnegative integer weights of at most ``terms`` per sample in all.
     While ``terms`` of the largest C(value, r) fit int64, the table up to the
-    largest value is gathered. Otherwise each distinct value's C(value, r) is
+    largest value is gathered, in the narrowest dtype holding that C(value,
+    r), and ``sums`` widens it. Otherwise each distinct value's C(value, r) is
     split as high * 2^31 + low, high capped at 2^32 (such a term alone passes
     int64), both halves are summed, and ``DomainExceededError`` is raised only
     if a sample's exact total passes 2^63 - 1.
     """
     top = int(values.max(initial=0))
     if terms * math.comb(top, r) <= 2**63 - 1:
-        return sums(np.array([math.comb(x, r) for x in range(top + 1)], dtype=np.int64)[values])
+        table = np.array([math.comb(x, r) for x in range(top + 1)], dtype=rng._narrow_dtype(math.comb(top, r)))
+        return sums(table.take(values))  # take: fancy indexing by a narrow 2-D index is about 3x slower
     distinct, inverse = np.unique(values, return_inverse=True)
     inverse = inverse.reshape(values.shape)  # its shape differs across numpy versions
     combs = [math.comb(x, r) for x in distinct.tolist()]
@@ -130,8 +142,13 @@ def _comb_sums(values: np.ndarray, r: int, terms: int, sums: Callable) -> np.nda
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    """sum_k x[k, i] per column i."""
-    return x.sum(axis=0)
+    """sum_k x[k, i] per column i, in int64; x holds nonnegative integers.
+
+    Unsigned x is summed in the narrowest dtype that holds its rows times its
+    dtype's largest value, then widened: exact, and half the traffic of int64.
+    """
+    top = x.shape[0] * np.iinfo(x.dtype).max if x.dtype.kind == "u" else 2**63
+    return np.add.reduce(x, axis=0, dtype=rng._narrow_dtype(top)).astype(np.int64, copy=False)
 
 
 def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -251,17 +268,25 @@ def _star_counts(index, r: int, source: Callable, samples: np.ndarray) -> np.nda
 
     ``index`` holds the vertices by falling degree and their neighbours as
     columns and tails. Mono-degrees are kept in the narrowest unsigned dtype
-    holding the largest degree.
+    holding the largest degree. Each column or tail is taken into one row
+    buffer per block, compared into one bool buffer, and added through its
+    uint8 view.
     """
     by_deg, columns, tails = index
     by_vertex = source(np.arange(by_deg.size)[:, None], samples[None, :])
-    own = by_vertex[by_deg]
+    own = by_vertex.take(by_deg, axis=0)
     top = len(columns) + (tails[0].size if tails else 0)  # the degree of by_deg[0], the largest
     mono_deg = np.zeros(own.shape, dtype=rng._narrow_dtype(top))
+    rows, same = np.empty_like(own), np.empty(own.shape, dtype=bool)  # a column or tail is at most n rows
+    ones = same.view(np.uint8)
     for col in columns:
-        mono_deg[: col.size] += by_vertex[col] == own[: col.size]
+        k = col.size
+        np.equal(by_vertex.take(col, axis=0, out=rows[:k], mode="clip"), own[:k], out=same[:k])
+        mono_deg[:k] += ones[:k]
     for i, tail in enumerate(tails):
-        mono_deg[i] += np.add.reduce(by_vertex[tail] == own[i], axis=0, dtype=mono_deg.dtype)
+        k = tail.size
+        np.equal(by_vertex.take(tail, axis=0, out=rows[:k], mode="clip"), own[i], out=same[:k])
+        mono_deg[i] += np.add.reduce(ones[:k], axis=0, dtype=mono_deg.dtype)
     return _comb_sums(mono_deg, r, by_deg.size, _row_sums)
 
 
@@ -274,14 +299,28 @@ def _star_index(g: Graph) -> tuple:
 def _tuple_counts(tuples: np.ndarray, n: int, source: Callable, samples: np.ndarray) -> np.ndarray:
     """Rows of ``tuples`` (edges or cycles) whose vertices share a color, per sample; all n colors read from ``source``.
 
-    The mask is summed in the narrowest unsigned dtype holding the number of rows, then widened.
+    The rows run in chunks of about ``_CHUNK_ENTRIES`` (row, sample) entries
+    through buffers allocated once per block: each column is taken into a
+    row buffer, its compare and-ed into one bool mask, and the mask summed
+    through its uint8 view in the narrowest unsigned dtype holding the
+    chunk's rows, then added into int64 totals.
     """
     by_vertex = source(np.arange(n)[:, None], samples[None, :])
-    first = by_vertex[tuples[:, 0]]
-    mono = first == by_vertex[tuples[:, 1]]
-    for j in range(2, tuples.shape[1]):
-        mono &= first == by_vertex[tuples[:, j]]
-    return np.add.reduce(mono, axis=0, dtype=rng._narrow_dtype(len(tuples))).astype(np.int64)
+    step = max(1, _CHUNK_ENTRIES // max(1, samples.size))
+    shape = (min(step, len(tuples)), samples.size)
+    first, rows = np.empty(shape, dtype=by_vertex.dtype), np.empty(shape, dtype=by_vertex.dtype)
+    mono, same = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    total = np.zeros(samples.size, dtype=np.int64)
+    for lo in range(0, len(tuples), step):
+        chunk = tuples[lo: lo + step]
+        k = len(chunk)
+        by_vertex.take(chunk[:, 0], axis=0, out=first[:k], mode="clip")
+        np.equal(first[:k], by_vertex.take(chunk[:, 1], axis=0, out=rows[:k], mode="clip"), out=mono[:k])
+        for j in range(2, tuples.shape[1]):
+            mono[:k] &= np.equal(first[:k], by_vertex.take(chunk[:, j], axis=0, out=rows[:k], mode="clip"),
+                                 out=same[:k])
+        total += np.add.reduce(mono[:k].view(np.uint8), axis=0, dtype=rng._narrow_dtype(k))
+    return total
 
 
 def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callable, samples: np.ndarray) -> np.ndarray:
@@ -334,23 +373,27 @@ def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callabl
 
 
 # coloring sources: source(vertices, samples) is the color of each vertex in each sample, index
-# arrays broadcast like the path of ``rng.uniform_ints``; every kernel reads its colors through one
+# arrays broadcast like the path of ``rng.uniform_ints``; every kernel reads its colors through one.
+# source(vertices, samples, at=positions) reads pointwise: vertex vertices[j] in sample samples[positions[j]]
 
 
-def _drawn_colors(seed: int, c: int, vertices: np.ndarray, samples: np.ndarray) -> np.ndarray:
+def _drawn_colors(seed: int, c: int, vertices: np.ndarray, samples: np.ndarray, at=None) -> np.ndarray:
     """``simulate``'s source: the color of vertex v in sample i is drawn from (seed, i, v)."""
+    if at is not None:  # the block's (seed, STREAM_COLORS, i) prefix is hashed once, not once per read
+        return rng.uniform_ints_at(seed, c, rng.STREAM_COLORS, samples, vertices, at=at)
     return rng.uniform_ints(seed, c, rng.STREAM_COLORS, samples, vertices)
 
 
 def _digit_colors(c: int, powers: np.ndarray, dtype: type, vertices: np.ndarray,
-                  samples: np.ndarray) -> np.ndarray:
+                  samples: np.ndarray, at=None) -> np.ndarray:
     """``exact_distribution``'s source: digit v of coloring index i in base c, ``powers[v]`` its place value."""
+    samples = samples if at is None else samples[at]
     return (samples // powers[vertices] % c).astype(dtype)
 
 
-def _matrix_colors(colors: np.ndarray, vertices: np.ndarray, samples: np.ndarray) -> np.ndarray:
+def _matrix_colors(colors: np.ndarray, vertices: np.ndarray, samples: np.ndarray, at=None) -> np.ndarray:
     """A given (n, samples) color matrix as a source: sample i is its column i."""
-    return colors[vertices, samples]
+    return colors[vertices, samples if at is None else samples[at]]
 
 
 class _Kernel(NamedTuple):
@@ -389,30 +432,33 @@ def _sieve_counts(index: _SieveIndex, source: Callable, samples: np.ndarray) -> 
 
     Columns 0 and 1 of the cycle list are read for every sample, and each
     distinct first edge (r, x1) is compared once. Each monochromatic one
-    gives a (cycle, sample) pair for every cycle over it. Column by column, a
-    pair reads its next vertex, from the dense colors or else pointwise from
-    ``source``, and is dropped at the first color that differs from r's. At
-    c colors about cycles / c pairs per sample reach column 2.
+    gives a (cycle, sample) pair for every cycle over it, the sample held as
+    its position in the block. Column by column, a pair reads its next
+    vertex, from the dense colors or else pointwise from ``source`` at that
+    position, and is dropped at the first color that differs from r's. At c
+    colors about cycles / c pairs per sample reach column 2.
     """
     colors = source(index.dense[:, None], samples[None, :])
-    lead = colors[index.first[:, 0]]
-    edge, column = np.nonzero(lead == colors[index.first[:, 1]])
+    lead = colors.take(index.first[:, 0], axis=0)
+    edge, column = np.nonzero(lead == colors.take(index.first[:, 1], axis=0))
     color = lead[edge, column]
     sizes = index.starts[edge + 1] - index.starts[edge]  # the cycles over each monochromatic first edge
     cycle = np.repeat(index.starts[edge] - np.cumsum(sizes) + sizes, sizes)
     cycle += np.arange(cycle.size)
     column, color = np.repeat(column, sizes), np.repeat(color, sizes)
-    for vertices, slots in zip(index.later, index.slots):
+    for j, (vertices, slots) in enumerate(zip(index.later, index.slots)):
         if slots is None:
-            got = source(vertices[cycle], samples[column])
+            got = source(vertices.take(cycle), samples, at=column)
         else:
-            slot = slots[cycle]
+            slot = slots.take(cycle)
             got = colors[slot, column]
             drawn = slot < 0
             if drawn.any():
-                got[drawn] = source(vertices[cycle[drawn]], samples[column[drawn]])
+                got[drawn] = source(vertices[cycle[drawn]], samples, at=column[drawn])
         keep = got == color
-        cycle, column, color = cycle[keep], column[keep], color[keep]
+        column = column[keep]
+        if j < len(index.later) - 1:  # the last column's survivors need only their sample
+            cycle, color = cycle[keep], color[keep]
     return np.bincount(column, minlength=samples.size)
 
 

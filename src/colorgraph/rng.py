@@ -29,6 +29,10 @@ holds c - 1. For c = 2^k with k <= 31 it skips the finalizer's last round,
 which leaves the top 31 bits unchanged. ``normals`` hashes its path once
 and finishes both of its words from that prefix. Words shifted below 2^53
 become float64 through an int64 view: exact, and faster than from uint64.
+``uniform_ints_at`` reads ``uniform_ints`` at positions into a block: it
+hashes the block's prefix once, at most one word per block index however
+many reads there are, folds it, gathers it per read, and finishes each read
+as ``uniform_ints`` finishes its last step (``_finish``).
 """
 from __future__ import annotations
 
@@ -164,6 +168,33 @@ def _narrow_dtype(top: int) -> type:
     return np.int64
 
 
+def _checked_colors(c: int) -> int:
+    """c as an integer in [1, 2^53] (``operator.index``): ValueError below, ``DomainExceededError`` above."""
+    c = operator.index(c)
+    if c < 1:
+        raise ValueError(f"need at least 1 color, got {c}")
+    if c > _MAX_COLORS:
+        raise DomainExceededError(
+            f"{c} colors exceed 2^53, the most that 53-bit uniforms draw uniformly"
+        )
+    return c
+
+
+def _finish(z: np.ndarray, tmp: np.ndarray, c: int, out: np.ndarray, folded: bool) -> None:
+    """The finalizer on hash words ``z`` (in place; ``tmp`` scratch), then their colors in [0, c) into ``out``.
+
+    For c = 2^k the colors are the top k bits, and for k <= 31 the
+    finalizer's last round, z ^= z >> 31, is skipped: it never changes them.
+    Otherwise they are float(z >> 11) * (c * 2^-53), read through an int64 view.
+    """
+    shift = 64 - (c.bit_length() - 1) if c > 1 and c & (c - 1) == 0 else None
+    _mix(z, tmp, last_round=shift is None or shift < 33, folded=folded)
+    if shift is not None:  # the shift's values are below 2^53: an int64 output takes the same bits
+        np.right_shift(z, _U64(shift), out=out.view(np.uint64) if out.dtype == np.int64 else out, casting="unsafe")
+    else:  # no clamp to c - 1: even (2^53 - 1) * (c * 2^-53) rounds to below c
+        np.multiply(np.right_shift(z, _U64(11), out=z).view(np.int64), c * 2.0**-53, out=out, casting="unsafe")
+
+
 def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
     """Uniform integers in [0, c), in the narrowest unsigned dtype holding c - 1.
 
@@ -190,13 +221,7 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
     leading axis, ``(v, 1)`` against ``(1, s)``, for the vertex-major (v, s)
     matrix the counting kernels read.
     """
-    c = operator.index(c)
-    if c < 1:
-        raise ValueError(f"need at least 1 color, got {c}")
-    if c > _MAX_COLORS:
-        raise DomainExceededError(
-            f"{c} colors exceed 2^53, the most that 53-bit uniforms draw uniformly"
-        )
+    c = _checked_colors(c)
     if not path:
         raise ValueError("need at least one path step")
     parts = [np.asarray(ix, dtype=np.uint64) for ix in path]
@@ -214,22 +239,53 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
         if not any(sliced[:-1]):  # else both operands are folded, the head laid out once as a contiguous tile
             last, head = _fold(last), np.empty_like(z)
             np.copyto(head, _fold(np.asarray(words(seed, *prefix))))
-    shift = 64 - (c.bit_length() - 1) if c > 1 and c & (c - 1) == 0 else None
-    scale = c * 2.0**-53
-    bits = out.view(np.uint64) if out.dtype == np.int64 else out  # the shift's values are below 2^53: same bits
     for r in range(0, out.shape[0], step):
         rows = slice(r, r + step)
         tile = out[rows]
-        zt, tt = z[: len(tile)], tmp[: len(tile)]
+        zt = z[: len(tile)]
         np.copyto(zt, last[rows] if sliced[-1] else last)  # then one contiguous xor: a two-way broadcast is slower
         zt ^= words(seed, *(a[rows] if cut else a for a, cut in zip(prefix, sliced))) if head is None \
             else head[: len(tile)]
-        _mix(zt, tt, last_round=shift is None or shift < 33, folded=head is not None)
-        if shift is not None:  # c = 2^k: the top k bits
-            np.right_shift(zt, _U64(shift), out=bits[rows], casting="unsafe")
-        else:  # no clamp to c - 1: even (2^53 - 1) * (c * 2^-53) rounds to below c
-            np.multiply(np.right_shift(zt, _U64(11), out=zt).view(np.int64), scale, out=tile, casting="unsafe")
+        _finish(zt, tmp[: len(tile)], c, tile, folded=head is not None)
     return out.reshape(shape)
+
+
+def uniform_ints_at(seed: int, c: int, *path, at: np.ndarray) -> np.ndarray:
+    """Reads of ``uniform_ints`` at block positions: for ``path = (*prefix, last)``, read j is
+    ``uniform_ints(seed, c, *prefix, last[j])`` with each array of ``prefix`` taken at ``at[j]``.
+
+    The prefix broadcasts to one block's 1-D indices, and ``last`` and ``at``
+    to one shape, the reads'. So ``uniform_ints_at(seed, c, STREAM_COLORS,
+    samples, vertices, at=positions)`` equals ``uniform_ints(seed, c,
+    STREAM_COLORS, samples[positions], vertices)`` bit for bit and in dtype.
+    ``words`` hashes the prefix once per block index, at most the block's
+    words however many reads there are, and folds it; then per tile of
+    ``TILE_WORDS`` reads the folded head is gathered at ``at``, the last step
+    folded into it, and each read finished as ``uniform_ints`` finishes one
+    (see ``_finish``). The path needs at least one step.
+    """
+    c = _checked_colors(c)
+    if not path:
+        raise ValueError("need at least one path step")
+    *prefix, last = path
+    head = _fold(np.asarray(words(seed, *prefix)).reshape(-1))
+    at, last = np.broadcast_arrays(np.asarray(at, dtype=np.intp), np.asarray(last))
+    last = last.reshape(-1)
+    last = last.view(np.uint64) if last.dtype == np.int64 else last.astype(np.uint64)  # same bits, no copy for int64
+    out = np.empty(at.shape, dtype=_narrow_dtype(c - 1))
+    flat, positions = out.reshape(-1), at.reshape(-1)
+    z, tmp = (np.empty(min(flat.size, TILE_WORDS), dtype=np.uint64) for _ in range(2))
+    mult = _POS[(len(path) - 1) % len(_POS)]
+    for r in range(0, flat.size, TILE_WORDS):
+        reads = slice(r, r + TILE_WORDS)
+        tile = flat[reads]
+        zt, tt = z[: tile.size], tmp[: tile.size]
+        np.take(head, positions[reads], out=zt, mode="clip")  # positions lie in the block; "raise" buffers out
+        np.multiply(last[reads], mult, out=tt)
+        zt ^= tt  # zt is folded, so fold(zt ^ tt) = zt ^ tt ^ (tt >> 30)
+        zt ^= np.right_shift(tt, _U64(30), out=tt)
+        _finish(zt, tt, c, tile, folded=True)
+    return out
 
 
 def normals(seed: int, *path) -> np.ndarray:

@@ -26,6 +26,7 @@ from colorgraph.colorsim import (
     MonoStars,
     _classes_of,
     _digit_colors,
+    _drawn_colors,
     _gemm_counts,
     _kernel_for,
     _matrix_colors,
@@ -422,6 +423,18 @@ class TestSimulate:
         colors = rng.uniform_ints(21, 7, rng.STREAM_COLORS, np.arange(1500)[None, :], np.arange(g.n)[:, None])
         assert np.array_equal(base.counts, matrix_count(_kernel_for(g, 7, stat, "gather").count, colors))
 
+    @pytest.mark.parametrize("spec,stat", [("gadget:6:5:4", MonoCycles(4)), ("regular:200:3:1", MonoEdges())])
+    def test_tuple_gather_chunks_change_nothing(self, spec, stat, monkeypatch):
+        # 91 entries a chunk cut 13 samples into chunks of 7 rows: 30 cycles or 300 edges end on a short one
+        g = generate(parse_family(spec))
+        gather = _kernel_for(g, 7, stat, "gather")
+        colors = kernel_test_colorings(g.n, 7, 5)[:, :13]
+        whole = matrix_count(gather.count, colors)
+        monkeypatch.setattr(colorsim, "_CHUNK_ENTRIES", 91)
+        assert np.array_equal(matrix_count(gather.count, colors), whole)
+        kind, order = ("cycles", stat.g) if isinstance(stat, MonoCycles) else ("edges", 0)
+        assert whole.tolist() == loop_mono_counts(g, colors.T.astype(np.int64).tolist(), kind, order)
+
     def test_sieve_draws_few_colors(self, monkeypatch):
         # at c = 30 the 31 path vertices are drawn densely and about 30 triangle tips per sample pointwise
         real, drawn = rng.uniform_ints, []
@@ -435,6 +448,44 @@ class TestSimulate:
         g, samples = generate(PathCycleGadget(30, 30, 3)), 20_000
         assert simulate(g, 30, MonoCycles(3), samples, 5).kernel == "sieve"
         assert 0 < sum(drawn) < 0.1 * g.n * samples
+
+    @pytest.mark.parametrize("c", [2, 3, 30, 1770, 2**31, 2**33, 2**40 + 3, 2**53])
+    @pytest.mark.parametrize("tile", [None, 7])
+    def test_position_reads_equal_dense_draws(self, c, tile, monkeypatch):
+        # the sieve reads a vertex past its dense set at a position in the block; 1,003 and 40,009 reads
+        # are multiples of neither tile, and the block starts past sample 0
+        if tile is not None:
+            monkeypatch.setattr(rng, "TILE_WORDS", tile)
+        gen, samples = np.random.default_rng(c % 1000), np.arange(5000, 5400)
+        for reads in (1003, 40_009):
+            at, vertices = gen.integers(0, samples.size, reads), gen.integers(0, 931, reads)
+            got = _drawn_colors(11, c, vertices, samples, at=at)
+            expected = rng.uniform_ints(11, c, rng.STREAM_COLORS, samples[at], vertices)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("spec,order,c", [("complete:5", 4, 3), ("cycle:6", 6, 3), ("complete:6", 5, 2)],
+                             ids=["dense-and-pointwise", "pointwise", "three-later-columns"])
+    def test_named_sieve_reads_digits_and_matrices_by_position(self, spec, order, c, monkeypatch):
+        # blocks of a few colorings start past 0, so a position read as a sample index would count wrong
+        monkeypatch.setattr(rng, "BATCH_ENTRIES", 60)
+        g, stat = generate(parse_family(spec)), MonoCycles(order)
+        total = c ** g.n
+        digits = functools.partial(_digit_colors, c, c ** np.arange(g.n - 1, -1, -1, dtype=np.int64),
+                                   rng._narrow_dtype(c - 1))
+        sieve = _kernel_for(g, c, stat, "sieve")
+        blocks = list(rng.batches(0, total, sieve.row_cost))
+        assert len(blocks) > 2
+        colors = digits(np.arange(g.n)[:, None], np.arange(total)[None, :])
+        expected = loop_mono_counts(g, colors.T.astype(np.int64).tolist(), "cycles", order)
+        assert np.concatenate([sieve.count(digits, idx) for idx in blocks]).tolist() == expected
+        matrix = functools.partial(_matrix_colors, colors)
+        assert np.concatenate([sieve.count(matrix, idx) for idx in blocks]).tolist() == expected
+        # mono_count's source: one coloring as a column, read at sample 0
+        for j in (0, total // 3, total - 1):
+            one = functools.partial(_matrix_colors, colors[:, j].astype(np.int64)[:, None])
+            assert sieve.count(one, np.zeros(1, dtype=np.int64)).tolist() == [expected[j]]
+            assert mono_count(g, colors[:, j], stat) == expected[j]
 
     def test_empty_graph(self):
         empty = Graph(0, [])
@@ -681,12 +732,42 @@ FROZEN_DIGESTS += [
 ]
 
 
+# the sieve with later columns that mix dense slots and pointwise reads, recorded while a pointwise
+# read was a sample index and not a position in the block
+FROZEN_DIGESTS += [
+    ("er:60:0.3:1", 30, MonoCycles(4), "sieve", "084b317ea9b51aab3688349295c6ff23eb191dace8cc897b18de6b2fb5a295b5"),
+]
+
+
 @pytest.mark.parametrize("spec,c,stat,kernel,digest", FROZEN_DIGESTS)
 def test_frozen_simulate_digest(spec, c, stat, kernel, digest):
     run = simulate(generate(parse_family(spec)), c, stat, 3000, 11)
     assert run.kernel == kernel
     assert run.counts.dtype == np.int64
     assert hashlib.sha256(run.counts.tobytes()).hexdigest() == digest
+
+
+def test_frozen_sieve_digest_over_blocks():
+    # regime-sweep's gadget op, cycles:3 at c = 30 over 20,000 samples: four blocks, so most pointwise reads
+    # sit in blocks that start past sample 0; recorded while those reads were sample indices
+    run = simulate(generate(PathCycleGadget(30, 30, 3)), 30, MonoCycles(3), 20_000, 11)
+    assert run.kernel == "sieve"
+    assert hashlib.sha256(run.counts.tobytes()).hexdigest() == \
+        "015116b8d6add4bbe05c26a3e01d5d492599e8606d0fc623736b3ee8f8416ded"
+
+
+def test_frozen_named_gather_past_uint8_degrees():
+    # star:300 stars:2 at c = 3 by the named gather: the hub's degree 300 keeps uint16 mono-degrees and its
+    # C(d, 2) table, up to 44,850, is uint16; recorded while the table was int64 and compares were cast
+    g = generate(Star(300))
+    kernel = _kernel_for(g, 3, MonoStars(2), "gather")
+    source = functools.partial(_drawn_colors, 11, 3)
+    counts = np.concatenate([kernel.count(source, idx) for idx in rng.batches(0, 3000, kernel.row_cost)])
+    assert counts.dtype == np.int64
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == \
+        "d19e33011447fc24239552f60d307a5da419a6ba61219991cee7391856780d06"
+    colors = rng.uniform_ints(11, 3, rng.STREAM_COLORS, np.arange(200)[None, :], np.arange(g.n)[:, None])
+    assert counts[:200].tolist() == loop_mono_counts(g, colors.T.astype(np.int64).tolist(), "stars", 2)
 
 
 def test_frozen_exact_law_on_a_twin_host():
@@ -785,6 +866,45 @@ class TestStarCountsPastInt64:
         weights = np.array([[0], [3]])
         assert colorsim._comb_sums(np.array([[3 * 10**10], [5]]), 2, 3,
                                    functools.partial(colorsim._column_dots, weights)).tolist() == [30]
+
+
+# C(top, 2) just below and just above 2^8, 2^16 and 2^32: 253 / 276, 65,341 / 65,703, 4,294,930,521 / 4,295,023,203
+NARROW_TABLE_TOPS = (23, 24, 362, 363, 92_682, 92_683)
+
+
+class TestNarrowCombTables:
+    @pytest.mark.parametrize("top", NARROW_TABLE_TOPS)
+    def test_every_caller_sums_exactly(self, top):
+        # values as the star gather keeps them (narrow) and as the GEMM and the sort pass them (int64)
+        gen = np.random.default_rng(top)
+        values = gen.integers(0, top + 1, (40, 9))
+        values[gen.integers(0, 40, 9), np.arange(9)] = top
+        weights = gen.integers(0, 4, values.shape)
+        exact = [sum(math.comb(v, 2) for v in column) for column in values.T.tolist()]
+        weighted = [sum(w * math.comb(v, 2) for v, w in zip(vs, ws))
+                    for vs, ws in zip(values.T.tolist(), weights.T.tolist())]
+        member_col = np.repeat(np.arange(9), 40)
+
+        def column_sums(terms):  # the sort's per-column add.at over its run members
+            out = np.zeros(9, dtype=np.int64)
+            np.add.at(out, member_col, terms)
+            return out
+
+        for dtype in (rng._narrow_dtype(top), np.int64):
+            typed = values.astype(dtype)
+            assert colorsim._comb_sums(typed, 2, 40, colorsim._row_sums).tolist() == exact
+            assert colorsim._comb_sums(typed, 2, 120, functools.partial(colorsim._column_dots, weights)).tolist() \
+                == weighted
+            assert colorsim._comb_sums(np.ascontiguousarray(typed.T).reshape(-1), 2, 40, column_sums).tolist() \
+                == exact
+
+    @pytest.mark.parametrize("dtype,rows", [(np.uint8, 300), (np.uint8, 2), (np.uint16, 300), (np.uint16, 70_000)])
+    def test_row_sums_widen_narrow_input(self, dtype, rows):
+        # every entry at its dtype's largest value: 300 uint8 rows pass uint16, 70,000 uint16 rows pass uint32
+        top = np.iinfo(dtype).max
+        got = colorsim._row_sums(np.full((rows, 3), top, dtype=dtype))
+        assert got.dtype == np.int64
+        assert got.tolist() == [rows * top] * 3
 
 
 class TestIntegerArguments:

@@ -10,6 +10,8 @@ round, 2^32 the first that runs it, and 2^33 the first drawn as int64.
 must equal ``oracles.normals_reference``. The references are built on
 ``oracles.words_reference``, the splitmix chain in Python ints one element
 at a time, so a wrong fold or tile in ``rng.words`` cannot pass them.
+``rng.uniform_ints_at`` reads draws at block positions, the block's prefix
+hashed once: it must equal ``uniform_ints`` on the gathered path.
 ``rng.batches`` cuts index ranges into blocks, by a cost per index or one
 cost for all.
 """
@@ -87,6 +89,25 @@ def test_other_path_shapes(tile, monkeypatch):
                      (cols, rows + 3 * cols), (rows, rows * cols), (rows * cols, 1, rows)]:
             assert np.array_equal(rng.uniform_ints(8, c, *path), uniform_ints_reference(8, c, *path)), (c, path)
     assert rng.uniform_ints(8, 3, np.arange(0), 1).shape == (0,)
+
+
+@pytest.mark.parametrize("tile", [None, TINY_TILE])
+def test_position_reads_match_the_python_chain(tile, monkeypatch):
+    # 1,003 reads: not a multiple of either tile; prefixes of one scalar step, a stream and a block, or two arrays
+    if tile is not None:
+        monkeypatch.setattr(rng, "TILE_WORDS", tile)
+    gen = np.random.default_rng(3)
+    at, last = gen.integers(0, 40, 1003), gen.integers(0, 10**6, 1003)
+    block = np.arange(70, 110)
+    for c in (2, 3, 1770, 2**32 + 1):
+        for prefix in [(rng.STREAM_COLORS, block), (block, block * 3), (5,)]:
+            rows = [a[at] if np.ndim(a) else a for a in prefix]
+            drawn = rng.uniform_ints_at(2, c, *prefix, last, at=at)
+            assert drawn.dtype == narrow(c)
+            assert np.array_equal(drawn, uniform_ints_reference(2, c, *rows, last)), (c, prefix)
+    assert rng.uniform_ints_at(2, 30, rng.STREAM_COLORS, block, np.arange(0), at=np.arange(0)).shape == (0,)
+    with pytest.raises(DomainExceededError):
+        rng.uniform_ints_at(2, 2**53 + 1, rng.STREAM_COLORS, block, last, at=at)
 
 
 def test_path_needs_a_step():
