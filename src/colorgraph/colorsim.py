@@ -13,8 +13,8 @@ matrix (``mono_count``). Read densely, colorings are vertex-major: an
 (n, batch) matrix whose column j is one coloring, in the narrowest
 unsigned dtype holding c - 1. That is the layout and dtype
 ``rng.uniform_ints`` draws in, tile by tile, so no int64 matrix is built
-and none is transposed. Read pointwise, ``source(vertices, samples,
-at=positions)`` is vertex ``vertices[j]`` in sample
+and only the sort transposes one. Read pointwise, ``source(vertices,
+samples, at=positions)`` is vertex ``vertices[j]`` in sample
 ``samples[positions[j]]``, a position in the block: the generator then
 hashes each block sample's path prefix once (``rng.uniform_ints_at``), not
 once per read.
@@ -48,9 +48,10 @@ cut into columns and contiguous tails (``_columns_and_tails``, which also
 cuts the star gather's neighbour lists), then casts h_a once for B h_a, in
 B's type: float32 below 2^24 vertices, float64 from there on. The sort
 reads h_a off the colors present only, so it serves the birthday regime
-(c > n). The kernels return identical counts, each over the
-``rng.batches`` blocks its ``row_cost`` sizes. Past isqrt(``BATCH_ENTRIES``)
-twin classes B would not fit a block, and the quotient kernels stand aside.
+(c > n), and sorts each sample's keys as one contiguous row. The kernels
+return identical counts, each over the ``rng.batches`` blocks its
+``row_cost`` sizes. Past isqrt(``BATCH_ENTRIES``) twin classes B would not
+fit a block, and the quotient kernels stand aside.
 Star counts are int64: a count of r-stars that could pass it raises
 ``DomainExceededError`` before any is summed.
 """
@@ -326,50 +327,58 @@ def _tuple_counts(tuples: np.ndarray, n: int, source: Callable, samples: np.ndar
 def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callable, samples: np.ndarray) -> np.ndarray:
     """Monochromatic r-stars per sample from each sample's sorted (color, class) keys, over ``share``.
 
-    Sorting the keys color * k + label of the ``Blowup`` ``quotient`` down
-    each column puts the vertices of one color next to each other, classes
-    in order, so the class sizes h_a of each color present are read off the
-    runs of equal colors. A vertex of class j and color a has
-    d = (B h_a)_j - q_j neighbours of its color, the identity
+    The (n, batch) colors of every vertex are read from ``source`` and copied
+    once, cast in the same pass, into sample-major (batch, n) keys color * k +
+    label of the ``Blowup`` ``quotient`` (at k = 1 the colors themselves), in
+    the narrowest dtype of at least 16 bits (numpy sorts uint8 far slower)
+    holding c * k - 1, which ``_kernel_for`` keeps in int64. Sorting each
+    sample's keys as one contiguous row puts the vertices of one color next
+    to each other, classes in order, so the class sizes h_a of each color
+    present are read off the runs of equal colors. A vertex of class j and
+    color a has d = (B h_a)_j - q_j neighbours of its color, the identity
     ``_gemm_counts`` uses, and r-stars = sum C(d, r); r = 1 sums d itself,
     twice the monochromatic edges. A vertex alone in its color has d = 0, so
-    only runs of two or more vertices are read: about m / c pairs per column
-    on K_n. The keys take the narrowest dtype of at least 16 bits (numpy sorts
-    uint8 far slower) holding c * k - 1, which ``_kernel_for`` keeps in int64.
-    The (n, batch) colors of every vertex are read from ``source``.
+    only the links, adjacent sorted keys of one color, are read: about m / c
+    per sample on K_n. At k = 1 a run of h vertices is one term h * C(d, r);
+    otherwise each of its vertices is one term.
     """
     colors = source(np.arange(quotient.labels.size)[:, None], samples[None, :])
     n, batch = colors.shape
     k = quotient.k
-    total = np.zeros(batch, dtype=np.int64)
     if n < 2:
-        return total
-    keys = colors.astype(np.promote_types(rng._narrow_dtype(c * k - 1), np.uint16))
-    keys *= k
-    keys += quotient.labels.astype(keys.dtype)[:, None]
-    keys.sort(axis=0)
-    color = keys // k
-    # links: sorted positions p and p + 1 of a column share a color; flat index column * (n - 1) + p
-    link = np.flatnonzero((color[1:] == color[:-1]).T)
-    column, pos = np.divmod(link, n - 1)
-    opens = np.ones(link.size, dtype=bool)  # the link opens a run: it does not extend the one before
-    opens[1:] = (link[1:] != link[:-1] + 1) | (pos[1:] == 0)
-    run = np.cumsum(opens) - 1
+        return np.zeros(batch, dtype=np.int64)
+    keys = np.empty((batch, n), dtype=np.promote_types(rng._narrow_dtype(c * k - 1), np.uint16))
+    np.copyto(keys, colors.T)
+    if k > 1:
+        keys *= k
+        keys += quotient.labels.astype(keys.dtype)
+    keys.sort(axis=1)
+    color = (keys // k if k > 1 else keys).reshape(-1)
+    # links: flat positions p and p + 1 of one row share a color; first holds each p
+    same = color[1:] == color[:-1]
+    same[n - 1::n] = False  # a row's last key against the next row's first
+    first = np.flatnonzero(same)
+    opens = np.ones(first.size, dtype=bool)  # the link opens a run: the one before it does not end at its p
+    np.not_equal(first[1:], first[:-1] + 1, out=opens[1:])
     heads = np.flatnonzero(opens)
-    # the vertices of the runs: each run's first, then the second of every link
-    member_run = np.concatenate((np.arange(heads.size), run))
-    member_col = np.concatenate((column[heads], column))
-    member_label = keys[np.concatenate((pos[heads], pos + 1)), member_col] % k
-    hist = np.bincount(member_run * k + member_label, minlength=heads.size * k).reshape(-1, k)
     blocks = quotient.blocks.astype(np.int64, copy=False)
-    deg = _column_dots(hist[member_run].T, blocks[member_label].T) - blocks.diagonal()[member_label]
+    if k == 1:
+        weight = np.diff(heads, append=first.size) + 1  # the run's h, its vertices
+        deg, row = (weight - 1) * blocks[0, 0], first[heads] // n
+    else:  # the vertices of the runs: each run's first, then the second of every link
+        member = np.concatenate((first[heads], first + 1))
+        run = np.concatenate((np.arange(heads.size), np.cumsum(opens) - 1))
+        label = keys.take(member) % k
+        hist = np.bincount(run * k + label, minlength=heads.size * k).reshape(-1, k)
+        weight, row = 1, member // n
+        deg = _column_dots(hist[run].T, blocks[label].T) - blocks.diagonal()[label]
 
-    def column_sums(terms: np.ndarray) -> np.ndarray:
+    def row_sums(terms: np.ndarray) -> np.ndarray:
         out = np.zeros(batch, dtype=np.int64)
-        np.add.at(out, member_col, terms)
+        np.add.at(out, row, terms * weight)
         return out
 
-    return (column_sums(deg) if r == 1 else _comb_sums(deg, r, n, column_sums)) // share
+    return (row_sums(deg) if r == 1 else _comb_sums(deg, r, n, row_sums)) // share
 
 
 # coloring sources: source(vertices, samples) is the color of each vertex in each sample, index
@@ -412,6 +421,7 @@ class _SieveIndex(NamedTuple):
     starts: np.ndarray  # the cycles over first edge e are starts[e]:starts[e + 1] in first-edge order
     later: np.ndarray  # (L - 2, cycles): columns 2.. of the cycles in first-edge order, one row each
     slots: tuple  # per row of ``later``: its vertices' positions in ``dense``, -1 if absent; None if none is in
+    size: int  # the cycles over each first edge if every one has as many, else 0
 
 
 def _sieve_index(cycles: np.ndarray) -> _SieveIndex:
@@ -424,41 +434,54 @@ def _sieve_index(cycles: np.ndarray) -> _SieveIndex:
     slots[dense[np.minimum(slots, dense.size - 1)] != later] = -1
     return _SieveIndex(dense, np.column_stack(np.divmod(keys, dense.size)),
                        np.concatenate(([0], np.cumsum(sizes))), later,
-                       tuple(row if (row >= 0).any() else None for row in slots))
+                       tuple(row if (row >= 0).any() else None for row in slots),
+                       int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else 0)
 
 
 def _sieve_counts(index: _SieveIndex, source: Callable, samples: np.ndarray) -> np.ndarray:
     """Monochromatic cycles per sample, reading a cycle's later vertices only while it is monochromatic.
 
     Columns 0 and 1 of the cycle list are read for every sample, and each
-    distinct first edge (r, x1) is compared once. Each monochromatic one
-    gives a (cycle, sample) pair for every cycle over it, the sample held as
-    its position in the block. Column by column, a pair reads its next
-    vertex, from the dense colors or else pointwise from ``source`` at that
-    position, and is dropped at the first color that differs from r's. At c
+    distinct first edge (r, x1) is compared once, its matches taken
+    row-major from the flat compare. Each monochromatic one gives a (cycle,
+    sample) pair for every cycle over it, the sample held as its position in
+    the block. Column by column, a pair reads its next vertex, from the dense
+    colors or else pointwise from ``source`` at that position, and is dropped
+    at the first color that differs from r's. When every first edge has
+    ``index.size`` cycles, a match's pairs are one row of each ``later`` row
+    seen as (E, size), taken whole; only survivors get cycle numbers. At c
     colors about cycles / c pairs per sample reach column 2.
     """
     colors = source(index.dense[:, None], samples[None, :])
     lead = colors.take(index.first[:, 0], axis=0)
-    edge, column = np.nonzero(lead == colors.take(index.first[:, 1], axis=0))
-    color = lead[edge, column]
-    sizes = index.starts[edge + 1] - index.starts[edge]  # the cycles over each monochromatic first edge
-    cycle = np.repeat(index.starts[edge] - np.cumsum(sizes) + sizes, sizes)
-    cycle += np.arange(cycle.size)
-    column, color = np.repeat(column, sizes), np.repeat(color, sizes)
+    match = np.flatnonzero(lead == colors.take(index.first[:, 1], axis=0))  # edge * batch + position, row-major
+    edge, column = np.divmod(match, samples.size)
+    start, cycle = index.starts.take(edge), None
+    sizes = index.size or index.starts.take(edge + 1) - start  # the cycles over each monochromatic first edge
+    if not index.size:
+        cycle = np.repeat(start - np.cumsum(sizes) + sizes, sizes)
+        cycle += np.arange(cycle.size)
+    column, color = np.repeat(column, sizes), np.repeat(lead.take(match), sizes)
+
+    def pick(row: np.ndarray) -> np.ndarray:  # ``row``, one entry per cycle in first-edge order, at every pair
+        return row.take(cycle) if cycle is not None else row.reshape(-1, sizes).take(edge, axis=0).reshape(-1)
+
+    def cycles_of(pairs: np.ndarray) -> np.ndarray:  # the cycles of the pairs numbered ``pairs``
+        return cycle.take(pairs) if cycle is not None else start.take(pairs // sizes) + pairs % sizes
+
     for j, (vertices, slots) in enumerate(zip(index.later, index.slots)):
         if slots is None:
-            got = source(vertices.take(cycle), samples, at=column)
+            got = source(pick(vertices), samples, at=column)
         else:
-            slot = slots.take(cycle)
-            got = colors[slot, column]
-            drawn = slot < 0
-            if drawn.any():
-                got[drawn] = source(vertices[cycle[drawn]], samples, at=column[drawn])
-        keep = got == color
-        column = column[keep]
+            slot = pick(slots)
+            got = colors.take(slot * samples.size + column)  # slot -1 reads the last row: it is read again below
+            drawn = np.flatnonzero(slot < 0)
+            if drawn.size:
+                got[drawn] = source(vertices.take(cycles_of(drawn)), samples, at=column.take(drawn))
+        kept = np.flatnonzero(got == color)
+        column = column.take(kept)
         if j < len(index.later) - 1:  # the last column's survivors need only their sample
-            cycle, color = cycle[keep], color[keep]
+            cycle, color = cycles_of(kept), color.take(kept)
     return np.bincount(column, minlength=samples.size)
 
 

@@ -21,13 +21,15 @@ step on the full size. ``uniform_ints`` and ``normals`` finish their words
 in tiles of about ``TILE_WORDS`` words through buffers allocated once per
 call, so each pass over a tile stays in cache; no draw depends on the
 layout or the tiling. ``uniform_ints`` hashes the path up to its last
-step with ``words`` and lays the folded head out once as a contiguous
-tile; per tile it copies in the folded last step and xors the head (two
-contiguous passes beat one two-way broadcast), and writes the shift or
-scale-multiply straight into its output, the narrowest unsigned dtype that
-holds c - 1. For c = 2^k with k <= 31 it skips the finalizer's last round,
-which leaves the top 31 bits unchanged. ``normals`` hashes its path once
-and finishes both of its words from that prefix. Words shifted below 2^53
+step with ``words`` and folds it. A tile of at most ``_BROADCAST_ROWS``
+long rows is one broadcast xor of the folded head and last step; for more,
+shorter rows the head is laid out once as a contiguous tile, and each tile
+copies in the last step and xors the head (two contiguous passes beat one
+two-way broadcast there). The shift or scale-multiply writes straight into
+the output, the narrowest unsigned dtype that holds c - 1. For c = 2^k
+with k <= 31 it skips the finalizer's last round, which leaves the top 31
+bits unchanged. ``normals`` hashes its path once and finishes both of its
+words from that prefix. Words shifted below 2^53
 become float64 through an int64 view: exact, and faster than from uint64.
 ``uniform_ints_at`` reads ``uniform_ints`` at positions into a block: it
 hashes the block's prefix once, at most one word per block index however
@@ -70,6 +72,7 @@ STREAM_SURROGATE = 0x07
 
 BATCH_ENTRIES = 2_000_000  # array entries one block of ``batches`` may hold
 TILE_WORDS = 2**15  # hash words ``uniform_ints`` draws per tile: 256 KiB, so a tile stays in cache
+_BROADCAST_ROWS = 10  # ``uniform_ints`` tiles of at most this many rows take one broadcast xor (fitted: 6-16 rows)
 _MAX_COLORS = 2**53  # ``uniform_ints`` resolves at most this many colors
 
 
@@ -212,9 +215,10 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
     row holds more), so every pass over a tile stays in cache. ``words``
     hashes the path up to its last step; the last step and the finalizer
     run here, in tile buffers allocated once per call. Unless the prefix
-    varies by row, both operands are folded first (see ``_fold``) and the
-    head is laid out once as a tile. The shift or the scale-multiply writes
-    each tile's colors straight into the output.
+    varies by row, both operands are folded first (see ``_fold``); a tile of
+    at most ``_BROADCAST_ROWS`` rows is then one broadcast xor of them, and
+    for more rows the head is laid out once as a tile. The shift or the
+    scale-multiply writes each tile's colors straight into the output.
     For c = 2^k with k <= 31 the finalizer's last round, z ^= z >> 31, is
     skipped: it never changes the top 31 bits. Each draw depends only on its
     own path, so the tiling changes no value. Pass the vertex index as the
@@ -236,16 +240,21 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
     head = None  # a prefix that varies by row is hashed per tile, and each tile runs the whole finalizer
     with np.errstate(over="ignore"):  # uint64 wraparound is intended; numpy warns for 0-d operands
         last = last * _POS[(len(parts) - 1) % len(_POS)]
-        if not any(sliced[:-1]):  # else both operands are folded, the head laid out once as a contiguous tile
-            last, head = _fold(last), np.empty_like(z)
-            np.copyto(head, _fold(np.asarray(words(seed, *prefix))))
+        if not any(sliced[:-1]):  # else both operands are folded first
+            last, head = _fold(last), _fold(np.asarray(words(seed, *prefix)))
+    tiled = head is not None and step > _BROADCAST_ROWS
+    if tiled:  # many short rows: the head laid out once as a contiguous tile
+        head = np.broadcast_to(head, z.shape).copy()
     for r in range(0, out.shape[0], step):
         rows = slice(r, r + step)
         tile = out[rows]
         zt = z[: len(tile)]
-        np.copyto(zt, last[rows] if sliced[-1] else last)  # then one contiguous xor: a two-way broadcast is slower
-        zt ^= words(seed, *(a[rows] if cut else a for a, cut in zip(prefix, sliced))) if head is None \
-            else head[: len(tile)]
+        part = last[rows] if sliced[-1] else last
+        if head is not None and not tiled:  # few long rows: one broadcast xor
+            np.bitwise_xor(part, head, out=zt)
+        else:  # copy, then one contiguous xor: over many short rows a two-way broadcast is slower
+            np.copyto(zt, part)
+            zt ^= head[: len(tile)] if tiled else words(seed, *(a[rows] if cut else a for a, cut in zip(prefix, sliced)))
         _finish(zt, tmp[: len(tile)], c, tile, folded=head is not None)
     return out.reshape(shape)
 

@@ -7,6 +7,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import limits
+
 __all__ = [
     "tv_distance",
     "empirical_pmf",
@@ -91,28 +93,23 @@ def _sorted_sample(samples) -> np.ndarray:
     return x
 
 
-def _run_ends(x: np.ndarray) -> np.ndarray:
-    """For each point of the sorted ``x``: the end of its run of equal values, #{x <= x[i]}."""
-    last = np.flatnonzero(x[1:] != x[:-1]) + 1  # the end of every run but the final one
-    ends = np.append(last, x.size)
-    return np.repeat(ends, np.diff(ends, prepend=0))
-
-
 def two_sample_ks(a, b) -> float:
     """sup_x |F_a(x) - F_b(x)| between two empirical cdfs, evaluated exactly; ValueError on NaN.
 
-    The sup is taken over both samples' points. A side's cdf at its own
-    points is the end of each point's run of equal values over its size.
-    Only the shorter side's points are searched for in the longer side:
-    with p_j = #{long < short[j]}, #{short <= long[i]} = #{j: p_j <= i}, the
-    cumsum of p's bincount. The counts are exact integers, so the distance
-    does not depend on which side is which.
+    The sup is taken at the shorter side's distinct points y, two values
+    each: at y, #{long <= y} / n_long - #{short <= y} / n_short, and just
+    below it, the same with #{long < y} and #{short < y}. Between two of
+    them F_short is constant and F_long monotone, so no other point gives
+    more: the values at the longer side's own points lie between these,
+    after rounding too. The counts are exact integers, so the distance does
+    not depend on which side is which.
     """
-    xa, xb = sorted((_sorted_sample(a), _sorted_sample(b)), key=len, reverse=True)
-    below = np.cumsum(np.bincount(np.searchsorted(xa, xb, side="left"), minlength=xa.size + 1)[:xa.size])
-    gap_a = _run_ends(xa) / xa.size - below / xb.size
-    gap_b = np.searchsorted(xa, xb, side="right") / xa.size - _run_ends(xb) / xb.size
-    return float(max(np.abs(gap_a).max(), np.abs(gap_b).max()))
+    long, short = sorted((_sorted_sample(a), _sorted_sample(b)), key=len, reverse=True)
+    through = np.flatnonzero(np.append(short[1:] != short[:-1], True)) + 1  # #{short <= y} at each distinct y
+    y = short[through - 1]
+    at = np.searchsorted(long, y, side="right") / long.size - through / short.size
+    below = np.searchsorted(long, y, side="left") / long.size - np.append(0, through[:-1]) / short.size
+    return float(max(np.abs(at).max(), np.abs(below).max()))
 
 
 @dataclass(frozen=True)
@@ -152,14 +149,17 @@ def empirical_moments(samples, k_max: int) -> EmpiricalMoments:
     # row 0: the full sample; row 1 + b: the sample without block b
     power_sums = np.vstack((total, total - sums))
     shifted = power_sums[:, 1:] / power_sums[:, :1]  # the raw moments of x - shift
-    # mu_k = sum_j C(k, j) shifted_j (-mean)^{k-j}, the mean of x - shift, shifted_0 = 1 and C(k, j) = 0 for j > k
+    # mu_k = sum_j C(k, j) shifted_j (-mean)^{k-j}, the mean of x - shift, shifted_0 = 1 and C(k, j) = 0 for j > k;
+    # laid out [j, k, estimator], one contiguous row per order, and summed over j in ndarray.sum's order
     orders = np.arange(k_max + 1)
     lags = np.maximum(orders[:, None] - orders[None, :], 0)
     binom = np.array([[math.comb(k, j) for j in range(k_max + 1)] for k in range(k_max + 1)], dtype=np.float64)
-    shifted_from_0 = np.hstack((np.ones((shifted.shape[0], 1)), shifted))
-    # (-mean)^e once per order e = 0..k_max, then laid out as (-mean)^(k - j)
-    neg_mean_powers = np.power(-shifted[:, :1], orders)[:, lags]
-    central = (binom * shifted_from_0[:, None, :] * neg_mean_powers).sum(axis=2)[:, 1:]
+    shifted_from_0 = np.vstack((np.ones(shifted.shape[0]), shifted.T))
+    neg_mean_powers = np.power(-shifted_from_0[1], orders[:, None])  # row e: (-mean)^e
+    terms = binom.T[:, 1:, None] * shifted_from_0[:, None, :]
+    for j, lag in enumerate(lags.T[:, 1:]):
+        terms[j] *= neg_mean_powers[lag]
+    central = np.ascontiguousarray(limits._sum_first_axis(terms).T)
     shift_up = (binom * shift**lags)[1:]  # raw_k = shift^k + sum_{j >= 1} C(k, j) shift^{k-j} shifted_j
     linear = shifted @ shift_up[:, 1:].T  # the sum alone: the jackknife spreads it without cancelling shift^k
 

@@ -607,6 +607,52 @@ GEMM_CLASS_HOSTS = {
 }
 
 
+class TestRowLayouts:
+    @pytest.mark.parametrize("spec,c", [("complete:400", 65536), ("complete:400", 65537),
+                                        ("bipartite:150:150", 32768), ("bipartite:150:150", 32769)])
+    def test_sort_keys_either_side_of_uint16(self, spec, c):
+        # the sort's keys c * k - 1 are 65,535 on K400 (k = 1) at c = 65,536 and on K150,150 (k = 2) at
+        # c = 32,768, in uint16; one color more takes uint32. Drawn blocks start past sample 0, and the
+        # colors of the matrix source are ones whose keys a 16-bit dtype would wrap onto each other
+        g = generate(parse_family(spec))
+        near = np.array([x for x in (0, 1, 32768, 32769, c - 1) if x < c])
+        colors = near[np.random.default_rng(c).integers(0, near.size, (g.n, 300))].astype(rng._narrow_dtype(c - 1))
+        for stat in (MonoEdges(), MonoStars(2)):
+            sorted_kernel, gather = (_kernel_for(g, c, stat, name) for name in ("sorted", "gather"))
+            drawn = [np.concatenate([kernel.count(functools.partial(_drawn_colors, 3, c), idx)
+                                     for idx in rng.batches(5000, 7000, kernel.row_cost)])
+                     for kernel in (sorted_kernel, gather)]
+            assert np.array_equal(*drawn), (spec, c, stat)
+            assert drawn[0].sum() > 0
+            assert np.array_equal(matrix_count(sorted_kernel.count, colors), matrix_count(gather.count, colors))
+
+    @pytest.mark.parametrize("spec,order", [("complete:6", 3), ("complete:6", 5), ("gadget:3:3:4", 4)])
+    def test_sieve_blocks_with_no_match_or_every_match(self, spec, order):
+        # every vertex its own color: no first edge matches in any sample; one color: all match in all
+        g = generate(parse_family(spec))
+        sieve = _kernel_for(g, g.n, MonoCycles(order), "sieve")
+        distinct = np.argsort(np.random.default_rng(order).random((37, g.n)), axis=1).T.astype(np.uint8)
+        constant = np.full((g.n, 37), 2, dtype=np.uint8)
+        cycles = len(census.cycle_list(g, order))
+        for colors, want in ((distinct, 0), (constant, cycles)):
+            counts = matrix_count(sieve.count, colors)
+            assert counts.tolist() == [want] * 37
+            assert counts.tolist() == loop_mono_counts(g, colors.T.astype(np.int64).tolist(), "cycles", order)
+
+    @pytest.mark.parametrize("n,edges,order", [
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], 3),
+        (7, [(0, 6), (1, 2), (1, 4), (2, 3), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5), (5, 6)], 4),
+        (6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (1, 5), (2, 3), (3, 4), (3, 5)], 5),
+    ], ids=["triangles", "4-cycles", "5-cycles"])
+    def test_sieve_rows_of_equal_first_edges_with_dense_slots(self, n, edges, order):
+        # every first edge has as many cycles, so the sieve takes whole rows, and a later vertex is also dense
+        g = Graph(n, edges)
+        index = _sieve_index(census.cycle_list(g, order))
+        assert index.size and any(slots is not None for slots in index.slots)
+        for c in (2, 3):
+            assert_kernels_match_loops(g, c, kernel_test_colorings(n, c, 7 * c + order), lengths=(order,))
+
+
 class TestGemmClassSums:
     @pytest.mark.parametrize("host", GEMM_CLASS_HOSTS)
     def test_cut_of_the_class_rows(self, host):

@@ -141,13 +141,16 @@ ORACLE_PATHS = {
 @pytest.mark.parametrize("tile", [None, TINY_TILE])
 @pytest.mark.parametrize("name", ORACLE_PATHS)
 def test_words_colors_and_normals_match_the_python_chain(name, tile, monkeypatch):
-    # both operands of a broadcast step are folded before it; a prefix that varies by row is not
+    # both operands of a broadcast step are folded before it; a prefix that varies by row is not.
+    # Tiles of every row count are filled both ways: by one broadcast xor, and by copy-then-xor
     path = ORACLE_PATHS[name]
     if tile is not None:
         monkeypatch.setattr(rng, "TILE_WORDS", tile)
     assert np.array_equal(rng.words(4, *path), words_reference(4, *path))
-    for c in (2, 3, 256, 1770, 2**32, 2**32 + 1):
-        assert np.array_equal(rng.uniform_ints(4, c, *path), uniform_ints_reference(4, c, *path)), c
+    for broadcast_rows in (0, 2**31):
+        monkeypatch.setattr(rng, "_BROADCAST_ROWS", broadcast_rows)
+        for c in (2, 3, 256, 1770, 2**32, 2**32 + 1):
+            assert np.array_equal(rng.uniform_ints(4, c, *path), uniform_ints_reference(4, c, *path)), c
     assert np.array_equal(rng.normals(4, *path), normals_reference(4, *path))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -173,6 +174,20 @@ class TestKsStatistic:
             ks_statistic([1.0, np.nan], normal_cdf, weights=[1.0, 2.0])
 
 
+MOMENT_INPUTS = {
+    "large-mean": lambda: 10.0**9 + rng.normals(21, rng.STREAM_LAW, np.arange(5000)) * 40,
+    "ties": lambda: rng.uniform_ints(22, 4, rng.STREAM_LAW, np.arange(12_001)).astype(np.float64),
+}
+# sha256 prefixes of every field of empirical_moments(x, k_max) for k_max = 1..8, recorded with numpy 2.4
+# on x86-64 while the central terms were summed as one (estimator, order, term) array along its last axis
+FROZEN_MOMENTS = {
+    "large-mean": ["f0a157cae5c29641", "5748894186b6a79a", "1bfa7c1d59944263", "01e02e8641689538",
+                   "5926fb0655ed5e6d", "eabd56149b125935", "d1539386704e4666", "208f7ab9cfb8f4a7"],
+    "ties": ["b313bb41133cc780", "a6bc9d0d0ce8e4e7", "707db19261b13159", "af28599886d7905f",
+             "67321aa328a86244", "dc66b1be45b03ede", "e5c3fc37e3222efd", "cd473f43f1f3a7fd"],
+}
+
+
 class TestEmpiricalMoments:
     def test_constant_sequence(self):
         em = empirical_moments(np.full(1000, 3.0), 4)
@@ -219,6 +234,17 @@ class TestEmpiricalMoments:
                                        exact_jackknife_moments(x, 4)):
             for value, exact in zip(got_part, want_part):
                 assert abs(value - exact) <= 1e-13 * abs(exact), (got_part, want_part)
+
+    @pytest.mark.parametrize("name", FROZEN_MOMENTS)
+    def test_fields_are_frozen(self, name):
+        # k_max 7 and 8 sum the central terms pairwise (8 and 9 terms), k_max 1-6 from left to right
+        x = MOMENT_INPUTS[name]()
+        got = []
+        for k_max in range(1, 9):
+            em = empirical_moments(x, k_max)
+            fields = np.array(em.raw + em.central + em.raw_se + em.central_se)
+            got.append(hashlib.sha256(fields.tobytes()).hexdigest()[:16])
+        assert got == FROZEN_MOMENTS[name]
 
     def test_validation(self):
         with pytest.raises(ValueError):
