@@ -72,7 +72,7 @@ STREAM_SURROGATE = 0x07
 
 BATCH_ENTRIES = 2_000_000  # array entries one block of ``batches`` may hold
 TILE_WORDS = 2**15  # hash words ``uniform_ints`` draws per tile: 256 KiB, so a tile stays in cache
-_BROADCAST_ROWS = 10  # ``uniform_ints`` tiles of at most this many rows take one broadcast xor (fitted: 6-16 rows)
+_BROADCAST_ROWS = 10  # ``uniform_ints`` tiles of at most this many rows: one broadcast xor (won to 10, lost from 12)
 _MAX_COLORS = 2**53  # ``uniform_ints`` resolves at most this many colors
 
 
@@ -254,7 +254,8 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
             np.bitwise_xor(part, head, out=zt)
         else:  # copy, then one contiguous xor: over many short rows a two-way broadcast is slower
             np.copyto(zt, part)
-            zt ^= head[: len(tile)] if tiled else words(seed, *(a[rows] if cut else a for a, cut in zip(prefix, sliced)))
+            zt ^= head[: len(tile)] if tiled else \
+                words(seed, *(a[rows] if cut else a for a, cut in zip(prefix, sliced)))
         _finish(zt, tmp[: len(tile)], c, tile, folded=head is not None)
     return out.reshape(shape)
 
