@@ -12,7 +12,8 @@ the environment, the seeds, each end-to-end metric's median and quartiles over
 the seeds, each op's raw median latency over every run of it, and, as readings
 and not gates, the Tier-1 suite's wall time and test counts. ``--against``
 prints each metric's ratio to a reference record and whether its median moved
-by more than the reference's IQR; the evidence for a claimed gain stays
+by more than the reference's IQR, then each op's raw-median ratio (which
+README command or library op moved); the evidence for a claimed gain stays
 interleaved parent/change pairs.
 """
 from __future__ import annotations
@@ -108,7 +109,7 @@ def record(root: Path, seeds: list[int]) -> dict:
 
 
 def compare(new: dict, ref: dict, root: Path) -> None:
-    """Print each metric's ratio to ``ref`` and whether it moved by more than ``ref``'s IQR."""
+    """Print each metric's ratio to ``ref`` and whether it moved by more than ``ref``'s IQR, then each op's."""
     better = {}
     bench = root / "BENCHMARK.json"
     if bench.is_file():
@@ -125,6 +126,12 @@ def compare(new: dict, ref: dict, root: Path) -> None:
             lower_is_better = better.get(name.split(".", 1)[-1], "lower") == "lower"
             direction = "better" if (m["median"] < r["median"]) == lower_is_better else "worse"
         print(f"{name:44s} {r['median']:12.6g} {m['median']:12.6g} {ratio:7.3f}  {direction or 'within IQR'}")
+    ref_ops = ref.get("op_raw_ms", {})
+    print(f"\n{'op':44s} {'reference ms':>12s} {'this ms':>12s} {'ratio':>7s}  (raw medians over every run)")
+    for name, op in new.get("op_raw_ms", {}).items():
+        if name in ref_ops:
+            r = ref_ops[name]["median"]
+            print(f"{name:44s} {r:12.6g} {op['median']:12.6g} {op['median'] / r if r else float('nan'):7.3f}")
     print(f"tier1 wall {ref['tier1']['wall_s']} s -> {new['tier1']['wall_s']} s; "
           f"passed {ref['tier1']['counts'].get('passed')} -> {new['tier1']['counts'].get('passed')}")
 

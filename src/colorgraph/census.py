@@ -1,6 +1,7 @@
 """Exact censuses of small patterns inside a host graph.
 
-Covers unlabeled cycle counts and lists by joining half-paths, copy counts
+Covers unlabeled cycle counts from ``graph``'s cycle walk (its
+``cycle_list`` and ``CYCLE_LENGTHS`` are re-exported here), copy counts
 of small simple patterns by one embedding search, the classification of
 all ordered edge k-tuples by the isomorphism class of the multigraph they
 span, and cycle homomorphism densities from the adjacency spectrum.
@@ -35,13 +36,8 @@ from typing import Collection, Iterable, Iterator, Union
 import numpy as np
 
 from . import rng
-from .errors import (
-    PatternTooLargeError,
-    PreconditionViolatedError,
-    SizeGateExceededError,
-    UnsupportedLengthError,
-)
-from .graph import Blowup, Graph, components
+from .errors import PatternTooLargeError, PreconditionViolatedError
+from .graph import CYCLE_LENGTHS, Blowup, Graph, _cycle_blocks, components, cycle_list
 
 __all__ = [
     "MultiGraphPattern",
@@ -59,9 +55,6 @@ __all__ = [
 ]
 
 _MAX_PATTERN_VERTICES = 10
-CYCLE_LENGTHS = range(3, 9)  # the cycle lengths counted and listed: 3..8
-_MAX_CYCLE_ENTRIES = 64 * rng.BATCH_ENTRIES  # 1 GiB of int64; cycle_list's peak is its blocks plus one hstack
-_MAX_CYCLE_PAIRS = 10**8  # path pairs one cycle walk compares: complete:16 has 8.0e7 over lengths 3..8
 
 
 # ---------------------------------------------------------------------------
@@ -265,102 +258,8 @@ def _classify(pairs: tuple[tuple[int, int], ...]) -> MultiGraphPattern:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_blocks(g: Graph, lengths: Collection[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(length, cycles) blocks that hold each unlabeled cycle of each length once, one column each.
-
-    The cycle (r, x1, ..., x_{L-1}) with r its least vertex and x1 < x_{L-1}
-    is met once, as the simple paths P = (r, x1, ..., x_a) and Q = (r,
-    x_{L-1}, ..., x_a) of a = ceil(L/2) and b = floor(L/2) edges above r:
-    they share their end, their interiors are disjoint and P[1] < Q[1]
-    (Alon-Yuster-Zwick 1997). Its column is P, then Q's interior reversed.
-    A length that is not an integer of ``CYCLE_LENGTHS`` raises
-    UnsupportedLengthError.
-    """
-    for length in lengths:
-        if not (isinstance(length, numbers.Integral) and length in CYCLE_LENGTHS):
-            raise UnsupportedLengthError(f"cycle length must be in [3, 8], got {length}")
-    depth = max(((length + 1) // 2 for length in lengths), default=0)
-    pairs = 0
-    for roots in _root_blocks(g, depth):  # P and Q share their root, so root blocks split the work
-        levels = _half_paths(g, roots, depth)
-        closing = [(length, *_closed_pairs(g, *levels[(length + 1) // 2 - 1], *levels[length // 2 - 1]))
-                   for length in lengths]
-        pairs += sum(count for _, count, _ in closing)
-        if pairs > _MAX_CYCLE_PAIRS:
-            raise SizeGateExceededError(f"the cycle walk compares more than {_MAX_CYCLE_PAIRS} path pairs")
-        yield from ((length, cycles) for length, _, blocks in closing for cycles in blocks)
-
-
-def _root_blocks(g: Graph, depth: int) -> list[np.ndarray]:
-    """The ``rng.batches`` blocks of roots, each root priced by the entries of its half-paths.
-
-    A root's paths of k edges are at most the non-backtracking walks of k
-    edges that leave it upwards; a path and its extensions take about
-    depth + 5 entries. So a block's half-paths hold about
-    ``rng.BATCH_ENTRIES`` entries or fewer, unless it is one root.
-    """
-    owner = np.repeat(np.arange(g.n), np.diff(g.offsets))
-    back = np.argsort(g.nbrs * g.n + owner)  # the arc w -> u of each arc u -> w
-    walks = np.ones(g.nbrs.size)  # per arc: the non-backtracking walks of k edges that start with it
-    paths = np.zeros(g.n)
-    for _ in range(depth):
-        paths += np.bincount(owner, walks * (g.nbrs > owner), g.n)
-        walks = np.bincount(owner, walks, g.n)[g.nbrs] - walks[back]
-    return list(rng.batches(0, g.n, (depth + 5) * paths + 1))
-
-
-def _half_paths(g: Graph, roots: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per k in 1..depth, the simple paths (r, x1, ..., xk) from ``roots`` with every xi > r, and their keys.
-
-    A path's key is its end times 2m plus the index in ``g.nbrs`` of its arc
-    r -> x1, so keys order paths by end, then root, then x1. Each level holds
-    one path per column, sorted by key, and extends the level before it.
-    """
-    degree, path, first_arc, levels = np.diff(g.offsets), roots[None, :], None, []
-    for k in range(depth):
-        deg = degree[path[-1]]
-        col = np.repeat(np.arange(path.shape[1]), deg)
-        arc = np.arange(col.size) + np.repeat(g.offsets[path[-1]] - np.cumsum(deg) + deg, deg)
-        nxt = g.nbrs[arc]
-        keep = nxt > path[0, col]
-        for i in range(1, k):  # the end itself is never its own neighbour
-            keep &= nxt != path[i, col]
-        first_arc = arc[keep] if k == 0 else first_arc[col[keep]]
-        key = nxt[keep] * g.nbrs.size + first_arc
-        order = np.argsort(key)
-        col, first_arc = col[keep][order], first_arc[order]
-        path = np.concatenate((path[:, col], nxt[keep][order][None]))
-        levels.append((path, key[order]))
-    return levels
-
-
-def _closed_pairs(g: Graph, p: np.ndarray, p_key: np.ndarray, q: np.ndarray, q_key: np.ndarray) -> tuple[int, Iterator]:
-    """The pairs of paths P of ``p`` and Q of ``q`` to compare, and the cycles they close, one column each.
-
-    The Qs of a P share its end and root and have Q[1] > P[1], a range of the
-    keys counted before any pair is compared. Pairs go in ``rng.batches``
-    blocks of their running count, at 3 index arrays, a mask and a cycle each.
-    """
-    a, b = len(p) - 1, len(q) - 1
-    lo = np.searchsorted(q_key, p_key, side="right")
-    hi = np.searchsorted(q_key, p_key - p_key % g.nbrs.size + g.offsets[p[0] + 1])  # past the root's arcs
-    ends = np.cumsum(hi - lo)
-    total = int(ends[-1]) if ends.size else 0
-
-    def cycles() -> Iterator[np.ndarray]:
-        for idx in rng.batches(0, total, a + b + 5):
-            left = np.searchsorted(ends, idx, side="right")
-            right = idx - ends[left] + hi[left]
-            ok = np.ones(idx.size, bool)
-            for i, j in itertools.product(range(1, a), range(1, b)):
-                ok &= p[i, left] != q[j, right]
-            yield np.concatenate((p[:, left[ok]], q[b - 1:0:-1, right[ok]]))
-
-    return total, cycles()
-
-
 def cycle_counts(g: Graph, lengths: Collection[int] = CYCLE_LENGTHS) -> dict[int, int]:
-    """Exact number of unlabeled cycles in ``g`` of each length of ``lengths`` (in ``CYCLE_LENGTHS``), from one walk.
+    """Exact number of unlabeled cycles in ``g`` of each length of ``lengths`` (in ``CYCLE_LENGTHS``), from one cycle walk.
 
     Lengths 3 and 4 are re-derived in closed form by one
     :class:`PatternCounts`; a mismatch means a bug, not an input problem,
@@ -384,23 +283,6 @@ def count_cycles(g: Graph, length: int) -> int:
     if isinstance(length, numbers.Integral) and length in _CYCLES:
         return PatternCounts(g).copies(_CYCLES[length])
     return cycle_counts(g, (length,))[length]
-
-
-def cycle_list(g: Graph, length: int) -> np.ndarray:
-    """All unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) as an int64 (cycles, length) array in walk order.
-
-    A row is (r, x1, ..., x_{L-1}) with r the cycle's least vertex and
-    x1 < x_{L-1}, as ``_cycle_blocks`` meets it. Raises SizeGateExceededError,
-    before building more, once the cycles hold more than
-    ``_MAX_CYCLE_ENTRIES`` vertex entries.
-    """
-    blocks, entries = [], 0
-    for _, block in _cycle_blocks(g, (length,)):
-        entries += block.size
-        if entries > _MAX_CYCLE_ENTRIES:
-            raise SizeGateExceededError(f"the cycles of length {length} hold more than {_MAX_CYCLE_ENTRIES} entries")
-        blocks.append(block)
-    return np.hstack(blocks).T
 
 
 # ---------------------------------------------------------------------------

@@ -20,38 +20,23 @@ hashes each block sample's path prefix once (``rng.uniform_ints_at``), not
 once per read.
 
 ``_kernel_for`` builds the kernel of each call from one table of the
-kernels that can count the statistic, each with its price in GEMM
-multiply-adds (900 per color drawn, 8 per pass element, 4 per sort step,
-2300 per fancy-indexed move, fitted on the 29-case grid its docstring
-names): the cheapest for ``simulate`` and ``exact_distribution``, the
-gather by name for ``mono_count``. The four kernels are a GEMM on the twin
-quotient of the host, in the float type of its B, a sort of each
-coloring's (color, class) keys on the same quotient, a gather that
-compares colors along edges, cycles or the neighbour lists of
-``Graph.nbrs``, one contiguous row per vertex looked up, or, for cycles at
-many colors, a sieve that reads every sample's colors only at the cycles'
-first two vertices and a cycle's later vertices, by position, only while it
-is still monochromatic. The gathers take rows with ``take`` into row
-buffers allocated once per block (the edge and cycle gather walks its rows
-in chunks of ``_CHUNK_ENTRIES`` entries, so its buffers stay in cache and
-reach no fresh pages), compare them into one bool buffer and add it
-through its uint8 view; C(d, r) comes from a table in the narrowest dtype
-holding the largest C(d, r) and is summed into int64. The quotient kernels take
-``Graph.twin_quotient``'s ``Blowup``, the host as a blow-up of its k twin
-classes, and count one star order r from each color's class sizes h_a
-(``_gemm_counts`` gives the identity; edges are 1-stars halved), so the
-complete host counts from its color-class sizes and a twin-free host runs
-the plain adjacency GEMM. The GEMM makes one pass per color: it reads the
-colors class by class, the classes by falling size, and sums h_a exactly in
-narrow integers from a bool indicator, as row sums over each class's rows
-cut into columns and contiguous tails (``_columns_and_tails``, which also
-cuts the star gather's neighbour lists), then casts h_a once for B h_a, in
-B's type: float32 below 2^24 vertices, float64 from there on. The sort
-reads h_a off the colors present only, so it serves the birthday regime
-(c > n), and sorts each sample's keys as one contiguous row. The kernels
-return identical counts, each over the ``rng.batches`` blocks its
-``row_cost`` sizes. Past isqrt(``BATCH_ENTRIES``) twin classes B would not
-fit a block, and the quotient kernels stand aside.
+kernels that can count the statistic, each priced in GEMM multiply-adds by
+the unit costs ``_DRAW`` .. ``_MOVE``: the cheapest for ``simulate`` and
+``exact_distribution``, the gather by name for ``mono_count``. The four kernels are a GEMM on the twin
+quotient of the host (``_gemm_counts``), a sort of each coloring's (color,
+class) keys on the same quotient (``_sorted_counts``), a gather that
+compares colors along edges, cycles or neighbour lists (``_tuple_counts``,
+``_star_counts``) and, for cycles at many colors, a sieve that reads a
+cycle's later vertices only while it is still monochromatic
+(``_sieve_counts``); each kernel's docstring gives its buffers and dtypes.
+The quotient kernels take ``Graph.twin_quotient``'s ``Blowup``, the host as
+a blow-up of its k twin classes, and count one star order r from each
+color's class sizes h_a, so the complete host counts from its color-class
+sizes and a twin-free host runs the plain adjacency GEMM; the sort reads
+h_a off the colors present only, so it serves the birthday regime (c > n).
+The kernels return identical counts, each over the ``rng.batches`` blocks
+its ``row_cost`` sizes. Past isqrt(``BATCH_ENTRIES``) twin classes B would
+not fit a block, and the quotient kernels stand aside.
 Star counts are int64: a count of r-stars that could pass it raises
 ``DomainExceededError`` before any is summed.
 """
@@ -66,9 +51,9 @@ from typing import Callable, NamedTuple, Union, get_args
 
 import numpy as np
 
-from . import census, rng
-from .errors import BadColorVectorError, DomainExceededError, EnumerationGateExceededError
-from .graph import Blowup, Graph, Params
+from . import graph, rng
+from .errors import BadColorVectorError, DomainExceededError, EnumerationGateExceededError, Params
+from .graph import Blowup, Graph
 
 __all__ = [
     "MonoEdges",
@@ -109,7 +94,7 @@ class MonoCycles(Params):
     """Number of g-cycles whose vertices all share one color."""
 
     g: int
-    ranges = {"g": (lambda g: g in census.CYCLE_LENGTHS, "in [3, 8]")}
+    ranges = {"g": (lambda g: g in graph.CYCLE_LENGTHS, "in [3, 8]")}
 
 
 Statistic = Union[MonoEdges, MonoStars, MonoCycles]
@@ -425,7 +410,7 @@ class _SieveIndex(NamedTuple):
 
 
 def _sieve_index(cycles: np.ndarray) -> _SieveIndex:
-    """The sieve's layout of ``census.cycle_list``'s (cycles, L) array."""
+    """The sieve's layout of ``graph.cycle_list``'s (cycles, L) array."""
     dense, pos = np.unique(cycles[:, :2].ravel(), return_inverse=True)
     keys, edge_of, sizes = np.unique(pos.reshape(-1, 2) @ np.array([dense.size, 1]), return_inverse=True,
                                      return_counts=True)
@@ -518,7 +503,7 @@ def _kernel_for(g: Graph, c: int, stat: Statistic, name: str | None = None) -> _
         raise TypeError(f"unknown statistic {stat!r}")
     n, m = g.n, g.m
     if isinstance(stat, MonoCycles):
-        cycles = census.cycle_list(g, stat.g)
+        cycles = graph.cycle_list(g, stat.g)
         dense = np.count_nonzero(np.bincount(cycles[:, :2].ravel(), minlength=n))  # the sieve's sizes, unindexed
         first = np.unique(cycles[:, 0] * n + cycles[:, 1]).size
         reads = len(cycles) * sum(c ** -j for j in range(1, stat.g - 1))  # the pairs reaching columns 2..L-1

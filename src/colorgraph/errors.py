@@ -1,9 +1,15 @@
-"""Exception hierarchy, and the family grammar that its messages quote.
+"""Exception hierarchy, the family grammar that its messages quote, and ``Params``.
 
 Gate violations (an input exceeding an enumeration or size limit) and
 numerical failures are distinct classes so the CLI can map them to distinct
-exit codes. This module imports nothing, so the CLI reads it at start-up.
+exit codes. ``Params`` is the base of every parameter dataclass: family
+specs, statistics, laws. This module imports only the standard library, so
+the CLI reads it at start-up and the laws load no graph.
 """
+import numbers
+from collections import namedtuple
+from dataclasses import fields
+from typing import Callable
 
 #: The family spec grammar that ``graph.parse_family`` quotes in its errors
 #: and the CLI in ``--graph``'s help.
@@ -104,3 +110,41 @@ class DomainExceededError(ColorGraphError):
 
 class AmbiguousRegimeError(ColorGraphError):
     """The diagnostics do not clearly select one limit regime."""
+
+
+# -- parameter dataclasses ------------------------------------------------------
+
+
+def _plain(cls: type) -> Callable[[object], bool]:
+    """Whether a value is an instance of ``cls`` and neither a bool nor NaN."""
+    return lambda x: isinstance(x, cls) and not isinstance(x, bool) and x == x  # NaN != NaN
+
+
+_Kind = namedtuple("_Kind", "fits noun read")  # read: how a spec-string argument reads
+
+# field annotation -> the kind of value it holds; annotations not listed are not checked
+FIELD_KINDS = {
+    "int": _Kind(_plain(numbers.Integral), "an integer", int),
+    "float": _Kind(_plain(numbers.Real), "a number other than NaN", float),
+    "tuple[float, ...]": _Kind(lambda x: isinstance(x, tuple) and all(map(_plain(numbers.Real), x)),
+                               "a tuple of numbers other than NaN",
+                               lambda text: tuple(float(v) for v in text.split(","))),
+}
+
+
+class Params:
+    """Base of the frozen parameter dataclasses: each checks its fields when built.
+
+    A field annotated with a kind of ``FIELD_KINDS`` must hold a value of that
+    kind, and a field in ``ranges`` must then pass its (predicate, description)
+    rule. Values are never converted; a failed check raises ValueError.
+    """
+
+    ranges: dict[str, tuple[Callable[[object], bool], str]] = {}
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for fits, noun, *_ in filter(None, (FIELD_KINDS.get(f.type), self.ranges.get(f.name))):
+                if not fits(value):
+                    raise ValueError(f"{type(self).__name__}.{f.name} must be {noun}, got {value!r:.80}")

@@ -1,4 +1,4 @@
-"""Simple undirected graphs: validation, family generators, text interchange.
+"""Simple undirected graphs: validation, family generators, text interchange, the cycle walk.
 
 Vertices are the contiguous integers ``0 .. n-1``. A :class:`Graph` is its
 read-only int64 arrays, so immutable and safe to share between threads:
@@ -11,26 +11,30 @@ The text interchange format (used by every CLI subcommand) is::
     u v        # one line per edge, 0-based, u < v, ascending
     ...
 
-Lines beginning with ``#`` are ignored.
+Lines beginning with ``#`` are ignored. ``cycle_list`` lists the cycles of
+length 3..8 that ``census`` counts. ``Params`` and ``FIELD_KINDS`` come from ``errors``.
 """
 from __future__ import annotations
 
 import itertools
 import numbers
-from collections import namedtuple
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Union
+from typing import Collection, Iterable, Iterator, Union
 
 import numpy as np
 
 from . import rng
 from .errors import (
     FAMILY_GRAMMAR,
+    FIELD_KINDS,
     DuplicateEdgeError,
     GenerationTimeoutError,
     InfeasibleSpecError,
     OutOfRangeError,
+    Params,
     SelfLoopError,
+    SizeGateExceededError,
+    UnsupportedLengthError,
 )
 
 __all__ = [
@@ -39,6 +43,8 @@ __all__ = [
     "components",
     "basic_stats",
     "BasicStats",
+    "CYCLE_LENGTHS",
+    "cycle_list",
     "to_edge_list_text",
     "parse_edge_list_text",
     "Complete",
@@ -290,6 +296,124 @@ def basic_stats(g: Graph) -> BasicStats:
     return BasicStats(g.n, g.m, g.degrees, g.component_count())
 
 
+# -- cycle walk -----------------------------------------------------------------
+
+CYCLE_LENGTHS = range(3, 9)  # the cycle lengths counted and listed: 3..8
+_MAX_CYCLE_ENTRIES = 64 * rng.BATCH_ENTRIES  # 1 GiB of int64; cycle_list's peak is its blocks plus one hstack
+_MAX_CYCLE_PAIRS = 10**8  # path pairs one cycle walk compares: complete:16 has 8.0e7 over lengths 3..8
+
+
+def _cycle_blocks(g: Graph, lengths: Collection[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(length, cycles) blocks that hold each unlabeled cycle of each length once, one column each.
+
+    The cycle (r, x1, ..., x_{L-1}) with r its least vertex and x1 < x_{L-1}
+    is met once, as the simple paths P = (r, x1, ..., x_a) and Q = (r,
+    x_{L-1}, ..., x_a) of a = ceil(L/2) and b = floor(L/2) edges above r:
+    they share their end, their interiors are disjoint and P[1] < Q[1]
+    (Alon-Yuster-Zwick 1997). Its column is P, then Q's interior reversed.
+    A length that is not an integer of ``CYCLE_LENGTHS`` raises
+    UnsupportedLengthError.
+    """
+    for length in lengths:
+        if not (isinstance(length, numbers.Integral) and length in CYCLE_LENGTHS):
+            raise UnsupportedLengthError(f"cycle length must be in [3, 8], got {length}")
+    depth = max(((length + 1) // 2 for length in lengths), default=0)
+    pairs = 0
+    for roots in _root_blocks(g, depth):  # P and Q share their root, so root blocks split the work
+        levels = _half_paths(g, roots, depth)
+        closing = [(length, *_closed_pairs(g, *levels[(length + 1) // 2 - 1], *levels[length // 2 - 1]))
+                   for length in lengths]
+        pairs += sum(count for _, count, _ in closing)
+        if pairs > _MAX_CYCLE_PAIRS:
+            raise SizeGateExceededError(f"the cycle walk compares more than {_MAX_CYCLE_PAIRS} path pairs")
+        yield from ((length, cycles) for length, _, blocks in closing for cycles in blocks)
+
+
+def _root_blocks(g: Graph, depth: int) -> list[np.ndarray]:
+    """The ``rng.batches`` blocks of roots, each root priced by the entries of its half-paths.
+
+    A root's paths of k edges are at most the non-backtracking walks of k
+    edges that leave it upwards; a path and its extensions take about
+    depth + 5 entries. So a block's half-paths hold about
+    ``rng.BATCH_ENTRIES`` entries or fewer, unless it is one root.
+    """
+    owner = np.repeat(np.arange(g.n), np.diff(g.offsets))
+    back = np.argsort(g.nbrs * g.n + owner)  # the arc w -> u of each arc u -> w
+    walks = np.ones(g.nbrs.size)  # per arc: the non-backtracking walks of k edges that start with it
+    paths = np.zeros(g.n)
+    for _ in range(depth):
+        paths += np.bincount(owner, walks * (g.nbrs > owner), g.n)
+        walks = np.bincount(owner, walks, g.n)[g.nbrs] - walks[back]
+    return list(rng.batches(0, g.n, (depth + 5) * paths + 1))
+
+
+def _half_paths(g: Graph, roots: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per k in 1..depth, the simple paths (r, x1, ..., xk) from ``roots`` with every xi > r, and their keys.
+
+    A path's key is its end times 2m plus the index in ``g.nbrs`` of its arc
+    r -> x1, so keys order paths by end, then root, then x1. Each level holds
+    one path per column, sorted by key, and extends the level before it.
+    """
+    degree, path, first_arc, levels = np.diff(g.offsets), roots[None, :], None, []
+    for k in range(depth):
+        deg = degree[path[-1]]
+        col = np.repeat(np.arange(path.shape[1]), deg)
+        arc = np.arange(col.size) + np.repeat(g.offsets[path[-1]] - np.cumsum(deg) + deg, deg)
+        nxt = g.nbrs[arc]
+        keep = nxt > path[0, col]
+        for i in range(1, k):  # the end itself is never its own neighbour
+            keep &= nxt != path[i, col]
+        first_arc = arc[keep] if k == 0 else first_arc[col[keep]]
+        key = nxt[keep] * g.nbrs.size + first_arc
+        order = np.argsort(key)
+        col, first_arc = col[keep][order], first_arc[order]
+        path = np.concatenate((path[:, col], nxt[keep][order][None]))
+        levels.append((path, key[order]))
+    return levels
+
+
+def _closed_pairs(g: Graph, p: np.ndarray, p_key: np.ndarray, q: np.ndarray, q_key: np.ndarray) -> tuple[int, Iterator]:
+    """The pairs of paths P of ``p`` and Q of ``q`` to compare, and the cycles they close, one column each.
+
+    The Qs of a P share its end and root and have Q[1] > P[1], a range of the
+    keys counted before any pair is compared. Pairs go in ``rng.batches``
+    blocks of their running count, at 3 index arrays, a mask and a cycle each.
+    """
+    a, b = len(p) - 1, len(q) - 1
+    lo = np.searchsorted(q_key, p_key, side="right")
+    hi = np.searchsorted(q_key, p_key - p_key % g.nbrs.size + g.offsets[p[0] + 1])  # past the root's arcs
+    ends = np.cumsum(hi - lo)
+    total = int(ends[-1]) if ends.size else 0
+
+    def cycles() -> Iterator[np.ndarray]:
+        for idx in rng.batches(0, total, a + b + 5):
+            left = np.searchsorted(ends, idx, side="right")
+            right = idx - ends[left] + hi[left]
+            ok = np.ones(idx.size, bool)
+            for i, j in itertools.product(range(1, a), range(1, b)):
+                ok &= p[i, left] != q[j, right]
+            yield np.concatenate((p[:, left[ok]], q[b - 1:0:-1, right[ok]]))
+
+    return total, cycles()
+
+
+def cycle_list(g: Graph, length: int) -> np.ndarray:
+    """All unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) as an int64 (cycles, length) array in walk order.
+
+    A row is (r, x1, ..., x_{L-1}) with r the cycle's least vertex and
+    x1 < x_{L-1}, as ``_cycle_blocks`` meets it. Raises SizeGateExceededError,
+    before building more, once the cycles hold more than
+    ``_MAX_CYCLE_ENTRIES`` vertex entries.
+    """
+    blocks, entries = [], 0
+    for _, block in _cycle_blocks(g, (length,)):
+        entries += block.size
+        if entries > _MAX_CYCLE_ENTRIES:
+            raise SizeGateExceededError(f"the cycles of length {length} hold more than {_MAX_CYCLE_ENTRIES} entries")
+        blocks.append(block)
+    return np.hstack(blocks).T
+
+
 # -- text interchange ---------------------------------------------------------
 
 
@@ -298,6 +422,14 @@ def to_edge_list_text(g: Graph) -> str:
 
 
 def parse_edge_list_text(text: str) -> Graph:
+    """The graph of an edge-list document, the header and then one edge per line.
+
+    A document of plain lines is read in one numpy pass; any other is read
+    line by line, and a ValueError names its header or its first bad line.
+    """
+    pairs = _plain_pairs(text)
+    if pairs is not None and len(pairs) - 1 == pairs[0, 1]:
+        return Graph(int(pairs[0, 0]), pairs[1:])
     rows = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not rows:
         raise ValueError("empty edge-list document")
@@ -305,6 +437,22 @@ def parse_edge_list_text(text: str) -> Graph:
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
     return Graph(n, [_int_pair(ln, "bad edge line {!r}") for ln in rows[1:]])
+
+
+def _plain_pairs(text: str) -> np.ndarray | None:
+    """The numbers of ``text`` as an int64 (lines, 2) array, one row per line that is not blank.
+
+    None unless the text holds only ASCII digits, blanks and line breaks, and
+    every line that is not blank holds two numbers of at most 18 digits.
+    """
+    codes = np.frombuffer(text.encode("ascii", "replace"), np.uint8)  # any other character reads as "?"
+    digit, brk = (codes >= 48) & (codes <= 57), (codes >= 10) & (codes <= 13)  # 0-9; \n \v \f \r
+    starts, stops = np.flatnonzero(np.diff(digit, prepend=False, append=False)).reshape(-1, 2).T
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(brk), starts))  # the numbers on each line
+    plain = np.all(digit | brk | (codes == 32) | (codes == 9)) and np.all(stops - starts <= 18)
+    if not (plain and starts.size and np.all(per_line[per_line > 0] == 2)):
+        return None
+    return np.fromstring(text, np.int64, sep=" ").reshape(-1, 2)
 
 
 def _int_pair(line: str, error: str) -> tuple[int, int]:
@@ -316,42 +464,7 @@ def _int_pair(line: str, error: str) -> tuple[int, int]:
     return u, v
 
 
-# -- parameter dataclasses and family specifications --------------------------
-
-
-def _plain(cls: type) -> Callable[[object], bool]:
-    """Whether a value is an instance of ``cls`` and neither a bool nor NaN."""
-    return lambda x: isinstance(x, cls) and not isinstance(x, bool) and x == x  # NaN != NaN
-
-
-_Kind = namedtuple("_Kind", "fits noun read")  # read: how a spec-string argument reads
-
-# field annotation -> the kind of value it holds; annotations not listed are not checked
-FIELD_KINDS = {
-    "int": _Kind(_plain(numbers.Integral), "an integer", int),
-    "float": _Kind(_plain(numbers.Real), "a number other than NaN", float),
-    "tuple[float, ...]": _Kind(lambda x: isinstance(x, tuple) and all(map(_plain(numbers.Real), x)),
-                               "a tuple of numbers other than NaN",
-                               lambda text: tuple(float(v) for v in text.split(","))),
-}
-
-
-class Params:
-    """Base of the frozen parameter dataclasses: each checks its fields when built.
-
-    A field annotated with a kind of ``FIELD_KINDS`` must hold a value of that
-    kind, and a field in ``ranges`` must then pass its (predicate, description)
-    rule. Values are never converted; a failed check raises ValueError.
-    """
-
-    ranges: dict[str, tuple[Callable[[object], bool], str]] = {}
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            for fits, noun, *_ in filter(None, (FIELD_KINDS.get(f.type), self.ranges.get(f.name))):
-                if not fits(value):
-                    raise ValueError(f"{type(self).__name__}.{f.name} must be {noun}, got {value!r:.80}")
+# -- family specifications ------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 import numpy as np
 
@@ -34,16 +34,12 @@ from .errors import (
     AmbiguousRegimeError,
     ConvergenceFailureError,
     DomainExceededError,
+    Params,
     WrongLawKindError,
 )
-from .graph import (
-    Complete,
-    CompleteBipartite,
-    FamilySpec,
-    Graph,
-    Params,
-    generate,
-)
+
+if TYPE_CHECKING:
+    from .graph import Complete, CompleteBipartite, FamilySpec, Graph
 
 __all__ = [
     "Poisson",
@@ -753,19 +749,6 @@ class Growing(Params):
 
 Regime = Union[Fixed, Growing]
 
-_NO_EDGE = "fixed-color regime needs at least one edge"
-
-
-def _fixed_family_law(spec: Complete | CompleteBipartite, c: int) -> LimitLaw:
-    """The closed-form law of a complete or complete bipartite family."""
-    if isinstance(spec, Complete):
-        weights, has_edge = (1.0,), spec.n >= 2
-    else:
-        weights, has_edge = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)), min(spec.a, spec.b) >= 1
-    if not has_edge:
-        raise ValueError(_NO_EDGE)
-    return WeightedChiSquare(weights=weights, dof=c - 1, scale=1.0 / (2.0 * c))
-
 
 def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitLaw:
     """Select the limit law for a host and color regime.
@@ -788,24 +771,29 @@ def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitL
         return Poisson(ratio)
     if not isinstance(regime, Fixed):
         raise TypeError(f"unknown regime {regime!r}")
-    c = regime.colors
-    if isinstance(graph_or_spec, (Complete, CompleteBipartite)):
-        return _fixed_family_law(graph_or_spec, c)
-    if not isinstance(graph_or_spec, Graph):
-        return limit_for(generate(graph_or_spec), regime)
-    g = graph_or_spec
-    if g.m < 1:
-        raise ValueError(_NO_EDGE)
-    from . import census, spectral  # imported here: only a built host's fixed-c law needs them
+    from .graph import Complete, CompleteBipartite, Graph, generate  # only a fixed-c law reads its host
 
-    acf4 = census.count_cycles(g, 4) / g.m**2
-    if acf4 < ACF4_NORMAL_THRESHOLD:
-        return Normal(0.0, 1.0 - 1.0 / c)
-    if acf4 <= ACF4_GRAY_UPPER:
-        raise AmbiguousRegimeError(
-            f"four-cycle ratio {acf4:.4g} lies in the gray zone "
-            f"[{ACF4_NORMAL_THRESHOLD}, {ACF4_GRAY_UPPER}]; no regime is declared"
-        )
-    lam = spectral.eigenvalues(g).normalized
-    weights = tuple(float(x) for x in lam if abs(x) > 1e-12)
+    c, g = regime.colors, graph_or_spec
+    if isinstance(g, Complete):  # the two complete families have closed-form laws
+        weights, has_edge = (1.0,), g.n >= 2
+    elif isinstance(g, CompleteBipartite):
+        weights, has_edge = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)), min(g.a, g.b) >= 1
+    elif isinstance(g, Graph):
+        weights, has_edge = None, g.m >= 1
+    else:
+        return limit_for(generate(g), regime)
+    if not has_edge:
+        raise ValueError("fixed-color regime needs at least one edge")
+    if weights is None:  # a built host: its four-cycle ratio decides
+        from . import census, spectral  # imported here: only a built host's fixed-c law needs them
+
+        acf4 = census.count_cycles(g, 4) / g.m**2
+        if acf4 < ACF4_NORMAL_THRESHOLD:
+            return Normal(0.0, 1.0 - 1.0 / c)
+        if acf4 <= ACF4_GRAY_UPPER:
+            raise AmbiguousRegimeError(
+                f"four-cycle ratio {acf4:.4g} lies in the gray zone "
+                f"[{ACF4_NORMAL_THRESHOLD}, {ACF4_GRAY_UPPER}]; no regime is declared"
+            )
+        weights = tuple(float(x) for x in spectral.eigenvalues(g).normalized if abs(x) > 1e-12)
     return WeightedChiSquare(weights=weights, dof=c - 1, scale=1.0 / (2.0 * c))

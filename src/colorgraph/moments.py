@@ -18,8 +18,8 @@ from functools import lru_cache
 
 from . import census
 from .census import MultiGraphPattern
-from .errors import PatternTooLargeError
-from .graph import Graph, Params, components
+from .errors import Params, PatternTooLargeError
+from .graph import Graph, components
 
 __all__ = [
     "stirling_moment",

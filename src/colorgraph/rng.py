@@ -15,26 +15,13 @@ All bulk operations are vectorized over numpy uint64 arrays and broadcast
 like ordinary numpy ops: pass index arrays shaped ``(s, 1)`` and ``(1, v)``
 to fill an ``(s, v)`` matrix, or ``(1, s)`` and ``(v, 1)`` for the
 vertex-major ``(v, s)`` matrix of the same draws. ``words`` mixes in place.
-The finalizer's first step, z ^= z >> 30, distributes over xor, so a step
-that broadcasts two smaller operands folds both before it and skips that
-step on the full size. ``uniform_ints`` and ``normals`` finish their words
-in tiles of about ``TILE_WORDS`` words through buffers allocated once per
+The finalizer's first step, z ^= z >> 30, distributes over xor (``_fold``),
+so a step that broadcasts two smaller operands folds both before it and
+skips that step on the full size. ``uniform_ints``, ``uniform_ints_at`` and
+``normals`` hash the path up to its last step once and finish their words
+in tiles of about ``TILE_WORDS`` words, through buffers allocated once per
 call, so each pass over a tile stays in cache; no draw depends on the
-layout or the tiling. ``uniform_ints`` hashes the path up to its last
-step with ``words`` and folds it. A tile of at most ``_BROADCAST_ROWS``
-long rows is one broadcast xor of the folded head and last step; for more,
-shorter rows the head is laid out once as a contiguous tile, and each tile
-copies in the last step and xors the head (two contiguous passes beat one
-two-way broadcast there). The shift or scale-multiply writes straight into
-the output, the narrowest unsigned dtype that holds c - 1. For c = 2^k
-with k <= 31 it skips the finalizer's last round, which leaves the top 31
-bits unchanged. ``normals`` hashes its path once and finishes both of its
-words from that prefix. Words shifted below 2^53
-become float64 through an int64 view: exact, and faster than from uint64.
-``uniform_ints_at`` reads ``uniform_ints`` at positions into a block: it
-hashes the block's prefix once, at most one word per block index however
-many reads there are, folds it, gathers it per read, and finishes each read
-as ``uniform_ints`` finishes its last step (``_finish``).
+layout or the tiling, and each function's docstring gives its steps.
 """
 from __future__ import annotations
 

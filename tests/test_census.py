@@ -24,7 +24,7 @@ from oracles import (
     trace_cycle_counts,
 )
 
-from colorgraph import census, colorsim, rng
+from colorgraph import census, colorsim, graph, rng
 from colorgraph.census import (
     CycleFactor,
     DoubledEdgeFactor,
@@ -148,9 +148,9 @@ def assert_walk_matches_oracles(g, lengths=census.CYCLE_LENGTHS, brute=True):
 class TestCycleWalk:
     def test_cycle_list_gate(self, monkeypatch):
         g = generate(Complete(6))  # 20 triangles, 60 entries
-        monkeypatch.setattr(census, "_MAX_CYCLE_ENTRIES", 60)
+        monkeypatch.setattr(graph, "_MAX_CYCLE_ENTRIES", 60)
         assert len(cycle_list(g, 3)) == 20
-        monkeypatch.setattr(census, "_MAX_CYCLE_ENTRIES", 59)
+        monkeypatch.setattr(graph, "_MAX_CYCLE_ENTRIES", 59)
         stat = colorsim.MonoCycles(3)
         for call in (lambda: cycle_list(g, 3), lambda: colorsim.simulate(g, 2, stat, 10, 1),
                      lambda: colorsim.exact_distribution(g, 2, stat), lambda: colorsim.mono_count(g, [0] * 6, stat)):
@@ -160,9 +160,9 @@ class TestCycleWalk:
     def test_cycle_walk_gate(self, monkeypatch):
         # complete:6's walk compares 20 path pairs for its triangles, 117 for its 5-cycles, 2,219 for lengths 3..8
         g = generate(Complete(6))
-        monkeypatch.setattr(census, "_MAX_CYCLE_PAIRS", 2219)
+        monkeypatch.setattr(graph, "_MAX_CYCLE_PAIRS", 2219)
         assert cycle_counts(g) == {3: 20, 4: 45, 5: 72, 6: 60, 7: 0, 8: 0}
-        monkeypatch.setattr(census, "_MAX_CYCLE_PAIRS", 116)
+        monkeypatch.setattr(graph, "_MAX_CYCLE_PAIRS", 116)
         assert len(cycle_list(g, 3)) == 20
         for call in (lambda: cycle_counts(g), lambda: count_cycles(g, 5), lambda: cycle_list(g, 5)):
             with pytest.raises(SizeGateExceededError, match="more than 116 path pairs"):
@@ -204,7 +204,7 @@ class TestCycleWalk:
         monkeypatch.setattr(rng, "BATCH_ENTRIES", budget)
         for g, (counts, listed) in zip(hosts, want):
             if budget == 1:
-                assert len(census._root_blocks(g, 4)) == g.n
+                assert len(graph._root_blocks(g, 4)) == g.n
             assert cycle_counts(g) == counts
             assert lists(g) == listed
 

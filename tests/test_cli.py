@@ -113,9 +113,9 @@ class TestSimulateExactCompare:
         assert res.exit_code == 3
 
     def test_cycle_listing_gate_exit_code(self, runner, monkeypatch):
-        from colorgraph import census
+        from colorgraph import graph
 
-        monkeypatch.setattr(census, "_MAX_CYCLE_ENTRIES", 59)  # complete:6 has 20 triangles, 60 entries
+        monkeypatch.setattr(graph, "_MAX_CYCLE_ENTRIES", 59)  # complete:6 has 20 triangles, 60 entries
         res = runner.invoke(main, ["simulate", "--graph", "complete:6", "--colors", "2",
                                    "--stat", "cycles:3", "--samples", "10", "--seed", "1"])
         assert res.exit_code == 3
@@ -690,6 +690,23 @@ def test_law_commands_load_no_census_or_spectrum(args, tmp_path, monkeypatch):
     loaded = modules_after_cli(*args)
     assert "colorgraph.limits" in loaded
     assert not {"colorgraph.census", "colorgraph.spectral"} & loaded
+
+
+@pytest.mark.parametrize("args,unloaded", [
+    (("simulate", "--graph", "complete:6", "--colors", "2", "--stat", "edges", "--samples", "10", "--seed", "1"),
+     {"colorgraph.census"}),
+    (("exact", "--graph", "complete:4", "--colors", "2"), {"colorgraph.census"}),
+    (("limit", "--growing-ratio", "1.0"), {"colorgraph.graph", "colorgraph.census", "colorgraph.spectral"}),
+    (("compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "tv", "--tol", "1.5"),
+     {"colorgraph.graph", "colorgraph.census", "colorgraph.spectral"}),
+], ids=["simulate", "exact", "limit-growing", "compare-tv"])
+def test_commands_load_only_the_modules_they_run(args, unloaded, tmp_path, monkeypatch):
+    # simulate and exact list no cycles; the laws subclass errors.Params, so a law needs no graph
+    monkeypatch.chdir(tmp_path)
+    write_compare_inputs(tmp_path)
+    loaded = modules_after_cli(*args)
+    assert {"colorgraph.colorsim", "colorgraph.limits"} & loaded
+    assert not unloaded & loaded
 
 
 def test_import_colorgraph_loads_no_submodule():

@@ -18,7 +18,7 @@ from oracles import (
     pmf_moment,
 )
 
-from colorgraph import census, colorsim, rng, stats
+from colorgraph import census, colorsim, graph, rng, stats
 from colorgraph.colorsim import (
     EXACT_ENUMERATION_GATE,
     MonoCycles,
@@ -86,7 +86,7 @@ class TestMonoCount:
             raise AssertionError("a twin search or cycle listing ran")
 
         monkeypatch.setattr(Graph, "twin_quotient", searched)
-        monkeypatch.setattr(census, "cycle_list", searched)
+        monkeypatch.setattr(graph, "cycle_list", searched)
         for stat in ("cycles", None, MonoCycles):
             for call in (lambda: simulate(g, 2, stat, 5, 1), lambda: mono_count(g, [0] * g.n, stat)):
                 with pytest.raises(TypeError, match="unknown statistic"):
@@ -403,8 +403,8 @@ class TestSimulate:
             _kernel_for(generate(Path(200)), c, stat, name)
 
     def test_one_cycle_list_per_call(self, monkeypatch):
-        real, calls = census.cycle_list, []
-        monkeypatch.setattr(census, "cycle_list", lambda g, length: calls.append(length) or real(g, length))
+        real, calls = graph.cycle_list, []
+        monkeypatch.setattr(graph, "cycle_list", lambda g, length: calls.append(length) or real(g, length))
         g = generate(PathCycleGadget(3, 3, 3))
         simulate(g, 3, MonoCycles(3), 500, 1)
         assert calls == [3]

@@ -1,4 +1,4 @@
-"""The package imports only the standard library, numpy and click; the CLI loads neither numpy nor a submodule."""
+"""The package imports only the standard library, numpy and click; each module loads only what ``LOAD_TIME`` lists."""
 import ast
 import sys
 from pathlib import Path
@@ -40,8 +40,23 @@ def test_guard_catches_scipy():
     assert imported_packages(ast.parse("import scipy.stats\nfrom scipy import linalg\n")) == {"scipy"}
 
 
-# what cli.py may import when it loads: each command imports the rest when it runs
-CLI_START_UP = {"click", "colorgraph", "colorgraph.__version__", "colorgraph.errors"}
+# what each module imports when it loads, beyond the standard library; the rest is imported where it runs
+LOAD_TIME = {
+    "__init__.py": set(),
+    "census.py": {"numpy", "colorgraph.errors", "colorgraph.graph", "colorgraph.rng"},
+    # each command imports the rest when it runs
+    "cli.py": {"click", "colorgraph.__version__", "colorgraph.errors"},
+    "colorsim.py": {"numpy", "colorgraph.errors", "colorgraph.graph", "colorgraph.rng"},
+    "errors.py": set(),  # the home of Params, so the laws load no graph
+    "extremal.py": {"numpy", "colorgraph.census", "colorgraph.errors", "colorgraph.graph", "colorgraph.spectral"},
+    "graph.py": {"numpy", "colorgraph.errors", "colorgraph.rng"},
+    "limits.py": {"numpy", "colorgraph.errors", "colorgraph.rng"},  # graph, census, spectral only for a fixed-c host
+    "moments.py": {"colorgraph.census", "colorgraph.errors", "colorgraph.graph"},
+    "rng.py": {"numpy", "colorgraph.errors"},
+    "spectral.py": {"numpy", "colorgraph.errors", "colorgraph.graph"},
+    "stats.py": {"numpy", "colorgraph.limits"},
+}
+CLI_START_UP = {"colorgraph", *LOAD_TIME["cli.py"]}
 
 
 def load_time_imports(tree: ast.AST) -> set[str]:
@@ -72,6 +87,12 @@ def test_cli_loads_only_stdlib_click_and_errors():
     eager = load_time_imports(ast.parse(cli.read_text(), filename=str(cli)))
     outside = {name for name in eager if name.split(".")[0] not in sys.stdlib_module_names} - CLI_START_UP
     assert not outside, f"cli.py imports {sorted(outside)} at load time; import them in the command that runs them"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_each_module_loads_only_its_listed_imports(path):
+    eager = load_time_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert {name for name in eager if name.split(".")[0] not in sys.stdlib_module_names} == LOAD_TIME[path.name]
 
 
 def test_cli_guard_catches_eager_imports():

@@ -367,6 +367,32 @@ class TestSerialization:
             parse_edge_list_text(text)
         assert type(err.value) is ValueError and str(err.value) == message
 
+    def test_first_bad_line_deep_in_a_large_text(self):
+        lines = to_edge_list_text(generate(ErdosRenyi(2000, 0.05, 1))).splitlines()
+        lines[60_000], lines[90_000] = "5 6 7", "x"
+        with pytest.raises(ValueError) as err:
+            parse_edge_list_text("\n".join(lines))
+        assert type(err.value) is ValueError and str(err.value) == "bad edge line '5 6 7'"
+
+    @pytest.mark.parametrize("text", [
+        "4 3\n0 1\n1 2\n2 3\n", "4 3\r\n0 1\r\n1 2\r\n2 3\r\n", "  4\t3 \n\n0  1\n\x0c1 2\r2 3", "4 3\n0 1\n# c\n1 2\n2 3\n",
+        "004 3\n1 0\n2 1\n3 2\n", "4 3\n0 1\n1 2\n+2 3\n", "4 3\n0 1\n1 2\n2 3\n\u2028",
+    ], ids=["plain", "crlf", "blanks", "comment", "leading-zeros-and-swapped", "signed", "unicode-line-break"])
+    def test_every_layout_reads_alike(self, text):
+        assert parse_edge_list_text(text) == Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("text,error,message", [
+        ("3 1\n0 3\n", OutOfRangeError, "edge (0, 3) has an endpoint outside [0, 3)"),
+        ("3 2\n0 1\n2 2\n", SelfLoopError, "edge (2, 2) is a self-loop"),
+        ("3 2\n1 0\n0 1\n", DuplicateEdgeError, "edge (0, 1) duplicates (0, 1)"),
+        ("3 1\n0 123456789012345678901\n", OutOfRangeError,
+         "edge (0, 123456789012345678901) has an endpoint outside [0, 3)"),
+    ], ids=["out-of-range", "self-loop", "duplicate", "beyond-int64"])
+    def test_plain_documents_raise_the_graph_errors(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse_edge_list_text(text)
+        assert str(err.value) == message
+
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=50, deadline=None)
     def test_round_trip_random(self, n, data):
