@@ -10,17 +10,15 @@ Exit codes: 0 ok, 1 failed comparison, 2 usage error or a path that cannot
 be read or written, 3 enumeration or size gate exceeded, 4 numerical failure.
 
 Each command imports the modules it runs when it runs, so ``birthday`` and
-``--version`` start without numpy.
+``--version`` start without numpy, ``dataclasses`` or ``fractions``.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -59,15 +57,15 @@ def _load_graph(source: str, keep_family: bool = False) -> Graph | FamilySpec:
     With ``keep_family`` a family spec is returned without generating it. A
     subcritical Galton-Watson spec gets a warning on stderr either way.
     """
-    from .graph import GaltonWatson, generate, mean_offspring, parse_edge_list_text, parse_family
+    from .graph import GaltonWatson, generate, parse_edge_list_text, parse_family
 
     path = Path(source)
     if path.exists():
         return parse_edge_list_text(path.read_text())
     spec = parse_family(source)
-    if isinstance(spec, GaltonWatson) and mean_offspring(spec) <= 1.0:
+    if isinstance(spec, GaltonWatson) and (mean := sum(k * p for k, p in enumerate(spec.offspring))) <= 1.0:
         click.echo(
-            f"warning: offspring mean {mean_offspring(spec):.4g} <= 1; "
+            f"warning: offspring mean {mean:.4g} <= 1; "
             "the tree stays small with high probability",
             err=True,
         )
@@ -76,6 +74,9 @@ def _load_graph(source: str, keep_family: bool = False) -> Graph | FamilySpec:
 
 def _jsonable(obj):
     """JSON form of the values ``json`` cannot encode: a Fraction as "p/q", a dataclass as its fields."""
+    import dataclasses
+    from fractions import Fraction
+
     if isinstance(obj, Fraction):
         return str(obj)
     if dataclasses.is_dataclass(obj):
@@ -370,6 +371,8 @@ def limit_cmd(graph_source, colors, growing_ratio, sample, seed):
               help="Divide by before a ks comparison.")
 def compare_cmd(empirical, law_path, metric, tol, center, scale):
     """Compare an empirical distribution against a law; exit 1 on failure."""
+    from fractions import Fraction
+
     import numpy as np
 
     from . import limits, stats

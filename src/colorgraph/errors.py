@@ -8,7 +8,6 @@ the CLI reads it at start-up and the laws load no graph.
 """
 import numbers
 from collections import namedtuple
-from dataclasses import fields
 from typing import Callable
 
 #: The family spec grammar that ``graph.parse_family`` quotes in its errors
@@ -143,6 +142,8 @@ class Params:
     ranges: dict[str, tuple[Callable[[object], bool], str]] = {}
 
     def __post_init__(self):
+        from dataclasses import fields  # imported here: the CLI starts without dataclasses
+
         for f in fields(self):
             value = getattr(self, f.name)
             for fits, noun, *_ in filter(None, (FIELD_KINDS.get(f.type), self.ranges.get(f.name))):

@@ -684,11 +684,6 @@ def generate(spec: FamilySpec) -> Graph:
     return spec.build()
 
 
-def mean_offspring(spec: GaltonWatson) -> float:
-    """Mean of the offspring pmf (used by the CLI to warn on subcritical trees)."""
-    return float(sum(k * p for k, p in enumerate(spec.offspring)))
-
-
 # -- family mini-grammar -------------------------------------------------------
 
 _FAMILIES = {"complete": Complete, "bipartite": CompleteBipartite, "star": Star, "path": Path,
