@@ -9,8 +9,10 @@ command parsed, the library version, and the wall time.
 Exit codes: 0 ok, 1 failed comparison, 2 usage error or a path that cannot
 be read or written, 3 enumeration or size gate exceeded, 4 numerical failure.
 
-Each command imports the modules it runs when it runs, so ``birthday`` and
-``--version`` start without numpy, ``dataclasses`` or ``fractions``.
+Each command imports the modules it runs when it runs. ``--version`` and
+``birthday`` start without numpy, ``dataclasses`` or ``fractions``, and
+``limit --growing-ratio`` and ``compare`` on a discrete law (Poisson or a
+Poisson mixture, by TV) without numpy.
 """
 from __future__ import annotations
 
@@ -373,8 +375,6 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale):
     """Compare an empirical distribution against a law; exit 1 on failure."""
     from fractions import Fraction
 
-    import numpy as np
-
     from . import limits, stats
 
     for name, value in (("--tol", tol), ("--center", center), ("--scale", scale)):
@@ -411,6 +411,8 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale):
         beyond = max(0.0, 1.0 - sum(ref.values()))
         value = stats.tv_distance(emp, ref) + 0.5 * beyond
     else:
+        import numpy as np
+
         standardized = (np.asarray(values) - center) / scale
         value = stats.ks_statistic(standardized, lambda x: limits.law_cdf(law, x), weights=weights)
     passed = value < tol

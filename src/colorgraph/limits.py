@@ -19,17 +19,20 @@ mean drawn from its ``mixing``, and ``Poisson`` is its own one-point
 mixing, so every discrete law takes one pmf, cdf and sampling path.
 Sampling is counter-based: element i of a sample path is a pure function of
 (seed, i).
+
+The module loads without numpy or ``rng``: the law types, the discrete pmfs,
+the Normal and atom cdfs, the JSON codec and ``limit_for``'s growing branch
+are plain Python, and each function that computes with arrays imports numpy
+(and ``rng`` where it draws) when it runs.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from typing import TYPE_CHECKING, Iterator, Union
 
-import numpy as np
-
-from . import rng
 from .errors import (
     AmbiguousRegimeError,
     ConvergenceFailureError,
@@ -39,6 +42,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .graph import Complete, CompleteBipartite, FamilySpec, Graph
 
 __all__ = [
@@ -108,6 +113,8 @@ class DiscreteLaw(LimitLaw):
         return 0.0 if x < 0 else min(1.0, sum(law_pmf_terms(self, int(x))))  # the rounded sum can pass 1
 
     def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
+        from . import rng
+
         return rng.poissons(seed, self.mixing.means(seed, idx), rng.STREAM_LAW, idx, 0)
 
 
@@ -146,7 +153,7 @@ class PoissonMixing(Params):
         # the mixing law is negligible relative to the accumulated sum
         mu = self.mean
         wj = math.exp(-mu)
-        if wj < np.finfo(np.float64).tiny:
+        if wj < sys.float_info.min:
             raise DomainExceededError(f"Poisson mixing mean {mu:.6g} is too large: "
                                       "exp(-mean) underflows below the smallest normal double")
         total, weight_tail, j = 0.0, 1.0, 0
@@ -172,7 +179,9 @@ class PoissonMixing(Params):
         return j
 
     def means(self, seed: int, idx: np.ndarray) -> np.ndarray:
-        return rng.poissons(seed, self.mean, rng.STREAM_LAW, idx, 1).astype(np.float64)
+        from . import rng
+
+        return rng.poissons(seed, self.mean, rng.STREAM_LAW, idx, 1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -181,12 +190,18 @@ class EmpiricalMixing(Params):
     ranges = {"samples": (lambda s: s and all(0 <= x < math.inf for x in s), "nonempty, finite, >= 0")}
 
     def mixed_pmf(self, k: int) -> float:
+        import numpy as np
+
         return float(np.mean([_poisson_pmf(z, k) for z in self.samples]))
 
     def largest_mean(self) -> float:
         return max(self.samples)
 
     def means(self, seed: int, idx: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        from . import rng
+
         arr = np.asarray(self.samples, dtype=np.float64)
         return arr[rng.uniform_ints(seed, arr.size, rng.STREAM_LAW, idx, 2)]
 
@@ -213,6 +228,8 @@ class Normal(Params, LimitLaw):
         return _phi((x - self.mean) / math.sqrt(self.variance))
 
     def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
+        from . import rng
+
         return self.mean + math.sqrt(self.variance) * rng.normals(seed, rng.STREAM_LAW, idx, 0)
 
 
@@ -224,6 +241,8 @@ def _sum_first_axis(a: np.ndarray) -> np.ndarray:
     over contiguous rows; from 8 terms up it sums pairwise, and
     ``ndarray.sum`` runs on a copy with the axis last.
     """
+    import numpy as np
+
     if a.shape[0] >= 8:
         return np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(axis=-1)
     total = a[0] + 0.0
@@ -272,6 +291,8 @@ class WeightedChiSquare(Params, LimitLaw):
         Within ``_CDF_ACCURACY``: exact 0 or 1 beyond a finite support endpoint, otherwise
         Imhof's inversion integral summed by :class:`_Inversion`.
         """
+        import numpy as np
+
         kept, _ = self.effective_weights()
         lam = self.scale * np.asarray(kept, dtype=np.float64)
         endpoint = -self.dof * float(lam.sum())
@@ -285,6 +306,10 @@ class WeightedChiSquare(Params, LimitLaw):
         return min(1.0, max(0.0, value))
 
     def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
+        import numpy as np
+
+        from . import rng
+
         w = np.asarray(self.effective_weights()[0], dtype=np.float64)
         cols = np.arange(w.size, dtype=np.int64)[None, :, None]
         comp = np.arange(self.dof, dtype=np.int64)[:, None, None]
@@ -311,6 +336,8 @@ class AtomPlusNormal(Params, LimitLaw):
         return atom + (1.0 - self.atom_mass) * _phi(x / math.sqrt(self.variance))
 
     def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
+        from . import rng
+
         out = math.sqrt(self.variance) * rng.normals(seed, rng.STREAM_LAW, idx, 0)
         out[rng.uniforms(seed, rng.STREAM_LAW, idx, 3) < self.atom_mass] = 0.0
         return out
@@ -409,6 +436,10 @@ def sample_law(law: LimitLaw, count: int, seed: int) -> np.ndarray:
         raise ValueError(f"need at least one sample, got {count}")
     if not isinstance(law, LimitLaw):
         raise WrongLawKindError(f"unknown law {law!r}")
+    import numpy as np
+
+    from . import rng
+
     return np.concatenate([law.draw(seed, idx) for idx in rng.batches(0, count, law.row_cost)]).astype(np.float64)
 
 
@@ -449,7 +480,7 @@ class _Inversion:
         M(u) e^{-u cx} with M the MGF of :func:`weighted_chisq_mgf`.
         """
         x = 2.0 * u * self.lam
-        cx = self.sigsq * u + self.dof * float(np.sum(self.lam / (1.0 - x)))
+        cx = self.sigsq * u + self.dof * float((self.lam / (1.0 - x)).sum())
         log_mgf = _weighted_chisq_log_mgf(self.lam, self.dof, u) + 0.5 * self.sigsq * u * u
         exponent = log_mgf - u * (cx - self.mean)
         return (0.0 if exponent < -50.0 else math.exp(exponent)), cx
@@ -473,6 +504,8 @@ class _Inversion:
 
     def _truncation(self, u: float, tausq: float) -> float:
         """Bound on (1/pi) int_u^inf |phi(t)| e^{-(sigsq + tausq) t^2 / 2} / t dt."""
+        import numpy as np
+
         sum2 = (self.sigsq + tausq) * u * u
         x = (2.0 * u * self.lam) ** 2
         big = x > 1.0
@@ -512,10 +545,10 @@ class _Inversion:
         """
         sign = 1.0 if c > 0.0 else -1.0
         rising = self.lam[::-1] * sign
-        pos = np.flatnonzero(rising > 0.0)
+        pos = (rising > 0.0).nonzero()[0]
         a = rising[pos]
-        after = abs(c) - self.dof * np.cumsum(a)
-        stop = np.flatnonzero(after <= a / self._LOG28)
+        after = abs(c) - self.dof * a.cumsum()
+        stop = (after <= a / self._LOG28).nonzero()[0]
         if stop.size == 0:
             axl = float(after[-1]) if a.size else abs(c)
             exponent = 0.0
@@ -535,6 +568,8 @@ class _Inversion:
         With ``tausq`` the integrand is multiplied by 1 - exp(-tausq u^2 / 2).
         Returns (sum, sum of the terms' round-off scales).
         """
+        import numpy as np
+
         total = roundoff = 0.0
         block = max(1, _CDF_BLOCK // self.lam.size)
         for start in range(0, nterm + 1, block):
@@ -551,7 +586,7 @@ class _Inversion:
         return total, roundoff
 
     def probability_below(self, c: float) -> float:
-        sd = math.sqrt(2.0 * self.dof * float(np.sum(self.lam * self.lam)))
+        sd = math.sqrt(2.0 * self.dof * float((self.lam * self.lam).sum()))
         acc = _CDF_ACCURACY
         up = 4.5 / sd
         un = -up
@@ -622,6 +657,8 @@ def weighted_chisq_mgf(weights, dof: int, t: float) -> float:
     2 |t| max|w| < 1. The exponential factors cancel whenever the weights
     sum to zero, as they do for graph spectra.
     """
+    import numpy as np
+
     w = np.asarray(weights, dtype=np.float64)
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
@@ -634,6 +671,8 @@ def weighted_chisq_mgf(weights, dof: int, t: float) -> float:
 
 
 def _weighted_chisq_log_mgf(w: np.ndarray, dof: int, t: float) -> float:
+    import numpy as np
+
     return -0.5 * dof * float(np.sum(np.log1p(-2.0 * t * w))) - dof * t * float(np.sum(w))
 
 
@@ -647,6 +686,8 @@ def delta_conditional_mgf(g: Graph, c: int, t: float) -> float:
         raise ValueError(f"need at least 2 colors, got {c}")
     if g.m < 1:
         raise ValueError("needs at least one edge")
+    import numpy as np
+
     from . import spectral  # imported here: the laws and their sampling never need it
 
     lam = spectral.eigenvalues(g).normalized
@@ -688,6 +729,10 @@ def gadget_char_function(a: int, b: int, c: int, g: int, t: float) -> complex:
 
 def _centered_gaussian_scores(seed: int, idx, vertices: int, c: int) -> np.ndarray:
     """S[v, a] = X[v, a] - mean_a X[v, .] with X iid N(0, 1/c); shape (batch, vertices, c)."""
+    import numpy as np
+
+    from . import rng
+
     if c < 2:
         raise ValueError(f"need at least 2 colors, got {c}")
     v = np.arange(vertices, dtype=np.int64)[None, :, None]
@@ -705,6 +750,10 @@ def gaussian_surrogate_delta(g: Graph, c: int, count: int, seed: int) -> np.ndar
     """
     if g.m < 1:
         raise ValueError("needs at least one edge")
+    import numpy as np
+
+    from . import rng
+
     u, v = g.edge_arrays()
     parts = []
     for idx in rng.batches(0, count, (g.n + g.m) * c):
@@ -716,6 +765,10 @@ def gaussian_surrogate_delta(g: Graph, c: int, count: int, seed: int) -> np.ndar
 
 def gaussian_surrogate_product(pattern, c: int, count: int, seed: int) -> np.ndarray:
     """Draws of T(H) = prod over multi-edges of sum_a S_{ia} S_{ja}; draw i depends only on (seed, i)."""
+    import numpy as np
+
+    from . import rng
+
     parts = []
     for idx in rng.batches(0, count, pattern.vertex_count * c):
         s = _centered_gaussian_scores(seed, idx, pattern.vertex_count, c)

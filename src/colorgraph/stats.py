@@ -1,13 +1,16 @@
-"""Statistical distances and empirical summaries used by the test suites."""
+"""Statistical distances and empirical summaries used by the test suites.
+
+The module loads without numpy: ``tv_distance`` and ``empirical_pmf`` are
+plain Python, and the array functions import numpy when they run.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
-import numpy as np
-
-from . import limits
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "tv_distance",
@@ -32,17 +35,28 @@ def tv_distance(p: Mapping, q: Mapping) -> float:
     return 0.5 * sum(abs(float(p.get(x, 0)) - float(q.get(x, 0))) for x in support)
 
 
+_BAD_WEIGHTS = "weights must be nonnegative, one per sample, with a positive sum"
+
+
 def _checked_weights(arr: np.ndarray, weights) -> np.ndarray:
     """``weights`` as float64, all 1 by default; ValueError unless nonnegative, one per sample, sum > 0."""
+    import numpy as np
+
     w = np.ones_like(arr) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != arr.shape or np.any(w < 0) or not w.sum() > 0:
-        raise ValueError("weights must be nonnegative, one per sample, with a positive sum")
+        raise ValueError(_BAD_WEIGHTS)
     return w
 
 
 def empirical_pmf(values, weights) -> dict:
-    """Each value's share of the total weight, added in input order; weights checked as in ``ks_statistic``."""
-    _checked_weights(np.asarray(values, dtype=np.float64), weights)
+    """Each value's share of the total weight, added in input order.
+
+    The weights are checked as ``ks_statistic`` checks them, in plain Python:
+    with every weight >= 0, their sum is positive exactly when ndarray.sum's is.
+    """
+    floats = [float(x) for x in weights]
+    if len(floats) != len(values) or any(x < 0 for x in floats) or not sum(floats) > 0:
+        raise ValueError(_BAD_WEIGHTS)
     total = sum(weights)
     pmf: dict = {}
     for v, w in zip(values, weights):
@@ -56,6 +70,8 @@ def ks_statistic(samples, cdf: Callable[[float], float], weights=None) -> float:
     ``weights`` (nonnegative, default all 1) gives each sample its share of
     the empirical mass. ``cdf`` is called once per distinct sample value.
     """
+    import numpy as np
+
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("need at least one sample")
@@ -74,6 +90,8 @@ def ks_statistic(samples, cdf: Callable[[float], float], weights=None) -> float:
 
 def ecdf(reference) -> Callable[[float], float]:
     """Right-continuous empirical cdf of a reference sample, as a callable."""
+    import numpy as np
+
     ref = np.sort(np.asarray(reference, dtype=np.float64))
     n = ref.size
 
@@ -85,6 +103,8 @@ def ecdf(reference) -> Callable[[float], float]:
 
 def _sorted_sample(samples) -> np.ndarray:
     """``samples`` as sorted float64; ValueError if empty or if one is NaN (NaN sorts last)."""
+    import numpy as np
+
     x = np.sort(np.asarray(samples, dtype=np.float64))
     if x.size == 0:
         raise ValueError("need at least one sample on each side")
@@ -104,6 +124,8 @@ def two_sample_ks(a, b) -> float:
     after rounding too. The counts are exact integers, so the distance does
     not depend on which side is which.
     """
+    import numpy as np
+
     long, short = sorted((_sorted_sample(a), _sorted_sample(b)), key=len, reverse=True)
     through = np.flatnonzero(np.append(short[1:] != short[:-1], True)) + 1  # #{short <= y} at each distinct y
     y = short[through - 1]
@@ -131,6 +153,10 @@ def empirical_moments(samples, k_max: int) -> EmpiricalMoments:
     """
     if not 1 <= k_max <= 8:
         raise ValueError(f"k_max must be in [1, 8], got {k_max}")
+    import numpy as np
+
+    from .limits import _sum_first_axis
+
     x = np.asarray(samples, dtype=np.float64)
     n = x.size
     if n < 2:
@@ -155,11 +181,15 @@ def empirical_moments(samples, k_max: int) -> EmpiricalMoments:
     lags = np.maximum(orders[:, None] - orders[None, :], 0)
     binom = np.array([[math.comb(k, j) for j in range(k_max + 1)] for k in range(k_max + 1)], dtype=np.float64)
     shifted_from_0 = np.vstack((np.ones(shifted.shape[0]), shifted.T))
-    neg_mean_powers = np.power(-shifted_from_0[1], orders[:, None])  # row e: (-mean)^e
+    # row e: (-mean)^e. Rows 0 and 1 are exactly 1 and -mean, so pow runs from e = 2, but never on one row:
+    # numpy casts a one-row exponent once and takes another loop, whose bits differ
+    neg_mean = -shifted_from_0[1]
+    head = (np.ones_like(neg_mean),) if k_max == 2 else (np.ones_like(neg_mean), neg_mean)
+    neg_mean_powers = np.vstack((*head, np.power(neg_mean, orders[len(head):, None])))
     terms = binom.T[:, 1:, None] * shifted_from_0[:, None, :]
     for j, lag in enumerate(lags.T[:, 1:]):
         terms[j] *= neg_mean_powers[lag]
-    central = np.ascontiguousarray(limits._sum_first_axis(terms).T)
+    central = np.ascontiguousarray(_sum_first_axis(terms).T)
     shift_up = (binom * shift**lags)[1:]  # raw_k = shift^k + sum_{j >= 1} C(k, j) shift^{k-j} shifted_j
     linear = shifted @ shift_up[:, 1:].T  # the sum alone: the jackknife spreads it without cancelling shift^k
 

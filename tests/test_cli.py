@@ -493,7 +493,7 @@ UNJUDGEABLE_IDS = ["tv-normal", "tv-weighted-chi-square", "tv-atom-plus-normal",
 
 
 def write_compare_inputs(tmp_path) -> None:
-    """The CSVs and law documents that ``UNJUDGEABLE_COMPARES`` reads."""
+    """The CSVs and law documents that ``UNJUDGEABLE_COMPARES`` and the start-up tests read."""
     for name, text in (("e.csv", "value,count\n3,10\n"), ("zero-counts.csv", "value,count\n1,0\n2,0\n"),
                        ("negative-count.csv", "value,count\n1,-3\n2,5\n"),
                        ("huge.csv", "value,count\n1e400,2\n3,5\n"), ("huge-count.csv", "value,count\n3,1e400\n"),
@@ -505,7 +505,8 @@ def write_compare_inputs(tmp_path) -> None:
         (tmp_path / name).write_text(text)
     for name, law in (("law.json", limits.Poisson(5.0)), ("normal.json", limits.Normal(0.0, 1.0)),
                       ("chi-square.json", limits.WeightedChiSquare((1.0,), 1, 0.25)),
-                      ("atom.json", limits.AtomPlusNormal(0.5, 1.0))):
+                      ("atom.json", limits.AtomPlusNormal(0.5, 1.0)),
+                      ("mixture.json", limits.PoissonMixture(limits.PoissonMixing(1.0)))):
         (tmp_path / name).write_text(json.dumps(limits.law_to_dict(law)))
 
 
@@ -681,25 +682,30 @@ def test_census_loads_only_what_it_runs():
     assert not {"colorgraph.limits", "colorgraph.colorsim", "colorgraph.moments"} & loaded
 
 
-@pytest.mark.parametrize("args", [("limit", "--growing-ratio", "2"),
-                                  ("compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "ks",
-                                   "--tol", "1.5")], ids=["limit-growing", "compare-ks"])
-def test_law_commands_load_no_census_or_spectrum(args, tmp_path, monkeypatch):
+@pytest.mark.parametrize("args,loads_numpy", [(("limit", "--growing-ratio", "2"), False),
+                                              (("compare", "--empirical", "e.csv", "--law", "law.json", "--metric",
+                                                "ks", "--tol", "1.5"), True)], ids=["limit-growing", "compare-ks"])
+def test_law_commands_load_no_census_or_spectrum(args, loads_numpy, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_compare_inputs(tmp_path)
     loaded = modules_after_cli(*args)
     assert "colorgraph.limits" in loaded
     assert not {"colorgraph.census", "colorgraph.spectral"} & loaded
+    assert ("numpy" in loaded) == loads_numpy  # a KS comparison sums arrays
+
+
+# a discrete law's pmf arithmetic runs without numpy, and so without rng, which needs it
+_NO_ARRAYS = {"numpy", "colorgraph.rng", "colorgraph.graph", "colorgraph.census", "colorgraph.spectral"}
 
 
 @pytest.mark.parametrize("args,unloaded", [
     (("simulate", "--graph", "complete:6", "--colors", "2", "--stat", "edges", "--samples", "10", "--seed", "1"),
      {"colorgraph.census"}),
     (("exact", "--graph", "complete:4", "--colors", "2"), {"colorgraph.census"}),
-    (("limit", "--growing-ratio", "1.0"), {"colorgraph.graph", "colorgraph.census", "colorgraph.spectral"}),
-    (("compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "tv", "--tol", "1.5"),
-     {"colorgraph.graph", "colorgraph.census", "colorgraph.spectral"}),
-], ids=["simulate", "exact", "limit-growing", "compare-tv"])
+    (("limit", "--growing-ratio", "1.0"), _NO_ARRAYS),
+    (("compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "tv", "--tol", "1.5"), _NO_ARRAYS),
+    (("compare", "--empirical", "e.csv", "--law", "mixture.json", "--metric", "tv", "--tol", "1.5"), _NO_ARRAYS),
+], ids=["simulate", "exact", "limit-growing", "compare-tv", "compare-tv-mixture"])
 def test_commands_load_only_the_modules_they_run(args, unloaded, tmp_path, monkeypatch):
     # simulate and exact list no cycles; the laws subclass errors.Params, so a law needs no graph
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,10 @@ class TestLawEvaluation:
         for mean in (709.0, 800.0):
             with pytest.raises(DomainExceededError):
                 law_pmf(PoissonMixture(PoissonMixing(mean)), 3)
+
+    def test_underflow_threshold_is_the_smallest_normal_double(self):
+        # mixed_pmf compares against sys.float_info.min so that a discrete law's pmf needs no numpy
+        assert sys.float_info.min == np.finfo(np.float64).tiny
 
     def test_mixture_pmf_large_mean_terminates(self):
         # the rounded mixing tail stays above its tolerance here, so the sum
@@ -396,7 +401,7 @@ class TestWeightedChiSquareCdf:
         def refuse(*args, **kwargs):
             raise AssertionError("law_cdf drew random numbers")
 
-        monkeypatch.setattr(limits.rng, "normals", refuse)
+        monkeypatch.setattr(rng, "normals", refuse)
         law = WeightedChiSquare((1.0,), 1, 0.25)
         assert law_cdf(law, 0.0) == pytest.approx(math.erf(math.sqrt(0.5)), abs=1e-6)
 

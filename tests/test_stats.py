@@ -113,6 +113,16 @@ class TestKsStatistic:
             with pytest.raises(ValueError, match="weights must be nonnegative"):  # TV's pmf, checked alike
                 empirical_pmf([1.0, 2.0], weights)
 
+    @pytest.mark.parametrize("weights", [[1.0, -1.0], [1.0], [1.0, 2.0, 3.0], [0.0, 0.0], [math.nan, 1.0]],
+                             ids=["negative", "too-few", "too-many", "zero-total", "nan-total"])
+    def test_pmf_weight_check_matches_the_array_check(self, weights):
+        # empirical_pmf checks in plain Python, so a TV comparison runs without numpy; same errors, same message
+        with pytest.raises(ValueError) as array_check:
+            stats._checked_weights(np.asarray([1.0, 2.0]), weights)
+        with pytest.raises(ValueError) as plain_check:
+            empirical_pmf([1.0, 2.0], weights)
+        assert str(plain_check.value) == str(array_check.value)
+
     def test_invariant_under_increasing_transform(self):
         samples = rng.normals(5, 1, np.arange(20_000))
         base = ks_statistic(samples, normal_cdf)
