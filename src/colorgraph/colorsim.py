@@ -22,23 +22,31 @@ once per read.
 ``_kernel_for`` builds the kernel of each call from one table of the
 kernels that can count the statistic, each priced in GEMM multiply-adds by
 the unit costs ``_DRAW`` .. ``_MOVE``: the cheapest for ``simulate`` and
-``exact_distribution``, the gather by name for ``mono_count``. The four kernels are a GEMM on the twin
-quotient of the host (``_gemm_counts``), a sort of each coloring's (color,
-class) keys on the same quotient (``_sorted_counts``), a gather that
-compares colors along edges, cycles or neighbour lists (``_tuple_counts``,
-``_star_counts``) and, for cycles at many colors, a sieve that reads a
-cycle's later vertices only while it is still monochromatic
-(``_sieve_counts``); each kernel's docstring gives its buffers and dtypes.
-The quotient kernels take ``Graph.twin_quotient``'s ``Blowup``, the host as
-a blow-up of its k twin classes, and count one star order r from each
-color's class sizes h_a, so the complete host counts from its color-class
-sizes and a twin-free host runs the plain adjacency GEMM; the sort reads
-h_a off the colors present only, so it serves the birthday regime (c > n).
-The kernels return identical counts, each over the ``rng.batches`` blocks
-its ``row_cost`` sizes. Past isqrt(``BATCH_ENTRIES``) twin classes B would
-not fit a block, and the quotient kernels stand aside.
-Star counts are int64: a count of r-stars that could pass it raises
-``DomainExceededError`` before any is summed.
+``exact_distribution``, the gather by name for ``mono_count``. The four
+kernels are a GEMM on the twin quotient of the host (``_gemm_counts``), a
+sort of each coloring's (color, class) keys on the same quotient
+(``_sorted_counts``), a gather that compares colors along edges, cycles or
+neighbour lists (``_tuple_counts``, ``_star_counts``) and, for cycles at
+many colors, a sieve that reads a cycle's later vertices only while it is
+still monochromatic (``_sieve_counts``). They return identical counts, each
+over the ``rng.batches`` blocks its ``row_cost`` sizes; each kernel's
+docstring gives its buffers and dtypes. Star counts are int64: a count of
+r-stars that passes it raises ``DomainExceededError``.
+
+The quotient kernels take ``Graph.twin_quotient``'s ``Blowup``: the host as
+a blow-up of its k twin classes, whose 0/1 quotient B has the diagonal q
+flagging the clique classes. Let h_a count the vertices of each class that
+have color a: a vertex of class j and color a has d_j = (B h_a)_j - q_j
+neighbours of its color, so the r-stars are sum_a sum_j h_{a,j} C(d_j, r),
+and r = 1 sums d, twice the monochromatic edges. ``_star_sums`` computes
+that sum for both kernels, B h as a GEMM in B's own float type: each entry
+of B h is an integer of at most n and B is float32 only while n < 2^24, so
+it is exact; every other product and sum is in int64. The GEMM produces
+dense histograms, one color per pass, so the complete host counts from its
+color-class sizes and a twin-free host (k = n, B = A) runs the plain
+adjacency GEMM. The sort produces those of the colors present only, read
+off sorted runs, so it serves the birthday regime (c > n). Past
+isqrt(``BATCH_ENTRIES``) classes B would not fit a block, and both stand aside.
 """
 from __future__ import annotations
 
@@ -167,35 +175,43 @@ def _classes_of(quotient: Blowup) -> _Classes:
                     columns, tails, rng._narrow_dtype(int(quotient.sizes.max(initial=0))))
 
 
+def _star_sums(hist: np.ndarray, blocks: np.ndarray, r: int, terms: int, sums: Callable,
+               work: tuple | None = None) -> np.ndarray:
+    """The r-stars sum_j h_j C(d_j, r), d = B h - q, of (k, columns) class histograms h; r = 1 sums d.
+
+    ``sums(hist, x)`` adds each column's sum_j h_j x_j into per-sample int64
+    totals, at most ``terms`` weight per sample. B h is made in B's float
+    type, in ``work``'s (cast, degree) buffers shaped like h when given.
+    """
+    cast, deg = work or (np.empty(hist.shape, dtype=blocks.dtype), None)
+    np.copyto(cast, hist)
+    deg = np.matmul(blocks, cast, out=deg)
+    if blocks.diagonal().any():
+        deg -= blocks.diagonal()[:, None]
+    if r == 1:
+        return sums(hist, deg)
+    return _comb_sums(np.maximum(deg, 0).astype(np.int64), r, terms, functools.partial(sums, hist))
+
+
 def _gemm_counts(classes: _Classes, c: int, r: int, share: int, source: Callable, samples: np.ndarray) -> np.ndarray:
-    """Monochromatic r-stars sum_v C(mono-degree of v, r) per sample, from class histograms, over ``share``.
+    """Monochromatic r-stars per sample, over ``share``: ``_star_sums`` of each color's dense class histograms.
 
     The colors are read from ``source`` class by class: row i of the (n,
-    batch) block is vertex ``classes.vertices[i]``. The diagonal q of the
-    blocks B of ``classes`` flags the clique classes.
-    For color a, the histogram h_a = P' x_a counts the vertices of each
-    class that have color a (P is the n x k class membership, x_a the
-    (n, batch) bool indicator of a), and d_a = B h_a - q is the number of
-    color-a neighbours of each of them. So the r-stars are sum_a h_a .
-    C(d_a, r), over the entries with h_a > 0; r = 1 gives sum_v d_v, twice
-    the monochromatic edges, which ``share`` = 2 halves. h_a is summed
-    exactly in ``classes.counter`` over the rows of each class: a column of
-    ``classes`` adds one row to each class it reaches, a tail reduces one
-    class's contiguous rows. A twin-free host has k = n, P = I and B = A:
-    there d_a = A x_a, and r >= 2 takes C(., r) once of each vertex's
-    mono-degree sum_a x_a * d_a. B h_a is a GEMM of h_a cast once to B's
-    type, and the mono-degrees are sums of one nonzero term each in it:
-    exact, as B is float32 only while n < 2^24 (``Graph.twin_quotient``);
-    every other product and sum is in int64.
+    batch) block is vertex ``classes.vertices[i]``. Color a's histograms,
+    one column per sample, are summed exactly in ``classes.counter`` from
+    the bool indicator x_a of a: a column of ``classes`` adds one row to
+    each class it reaches, a tail reduces one class's contiguous rows. A
+    twin-free host has h_a = x_a and, at r >= 2, takes C(., r) once of each
+    vertex's mono-degree sum_a x_a * d_a, not once per color.
     """
     colors, blocks = source(classes.vertices[:, None], samples[None, :]), classes.blocks
-    twin_free = blocks.shape[0] == colors.shape[0]
+    n = colors.shape[0]
+    twin_free = blocks.shape[0] == n
     # one buffer each for x_a, h_a, its cast to B's type and d_a, reused by every color: fresh pages per color cost more
     x = np.empty(colors.shape, dtype=bool)
     ones = x.view(np.uint8)  # x as 0/1 bytes, summed without a cast
     hist = ones if twin_free else np.empty((blocks.shape[0], colors.shape[1]), dtype=classes.counter)
-    cast = np.empty(hist.shape, dtype=blocks.dtype)
-    deg = np.empty(hist.shape, dtype=blocks.dtype)
+    work = np.empty(hist.shape, dtype=blocks.dtype), np.empty(hist.shape, dtype=blocks.dtype)
     total = np.zeros(colors.shape[1], dtype=np.int64)
     mono_deg = np.zeros(colors.shape, dtype=blocks.dtype) if twin_free and r > 1 else None
     # a block holds at most colors.size distinct colors; above that, loop over those present
@@ -207,22 +223,14 @@ def _gemm_counts(classes: _Classes, c: int, r: int, share: int, source: Callable
                 hist[: col.size] += ones[col]
             for i, rows in enumerate(classes.tails):
                 hist[i] += np.add.reduce(ones[rows], axis=0, dtype=hist.dtype)
-        np.copyto(cast, hist)
-        np.matmul(blocks, cast, out=deg)
-        if not twin_free:
-            deg -= blocks.diagonal()[:, None]
-        if r == 1:
-            total += _column_dots(hist, deg)
-        elif twin_free:
-            deg *= cast
-            mono_deg += deg
+        if mono_deg is not None:  # x_a * d_a, written over d_a, into each vertex's mono-degree
+            mono_deg += _star_sums(hist, blocks, 1, n, functools.partial(np.multiply, out=work[1]), work)
         else:
-            total += _comb_sums(np.maximum(deg, 0).astype(np.int64), r, colors.shape[0],
-                                functools.partial(_column_dots, hist))
-            if total.min(initial=0) < 0:  # two int64 totals, each exact, wrapped: their sum passed 2^63 - 1
+            total += _star_sums(hist, blocks, r, n, _column_dots, work)
+            if r > 1 and total.min(initial=0) < 0:  # two exact int64 totals wrapped: their sum passed 2^63 - 1
                 raise DomainExceededError(f"star counts pass int64 by color {a}: r = {r} stars")
     if mono_deg is not None:
-        total = _comb_sums(mono_deg.astype(np.int64), r, colors.shape[0], _row_sums)
+        total = _comb_sums(mono_deg.astype(np.int64), r, n, _row_sums)
     return total // share
 
 
@@ -310,7 +318,7 @@ def _tuple_counts(tuples: np.ndarray, n: int, source: Callable, samples: np.ndar
 
 
 def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callable, samples: np.ndarray) -> np.ndarray:
-    """Monochromatic r-stars per sample from each sample's sorted (color, class) keys, over ``share``.
+    """Monochromatic r-stars per sample, over ``share``: ``_star_sums`` of the class histograms of sorted runs.
 
     The (n, batch) colors of every vertex are read from ``source`` and copied
     once, cast in the same pass, into sample-major (batch, n) keys color * k +
@@ -318,14 +326,9 @@ def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callabl
     the narrowest dtype of at least 16 bits (numpy sorts uint8 far slower)
     holding c * k - 1, which ``_kernel_for`` keeps in int64. Sorting each
     sample's keys as one contiguous row puts the vertices of one color next
-    to each other, classes in order, so the class sizes h_a of each color
-    present are read off the runs of equal colors. A vertex of class j and
-    color a has d = (B h_a)_j - q_j neighbours of its color, the identity
-    ``_gemm_counts`` uses, and r-stars = sum C(d, r); r = 1 sums d itself,
-    twice the monochromatic edges. A vertex alone in its color has d = 0, so
-    only the links, adjacent sorted keys of one color, are read: about m / c
-    per sample on K_n. At k = 1 a run of h vertices is one term h * C(d, r);
-    otherwise each of its vertices is one term.
+    to each other. Only the links, adjacent keys of one color, are read:
+    about m / c per sample on K_n. A run of links is one column, added into
+    its sample: its length at k = 1, else its (class, run) counts.
     """
     colors = source(np.arange(quotient.labels.size)[:, None], samples[None, :])
     n, batch = colors.shape
@@ -346,24 +349,20 @@ def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callabl
     opens = np.ones(first.size, dtype=bool)  # the link opens a run: the one before it does not end at its p
     np.not_equal(first[1:], first[:-1] + 1, out=opens[1:])
     heads = np.flatnonzero(opens)
-    blocks = quotient.blocks.astype(np.int64, copy=False)
+    row = first[heads] // n  # each run's sample
     if k == 1:
-        weight = np.diff(heads, append=first.size) + 1  # the run's h, its vertices
-        deg, row = (weight - 1) * blocks[0, 0], first[heads] // n
+        hist = (np.diff(heads, append=first.size) + 1)[None, :]
     else:  # the vertices of the runs: each run's first, then the second of every link
-        member = np.concatenate((first[heads], first + 1))
         run = np.concatenate((np.arange(heads.size), np.cumsum(opens) - 1))
-        label = keys.take(member) % k
-        hist = np.bincount(run * k + label, minlength=heads.size * k).reshape(-1, k)
-        weight, row = 1, member // n
-        deg = _column_dots(hist[run].T, blocks[label].T) - blocks.diagonal()[label]
+        hist = np.bincount(run * k + keys.take(np.concatenate((first[heads], first + 1))) % k,
+                           minlength=heads.size * k).reshape(-1, k).T
 
-    def row_sums(terms: np.ndarray) -> np.ndarray:
+    def run_sums(hist: np.ndarray, x: np.ndarray) -> np.ndarray:
         out = np.zeros(batch, dtype=np.int64)
-        np.add.at(out, row, terms * weight)
+        np.add.at(out, row, _column_dots(hist, x))
         return out
 
-    return (row_sums(deg) if r == 1 else _comb_sums(deg, r, n, row_sums)) // share
+    return _star_sums(hist, quotient.blocks, r, n, run_sums) // share
 
 
 # coloring sources: source(vertices, samples) is the color of each vertex in each sample, index
@@ -476,10 +475,10 @@ def _kernel_for(g: Graph, c: int, stat: Statistic, name: str | None = None) -> _
     ``kernels`` holds each kernel that can count ``stat``: its price per
     sample, the counted work times the unit costs, and its build. The gather
     makes m compares (stars: two passes over the 2m + n neighbour and own
-    slots) and moves a row per edge end and ``rng.batches`` block; the GEMM
-    on k twin classes makes c passes of 3n and c products B h_a of k^2; the
-    sort takes ceil(log2 n) steps per key, then a move and four k-long passes
-    per link, a vertex sharing its color with the one before it (n - E[colors
+    slots) and moves a row per edge end and ``rng.batches`` block; the GEMM on
+    k twin classes makes c passes of 3n and c products B h_a of k^2; the sort
+    takes ceil(log2 n) steps per key, then a move and a product B h of k^2 per
+    link, a vertex sharing its color with the one before it (n - E[colors
     present]). Their n draws are left out. The cheapest runs, ties going to
     the GEMM, then the sort. Both quotient kernels hold B in a block, k <=
     isqrt(BATCH_ENTRIES), and the sort its keys c*k in int64. The twin search
@@ -489,11 +488,9 @@ def _kernel_for(g: Graph, c: int, stat: Statistic, name: str | None = None) -> _
     cycle and moves L rows per block; the sieve draws the dense set of the
     cycles' first two vertices, moves each first edge and about cycles / c^j
     reads at column j + 1, j = 1..L-2, and wins only when strictly cheaper.
-    Only the kernel that runs is built. The units were fitted once (nothing
-    is timed at run time) on interleaved per-kernel timings, each the minimum
-    of 7 runs, of 29 cases: the rows of ``test_kernel_chooser_grid``,
-    er:30:0.3:1 ``stars:2`` at c=2, complete:60 ``edges`` at c = 255, 256 and
-    257, and er:300:0.5:1 ``edges`` at c=2.
+    Only the kernel that runs is built. The units were fitted once (nothing is
+    timed at run time) on interleaved per-kernel timings of 29 cases, each the
+    minimum of 7 runs; ``test_kernel_chooser_grid`` pins the picks.
 
     A named kernel is held only to the caps on k, not to the gather's
     price, and a named gather runs no twin search. ValueError if
@@ -527,9 +524,9 @@ def _kernel_for(g: Graph, c: int, stat: Statistic, name: str | None = None) -> _
             "gemm": (lambda k: c * (3 * _PASS * n + k * k), most,
                      lambda q: _Kernel("gemm", functools.partial(_gemm_counts, _classes_of(q), c, r, share),
                                        2 * (n + q.k))),
-            "sorted": (lambda k: _SORT * n * depth + (_MOVE + 4 * _PASS * k) * links, min(most, 2**63 // c),
-                       lambda q: _Kernel("sorted", functools.partial(_sorted_counts, Blowup(
-                           q.labels, q.sizes, q.blocks.astype(np.int64)), c, r, share), n * (15 + 3 * q.k))),
+            "sorted": (lambda k: _SORT * n * depth + (_MOVE + k * k) * links, min(most, 2**63 // c),
+                       lambda q: _Kernel("sorted", functools.partial(_sorted_counts, q, c, r, share),
+                                         n * (15 + 3 * q.k))),
         }
         search = name in quotients if name else min(price(1) for price, _, _ in quotients.values()) <= gather
         quotient = g.twin_quotient(most) if search else None
@@ -577,8 +574,8 @@ class SimulationRun:
 
     def standardized(self, center: float, scale: float) -> np.ndarray:
         """(counts - center) / scale under a caller-chosen normalization."""
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (0 < scale < math.inf and math.isfinite(center)):
+            raise ValueError(f"scale must be positive and finite, and center finite: got {scale!r}, {center!r}")
         return (self.counts.astype(np.float64) - center) / scale
 
     def mean(self) -> float:

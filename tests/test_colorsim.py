@@ -317,6 +317,11 @@ class TestSimulate:
         # the birthday regime on a twin-free host past a block's 1,414 classes: the sort's blocks would
         # hold one sample each, so the gather counts
         ("regular:2000:3:5", 10**9, MonoStars(2), "gather"),
+        # twin-free hosts in the birthday regime, where the sort pays a B h of k^2 per run: the gather measured
+        # 3-8x faster than the sort per 2,000 samples, 38 against 116 ms, 0.29 against 2.2 s, 11 against 35 ms
+        ("er:300:0.5:1", 1770, MonoEdges(), "gather"),
+        ("er:600:0.5:1", 100, MonoEdges(), "gather"),
+        ("path:200", 10**5, MonoStars(2), "gather"),
     ])
     def test_kernel_chooser_grid(self, spec, c, stat, kernel):
         assert _kernel_for(generate(parse_family(spec)), c, stat).name == kernel
@@ -972,10 +977,18 @@ class TestIntegerArguments:
         assert exact_distribution(g, np.int64(3), stat) == exact_distribution(g, 3, stat)
 
 
+def standardized_k4(center: float, scale: float) -> np.ndarray:
+    return simulate(generate(Complete(4)), 2, MonoEdges(), 10, 1).standardized(center, scale)
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: simulate(generate(Complete(4)), 2, MonoEdges(), 10, 1).standardized(0.0, 0.0), "scale must be positive"),
+    (lambda: standardized_k4(0.0, 0.0), "scale must be positive"),
+    # a NaN scale or center returned all NaN, an infinite scale all zeros
+    (lambda: standardized_k4(0.0, math.nan), "scale must be positive"),
+    (lambda: standardized_k4(0.0, math.inf), "scale must be positive"),
+    (lambda: standardized_k4(math.nan, 1.0), "scale must be positive"),
     (lambda: exact_distribution(generate(Complete(4)), 1, MonoEdges()), "at least 2 colors"),
-], ids=["zero-scale", "one-color"])
+], ids=["zero-scale", "nan-scale", "inf-scale", "nan-center", "one-color"])
 def test_input_checks_raise_typed_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
