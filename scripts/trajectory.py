@@ -10,15 +10,18 @@ stdout line and the per-op records of ``.bench_out/<workload>-seed<seed>-
 trace0.json``, and never imports ``colorgraph``. The record holds the commit,
 the environment, the seeds, each end-to-end metric's median and quartiles over
 the seeds, each op's raw median latency over every run of it, and, as readings
-and not gates, the Tier-1 suite's wall time and test counts. ``--against``
-prints each metric's ratio to a reference record and whether its median moved
-by more than the reference's IQR, then each op's raw-median ratio (which
-README command or library op moved); the evidence for a claimed gain stays
-interleaved parent/change pairs.
+and not gates, the Tier-1 suite's wall time and test counts and the lines of
+``src/colorgraph/*.py``, in total and split by ``ast`` into docstring,
+comment, blank and code lines. ``--against`` prints each metric's ratio to a
+reference record and whether its median moved by more than the reference's
+IQR, then each op's raw-median ratio (which README command or library op
+moved), then the line deltas if both records hold them; the evidence for a
+claimed gain stays interleaved parent/change pairs.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import re
@@ -74,6 +77,27 @@ def run_tier1(root: Path) -> dict:
     return {"wall_s": round(wall, 2), "counts": counts, "summary": summary, "exit_code": proc.returncode}
 
 
+def source_lines(root: Path) -> dict:
+    """``src/colorgraph/*.py``'s lines: the total, and each line as docstring, comment, blank or code.
+
+    A docstring line is any line of a module, class or function docstring,
+    blank ones included; a comment line holds only a comment.
+    """
+    split = {"lines": 0, "docstring": 0, "comment": 0, "blank": 0, "code": 0}
+    for path in sorted((root / "src" / "colorgraph").glob("*.py")):
+        text = path.read_text()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        for number, line in enumerate(text.splitlines(), 1):
+            split["lines"] += 1
+            split["docstring" if number in docs else "blank" if not line.strip()
+                  else "comment" if line.lstrip().startswith("#") else "code"] += 1
+    return split
+
+
 def record(root: Path, seeds: list[int]) -> dict:
     metrics: dict[str, list[float]] = {}
     units: dict[str, str] = {}
@@ -105,6 +129,7 @@ def record(root: Path, seeds: list[int]) -> dict:
                     for name, values in sorted(metrics.items())},
         "op_raw_ms": {name: {"median": statistics.median(ms), "runs": len(ms)} for name, ms in sorted(op_ms.items())},
         "tier1": run_tier1(root),
+        "source_lines": source_lines(root),
     }
 
 
@@ -134,6 +159,10 @@ def compare(new: dict, ref: dict, root: Path) -> None:
             print(f"{name:44s} {r:12.6g} {op['median']:12.6g} {op['median'] / r if r else float('nan'):7.3f}")
     print(f"tier1 wall {ref['tier1']['wall_s']} s -> {new['tier1']['wall_s']} s; "
           f"passed {ref['tier1']['counts'].get('passed')} -> {new['tier1']['counts'].get('passed')}")
+    if "source_lines" in new and "source_lines" in ref:  # older records hold no line readings
+        old = ref["source_lines"]
+        print("src/colorgraph/*.py " + "; ".join(f"{kind} {old[kind]} -> {count} ({count - old[kind]:+d})"
+                                                 for kind, count in new["source_lines"].items()))
 
 
 def main() -> int:

@@ -16,8 +16,8 @@ unsigned dtype holding c - 1. That is the layout and dtype
 and only the sort transposes one. Read pointwise, ``source(vertices,
 samples, at=positions)`` is vertex ``vertices[j]`` in sample
 ``samples[positions[j]]``, a position in the block: the generator then
-hashes each block sample's path prefix once (``rng.uniform_ints_at``), not
-once per read.
+hashes each block sample's path prefix once (``rng.uniform_ints`` with
+``at``), not once per read.
 
 ``_kernel_for`` builds the kernel of each call from one table of the
 kernels that can count the statistic, each priced in GEMM multiply-adds by
@@ -372,9 +372,7 @@ def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callabl
 
 def _drawn_colors(seed: int, c: int, vertices: np.ndarray, samples: np.ndarray, at=None) -> np.ndarray:
     """``simulate``'s source: the color of vertex v in sample i is drawn from (seed, i, v)."""
-    if at is not None:  # the block's (seed, STREAM_COLORS, i) prefix is hashed once, not once per read
-        return rng.uniform_ints_at(seed, c, rng.STREAM_COLORS, samples, vertices, at=at)
-    return rng.uniform_ints(seed, c, rng.STREAM_COLORS, samples, vertices)
+    return rng.uniform_ints(seed, c, rng.STREAM_COLORS, samples, vertices, at=at)
 
 
 def _digit_colors(c: int, powers: np.ndarray, dtype: type, vertices: np.ndarray,

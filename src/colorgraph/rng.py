@@ -17,11 +17,11 @@ to fill an ``(s, v)`` matrix, or ``(1, s)`` and ``(v, 1)`` for the
 vertex-major ``(v, s)`` matrix of the same draws. ``words`` mixes in place.
 The finalizer's first step, z ^= z >> 30, distributes over xor (``_fold``),
 so a step that broadcasts two smaller operands folds both before it and
-skips that step on the full size. ``uniform_ints``, ``uniform_ints_at`` and
-``normals`` hash the path up to its last step once and finish their words
-in tiles of about ``TILE_WORDS`` words, through buffers allocated once per
-call, so each pass over a tile stays in cache; no draw depends on the
-layout or the tiling, and each function's docstring gives its steps.
+skips that step on the full size. ``uniform_ints`` and ``normals`` hash the
+path up to its last step once and finish their words in tiles of about
+``TILE_WORDS`` words, through buffers allocated once per call, so each pass
+over a tile stays in cache; no draw depends on the layout or the tiling,
+and each function's docstring gives its steps.
 """
 from __future__ import annotations
 
@@ -185,7 +185,7 @@ def _finish(z: np.ndarray, tmp: np.ndarray, c: int, out: np.ndarray, folded: boo
         np.multiply(np.right_shift(z, _U64(11), out=z).view(np.int64), c * 2.0**-53, out=out, casting="unsafe")
 
 
-def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
+def uniform_ints(seed: int, c: int, *path, at: np.ndarray | None = None) -> np.ndarray:
     """Uniform integers in [0, c), in the narrowest unsigned dtype holding c - 1.
 
     floor(u * c) of the 53-bit uniform u = (w >> 11) * 2^-53 of ``words``;
@@ -193,96 +193,82 @@ def uniform_ints(seed: int, c: int, *path) -> np.ndarray:
     tolerances. For c = 2^k that is the top k bits of w; otherwise it is
     float(w >> 11) * (c * 2^-53), which rounds exactly as u * c does because
     c * 2^-53 is exact. c must be an integer (``operator.index``, else
-    TypeError) in [1, 2^53]: ValueError below, and
-    ``DomainExceededError`` above, where the uniforms miss colors. The path
-    needs at least one step.
+    TypeError) in [1, 2^53]: ValueError below, and ``DomainExceededError``
+    above, where the uniforms miss colors. The path needs at least one step.
 
     The output has the path's broadcast shape and is filled in tiles of
     leading-axis rows that hold about ``TILE_WORDS`` words (one row if a
     row holds more), so every pass over a tile stays in cache. ``words``
     hashes the path up to its last step; the last step and the finalizer
-    run here, in tile buffers allocated once per call. Unless the prefix
-    varies by row, both operands are folded first (see ``_fold``); a tile of
-    at most ``_BROADCAST_ROWS`` rows is then one broadcast xor of them, and
-    for more rows the head is laid out once as a tile. The shift or the
-    scale-multiply writes each tile's colors straight into the output.
-    For c = 2^k with k <= 31 the finalizer's last round, z ^= z >> 31, is
-    skipped: it never changes the top 31 bits. Each draw depends only on its
-    own path, so the tiling changes no value. Pass the vertex index as the
-    leading axis, ``(v, 1)`` against ``(1, s)``, for the vertex-major (v, s)
-    matrix the counting kernels read.
+    run here, in tile buffers allocated once per call, and a last step of
+    the output's full shape is multiplied and folded tile by tile. Unless
+    the prefix varies by row, both operands are folded first (see
+    ``_fold``); a tile of at most ``_BROADCAST_ROWS`` rows is then one
+    broadcast xor of them, and for more rows the head is laid out once as
+    a tile. ``_finish`` writes each tile's colors straight into the output.
+    Each draw depends only on its own path, so the tiling changes no value.
+    Pass the vertex index as the leading axis, ``(v, 1)`` against
+    ``(1, s)``, for the vertex-major (v, s) matrix the counting kernels read.
+
+    With ``at``, the draws are reads at block positions: for ``path =
+    (*prefix, last)``, read j is ``uniform_ints(seed, c, *prefix, last[j])``
+    with each array of ``prefix`` taken at ``at[j]``. The prefix must
+    broadcast to one block's 1-D indices and each position lie in [0, block
+    size), else ValueError; a prefix of scalars has no block. ``last`` and
+    ``at`` broadcast to the reads' shape. The prefix is hashed and folded
+    once, at most one word per block index, and gathered per tile of reads.
     """
     c = _checked_colors(c)
     if not path:
         raise ValueError("need at least one path step")
-    parts = [np.asarray(ix, dtype=np.uint64) for ix in path]
-    shape = np.broadcast_shapes(*(a.shape for a in parts))
-    out = np.empty(shape or (1,), dtype=_narrow_dtype(c - 1))
-    # only parts of full rank with a leading axis longer than 1 vary along it
-    sliced = [a.ndim == len(shape) > 0 and a.shape[0] > 1 for a in parts]
+    prefix = [np.asarray(ix, dtype=np.uint64) for ix in path[:-1]]
+    last = np.asarray(path[-1])
+    last = last.view(np.uint64) if last.dtype == np.int64 else last.astype(np.uint64)  # same bits, no copy for int64
+    if at is None:
+        shape = np.broadcast_shapes(*(a.shape for a in (*prefix, last)))
+        # only parts of full rank with a leading axis longer than 1 vary along it
+        sliced = [a.ndim == len(shape) > 0 and a.shape[0] > 1 for a in (*prefix, last)]
+        head = None if any(sliced[:-1]) else _fold(np.asarray(words(seed, *prefix)))
+    else:  # the reads run as one flat row of tiles, each gathering the block's head at its positions
+        head = _fold(np.asarray(words(seed, *prefix)))
+        at, last = np.broadcast_arrays(np.asarray(at, dtype=np.intp), last)
+        if head.ndim > 1:
+            raise ValueError(f"the prefix must broadcast to one block's 1-D indices, got shape {head.shape}")
+        if head.ndim and at.size and at.view(np.uintp).max() >= head.size:  # negatives view as 2^63 and up
+            raise ValueError(f"positions must lie in [0, {head.size}), the block, got {at.min()}..{at.max()}")
+        shape, at, last, head = at.shape, at.reshape(-1), last.reshape(-1), head.reshape(-1)
+    out = np.empty(shape or (1,) if at is None else at.shape, dtype=_narrow_dtype(c - 1))
+    mult = _POS[len(prefix) % len(_POS)]
+    full = last.shape == out.shape  # multiplied and folded per tile: over the whole array it leaves the cache
+    with np.errstate(over="ignore"):  # uint64 wraparound is intended; numpy warns for 0-d operands
+        if not full:
+            last = last * mult if head is None else _fold(last * mult)
     step = max(1, TILE_WORDS // max(1, math.prod(out.shape[1:])))
     z = np.empty((min(step, out.shape[0]), *out.shape[1:]), dtype=np.uint64)
     tmp = np.empty_like(z)
-    *prefix, last = parts
-    head = None  # a prefix that varies by row is hashed per tile, and each tile runs the whole finalizer
-    with np.errstate(over="ignore"):  # uint64 wraparound is intended; numpy warns for 0-d operands
-        last = last * _POS[(len(parts) - 1) % len(_POS)]
-        if not any(sliced[:-1]):  # else both operands are folded first
-            last, head = _fold(last), _fold(np.asarray(words(seed, *prefix)))
-    tiled = head is not None and step > _BROADCAST_ROWS
+    tiled = at is None and head is not None and step > _BROADCAST_ROWS
     if tiled:  # many short rows: the head laid out once as a contiguous tile
         head = np.broadcast_to(head, z.shape).copy()
     for r in range(0, out.shape[0], step):
         rows = slice(r, r + step)
         tile = out[rows]
-        zt = z[: len(tile)]
-        part = last[rows] if sliced[-1] else last
-        if head is not None and not tiled:  # few long rows: one broadcast xor
-            np.bitwise_xor(part, head, out=zt)
-        else:  # copy, then one contiguous xor: over many short rows a two-way broadcast is slower
-            np.copyto(zt, part)
-            zt ^= head[: len(tile)] if tiled else \
-                words(seed, *(a[rows] if cut else a for a, cut in zip(prefix, sliced)))
-        _finish(zt, tmp[: len(tile)], c, tile, folded=head is not None)
+        zt, tt = z[: len(tile)], tmp[: len(tile)]
+        if full:
+            np.multiply(last[rows], mult, out=zt)
+            if head is not None:
+                zt ^= np.right_shift(zt, _U64(30), out=tt)
+        elif head is not None and not tiled:  # few long rows: one broadcast xor, and the tile is done
+            np.bitwise_xor(last[rows] if sliced[-1] else last, head, out=zt)
+        else:  # copy, then one contiguous xor: over many short rows a broadcast xor is slower
+            np.copyto(zt, last[rows] if sliced[-1] else last)
+        if at is not None:  # positions were checked above; "raise" would buffer the output
+            zt ^= np.take(head, at[rows], out=tt, mode="clip")
+        elif head is None:  # a prefix that varies by row is hashed per tile, and runs the whole finalizer
+            zt ^= words(seed, *(a[rows] if cut else a for a, cut in zip(prefix, sliced)))
+        elif tiled or full:
+            zt ^= head[: len(tile)] if tiled else head
+        _finish(zt, tt, c, tile, folded=head is not None)
     return out.reshape(shape)
-
-
-def uniform_ints_at(seed: int, c: int, *path, at: np.ndarray) -> np.ndarray:
-    """Reads of ``uniform_ints`` at block positions: for ``path = (*prefix, last)``, read j is
-    ``uniform_ints(seed, c, *prefix, last[j])`` with each array of ``prefix`` taken at ``at[j]``.
-
-    The prefix broadcasts to one block's 1-D indices, and ``last`` and ``at``
-    to one shape, the reads'. So ``uniform_ints_at(seed, c, STREAM_COLORS,
-    samples, vertices, at=positions)`` equals ``uniform_ints(seed, c,
-    STREAM_COLORS, samples[positions], vertices)`` bit for bit and in dtype.
-    ``words`` hashes the prefix once per block index, at most the block's
-    words however many reads there are, and folds it; then per tile of
-    ``TILE_WORDS`` reads the folded head is gathered at ``at``, the last step
-    folded into it, and each read finished as ``uniform_ints`` finishes one
-    (see ``_finish``). The path needs at least one step.
-    """
-    c = _checked_colors(c)
-    if not path:
-        raise ValueError("need at least one path step")
-    *prefix, last = path
-    head = _fold(np.asarray(words(seed, *prefix)).reshape(-1))
-    at, last = np.broadcast_arrays(np.asarray(at, dtype=np.intp), np.asarray(last))
-    last = last.reshape(-1)
-    last = last.view(np.uint64) if last.dtype == np.int64 else last.astype(np.uint64)  # same bits, no copy for int64
-    out = np.empty(at.shape, dtype=_narrow_dtype(c - 1))
-    flat, positions = out.reshape(-1), at.reshape(-1)
-    z, tmp = (np.empty(min(flat.size, TILE_WORDS), dtype=np.uint64) for _ in range(2))
-    mult = _POS[(len(path) - 1) % len(_POS)]
-    for r in range(0, flat.size, TILE_WORDS):
-        reads = slice(r, r + TILE_WORDS)
-        tile = flat[reads]
-        zt, tt = z[: tile.size], tmp[: tile.size]
-        np.take(head, positions[reads], out=zt, mode="clip")  # positions lie in the block; "raise" buffers out
-        np.multiply(last[reads], mult, out=tt)
-        zt ^= tt  # zt is folded, so fold(zt ^ tt) = zt ^ tt ^ (tt >> 30)
-        zt ^= np.right_shift(tt, _U64(30), out=tt)
-        _finish(zt, tt, c, tile, folded=True)
-    return out
 
 
 def normals(seed: int, *path) -> np.ndarray:

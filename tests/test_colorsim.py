@@ -442,17 +442,18 @@ class TestSimulate:
 
     def test_sieve_draws_few_colors(self, monkeypatch):
         # at c = 30 the 31 path vertices are drawn densely and about 30 triangle tips per sample pointwise
-        real, drawn = rng.uniform_ints, []
+        real, drawn = rng.uniform_ints, {"dense": 0, "pointwise": 0}
 
-        def counted(*args):
-            out = real(*args)
-            drawn.append(out.size)
+        def counted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            drawn["dense" if kwargs.get("at") is None else "pointwise"] += out.size
             return out
 
         monkeypatch.setattr(rng, "uniform_ints", counted)
         g, samples = generate(PathCycleGadget(30, 30, 3)), 20_000
         assert simulate(g, 30, MonoCycles(3), samples, 5).kernel == "sieve"
-        assert 0 < sum(drawn) < 0.1 * g.n * samples
+        assert drawn["dense"] > 0 and drawn["pointwise"] > 0
+        assert sum(drawn.values()) < 0.1 * g.n * samples
 
     @pytest.mark.parametrize("c", [2, 3, 30, 1770, 2**31, 2**33, 2**40 + 3, 2**53])
     @pytest.mark.parametrize("tile", [None, 7])

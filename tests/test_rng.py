@@ -10,8 +10,10 @@ round, 2^32 the first that runs it, and 2^33 the first drawn as int64.
 must equal ``oracles.normals_reference``. The references are built on
 ``oracles.words_reference``, the splitmix chain in Python ints one element
 at a time, so a wrong fold or tile in ``rng.words`` cannot pass them.
-``rng.uniform_ints_at`` reads draws at block positions, the block's prefix
-hashed once: it must equal ``uniform_ints`` on the gathered path.
+``rng.uniform_ints`` with ``at`` reads draws at block positions, the block's
+prefix hashed once: it must equal the reference on the gathered path, in
+``at``'s shape, and refuse a position outside the block or a prefix that is
+not one 1-D block.
 ``rng.batches`` cuts index ranges into blocks, by a cost per index or one
 cost for all.
 """
@@ -93,7 +95,8 @@ def test_other_path_shapes(tile, monkeypatch):
 
 @pytest.mark.parametrize("tile", [None, TINY_TILE])
 def test_position_reads_match_the_python_chain(tile, monkeypatch):
-    # 1,003 reads: not a multiple of either tile; prefixes of one scalar step, a stream and a block, or two arrays
+    # 1,003 reads: not a multiple of either tile; prefixes of one scalar step, a stream and a block, or two arrays;
+    # then 1,003 reads laid out as (17, 59), which come back in that shape
     if tile is not None:
         monkeypatch.setattr(rng, "TILE_WORDS", tile)
     gen = np.random.default_rng(3)
@@ -102,12 +105,28 @@ def test_position_reads_match_the_python_chain(tile, monkeypatch):
     for c in (2, 3, 1770, 2**32 + 1):
         for prefix in [(rng.STREAM_COLORS, block), (block, block * 3), (5,)]:
             rows = [a[at] if np.ndim(a) else a for a in prefix]
-            drawn = rng.uniform_ints_at(2, c, *prefix, last, at=at)
+            drawn = rng.uniform_ints(2, c, *prefix, last, at=at)
             assert drawn.dtype == narrow(c)
             assert np.array_equal(drawn, uniform_ints_reference(2, c, *rows, last)), (c, prefix)
-    assert rng.uniform_ints_at(2, 30, rng.STREAM_COLORS, block, np.arange(0), at=np.arange(0)).shape == (0,)
+        grid, vertices = at.reshape(17, 59), last.reshape(17, 59)
+        drawn = rng.uniform_ints(2, c, rng.STREAM_COLORS, block, vertices, at=grid)
+        assert drawn.shape == (17, 59) and drawn.dtype == narrow(c)
+        assert np.array_equal(drawn, uniform_ints_reference(2, c, rng.STREAM_COLORS, block[grid], vertices)), c
+    assert rng.uniform_ints(2, 30, rng.STREAM_COLORS, block, np.arange(0), at=np.arange(0)).shape == (0,)
     with pytest.raises(DomainExceededError):
-        rng.uniform_ints_at(2, 2**53 + 1, rng.STREAM_COLORS, block, last, at=at)
+        rng.uniform_ints(2, 2**53 + 1, rng.STREAM_COLORS, block, last, at=at)
+
+
+@pytest.mark.parametrize("prefix,at", [
+    ((rng.STREAM_COLORS, np.arange(40)), [39, 45]),
+    ((rng.STREAM_COLORS, np.arange(40)), [0, -3]),
+    ((rng.STREAM_COLORS, np.arange(40)), [40]),
+    ((rng.STREAM_COLORS, np.arange(40)[:, None]), [0, 1]),
+], ids=["past-the-block", "negative", "block-size", "2-D-prefix"])
+def test_position_reads_refuse_bad_positions(prefix, at):
+    # np.take's clip mode would read position 39 for 45 and position 0 for -3; a 2-D prefix would be flattened
+    with pytest.raises(ValueError):
+        rng.uniform_ints(2, 30, *prefix, [3, 4][: len(at)], at=at)
 
 
 def test_path_needs_a_step():
