@@ -222,8 +222,8 @@ def uniform_ints(seed: int, c: int, *path, at: np.ndarray | None = None) -> np.n
     if not path:
         raise ValueError("need at least one path step")
     prefix = [np.asarray(ix, dtype=np.uint64) for ix in path[:-1]]
-    last = np.asarray(path[-1])
-    last = last.view(np.uint64) if last.dtype == np.int64 else last.astype(np.uint64)  # same bits, no copy for int64
+    last = path[-1]  # an int64 array, such as one read per position, is viewed as uint64: same bits, no copy
+    last = last.view(np.uint64) if isinstance(last, np.ndarray) and last.dtype == np.int64 else np.asarray(last, np.uint64)
     if at is None:
         shape = np.broadcast_shapes(*(a.shape for a in (*prefix, last)))
         # only parts of full rank with a leading axis longer than 1 vary along it
