@@ -25,7 +25,6 @@ most 10 vertices, which covers everything a tuple length of 4 can produce.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import operator
@@ -394,39 +393,17 @@ def all_patterns(k: int) -> tuple[MultiGraphPattern, ...]:
                         key=lambda p: p.canonical_key))
 
 
-@functools.lru_cache(maxsize=None)
-def _supports(k: int) -> tuple[MultiGraphPattern, ...]:
-    """Every simple graph with 1..k edges and no isolated vertex, up to isomorphism."""
-    level = {_classify(((0, 1),))}
-    found = set(level)
-    for _ in range(k - 1):
-        level = {
-            _classify(pairs + (new,))
-            for pairs in (tuple((u, v) for u, v, _ in h.multi_edges) for h in level)
-            for new in itertools.combinations(range(max(max(p) for p in pairs) + 3), 2)
-            if new not in pairs
-        }
-        found |= level
-    return tuple(sorted(found, key=lambda p: p.canonical_key))
+def _tuple_classes(k: int) -> Iterator[tuple[MultiGraphPattern, list[tuple[MultiGraphPattern, int]]]]:
+    """Each support H of ``_SUPPORTS`` with at most k edges: the classes of the k-tuples that cover H, with orderings."""
+    for edges, (_, _, classes) in _SUPPORTS.items():
+        if len(edges) <= k:
+            yield _pattern(edges, (1,) * len(edges)), [(_pattern(edges, mults), orderings)
+                                                        for mults, orderings in classes.items() if sum(mults) == k]
 
 
-@functools.lru_cache(maxsize=None)
-def _tuple_classes(k: int) -> tuple[tuple[MultiGraphPattern, tuple[tuple[MultiGraphPattern, int], ...]], ...]:
-    """Per support H with at most k edges: each class T of the k-tuples that cover H, with its orderings.
-
-    A multiplicity vector (mu_e) on H's edges, summing to k, spans one class
-    and is spanned by k! / prod mu_e! ordered tuples.
-    """
-    out = []
-    for support in _supports(k):
-        pairs = [(u, v) for u, v, _ in support.multi_edges]
-        tally: Counter = Counter()
-        for mults in itertools.product(range(1, k + 1), repeat=len(pairs)):
-            if sum(mults) == k:
-                slots = tuple(p for p, mu in zip(pairs, mults) for _ in range(mu))
-                tally[_classify(slots)] += math.factorial(k) // math.prod(map(math.factorial, mults))
-        out.append((support, tuple(tally.items())))
-    return tuple(out)
+def _pattern(edges: tuple[tuple[int, int], ...], mults: tuple[int, ...]) -> MultiGraphPattern:
+    """The pattern of a support's canonical ``edges`` with multiplicities ``mults``, which keeps their labels."""
+    return MultiGraphPattern(max(v for _, v in edges) + 1, tuple((u, v, mu) for (u, v), mu in zip(edges, mults)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +413,59 @@ def _tuple_classes(k: int) -> tuple[tuple[MultiGraphPattern, tuple[tuple[MultiGr
 _CYCLES = {3: MultiGraphPattern.from_edges([(0, 1), (1, 2), (0, 2)]),
            4: MultiGraphPattern.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])}
 
-# each connected simple F with at most 4 edges, keyed by its sorted degrees: hom(F, g),
-# from d = degrees, s = A d, t = triangles per vertex and w = sum over u != v of codeg(u, v)^2
+# each connected simple F with at most 4 edges, named: hom(F, g), from d = degrees, s = A d,
+# t = triangles per vertex and w = sum over u != v of codeg(u, v)^2
 _SHAPES = {
-    (1, 1): lambda h: _exact_sum(h.d),  # K2: 2m
-    (1, 1, 2): lambda h: _exact_sum(h.d, h.d),  # P3
-    (2, 2, 2): lambda h: 2 * _exact_sum(h.triangles),  # K3: tr A^3
-    (1, 1, 2, 2): lambda h: _exact_sum(h.d, h.s),  # P4: d^T A d
-    (1, 1, 1, 3): lambda h: _exact_sum(h.d, h.d, h.d),  # K1,3
-    (2, 2, 2, 2): lambda h: _exact_sum(h.d, h.d) + h.w,  # C4: tr A^4
-    (1, 1, 2, 2, 2): lambda h: _exact_sum(h.s, h.s),  # P5
-    (1, 1, 1, 1, 4): lambda h: _exact_sum(h.d, h.d, h.d, h.d),  # K1,4
-    (1, 2, 2, 3): lambda h: 2 * _exact_sum(h.triangles, h.d),  # paw
-    (1, 1, 1, 2, 3): lambda h: _exact_sum(h.d, h.d, h.s),  # chair
+    "K2": lambda h: _exact_sum(h.d),  # 2m
+    "P3": lambda h: _exact_sum(h.d, h.d),
+    "K3": lambda h: 2 * _exact_sum(h.triangles),  # tr A^3
+    "P4": lambda h: _exact_sum(h.d, h.s),  # d^T A d
+    "K13": lambda h: _exact_sum(h.d, h.d, h.d),
+    "C4": lambda h: _exact_sum(h.d, h.d) + h.w,  # tr A^4
+    "P5": lambda h: _exact_sum(h.s, h.s),
+    "K14": lambda h: _exact_sum(h.d, h.d, h.d, h.d),
+    "paw": lambda h: 2 * _exact_sum(h.triangles, h.d),  # a triangle with a pendant edge
+    "chair": lambda h: _exact_sum(h.d, h.d, h.s),  # a claw with one leg extended
+}
+
+# The pattern tables, which ``tests/oracles.py`` (``pattern_tables``) derives and the tests compare.
+# Each simple support H with 1..4 edges and no isolated vertex, by its canonical edges: |Aut(H)|; the
+# Moebius terms of inj(H, g), a coefficient per product of ``_SHAPES`` (Lovasz 2012, ch. 5); and the
+# classes of the k-tuples of edges that cover H, k = 1..4, each by the multiplicities of H's edges, with
+# its k! / prod mu! orderings summed over the multiplicity vectors that span it.
+_SUPPORTS = {
+    ((0, 1),): (2, {"K2": 1}, {(1,): 1, (2,): 1, (3,): 1, (4,): 1}),
+    ((0, 1), (0, 2), (1, 2)): (6, {"K3": 1}, {(1, 1, 1): 6, (1, 1, 2): 36}),
+    ((0, 2), (1, 2)): (2, {"K2": -1, "P3": 1}, {(1, 1): 2, (1, 2): 6, (1, 3): 8, (2, 2): 6}),
+    ((0, 1), (0, 2), (1, 3), (2, 3)): (8, {"K2": 1, "P3": -2, "C4": 1}, {(1, 1, 1, 1): 24}),
+    ((0, 1), (2, 3)): (8, {"K2": 2, "P3": -4, "K2 K2": 1}, {(1, 1): 2, (1, 2): 6, (1, 3): 8, (2, 2): 6}),
+    ((0, 2), (1, 3), (2, 3)): (2, {"K2": 1, "P3": -2, "K3": -1, "P4": 1},
+        {(1, 1, 1): 6, (1, 1, 2): 12, (1, 2, 1): 24}),
+    ((0, 3), (1, 2), (1, 3), (2, 3)): (2, {"K3": -2, "paw": 1}, {(1, 1, 1, 1): 24}),
+    ((0, 3), (1, 3), (2, 3)): (6, {"K2": 2, "P3": -3, "K13": 1}, {(1, 1, 1): 6, (1, 1, 2): 36}),
+    ((0, 1), (2, 3), (2, 4), (3, 4)): (12, {"K3": 6, "paw": -6, "K2 K3": 1}, {(1, 1, 1, 1): 24}),
+    ((0, 1), (2, 4), (3, 4)): (4, {"K2": -4, "P3": 10, "K2 K2": -1, "K3": 2, "P4": -4, "K13": -2, "K2 P3": 1},
+        {(1, 1, 1): 6, (1, 1, 2): 24, (2, 1, 1): 12}),
+    ((0, 2), (1, 3), (2, 4), (3, 4)): (2, {"K2": -2, "P3": 5, "K13": -1, "K3": 3, "paw": -2, "P4": -2, "C4": -1,
+        "P5": 1}, {(1, 1, 1, 1): 24}),
+    ((0, 3), (1, 4), (2, 4), (3, 4)): (2, {"K2": -2, "P3": 5, "K3": 4, "P4": -3, "paw": -2, "K13": -1,
+        "chair": 1}, {(1, 1, 1, 1): 24}),
+    ((0, 4), (1, 4), (2, 4), (3, 4)): (24, {"K2": -6, "P3": 11, "K13": -6, "K14": 1}, {(1, 1, 1, 1): 24}),
+    ((0, 1), (2, 3), (4, 5)): (48, {"K2": 16, "P3": -48, "K2 K2": 6, "K3": -8, "P4": 24, "K13": 16, "K2 P3": -12,
+        "K2 K2 K2": 1}, {(1, 1, 1): 6, (1, 1, 2): 36}),
+    ((0, 1), (2, 4), (3, 5), (4, 5)): (4, {"K2": 8, "P3": -24, "K2 K2": 1, "K3": -14, "P4": 14, "K13": 8,
+        "K2 P3": -2, "paw": 12, "K2 K3": -1, "C4": 2, "P5": -4, "chair": -4, "K2 P4": 1}, {(1, 1, 1, 1): 24}),
+    ((0, 1), (2, 5), (3, 5), (4, 5)): (12, {"K2": 12, "P3": -34, "K2 K2": 2, "K3": -12, "P4": 18, "K13": 12,
+        "K2 P3": -3, "paw": 6, "chair": -6, "K14": -2, "K13 K2": 1}, {(1, 1, 1, 1): 24}),
+    ((0, 2), (1, 2), (3, 5), (4, 5)): (8, {"K2": 10, "P3": -29, "K13": 10, "K3": -12, "P4": 16, "K2 K2": 1,
+        "K2 P3": -2, "paw": 8, "chair": -4, "K14": -1, "C4": 2, "P5": -4, "P3 P3": 1}, {(1, 1, 1, 1): 24}),
+    ((0, 1), (2, 3), (4, 6), (5, 6)): (16, {"K2": -48, "P3": 160, "K2 K2": -10, "K3": 64, "P4": -104, "K13": -72,
+        "K2 P3": 26, "K2 K2 K2": -1, "paw": -56, "K2 K3": 4, "C4": -8, "P5": 24, "chair": 40, "K2 P4": -8,
+        "K14": 8, "K13 K2": -4, "P3 P3": -4, "K2 K2 P3": 1}, {(1, 1, 1, 1): 24}),
+    ((0, 1), (2, 3), (4, 5), (6, 7)): (384, {"K2": 288, "P3": -1056, "K2 K2": 76, "K3": -384, "P4": 768,
+        "K13": 576, "K2 P3": -240, "K2 K2 K2": 12, "paw": 384, "K2 K3": -32, "C4": 48, "P5": -192, "chair": -384,
+        "K2 P4": 96, "K14": -96, "K13 K2": 64, "P3 P3": 48, "K2 K2 P3": -24, "K2 K2 K2 K2": 1},
+        {(1, 1, 1, 1): 24}),
 }
 
 # a k x k quotient costs about k^3 / this much as the wedge route's oriented wedges
@@ -466,8 +483,8 @@ class PatternCounts:
     4 edges, the homomorphism count of a disjoint union is the product over
     its components, and injective counts follow by Moebius inversion over
     the pattern's vertex partitions (Lovasz 2012, ch. 5). Copies are
-    injective counts over automorphisms. Pattern-side tables are cached per
-    pattern; nothing about the host is.
+    injective counts over automorphisms. The pattern side is the committed
+    ``_SUPPORTS`` table; nothing about the host is kept.
 
     Codegrees and triangles come from wedges oriented by degree rank
     (Chiba-Nishizeki 1985) or, when its k^3 is cheaper, from the k x k
@@ -478,24 +495,34 @@ class PatternCounts:
 
     def __init__(self, g: Graph):
         self.d, self.s, self.triangles, self.w = _host_invariants(g)
-        self._homs: dict[tuple, int] = {}
+        self._homs: dict[str, int] = {}
 
-    def hom(self, shape: tuple[int, ...]) -> int:
-        """hom(F, g) for the connected shape F with sorted degrees ``shape``."""
+    def hom(self, shape: str) -> int:
+        """hom(F, g) for the connected shape F named ``shape`` in ``_SHAPES``."""
         if shape not in self._homs:
             self._homs[shape] = _SHAPES[shape](self)
         return self._homs[shape]
 
     def injective(self, h: MultiGraphPattern) -> int:
         """Injective homomorphisms of the support of ``h`` into the host."""
-        return sum(coef * math.prod(map(self.hom, shapes)) for coef, shapes in _inversion(h))
+        return sum(coef * math.prod(map(self.hom, shapes.split())) for shapes, coef in _support_row(h)[1].items())
 
     def copies(self, h: MultiGraphPattern) -> int:
         """Edge subsets of the host isomorphic to the support of ``h``."""
-        inj, aut = self.injective(h), _automorphisms(h)
+        inj, aut = self.injective(h), _support_row(h)[0]
         if inj % aut:
             raise RuntimeError(f"{inj} injective maps do not split into copies of a pattern with {aut} automorphisms")
         return inj // aut
+
+
+def _support_row(h: MultiGraphPattern) -> tuple:
+    """The ``_SUPPORTS`` row of the support of ``h``; KeyError for a support with more than 4 edges."""
+    edges = tuple((u, v) for u, v, _ in h.multi_edges)
+    if edges not in _SUPPORTS:  # a multigraph's support may need relabelling to its canonical form
+        edges = tuple((u, v) for u, v, _ in _classify(edges).multi_edges)
+    if edges not in _SUPPORTS:
+        raise KeyError(f"no pattern table for {h.key_string()}: PatternCounts counts supports of at most 4 edges")
+    return _SUPPORTS[edges]
 
 
 def _exact_sum(*factors: np.ndarray) -> int:
@@ -504,61 +531,6 @@ def _exact_sum(*factors: np.ndarray) -> int:
     if bound >= 2**63:
         factors = tuple(f.astype(object) for f in factors)
     return int(functools.reduce(operator.mul, factors).sum())
-
-
-@functools.lru_cache(maxsize=None)
-def _inversion(h: MultiGraphPattern) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """inj(H, g) = sum of coef * prod over shapes of hom(shape, g).
-
-    Moebius inversion of hom(H, g) = sum over partitions P of inj(H/P, g):
-    each partition of V(H) into independent blocks adds
-    prod over blocks of (-1)^(|B|-1) (|B|-1)! times the hom count of the
-    simple quotient H/P, whose components are named by their sorted degrees.
-    A block holding an edge would need a loop and adds nothing.
-    """
-    nv = h.vertex_count
-    edges = [(u, v) for u, v, _ in h.multi_edges]
-    nbrs = [0] * nv
-    for u, v in edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
-    by_quotient: Counter = Counter()  # coefficient per quotient edge list
-    blocks: list[int] = []
-    block_of = [0] * nv
-
-    def place(x: int, coef: int) -> None:
-        if x == nv:
-            by_quotient[frozenset((min(p), max(p)) for p in ((block_of[u], block_of[v]) for u, v in edges))] += coef
-            return
-        for i, b in enumerate(blocks):
-            if not nbrs[x] & b:  # joining a block of size s multiplies its factor by -s
-                blocks[i], block_of[x] = b | 1 << x, i
-                place(x + 1, -coef * b.bit_count())
-                blocks[i] = b
-        blocks.append(1 << x)
-        block_of[x] = len(blocks) - 1
-        place(x + 1, coef)
-        blocks.pop()
-
-    place(0, 1)
-    terms: Counter = Counter()
-    for pairs, coef in by_quotient.items():
-        terms[_shapes(pairs)] += coef
-    return tuple((coef, shapes) for shapes, coef in terms.items() if coef)
-
-
-@functools.lru_cache(maxsize=None)
-def _shapes(pairs: frozenset[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """The sorted degrees of each component of the simple graph ``pairs`` on 0..k-1, sorted."""
-    degree = Counter(x for pair in pairs for x in pair)
-    return tuple(sorted(tuple(sorted(degree[x] for x in comp)) for comp in components(len(degree), pairs)))
-
-
-@functools.lru_cache(maxsize=None)
-def _automorphisms(h: MultiGraphPattern) -> int:
-    """|Aut(H)| of the support of ``h``, as its injective maps onto itself."""
-    support = h.simple_support()
-    return injective_homomorphisms(support, support)
 
 
 def _host_invariants(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

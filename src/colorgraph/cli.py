@@ -9,10 +9,12 @@ command parsed, the library version, and the wall time.
 Exit codes: 0 ok, 1 failed comparison, 2 usage error or a path that cannot
 be read or written, 3 enumeration or size gate exceeded, 4 numerical failure.
 
-Each command imports the modules it runs when it runs. ``--version`` and
-``birthday`` start without numpy, ``dataclasses`` or ``fractions``, and
-``limit --growing-ratio`` and ``compare`` on a discrete law (Poisson or a
-Poisson mixture, by TV) without numpy.
+Each command loads only the modules it runs: the package's modules and
+numpy are ``errors.lazy`` handles. ``--version`` and ``birthday`` start
+without numpy, ``dataclasses`` or ``fractions``, and ``limit
+--growing-ratio``, ``limit`` on a complete or complete bipartite family and
+``compare`` on a discrete law (Poisson or a Poisson mixture, by TV) without
+numpy.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import click
 
@@ -35,11 +36,12 @@ from .errors import (
     DomainExceededError,
     GateExceededError,
     GenerationTimeoutError,
+    lazy,
 )
 
-if TYPE_CHECKING:
-    from . import colorsim
-    from .graph import FamilySpec, Graph
+np, census, colorsim = lazy("numpy"), lazy("colorgraph.census"), lazy("colorgraph.colorsim")
+extremal, graph, limits = lazy("colorgraph.extremal"), lazy("colorgraph.graph"), lazy("colorgraph.limits")
+moments, spectral, stats = lazy("colorgraph.moments"), lazy("colorgraph.spectral"), lazy("colorgraph.stats")
 
 EXIT_USAGE = 2
 EXIT_GATE = 3
@@ -53,25 +55,23 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _load_graph(source: str, keep_family: bool = False) -> Graph | FamilySpec:
+def _load_graph(source: str, keep_family: bool = False) -> graph.Graph | graph.FamilySpec:
     """The graph in the edge-list file ``source``, else the family spec's graph.
 
     With ``keep_family`` a family spec is returned without generating it. A
     subcritical Galton-Watson spec gets a warning on stderr either way.
     """
-    from .graph import GaltonWatson, generate, parse_edge_list_text, parse_family
-
     path = Path(source)
     if path.exists():
-        return parse_edge_list_text(path.read_text())
-    spec = parse_family(source)
-    if isinstance(spec, GaltonWatson) and (mean := sum(k * p for k, p in enumerate(spec.offspring))) <= 1.0:
+        return graph.parse_edge_list_text(path.read_text())
+    spec = graph.parse_family(source)
+    if isinstance(spec, graph.GaltonWatson) and (mean := sum(k * p for k, p in enumerate(spec.offspring))) <= 1.0:
         click.echo(
             f"warning: offspring mean {mean:.4g} <= 1; "
             "the tree stays small with high probability",
             err=True,
         )
-    return spec if keep_family else generate(spec)
+    return spec if keep_family else graph.generate(spec)
 
 
 def _jsonable(obj):
@@ -166,20 +166,16 @@ def _command(name: str):
 @click.option("--seed", default=None, type=int, help="Seed for --kernel-csv mode.")
 def generate_cmd(family, kernel_csv, seed):
     """Generate a graph and emit its edge list."""
-    from .graph import Inhomogeneous, generate, to_edge_list_text
-
     if (family is None) == (kernel_csv is None):
         raise click.UsageError("pass exactly one of --family or --kernel-csv")
     if kernel_csv is not None:
         if seed is None:
             raise click.UsageError("--kernel-csv requires --seed")
-        import numpy as np
-
         grid = np.loadtxt(Path(kernel_csv).read_text().splitlines(), delimiter=",", ndmin=2)
-        g = generate(Inhomogeneous(grid.shape[0], tuple(map(tuple, grid.tolist())), seed))
+        g = graph.generate(graph.Inhomogeneous(grid.shape[0], tuple(map(tuple, grid.tolist())), seed))
     else:
         g = _load_graph(family)
-    return to_edge_list_text(g)
+    return graph.to_edge_list_text(g)
 
 
 # -- census --------------------------------------------------------------------
@@ -192,8 +188,6 @@ def generate_cmd(family, kernel_csv, seed):
 @click.option("--cycles/--no-cycles", default=False, help="Include cycle counts for g = 3..8.")
 def census_cmd(graph_source, k, cycles):
     """Classify ordered edge tuples by multigraph class; optionally count cycles."""
-    from . import census
-
     g = _load_graph(graph_source)
     table = census.count_multigraph_tuples(g, k)
     patterns = {
@@ -213,8 +207,6 @@ def census_cmd(graph_source, k, cycles):
 @graph_option
 def extremal_cmd(graph_source):
     """Fractional stable number, deficiency, and structure flags."""
-    from . import extremal
-
     g = _load_graph(graph_source)
     sol = extremal.gamma(g)
     report = extremal.structural_check(sol, g)
@@ -236,8 +228,6 @@ def extremal_cmd(graph_source):
 @graph_option
 def spectrum_cmd(graph_source):
     """Adjacency eigenvalues as CSV, descending, plus the spectral ratio."""
-    from . import spectral
-
     g = _load_graph(graph_source)
     spec = spectral.eigenvalues(g)
     lines = ["index,eigenvalue"]
@@ -253,11 +243,8 @@ _STAT_HELP = "edges | stars:r | cycles:g"
 
 
 def _parse_stat(text: str) -> colorsim.Statistic:
-    from . import colorsim
-    from .graph import read_spec
-
     statistics = {"edges": colorsim.MonoEdges, "stars": colorsim.MonoStars, "cycles": colorsim.MonoCycles}
-    return read_spec(text, statistics, "statistic", _STAT_HELP)
+    return graph.read_spec(text, statistics, "statistic", _STAT_HELP)
 
 
 stat_option = click.option("--stat", default="edges", show_default=True,
@@ -274,8 +261,6 @@ stat_option = click.option("--stat", default="edges", show_default=True,
               help="Process parallelism bound. Never affects results.")
 def simulate_cmd(graph_source, colors, stat, samples, seed, workers):
     """Monte Carlo of a monochromatic statistic; CSV of value,count."""
-    from . import colorsim
-
     g = _load_graph(graph_source)
     run = colorsim.simulate(g, colors, _parse_stat(stat), samples, seed, workers=workers)
     lines = ["value,count"]
@@ -289,8 +274,6 @@ def simulate_cmd(graph_source, colors, stat, samples, seed, workers):
 @stat_option
 def exact_cmd(graph_source, colors, stat):
     """Exact law by full enumeration; CSV of value,probability (p/q)."""
-    from . import colorsim
-
     g = _load_graph(graph_source)
     pmf = colorsim.exact_distribution(g, colors, _parse_stat(stat))
     lines = ["value,probability"]
@@ -313,8 +296,6 @@ _MOMENT_KINDS = ("rawn", "rawm", "centralz", "centralw")
               help="Also emit the exact fourth-moment decomposition.")
 def moments_cmd(graph_source, colors, kind, order, fourth_report):
     """Exact conditional moments as p/q strings."""
-    from . import moments
-
     g = _load_graph(graph_source)
     req = moments.MomentRequest(moments.MomentKind(kind), order, colors)
     val = moments.conditional_moment(g, req)
@@ -337,8 +318,6 @@ def moments_cmd(graph_source, colors, kind, order, fourth_report):
 @click.option("--seed", default=None, type=int, help="Seed for --sample.")
 def limit_cmd(graph_source, colors, growing_ratio, sample, seed):
     """Select the limit law for a host and regime; print it or sample it."""
-    from . import limits
-
     if (colors is None) == (growing_ratio is None):
         raise click.UsageError("pass exactly one of --colors (fixed) or --growing-ratio")
     if growing_ratio is not None and graph_source is not None:
@@ -375,8 +354,6 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale):
     """Compare an empirical distribution against a law; exit 1 on failure."""
     from fractions import Fraction
 
-    from . import limits, stats
-
     for name, value in (("--tol", tol), ("--center", center), ("--scale", scale)):
         if not math.isfinite(value):
             raise click.UsageError(f"{name} must be a finite number, got {value}")
@@ -411,8 +388,6 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale):
         beyond = max(0.0, 1.0 - sum(ref.values()))
         value = stats.tv_distance(emp, ref) + 0.5 * beyond
     else:
-        import numpy as np
-
         standardized = (np.asarray(values) - center) / scale
         value = stats.ks_statistic(standardized, lambda x: limits.law_cdf(law, x), weights=weights)
     passed = value < tol

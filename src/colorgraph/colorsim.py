@@ -367,7 +367,8 @@ def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callabl
 
 # coloring sources: source(vertices, samples) is the color of each vertex in each sample, index
 # arrays broadcast like the path of ``rng.uniform_ints``; every kernel reads its colors through one.
-# source(vertices, samples, at=positions) reads pointwise: vertex vertices[j] in sample samples[positions[j]]
+# source(vertices, samples, at=positions) reads pointwise: vertex vertices[j] in sample samples[positions[j]],
+# and each source raises ValueError for a position outside the block, as ``rng.uniform_ints`` does
 
 
 def _drawn_colors(seed: int, c: int, vertices: np.ndarray, samples: np.ndarray, at=None) -> np.ndarray:
@@ -378,13 +379,13 @@ def _drawn_colors(seed: int, c: int, vertices: np.ndarray, samples: np.ndarray, 
 def _digit_colors(c: int, powers: np.ndarray, dtype: type, vertices: np.ndarray,
                   samples: np.ndarray, at=None) -> np.ndarray:
     """``exact_distribution``'s source: digit v of coloring index i in base c, ``powers[v]`` its place value."""
-    samples = samples if at is None else samples[at]
+    samples = samples if at is None else samples[rng._block_positions(at, samples.size)]
     return (samples // powers[vertices] % c).astype(dtype)
 
 
 def _matrix_colors(colors: np.ndarray, vertices: np.ndarray, samples: np.ndarray, at=None) -> np.ndarray:
     """A given (n, samples) color matrix as a source: sample i is its column i."""
-    return colors[vertices, samples if at is None else samples[at]]
+    return colors[vertices, samples if at is None else samples[rng._block_positions(at, samples.size)]]
 
 
 class _Kernel(NamedTuple):

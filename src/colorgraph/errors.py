@@ -1,13 +1,28 @@
-"""Exception hierarchy, the family grammar that its messages quote, and ``Params``.
+"""Exception hierarchy, the family grammar that its messages quote, ``Params`` and ``lazy``.
 
 Gate violations (an input exceeding an enumeration or size limit) and
 numerical failures are distinct classes so the CLI can map them to distinct
 exit codes. ``Params`` is the base of every parameter dataclass: family
 specs, statistics, laws. This module imports only the standard library, so
 the CLI reads it at start-up and the laws load no graph.
+
+``lazy(name)`` is how a module that needs numpy or another part of the
+package only in some of its functions binds it: once, at module level, as
+``np = lazy("numpy")``. The handle is the module itself when it is already
+loaded; otherwise it is registered in ``sys.modules`` by the standard
+library's ``importlib.util.LazyLoader``, and the module runs on the first
+attribute read, so a command whose path never reads ``np.`` or ``rng.``
+never loads numpy. A later ``import`` returns the same module. The handle
+is loaded by its first read, not by the ``lazy`` call, so a module must not
+read it at load time: no ``dtype=np.float64`` default, no class attribute
+from it. Before Python 3.12 that first read is not thread-safe; a program
+that calls the package from several threads at once imports numpy first.
 """
+import importlib.util
 import numbers
+import sys
 from collections import namedtuple
+from types import ModuleType
 from typing import Callable
 
 #: The family spec grammar that ``graph.parse_family`` quotes in its errors
@@ -109,6 +124,17 @@ class DomainExceededError(ColorGraphError):
 
 class AmbiguousRegimeError(ColorGraphError):
     """The diagnostics do not clearly select one limit regime."""
+
+
+def lazy(name: str) -> ModuleType:
+    """The module ``name``: from ``sys.modules`` when it is there, else a handle that loads it on its first read."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 # -- parameter dataclasses ------------------------------------------------------

@@ -21,9 +21,6 @@ import numbers
 from dataclasses import dataclass, fields
 from typing import Collection, Iterable, Iterator, Union
 
-import numpy as np
-
-from . import rng
 from .errors import (
     FAMILY_GRAMMAR,
     FIELD_KINDS,
@@ -35,7 +32,10 @@ from .errors import (
     SelfLoopError,
     SizeGateExceededError,
     UnsupportedLengthError,
+    lazy,
 )
+
+np, rng = lazy("numpy"), lazy("colorgraph.rng")  # a family spec is parsed, and read by ``limit_for``, without them
 
 __all__ = [
     "Graph",
@@ -123,7 +123,7 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(np.diff(self.offsets).tolist())
 
-    def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
+    def adjacency_matrix(self, dtype="float64") -> np.ndarray:
         """Dense 0/1 adjacency matrix in ``dtype``; built per call, never cached."""
         a = np.zeros((self.n, self.n), dtype=dtype)
         u, v = self.edge_arrays()
@@ -299,7 +299,7 @@ def basic_stats(g: Graph) -> BasicStats:
 # -- cycle walk -----------------------------------------------------------------
 
 CYCLE_LENGTHS = range(3, 9)  # the cycle lengths counted and listed: 3..8
-_MAX_CYCLE_ENTRIES = 64 * rng.BATCH_ENTRIES  # 1 GiB of int64; cycle_list's peak is its blocks plus one hstack
+_MAX_CYCLE_ENTRIES = 128_000_000  # 64 rng.BATCH_ENTRIES, 1 GiB of int64; cycle_list peaks at its blocks + one hstack
 _MAX_CYCLE_PAIRS = 10**8  # path pairs one cycle walk compares: complete:16 has 8.0e7 over lengths 3..8
 
 

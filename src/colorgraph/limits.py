@@ -20,10 +20,10 @@ mixing, so every discrete law takes one pmf, cdf and sampling path.
 Sampling is counter-based: element i of a sample path is a pure function of
 (seed, i).
 
-The module loads without numpy or ``rng``: the law types, the discrete pmfs,
-the Normal and atom cdfs, the JSON codec and ``limit_for``'s growing branch
-are plain Python, and each function that computes with arrays imports numpy
-(and ``rng`` where it draws) when it runs.
+The law types, the discrete pmfs, the Normal and atom cdfs, the JSON codec
+and ``limit_for``'s growing branch and closed-form families are plain
+Python. numpy, ``rng`` and the host modules are ``errors.lazy`` handles, so
+these run without loading them.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import Iterator, Union
 
 from .errors import (
     AmbiguousRegimeError,
@@ -39,12 +39,12 @@ from .errors import (
     DomainExceededError,
     Params,
     WrongLawKindError,
+    lazy,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .graph import Complete, CompleteBipartite, FamilySpec, Graph
+np, rng = lazy("numpy"), lazy("colorgraph.rng")  # read where a law draws or sums arrays
+# only a fixed-c law reads its host, and only a built host's law counts its cycles and takes its spectrum
+graph, census, spectral = lazy("colorgraph.graph"), lazy("colorgraph.census"), lazy("colorgraph.spectral")
 
 __all__ = [
     "Poisson",
@@ -113,8 +113,6 @@ class DiscreteLaw(LimitLaw):
         return 0.0 if x < 0 else min(1.0, sum(law_pmf_terms(self, int(x))))  # the rounded sum can pass 1
 
     def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
-        from . import rng
-
         return rng.poissons(seed, self.mixing.means(seed, idx), rng.STREAM_LAW, idx, 0)
 
 
@@ -179,8 +177,6 @@ class PoissonMixing(Params):
         return j
 
     def means(self, seed: int, idx: np.ndarray) -> np.ndarray:
-        from . import rng
-
         return rng.poissons(seed, self.mean, rng.STREAM_LAW, idx, 1).astype(float)
 
 
@@ -190,18 +186,12 @@ class EmpiricalMixing(Params):
     ranges = {"samples": (lambda s: s and all(0 <= x < math.inf for x in s), "nonempty, finite, >= 0")}
 
     def mixed_pmf(self, k: int) -> float:
-        import numpy as np
-
         return float(np.mean([_poisson_pmf(z, k) for z in self.samples]))
 
     def largest_mean(self) -> float:
         return max(self.samples)
 
     def means(self, seed: int, idx: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        from . import rng
-
         arr = np.asarray(self.samples, dtype=np.float64)
         return arr[rng.uniform_ints(seed, arr.size, rng.STREAM_LAW, idx, 2)]
 
@@ -228,8 +218,6 @@ class Normal(Params, LimitLaw):
         return _phi((x - self.mean) / math.sqrt(self.variance))
 
     def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
-        from . import rng
-
         return self.mean + math.sqrt(self.variance) * rng.normals(seed, rng.STREAM_LAW, idx, 0)
 
 
@@ -241,8 +229,6 @@ def _sum_first_axis(a: np.ndarray) -> np.ndarray:
     over contiguous rows; from 8 terms up it sums pairwise, and
     ``ndarray.sum`` runs on a copy with the axis last.
     """
-    import numpy as np
-
     if a.shape[0] >= 8:
         return np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(axis=-1)
     total = a[0] + 0.0
@@ -291,8 +277,6 @@ class WeightedChiSquare(Params, LimitLaw):
         Within ``_CDF_ACCURACY``: exact 0 or 1 beyond a finite support endpoint, otherwise
         Imhof's inversion integral summed by :class:`_Inversion`.
         """
-        import numpy as np
-
         kept, _ = self.effective_weights()
         lam = self.scale * np.asarray(kept, dtype=np.float64)
         endpoint = -self.dof * float(lam.sum())
@@ -306,10 +290,6 @@ class WeightedChiSquare(Params, LimitLaw):
         return min(1.0, max(0.0, value))
 
     def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        from . import rng
-
         w = np.asarray(self.effective_weights()[0], dtype=np.float64)
         cols = np.arange(w.size, dtype=np.int64)[None, :, None]
         comp = np.arange(self.dof, dtype=np.int64)[:, None, None]
@@ -336,8 +316,6 @@ class AtomPlusNormal(Params, LimitLaw):
         return atom + (1.0 - self.atom_mass) * _phi(x / math.sqrt(self.variance))
 
     def draw(self, seed: int, idx: np.ndarray) -> np.ndarray:
-        from . import rng
-
         out = math.sqrt(self.variance) * rng.normals(seed, rng.STREAM_LAW, idx, 0)
         out[rng.uniforms(seed, rng.STREAM_LAW, idx, 3) < self.atom_mass] = 0.0
         return out
@@ -436,10 +414,6 @@ def sample_law(law: LimitLaw, count: int, seed: int) -> np.ndarray:
         raise ValueError(f"need at least one sample, got {count}")
     if not isinstance(law, LimitLaw):
         raise WrongLawKindError(f"unknown law {law!r}")
-    import numpy as np
-
-    from . import rng
-
     return np.concatenate([law.draw(seed, idx) for idx in rng.batches(0, count, law.row_cost)]).astype(np.float64)
 
 
@@ -504,8 +478,6 @@ class _Inversion:
 
     def _truncation(self, u: float, tausq: float) -> float:
         """Bound on (1/pi) int_u^inf |phi(t)| e^{-(sigsq + tausq) t^2 / 2} / t dt."""
-        import numpy as np
-
         sum2 = (self.sigsq + tausq) * u * u
         x = (2.0 * u * self.lam) ** 2
         big = x > 1.0
@@ -568,8 +540,6 @@ class _Inversion:
         With ``tausq`` the integrand is multiplied by 1 - exp(-tausq u^2 / 2).
         Returns (sum, sum of the terms' round-off scales).
         """
-        import numpy as np
-
         total = roundoff = 0.0
         block = max(1, _CDF_BLOCK // self.lam.size)
         for start in range(0, nterm + 1, block):
@@ -657,8 +627,6 @@ def weighted_chisq_mgf(weights, dof: int, t: float) -> float:
     2 |t| max|w| < 1. The exponential factors cancel whenever the weights
     sum to zero, as they do for graph spectra.
     """
-    import numpy as np
-
     w = np.asarray(weights, dtype=np.float64)
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
@@ -671,12 +639,10 @@ def weighted_chisq_mgf(weights, dof: int, t: float) -> float:
 
 
 def _weighted_chisq_log_mgf(w: np.ndarray, dof: int, t: float) -> float:
-    import numpy as np
-
     return -0.5 * dof * float(np.sum(np.log1p(-2.0 * t * w))) - dof * t * float(np.sum(w))
 
 
-def delta_conditional_mgf(g: Graph, c: int, t: float) -> float:
+def delta_conditional_mgf(g: graph.Graph, c: int, t: float) -> float:
     """MGF of the Gaussian quadratic surrogate of (N - m/c)/sqrt(2m).
 
     Equals prod_j (1 - lambda~_j t / c)^{(1-c)/2} over the normalized
@@ -686,10 +652,6 @@ def delta_conditional_mgf(g: Graph, c: int, t: float) -> float:
         raise ValueError(f"need at least 2 colors, got {c}")
     if g.m < 1:
         raise ValueError("needs at least one edge")
-    import numpy as np
-
-    from . import spectral  # imported here: the laws and their sampling never need it
-
     lam = spectral.eigenvalues(g).normalized
     lmax = float(np.max(np.abs(lam)))
     if abs(t) >= c / (2.0 * lmax):
@@ -729,10 +691,6 @@ def gadget_char_function(a: int, b: int, c: int, g: int, t: float) -> complex:
 
 def _centered_gaussian_scores(seed: int, idx, vertices: int, c: int) -> np.ndarray:
     """S[v, a] = X[v, a] - mean_a X[v, .] with X iid N(0, 1/c); shape (batch, vertices, c)."""
-    import numpy as np
-
-    from . import rng
-
     if c < 2:
         raise ValueError(f"need at least 2 colors, got {c}")
     v = np.arange(vertices, dtype=np.int64)[None, :, None]
@@ -741,7 +699,7 @@ def _centered_gaussian_scores(seed: int, idx, vertices: int, c: int) -> np.ndarr
     return x - x.mean(axis=2, keepdims=True)
 
 
-def gaussian_surrogate_delta(g: Graph, c: int, count: int, seed: int) -> np.ndarray:
+def gaussian_surrogate_delta(g: graph.Graph, c: int, count: int, seed: int) -> np.ndarray:
     """Draws of Q(G)/sqrt(2m), the Gaussian surrogate of the standardized count.
 
     Q(G) = sum_{(i,j) in E} sum_a S_{ia} S_{ja} with the centered Gaussian
@@ -750,10 +708,6 @@ def gaussian_surrogate_delta(g: Graph, c: int, count: int, seed: int) -> np.ndar
     """
     if g.m < 1:
         raise ValueError("needs at least one edge")
-    import numpy as np
-
-    from . import rng
-
     u, v = g.edge_arrays()
     parts = []
     for idx in rng.batches(0, count, (g.n + g.m) * c):
@@ -765,10 +719,6 @@ def gaussian_surrogate_delta(g: Graph, c: int, count: int, seed: int) -> np.ndar
 
 def gaussian_surrogate_product(pattern, c: int, count: int, seed: int) -> np.ndarray:
     """Draws of T(H) = prod over multi-edges of sum_a S_{ia} S_{ja}; draw i depends only on (seed, i)."""
-    import numpy as np
-
-    from . import rng
-
     parts = []
     for idx in rng.batches(0, count, pattern.vertex_count * c):
         s = _centered_gaussian_scores(seed, idx, pattern.vertex_count, c)
@@ -803,7 +753,7 @@ class Growing(Params):
 Regime = Union[Fixed, Growing]
 
 
-def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitLaw:
+def limit_for(graph_or_spec: Union[graph.Graph, graph.FamilySpec], regime: Regime) -> LimitLaw:
     """Select the limit law for a host and color regime.
 
     Growing regimes depend only on the limiting ratio m/c: a finite ratio
@@ -824,22 +774,18 @@ def limit_for(graph_or_spec: Union[Graph, FamilySpec], regime: Regime) -> LimitL
         return Poisson(ratio)
     if not isinstance(regime, Fixed):
         raise TypeError(f"unknown regime {regime!r}")
-    from .graph import Complete, CompleteBipartite, Graph, generate  # only a fixed-c law reads its host
-
     c, g = regime.colors, graph_or_spec
-    if isinstance(g, Complete):  # the two complete families have closed-form laws
+    if isinstance(g, graph.Complete):  # the two complete families have closed-form laws
         weights, has_edge = (1.0,), g.n >= 2
-    elif isinstance(g, CompleteBipartite):
+    elif isinstance(g, graph.CompleteBipartite):
         weights, has_edge = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)), min(g.a, g.b) >= 1
-    elif isinstance(g, Graph):
+    elif isinstance(g, graph.Graph):
         weights, has_edge = None, g.m >= 1
     else:
-        return limit_for(generate(g), regime)
+        return limit_for(graph.generate(g), regime)
     if not has_edge:
         raise ValueError("fixed-color regime needs at least one edge")
     if weights is None:  # a built host: its four-cycle ratio decides
-        from . import census, spectral  # imported here: only a built host's fixed-c law needs them
-
         acf4 = census.count_cycles(g, 4) / g.m**2
         if acf4 < ACF4_NORMAL_THRESHOLD:
             return Normal(0.0, 1.0 - 1.0 / c)

@@ -185,6 +185,14 @@ def _finish(z: np.ndarray, tmp: np.ndarray, c: int, out: np.ndarray, folded: boo
         np.multiply(np.right_shift(z, _U64(11), out=z).view(np.int64), c * 2.0**-53, out=out, casting="unsafe")
 
 
+def _block_positions(at, size: int) -> np.ndarray:
+    """``at`` as intp positions; ValueError unless each lies in [0, size), the block a read is taken in."""
+    at = np.asarray(at, dtype=np.intp)
+    if at.size and at.view(np.uintp).max() >= size:  # negatives view as 2^63 and up
+        raise ValueError(f"positions must lie in [0, {size}), the block, got {at.min()}..{at.max()}")
+    return at
+
+
 def uniform_ints(seed: int, c: int, *path, at: np.ndarray | None = None) -> np.ndarray:
     """Uniform integers in [0, c), in the narrowest unsigned dtype holding c - 1.
 
@@ -234,8 +242,8 @@ def uniform_ints(seed: int, c: int, *path, at: np.ndarray | None = None) -> np.n
         at, last = np.broadcast_arrays(np.asarray(at, dtype=np.intp), last)
         if head.ndim > 1:
             raise ValueError(f"the prefix must broadcast to one block's 1-D indices, got shape {head.shape}")
-        if head.ndim and at.size and at.view(np.uintp).max() >= head.size:  # negatives view as 2^63 and up
-            raise ValueError(f"positions must lie in [0, {head.size}), the block, got {at.min()}..{at.max()}")
+        if head.ndim:
+            _block_positions(at, head.size)
         shape, at, last, head = at.shape, at.reshape(-1), last.reshape(-1), head.reshape(-1)
     out = np.empty(shape or (1,) if at is None else at.shape, dtype=_narrow_dtype(c - 1))
     mult = _POS[len(prefix) % len(_POS)]

@@ -1,16 +1,17 @@
 """Statistical distances and empirical summaries used by the test suites.
 
-The module loads without numpy: ``tv_distance`` and ``empirical_pmf`` are
-plain Python, and the array functions import numpy when they run.
+``tv_distance`` and ``empirical_pmf`` are plain Python, and numpy is an
+``errors.lazy`` handle, so a TV comparison runs without loading it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Mapping
 
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import lazy
+
+np, limits = lazy("numpy"), lazy("colorgraph.limits")
 
 __all__ = [
     "tv_distance",
@@ -40,8 +41,6 @@ _BAD_WEIGHTS = "weights must be nonnegative, one per sample, with a positive sum
 
 def _checked_weights(arr: np.ndarray, weights) -> np.ndarray:
     """``weights`` as float64, all 1 by default; ValueError unless nonnegative, one per sample, sum > 0."""
-    import numpy as np
-
     w = np.ones_like(arr) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != arr.shape or np.any(w < 0) or not w.sum() > 0:
         raise ValueError(_BAD_WEIGHTS)
@@ -70,8 +69,6 @@ def ks_statistic(samples, cdf: Callable[[float], float], weights=None) -> float:
     ``weights`` (nonnegative, default all 1) gives each sample its share of
     the empirical mass. ``cdf`` is called once per distinct sample value.
     """
-    import numpy as np
-
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("need at least one sample")
@@ -90,8 +87,6 @@ def ks_statistic(samples, cdf: Callable[[float], float], weights=None) -> float:
 
 def ecdf(reference) -> Callable[[float], float]:
     """Right-continuous empirical cdf of a reference sample, as a callable."""
-    import numpy as np
-
     ref = np.sort(np.asarray(reference, dtype=np.float64))
     n = ref.size
 
@@ -103,8 +98,6 @@ def ecdf(reference) -> Callable[[float], float]:
 
 def _sorted_sample(samples) -> np.ndarray:
     """``samples`` as sorted float64; ValueError if empty or if one is NaN (NaN sorts last)."""
-    import numpy as np
-
     x = np.sort(np.asarray(samples, dtype=np.float64))
     if x.size == 0:
         raise ValueError("need at least one sample on each side")
@@ -124,8 +117,6 @@ def two_sample_ks(a, b) -> float:
     after rounding too. The counts are exact integers, so the distance does
     not depend on which side is which.
     """
-    import numpy as np
-
     long, short = sorted((_sorted_sample(a), _sorted_sample(b)), key=len, reverse=True)
     through = np.flatnonzero(np.append(short[1:] != short[:-1], True)) + 1  # #{short <= y} at each distinct y
     y = short[through - 1]
@@ -153,10 +144,6 @@ def empirical_moments(samples, k_max: int) -> EmpiricalMoments:
     """
     if not 1 <= k_max <= 8:
         raise ValueError(f"k_max must be in [1, 8], got {k_max}")
-    import numpy as np
-
-    from .limits import _sum_first_axis
-
     x = np.asarray(samples, dtype=np.float64)
     n = x.size
     if n < 2:
@@ -189,7 +176,7 @@ def empirical_moments(samples, k_max: int) -> EmpiricalMoments:
     terms = binom.T[:, 1:, None] * shifted_from_0[:, None, :]
     for j, lag in enumerate(lags.T[:, 1:]):
         terms[j] *= neg_mean_powers[lag]
-    central = np.ascontiguousarray(_sum_first_axis(terms).T)
+    central = np.ascontiguousarray(limits._sum_first_axis(terms).T)
     shift_up = (binom * shift**lags)[1:]  # raw_k = shift^k + sum_{j >= 1} C(k, j) shift^{k-j} shifted_j
     linear = shifted @ shift_up[:, 1:].T  # the sum alone: the jackknife spreads it without cancelling shift^k
 

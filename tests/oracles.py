@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from colorgraph import rng
 from colorgraph.census import MultiGraphPattern, _refine_classes
 from colorgraph.errors import DuplicateEdgeError, OutOfRangeError, SelfLoopError
-from colorgraph.graph import Blowup, Graph
+from colorgraph.graph import Blowup, Graph, components
 
 
 def edge_pairs(g: Graph) -> list[tuple[int, int]]:
@@ -364,6 +364,75 @@ def enumerate_multigraph_tuples(g: Graph, k: int) -> dict[MultiGraphPattern, int
     return dict(out)
 
 
+# the connected shapes of ``census._SHAPES``, by their sorted degrees
+SHAPE_NAMES = {(1, 1): "K2", (1, 1, 2): "P3", (2, 2, 2): "K3", (1, 1, 2, 2): "P4", (1, 1, 1, 3): "K13",
+               (2, 2, 2, 2): "C4", (1, 1, 2, 2, 2): "P5", (1, 1, 1, 1, 4): "K14", (1, 2, 2, 3): "paw",
+               (1, 1, 1, 2, 3): "chair"}
+
+
+def set_partitions(items: list) -> list[list[list]]:
+    """Every partition of ``items`` into nonempty blocks."""
+    if not items:
+        return [[]]
+    first, out = items[0], []
+    for rest in set_partitions(items[1:]):
+        out += [rest[:i] + [[first, *block]] + rest[i + 1:] for i, block in enumerate(rest)] + [[[first], *rest]]
+    return out
+
+
+def moebius_terms(edges: tuple[tuple[int, int], ...]) -> dict[str, int]:
+    """inj(H, g) = sum of coef * prod over shapes of hom(shape, g), as {"shape shape ...": coef}.
+
+    Moebius inversion of hom(H, g) = sum over the partitions P of V(H) into
+    independent blocks of inj(H/P, g): P adds prod over its blocks of
+    (-1)^(|B|-1) (|B|-1)! times the hom count of the simple quotient H/P,
+    the product over its components, each named by its sorted degrees.
+    """
+    terms: Counter = Counter()
+    for blocks in set_partitions(sorted({x for e in edges for x in e})):
+        block_of = {x: i for i, block in enumerate(blocks) for x in block}
+        if any(block_of[u] == block_of[v] for u, v in edges):
+            continue
+        quotient = {tuple(sorted((block_of[u], block_of[v]))) for u, v in edges}
+        degree = Counter(x for e in quotient for x in e)
+        shapes = sorted(SHAPE_NAMES[tuple(sorted(degree[x] for x in comp))]
+                        for comp in components(len(blocks), quotient))
+        terms[" ".join(shapes)] += math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in blocks)
+    return {shapes: coef for shapes, coef in terms.items() if coef}
+
+
+def pattern_tables(max_edges: int = 4) -> dict:
+    """``census._SUPPORTS`` from first principles, for supports and tuples of at most ``max_edges`` edges.
+
+    The supports are grown edge by edge from K2 and canonicalized by
+    ``MultiGraphPattern``. Per support H: |Aut(H)| by permutation search, the
+    Moebius terms of inj(H, g), and the classes of the k-tuples that cover H:
+    a multiplicity vector (mu_e) on H's edges summing to k spans one class, as
+    k! / prod mu_e! ordered tuples. Each class keeps H's labels, so it is
+    keyed by its multiplicities in the order of H's edges.
+    """
+    level = {MultiGraphPattern.from_edges([(0, 1)])}
+    supports = set(level)
+    for _ in range(max_edges - 1):
+        level = {MultiGraphPattern.from_edges([*pairs, new])
+                 for pairs in ([(u, v) for u, v, _ in h.multi_edges] for h in level)
+                 for new in itertools.combinations(range(max(map(max, pairs)) + 3), 2) if new not in pairs}
+        supports |= level
+    tables = {}
+    for h in sorted(supports, key=lambda p: p.canonical_key):
+        edges = tuple((u, v) for u, v, _ in h.multi_edges)
+        classes: Counter = Counter()
+        for k in range(len(edges), max_edges + 1):
+            for mults in itertools.product(range(1, k + 1), repeat=len(edges)):
+                if sum(mults) == k:
+                    cls = MultiGraphPattern.from_edges([e for e, mu in zip(edges, mults) for _ in range(mu)])
+                    assert tuple((u, v) for u, v, _ in cls.multi_edges) == edges, (h, mults)
+                    classes[tuple(mu for *_, mu in cls.multi_edges)] += (
+                        math.factorial(k) // math.prod(map(math.factorial, mults)))
+        tables[edges] = (brute_automorphisms(Graph(h.vertex_count, edges)), moebius_terms(edges), dict(classes))
+    return tables
+
+
 def dense_eigenvalues(g: Graph) -> np.ndarray:
     """The adjacency spectrum, descending, by ``eigvalsh`` of the dense n x n matrix."""
     return np.sort(np.linalg.eigvalsh(g.adjacency_matrix(np.float64)))[::-1]
@@ -419,6 +488,13 @@ def brute_max_matching(n_right: int, adj) -> int:
                 if not used >> v & 1 and best.get(used | 1 << v, -1) < size + 1:
                     best[used | 1 << v] = size + 1
     return max(best.values())
+
+
+def brute_homomorphisms(h: Graph, g: Graph) -> int:
+    """hom(h, g): every map V(h) -> V(g) that sends each edge of h to an edge of g, by full enumeration."""
+    e = set(edge_pairs(g))
+    return sum(all((min(f[u], f[v]), max(f[u], f[v])) in e for u, v in edge_pairs(h))
+               for f in itertools.product(range(g.n), repeat=h.n))
 
 
 def brute_automorphisms(g: Graph) -> int:

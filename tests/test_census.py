@@ -11,15 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    SHAPE_NAMES,
     blow_up,
     blow_up_specs,
     brute_automorphisms,
     brute_count_cycles,
     brute_count_subgraph,
     brute_cycles,
+    brute_homomorphisms,
     dfs_cycles,
     enumerate_multigraph_tuples,
     graphs_isomorphic,
+    pattern_tables,
     permutation_canonical_rep,
     trace_cycle_counts,
 )
@@ -635,15 +638,46 @@ class TestPatternCounts:
                 assert count_cycles(g, 4) == math.comb(dim, 2) * 2 ** (dim - 2)
 
     def test_automorphisms_of_every_support(self):
-        for h in census._supports(4):
-            assert census._automorphisms(h) == brute_automorphisms(h.simple_support())
+        for edges, (aut, _, _) in census._SUPPORTS.items():
+            assert aut == brute_automorphisms(Graph(max(map(max, edges)) + 1, edges))
 
     def test_supports_are_every_simple_graph_with_few_edges(self):
         # the simple classes among all_patterns(k) are the simple graphs with exactly k edges
+        supports = [support for support, _ in census._tuple_classes(4)]
         for k in (1, 2, 3, 4):
-            simple = {p for p in census._supports(k) if p.edge_count == k}
+            simple = {p for p in supports if p.edge_count == k}
             assert simple == {p for p in all_patterns(k) if p.simple_edge_count == k}
-        assert [sum(p.edge_count == e for p in census._supports(4)) for e in (1, 2, 3, 4)] == [1, 2, 5, 11]
+        assert [sum(p.edge_count == e for p in supports) for e in (1, 2, 3, 4)] == [1, 2, 5, 11]
+
+    def test_committed_tables_are_the_generated_ones(self):
+        generated = pattern_tables()
+        assert census._SUPPORTS == generated
+        assert list(census._SUPPORTS) == list(generated)  # in canonical order, as the census lists them
+
+    def test_shape_names_are_their_degrees(self):
+        # each connected support is the shape its degrees name, and the closed form counts its homomorphisms
+        host = generate(ErdosRenyi(7, 0.6, 2))
+        counts, named = PatternCounts(host), set()
+        for edges in census._SUPPORTS:
+            shape = Graph(max(map(max, edges)) + 1, edges)
+            if shape.component_count() == 1:
+                name = SHAPE_NAMES[tuple(sorted(shape.degrees))]
+                assert counts.hom(name) == brute_homomorphisms(shape, host), name
+                named.add(name)
+        assert named == set(census._SHAPES)
+
+    def test_pattern_past_the_tables_raises_key_error(self):
+        counts = PatternCounts(generate(Complete(6)))
+        with pytest.raises(KeyError, match="at most 4 edges"):
+            counts.copies(MultiGraphPattern.from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
+
+    def test_multigraph_counts_its_support(self):
+        # the path with an end edge tripled is labelled ((0, 1), (1, 3), (2, 3)): its support is relabelled
+        counts = PatternCounts(generate(Complete(6)))
+        path = MultiGraphPattern.from_edges([(0, 1), (1, 2), (2, 3)])
+        tripled = MultiGraphPattern.from_edges([(0, 1), (0, 1), (0, 1), (1, 2), (2, 3)])
+        assert tuple((u, v) for u, v, _ in tripled.multi_edges) not in census._SUPPORTS
+        assert counts.copies(tripled) == counts.copies(path) == 6 * 5 * 4 * 3 // 2
 
     def test_all_patterns_match_the_enumeration_on_k2k(self):
         for k in (1, 2, 3):

@@ -651,14 +651,19 @@ def child_output(code: str) -> str:
 
 
 def modules_after_cli(*args: str) -> set[str]:
-    """The modules loaded once ``python -m colorgraph.cli ARGS`` has run (and exited 0)."""
-    code = ("import runpy, sys\n"
+    """The modules loaded once ``python -m colorgraph.cli ARGS`` has run (and exited 0).
+
+    A lazy handle (``errors.lazy``) that was never read is registered in ``sys.modules`` but has not
+    run, so it is not loaded; ``type`` reads it without loading it.
+    """
+    code = ("import importlib.util, runpy, sys\n"
             f"sys.argv = ['colorgraph', *{list(args)!r}]\n"
             "try:\n"
             "    runpy.run_module('colorgraph.cli', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc:\n"
             "    assert not exc.code, exc.code\n"
-            "print(*sorted(sys.modules))\n")
+            "print(*sorted(name for name, module in list(sys.modules.items())\n"
+            "              if type(module) is not importlib.util._LazyModule))\n")
     return set(child_output(code).split())
 
 
@@ -695,7 +700,10 @@ def test_law_commands_load_no_census_or_spectrum(args, loads_numpy, tmp_path, mo
 
 
 # a discrete law's pmf arithmetic runs without numpy, and so without rng, which needs it
-_NO_ARRAYS = {"numpy", "colorgraph.rng", "colorgraph.graph", "colorgraph.census", "colorgraph.spectral"}
+_NO_ARRAYS = {"numpy", "numpy._core", "colorgraph.rng", "colorgraph.graph", "colorgraph.census",
+              "colorgraph.spectral"}
+# a complete or complete bipartite family's law is closed-form: the spec is parsed, and no graph is built
+_CLOSED_FORM = {"numpy", "numpy._core", "colorgraph.rng", "colorgraph.census", "colorgraph.spectral"}
 
 
 @pytest.mark.parametrize("args,unloaded", [
@@ -705,7 +713,10 @@ _NO_ARRAYS = {"numpy", "colorgraph.rng", "colorgraph.graph", "colorgraph.census"
     (("limit", "--growing-ratio", "1.0"), _NO_ARRAYS),
     (("compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "tv", "--tol", "1.5"), _NO_ARRAYS),
     (("compare", "--empirical", "e.csv", "--law", "mixture.json", "--metric", "tv", "--tol", "1.5"), _NO_ARRAYS),
-], ids=["simulate", "exact", "limit-growing", "compare-tv", "compare-tv-mixture"])
+    (("limit", "--graph", "complete:40", "--colors", "2", "--out", "law40.json"), _CLOSED_FORM),
+    (("limit", "--graph", "bipartite:3:3", "--colors", "3"), _CLOSED_FORM),
+], ids=["simulate", "exact", "limit-growing", "compare-tv", "compare-tv-mixture", "limit-complete",
+        "limit-bipartite"])
 def test_commands_load_only_the_modules_they_run(args, unloaded, tmp_path, monkeypatch):
     # simulate and exact list no cycles; the laws subclass errors.Params, so a law needs no graph
     monkeypatch.chdir(tmp_path)
@@ -713,6 +724,17 @@ def test_commands_load_only_the_modules_they_run(args, unloaded, tmp_path, monke
     loaded = modules_after_cli(*args)
     assert {"colorgraph.colorsim", "colorgraph.limits"} & loaded
     assert not unloaded & loaded
+
+
+def test_lazy_handle_loads_its_module_on_first_read():
+    code = ("import importlib.util, sys\n"
+            "from colorgraph.errors import lazy\n"
+            "np = lazy('numpy')\n"
+            "print(type(np) is importlib.util._LazyModule, 'numpy._core' in sys.modules, end=' ')\n"
+            "np.zeros(1)\n"
+            "import numpy\n"
+            "print(numpy is np, lazy('numpy') is np, 'numpy._core' in sys.modules)\n")
+    assert child_output(code) == "True False True True True"
 
 
 def test_import_colorgraph_loads_no_submodule():

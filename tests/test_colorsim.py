@@ -470,6 +470,18 @@ class TestSimulate:
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("at", [[-1, 3], [0, 4]], ids=["negative", "past-the-block"])
+    def test_every_source_refuses_positions_outside_the_block(self, at):
+        # a negative position would wrap to the block's end and read another sample's colors
+        colors = np.arange(8).reshape(2, 4)
+        with pytest.raises(ValueError, match="positions must lie in"):
+            _matrix_colors(colors, [0, 1], np.arange(4), at=at)
+        with pytest.raises(ValueError, match="positions must lie in"):
+            _digit_colors(3, np.array([3, 1]), np.uint8, [0, 1], np.arange(4), at=at)
+        with pytest.raises(ValueError, match="positions must lie in"):
+            _drawn_colors(11, 3, [0, 1], np.arange(4), at=at)
+        assert _matrix_colors(colors, [0, 1], np.arange(4), at=[3, 0]).tolist() == [3, 4]
+
     @pytest.mark.parametrize("spec,order,c", [("complete:5", 4, 3), ("cycle:6", 6, 3), ("complete:6", 5, 2)],
                              ids=["dense-and-pointwise", "pointwise", "three-later-columns"])
     def test_named_sieve_reads_digits_and_matrices_by_position(self, spec, order, c, monkeypatch):

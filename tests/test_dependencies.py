@@ -9,14 +9,28 @@ SOURCES = sorted((Path(__file__).parent.parent / "src" / "colorgraph").glob("*.p
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "click", "colorgraph"}
 
 
+def lazy_handle(node: ast.AST) -> str | None:
+    """The module that a ``lazy("name")`` call binds (``errors.lazy``), or None for any other node.
+
+    A call whose argument is not one string literal names no module the guards can check, so it
+    returns a name that no rule allows.
+    """
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lazy"):
+        return None
+    literal = len(node.args) == 1 and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+    return node.args[0].value if literal else "<lazy call without a literal name>"
+
+
 def imported_packages(tree: ast.AST) -> set[str]:
-    """Top-level package of every import statement in ``tree``; relative imports count as colorgraph."""
+    """Top-level package of every import statement and lazy handle in ``tree``; relative imports count as colorgraph."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             names.add("colorgraph" if node.level else node.module.split(".")[0])
+        elif (name := lazy_handle(node)) is not None:
+            names.add(name.split(".")[0])
     return names
 
 
@@ -40,22 +54,35 @@ def test_guard_catches_scipy():
     assert imported_packages(ast.parse("import scipy.stats\nfrom scipy import linalg\n")) == {"scipy"}
 
 
-# what each module imports when it loads, beyond the standard library; the rest is imported where it runs
+def test_guard_catches_a_lazy_scipy():
+    source = "from .errors import lazy\nsparse = lazy('scipy.sparse')\ndef run():\n    return errors.lazy('pandas')\n"
+    assert imported_packages(ast.parse(source)) == {"colorgraph", "scipy", "pandas"}
+    assert imported_packages(ast.parse("np = lazy(NAME)\n")) - ALLOWED
+
+
+# what each module imports when it loads, beyond the standard library; a lazy handle, "name (lazy)", is
+# bound when the module loads and loads its module on its first read; the rest is imported where it runs
 LOAD_TIME = {
     "__init__.py": set(),
     "census.py": {"numpy", "colorgraph.errors", "colorgraph.graph", "colorgraph.rng"},
-    # each command imports the rest when it runs
-    "cli.py": {"click", "colorgraph.__version__", "colorgraph.errors"},
+    # each command loads the rest when it runs
+    "cli.py": {"click", "colorgraph.__version__", "colorgraph.errors", "numpy (lazy)", "colorgraph.census (lazy)",
+               "colorgraph.colorsim (lazy)", "colorgraph.extremal (lazy)", "colorgraph.graph (lazy)",
+               "colorgraph.limits (lazy)", "colorgraph.moments (lazy)", "colorgraph.spectral (lazy)",
+               "colorgraph.stats (lazy)"},
     "colorsim.py": {"numpy", "colorgraph.errors", "colorgraph.graph", "colorgraph.rng"},
     "errors.py": set(),  # the home of Params, so the laws load no graph
     "extremal.py": {"numpy", "colorgraph.census", "colorgraph.errors", "colorgraph.graph", "colorgraph.spectral"},
-    "graph.py": {"numpy", "colorgraph.errors", "colorgraph.rng"},
+    # numpy and rng where a graph is built or walked, so a family spec is parsed without them
+    "graph.py": {"colorgraph.errors", "numpy (lazy)", "colorgraph.rng (lazy)"},
     # numpy and rng where a law draws or sums arrays; graph, census, spectral only for a fixed-c host
-    "limits.py": {"colorgraph.errors"},
+    "limits.py": {"colorgraph.errors", "numpy (lazy)", "colorgraph.rng (lazy)", "colorgraph.graph (lazy)",
+                  "colorgraph.census (lazy)", "colorgraph.spectral (lazy)"},
     "moments.py": {"colorgraph.census", "colorgraph.errors", "colorgraph.graph"},
     "rng.py": {"numpy", "colorgraph.errors"},
     "spectral.py": {"numpy", "colorgraph.errors", "colorgraph.graph"},
-    "stats.py": set(),  # numpy where a statistic sums arrays, so a TV comparison runs without it
+    # numpy where a statistic sums arrays, so a TV comparison runs without it
+    "stats.py": {"colorgraph.errors", "numpy (lazy)", "colorgraph.limits (lazy)"},
 }
 CLI_START_UP = {"colorgraph", *LOAD_TIME["cli.py"]}
 
@@ -63,8 +90,9 @@ CLI_START_UP = {"colorgraph", *LOAD_TIME["cli.py"]}
 def load_time_imports(tree: ast.AST) -> set[str]:
     """Each name that ``tree`` imports when the module loads, as ``package.module`` or ``package.name``.
 
-    Function bodies and ``if TYPE_CHECKING:`` blocks do not run at load time
-    and are skipped; relative imports are named from ``colorgraph``.
+    A lazy handle bound at load time is named ``"module (lazy)"``. Function
+    bodies and ``if TYPE_CHECKING:`` blocks do not run at load time and are
+    skipped; relative imports are named from ``colorgraph``.
     """
     names, todo = set(), [tree]
     while todo:
@@ -79,6 +107,8 @@ def load_time_imports(tree: ast.AST) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             module = ".".join(filter(None, ("colorgraph" if node.level else None, node.module)))
             names.update(f"{module}.{alias.name}" if module == "colorgraph" else module for alias in node.names)
+        elif (name := lazy_handle(node)) is not None:
+            names.add(f"{name} (lazy)")
         todo.extend(ast.iter_child_nodes(node))
     return names
 
@@ -103,11 +133,13 @@ def test_cli_guard_catches_eager_imports():
         "from .errors import ColorGraphError\n"
         "from .graph import Graph\n"
         "from colorgraph import limits\n"
+        "spectral = lazy('colorgraph.spectral')\n"
         "if TYPE_CHECKING:\n"
         "    from .limits import Law\n"
         "def run():\n"
         "    from . import stats\n"
+        "    moments = lazy('colorgraph.moments')\n"
     )
     assert load_time_imports(ast.parse(source)) == {
         "numpy", "colorgraph.__version__", "colorgraph.census", "colorgraph.errors", "colorgraph.graph",
-        "colorgraph.limits"}
+        "colorgraph.limits", "colorgraph.spectral (lazy)"}
