@@ -1,22 +1,9 @@
 """colorgraph: monochromatic-subgraph statistics of uniform random colorings.
 
-Submodules:
-
-* ``graph``    - graph type, family generators, edge-list interchange
-* ``census``   - exact cycle/subgraph/edge-tuple censuses and pattern classes
-* ``extremal`` - fractional stable number, deficiency, structure reports
-* ``spectral`` - adjacency spectra and spectral cycle bounds
-* ``colorsim`` - reproducible coloring simulation and the enumeration oracle
-* ``moments``  - exact rational conditional moments
-* ``limits``   - limit laws: construction, evaluation, sampling
-* ``stats``    - distances and empirical moment summaries
-* ``rng``      - the counter-based random streams
-* ``errors``   - the exception hierarchy
-* ``cli``      - the ``colorgraph`` command-line interface
-
-Submodules load on first access: ``import colorgraph`` loads none of them,
-and ``colorgraph.census`` or ``from colorgraph import census`` imports
-``census`` (and what it imports) then.
+README's library tour lists the submodules, and each submodule's docstring
+states its design. Submodules load on first access: ``import colorgraph``
+loads none of them, and ``colorgraph.census`` or ``from colorgraph import
+census`` imports ``census`` (and what it imports) then.
 """
 import importlib
 

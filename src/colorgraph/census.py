@@ -1,26 +1,36 @@
-"""Exact censuses of small patterns inside a host graph.
+"""Exact censuses of small patterns in a host: cycles, subgraph copies, ordered edge-tuple classes.
 
-Covers unlabeled cycle counts from ``graph``'s cycle walk (its
-``cycle_list`` and ``CYCLE_LENGTHS`` are re-exported here), copy counts
-of small simple patterns by one embedding search, the classification of
-all ordered edge k-tuples by the isomorphism class of the multigraph they
-span, and cycle homomorphism densities from the adjacency spectrum.
+``cycle_counts`` counts unlabeled cycles by ``graph``'s cycle walk (its
+``cycle_list`` and ``CYCLE_LENGTHS`` are re-exported here).
+``count_subgraph`` counts copies of a pattern as inj(h, g) / inj(h, h) by
+one embedding search, ``injective_homomorphisms``, whose cost grows with
+the copies, not with the edge subsets. ``count_multigraph_tuples``
+classifies the m^k ordered edge k-tuples (k <= 4) by the multigraph they
+span, with no enumeration and no gate.
 
 :class:`PatternCounts` counts every simple pattern with at most 4 edges in
-closed form, in time polynomial in the host and with no enumeration of
-edge sets: a few host invariants give the homomorphism counts of the ten
-connected shapes, and Moebius inversion over the pattern's vertex
-partitions turns them into injective counts (Alon-Yuster-Zwick 1997;
-Lovasz 2012, ch. 5). It serves the tuple census for k <= 4,
-``count_cycles`` at lengths 3 and 4 (so ``limits.limit_for``'s four-cycle
-count), and the length-3 and length-4 cross-check of the cycle walk.
+closed form (Alon-Yuster-Zwick 1997; Lovasz 2012, ch. 5). Four host
+invariants, the degrees d, s = A d, the triangles at each vertex and
+w = sum over u != v of codeg(u, v)^2, give hom(F, g) for the ten connected
+shapes F of ``_SHAPES``; a disjoint union's count is the product over its
+components, Moebius inversion over the pattern's vertex partitions gives
+injective counts, and those over automorphisms give copies. The pattern
+side is the committed ``_SUPPORTS`` table, which ``tests/oracles.py``
+derives. Triangles and codegrees come from one A^2 on hosts of at most
+``_SMALL_HOST`` vertices, else from the k x k matrices of
+``Graph.twin_quotient`` when their k^3 costs less than the wedges, else
+from wedges oriented by degree rank (Chiba-Nishizeki 1985); quotient rows
+and wedge tops go in ``rng.batches`` blocks, and every sum is an exact
+Python int. PatternCounts serves the tuple census, ``count_cycles`` at
+lengths 3 and 4 (so ``limits.limit_for``'s four-cycle count, with no walk)
+and the walk's cross-check at those lengths.
 
-Pattern isomorphism is decided by explicit canonical forms, computed
-afresh per call with no cache: the labels are renamed once, then each
-component's vertices are partitioned by iterated degree refinement and its
-edge representation is minimized over the partition-respecting relabelings
-by individualization and refinement. This is exact for components with at
-most 10 vertices, which covers everything a tuple length of 4 can produce.
+Pattern isomorphism is decided by canonical forms computed per call, with
+no cache: the labels are renamed once, each component's vertices are
+partitioned by iterated degree refinement, and its edge representation is
+minimized over the relabelings that keep the partition by
+individualization and refinement. This is exact for components of at most
+10 vertices, which covers everything a tuple length of 4 can produce.
 """
 from __future__ import annotations
 
@@ -35,8 +45,10 @@ from typing import Collection, Iterable, Iterator, Union
 import numpy as np
 
 from . import rng
-from .errors import PatternTooLargeError, PreconditionViolatedError
+from .errors import PatternTooLargeError, PreconditionViolatedError, lazy
 from .graph import CYCLE_LENGTHS, Blowup, Graph, _cycle_blocks, components, cycle_list
+
+spectral = lazy("colorgraph.spectral")  # only ``hom_density_cycle`` reads a spectrum
 
 __all__ = [
     "MultiGraphPattern",
@@ -56,20 +68,15 @@ __all__ = [
 _MAX_PATTERN_VERTICES = 10
 
 
-# ---------------------------------------------------------------------------
-# multigraph patterns
-# ---------------------------------------------------------------------------
+# -- multigraph patterns -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MultiGraphPattern:
-    """Small multigraph up to isomorphism.
+    """Small multigraph up to isomorphism, with no self-loop or isolated vertex.
 
-    ``multi_edges`` is the canonical representation: a sorted tuple of
-    ``(u, v, multiplicity)`` with ``u < v`` under the canonical vertex
-    labeling 0..vertex_count-1. Two patterns are isomorphic exactly when
-    their canonical representations (and hence the objects) are equal.
-    No self-loops; no isolated vertices.
+    ``multi_edges`` is the canonical form, a sorted tuple of ``(u, v,
+    multiplicity)`` with ``u < v``: two patterns are isomorphic exactly when they are equal.
     """
 
     vertex_count: int
@@ -184,13 +191,11 @@ def _refine_classes(nv: int, mult: dict[tuple[int, int], int]) -> list[list[int]
 def _canonical_rep(nv: int, mult: dict[tuple[int, int], int]) -> tuple[tuple[int, int, int], ...]:
     """Minimal edge representation of one connected block over the relabelings that keep its classes in order.
 
-    Individualization and refinement, label by label: each vertex x of the
-    class at label j in turn takes label j, and every later class splits
-    into the vertices x joins, by multiplicity, ahead of the rest. The split
-    puts the sorted representation's entries (j, v, k) at their least, and
-    only relabelings inside the split classes keep them there, so the least
-    leaf is the least relabeling. Of two interchangeable vertices (their
-    transposition is an automorphism) only one is tried.
+    Label by label, each vertex x of the class at label j in turn takes
+    label j, and every later class splits into the vertices x joins, by
+    multiplicity, ahead of the rest. That puts the entries (j, v, k) at
+    their least, so the least leaf is the least relabeling. Of two
+    interchangeable vertices (their transposition is an automorphism) only one is tried.
     """
     if nv > _MAX_PATTERN_VERTICES:
         raise PatternTooLargeError(
@@ -227,13 +232,7 @@ def _canonical_rep(nv: int, mult: dict[tuple[int, int], int]) -> tuple[tuple[int
 
 
 def _classify(pairs: tuple[tuple[int, int], ...]) -> MultiGraphPattern:
-    """Canonical pattern for endpoint pairs (repetition = multiplicity).
-
-    The labels are renamed 0..nv-1 in sorted order, once. Each component is
-    then minimized on its own (:func:`_canonical_rep`), the components are
-    ordered by size and representation, and each is shifted past those
-    before it, so isomorphic multigraphs always give the identical pattern.
-    """
+    """Canonical pattern for endpoint pairs (repetition = multiplicity): components minimized alone, then ordered."""
     label = {x: i for i, x in enumerate(sorted({x for pair in pairs for x in pair}))}
     mult = Counter()
     for u, v in pairs:
@@ -252,17 +251,13 @@ def _classify(pairs: tuple[tuple[int, int], ...]) -> MultiGraphPattern:
     return MultiGraphPattern(offset, tuple(sorted(edges)))
 
 
-# ---------------------------------------------------------------------------
-# cycle counting
-# ---------------------------------------------------------------------------
+# -- cycle counting ------------------------------------------------------------
 
 
 def cycle_counts(g: Graph, lengths: Collection[int] = CYCLE_LENGTHS) -> dict[int, int]:
     """Exact number of unlabeled cycles in ``g`` of each length of ``lengths`` (in ``CYCLE_LENGTHS``), from one cycle walk.
 
-    Lengths 3 and 4 are re-derived in closed form by one
-    :class:`PatternCounts`; a mismatch means a bug, not an input problem,
-    and raises RuntimeError.
+    Lengths 3 and 4 are checked against :class:`PatternCounts`; a mismatch is a bug and raises RuntimeError.
     """
     counts = dict.fromkeys(lengths, 0)
     for length, cycles in _cycle_blocks(g, counts):
@@ -284,18 +279,11 @@ def count_cycles(g: Graph, length: int) -> int:
     return cycle_counts(g, (length,))[length]
 
 
-# ---------------------------------------------------------------------------
-# subgraph counting
-# ---------------------------------------------------------------------------
+# -- subgraph counting ---------------------------------------------------------
 
 
 def count_subgraph(g: Graph, h: Graph) -> int:
-    """Number of edge subsets S of ``g`` with g[S] isomorphic to ``h``.
-
-    ``h`` must have at most 6 edges and no isolated vertices. The count is
-    inj(h, g) / inj(h, h) (see :func:`injective_homomorphisms`), so its cost
-    grows with the copies found, not with the C(m, |E(h)|) edge subsets.
-    """
+    """Number of edge subsets S of ``g`` with g[S] isomorphic to ``h`` (at most 6 edges, no isolated vertex)."""
     if h.m > 6:
         raise PatternTooLargeError(f"pattern has {h.m} > 6 edges")
     if h.n == 0 or h.has_isolated_vertices():
@@ -304,19 +292,16 @@ def count_subgraph(g: Graph, h: Graph) -> int:
 
 
 def injective_homomorphisms(h: Graph, g: Graph) -> int:
-    """inj(h, g): the injective maps V(h) -> V(g) that send every edge of ``h`` to an edge of ``g``.
+    """inj(h, g): the injective maps V(h) -> V(g) that send every edge of ``h`` to an edge of ``g``; 1 for an empty h.
 
-    Copies of h in g number inj(h, g) / |Aut(h)|, and |Aut(h)| = inj(h, h)
-    (Lovasz 2012, ch. 5). A backtracking walk on its own stack, so not
-    bounded by the recursion limit, places h's vertices component by
-    component, largest first, in breadth-first order: each among the
-    neighbours of its parent's image, of degree at least its own and joined
-    to its placed neighbours' images. Permuting a class of twins (equal open
-    or closed neighbourhoods) or the single-edge components is an
-    automorphism acting freely on the maps, so the walk keeps the maps whose
-    images increase along each class and along the single edges' first
-    ends, and multiplies their number by the order of that group. The empty
-    pattern has inj = 1.
+    A backtracking walk on its own stack (no recursion limit) places h's
+    vertices component by component, largest first, in breadth-first order:
+    each among the neighbours of its parent's image, of degree at least its
+    own and joined to its placed neighbours' images. Permuting a class of
+    twins (equal open or closed neighbourhoods) or the single-edge
+    components acts freely on the maps, so the walk keeps the maps whose
+    images increase along each class and the single edges' first ends, and
+    multiplies their number by the order of that group.
     """
     if not h.n:
         return 1
@@ -359,19 +344,13 @@ def injective_homomorphisms(h: Graph, g: Graph) -> int:
     return group * total
 
 
-# ---------------------------------------------------------------------------
-# ordered edge-tuple census
-# ---------------------------------------------------------------------------
+# -- ordered edge-tuple census -------------------------------------------------
 
 
 def count_multigraph_tuples(g: Graph, k: int) -> dict[MultiGraphPattern, int]:
-    """Partition all m^k ordered edge k-tuples by induced multigraph class.
+    """The number of ordered edge k-tuples of each multigraph class that occurs; the counts sum to m^k.
 
-    Returns a map pattern -> number of ordered tuples inducing it, for the
-    classes that occur; the counts always sum to m^k. A tuple's class is
-    fixed by its simple support H and its edge multiplicities, so each class
-    count is the number of copies of H in ``g`` (:class:`PatternCounts`)
-    times the class's orderings on one copy.
+    A class count is the copies of its simple support in ``g`` (:class:`PatternCounts`) times its orderings on one copy.
     """
     if not 1 <= k <= 4:
         raise ValueError(f"tuple length must be in [1, 4], got {k}")
@@ -406,12 +385,7 @@ def _pattern(edges: tuple[tuple[int, int], ...], mults: tuple[int, ...]) -> Mult
     return MultiGraphPattern(max(v for _, v in edges) + 1, tuple((u, v, mu) for (u, v), mu in zip(edges, mults)))
 
 
-# ---------------------------------------------------------------------------
-# small-pattern counts in closed form
-# ---------------------------------------------------------------------------
-
-_CYCLES = {3: MultiGraphPattern.from_edges([(0, 1), (1, 2), (0, 2)]),
-           4: MultiGraphPattern.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])}
+# -- small-pattern counts in closed form ---------------------------------------
 
 # each connected simple F with at most 4 edges, named: hom(F, g), from d = degrees, s = A d,
 # t = triangles per vertex and w = sum over u != v of codeg(u, v)^2
@@ -467,6 +441,9 @@ _SUPPORTS = {
         "K2 P4": 96, "K14": -96, "K13 K2": 64, "P3 P3": 48, "K2 K2 P3": -24, "K2 K2 K2 K2": 1},
         {(1, 1, 1, 1): 24}),
 }
+# C3 and C4, the supports whose every vertex has degree 2
+_CYCLES = {len(edges): _pattern(edges, (1,) * len(edges)) for edges in _SUPPORTS
+           if set(Counter(x for edge in edges for x in edge).values()) == {2}}
 
 # a k x k quotient costs about k^3 / this much as the wedge route's oriented wedges
 _MATMUL_PER_WEDGE = 256
@@ -475,22 +452,9 @@ _SMALL_HOST = 64  # up to this many vertices the n x n product costs less than a
 
 
 class PatternCounts:
-    """Exact copy counts in one host of every simple pattern with at most 4 edges.
+    """Exact copy counts in one host of every simple pattern with at most 4 edges (the module docstring's closed form).
 
-    The host enters through four invariants only: its degrees d, s = A d, the
-    ``triangles`` at each vertex and w = sum over u != v of codeg(u, v)^2. They
-    give hom(F, g) in closed form for the ten connected shapes F with at most
-    4 edges, the homomorphism count of a disjoint union is the product over
-    its components, and injective counts follow by Moebius inversion over
-    the pattern's vertex partitions (Lovasz 2012, ch. 5). Copies are
-    injective counts over automorphisms. The pattern side is the committed
-    ``_SUPPORTS`` table; nothing about the host is kept.
-
-    Codegrees and triangles come from wedges oriented by degree rank
-    (Chiba-Nishizeki 1985) or, when its k^3 is cheaper, from the k x k
-    matrices of ``g.twin_quotient`` (k = n and B = A on a twin-free host).
-    Quotient rows and the wedges' tops go in ``rng.batches`` blocks, so
-    neither builds a large array. All sums are exact Python ints.
+    The host is kept only as its four invariants.
     """
 
     def __init__(self, g: Graph):
@@ -554,10 +518,8 @@ def _quotient_invariants(quotient: Blowup) -> tuple[np.ndarray, int]:
     """(t, w) of a blow-up: A = the blow-up of B, less the identity on clique classes.
 
     Two distinct vertices of classes i and j have codeg (B D B)[i, j] less
-    B[i, j] for each of them on a clique class, where D holds the class
-    sizes; a vertex of class i has n_j - [i = j] others in class j. Rows go
-    in the blocks of ``rng.batches`` at 16 k entries a row. B D B is exact
-    in B's own type: no entry or partial sum exceeds n (``Graph.twin_quotient``).
+    B[i, j] for each of them on a clique class, D the class sizes; B D B is
+    exact in B's type, since no entry or partial sum exceeds n.
     """
     b, q, sizes, k = quotient.blocks, quotient.blocks.diagonal(), quotient.sizes, quotient.k
     triangles, w = np.zeros(k, np.int64), 0
@@ -570,17 +532,15 @@ def _quotient_invariants(quotient: Blowup) -> tuple[np.ndarray, int]:
 
 
 def _wedge_invariants(n: int, d: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
-    """(t, w) from the wedges x - y - z whose middle y and end z rank below the top x.
+    """(t, w) from the wedges x - y - z whose middle y and end z rank below the top x, vertices ranked by (degree, id).
 
-    Vertices are renamed by (degree, id) rank. The wedges joining x and z
-    number cnt(x, z) = |{y < x : y ~ x, y ~ z}|; a four-cycle is one pair
-    of them, at its top x and the vertex opposite. A triangle a < b < c is
-    the two wedges c - a - b and c - b - a, so c gets cnt(c, z) for each
-    neighbour z below it and z gets it twice (once as an end, and on the
-    other wedge as the middle). Then w = sum d(d - 1) + 8 N(C4). Tops go in
-    the blocks of ``rng.batches`` at 16 entries a wedge, so a block's few
-    int64 temporaries stay small, and a block holds every wedge of its
-    tops, so its counts are final.
+    The wedges joining x and z number cnt(x, z) = |{y < x : y ~ x, y ~ z}|;
+    a four-cycle is one pair of them, at its top x and the vertex opposite. A
+    triangle a < b < c is the wedges c - a - b and c - b - a, so c gets
+    cnt(c, z) for each neighbour z below it and z gets it twice (as an end,
+    and as the other wedge's middle). Then w = sum d(d - 1) + 8 N(C4). A
+    block of tops, at 16 entries a wedge, holds all their wedges, so its
+    counts are final.
     """
     rank = np.empty(n, np.int64)
     rank[np.argsort(d, kind="stable")] = np.arange(n)
@@ -606,9 +566,7 @@ def _wedge_invariants(n: int, d: np.ndarray, u: np.ndarray, v: np.ndarray) -> tu
     return doubled[rank] // 2, _exact_sum(d, d - 1) + 8 * cycles
 
 
-# ---------------------------------------------------------------------------
-# homomorphism densities
-# ---------------------------------------------------------------------------
+# -- homomorphism densities ----------------------------------------------------
 
 
 def hom_density_cycle(g: Graph, length: int) -> float:
@@ -617,15 +575,10 @@ def hom_density_cycle(g: Graph, length: int) -> float:
         raise ValueError(f"cycle homomorphism density needs length >= 2, got {length}")
     if g.n == 0 or g.m == 0:
         return 0.0
-    from . import spectral
-
-    spec = spectral.eigenvalues(g)
-    return float(spec.trace_power(length)) / float(g.n) ** length
+    return float(spectral.eigenvalues(g).trace_power(length)) / float(g.n) ** length
 
 
-# ---------------------------------------------------------------------------
-# tight multigraph decomposition
-# ---------------------------------------------------------------------------
+# -- tight multigraph decomposition --------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -642,11 +595,9 @@ Factor = Union[CycleFactor, DoubledEdgeFactor]
 
 
 def decompose_tight_multigraph(h: MultiGraphPattern) -> tuple[Factor, ...]:
-    """Split a pattern with min degree >= 2 and |V| = |E| into components.
+    """Split a pattern with min degree >= 2 and |V| = |E| into its components, each a cycle or a doubled edge.
 
-    Such a pattern is necessarily a disjoint union of simple cycles and
-    isolated doubled edges; any other component shape indicates a bug in the
-    caller or this library and raises RuntimeError.
+    Any other component contradicts those constraints, so it is a bug and raises RuntimeError.
     """
     if h.min_multi_degree < 2:
         raise PreconditionViolatedError("pattern has a vertex of degree below 2")

@@ -9,12 +9,12 @@ command parsed, the library version, and the wall time.
 Exit codes: 0 ok, 1 failed comparison, 2 usage error or a path that cannot
 be read or written, 3 enumeration or size gate exceeded, 4 numerical failure.
 
-Each command loads only the modules it runs: the package's modules and
-numpy are ``errors.lazy`` handles. ``--version`` and ``birthday`` start
-without numpy, ``dataclasses`` or ``fractions``, and ``limit
---growing-ratio``, ``limit`` on a complete or complete bipartite family and
-``compare`` on a discrete law (Poisson or a Poisson mixture, by TV) without
-numpy.
+Each command loads only the modules it runs: the package's modules, numpy,
+``dataclasses`` and ``fractions`` are ``errors.lazy`` handles. ``--version``
+and ``birthday`` run none of numpy, ``dataclasses`` or ``fractions``.
+``limit --growing-ratio``, ``limit`` on a complete or complete bipartite
+family, and a TV ``compare`` against a Poisson law or a ``PoissonMixing``
+mixture run without numpy; an ``EmpiricalMixing`` mixture's pmf takes ``np.mean``.
 """
 from __future__ import annotations
 
@@ -42,17 +42,13 @@ from .errors import (
 np, census, colorsim = lazy("numpy"), lazy("colorgraph.census"), lazy("colorgraph.colorsim")
 extremal, graph, limits = lazy("colorgraph.extremal"), lazy("colorgraph.graph"), lazy("colorgraph.limits")
 moments, spectral, stats = lazy("colorgraph.moments"), lazy("colorgraph.spectral"), lazy("colorgraph.stats")
+dataclasses, fractions = lazy("dataclasses"), lazy("fractions")
 
 EXIT_USAGE = 2
 EXIT_GATE = 3
 EXIT_NUMERICAL = 4
 
-_NUMERICAL_ERRORS = (
-    ConvergenceFailureError,
-    GenerationTimeoutError,
-    DomainExceededError,
-    AmbiguousRegimeError,
-)
+_NUMERICAL_ERRORS = (ConvergenceFailureError, GenerationTimeoutError, DomainExceededError, AmbiguousRegimeError)
 
 
 def _load_graph(source: str, keep_family: bool = False) -> graph.Graph | graph.FamilySpec:
@@ -76,10 +72,7 @@ def _load_graph(source: str, keep_family: bool = False) -> graph.Graph | graph.F
 
 def _jsonable(obj):
     """JSON form of the values ``json`` cannot encode: a Fraction as "p/q", a dataclass as its fields."""
-    import dataclasses
-    from fractions import Fraction
-
-    if isinstance(obj, Fraction):
+    if isinstance(obj, fractions.Fraction):
         return str(obj)
     if dataclasses.is_dataclass(obj):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
@@ -352,8 +345,6 @@ def limit_cmd(graph_source, colors, growing_ratio, sample, seed):
               help="Divide by before a ks comparison.")
 def compare_cmd(empirical, law_path, metric, tol, center, scale):
     """Compare an empirical distribution against a law; exit 1 on failure."""
-    from fractions import Fraction
-
     for name, value in (("--tol", tol), ("--center", center), ("--scale", scale)):
         if not math.isfinite(value):
             raise click.UsageError(f"{name} must be a finite number, got {value}")
@@ -362,14 +353,17 @@ def compare_cmd(empirical, law_path, metric, tol, center, scale):
     law = limits.law_from_dict(json.loads(Path(law_path).read_text()))
     rows = [ln.strip() for ln in Path(empirical).read_text().splitlines()]
     rows = [r for r in rows if r and not r.startswith("#")]
-    if rows and rows[0][0].isalpha():  # a header, only ever the first row
-        rows = rows[1:]
+    if rows and rows[0][0].isalpha():  # a header is only ever the first row, and never a float such as nan
+        try:
+            float(rows[0].split(",")[0])
+        except ValueError:
+            rows = rows[1:]
     values, weights = [], []
     try:
         for r in rows:
             parts = r.split(",")
-            values.append(float(Fraction(parts[0])))
-            weights.append(float(Fraction(parts[1])) if len(parts) > 1 else 1.0)
+            values.append(float(fractions.Fraction(parts[0])))
+            weights.append(float(fractions.Fraction(parts[1])) if len(parts) > 1 else 1.0)
     except OverflowError:
         raise click.UsageError(f"--empirical row {r!r} holds a number outside the float range") from None
     except ZeroDivisionError:

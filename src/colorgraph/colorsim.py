@@ -1,52 +1,42 @@
-"""Uniform random colorings and monochromatic statistics.
+"""Uniform random colorings and monochromatic statistics: ``simulate``, ``exact_distribution``, ``mono_count``.
 
-``simulate`` draws colorings with a counter-based generator keyed by
-(seed, sample index, vertex index): results are bit-identical however the
-sample range is cut into blocks or distributed over workers. ``exact_distribution``
-is the brute-force oracle: it enumerates every coloring in base-c order and
-returns exact rational probabilities with denominator c**n.
+``simulate`` draws the color of vertex v in sample i from (seed, i, v), so
+its counts are bit-identical however ``rng.batches`` cuts the samples into
+blocks and however many workers run them. ``exact_distribution`` is the
+brute-force oracle: every coloring in base-c order, each with probability
+exactly c**-n.
 
-Every kernel reads its colors through one coloring source, a pure
-function of (vertices, samples): ``simulate``'s draws from the generator,
-``exact_distribution``'s base-c digits of the coloring index, or a given
-matrix (``mono_count``). Read densely, colorings are vertex-major: an
-(n, batch) matrix whose column j is one coloring, in the narrowest
-unsigned dtype holding c - 1. That is the layout and dtype
-``rng.uniform_ints`` draws in, tile by tile, so no int64 matrix is built
-and only the sort transposes one. Read pointwise, ``source(vertices,
-samples, at=positions)`` is vertex ``vertices[j]`` in sample
-``samples[positions[j]]``, a position in the block: the generator then
-hashes each block sample's path prefix once (``rng.uniform_ints`` with
-``at``), not once per read.
+Every kernel reads its colors through one source, a pure function of
+(vertices, samples): ``simulate``'s draws, ``exact_distribution``'s base-c
+digits of the coloring index, or ``mono_count``'s given matrix. Read
+densely, a block is vertex-major, (n, batch), in the narrowest unsigned
+dtype holding c - 1, as ``rng.uniform_ints`` draws it, so no int64 matrix
+is built. Read pointwise, ``source(vertices, samples, at=positions)`` is
+vertex ``vertices[j]`` in sample ``samples[positions[j]]``, and a position
+outside the block raises ValueError.
 
-``_kernel_for`` builds the kernel of each call from one table of the
-kernels that can count the statistic, each priced in GEMM multiply-adds by
-the unit costs ``_DRAW`` .. ``_MOVE``: the cheapest for ``simulate`` and
-``exact_distribution``, the gather by name for ``mono_count``. The four
-kernels are a GEMM on the twin quotient of the host (``_gemm_counts``), a
-sort of each coloring's (color, class) keys on the same quotient
-(``_sorted_counts``), a gather that compares colors along edges, cycles or
-neighbour lists (``_tuple_counts``, ``_star_counts``) and, for cycles at
-many colors, a sieve that reads a cycle's later vertices only while it is
-still monochromatic (``_sieve_counts``). They return identical counts, each
-over the ``rng.batches`` blocks its ``row_cost`` sizes; each kernel's
-docstring gives its buffers and dtypes. Star counts are int64: a count of
-r-stars that passes it raises ``DomainExceededError``.
+Four kernels give identical counts: a GEMM and a sort on the host's twin
+quotient, a gather that compares colors along edges, cycles or neighbour
+lists, and, for cycles at many colors, a sieve that reads a cycle's later
+vertices only while it is still monochromatic. ``_kernel_for`` prices each
+kernel that can count the statistic in GEMM multiply-adds, by the unit
+costs ``_DRAW`` .. ``_MOVE``, and builds the cheapest; the units were fitted
+once on interleaved timings of 29 cases (the minimum of 7 runs each), so
+nothing is timed at run time, and ``test_kernel_chooser_grid`` pins the picks.
 
-The quotient kernels take ``Graph.twin_quotient``'s ``Blowup``: the host as
-a blow-up of its k twin classes, whose 0/1 quotient B has the diagonal q
-flagging the clique classes. Let h_a count the vertices of each class that
-have color a: a vertex of class j and color a has d_j = (B h_a)_j - q_j
+The quotient kernels read the star-sum identity. ``Graph.twin_quotient``
+gives the host as the blow-up of k twin classes, with 0/1 quotient B whose
+diagonal q flags the clique classes. If h_a counts the vertices of color a
+in each class, a vertex of class j and color a has d_j = (B h_a)_j - q_j
 neighbours of its color, so the r-stars are sum_a sum_j h_{a,j} C(d_j, r),
-and r = 1 sums d, twice the monochromatic edges. ``_star_sums`` computes
-that sum for both kernels, B h as a GEMM in B's own float type: each entry
-of B h is an integer of at most n and B is float32 only while n < 2^24, so
-it is exact; every other product and sum is in int64. The GEMM produces
-dense histograms, one color per pass, so the complete host counts from its
-color-class sizes and a twin-free host (k = n, B = A) runs the plain
-adjacency GEMM. The sort produces those of the colors present only, read
-off sorted runs, so it serves the birthday regime (c > n). Past
-isqrt(``BATCH_ENTRIES``) classes B would not fit a block, and both stand aside.
+and r = 1 sums d, twice the monochromatic edges. ``_star_sums`` takes that
+sum for both: B h in B's float type, exact because its entries are at most
+n and B is float32 only while n < 2^24, and the rest in int64. The GEMM
+makes dense histograms, one color per pass; the sort makes those of the
+colors present only, read off sorted runs, so it serves the birthday regime
+(c > n). Past isqrt(``rng.BATCH_ENTRIES``) classes B would not fit a block,
+and both stand aside. Star counts are int64, and a count past it raises
+``DomainExceededError``.
 """
 from __future__ import annotations
 
@@ -60,8 +50,10 @@ from typing import Callable, NamedTuple, Union, get_args
 import numpy as np
 
 from . import graph, rng
-from .errors import BadColorVectorError, DomainExceededError, EnumerationGateExceededError, Params
+from .errors import BadColorVectorError, DomainExceededError, EnumerationGateExceededError, Params, lazy
 from .graph import Blowup, Graph
+
+futures = lazy("concurrent.futures")  # its process pool costs every CLI start 15-23 ms; only workers > 1 read it
 
 __all__ = [
     "MonoEdges",
@@ -76,7 +68,7 @@ __all__ = [
 ]
 
 EXACT_ENUMERATION_GATE = 10**7
-# ``_kernel_for``'s unit costs in multiply-adds of the GEMM's B h_a, fitted on the grid it names
+# ``_kernel_for``'s unit costs in multiply-adds of the GEMM's B h_a, fitted on the grid the module docstring names
 _DRAW = 900  # one color drawn
 _PASS = 8  # one element of a contiguous pass: a gather compare, a GEMM per-color pass, a star slot
 _SORT = 4  # one step of a sort
@@ -109,16 +101,13 @@ Statistic = Union[MonoEdges, MonoStars, MonoCycles]
 
 
 def _comb_sums(values: np.ndarray, r: int, terms: int, sums: Callable) -> np.ndarray:
-    """``sums`` of the elementwise C(value, r) of nonnegative ints: per-sample int64 totals, exact.
+    """``sums`` of the elementwise C(value, r) of nonnegative ints: exact per-sample int64 totals.
 
-    ``sums`` adds an array shaped like ``values`` into per-sample int64 totals,
-    with nonnegative integer weights of at most ``terms`` per sample in all.
-    While ``terms`` of the largest C(value, r) fit int64, the table up to the
-    largest value is gathered, in the narrowest dtype holding that C(value,
-    r), and ``sums`` widens it. Otherwise each distinct value's C(value, r) is
-    split as high * 2^31 + low, high capped at 2^32 (such a term alone passes
-    int64), both halves are summed, and ``DomainExceededError`` is raised only
-    if a sample's exact total passes 2^63 - 1.
+    ``sums`` adds an array shaped like ``values`` into per-sample int64
+    totals, with at most ``terms`` weight per sample. When ``terms`` of the
+    largest C(value, r) may pass int64, each C(value, r) is split as
+    high * 2^31 + low, high capped at 2^32 (one such term passes int64), and
+    ``DomainExceededError`` is raised only if a sample's exact total passes 2^63 - 1.
     """
     top = int(values.max(initial=0))
     if terms * math.comb(top, r) <= 2**63 - 1:
@@ -138,8 +127,7 @@ def _comb_sums(values: np.ndarray, r: int, terms: int, sums: Callable) -> np.nda
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """sum_k x[k, i] per column i, in int64; x holds nonnegative integers.
 
-    Unsigned x is summed in the narrowest dtype that holds its rows times its
-    dtype's largest value, then widened: exact, and half the traffic of int64.
+    Unsigned x is summed in the narrowest dtype that cannot overflow: exact, and half the traffic of int64.
     """
     top = x.shape[0] * np.iinfo(x.dtype).max if x.dtype.kind == "u" else 2**63
     return np.add.reduce(x, axis=0, dtype=rng._narrow_dtype(top)).astype(np.int64, copy=False)
@@ -151,12 +139,7 @@ def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _Classes(NamedTuple):
-    """A ``Blowup``'s classes relabelled by falling size, laid out for ``_gemm_counts``; built once per kernel.
-
-    A color block's rows run class by class, the largest class first: row i
-    holds vertex ``vertices[i]``. ``columns`` and ``tails`` are
-    ``_columns_and_tails`` of the classes' rows.
-    """
+    """A ``Blowup``'s classes by falling size, laid out for ``_gemm_counts``; row i of a block is ``vertices[i]``."""
 
     blocks: np.ndarray  # the k x k quotient B in its own float type, rows and columns in the new class order
     vertices: np.ndarray  # the vertices class by class, the order the coloring source is read in
@@ -180,8 +163,7 @@ def _star_sums(hist: np.ndarray, blocks: np.ndarray, r: int, terms: int, sums: C
     """The r-stars sum_j h_j C(d_j, r), d = B h - q, of (k, columns) class histograms h; r = 1 sums d.
 
     ``sums(hist, x)`` adds each column's sum_j h_j x_j into per-sample int64
-    totals, at most ``terms`` weight per sample. B h is made in B's float
-    type, in ``work``'s (cast, degree) buffers shaped like h when given.
+    totals, at most ``terms`` weight per sample; ``work`` holds (cast, degree) buffers shaped like h.
     """
     cast, deg = work or (np.empty(hist.shape, dtype=blocks.dtype), None)
     np.copyto(cast, hist)
@@ -196,13 +178,9 @@ def _star_sums(hist: np.ndarray, blocks: np.ndarray, r: int, terms: int, sums: C
 def _gemm_counts(classes: _Classes, c: int, r: int, share: int, source: Callable, samples: np.ndarray) -> np.ndarray:
     """Monochromatic r-stars per sample, over ``share``: ``_star_sums`` of each color's dense class histograms.
 
-    The colors are read from ``source`` class by class: row i of the (n,
-    batch) block is vertex ``classes.vertices[i]``. Color a's histograms,
-    one column per sample, are summed exactly in ``classes.counter`` from
-    the bool indicator x_a of a: a column of ``classes`` adds one row to
-    each class it reaches, a tail reduces one class's contiguous rows. A
-    twin-free host has h_a = x_a and, at r >= 2, takes C(., r) once of each
-    vertex's mono-degree sum_a x_a * d_a, not once per color.
+    Color a's histograms are summed in ``classes.counter`` from the bool
+    indicator x_a of a. A twin-free host has h_a = x_a and, at r >= 2, takes
+    C(., r) once of each vertex's mono-degree sum_a x_a * d_a, not once per color.
     """
     colors, blocks = source(classes.vertices[:, None], samples[None, :]), classes.blocks
     n = colors.shape[0]
@@ -237,14 +215,10 @@ def _gemm_counts(classes: _Classes, c: int, r: int, share: int, source: Callable
 def _columns_and_tails(offsets: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[slice]]:
     """CSR lists (list i holds entries offsets[i]:offsets[i + 1]) by falling length, as columns and tails.
 
-    Column j holds the entry positions of the j-th entry of every list
-    longer than j, in that list order, so it lines up with a prefix of it.
-    Columns stop at the cut j that minimizes j plus the size of column j;
-    tail i is the slice of positions past the cut of the i-th list in that
-    order. The loops over columns and tails stay short whether the lists
-    are many and short or few and long: a column is one gather of entries,
-    a tail one contiguous slice of them. The star gather cuts the
-    neighbour lists, the GEMM the rows of its classes.
+    Column j holds the positions of the j-th entry of every list longer than
+    j, in that order, so it lines up with a prefix of it; tail i is the slice
+    of the i-th list past the cut j that minimizes j plus the size of column
+    j. So the loops stay short whether the lists are many and short or few and long.
     """
     length = np.diff(offsets)
     order = np.argsort(-length, kind="stable")
@@ -258,14 +232,7 @@ def _columns_and_tails(offsets: np.ndarray) -> tuple[np.ndarray, list[np.ndarray
 
 
 def _star_counts(index, r: int, source: Callable, samples: np.ndarray) -> np.ndarray:
-    """r-stars per sample along ``_columns_and_tails``' neighbour lists, every vertex's colors read from ``source``.
-
-    ``index`` holds the vertices by falling degree and their neighbours as
-    columns and tails. Mono-degrees are kept in the narrowest unsigned dtype
-    holding the largest degree. Each column or tail is taken into one row
-    buffer per block, compared into one bool buffer, and added through its
-    uint8 view.
-    """
+    """r-stars per sample along ``_star_index``'s neighbour lists, mono-degrees in the narrowest dtype holding them."""
     by_deg, columns, tails = index
     by_vertex = source(np.arange(by_deg.size)[:, None], samples[None, :])
     own = by_vertex.take(by_deg, axis=0)
@@ -291,13 +258,9 @@ def _star_index(g: Graph) -> tuple:
 
 
 def _tuple_counts(tuples: np.ndarray, n: int, source: Callable, samples: np.ndarray) -> np.ndarray:
-    """Rows of ``tuples`` (edges or cycles) whose vertices share a color, per sample; all n colors read from ``source``.
+    """Rows of ``tuples`` (edges or cycles) whose vertices share a color, per sample.
 
-    The rows run in chunks of about ``_CHUNK_ENTRIES`` (row, sample) entries
-    through buffers allocated once per block: each column is taken into a
-    row buffer, its compare and-ed into one bool mask, and the mask summed
-    through its uint8 view in the narrowest unsigned dtype holding the
-    chunk's rows, then added into int64 totals.
+    The rows run in chunks of about ``_CHUNK_ENTRIES`` (row, sample) entries through buffers allocated once per block.
     """
     by_vertex = source(np.arange(n)[:, None], samples[None, :])
     step = max(1, _CHUNK_ENTRIES // max(1, samples.size))
@@ -320,15 +283,10 @@ def _tuple_counts(tuples: np.ndarray, n: int, source: Callable, samples: np.ndar
 def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callable, samples: np.ndarray) -> np.ndarray:
     """Monochromatic r-stars per sample, over ``share``: ``_star_sums`` of the class histograms of sorted runs.
 
-    The (n, batch) colors of every vertex are read from ``source`` and copied
-    once, cast in the same pass, into sample-major (batch, n) keys color * k +
-    label of the ``Blowup`` ``quotient`` (at k = 1 the colors themselves), in
-    the narrowest dtype of at least 16 bits (numpy sorts uint8 far slower)
-    holding c * k - 1, which ``_kernel_for`` keeps in int64. Sorting each
-    sample's keys as one contiguous row puts the vertices of one color next
-    to each other. Only the links, adjacent keys of one color, are read:
-    about m / c per sample on K_n. A run of links is one column, added into
-    its sample: its length at k = 1, else its (class, run) counts.
+    Each sample's keys color * k + label sort as one contiguous row, in the
+    narrowest dtype of at least 16 bits (numpy sorts uint8 far slower) that
+    holds c * k - 1. Only the links, adjacent keys of one color, are read:
+    about m / c per sample on K_n. A run of links is one histogram column.
     """
     colors = source(np.arange(quotient.labels.size)[:, None], samples[None, :])
     n, batch = colors.shape
@@ -365,10 +323,7 @@ def _sorted_counts(quotient: Blowup, c: int, r: int, share: int, source: Callabl
     return _star_sums(hist, quotient.blocks, r, n, run_sums) // share
 
 
-# coloring sources: source(vertices, samples) is the color of each vertex in each sample, index
-# arrays broadcast like the path of ``rng.uniform_ints``; every kernel reads its colors through one.
-# source(vertices, samples, at=positions) reads pointwise: vertex vertices[j] in sample samples[positions[j]],
-# and each source raises ValueError for a position outside the block, as ``rng.uniform_ints`` does
+# coloring sources (module docstring): index arrays broadcast like the path of ``rng.uniform_ints``
 
 
 def _drawn_colors(seed: int, c: int, vertices: np.ndarray, samples: np.ndarray, at=None) -> np.ndarray:
@@ -424,16 +379,12 @@ def _sieve_index(cycles: np.ndarray) -> _SieveIndex:
 def _sieve_counts(index: _SieveIndex, source: Callable, samples: np.ndarray) -> np.ndarray:
     """Monochromatic cycles per sample, reading a cycle's later vertices only while it is monochromatic.
 
-    Columns 0 and 1 of the cycle list are read for every sample, and each
-    distinct first edge (r, x1) is compared once, its matches taken
-    row-major from the flat compare. Each monochromatic one gives a (cycle,
-    sample) pair for every cycle over it, the sample held as its position in
-    the block. Column by column, a pair reads its next vertex, from the dense
-    colors or else pointwise from ``source`` at that position, and is dropped
-    at the first color that differs from r's. When every first edge has
-    ``index.size`` cycles, a match's pairs are one row of each ``later`` row
-    seen as (E, size), taken whole; only survivors get cycle numbers. At c
-    colors about cycles / c pairs per sample reach column 2.
+    Each distinct first edge (r, x1) is compared once per sample, and each
+    match gives a (cycle, sample) pair per cycle over it. Column by column a
+    pair reads its next vertex, from the dense colors or else pointwise, and
+    is dropped at the first color that differs from r's, so about cycles / c
+    pairs per sample reach column 2. When every first edge has ``index.size``
+    cycles, a match's pairs are a whole row of ``later`` seen as (E, size).
     """
     colors = source(index.dense[:, None], samples[None, :])
     lead = colors.take(index.first[:, 0], axis=0)
@@ -469,31 +420,14 @@ def _sieve_counts(index: _SieveIndex, source: Callable, samples: np.ndarray) -> 
 
 
 def _kernel_for(g: Graph, c: int, stat: Statistic, name: str | None = None) -> _Kernel:
-    """The cheapest counting kernel for (g, c, stat), or the one ``name`` names, with its quotient or index.
+    """The cheapest counting kernel for (g, c, stat), or the one ``name`` names, built with its quotient or index.
 
-    ``kernels`` holds each kernel that can count ``stat``: its price per
-    sample, the counted work times the unit costs, and its build. The gather
-    makes m compares (stars: two passes over the 2m + n neighbour and own
-    slots) and moves a row per edge end and ``rng.batches`` block; the GEMM on
-    k twin classes makes c passes of 3n and c products B h_a of k^2; the sort
-    takes ceil(log2 n) steps per key, then a move and a product B h of k^2 per
-    link, a vertex sharing its color with the one before it (n - E[colors
-    present]). Their n draws are left out. The cheapest runs, ties going to
-    the GEMM, then the sort. Both quotient kernels hold B in a block, k <=
-    isqrt(BATCH_ENTRIES), and the sort its keys c*k in int64. The twin search
-    stops at that cap, and runs only for a named quotient kernel or when one
-    class is priced at or below the gather. Edges are 1-stars halved. Of
-    cycles of length L, the gather draws n colors, compares L - 1 times per
-    cycle and moves L rows per block; the sieve draws the dense set of the
-    cycles' first two vertices, moves each first edge and about cycles / c^j
-    reads at column j + 1, j = 1..L-2, and wins only when strictly cheaper.
-    Only the kernel that runs is built. The units were fitted once (nothing is
-    timed at run time) on interleaved per-kernel timings of 29 cases, each the
-    minimum of 7 runs; ``test_kernel_chooser_grid`` pins the picks.
-
-    A named kernel is held only to the caps on k, not to the gather's
-    price, and a named gather runs no twin search. ValueError if
-    the named kernel cannot count ``stat`` on g at c.
+    ``kernels`` prices each kernel that can count ``stat`` per sample; the
+    draws every kernel makes are left out. Ties go to the GEMM, then the sort,
+    and the sieve wins only when strictly cheaper. The twin search runs only
+    for a named quotient kernel or when one class is priced at or below the
+    gather. A named kernel is held only to the caps on k, a named gather runs
+    no twin search, and ValueError if the named kernel cannot count ``stat``.
     """
     if not isinstance(stat, get_args(Statistic)):
         raise TypeError(f"unknown statistic {stat!r}")
@@ -595,12 +529,10 @@ def simulate(
     seed: int,
     workers: int = 1,
 ) -> SimulationRun:
-    """Draw ``samples`` independent uniform c-colorings and evaluate ``stat``.
+    """Draw ``samples`` independent uniform c-colorings and evaluate ``stat``; ``workers`` never changes the result.
 
-    Sample i is a pure function of (seed, i), so the result is identical for
-    any ``workers`` value; workers (at least 1) only bound process parallelism.
-    More than 2^53 colors raise ``DomainExceededError`` from ``rng.uniform_ints``.
-    ``c`` and ``seed`` are integers (``operator.index``): a float is a TypeError.
+    More than 2^53 colors raise ``DomainExceededError``. ``c`` and ``seed``
+    are integers (``operator.index``): a float is a TypeError.
     """
     c = operator.index(c)
     if c < 2:
@@ -611,11 +543,9 @@ def simulate(
         raise ValueError(f"need at least 1 worker, got {workers}")
     kernel = _kernel_for(g, c, stat)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imported here: it costs every CLI start 15-23 ms
-
         bounds = sorted(set(np.linspace(0, samples, workers + 1).astype(int).tolist()))
         job = functools.partial(_simulate_range, kernel, seed, c)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             counts = np.concatenate(list(pool.map(job, bounds[:-1], bounds[1:])))
     else:
         counts = _simulate_range(kernel, seed, c, 0, samples)
@@ -625,10 +555,9 @@ def simulate(
 
 
 def exact_distribution(g: Graph, c: int, stat: Statistic) -> dict[int, Fraction]:
-    """Exact law of the statistic under uniform c-coloring, by full enumeration.
+    """Exact law of the statistic under uniform c-coloring, by enumerating all c**n <= 10^7 colorings.
 
-    Probabilities are exact rationals with denominator c**n. Gated at
-    c**n <= 10^7 enumerated colorings. ``c`` is an integer (``operator.index``).
+    ``c`` is an integer (``operator.index``).
     """
     c = operator.index(c)
     if c < 2:

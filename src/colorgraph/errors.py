@@ -1,22 +1,25 @@
-"""Exception hierarchy, the family grammar that its messages quote, ``Params`` and ``lazy``.
+"""Exception hierarchy, the family grammar its messages quote, ``Params`` and ``lazy``.
 
-Gate violations (an input exceeding an enumeration or size limit) and
-numerical failures are distinct classes so the CLI can map them to distinct
-exit codes. ``Params`` is the base of every parameter dataclass: family
-specs, statistics, laws. This module imports only the standard library, so
-the CLI reads it at start-up and the laws load no graph.
+Gate violations (an input past an enumeration or size limit) and numerical
+failures are distinct classes, so the CLI maps them to distinct exit codes.
+``Params`` is the base of every parameter dataclass: family specs,
+statistics, laws. This module imports only the standard library, so the
+CLI reads it at start-up and the laws load no graph.
 
-``lazy(name)`` is how a module that needs numpy or another part of the
-package only in some of its functions binds it: once, at module level, as
-``np = lazy("numpy")``. The handle is the module itself when it is already
-loaded; otherwise it is registered in ``sys.modules`` by the standard
-library's ``importlib.util.LazyLoader``, and the module runs on the first
-attribute read, so a command whose path never reads ``np.`` or ``rng.``
-never loads numpy. A later ``import`` returns the same module. The handle
-is loaded by its first read, not by the ``lazy`` call, so a module must not
-read it at load time: no ``dtype=np.float64`` default, no class attribute
-from it. Before Python 3.12 that first read is not thread-safe; a program
-that calls the package from several threads at once imports numpy first.
+``lazy(name)`` is the package's one way to defer an import: a module that
+needs numpy, a standard-library module or another part of the package only
+in some of its functions binds it once, at module level, as
+``np = lazy("numpy")``, and no function body imports. The handle is the
+module itself when it is already loaded; otherwise the standard library's
+``importlib.util.LazyLoader`` registers it in ``sys.modules`` and, outside
+this package, on its package; the module runs on its first attribute read,
+so a command whose path never reads ``np.`` never loads numpy. A later
+``import`` returns the same module, and so does ``from . import rng`` in a
+module of this package, which loads it through ``colorgraph.__getattr__``.
+A module must not read a handle at load time: no ``dtype=np.float64``
+default, no class attribute from it. Before Python 3.12 that first read is
+not thread-safe; a program that calls the package from several threads at
+once imports numpy first.
 """
 import importlib.util
 import numbers
@@ -134,8 +137,13 @@ def lazy(name: str) -> ModuleType:
         spec.loader = importlib.util.LazyLoader(spec.loader)
         module = sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        parent, _, child = name.rpartition(".")
+        if parent not in ("", __package__):  # as ``import`` binds it; colorgraph.__getattr__ loads the package's own
+            setattr(sys.modules[parent], child, module)
     return module
 
+
+dataclasses = lazy("dataclasses")  # read by the first Params built: the CLI starts without it
 
 # -- parameter dataclasses ------------------------------------------------------
 
@@ -158,19 +166,16 @@ FIELD_KINDS = {
 
 
 class Params:
-    """Base of the frozen parameter dataclasses: each checks its fields when built.
+    """Base of the frozen parameter dataclasses: each checks its fields when built, and converts none.
 
-    A field annotated with a kind of ``FIELD_KINDS`` must hold a value of that
-    kind, and a field in ``ranges`` must then pass its (predicate, description)
-    rule. Values are never converted; a failed check raises ValueError.
+    A field annotated with a kind of ``FIELD_KINDS`` must hold a value of that kind, and a field in ``ranges``
+    must then pass its (predicate, description) rule; a failed check raises ValueError.
     """
 
     ranges: dict[str, tuple[Callable[[object], bool], str]] = {}
 
     def __post_init__(self):
-        from dataclasses import fields  # imported here: the CLI starts without dataclasses
-
-        for f in fields(self):
+        for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             for fits, noun, *_ in filter(None, (FIELD_KINDS.get(f.type), self.ranges.get(f.name))):
                 if not fits(value):

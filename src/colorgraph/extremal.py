@@ -1,21 +1,15 @@
-"""Fractional stable number, deficiency, structural certificates, and
-sub-extremality diagnostics.
+"""Fractional stable number, deficiency, structural certificates and sub-extremality diagnostics.
 
-The optimum of  max sum phi(v)  s.t.  phi(x) + phi(y) <= 1 on edges,
-phi in [0,1]^V  is always attained at a half-integral point and equals
+The optimum of max sum phi(v) s.t. phi(x) + phi(y) <= 1 on edges, phi in
+[0, 1]^V, is attained at a half-integral point and equals
 (|V| + deficiency)/2, where deficiency(H) = max_S (|S| - |N_H(S)|). Both
-quantities are computed combinatorially, in exact rational arithmetic:
-
-* the deficiency comes from a maximum matching of the bipartite double
-  cover (two copies of V, one edge (u, v') per adjacency) through the
-  defect form of Hall's theorem;
-* an optimal phi comes from a minimum vertex cover of the double cover,
-  via phi(v) = 1 - (cover_left(v) + cover_right(v)) / 2. The cover is
-  Koenig's, read off the left vertices that Hopcroft-Karp's last search
-  reached (no second search); phi is computed and checked in integer
-  halves 2 phi, and becomes Fractions only for the output.
-
-No floating point enters except in the diagnostic ratio report.
+come from one maximum matching of the bipartite double cover (two copies of
+V, one edge (u, v') per adjacency, ``hopcroft_karp``): the deficiency by the
+defect form of Hall's theorem, and an optimal phi(v) = 1 - (cover_left(v) +
+cover_right(v)) / 2 from Koenig's minimum vertex cover, read off the left
+vertices that the last search reached. phi is computed and checked in
+integer halves 2 phi, and becomes Fractions only for the output; floating
+point enters only the diagnostic ratios of ``condition_report``.
 """
 from __future__ import annotations
 
@@ -49,20 +43,16 @@ __all__ = [
 PHI_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1))  # indexed by 2 phi
 
 
-# ---------------------------------------------------------------------------
-# bipartite matching machinery
-# ---------------------------------------------------------------------------
+# -- bipartite matching machinery ----------------------------------------------
 
 _INF = -1
 
 
 def hopcroft_karp(n_left: int, n_right: int, adj: list[tuple[int, ...]]) -> tuple[int, list[bool]]:
-    """Maximum matching of a bipartite graph; O(E sqrt(V)).
+    """(size, reached) of a maximum matching of a bipartite graph, in O(E sqrt(V)).
 
-    ``adj[u]`` lists the right neighbors of left vertex ``u`` in sorted
-    order, which makes the result deterministic. Returns (size, reached):
-    ``reached[u]`` says that the last search, the one that finds no
-    augmenting path, marked ``u`` in ``dist``. Then (L minus reached) union
+    ``adj[u]`` lists the right neighbors of left vertex ``u`` in sorted order, so the result is deterministic.
+    ``reached[u]``: the last search, which finds no augmenting path, marked ``u``. Then (L minus reached) union
     N(reached) is a minimum vertex cover (Koenig 1931).
     """
     pair_l = [_INF] * n_left
@@ -123,9 +113,7 @@ def _require_no_isolated(h: Graph, what: str) -> None:
         raise ValueError(f"{what} requires a graph with no isolated vertices")
 
 
-# ---------------------------------------------------------------------------
-# deficiency and the fractional stable number
-# ---------------------------------------------------------------------------
+# -- deficiency and the fractional stable number -------------------------------
 
 
 def deficiency(h: Graph) -> int:
@@ -137,12 +125,7 @@ def deficiency(h: Graph) -> int:
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Half-integral optimum of the stable-set relaxation.
-
-    ``phi`` maps each vertex to 0, 1/2, or 1; ``gamma`` is the exact
-    objective value; ``partition`` lists the vertex sets taking value
-    0, 1/2, and 1 respectively.
-    """
+    """Half-integral optimum ``phi`` of the stable-set relaxation, its value ``gamma``, and where phi is 0, 1/2, 1."""
 
     phi: tuple[Fraction, ...]
     gamma: Fraction
@@ -162,11 +145,7 @@ def _violated_edge(h: Graph, twice: np.ndarray) -> tuple[int, int] | None:
 
 
 def gamma(h: Graph) -> FractionalSolution:
-    """Optimal half-integral solution; objective equals (|V| + deficiency)/2.
-
-    2 phi(v) = 2 - [v not reached] - [v in N(reached)], read off the cover of
-    :func:`hopcroft_karp`, is checked in integers; Fractions are built for the output only.
-    """
+    """Optimal half-integral solution: 2 phi(v) = 2 - [v not reached] - [v in N(reached)] (module docstring)."""
     _require_no_isolated(h, "gamma")
     size, reached = hopcroft_karp(h.n, h.n, h.adjacency)
     reached = np.array(reached, bool)
@@ -177,9 +156,7 @@ def gamma(h: Graph) -> FractionalSolution:
     return FractionalSolution(phi=phi, gamma=Fraction(int(twice.sum()), 2), partition=_partition(twice))
 
 
-# ---------------------------------------------------------------------------
-# structural certificates
-# ---------------------------------------------------------------------------
+# -- structural certificates ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -196,11 +173,9 @@ def _is_union_of_stars(h: Graph) -> bool:
 
 
 def _has_spanning_cycle_edge_factor(h: Graph) -> bool:
-    """True when some spanning subgraph is a disjoint union of cycles and edges.
+    """Whether a spanning subgraph is a disjoint union of cycles and edges: a perfect matching of the double cover.
 
-    Equivalent to a perfect matching in the bipartite double cover: a perfect
-    matching there is a vertex bijection sigma with sigma(v) adjacent to v,
-    and the cycles of sigma trace the factor.
+    Such a matching is a bijection sigma with sigma(v) adjacent to v, and the cycles of sigma trace the factor.
     """
     return h.n == 0 or (not h.has_isolated_vertices() and deficiency(h) == 0)
 
@@ -208,9 +183,8 @@ def _has_spanning_cycle_edge_factor(h: Graph) -> bool:
 def structural_check(sol: FractionalSolution, h: Graph) -> StructuralReport:
     """Certificate checks for an optimal solution produced by :func:`gamma`.
 
-    The solution is checked in integer halves 2 phi first: feasibility on
-    every edge, the sum against ``gamma``, and ``partition`` against the sets
-    where phi is 0, 1/2 and 1. A failure raises SolutionMismatchError.
+    First, in integer halves 2 phi, feasibility on every edge, the sum against ``gamma`` and ``partition``
+    against the sets where phi is 0, 1/2 and 1; a failure raises SolutionMismatchError.
     """
     if len(sol.phi) != h.n or any(p not in PHI_VALUES for p in sol.phi):
         raise SolutionMismatchError("solution shape does not match the graph")
@@ -241,9 +215,7 @@ def structural_check(sol: FractionalSolution, h: Graph) -> StructuralReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# sub-extremality diagnostics
-# ---------------------------------------------------------------------------
+# -- sub-extremality diagnostics -----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -275,9 +247,7 @@ def condition_report(g: Graph) -> ConditionReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# automorphisms and the asymptotic copy count
-# ---------------------------------------------------------------------------
+# -- automorphisms and the asymptotic copy count -------------------------------
 
 
 def automorphism_count(h: Graph) -> int:
@@ -290,15 +260,11 @@ def automorphism_count(h: Graph) -> int:
 def alon_asymptotic(h: Graph, edge_budget: float) -> float:
     """Leading-order maximum copy count (2*edge_budget)^{|V|/2} / |Aut(h)|.
 
-    Valid for patterns with a spanning disjoint union of cycles and isolated
-    edges; that structure is certified through the double cover before the
-    formula is applied.
+    Valid for patterns with a spanning disjoint union of cycles and edges, which is certified first.
     """
     if h.n > 10:
         raise PatternTooLargeError(f"supported for patterns with <= 10 vertices, got {h.n}")
     _require_no_isolated(h, "alon_asymptotic")
     if not _has_spanning_cycle_edge_factor(h):
-        raise NoSpanningCycleEdgeFactorError(
-            "pattern has no spanning disjoint union of cycles and isolated edges"
-        )
+        raise NoSpanningCycleEdgeFactorError("pattern has no spanning disjoint union of cycles and isolated edges")
     return (2.0 * edge_budget) ** (h.n / 2.0) / automorphism_count(h)

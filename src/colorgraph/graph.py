@@ -1,18 +1,32 @@
-"""Simple undirected graphs: validation, family generators, text interchange, the cycle walk.
+"""Simple undirected graphs: ``Graph``, its twin quotient, the family specs, text interchange and the cycle walk.
 
-Vertices are the contiguous integers ``0 .. n-1``. A :class:`Graph` is its
-read-only int64 arrays, so immutable and safe to share between threads:
+Vertices are the integers ``0 .. n-1``. A :class:`Graph` is its read-only
+int64 arrays, so it is immutable and safe to share between threads:
 ``edges``, the pairs ``(u, v)`` with ``u < v`` sorted, and ``nbrs`` /
-``offsets``, each vertex's sorted neighbours.
+``offsets``, each vertex's sorted neighbours. ``Graph.twin_quotient`` gives
+the host as the :class:`Blowup` of its twin classes, which the counting
+kernels, the census and the spectrum read.
 
-The text interchange format (used by every CLI subcommand) is::
+Each family spec is a ``Params`` dataclass that builds its own graph
+(``generate`` calls ``spec.build()``), by numpy index arithmetic or, for
+``ErdosRenyi`` and ``Inhomogeneous``, by one independent-edge sampler on the
+family's ``rng`` stream. ``read_spec`` reads every ``name:arg:...`` string:
+family specs, and the CLI's statistics. ``Params`` and ``FIELD_KINDS`` come
+from ``errors``, and numpy and ``rng`` are ``errors.lazy`` handles, so a
+family spec is parsed without them.
+
+The cycle walk finds the cycles of each length in ``CYCLE_LENGTHS`` for
+``census`` and ``cycle_list``, so ``simulate`` loads no ``census``. It is one
+half-path join (Alon-Yuster-Zwick 1997): the simple paths of up to 4 edges
+from each root that stay above it, built level by level in numpy, paired on
+their end. Roots go in ``rng.batches`` blocks priced by their half-paths,
+and pairs in blocks of their own; a walk raises ``SizeGateExceededError``
+once its pairs pass ``_MAX_CYCLE_PAIRS``, counted before any is compared.
+
+The text interchange format, which every CLI subcommand reads::
 
     n m
-    u v        # one line per edge, 0-based, u < v, ascending
-    ...
-
-Lines beginning with ``#`` are ignored. ``cycle_list`` lists the cycles of
-length 3..8 that ``census`` counts. ``Params`` and ``FIELD_KINDS`` come from ``errors``.
+    u v        # one line per edge, 0-based, u < v, ascending; '#' lines ignored
 """
 from __future__ import annotations
 
@@ -35,7 +49,7 @@ from .errors import (
     lazy,
 )
 
-np, rng = lazy("numpy"), lazy("colorgraph.rng")  # a family spec is parsed, and read by ``limit_for``, without them
+np, rng = lazy("numpy"), lazy("colorgraph.rng")
 
 __all__ = [
     "Graph",
@@ -135,24 +149,16 @@ class Graph:
         return self.edges[:, 0], self.edges[:, 1]
 
     def twin_quotient(self, max_classes: int) -> Blowup | None:
-        """The graph as a blow-up of its twin classes; built per call, never cached.
+        """The graph as the blow-up of its twin classes, or None past ``max_classes``; built per call, never cached.
 
-        Vertices with one open neighbourhood (false twins, pairwise
-        nonadjacent) form a class; of the vertices left alone, those with one
-        closed neighbourhood (true twins, a clique) form a class. No vertex
-        has twins of both kinds. Returns the :class:`Blowup` of these classes;
-        a twin-free graph has k = n, labels 0..n-1 and B = A. B is float32
-        while n < 2^24 and float64 from there on, so every sum B h or B D B of
-        class sizes, none above n, is exact in B's own type. None when there
-        are more than ``max_classes`` classes, found before B is built and, on
-        sparse twin-free hosts, before the closed neighbourhoods are grouped.
-        The cap is required, since B has k^2 entries: pass ``self.n`` for any k.
-
-        Lists are grouped in numpy by a hash, the sum of their vertices' hash
-        words mod 2^64 (plus the vertex's own word for a closed list), and
-        each grouping is then checked exactly: the open one entry by entry,
-        the closed one by the blow-up reproducing every edge. On a collision
-        the next salt's words hash again, so the result never depends on luck.
+        Vertices with one open neighbourhood (false twins) form a class; of
+        those left alone, vertices with one closed neighbourhood (true twins,
+        a clique) form a class. A twin-free graph has k = n and B = A. B is
+        float32 while n < 2^24, so every sum B h or B D B of class sizes, none
+        above n, is exact in B's own type. The cap is required, since B has
+        k^2 entries (pass ``self.n`` for any k), and it is met before B is built.
+        Lists are grouped by a hash, the sum of their vertices' hash words, and
+        checked exactly; a collision hashes again with the next salt.
         """
         offsets, nbrs, degree, vertices = self.offsets, self.nbrs, np.diff(self.offsets), np.arange(self.n)
         owner = np.repeat(vertices, degree)  # the vertex whose list holds each entry of nbrs
@@ -216,7 +222,7 @@ class Blowup:
     """A graph as the blow-up of a k x k 0/1 quotient B = ``blocks`` on classes of ``sizes`` vertices.
 
     Vertex v lies in class ``labels[v]``, classes numbered by their smallest vertex. Distinct u and v
-    are adjacent iff B[labels[u], labels[v]] = 1; the diagonal q of B flags the clique classes."""
+    are adjacent iff B[labels[u], labels[v]] = 1, so the diagonal q of B flags the clique classes."""
 
     labels: np.ndarray
     sizes: np.ndarray
@@ -262,11 +268,7 @@ def _first_equal(keys: np.ndarray) -> np.ndarray:
 
 
 def components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Connected components of vertices 0..n-1 joined by ``pairs``, by union-find.
-
-    Each component is an ascending vertex list; components are ordered by
-    their smallest vertex. A vertex in no pair is a component of its own.
-    """
+    """Connected components of vertices 0..n-1 joined by ``pairs``, ascending lists ordered by their least vertex."""
     parent = list(range(n))
 
     def find(x):
@@ -307,12 +309,10 @@ def _cycle_blocks(g: Graph, lengths: Collection[int]) -> Iterator[tuple[int, np.
     """(length, cycles) blocks that hold each unlabeled cycle of each length once, one column each.
 
     The cycle (r, x1, ..., x_{L-1}) with r its least vertex and x1 < x_{L-1}
-    is met once, as the simple paths P = (r, x1, ..., x_a) and Q = (r,
-    x_{L-1}, ..., x_a) of a = ceil(L/2) and b = floor(L/2) edges above r:
-    they share their end, their interiors are disjoint and P[1] < Q[1]
-    (Alon-Yuster-Zwick 1997). Its column is P, then Q's interior reversed.
-    A length that is not an integer of ``CYCLE_LENGTHS`` raises
-    UnsupportedLengthError.
+    is met once, as the paths P = (r, x1, ..., x_a) and Q = (r, x_{L-1}, ...,
+    x_a) of ceil(L/2) and floor(L/2) edges above r with disjoint interiors;
+    its column is P, then Q's interior reversed. A length that is not an
+    integer of ``CYCLE_LENGTHS`` raises UnsupportedLengthError.
     """
     for length in lengths:
         if not (isinstance(length, numbers.Integral) and length in CYCLE_LENGTHS):
@@ -330,12 +330,9 @@ def _cycle_blocks(g: Graph, lengths: Collection[int]) -> Iterator[tuple[int, np.
 
 
 def _root_blocks(g: Graph, depth: int) -> list[np.ndarray]:
-    """The ``rng.batches`` blocks of roots, each root priced by the entries of its half-paths.
+    """The ``rng.batches`` blocks of roots, each priced at depth + 5 entries per non-backtracking walk up from it.
 
-    A root's paths of k edges are at most the non-backtracking walks of k
-    edges that leave it upwards; a path and its extensions take about
-    depth + 5 entries. So a block's half-paths hold about
-    ``rng.BATCH_ENTRIES`` entries or fewer, unless it is one root.
+    Those walks bound its half-paths, so a block holds about ``rng.BATCH_ENTRIES`` entries or fewer, or one root.
     """
     owner = np.repeat(np.arange(g.n), np.diff(g.offsets))
     back = np.argsort(g.nbrs * g.n + owner)  # the arc w -> u of each arc u -> w
@@ -348,11 +345,9 @@ def _root_blocks(g: Graph, depth: int) -> list[np.ndarray]:
 
 
 def _half_paths(g: Graph, roots: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per k in 1..depth, the simple paths (r, x1, ..., xk) from ``roots`` with every xi > r, and their keys.
+    """Per k in 1..depth, the simple paths (r, x1, ..., xk) from ``roots`` with every xi > r, one per column, by key.
 
-    A path's key is its end times 2m plus the index in ``g.nbrs`` of its arc
-    r -> x1, so keys order paths by end, then root, then x1. Each level holds
-    one path per column, sorted by key, and extends the level before it.
+    A path's key is its end times 2m plus the index in ``g.nbrs`` of its arc r -> x1: by end, then root, then x1.
     """
     degree, path, first_arc, levels = np.diff(g.offsets), roots[None, :], None, []
     for k in range(depth):
@@ -373,11 +368,10 @@ def _half_paths(g: Graph, roots: np.ndarray, depth: int) -> list[tuple[np.ndarra
 
 
 def _closed_pairs(g: Graph, p: np.ndarray, p_key: np.ndarray, q: np.ndarray, q_key: np.ndarray) -> tuple[int, Iterator]:
-    """The pairs of paths P of ``p`` and Q of ``q`` to compare, and the cycles they close, one column each.
+    """The number of path pairs (P of ``p``, Q of ``q``) to compare, and the cycles they close, one column each.
 
-    The Qs of a P share its end and root and have Q[1] > P[1], a range of the
-    keys counted before any pair is compared. Pairs go in ``rng.batches``
-    blocks of their running count, at 3 index arrays, a mask and a cycle each.
+    The Qs of a P share its end and root and have Q[1] > P[1]: a range of the keys, counted before any pair is compared.
+    Pairs go in ``rng.batches`` blocks at 3 index arrays, a mask and a cycle each.
     """
     a, b = len(p) - 1, len(q) - 1
     lo = np.searchsorted(q_key, p_key, side="right")
@@ -400,10 +394,8 @@ def _closed_pairs(g: Graph, p: np.ndarray, p_key: np.ndarray, q: np.ndarray, q_k
 def cycle_list(g: Graph, length: int) -> np.ndarray:
     """All unlabeled cycles of ``length`` (in ``CYCLE_LENGTHS``) as an int64 (cycles, length) array in walk order.
 
-    A row is (r, x1, ..., x_{L-1}) with r the cycle's least vertex and
-    x1 < x_{L-1}, as ``_cycle_blocks`` meets it. Raises SizeGateExceededError,
-    before building more, once the cycles hold more than
-    ``_MAX_CYCLE_ENTRIES`` vertex entries.
+    A row is (r, x1, ..., x_{L-1}) with r the cycle's least vertex and x1 < x_{L-1}. SizeGateExceededError,
+    before more is built, once the cycles pass ``_MAX_CYCLE_ENTRIES`` vertex entries.
     """
     blocks, entries = [], 0
     for _, block in _cycle_blocks(g, (length,)):
@@ -418,6 +410,7 @@ def cycle_list(g: Graph, length: int) -> np.ndarray:
 
 
 def to_edge_list_text(g: Graph) -> str:
+    """The edge-list document of ``g``: the header ``n m``, then one ``u v`` line per edge."""
     return "".join(f"{u} {v}\n" for u, v in [(g.n, g.m), *g.edges.tolist()])
 
 
@@ -440,10 +433,9 @@ def parse_edge_list_text(text: str) -> Graph:
 
 
 def _plain_pairs(text: str) -> np.ndarray | None:
-    """The numbers of ``text`` as an int64 (lines, 2) array, one row per line that is not blank.
+    """The numbers of ``text`` as an int64 (lines, 2) array, or None unless every line is blank or two numbers.
 
-    None unless the text holds only ASCII digits, blanks and line breaks, and
-    every line that is not blank holds two numbers of at most 18 digits.
+    A number has at most 18 ASCII digits, and nothing but digits, blanks and line breaks may appear.
     """
     codes = np.frombuffer(text.encode("ascii", "replace"), np.uint8)  # any other character reads as "?"
     digit, brk = (codes >= 48) & (codes <= 57), (codes >= 10) & (codes <= 13)  # 0-9; \n \v \f \r
@@ -549,12 +541,7 @@ class ErdosRenyi(Params):
 
 @dataclass(frozen=True)
 class Inhomogeneous(Params):
-    """Independent edges with per-pair probabilities from an explicit grid.
-
-    ``kernel[i][j]`` is the probability of edge (i, j); the grid must be
-    symmetric with entries in [0, 1]. The caller evaluates whatever kernel
-    function produced it; the library never evaluates symbolic kernels.
-    """
+    """Independent edges, edge (i, j) with probability ``kernel[i][j]`` of a symmetric grid with entries in [0, 1]."""
 
     n: int
     kernel: tuple[tuple[float, ...], ...]
@@ -595,18 +582,12 @@ class RandomRegular(Params):
             if np.any(keys[1:] == keys[:-1]):  # a multi-edge
                 continue
             return Graph(n, np.column_stack(np.divmod(keys, n)))
-        raise GenerationTimeoutError(
-            f"pairing model rejected {_REGULAR_RETRY_CAP} attempts for n={n}, d={d}"
-        )
+        raise GenerationTimeoutError(f"pairing model rejected {_REGULAR_RETRY_CAP} attempts for n={n}, d={d}")
 
 
 @dataclass(frozen=True)
 class GaltonWatson(Params):
-    """Branching-process tree of all individuals born by ``height``.
-
-    ``offspring`` is the finite offspring pmf (p_0, ..., p_K); mass beyond
-    the last entry is not allowed. The tree may stay small or die out.
-    """
+    """Branching-process tree of all individuals born by ``height``, from the finite offspring pmf (p_0, ..., p_K)."""
 
     offspring: tuple[float, ...]
     height: int
@@ -633,12 +614,9 @@ class GaltonWatson(Params):
 
 @dataclass(frozen=True)
 class PathCycleGadget(Params):
-    """Path of length ``a`` with ``b`` cycles of length ``g`` across each path edge.
+    """Path of length ``a`` whose every edge carries ``b`` g-cycles, each through ``g - 2`` fresh vertices.
 
-    Every path edge (v_i, v_{i+1}) carries ``b`` cycles, each closed through
-    its own ``g - 2`` fresh interior vertices, so the graph has
-    ``a*b*(g-2) + a + 1`` vertices, ``a*b*(g-1) + a`` edges, and ``a*b``
-    cycles of length ``g``.
+    So the graph has ``a*b*(g-2) + a + 1`` vertices, ``a*b*(g-1) + a`` edges and ``a*b`` cycles of length ``g``.
     """
 
     a: int
@@ -692,14 +670,11 @@ _FAMILIES = {"complete": Complete, "bipartite": CompleteBipartite, "star": Star,
 
 
 def read_spec(text: str, kinds: dict[str, type], noun: str, grammar: str):
-    """The dataclass ``kinds[name](arg, ...)`` that the string ``name:arg:...`` names.
+    """The dataclass ``kinds[name](arg, ...)`` that the string ``name:arg:...`` names; the name is case-insensitive.
 
-    The name is case-insensitive. The dataclass fields give the arity, and
-    the ``FIELD_KINDS`` entry of each field's annotation how its argument
-    reads: an int (a ``seed`` field also reads ``seed7``), a float, or a
-    comma list of floats for a tuple. ValueError ``unknown <noun>`` for a
-    name not in ``kinds``, ``bad <noun> spec`` for arguments that do not
-    fit the fields.
+    The fields give the arity, and each field's ``FIELD_KINDS`` entry how its
+    argument reads (a ``seed`` field also reads ``seed7``). ValueError
+    ``unknown <noun>`` for a name not in ``kinds``, ``bad <noun> spec`` for arguments that do not fit.
     """
     name, *args = text.strip().split(":")
     cls = kinds.get(name.lower())

@@ -1,29 +1,31 @@
-"""Limit laws of monochromatic-edge counts, their evaluation and sampling.
+"""Limit laws of monochromatic-edge counts: the law types, ``limit_for``, evaluation, sampling and the JSON codec.
 
-Four families cover every regime:
+Four families cover every regime, and ``limit_for`` picks one:
 
-* ``Poisson`` for a growing color count with m/c converging to a constant
-  (the law describes the raw count N);
-* ``Normal`` for the standardized count (N - m/c)/sqrt(m/c), either with a
-  growing color count (variance 1) or with c fixed and a vanishing
-  four-cycle ratio (variance 1 - 1/c);
-* ``WeightedChiSquare`` for dense hosts with c fixed: the limit of
-  (N - m/c)/sqrt(2m) is scale * sum_i w_i xi_i with xi_i independent
-  centered chi-square(dof) variables and w the normalized spectrum;
-* ``PoissonMixture`` and ``AtomPlusNormal`` for the mixture phenomena
-  exhibited by branching-tree and coarse bipartite hosts.
+* ``Poisson`` for the raw count N when c grows and m/c converges;
+* ``Normal`` for (N - m/c)/sqrt(m/c) when m/c grows without bound
+  (variance 1), or with c fixed and a vanishing four-cycle ratio
+  (variance 1 - 1/c);
+* ``WeightedChiSquare`` for dense hosts at fixed c: (N - m/c)/sqrt(2m)
+  tends to scale * sum_i w_i xi_i, with xi_i iid centered chi-square(dof)
+  and w the normalized spectrum;
+* ``PoissonMixture`` and ``AtomPlusNormal`` for the mixtures of
+  branching-tree and coarse bipartite hosts.
 
-Each law type owns its ``cdf`` and its ``draw``; ``LimitLaw`` and
-``DiscreteLaw`` are their base classes. A discrete law is Poisson with a
+Each law type owns its ``cdf(x)`` at a finite x and its ``draw(seed, idx)``
+for one ``rng.batches`` block; ``law_pmf``, ``law_cdf`` and ``sample_law``
+check their arguments, then ask the law. A discrete law is Poisson with a
 mean drawn from its ``mixing``, and ``Poisson`` is its own one-point
-mixing, so every discrete law takes one pmf, cdf and sampling path.
-Sampling is counter-based: element i of a sample path is a pure function of
-(seed, i).
+mixing, so every discrete law takes one pmf, cdf and sampling path. Draw i
+is a pure function of (seed, i), and its rounding does not depend on its
+block. The weighted chi-square cdf inverts the characteristic function
+(Imhof 1961) with Davies' (1980) error control, to within
+``_CDF_ACCURACY``, and is exactly 0 or 1 beyond a finite support endpoint.
 
 The law types, the discrete pmfs, the Normal and atom cdfs, the JSON codec
 and ``limit_for``'s growing branch and closed-form families are plain
-Python. numpy, ``rng`` and the host modules are ``errors.lazy`` handles, so
-these run without loading them.
+Python; numpy, ``rng`` and the host modules are ``errors.lazy`` handles,
+so these run without loading them.
 """
 from __future__ import annotations
 
@@ -91,9 +93,7 @@ _NONNEGATIVE = (lambda x: 0 <= x < math.inf, "finite and >= 0")
 _POSITIVE = (lambda x: 0 < x < math.inf, "finite and > 0")
 
 
-# ---------------------------------------------------------------------------
-# law types
-# ---------------------------------------------------------------------------
+# -- law types -----------------------------------------------------------------
 
 
 class LimitLaw:
@@ -103,11 +103,7 @@ class LimitLaw:
 
 
 class DiscreteLaw(LimitLaw):
-    """Poisson with a random mean drawn from ``mixing``: the laws with a pmf.
-
-    A mixing gives ``mixed_pmf(k)``, the mixture's pmf at k, its ``largest_mean()``, and
-    ``means(seed, idx)``, the Poisson means of a block. ``Poisson`` is its own one-point mixing.
-    """
+    """Poisson with a mean drawn from ``mixing``, which has ``mixed_pmf(k)``, ``largest_mean()`` and ``means``."""
 
     def cdf(self, x: float) -> float:
         return 0.0 if x < 0 else min(1.0, sum(law_pmf_terms(self, int(x))))  # the rounded sum can pass 1
@@ -224,10 +220,8 @@ class Normal(Params, LimitLaw):
 def _sum_first_axis(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=0)`` in the order ``ndarray.sum`` takes over a contiguous last axis, bit for bit.
 
-    numpy adds fewer than 8 terms from left to right, starting from +0.0, so
-    there the slices a[0], a[1], ... are added in that order, each a pass
-    over contiguous rows; from 8 terms up it sums pairwise, and
-    ``ndarray.sum`` runs on a copy with the axis last.
+    numpy adds fewer than 8 terms left to right from +0.0, so there the rows
+    are added in turn; from 8 up it sums pairwise, so it runs on a copy with the axis last.
     """
     if a.shape[0] >= 8:
         return np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(axis=-1)
@@ -255,11 +249,7 @@ class WeightedChiSquare(Params, LimitLaw):
         return len(self.weights) * self.dof
 
     def effective_weights(self) -> tuple[tuple[float, ...], float]:
-        """(weights kept for sampling, dropped squared mass).
-
-        Weights are ordered by decreasing magnitude and truncated once the
-        remaining squared mass falls below 1e-6.
-        """
+        """(weights kept for sampling, dropped squared mass): by falling magnitude, until the rest sums below 1e-6."""
         ordered = sorted(self.weights, key=abs, reverse=True)
         total = sum(w * w for w in ordered)
         kept: list[float] = []
@@ -272,11 +262,7 @@ class WeightedChiSquare(Params, LimitLaw):
         return tuple(kept), max(0.0, total - acc)
 
     def cdf(self, x: float) -> float:
-        """P(law <= x) for the kept weights of ``effective_weights()``, the law ``draw`` draws.
-
-        Within ``_CDF_ACCURACY``: exact 0 or 1 beyond a finite support endpoint, otherwise
-        Imhof's inversion integral summed by :class:`_Inversion`.
-        """
+        """P(law <= x) for the kept weights of ``effective_weights()``, the law ``draw`` draws."""
         kept, _ = self.effective_weights()
         lam = self.scale * np.asarray(kept, dtype=np.float64)
         endpoint = -self.dof * float(lam.sum())
@@ -321,9 +307,7 @@ class AtomPlusNormal(Params, LimitLaw):
         return out
 
 
-# ---------------------------------------------------------------------------
-# JSON documents
-# ---------------------------------------------------------------------------
+# -- JSON documents ------------------------------------------------------------
 
 # A document is {"kind": ..., <the dataclass fields>}, with tuples as lists and
 # the mixing of a Poisson mixture as a nested document of a mixing kind.
@@ -355,7 +339,7 @@ def _from_dict(doc, kinds: dict):
 
 
 def law_to_dict(law: LimitLaw) -> dict:
-    """The JSON document of ``law``; a weighted chi-square also records its sampling truncation."""
+    """The JSON document of ``law``, its kind and fields; a weighted chi-square also records its sampling truncation."""
     doc = _to_dict(law)
     if isinstance(law, WeightedChiSquare):
         kept, dropped = law.effective_weights()
@@ -368,9 +352,7 @@ def law_from_dict(doc) -> LimitLaw:
     return _from_dict(doc, _LAW_KINDS)
 
 
-# ---------------------------------------------------------------------------
-# pmf, cdf and sampling
-# ---------------------------------------------------------------------------
+# -- pmf, cdf and sampling -----------------------------------------------------
 
 
 def law_pmf(law: LimitLaw, k: int) -> float:
@@ -383,11 +365,9 @@ def law_pmf(law: LimitLaw, k: int) -> float:
 
 
 def law_pmf_terms(law: LimitLaw, top: int) -> Iterator[float]:
-    """law_pmf(law, k) for k = 0..top, stopping at the first 0.0 past the largest mean.
+    """law_pmf(law, k) for k = 0..top, stopping at the first 0.0 past the largest mean, as ``law_pmf`` raises.
 
-    Past every mean each Poisson term falls with k, so once the pmf is 0.0
-    it stays 0.0, and the sum of the terms is the same to the bit. A law
-    without a pmf raises WrongLawKindError, as in ``law_pmf``.
+    Past every mean each Poisson term falls with k, so the pmf stays 0.0 and the sum is the same to the bit.
     """
     if not isinstance(law, DiscreteLaw):
         raise WrongLawKindError(f"{type(law).__name__} has no pmf")
@@ -417,9 +397,7 @@ def sample_law(law: LimitLaw, count: int, seed: int) -> np.ndarray:
     return np.concatenate([law.draw(seed, idx) for idx in rng.batches(0, count, law.row_cost)]).astype(np.float64)
 
 
-# ---------------------------------------------------------------------------
-# weighted chi-square cdf: Imhof inversion with Davies' error control
-# ---------------------------------------------------------------------------
+# -- weighted chi-square cdf: Imhof inversion with Davies' error control -------
 
 
 class _Inversion:
@@ -448,11 +426,7 @@ class _Inversion:
         self.lmin = min(0.0, float(lam.min()))
 
     def _chernoff(self, u: float) -> tuple[float, float]:
-        """(bound, cx): P(Q + N(0, sigsq) beyond cx) <= bound, upper tail for u > 0.
-
-        cx is the mean of the law tilted by e^{uQ}; the bound is
-        M(u) e^{-u cx} with M the MGF of :func:`weighted_chisq_mgf`.
-        """
+        """(bound, cx): P(Q + N(0, sigsq) beyond cx) <= bound, upper tail for u > 0; cx is the mean tilted by e^{uQ}."""
         x = 2.0 * u * self.lam
         cx = self.sigsq * u + self.dof * float((self.lam / (1.0 - x)).sum())
         log_mgf = _weighted_chisq_log_mgf(self.lam, self.dof, u) + 0.5 * self.sigsq * u * u
@@ -507,13 +481,9 @@ class _Inversion:
         return ut
 
     def _smoothing_error(self, c: float) -> float | None:
-        """Coefficient e with |P(Q + N(0, tau^2) < c) - P(Q < c)| <= e tau^2.
+        """Davies' coefficient e with |P(Q + N(0, tau^2) < c) - P(Q < c)| <= e tau^2.
 
-        Davies' bound: from |c|, subtract the means of the same-signed
-        weights, smallest first, while the rest stays beyond |lam_j| / log28;
-        the dof of the larger weights left over enter as 2^{dof/4}. None
-        where the bound is useless: the exponent passes 100, or far out the
-        coefficient underflows to 0.
+        None where the bound is useless: the exponent passes 100, or far out e underflows to 0.
         """
         sign = 1.0 if c > 0.0 else -1.0
         rising = self.lam[::-1] * sign
@@ -535,10 +505,9 @@ class _Inversion:
         return 2.0 ** (exponent / 4.0) / (math.pi * axl * axl) or None
 
     def _integrate(self, nterm: int, step: float, c: float, tausq: float | None):
-        """Midpoint sum of the inversion integrand over u_k = (k + 1/2) step, k <= nterm.
+        """(midpoint sum of the integrand over u_k = (k + 1/2) step, k <= nterm, sum of its round-off scales).
 
         With ``tausq`` the integrand is multiplied by 1 - exp(-tausq u^2 / 2).
-        Returns (sum, sum of the terms' round-off scales).
         """
         total = roundoff = 0.0
         block = max(1, _CDF_BLOCK // self.lam.size)
@@ -615,26 +584,20 @@ class _Inversion:
         return 0.5 - total
 
 
-# ---------------------------------------------------------------------------
-# moment generating functions
-# ---------------------------------------------------------------------------
+# -- moment generating functions -----------------------------------------------
 
 
 def weighted_chisq_mgf(weights, dof: int, t: float) -> float:
-    """E exp(t * sum_j w_j xi_j), xi_j iid chi-square(dof) - dof.
+    """E exp(t * sum_j w_j xi_j) = prod_j (1 - 2 t w_j)^{-dof/2} e^{-dof t w_j}, xi_j iid chi-square(dof) - dof.
 
-    Product form prod_j (1 - 2 t w_j)^{-dof/2} e^{-dof t w_j}; finite for
-    2 |t| max|w| < 1. The exponential factors cancel whenever the weights
-    sum to zero, as they do for graph spectra.
+    Finite for 2 |t| max|w| < 1; outside it ``DomainExceededError``.
     """
     w = np.asarray(weights, dtype=np.float64)
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
     wmax = float(np.max(np.abs(w))) if w.size else 0.0
     if 2.0 * abs(t) * wmax >= 1.0:
-        raise DomainExceededError(
-            f"|t| = {abs(t)} outside the MGF domain |t| < {0.5 / wmax if wmax else math.inf}"
-        )
+        raise DomainExceededError(f"|t| = {abs(t)} outside the MGF domain |t| < {0.5 / wmax if wmax else math.inf}")
     return float(np.exp(_weighted_chisq_log_mgf(w, dof, t)))
 
 
@@ -643,10 +606,9 @@ def _weighted_chisq_log_mgf(w: np.ndarray, dof: int, t: float) -> float:
 
 
 def delta_conditional_mgf(g: graph.Graph, c: int, t: float) -> float:
-    """MGF of the Gaussian quadratic surrogate of (N - m/c)/sqrt(2m).
+    """MGF of the Gaussian quadratic surrogate of (N - m/c)/sqrt(2m): prod_j (1 - lambda~_j t / c)^{(1-c)/2}.
 
-    Equals prod_j (1 - lambda~_j t / c)^{(1-c)/2} over the normalized
-    adjacency spectrum lambda~.
+    lambda~ is the normalized adjacency spectrum.
     """
     if c < 2:
         raise ValueError(f"need at least 2 colors, got {c}")
@@ -655,20 +617,15 @@ def delta_conditional_mgf(g: graph.Graph, c: int, t: float) -> float:
     lam = spectral.eigenvalues(g).normalized
     lmax = float(np.max(np.abs(lam)))
     if abs(t) >= c / (2.0 * lmax):
-        raise DomainExceededError(
-            f"|t| = {abs(t)} outside the stated domain |t| < {c / (2.0 * lmax)}"
-        )
+        raise DomainExceededError(f"|t| = {abs(t)} outside the stated domain |t| < {c / (2.0 * lmax)}")
     log_val = 0.5 * (1 - c) * np.sum(np.log1p(-lam * (t / c)))
     return float(np.exp(log_val))
 
 
 def gadget_char_function(a: int, b: int, c: int, g: int, t: float) -> complex:
-    """Characteristic function of the monochromatic g-cycle count of the
-    path-cycle gadget with parameters (a, b, g) under uniform c-coloring.
+    """Characteristic function of the monochromatic g-cycle count of the gadget (a, b, g) under uniform c-coloring.
 
-    E e^{itZ} = E (1 - c^{2-g} + e^{it} c^{2-g})^{b K} with K the number of
-    monochromatic edges of the length-a path, K ~ Binomial(a, 1/c); the sum
-    over the binomial pmf is evaluated exactly.
+    E (1 - c^{2-g} + e^{it} c^{2-g})^{b K}, K ~ Binomial(a, 1/c) the path's monochromatic edges, summed over K.
     """
     if g < 3:
         raise ValueError(f"cycle length must be >= 3, got {g}")
@@ -684,9 +641,7 @@ def gadget_char_function(a: int, b: int, c: int, g: int, t: float) -> complex:
     return total
 
 
-# ---------------------------------------------------------------------------
-# Gaussian surrogate sampling
-# ---------------------------------------------------------------------------
+# -- Gaussian surrogate sampling -----------------------------------------------
 
 
 def _centered_gaussian_scores(seed: int, idx, vertices: int, c: int) -> np.ndarray:
@@ -700,11 +655,9 @@ def _centered_gaussian_scores(seed: int, idx, vertices: int, c: int) -> np.ndarr
 
 
 def gaussian_surrogate_delta(g: graph.Graph, c: int, count: int, seed: int) -> np.ndarray:
-    """Draws of Q(G)/sqrt(2m), the Gaussian surrogate of the standardized count.
+    """Draws of Q(G)/sqrt(2m), Q(G) = sum_{(i,j) in E} sum_a S_{ia} S_{ja}, whose MGF is ``delta_conditional_mgf``.
 
-    Q(G) = sum_{(i,j) in E} sum_a S_{ia} S_{ja} with the centered Gaussian
-    scores S; its conditional MGF is :func:`delta_conditional_mgf`. Draw i
-    depends only on (seed, i).
+    S holds the centered Gaussian scores; draw i depends only on (seed, i).
     """
     if g.m < 1:
         raise ValueError("needs at least one edge")
@@ -729,9 +682,7 @@ def gaussian_surrogate_product(pattern, c: int, count: int, seed: int) -> np.nda
     return np.concatenate(parts)
 
 
-# ---------------------------------------------------------------------------
-# regime selector
-# ---------------------------------------------------------------------------
+# -- regime selector -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -754,18 +705,14 @@ Regime = Union[Fixed, Growing]
 
 
 def limit_for(graph_or_spec: Union[graph.Graph, graph.FamilySpec], regime: Regime) -> LimitLaw:
-    """Select the limit law for a host and color regime.
+    """The limit law of a host, or family spec, in a color regime (module docstring).
 
-    Growing regimes depend only on the limiting ratio m/c: a finite ratio
-    gives Poisson(ratio) for the raw count, an infinite one gives N(0, 1)
-    for the standardized count. With c fixed the four-cycle ratio
-    N(C4)/m^2 decides: below 1e-2 the standardized count is N(0, 1 - 1/c),
-    above 1e-1 the host is treated as dense and the normalized spectrum
-    drives a weighted chi-square law for (N - m/c)/sqrt(2m); the zone
-    between is reported as ambiguous rather than guessed. Only the dense
-    case builds a spectrum, so only it meets the gate of 4000 twin classes. A
-    complete or complete bipartite family spec has a closed-form law; any
-    other spec is built, and its graph decides.
+    With c fixed the four-cycle ratio N(C4)/m^2 decides: Normal below
+    ``ACF4_NORMAL_THRESHOLD``, a weighted chi-square of the normalized
+    spectrum above ``ACF4_GRAY_UPPER``, and ``AmbiguousRegimeError`` between,
+    rather than a guess. Only that dense case builds a spectrum and meets its
+    gate. A complete or complete bipartite family spec has a closed-form
+    law; any other spec is built, and its graph decides.
     """
     if isinstance(regime, Growing):
         ratio = regime.edge_color_ratio

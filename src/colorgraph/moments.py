@@ -69,11 +69,10 @@ def bernoulli_central_moment(c: int, order: int) -> Fraction:
 
 
 def expected_central_products(pattern: MultiGraphPattern, c: int) -> tuple[Fraction, Fraction]:
-    """(EZ, EW) for one pattern H.
+    """(EZ, EW) for one pattern H of at most 6 edges, counting multiplicities.
 
     EZ is the expectation of prod over multi-edges of (1{same color} - 1/c);
-    EW replaces each indicator by an independent Bernoulli(1/c). Exact
-    rationals; gated at 6 edges counting multiplicities.
+    EW replaces each indicator by an independent Bernoulli(1/c).
     """
     if pattern.edge_count > _CENTRAL_PRODUCT_GATE:
         raise PatternTooLargeError(
@@ -142,10 +141,8 @@ def _scaled(unscaled: Fraction, m: int, c: int, order: int) -> MomentValue:
 def conditional_moment(g: Graph, req: MomentRequest) -> MomentValue:
     """Exact conditional moment of the monochromatic-edge count of ``g``.
 
-    RAW_N: E(N^k | G). RAW_M: E(M^k | G) for the independent-Bernoulli
-    surrogate (equal to :func:`stirling_moment`). CENTRAL_Z / CENTRAL_W:
-    the standardized central moments E(Z^k | G), E(W^k | G) with
-    standardization (m/c)^{-k/2}.
+    RAW_N: E(N^k | G). RAW_M: E(M^k | G), which is :func:`stirling_moment`.
+    CENTRAL_Z / CENTRAL_W: E(Z^k | G) and E(W^k | G), standardized by (m/c)^{-k/2}.
     """
     return _class_sum(census.count_multigraph_tuples(g, req.order), g.m, req)
 

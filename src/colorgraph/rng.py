@@ -1,27 +1,25 @@
-"""Counter-based random primitives.
+"""Counter-based random streams: ``words`` and the draws built on it, and ``batches``, the one splitter of index ranges.
 
-Every random quantity in this package is a pure function of a 64-bit seed
-and an index path: ``word(seed, i0, i1, ...)`` hashes the path with chained
-splitmix64 finalizer rounds (Steele, Lea, Flood; the SplittableRandom mixer).
-Consequences:
+Every random quantity in the package is a pure function of a 64-bit seed
+and an index path: ``words(seed, i0, i1, ...)`` hashes the path with chained
+splitmix64 finalizer rounds (Steele, Lea, Flood; the SplittableRandom
+mixer), and each random draw leads its path with its consumer's ``STREAM_*`` tag. So
+sample i can be drawn alone, and results are bit-identical however
+``batches`` cuts a range into blocks and however many workers run them.
 
-* sample ``i`` of a run can be regenerated in isolation, so results are
-  bit-identical however ``batches``, the package's one splitter of index
-  ranges, cuts the range into blocks and however many workers ran them;
-* distinct purposes use distinct leading stream constants and cannot
-  collide structurally.
-
-All bulk operations are vectorized over numpy uint64 arrays and broadcast
-like ordinary numpy ops: pass index arrays shaped ``(s, 1)`` and ``(1, v)``
-to fill an ``(s, v)`` matrix, or ``(1, s)`` and ``(v, 1)`` for the
-vertex-major ``(v, s)`` matrix of the same draws. ``words`` mixes in place.
-The finalizer's first step, z ^= z >> 30, distributes over xor (``_fold``),
-so a step that broadcasts two smaller operands folds both before it and
-skips that step on the full size. ``uniform_ints`` and ``normals`` hash the
-path up to its last step once and finish their words in tiles of about
+Index arrays broadcast like numpy operands: ``(s, 1)`` against ``(1, v)``
+fills an (s, v) matrix, and ``(v, 1)`` against ``(1, s)`` the vertex-major
+(v, s) matrix of the same draws. The finalizer's first step, z ^= z >> 30,
+distributes over xor (``_fold``), so a step whose two operands are smaller
+than their broadcast folds both and skips that step on the full size.
+``uniform_ints`` and ``normals`` hash the path up to its last step once,
+then finish their words in tiles of leading-axis rows of about
 ``TILE_WORDS`` words, through buffers allocated once per call, so each pass
-over a tile stays in cache; no draw depends on the layout or the tiling,
-and each function's docstring gives its steps.
+over a tile stays in cache. In ``uniform_ints`` a tile of at most
+``_BROADCAST_ROWS`` rows is one broadcast xor of the folded head and last
+step; for more, shorter rows the head is laid out once as a tile, and a
+prefix that varies by row is hashed per tile. No draw depends on the layout
+or the tiling.
 """
 from __future__ import annotations
 
@@ -66,13 +64,11 @@ _MAX_COLORS = 2**53  # ``uniform_ints`` resolves at most this many colors
 def batches(lo: int, hi: int, row_cost: int | np.ndarray) -> Iterator[np.ndarray]:
     """int64 index blocks that cover [lo, hi) in order; one empty block if hi <= lo.
 
-    ``row_cost`` is the array entries one index needs. As an int, a block
-    holds ``BATCH_ENTRIES // row_cost`` indices, and at least one. As an
-    array of the nonnegative costs of indices lo..hi-1, a block runs over
-    consecutive indices while their summed cost fits ``BATCH_ENTRIES``, and
-    an index costlier than that is a block alone. A caller draws each index
-    from (seed, index) and reduces each row on its own, so no result
-    depends on where the blocks fall.
+    ``row_cost`` is the array entries one index needs: an int for all, so a
+    block holds ``BATCH_ENTRIES // row_cost`` indices and at least one, or
+    the costs of indices lo..hi-1, so a block runs while their sum fits
+    ``BATCH_ENTRIES`` and a costlier index is a block alone. A caller
+    reduces each row on its own, so no result depends on where blocks fall.
     """
     if np.ndim(row_cost) == 0:
         rows = max(1, BATCH_ENTRIES // max(1, row_cost))
@@ -99,9 +95,7 @@ def _fold(z):
 def _mix(z: np.ndarray, tmp: np.ndarray, last_round: bool = True, folded: bool = False) -> np.ndarray:
     """The splitmix64 finalizer applied to ``z`` in place; ``tmp`` is scratch of z's shape.
 
-    With ``folded`` the first step, z ^= z >> 30, is taken as done (see
-    ``_fold``). Without ``last_round`` the final z ^= z >> 31 is left out,
-    which leaves the top 31 bits as they are.
+    ``folded``: the first step is done (``_fold``). Without ``last_round`` the final z ^= z >> 31 is left out.
     """
     for shift, mult in ((30, _M1), (27, _M2), (31, None))[: 3 if last_round else 2]:
         if shift != 30 or not folded:
@@ -120,13 +114,10 @@ def _mix_int(z: int) -> int:
 
 
 def words(seed: int, *path) -> np.ndarray:
-    """uint64 hash words for every index combination in ``path`` (broadcast).
+    """uint64 hash words for every index combination in ``path`` (broadcast); a path of scalars gives a ``np.uint64``.
 
-    Leading scalar steps run on Python ints; each array step allocates its
-    prefix's broadcast shape once and mixes it in place. Where both
-    operands of a step are smaller than their broadcast, they are folded
-    before it. A path of scalars gives a ``np.uint64``. ``seed`` is an
-    integer (``operator.index``): a float is a TypeError, never truncated.
+    Leading scalar steps run on Python ints. ``seed`` is an integer
+    (``operator.index``): a float is a TypeError, never truncated.
     """
     h = _mix_int((operator.index(seed) + int(_GOLDEN)) & _MASK)
     with np.errstate(over="ignore"):  # uint64 wraparound is intended; numpy warns for 0-d operands
@@ -164,18 +155,14 @@ def _checked_colors(c: int) -> int:
     if c < 1:
         raise ValueError(f"need at least 1 color, got {c}")
     if c > _MAX_COLORS:
-        raise DomainExceededError(
-            f"{c} colors exceed 2^53, the most that 53-bit uniforms draw uniformly"
-        )
+        raise DomainExceededError(f"{c} colors exceed 2^53, the most that 53-bit uniforms draw uniformly")
     return c
 
 
 def _finish(z: np.ndarray, tmp: np.ndarray, c: int, out: np.ndarray, folded: bool) -> None:
     """The finalizer on hash words ``z`` (in place; ``tmp`` scratch), then their colors in [0, c) into ``out``.
 
-    For c = 2^k the colors are the top k bits, and for k <= 31 the
-    finalizer's last round, z ^= z >> 31, is skipped: it never changes them.
-    Otherwise they are float(z >> 11) * (c * 2^-53), read through an int64 view.
+    For c = 2^k <= 2^31 the last round is skipped: it never changes the top k bits, the colors.
     """
     shift = 64 - (c.bit_length() - 1) if c > 1 and c & (c - 1) == 0 else None
     _mix(z, tmp, last_round=shift is None or shift < 33, folded=folded)
@@ -194,37 +181,22 @@ def _block_positions(at, size: int) -> np.ndarray:
 
 
 def uniform_ints(seed: int, c: int, *path, at: np.ndarray | None = None) -> np.ndarray:
-    """Uniform integers in [0, c), in the narrowest unsigned dtype holding c - 1.
+    """Uniform integers in [0, c) of the path's broadcast shape, in the narrowest unsigned dtype holding c - 1.
 
-    floor(u * c) of the 53-bit uniform u = (w >> 11) * 2^-53 of ``words``;
-    the residual bias is below c * 2^-53 and irrelevant at the package's
-    tolerances. For c = 2^k that is the top k bits of w; otherwise it is
-    float(w >> 11) * (c * 2^-53), which rounds exactly as u * c does because
-    c * 2^-53 is exact. c must be an integer (``operator.index``, else
-    TypeError) in [1, 2^53]: ValueError below, and ``DomainExceededError``
-    above, where the uniforms miss colors. The path needs at least one step.
-
-    The output has the path's broadcast shape and is filled in tiles of
-    leading-axis rows that hold about ``TILE_WORDS`` words (one row if a
-    row holds more), so every pass over a tile stays in cache. ``words``
-    hashes the path up to its last step; the last step and the finalizer
-    run here, in tile buffers allocated once per call, and a last step of
-    the output's full shape is multiplied and folded tile by tile. Unless
-    the prefix varies by row, both operands are folded first (see
-    ``_fold``); a tile of at most ``_BROADCAST_ROWS`` rows is then one
-    broadcast xor of them, and for more rows the head is laid out once as
-    a tile. ``_finish`` writes each tile's colors straight into the output.
-    Each draw depends only on its own path, so the tiling changes no value.
-    Pass the vertex index as the leading axis, ``(v, 1)`` against
-    ``(1, s)``, for the vertex-major (v, s) matrix the counting kernels read.
+    floor(u * c) of the 53-bit uniform u = (w >> 11) * 2^-53 of ``words``,
+    with a bias below c * 2^-53: for c = 2^k the top k bits of w, otherwise
+    float(w >> 11) * (c * 2^-53), which rounds as u * c does because
+    c * 2^-53 is exact. c is an integer (``operator.index``, else TypeError)
+    in [1, 2^53]: ValueError below, and ``DomainExceededError`` above, where
+    the uniforms miss colors. The path needs at least one step.
 
     With ``at``, the draws are reads at block positions: for ``path =
     (*prefix, last)``, read j is ``uniform_ints(seed, c, *prefix, last[j])``
     with each array of ``prefix`` taken at ``at[j]``. The prefix must
-    broadcast to one block's 1-D indices and each position lie in [0, block
-    size), else ValueError; a prefix of scalars has no block. ``last`` and
-    ``at`` broadcast to the reads' shape. The prefix is hashed and folded
-    once, at most one word per block index, and gathered per tile of reads.
+    broadcast to one block's 1-D indices (a prefix of scalars has no block)
+    and each position lie in [0, block size), else ValueError; ``last`` and
+    ``at`` broadcast to the reads' shape. The prefix is hashed once, at most
+    one word per block index, not once per read.
     """
     c = _checked_colors(c)
     if not path:
@@ -280,12 +252,7 @@ def uniform_ints(seed: int, c: int, *path, at: np.ndarray | None = None) -> np.n
 
 
 def normals(seed: int, *path) -> np.ndarray:
-    """Standard normals via Box-Muller; two words per variate.
-
-    The words are ``words(seed, *path, 0)`` and ``words(seed, *path, 1)``:
-    the path is hashed once, and both trailing steps finish from it in
-    tiles of ``TILE_WORDS`` words, through buffers allocated once per call.
-    """
+    """Standard normals by Box-Muller of ``words(seed, *path, 0)`` and ``words(seed, *path, 1)``; one path hash."""
     hashed = np.asarray(words(seed, *path))
     h, out = hashed.reshape(-1), np.empty(hashed.size)
     w0, w1, tmp = (np.empty(min(h.size, TILE_WORDS), dtype=np.uint64) for _ in range(3))
@@ -308,11 +275,9 @@ def normals(seed: int, *path) -> np.ndarray:
 
 
 def poissons(seed: int, mean, *path) -> np.ndarray:
-    """Poisson variates by CDF inversion of one uniform per index.
+    """Poisson variates by CDF inversion of one uniform per index; ``mean`` broadcasts against the path.
 
-    ``mean`` is a scalar or an array broadcastable against the path shape.
-    Intended for small and moderate means (iteration count grows with the
-    mean plus a wide tail margin). A mean above about 708.4, where exp(-mean)
+    The steps grow with the mean. A mean above about 708.4, where exp(-mean)
     is no longer a normal double, raises ``DomainExceededError``: the
     inversion would start from a term that has lost its precision or is 0.
     """
@@ -341,10 +306,6 @@ def poissons(seed: int, mean, *path) -> np.ndarray:
 
 
 def permutation(seed: int, n: int, *path) -> np.ndarray:
-    """Deterministic uniform permutation of range(n) for the given path.
-
-    Sorts range(n) by per-element hash words; ties (probability ~ n^2/2^64)
-    are broken stably, so the output is deterministic regardless.
-    """
+    """Uniform permutation of range(n): argsort of hash words, ties (probability ~ n^2/2^64) broken stably."""
     keys = words(seed, *path, np.arange(n, dtype=np.uint64))
     return np.argsort(keys, kind="stable")

@@ -84,11 +84,7 @@ def eigenvalues(g: Graph) -> Spectrum:
 
 @dataclass(frozen=True)
 class CycleBound:
-    """Upper bounds on the number of g-cycles.
-
-    ``edge_bound`` is (2m)^{g/2} / (2g); ``trace_bound`` is the sharper
-    intermediate tr(A^g) / (2g), present when a spectrum was supplied.
-    """
+    """Upper bounds on the number of g-cycles: (2m)^{g/2} / (2g) and, given a spectrum, the sharper tr(A^g) / (2g)."""
 
     edge_bound: float
     trace_bound: float | None = None

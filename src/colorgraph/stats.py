@@ -29,8 +29,7 @@ _MAX_BLOCKS = 10_000  # the most jackknife blocks ``empirical_moments`` groups s
 def tv_distance(p: Mapping, q: Mapping) -> float:
     """Total variation distance: half the L1 gap over the union support, summed in sorted order.
 
-    The order fixes the value: support points where both sides are 0 add
-    nothing, so it does not depend on how far either table runs.
+    So points where both sides are 0 add nothing, and the value does not depend on how far either table runs.
     """
     support = sorted(set(p) | set(q))
     return 0.5 * sum(abs(float(p.get(x, 0)) - float(q.get(x, 0))) for x in support)
@@ -48,10 +47,9 @@ def _checked_weights(arr: np.ndarray, weights) -> np.ndarray:
 
 
 def empirical_pmf(values, weights) -> dict:
-    """Each value's share of the total weight, added in input order.
+    """Each value's share of the total weight, added in input order; the weights are checked as ``ks_statistic`` does.
 
-    The weights are checked as ``ks_statistic`` checks them, in plain Python:
-    with every weight >= 0, their sum is positive exactly when ndarray.sum's is.
+    The check is plain Python: with every weight >= 0, the sum is positive exactly when ndarray.sum's is.
     """
     floats = [float(x) for x in weights]
     if len(floats) != len(values) or any(x < 0 for x in floats) or not sum(floats) > 0:
@@ -109,13 +107,10 @@ def _sorted_sample(samples) -> np.ndarray:
 def two_sample_ks(a, b) -> float:
     """sup_x |F_a(x) - F_b(x)| between two empirical cdfs, evaluated exactly; ValueError on NaN.
 
-    The sup is taken at the shorter side's distinct points y, two values
-    each: at y, #{long <= y} / n_long - #{short <= y} / n_short, and just
-    below it, the same with #{long < y} and #{short < y}. Between two of
-    them F_short is constant and F_long monotone, so no other point gives
-    more: the values at the longer side's own points lie between these,
-    after rounding too. The counts are exact integers, so the distance does
-    not depend on which side is which.
+    The sup is taken at each distinct point y of the shorter side, at y and
+    just below it, each a binary search in the longer side. Between two such
+    points F_short is constant and F_long monotone, so no other point gives
+    more, after rounding too; the counts are exact, so both orders of the arguments give the same bits.
     """
     long, short = sorted((_sorted_sample(a), _sorted_sample(b)), key=len, reverse=True)
     through = np.flatnonzero(np.append(short[1:] != short[:-1], True)) + 1  # #{short <= y} at each distinct y

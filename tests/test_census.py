@@ -654,6 +654,10 @@ class TestPatternCounts:
         assert census._SUPPORTS == generated
         assert list(census._SUPPORTS) == list(generated)  # in canonical order, as the census lists them
 
+    def test_cycles_are_read_from_the_tables(self):
+        assert census._CYCLES == {3: MultiGraphPattern.from_edges([(0, 1), (1, 2), (0, 2)]),
+                                  4: MultiGraphPattern.from_edges([(0, 1), (1, 2), (2, 3), (0, 3)])}
+
     def test_shape_names_are_their_degrees(self):
         # each connected support is the shape its degrees name, and the closed form counts its homomorphisms
         host = generate(ErdosRenyi(7, 0.6, 2))

@@ -485,11 +485,14 @@ UNJUDGEABLE_COMPARES = [
     (COMPARE_KS[:2] + ["nan-row.csv"] + COMPARE_KS[3:], "row 'nan,3' holds a field that is not a number"),
     (COMPARE_TV + ["inf-row.csv", "--law", "law.json"], "row 'inf,3' holds a field that is not a number"),
     (COMPARE_KS[:2] + ["stray-row.csv"] + COMPARE_KS[3:], "row 'x,1' holds a field that is not a number"),
+    # a first row that float() reads is data, not a header, even when it starts with a letter
+    (COMPARE_TV + ["nan-first.csv", "--law", "law.json"], "row 'nan,3' holds a field that is not a number"),
+    (COMPARE_KS[:2] + ["inf-first.csv"] + COMPARE_KS[3:], "row 'inf,5' holds a field that is not a number"),
 ]
 UNJUDGEABLE_IDS = ["tv-normal", "tv-weighted-chi-square", "tv-atom-plus-normal", "tv-zero-counts",
                    "tv-negative-count", "ks-negative-count", "tv-huge-value", "ks-huge-value", "tv-huge-count",
                    "tv-zero-denominator-count", "ks-zero-denominator-value", "tv-word-count", "ks-word-value",
-                   "ks-nan-row", "tv-inf-row", "ks-stray-row"]
+                   "ks-nan-row", "tv-inf-row", "ks-stray-row", "tv-nan-first-row", "ks-inf-first-row"]
 
 
 def write_compare_inputs(tmp_path) -> None:
@@ -501,12 +504,14 @@ def write_compare_inputs(tmp_path) -> None:
                        ("zero-denominator-value.csv", "value,count\n1/0,3\n"),
                        ("word-count.csv", "value,count\n3,x\n"), ("word-value.csv", "value,count\n1.5.2,3\n"),
                        ("nan-row.csv", "value,count\n1,2\nnan,3\n2,5\n"), ("inf-row.csv", "value,count\n1,2\ninf,3\n"),
-                       ("stray-row.csv", "# a comment\nvalue,count\n1,2\nx,1\n")):
+                       ("stray-row.csv", "# a comment\nvalue,count\n1,2\nx,1\n"),
+                       ("nan-first.csv", "nan,3\n1,2\n"), ("inf-first.csv", "inf,5\n1,2\n")):
         (tmp_path / name).write_text(text)
     for name, law in (("law.json", limits.Poisson(5.0)), ("normal.json", limits.Normal(0.0, 1.0)),
                       ("chi-square.json", limits.WeightedChiSquare((1.0,), 1, 0.25)),
                       ("atom.json", limits.AtomPlusNormal(0.5, 1.0)),
-                      ("mixture.json", limits.PoissonMixture(limits.PoissonMixing(1.0)))):
+                      ("mixture.json", limits.PoissonMixture(limits.PoissonMixing(1.0))),
+                      ("empirical-mixture.json", limits.PoissonMixture(limits.EmpiricalMixing((1.0, 2.5))))):
         (tmp_path / name).write_text(json.dumps(limits.law_to_dict(law)))
 
 
@@ -677,7 +682,7 @@ def test_cli_start_up_skips_the_process_pool():
                          ids=["birthday", "version"])
 def test_numpy_free_commands_load_no_numpy(args):
     loaded = modules_after_cli(*args)
-    assert "numpy" not in loaded
+    assert not {"numpy", "dataclasses", "fractions"} & loaded
     assert {m for m in loaded if m.startswith("colorgraph")} == {"colorgraph", "colorgraph.errors"}
 
 
@@ -687,16 +692,19 @@ def test_census_loads_only_what_it_runs():
     assert not {"colorgraph.limits", "colorgraph.colorsim", "colorgraph.moments"} & loaded
 
 
-@pytest.mark.parametrize("args,loads_numpy", [(("limit", "--growing-ratio", "2"), False),
-                                              (("compare", "--empirical", "e.csv", "--law", "law.json", "--metric",
-                                                "ks", "--tol", "1.5"), True)], ids=["limit-growing", "compare-ks"])
+@pytest.mark.parametrize("args,loads_numpy", [
+    (("limit", "--growing-ratio", "2"), False),
+    (("compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "ks", "--tol", "1.5"), True),
+    # an EmpiricalMixing pmf averages its Poisson terms with np.mean
+    (("compare", "--empirical", "e.csv", "--law", "empirical-mixture.json", "--metric", "tv", "--tol", "1.5"), True),
+], ids=["limit-growing", "compare-ks", "compare-tv-empirical-mixture"])
 def test_law_commands_load_no_census_or_spectrum(args, loads_numpy, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_compare_inputs(tmp_path)
     loaded = modules_after_cli(*args)
     assert "colorgraph.limits" in loaded
     assert not {"colorgraph.census", "colorgraph.spectral"} & loaded
-    assert ("numpy" in loaded) == loads_numpy  # a KS comparison sums arrays
+    assert ("numpy" in loaded) == loads_numpy  # a KS comparison sums arrays, an EmpiricalMixing pmf takes np.mean
 
 
 # a discrete law's pmf arithmetic runs without numpy, and so without rng, which needs it

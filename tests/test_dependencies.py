@@ -64,7 +64,7 @@ def test_guard_catches_a_lazy_scipy():
 # bound when the module loads and loads its module on its first read; the rest is imported where it runs
 LOAD_TIME = {
     "__init__.py": set(),
-    "census.py": {"numpy", "colorgraph.errors", "colorgraph.graph", "colorgraph.rng"},
+    "census.py": {"numpy", "colorgraph.errors", "colorgraph.graph", "colorgraph.rng", "colorgraph.spectral (lazy)"},
     # each command loads the rest when it runs
     "cli.py": {"click", "colorgraph.__version__", "colorgraph.errors", "numpy (lazy)", "colorgraph.census (lazy)",
                "colorgraph.colorsim (lazy)", "colorgraph.extremal (lazy)", "colorgraph.graph (lazy)",
@@ -113,17 +113,40 @@ def load_time_imports(tree: ast.AST) -> set[str]:
     return names
 
 
+def in_stdlib(name: str) -> bool:
+    """Whether a ``load_time_imports`` name, a lazy handle's included, is in the standard library."""
+    return name.removesuffix(" (lazy)").split(".")[0] in sys.stdlib_module_names
+
+
+def function_level_imports(tree: ast.AST) -> list[int]:
+    """The line of each import statement inside a function body of ``tree``."""
+    return sorted({node.lineno for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_function_level_imports(path):
+    # one import mechanism: a module a function needs only sometimes is an errors.lazy handle at module level
+    lines = function_level_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} imports inside a function at lines {lines}"
+
+
+def test_function_level_import_guard_catches_nested_imports():
+    source = "import math\ndef run():\n    def inner():\n        from . import stats\n    import json\n"
+    assert function_level_imports(ast.parse(source)) == [4, 5]
+
+
 def test_cli_loads_only_stdlib_click_and_errors():
     cli = next(path for path in SOURCES if path.name == "cli.py")
     eager = load_time_imports(ast.parse(cli.read_text(), filename=str(cli)))
-    outside = {name for name in eager if name.split(".")[0] not in sys.stdlib_module_names} - CLI_START_UP
-    assert not outside, f"cli.py imports {sorted(outside)} at load time; import them in the command that runs them"
+    outside = {name for name in eager if not in_stdlib(name)} - CLI_START_UP
+    assert not outside, f"cli.py imports {sorted(outside)} at load time; bind them as errors.lazy handles"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_each_module_loads_only_its_listed_imports(path):
     eager = load_time_imports(ast.parse(path.read_text(), filename=str(path)))
-    assert {name for name in eager if name.split(".")[0] not in sys.stdlib_module_names} == LOAD_TIME[path.name]
+    assert {name for name in eager if not in_stdlib(name)} == LOAD_TIME[path.name]
 
 
 def test_cli_guard_catches_eager_imports():
