@@ -571,8 +571,8 @@ def _wedge_invariants(n: int, d: np.ndarray, u: np.ndarray, v: np.ndarray) -> tu
 
 def hom_density_cycle(g: Graph, length: int) -> float:
     """Cycle homomorphism density tr(A^length) / n^length (length >= 2)."""
-    if length < 2:
-        raise ValueError(f"cycle homomorphism density needs length >= 2, got {length}")
+    if not (isinstance(length, numbers.Integral) and length >= 2):  # True is 1, so no bool passes
+        raise ValueError(f"cycle homomorphism density needs an integer length >= 2, got {length!r}")
     if g.n == 0 or g.m == 0:
         return 0.0
     return float(spectral.eigenvalues(g).trace_power(length)) / float(g.n) ** length

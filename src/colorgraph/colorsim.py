@@ -53,7 +53,7 @@ from . import graph, rng
 from .errors import BadColorVectorError, DomainExceededError, EnumerationGateExceededError, Params, lazy
 from .graph import Blowup, Graph
 
-futures = lazy("concurrent.futures")  # its process pool costs every CLI start 15-23 ms; only workers > 1 read it
+multiprocessing = lazy("multiprocessing")  # its pool costs every CLI start 15-24 ms; only workers > 1 read it
 
 __all__ = [
     "MonoEdges",
@@ -545,8 +545,8 @@ def simulate(
     if workers > 1:
         bounds = sorted(set(np.linspace(0, samples, workers + 1).astype(int).tolist()))
         job = functools.partial(_simulate_range, kernel, seed, c)
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = np.concatenate(list(pool.map(job, bounds[:-1], bounds[1:])))
+        with multiprocessing.Pool(workers) as pool:
+            counts = np.concatenate(pool.starmap(job, zip(bounds[:-1], bounds[1:])))
     else:
         counts = _simulate_range(kernel, seed, c, 0, samples)
     counts.setflags(write=False)

@@ -11,11 +11,11 @@ needs numpy, a standard-library module or another part of the package only
 in some of its functions binds it once, at module level, as
 ``np = lazy("numpy")``, and no function body imports. The handle is the
 module itself when it is already loaded; otherwise the standard library's
-``importlib.util.LazyLoader`` registers it in ``sys.modules`` and, outside
-this package, on its package; the module runs on its first attribute read,
-so a command whose path never reads ``np.`` never loads numpy. A later
-``import`` returns the same module, and so does ``from . import rng`` in a
-module of this package, which loads it through ``colorgraph.__getattr__``.
+``importlib.util.LazyLoader`` registers it in ``sys.modules``, and the
+module runs on its first attribute read, so a command whose path never
+reads ``np.`` never loads numpy. A later ``import`` returns the same
+module, and so does ``from . import rng`` in a module of this package,
+which loads it through ``colorgraph.__getattr__``.
 A module must not read a handle at load time: no ``dtype=np.float64``
 default, no class attribute from it. Before Python 3.12 that first read is
 not thread-safe; a program that calls the package from several threads at
@@ -130,16 +130,17 @@ class AmbiguousRegimeError(ColorGraphError):
 
 
 def lazy(name: str) -> ModuleType:
-    """The module ``name``: from ``sys.modules`` when it is there, else a handle that loads it on its first read."""
+    """The module ``name``: from ``sys.modules`` when it is there, else a handle that loads it on its first read.
+
+    ``name`` is a top-level module or a ``colorgraph`` module. A submodule of another package would not be
+    bound on that package, where a later ``import`` of it reads it, and ``find_spec`` would import the package.
+    """
     module = sys.modules.get(name)
     if module is None:
         spec = importlib.util.find_spec(name)
         spec.loader = importlib.util.LazyLoader(spec.loader)
         module = sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        parent, _, child = name.rpartition(".")
-        if parent not in ("", __package__):  # as ``import`` binds it; colorgraph.__getattr__ loads the package's own
-            setattr(sys.modules[parent], child, module)
     return module
 
 

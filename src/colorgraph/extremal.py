@@ -13,6 +13,7 @@ point enters only the diagnostic ratios of ``condition_report``.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -262,6 +263,8 @@ def alon_asymptotic(h: Graph, edge_budget: float) -> float:
 
     Valid for patterns with a spanning disjoint union of cycles and edges, which is certified first.
     """
+    if not 0 <= edge_budget < math.inf:
+        raise ValueError(f"edge budget must be finite and at least 0, got {edge_budget!r}")
     if h.n > 10:
         raise PatternTooLargeError(f"supported for patterns with <= 10 vertices, got {h.n}")
     _require_no_isolated(h, "alon_asymptotic")

@@ -90,8 +90,8 @@ class Graph:
         """The graph with the edges ``pairs``, an (m, 2) integer array or any iterable of integer pairs.
 
         The first bad pair in input order raises: a bool or float endpoint, one outside [0, n), a self-loop, a repeat."""
-        if n < 0:
-            raise OutOfRangeError(f"vertex count must be nonnegative, got {n}")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise OutOfRangeError(f"vertex count must be a nonnegative integer, got {n!r}")
         if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "iu" and pairs.shape[1:] == (2,):
             ends, stop = pairs.astype(np.int64, copy=False), None
         else:

@@ -246,7 +246,7 @@ class WeightedChiSquare(Params, LimitLaw):
 
     @property
     def row_cost(self) -> int:
-        return len(self.weights) * self.dof
+        return len(self.effective_weights()[0]) * self.dof  # ``draw`` draws only the kept weights
 
     def effective_weights(self) -> tuple[tuple[float, ...], float]:
         """(weights kept for sampling, dropped squared mass): by falling magnitude, until the rest sums below 1e-6."""

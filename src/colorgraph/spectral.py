@@ -7,6 +7,7 @@ spectrum is validated against the trace identities sum(lambda) = 0 and sum(lambd
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +93,8 @@ class CycleBound:
 
 def cycle_upper_bound(g: Graph, length: int, spectrum: Spectrum | None = None) -> CycleBound:
     """Closed-walk bounds on the g-cycle count (length >= 3)."""
-    if length < 3:
-        raise ValueError(f"cycle bound needs length >= 3, got {length}")
+    if not (isinstance(length, numbers.Integral) and length >= 3):  # True is 1, so no bool passes
+        raise ValueError(f"cycle bound needs an integer length >= 3, got {length!r}")
     edge_bound = (2.0 * g.m) ** (length / 2.0) / (2.0 * length)
     trace_bound = None
     if spectrum is not None:

@@ -279,8 +279,8 @@ def loop_graph_arrays(n: int, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray
     vertex's neighbour tuple is built and sorted on its own. Raises
     ``Graph``'s error classes and messages, naming the first bad pair.
     """
-    if n < 0:
-        raise OutOfRangeError(f"vertex count must be nonnegative, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise OutOfRangeError(f"vertex count must be a nonnegative integer, got {n!r}")
     canon, seen = [], set()
     for pair in pairs:
         u, v = pair

@@ -481,8 +481,9 @@ class TestHomDensity:
         assert hom_density_cycle(Graph(5, []), 3) == 0.0
 
     def test_requires_length_two(self):
-        with pytest.raises(ValueError):
-            hom_density_cycle(generate(Complete(3)), 1)
+        for length in (1, 2.5, 4.0, True):  # 2.5 returned NaN, 4.0 a density
+            with pytest.raises(ValueError):
+                hom_density_cycle(generate(Complete(3)), length)
 
     def test_even_length_nonnegative(self):
         for seed in range(5):

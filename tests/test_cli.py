@@ -152,6 +152,16 @@ class TestSimulateExactCompare:
         manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
         assert manifest["config"]["kernel"] == kernel
 
+    def test_workers_write_the_same_csv(self, runner, tmp_path):
+        # the second worker's block starts past sample 0, so the sieve's pointwise reads sit past its start
+        args = ["simulate", "--graph", "gadget:30:30:3", "--colors", "30", "--stat", "cycles:3", "--samples", "500",
+                "--seed", "1"]
+        for workers in ("1", "2"):
+            res = invoke(runner, *args, "--workers", workers, "--out", str(tmp_path / f"w{workers}.csv"))
+            assert res.exit_code == 0
+            assert json.loads((tmp_path / f"w{workers}.csv.manifest.json").read_text())["config"]["kernel"] == "sieve"
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
     def test_colors_beyond_two_to_the_53_exit_code(self, runner):
         res = runner.invoke(main, ["simulate", "--graph", "complete:2", "--colors", str(2**60),
                                    "--samples", "10", "--seed", "1"])
@@ -614,6 +624,7 @@ class TestBirthday:
         (["limit", "--graph", "blowup.edges", "--colors", "2"], 0),
         (["extremal", "--graph", "cycle:3001"], 0),
         (["census", "--graph", "complete:20", "--cycles"], 3),
+        (["census", "--graph", "complete:5", "--tuples", "4"], 0),
         *((args, 2) for args, _ in PATH_ERRORS),
         *((args, 2) for args, _ in UNJUDGEABLE_COMPARES),
         *((args, 2) for args, _ in USAGE_ERRORS),
@@ -624,7 +635,7 @@ class TestBirthday:
             "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol", "inf-poisson-mean",
             "fractional-dof", "nan-offspring", "sparse-host-above-size-gate", "star-above-size-gate",
             "dense-host-above-size-gate", "dense-blow-up-below-class-gate", "long-cycle-extremal",
-            "cycle-walk-gate",
+            "cycle-walk-gate", "longest-tuples",
             *PATH_ERROR_IDS, *UNJUDGEABLE_IDS, *USAGE_ERROR_IDS])
     def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the compare rows read these files
@@ -673,9 +684,15 @@ def modules_after_cli(*args: str) -> set[str]:
 
 
 def test_cli_start_up_skips_the_process_pool():
-    # concurrent.futures.process costs every start 15-23 ms; only simulate --workers > 1 needs it
-    code = "import sys, colorgraph.cli; print('concurrent.futures.process' in sys.modules)"
+    # multiprocessing.pool costs every start 15-24 ms; only simulate --workers > 1 needs it
+    code = "import sys, colorgraph.cli; print('multiprocessing.pool' in sys.modules)"
     assert child_output(code) == "False"
+
+
+def test_colorsim_loads_no_concurrent():
+    # a lazy handle on concurrent.futures imported the concurrent package when colorsim loaded
+    code = "import sys, colorgraph.colorsim; print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))"
+    assert child_output(code) == "[]"
 
 
 @pytest.mark.parametrize("args", [("birthday", "--people", "23", "--days", "365"), ("--version",)],
@@ -718,7 +735,7 @@ _CLOSED_FORM = {"numpy", "numpy._core", "colorgraph.rng", "colorgraph.census", "
     (("simulate", "--graph", "complete:6", "--colors", "2", "--stat", "edges", "--samples", "10", "--seed", "1"),
      {"colorgraph.census"}),
     (("exact", "--graph", "complete:4", "--colors", "2"), {"colorgraph.census"}),
-    (("limit", "--growing-ratio", "1.0"), _NO_ARRAYS),
+    (("limit", "--growing-ratio", "1.0", "--out", "law.json"), _NO_ARRAYS),
     (("compare", "--empirical", "e.csv", "--law", "law.json", "--metric", "tv", "--tol", "1.5"), _NO_ARRAYS),
     (("compare", "--empirical", "e.csv", "--law", "mixture.json", "--metric", "tv", "--tol", "1.5"), _NO_ARRAYS),
     (("limit", "--graph", "complete:40", "--colors", "2", "--out", "law40.json"), _CLOSED_FORM),

@@ -322,6 +322,7 @@ class TestSimulate:
         ("er:300:0.5:1", 1770, MonoEdges(), "gather"),
         ("er:600:0.5:1", 100, MonoEdges(), "gather"),
         ("path:200", 10**5, MonoStars(2), "gather"),
+        ("regular:5000:3:1", 10**9, MonoEdges(), "gather"),
     ])
     def test_kernel_chooser_grid(self, spec, c, stat, kernel):
         assert _kernel_for(generate(parse_family(spec)), c, stat).name == kernel

@@ -60,6 +60,25 @@ def test_guard_catches_a_lazy_scipy():
     assert imported_packages(ast.parse("np = lazy(NAME)\n")) - ALLOWED
 
 
+def misplaced_handles(tree: ast.AST) -> list[str]:
+    """Each ``lazy`` handle in ``tree`` that names a submodule of a package other than colorgraph."""
+    return [name for node in ast.walk(tree) if (name := lazy_handle(node)) is not None
+            and "." in name and not name.startswith("colorgraph.")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_lazy_handles_name_top_level_or_package_modules(path):
+    # lazy binds no handle on its parent package: a later ``import concurrent.futures`` would read it off
+    # ``concurrent`` and miss it, and binding it imports that package at once
+    misplaced = misplaced_handles(ast.parse(path.read_text(), filename=str(path)))
+    assert not misplaced, f"{path.name} binds lazy handles on submodules of other packages: {misplaced}"
+
+
+def test_handle_guard_catches_a_submodule_of_another_package():
+    source = "np, rng = lazy('numpy'), lazy('colorgraph.rng')\nfutures = lazy('concurrent.futures')\n"
+    assert misplaced_handles(ast.parse(source)) == ["concurrent.futures"]
+
+
 # what each module imports when it loads, beyond the standard library; a lazy handle, "name (lazy)", is
 # bound when the module loads and loads its module on its first read; the rest is imported where it runs
 LOAD_TIME = {

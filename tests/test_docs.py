@@ -1,4 +1,5 @@
-"""The repository's own documents: the CI workflows parse, and README's library tour stays short."""
+"""The repository's own documents: the CI workflows parse and run Tier-1, and README's library tour stays short."""
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,15 @@ def test_workflow_parses(path):
     doc = yaml.safe_load(path.read_text())
     for job in doc["jobs"].values():
         assert all("run" in step or "uses" in step for step in job["steps"])
+
+
+def test_ci_runs_the_tier1_command():
+    # the suite is the one home of every check: CI installs, runs the console script and runs Tier-1
+    yaml = pytest.importorskip("yaml")
+    command = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", (ROOT / "ROADMAP.md").read_text(), re.M).group(1)
+    steps = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())["jobs"]["tests"]["steps"]
+    assert [step.get("name") for step in steps] == [None, None, "Install", "Entry point", "Tier-1 tests"]
+    assert steps[-1]["run"].startswith(command + " ")
 
 
 def tour() -> str:

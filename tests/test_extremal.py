@@ -303,7 +303,12 @@ C5_SOLUTION = gamma(generate(Cycle(5)))
     (lambda: structural_check(dataclasses.replace(C5_SOLUTION, gamma=C5_SOLUTION.gamma + 1), generate(Cycle(5))),
      SolutionMismatchError, "sum"),
     (lambda: automorphism_count(generate(Path(10))), PatternTooLargeError, "10 vertices"),
-], ids=["empty-graph", "short-phi", "wrong-sum", "eleven-vertices"])
+    # a negative budget made the power complex, a NaN one returned NaN
+    (lambda: alon_asymptotic(generate(Cycle(5)), -1.0), ValueError, "edge budget"),
+    (lambda: alon_asymptotic(generate(Cycle(5)), math.nan), ValueError, "edge budget"),
+    (lambda: alon_asymptotic(generate(Cycle(5)), math.inf), ValueError, "edge budget"),
+], ids=["empty-graph", "short-phi", "wrong-sum", "eleven-vertices", "negative-budget", "nan-budget",
+        "infinite-budget"])
 def test_input_checks_raise_typed_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -88,6 +88,13 @@ class TestConstruction:
         with pytest.raises(OutOfRangeError, match=shown + " has an endpoint that is not an integer"):
             Graph(3, [pair])
 
+    @pytest.mark.parametrize("n,shown", [(2.5, "2.5"), (3.0, "3.0"), (True, "True"), (-1, "-1")])
+    def test_vertex_count_must_be_a_nonnegative_integer(self, n, shown):
+        # Graph(2.5, [(0, 1)]) had offsets [0 1 2 2], and Graph(True, []) an n of True
+        with pytest.raises(OutOfRangeError, match=f"vertex count must be a nonnegative integer, got {shown}$"):
+            Graph(n, [(0, 1)])
+        assert Graph(np.int64(3), [(0, 1)]).m == 1
+
     def test_numpy_integer_endpoints_round_trip(self):
         g = Graph(3, [(np.int64(2), np.int32(0)), (np.uint8(1), 2)])
         assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 2], [1, 2]]

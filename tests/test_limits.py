@@ -454,6 +454,13 @@ class TestSampling:
         assert dropped < 1e-6
         assert len(kept) <= len(base)
 
+    def test_wcs_row_cost_prices_only_the_kept_weights(self):
+        # all 101 weights were priced, so sample_law cut blocks of 19,801 draws where one drawn weight fits 2,000,000
+        law = WeightedChiSquare((math.sqrt(1 - 1e-8),) + (1e-5,) * 100, 3, 1.0)
+        kept, _ = law.effective_weights()
+        assert len(kept) == 1
+        assert law.row_cost == len(kept) * law.dof
+
     def test_wcs_empirical_mgf_matches_formula(self):
         law = WeightedChiSquare((1 / SQ2, -1 / SQ2), 1, 1.0)
         s = sample_law(law, 1_000_000, 13)

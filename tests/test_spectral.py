@@ -176,7 +176,7 @@ class TestCycleUpperBound:
         assert np.allclose(spec.eigenvalues, expect, atol=1e-9)
 
 
-@pytest.mark.parametrize("length", [2, 0, -1])
+@pytest.mark.parametrize("length", [2, 0, -1, 3.5, 4.0, True])
 def test_cycle_bound_needs_length_three(length):
     with pytest.raises(ValueError, match="length >= 3"):
         cycle_upper_bound(generate(Complete(4)), length)
