@@ -88,10 +88,10 @@ class TestConstruction:
         with pytest.raises(OutOfRangeError, match=shown + " has an endpoint that is not an integer"):
             Graph(3, [pair])
 
-    @pytest.mark.parametrize("n,shown", [(2.5, "2.5"), (3.0, "3.0"), (True, "True"), (-1, "-1")])
-    def test_vertex_count_must_be_a_nonnegative_integer(self, n, shown):
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, -1])
+    def test_vertex_count_must_be_a_nonnegative_integer(self, n):
         # Graph(2.5, [(0, 1)]) had offsets [0 1 2 2], and Graph(True, []) an n of True
-        with pytest.raises(OutOfRangeError, match=f"vertex count must be a nonnegative integer, got {shown}$"):
+        with pytest.raises(OutOfRangeError, match=f"vertex count must be a nonnegative integer, got {n!r}$"):
             Graph(n, [(0, 1)])
         assert Graph(np.int64(3), [(0, 1)]).m == 1
 
