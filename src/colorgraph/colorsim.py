@@ -50,10 +50,11 @@ from typing import Callable, NamedTuple, Union, get_args
 import numpy as np
 
 from . import graph, rng
-from .errors import BadColorVectorError, DomainExceededError, EnumerationGateExceededError, Params, lazy
+from .errors import (BadColorVectorError, DomainExceededError, EnumerationGateExceededError, Params,
+                     WorkerDiedError, lazy)
 from .graph import Blowup, Graph
 
-multiprocessing = lazy("multiprocessing")  # its pool costs every CLI start 15-24 ms; only workers > 1 read it
+multiprocessing = lazy("multiprocessing")  # its import costs a CLI start 7-12 ms; only workers > 1 read it
 
 __all__ = [
     "MonoEdges",
@@ -532,7 +533,8 @@ def simulate(
     """Draw ``samples`` independent uniform c-colorings and evaluate ``stat``; ``workers`` never changes the result.
 
     More than 2^53 colors raise ``DomainExceededError``. ``c`` and ``seed``
-    are integers (``operator.index``): a float is a TypeError.
+    are integers (``operator.index``): a float is a TypeError. A worker that
+    dies before returning its block raises ``WorkerDiedError``.
     """
     c = operator.index(c)
     if c < 2:
@@ -545,8 +547,17 @@ def simulate(
     if workers > 1:
         bounds = sorted(set(np.linspace(0, samples, workers + 1).astype(int).tolist()))
         job = functools.partial(_simulate_range, kernel, seed, c)
+        running = set(multiprocessing.active_children())
         with multiprocessing.Pool(workers) as pool:
-            counts = np.concatenate(pool.starmap(job, zip(bounds[:-1], bounds[1:])))
+            # a Pool replaces a dead worker but never returns its block, so a death is read off the exit codes
+            pool_workers = set(multiprocessing.active_children()) - running
+            blocks = pool.starmap_async(job, zip(bounds[:-1], bounds[1:]))
+            while not blocks.ready():
+                if dead := [p.exitcode for p in pool_workers if p.exitcode is not None]:
+                    raise WorkerDiedError(f"a worker process exited with code {dead[0]} before returning its "
+                                          f"samples; rerun with fewer workers")
+                blocks.wait(0.1)
+            counts = np.concatenate(blocks.get())
     else:
         counts = _simulate_range(kernel, seed, c, 0, samples)
     counts.setflags(write=False)

@@ -129,6 +129,10 @@ class AmbiguousRegimeError(ColorGraphError):
     """The diagnostics do not clearly select one limit regime."""
 
 
+class WorkerDiedError(ColorGraphError):
+    """A worker process exited before it returned its block of samples (a crash or the OOM killer)."""
+
+
 def lazy(name: str) -> ModuleType:
     """The module ``name``: from ``sys.modules`` when it is there, else a handle that loads it on its first read.
 

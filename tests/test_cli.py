@@ -684,9 +684,11 @@ def modules_after_cli(*args: str) -> set[str]:
 
 
 def test_cli_start_up_skips_the_process_pool():
-    # multiprocessing.pool costs every start 15-24 ms; only simulate --workers > 1 needs it
-    code = "import sys, colorgraph.cli; print('multiprocessing.pool' in sys.modules)"
-    assert child_output(code) == "False"
+    # import multiprocessing (its pickle, socket and selectors) costs a CLI start 7-12 ms; only --workers > 1 reads it
+    loaded = modules_after_cli("simulate", "--graph", "complete:6", "--colors", "2", "--stat", "edges",
+                               "--samples", "10", "--seed", "1")
+    assert "colorgraph.colorsim" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "multiprocessing"}
 
 
 def test_colorsim_loads_no_concurrent():

@@ -2,6 +2,9 @@ import functools
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -198,6 +201,25 @@ class TestSimulate:
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.counts, c.counts)
         assert not np.array_equal(a.counts, simulate(g, 3, MonoEdges(), 4000, 100).counts)
+
+    def test_a_dying_worker_raises(self):
+        # a Pool replaces a dead worker and never returns its block, so simulate must raise, not wait forever
+        code = ("import os\n"
+                "from colorgraph import colorsim, errors, graph\n"
+                "run_range = colorsim._simulate_range\n"
+                "def dying(kernel, seed, c, lo, hi):\n"
+                "    if lo:\n"
+                "        os._exit(1)  # as under the OOM killer\n"
+                "    return run_range(kernel, seed, c, lo, hi)\n"
+                "colorsim._simulate_range = dying\n"
+                "try:\n"
+                "    colorsim.simulate(graph.generate(graph.Complete(4)), 3, colorsim.MonoEdges(), 100, 1, workers=2)\n"
+                "except errors.WorkerDiedError as exc:\n"
+                "    print(exc)\n")
+        src = os.path.dirname(os.path.dirname(colorsim.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+        assert "exited with code 1 before returning its samples" in out.stdout, out.stderr
 
     def test_single_edge_half(self):
         run = simulate(generate(Complete(2)), 2, MonoEdges(), 100_000, 1)
