@@ -7,7 +7,8 @@ file also writes ``<out>.manifest.json`` beside it with every option the
 command parsed, the library version, and the wall time.
 
 Exit codes: 0 ok, 1 failed comparison, 2 usage error or a path that cannot
-be read or written, 3 enumeration or size gate exceeded, 4 numerical failure.
+be read or written, 3 enumeration or size gate exceeded or an allocation the
+host cannot make, 4 numerical failure.
 
 Each command loads only the modules it runs: the package's modules, numpy,
 ``dataclasses`` and ``fractions`` are ``errors.lazy`` handles. ``--version``
@@ -132,6 +133,9 @@ def _command(name: str):
                     Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
             except GateExceededError as exc:
                 click.echo(f"gate exceeded: {exc}", err=True)
+                sys.exit(EXIT_GATE)
+            except MemoryError as exc:  # an allocation the host cannot make is a size limit, not a failed comparison
+                click.echo(f"out of memory: {exc}", err=True)
                 sys.exit(EXIT_GATE)
             except _NUMERICAL_ERRORS as exc:
                 click.echo(f"numerical failure: {exc}", err=True)

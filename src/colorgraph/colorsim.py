@@ -539,6 +539,7 @@ def simulate(
     c = operator.index(c)
     if c < 2:
         raise ValueError(f"need at least 2 colors, got {c}")
+    rng._checked_colors(c)  # DomainExceededError past 2^53 colors before a kernel is built
     if samples < 1:
         raise ValueError(f"need at least 1 sample, got {samples}")
     if workers < 1:
@@ -575,10 +576,9 @@ def exact_distribution(g: Graph, c: int, stat: Statistic) -> dict[int, Fraction]
         raise ValueError(f"need at least 2 colors, got {c}")
     total = c**g.n
     if total > EXACT_ENUMERATION_GATE:
-        raise EnumerationGateExceededError(
-            f"c^n = {total} exceeds the enumeration gate {EXACT_ENUMERATION_GATE}",
-            total=total,
-        )
+        shown = total if total < 10**100 else f"{c}^{g.n}"  # str() refuses an int of more than 4,300 digits
+        raise EnumerationGateExceededError(f"c^n = {shown} exceeds the enumeration gate {EXACT_ENUMERATION_GATE}",
+                                           total=total)
     # vertex 0 is the most significant digit of the coloring index
     powers = c ** np.arange(g.n - 1, -1, -1, dtype=np.int64)
     source = functools.partial(_digit_colors, c, powers, rng._narrow_dtype(c - 1))

@@ -56,7 +56,7 @@ class DuplicateEdgeError(ColorGraphError):
 
 
 class InfeasibleSpecError(ColorGraphError):
-    """A graph family specification violates its own constraints."""
+    """A family spec's fields are each valid but cannot go together, such as an odd n*d for a regular graph."""
 
 
 class GenerationTimeoutError(ColorGraphError):

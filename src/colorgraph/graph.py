@@ -7,13 +7,14 @@ int64 arrays, so it is immutable and safe to share between threads:
 the host as the :class:`Blowup` of its twin classes, which the counting
 kernels, the census and the spectrum read.
 
-Each family spec is a ``Params`` dataclass that builds its own graph
-(``generate`` calls ``spec.build()``), by numpy index arithmetic or, for
-``ErdosRenyi`` and ``Inhomogeneous``, by one independent-edge sampler on the
-family's ``rng`` stream. ``read_spec`` reads every ``name:arg:...`` string:
-family specs, and the CLI's statistics. ``Params`` and ``FIELD_KINDS`` come
-from ``errors``, and numpy and ``rng`` are ``errors.lazy`` handles, so a
-family spec is parsed without them.
+Each family spec is a ``Params`` dataclass that checks its fields when it is
+made, through ``ranges``, and builds its own graph (``generate`` calls
+``spec.build()``), by numpy index arithmetic or, for ``ErdosRenyi`` and
+``Inhomogeneous``, by one independent-edge sampler on the family's ``rng``
+stream. ``read_spec`` reads every ``name:arg:...`` string: family specs, and
+the CLI's statistics. ``Params`` and ``FIELD_KINDS`` come from ``errors``, and
+numpy and ``rng`` are ``errors.lazy`` handles, so a family spec is parsed
+without them.
 
 The cycle walk finds the cycles of each length in ``CYCLE_LENGTHS`` for
 ``census`` and ``cycle_list``, so ``simulate`` loads no ``census``. It is one
@@ -459,13 +460,23 @@ def _int_pair(line: str, error: str) -> tuple[int, int]:
 # -- family specifications ------------------------------------------------------
 
 
+def _at_least(low: int) -> tuple:
+    """The ``Params.ranges`` rule x >= low."""
+    return lambda x: x >= low, f">= {low}"
+
+
+def _is_kernel(k) -> bool:
+    """Whether ``k`` is a square tuple grid of numbers in [0, 1], symmetric as ``np.allclose(k, k.T, atol=1e-12)``."""
+    return (isinstance(k, tuple) and all(FIELD_KINDS["tuple[float, ...]"].fits(row) and len(row) == len(k) for row in k)
+            and all(0 <= x <= 1 for row in k for x in row) and np.allclose(k, np.transpose(k), atol=1e-12))
+
+
 @dataclass(frozen=True)
 class Complete(Params):
     n: int
+    ranges = {"n": _at_least(0)}
 
     def build(self) -> Graph:
-        if self.n < 0:
-            raise InfeasibleSpecError("complete graph needs n >= 0")
         return Graph(self.n, np.column_stack(np.triu_indices(self.n, k=1)))
 
 
@@ -473,10 +484,9 @@ class Complete(Params):
 class CompleteBipartite(Params):
     a: int
     b: int
+    ranges = {"a": _at_least(0), "b": _at_least(0)}
 
     def build(self) -> Graph:
-        if self.a < 0 or self.b < 0:
-            raise InfeasibleSpecError("bipartite sides must be nonnegative")
         return Graph(self.a + self.b, np.indices((self.a, self.b)).reshape(2, -1).T + (0, self.a))
 
 
@@ -485,10 +495,9 @@ class Star(Params):
     """K_{1,leaves}: one center (vertex 0) plus ``leaves`` leaves."""
 
     leaves: int
+    ranges = {"leaves": _at_least(0)}
 
     def build(self) -> Graph:
-        if self.leaves < 0:
-            raise InfeasibleSpecError("star needs a nonnegative leaf count")
         return Graph(self.leaves + 1, np.arange(1, self.leaves + 1)[:, None] * (0, 1))
 
 
@@ -497,20 +506,18 @@ class Path(Params):
     """Path with ``edges`` edges on ``edges + 1`` vertices."""
 
     edges: int
+    ranges = {"edges": _at_least(0)}
 
     def build(self) -> Graph:
-        if self.edges < 0:
-            raise InfeasibleSpecError("path needs a nonnegative edge count")
         return Graph(self.edges + 1, np.arange(self.edges)[:, None] + (0, 1))
 
 
 @dataclass(frozen=True)
 class Cycle(Params):
     length: int
+    ranges = {"length": _at_least(3)}
 
     def build(self) -> Graph:
-        if self.length < 3:
-            raise InfeasibleSpecError("cycle length must be at least 3")
         return Graph(self.length, (np.arange(self.length)[:, None] + (0, 1)) % self.length)
 
 
@@ -519,10 +526,9 @@ class Hypercube(Params):
     """Hamming cube on 2**dim vertices; (dim)-regular."""
 
     dim: int
+    ranges = {"dim": _at_least(0)}
 
     def build(self) -> Graph:
-        if self.dim < 0:
-            raise InfeasibleSpecError("hypercube dimension must be nonnegative")
         x, bit = np.nonzero(~np.arange(1 << self.dim)[:, None] & (1 << np.arange(self.dim)))
         return Graph(1 << self.dim, np.column_stack((x, x | (1 << bit))))  # x joins x + 2^b for each bit b clear in x
 
@@ -532,10 +538,9 @@ class ErdosRenyi(Params):
     n: int
     p: float
     seed: int
+    ranges = {"n": _at_least(0), "p": (lambda p: 0 <= p <= 1, "in [0, 1]")}
 
     def build(self) -> Graph:
-        if self.n < 0 or not (0.0 <= self.p <= 1.0):
-            raise InfeasibleSpecError("Erdos-Renyi needs n >= 0 and p in [0, 1]")
         return _independent_edges(self.n, self.seed, rng.STREAM_ER, self.p)
 
 
@@ -546,15 +551,12 @@ class Inhomogeneous(Params):
     n: int
     kernel: tuple[tuple[float, ...], ...]
     seed: int
+    ranges = {"n": _at_least(0), "kernel": (_is_kernel, "a symmetric square grid of numbers in [0, 1]")}
 
     def build(self) -> Graph:
-        k = np.asarray(self.kernel, dtype=np.float64)
-        if k.shape != (self.n, self.n):
-            raise InfeasibleSpecError(f"kernel grid must be {self.n}x{self.n}, got {k.shape}")
-        if np.any(k < 0) or np.any(k > 1):
-            raise InfeasibleSpecError("kernel entries must lie in [0, 1]")
-        if not np.allclose(k, k.T, atol=1e-12):
-            raise InfeasibleSpecError("kernel grid must be symmetric")
+        if len(self.kernel) != self.n:
+            raise InfeasibleSpecError(f"kernel grid must be {self.n}x{self.n}, got {len(self.kernel)} rows")
+        k = np.asarray(self.kernel, dtype=np.float64).reshape(self.n, self.n)
         return _independent_edges(self.n, self.seed, rng.STREAM_INHOM, k)
 
 
@@ -566,10 +568,11 @@ class RandomRegular(Params):
     n: int
     d: int
     seed: int
+    ranges = {"n": _at_least(0), "d": _at_least(0)}
 
     def build(self) -> Graph:
         n, d = self.n, self.d
-        if n < 0 or d < 0 or d >= max(n, 1) or (n * d) % 2 != 0:
+        if d >= max(n, 1) or (n * d) % 2 != 0:
             raise InfeasibleSpecError(f"random regular graph needs n*d even and d < n, got n={n}, d={d}")
         points = n * d
         for attempt in range(_REGULAR_RETRY_CAP):
@@ -592,16 +595,12 @@ class GaltonWatson(Params):
     offspring: tuple[float, ...]
     height: int
     seed: int
+    ranges = {"offspring": (lambda p: len(p) > 0 and min(p) >= 0 and abs(sum(p) - 1) <= 1e-9,
+                            "a nonempty, nonnegative pmf that sums to 1"),
+              "height": _at_least(0)}
 
     def build(self) -> Graph:
-        pmf = np.asarray(self.offspring, dtype=np.float64)
-        if pmf.size == 0 or np.any(pmf < 0):
-            raise InfeasibleSpecError("offspring pmf must be a nonempty nonnegative vector")
-        if abs(float(pmf.sum()) - 1.0) > 1e-9:
-            raise InfeasibleSpecError(f"offspring pmf must sum to 1, got {pmf.sum()!r}")
-        if self.height < 0:
-            raise InfeasibleSpecError("height must be nonnegative")
-        cdf = np.cumsum(pmf)
+        cdf = np.cumsum(self.offspring, dtype=np.float64)
         cdf[-1] = 1.0
         parents, frontier, n = [np.zeros(0, np.int64)], np.zeros(1, np.int64), 1
         while frontier.size and len(parents) <= self.height:  # a level a pass; children numbered on in order
@@ -622,11 +621,10 @@ class PathCycleGadget(Params):
     a: int
     b: int
     g: int
+    ranges = {"a": _at_least(1), "b": _at_least(1), "g": _at_least(3)}
 
     def build(self) -> Graph:
         a, b, g = self.a, self.b, self.g
-        if a < 1 or b < 1 or g < 3:
-            raise InfeasibleSpecError("gadget needs a >= 1, b >= 1, g >= 3")
         # cycle i*b + j runs i, its g - 2 interior vertices from a + 1 + (i*b + j)*(g - 2) on, i + 1
         cycles = a * b
         edge = np.arange(cycles) // b

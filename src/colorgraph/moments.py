@@ -106,7 +106,8 @@ class MomentRequest(Params):
     kind: MomentKind
     order: int
     colors: int
-    ranges = {"order": (lambda k: 1 <= k <= 4, "in [1, 4]"), "colors": (lambda c: c >= 2, ">= 2")}
+    ranges = {"kind": (lambda k: isinstance(k, MomentKind), "a MomentKind"),
+              "order": (lambda k: 1 <= k <= 4, "in [1, 4]"), "colors": (lambda c: c >= 2, ">= 2")}
 
 
 @dataclass(frozen=True)

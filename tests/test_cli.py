@@ -458,12 +458,17 @@ USAGE_ERRORS = [
     (["limit", "--graph", "gadget:3:3:3", "--colors", "2", "--sample", "5"], "--sample requires --seed"),
     (["limit", "--colors", "2"], "the fixed-color regime needs --graph"),
     (["birthday"], "pass --people N"),
+    # a single bad field is named when the spec is made, also on limit's closed-form path that builds no graph
+    (["limit", "--graph", "complete:-1", "--colors", "2"], "bad family spec 'complete:-1': Complete.n must be >= 0"),
+    (["limit", "--graph", "bipartite:-3:5", "--colors", "2"], "CompleteBipartite.a must be >= 0, got -3"),
+    (["generate", "--family", "gw:0.5,0.6:3:1"], "GaltonWatson.offspring must be a nonempty, nonnegative pmf"),
     (["birthday", "--lambda-from", "--days-power", "365:4"], "--lambda-from needs --edges"),
     *((["birthday", "--lambda-from", "--edges", "5", "--days-power", bad], "--days-power must be BASE:K")
       for bad in ("abc", "2:x", "1:2:3")),
 ]
 USAGE_ERROR_IDS = ["kernel-csv-without-seed", "sample-without-seed", "fixed-colors-without-graph",
-                   "birthday-without-people", "lambda-from-without-edges",
+                   "birthday-without-people", "negative-complete", "negative-bipartite-side",
+                   "offspring-summing-past-one", "lambda-from-without-edges",
                    "days-power-without-colon", "days-power-non-integer-k", "days-power-two-colons"]
 
 
@@ -625,6 +630,16 @@ class TestBirthday:
         (["extremal", "--graph", "cycle:3001"], 0),
         (["census", "--graph", "complete:20", "--cycles"], 3),
         (["census", "--graph", "complete:5", "--tuples", "4"], 0),
+        # c^n past 4,300 digits, which str() refuses to format
+        (["exact", "--graph", "path:20000", "--colors", "2"], 3),
+        (["exact", "--graph", "complete:3000", "--colors", "30"], 3),
+        # c = 2^60 is past 2^53: checked before the cycle walk lists K_20's 8-cycles
+        (["simulate", "--graph", "complete:20", "--colors", str(2**60), "--stat", "cycles:8", "--samples", "3",
+          "--seed", "1"], 4),
+        # numpy refuses the 745 GiB and 8 TiB arrays at once, without allocating
+        (["generate", "--family", "complete:100000000000"], 3),
+        (["generate", "--family", "hypercube:40"], 3),
+        (["limit", "--graph", "complete:99999999999999", "--colors", "2"], 0),
         *((args, 2) for args, _ in PATH_ERRORS),
         *((args, 2) for args, _ in UNJUDGEABLE_COMPARES),
         *((args, 2) for args, _ in USAGE_ERRORS),
@@ -635,8 +650,9 @@ class TestBirthday:
             "nan-scale", "inf-scale", "nan-center", "inf-center", "nan-tol", "inf-poisson-mean",
             "fractional-dof", "nan-offspring", "sparse-host-above-size-gate", "star-above-size-gate",
             "dense-host-above-size-gate", "dense-blow-up-below-class-gate", "long-cycle-extremal",
-            "cycle-walk-gate", "longest-tuples",
-            *PATH_ERROR_IDS, *UNJUDGEABLE_IDS, *USAGE_ERROR_IDS])
+            "cycle-walk-gate", "longest-tuples", "exact-gate-long-path", "exact-gate-large-complete",
+            "colors-past-2-53-before-cycle-walk", "complete-past-memory", "hypercube-past-memory",
+            "closed-form-huge-complete", *PATH_ERROR_IDS, *UNJUDGEABLE_IDS, *USAGE_ERROR_IDS])
     def test_out_of_range_input_exit_code(self, runner, args, code, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the compare rows read these files
         write_compare_inputs(tmp_path)

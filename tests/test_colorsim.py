@@ -160,6 +160,12 @@ class TestExactDistribution:
         assert err.value.total == 3**30
         assert err.value.total > EXACT_ENUMERATION_GATE
 
+    def test_gate_names_a_power_past_ten_to_the_100(self):
+        # str() refuses an int of more than 4,300 digits, so c^n = 2^20001 is named as the power
+        with pytest.raises(EnumerationGateExceededError, match="c\\^n = 2\\^20001 exceeds") as err:
+            exact_distribution(generate(Path(20000)), 2, MonoEdges())
+        assert err.value.total == 2**20001
+
     def test_star_statistic_law(self):
         # closed form: center color fixed, leaves match independently
         g = generate(Star(3))
@@ -284,6 +290,12 @@ class TestSimulate:
         with pytest.raises(DomainExceededError, match="exceed 2\\^53"):
             simulate(k2, 2**53 + 1, MonoEdges(), 10, 1)
         assert set(simulate(k2, 2**53, MonoEdges(), 10, 1).counts.tolist()) <= {0, 1}
+
+    def test_colors_beyond_two_to_the_53_rejected_before_a_kernel_is_built(self, monkeypatch):
+        # the cycle kernel of K_12 lists its 1.25M 8-cycles before the first draw would check c
+        monkeypatch.setattr(colorsim, "_kernel_for", lambda *args: pytest.fail("a kernel was built"))
+        with pytest.raises(DomainExceededError, match="exceed 2\\^53"):
+            simulate(generate(Complete(12)), 2**60, MonoCycles(8), 3, 1)
 
     def test_kernel_choice_recorded(self):
         k200 = generate(Complete(200))

@@ -31,6 +31,7 @@ from colorgraph.errors import (
     SelfLoopError,
 )
 from colorgraph.graph import (
+    FIELD_KINDS,
     Blowup,
     Complete,
     CompleteBipartite,
@@ -426,8 +427,8 @@ class TestDeterministicFamilies:
         assert generate(Cycle(6)).degrees == (2,) * 6
 
     def test_cycle_too_short(self):
-        with pytest.raises(InfeasibleSpecError):
-            generate(Cycle(2))
+        with pytest.raises(ValueError, match="Cycle.length must be >= 3"):
+            Cycle(2)
 
     def test_only_family_specs_generate(self):
         for spec in (None, "complete:3", Graph(3, [])):
@@ -475,8 +476,8 @@ class TestRandomFamilies:
         assert g.edges.tolist() == [[0, 1], [2, 3]]
 
     def test_inhomogeneous_validation(self):
-        with pytest.raises(InfeasibleSpecError):
-            generate(Inhomogeneous(2, ((0.0, 0.4), (0.6, 0.0)), 1))
+        with pytest.raises(ValueError, match="Inhomogeneous.kernel must be a symmetric square grid"):
+            Inhomogeneous(2, ((0.0, 0.4), (0.6, 0.0)), 1)
 
     def test_regular_degrees(self):
         for n, d, seed in ((10, 3, 0), (20, 4, 1), (15, 2, 2), (12, 4, 3)):
@@ -514,10 +515,9 @@ class TestRandomFamilies:
         assert g.m == g.n - 1
 
     def test_galton_watson_validation(self):
-        with pytest.raises(InfeasibleSpecError):
-            generate(GaltonWatson((0.5, 0.4), 3, 1))
-        with pytest.raises(InfeasibleSpecError):
-            generate(GaltonWatson((), 3, 1))
+        for pmf in ((0.5, 0.4), ()):
+            with pytest.raises(ValueError, match="GaltonWatson.offspring must be a nonempty, nonnegative pmf"):
+                GaltonWatson(pmf, 3, 1)
 
 
 def _grid(n, entry):
@@ -698,9 +698,8 @@ VALID_PARAMS = [
     moments.MomentRequest(moments.MomentKind.RAW_N, 2, 2),
 ]
 
-# float fields that admit +-inf: a growing regime's m/c may be inf, and a family spec's
-# generator, not the spec, checks the spec's ranges
-INFINITE_OK = {(limits.Growing, "edge_color_ratio"), (ErdosRenyi, "p")}
+# float fields that admit +-inf: a growing regime's m/c may be inf
+INFINITE_OK = {(limits.Growing, "edge_color_ratio")}
 
 
 def _subclasses(cls):
@@ -725,12 +724,40 @@ class TestParams:
     def test_values_are_not_converted(self):
         assert type(limits.Poisson(2).mean) is int
 
+    @pytest.mark.parametrize("cls", sorted(_subclasses(Params), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+    def test_every_field_is_checked(self, cls):
+        # a field with neither a FIELD_KINDS kind nor a ranges rule would take any value when its Params is made
+        unchecked = [f.name for f in dataclasses.fields(cls) if f.type not in FIELD_KINDS and f.name not in cls.ranges]
+        assert not unchecked
 
-@pytest.mark.parametrize("spec", [
-    Complete(-1), CompleteBipartite(-1, 2), CompleteBipartite(2, -1), Star(-1), Path(-1), Hypercube(-1),
-    ErdosRenyi(-1, 0.5, 1), ErdosRenyi(5, 1.5, 1), GaltonWatson((0.5, 0.5), -1, 1), PathCycleGadget(0, 1, 3),
-    Inhomogeneous(3, ((0.1, 0.2), (0.2, 0.1)), 1), Inhomogeneous(2, ((0.1, 1.5), (1.5, 0.1)), 1),
-], ids=repr)
-def test_input_checks_raise_typed_errors(spec):
-    with pytest.raises(InfeasibleSpecError):
-        generate(spec)
+
+def _spec_row(cls, *args, field=None):
+    """The row (cls, args, field) under the id ``repr(cls(*args))``, which a spec with a bad field cannot print."""
+    shown = ", ".join(f"{f.name}={a!r}" for f, a in zip(dataclasses.fields(cls), args))
+    return pytest.param(cls, args, field, id=f"{cls.__name__}({shown})")
+
+
+@pytest.mark.parametrize("cls,args,field", [
+    _spec_row(Complete, -1, field="n"), _spec_row(CompleteBipartite, -1, 2, field="a"),
+    _spec_row(CompleteBipartite, 2, -1, field="b"), _spec_row(Star, -1, field="leaves"),
+    _spec_row(Path, -1, field="edges"), _spec_row(Hypercube, -1, field="dim"),
+    _spec_row(ErdosRenyi, -1, 0.5, 1, field="n"), _spec_row(ErdosRenyi, 5, 1.5, 1, field="p"),
+    _spec_row(ErdosRenyi, 3, 7.0, 1, field="p"), _spec_row(RandomRegular, -4, 2, 1, field="n"),
+    _spec_row(RandomRegular, 4, -2, 1, field="d"), _spec_row(GaltonWatson, (0.5, 0.5), -1, 1, field="height"),
+    _spec_row(GaltonWatson, (1.5, -0.5), 2, 1, field="offspring"), _spec_row(PathCycleGadget, 0, 1, 3, field="a"),
+    _spec_row(PathCycleGadget, 1, 0, 3, field="b"), _spec_row(PathCycleGadget, 1, 1, 2, field="g"),
+    _spec_row(Inhomogeneous, 2, ((0.1, 1.5), (1.5, 0.1)), 1, field="kernel"),
+    _spec_row(Inhomogeneous, 2, ((math.nan, 0.5), (0.5, 0.0)), 1, field="kernel"),
+    _spec_row(Inhomogeneous, 2, ((0.1, 0.2, 0.3), (0.2, 0.1, 0.3)), 1, field="kernel"),
+    _spec_row(Inhomogeneous, -1, (), 1, field="n"),
+    # fields that are valid alone but cannot go together
+    _spec_row(Inhomogeneous, 3, ((0.1, 0.2), (0.2, 0.1)), 1), _spec_row(RandomRegular, 5, 3, 0),
+    _spec_row(RandomRegular, 4, 4, 0),
+])
+def test_input_checks_raise_typed_errors(cls, args, field):
+    if field is None:  # found when the graph is built
+        with pytest.raises(InfeasibleSpecError):
+            generate(cls(*args))
+    else:  # a single bad field is named when the spec is made
+        with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{field} must be "):
+            cls(*args)
